@@ -1,6 +1,7 @@
 package cilk
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -44,24 +45,23 @@ func TestRecursiveSpawn(t *testing.T) {
 	}
 }
 
+// TestStealsAreSingle forces the steals it counts: the root blocks inside
+// Run until a child has executed on another worker, which only a thief can
+// arrange.
 func TestStealsAreSingle(t *testing.T) {
 	s := newTest(t, Options{P: 4})
-	// Spawn in waves until a thief has actually stolen: on a machine with
-	// few hardware threads a single burst can be produced and drained
-	// within the producer's OS timeslice, before any other worker
-	// goroutine gets scheduled at all.
+	stolen := make(chan struct{})
+	var once sync.Once
 	s.Run(Func(func(ctx *Ctx) {
-		for wave := 0; wave < 200 && s.Stats().Steals == 0; wave++ {
-			for i := 0; i < 500; i++ {
-				ctx.Spawn(Func(func(*Ctx) {
-					x := 0
-					for j := 0; j < 1000; j++ {
-						x += j
-					}
-					_ = x
-				}))
-			}
+		home := ctx.WorkerID()
+		for i := 0; i < 64; i++ {
+			ctx.Spawn(Func(func(c *Ctx) {
+				if c.WorkerID() != home {
+					once.Do(func() { close(stolen) })
+				}
+			}))
 		}
+		<-stolen
 	}))
 	st := s.Stats()
 	if st.Steals == 0 {

@@ -1,6 +1,7 @@
 package classic
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -44,27 +45,31 @@ func TestRecursiveSpawn(t *testing.T) {
 	}
 }
 
+// TestWorkIsDistributed forces the steal instead of hoping for it: the root
+// blocks inside Run until one of its children has executed on another
+// worker, and the only way off the root's deque is a thief.
 func TestWorkIsDistributed(t *testing.T) {
 	s := newTest(t, Options{P: 4})
-	var rootSpawn func(ctx *Ctx)
-	rootSpawn = func(ctx *Ctx) {
-		for i := 0; i < 4000; i++ {
-			ctx.Spawn(Func(func(*Ctx) {
-				x := 0
-				for j := 0; j < 2000; j++ {
-					x += j
+	const children = 64
+	stolen := make(chan struct{})
+	var once sync.Once
+	s.Run(Func(func(ctx *Ctx) {
+		home := ctx.WorkerID()
+		for i := 0; i < children; i++ {
+			ctx.Spawn(Func(func(c *Ctx) {
+				if c.WorkerID() != home {
+					once.Do(func() { close(stolen) })
 				}
-				_ = x
 			}))
 		}
-	}
-	s.Run(Func(rootSpawn))
+		<-stolen
+	}))
 	st := s.Stats()
 	if st.Steals == 0 {
 		t.Fatal("no steals recorded: load balancing is dead")
 	}
-	if st.TasksRun != 4001 {
-		t.Fatalf("TasksRun = %d", st.TasksRun)
+	if st.TasksRun != children+1 {
+		t.Fatalf("TasksRun = %d, want %d", st.TasksRun, children+1)
 	}
 }
 

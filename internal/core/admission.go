@@ -7,12 +7,12 @@ import (
 )
 
 // This file implements the admission-control half of the external submission
-// path. Externally spawned tasks no longer share one unbounded FIFO slice:
-// every submission source — each Group, plus one catch-all queue for
-// group-less Scheduler.Spawn — owns a FIFO inject queue, and workers drain
-// the non-empty queues round-robin (takeInjected), so a client flooding its
-// own group cannot starve another group's submissions (group-fair FIFO:
-// strict FIFO within a source, round-robin across sources).
+// path. Externally spawned tasks do not share one unbounded FIFO slice:
+// every submission source — each Group, including the scheduler's root
+// group behind group-less Scheduler.Spawn — owns a FIFO inject queue, and
+// workers drain the non-empty queues round-robin (takeInjected), so a client
+// flooding its own group cannot starve another group's submissions
+// (group-fair FIFO: strict FIFO within a source, round-robin across sources).
 //
 // Two bounds throttle runaway clients at the inject path, before their tasks
 // ever reach the worker deques: Options.MaxPendingPerGroup caps one source's
@@ -86,36 +86,30 @@ func (s *Scheduler) admitRoom(q *injectQ, want int) int {
 	return want
 }
 
-// enqueueLocked accounts ns in-flight and appends them to q, activating q in
-// the round-robin ring if it was empty. Accounting happens here — at the
-// moment of admission, before any worker can observe the nodes — so neither
-// Wait can see a transient zero while an admitted task tree is still
-// growing, and a never-admitted node (shutdown, ErrSaturated) never inflates
-// the in-flight counts. The global count lands on the external in-flight
-// shard (all nodes of one call share the source, so one batched add
-// suffices); the group count is the group's own padded atomic. Caller holds
-// admitMu.
-func (s *Scheduler) enqueueLocked(q *injectQ, ns []*node) {
-	s.extInflightAdd(int64(len(ns)))
-	g := ns[0].group
-	var gepoch uint64
-	if g != nil {
-		g.inflight.Add(int64(len(ns)))
-		// Stamp the group's cancellation epoch once per batch: a later
-		// Cancel bumps the epoch under this same lock, so a take that finds
-		// a node's stamp stale knows the node predates the cancel and
-		// revokes it (see cancel.go and takeInjected).
-		gepoch = g.epoch //repro:ownerstore admitMu serializes this read with the epoch bump in Group.cancel
+// enqueueLocked accounts ns in-flight on g and appends them to g's inject
+// queue, activating it in the round-robin ring if it was empty. Accounting
+// happens here — at the moment of admission, before any worker can observe
+// the nodes — so neither Wait can see a transient zero while an admitted
+// task tree is still growing, and a never-admitted node (shutdown,
+// ErrSaturated) never inflates the in-flight count. An admission that finds
+// the group at zero also puts it into the busy set, again before the
+// nodes are visible. Caller holds admitMu.
+func (s *Scheduler) enqueueLocked(g *Group, ns []*node) {
+	q := &g.iq
+	if k := int64(len(ns)); g.inflight.Add(k) == k {
+		s.markBusy(g)
 	}
+	// Stamp the group's cancellation epoch once per batch: a later Cancel
+	// bumps the epoch under this same lock, so a take that finds a node's
+	// stamp stale knows the node predates the cancel and revokes it (see
+	// cancel.go and takeInjected).
+	gepoch := g.epoch //repro:ownerstore admitMu serializes this read with the epoch bump in Group.cancel
 	// Stamp the admission time once per batch: the admission-wait histogram
 	// (always on) measures enqueue→take, and the tracer — when enabled —
 	// records the enqueue on the admission ring (ring P, owned by the admitMu
 	// holder, so its writes are serialized like a worker's own).
 	now := trace.Now()
-	var gid uint32
-	if g != nil {
-		gid = uint32(g.gid)
-	}
+	gid := uint32(g.gid)
 	xt := s.xt
 	traced := xt.Enabled()
 	for _, n := range ns {
@@ -148,15 +142,15 @@ func (s *Scheduler) enqueueLocked(q *injectQ, ns []*node) {
 	}
 }
 
-// admitBlocking admits every node of ns into q in submission order, parking
+// admitBlocking admits every node of ns into g in submission order, parking
 // while the bounds leave no room, and returns the number of admitted nodes
 // plus the typed reason admission stopped early: ErrShutdown on a shut-down
 // scheduler, or g's cancellation cause once the group is canceled — a
 // parked spawner wakes on cancel/deadline (Group.cancel broadcasts) instead
 // of blocking forever. The not-yet-admitted remainder is dropped without
 // having been accounted. Batches larger than a bound are admitted in chunks
-// as room frees up. g is nil for the group-less Scheduler.Spawn queue.
-func (s *Scheduler) admitBlocking(g *Group, q *injectQ, ns []*node) (int, error) {
+// as room frees up.
+func (s *Scheduler) admitBlocking(g *Group, ns []*node) (int, error) {
 	if f := s.opts.Fault; f != nil {
 		f(FaultAdmit, -1)
 	}
@@ -169,12 +163,12 @@ func (s *Scheduler) admitBlocking(g *Group, q *injectQ, ns []*node) (int, error)
 			err = ErrShutdown
 			break
 		}
-		if g != nil && g.epoch&1 == 1 { //repro:ownerstore admitMu serializes this read with the epoch bump in Group.cancel
+		if g.epoch&1 == 1 { //repro:ownerstore admitMu serializes this read with the epoch bump in Group.cancel
 			err = g.cause // safe: odd epoch observed under admitMu, cause written before the bump
 			s.admit.Rejected.Add(int64(len(ns) - admitted))
 			break
 		}
-		k := s.admitRoom(q, len(ns)-admitted)
+		k := s.admitRoom(&g.iq, len(ns)-admitted)
 		if k == 0 {
 			if !blocked {
 				blocked = true
@@ -185,7 +179,7 @@ func (s *Scheduler) admitBlocking(g *Group, q *injectQ, ns []*node) (int, error)
 			s.admitWaiters--
 			continue
 		}
-		s.enqueueLocked(q, ns[admitted:admitted+k])
+		s.enqueueLocked(g, ns[admitted:admitted+k])
 		admitted += k
 	}
 	s.admitMu.Unlock()
@@ -201,9 +195,8 @@ func (s *Scheduler) admitBlocking(g *Group, q *injectQ, ns []*node) (int, error)
 // admitTry admits the longest prefix of ns that fits without blocking.
 // It returns the number admitted and ErrSaturated if any node was refused,
 // ErrShutdown (admitting nothing) on a shut-down scheduler, or the
-// cancellation cause (admitting nothing) on a canceled group. g is nil for
-// the group-less Scheduler queue.
-func (s *Scheduler) admitTry(g *Group, q *injectQ, ns []*node) (int, error) {
+// cancellation cause (admitting nothing) on a canceled group.
+func (s *Scheduler) admitTry(g *Group, ns []*node) (int, error) {
 	if f := s.opts.Fault; f != nil {
 		f(FaultAdmit, -1)
 	}
@@ -213,13 +206,13 @@ func (s *Scheduler) admitTry(g *Group, q *injectQ, ns []*node) (int, error) {
 	switch {
 	case s.done.Load():
 		err = ErrShutdown
-	case g != nil && g.epoch&1 == 1: //repro:ownerstore admitMu serializes this read with the epoch bump in Group.cancel
+	case g.epoch&1 == 1: //repro:ownerstore admitMu serializes this read with the epoch bump in Group.cancel
 		err = g.cause // safe: odd epoch observed under admitMu, cause written before the bump
 		s.admit.Rejected.Add(int64(len(ns)))
 	default:
-		k = s.admitRoom(q, len(ns))
+		k = s.admitRoom(&g.iq, len(ns))
 		if k > 0 {
-			s.enqueueLocked(q, ns[:k])
+			s.enqueueLocked(g, ns[:k])
 		}
 		if k < len(ns) {
 			s.admit.Rejected.Add(int64(len(ns) - k))
@@ -241,8 +234,8 @@ func (s *Scheduler) admitTry(g *Group, q *injectQ, ns []*node) (int, error) {
 //
 // Revocation happens here, at take time: a node whose epoch stamp no longer
 // matches its group's cancellation epoch was admitted before the group was
-// canceled, so it is recycled without executing — its accounting unwound
-// like a completion (finishRevoke) — and the loop tries the next node. The
+// canceled, so it is recycled without executing — an instant completion on
+// its group's count (finishRevoke) — and the loop tries the next node. The
 // live case costs one predicted load and compare; the interior spawn path
 // (Ctx.Spawn) is untouched.
 //
@@ -294,14 +287,9 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 		}
 		s.pendingInject.Add(-1)
 		g := n.group
-		revoked := g != nil && n.gepoch != g.epoch //repro:ownerstore admitMu serializes this read with the epoch bump in Group.cancel
+		revoked := n.gepoch != g.epoch //repro:ownerstore admitMu serializes this read with the epoch bump in Group.cancel
 		if revoked {
 			s.admit.Revoked.Add(1)
-			// Unwind the admission-time global-shard add here, under admitMu
-			// like the add itself; the group decrement follows outside the
-			// lock — global first, then group, the same ordering argument as
-			// taskDone (see inflight.go and the README).
-			s.extInflightAdd(-1)
 		} else {
 			s.admit.Taken.Add(1)
 		}
@@ -317,11 +305,7 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 		// so the inject-to-take wait is observable without client cooperation.
 		s.admitWait.Observe(w.id, float64(trace.Now()-n.enq)/1e9)
 		if xt := s.xt; xt.Enabled() {
-			var gid uint32
-			if g != nil {
-				gid = uint32(g.gid)
-			}
-			xt.Record(w.id, trace.EvInjectTake, s.topo.P, gid, n.tid)
+			xt.Record(w.id, trace.EvInjectTake, s.topo.P, uint32(g.gid), n.tid)
 		}
 		w.st.InjectTakes.Add(1)
 		w.pushNode(n)
@@ -330,30 +314,17 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 }
 
 // finishRevoke completes a take-time revocation off the admission lock: the
-// node never executes, so its in-flight accounting is released exactly as a
-// completion would have released it — armed global quiescence scan after the
-// already-done global decrement, then the group decrement with its exact
-// zero-transition release — and the node is recycled on the revoking
-// worker's free list. Each admitted node is revoked at most once (it was
-// popped from its inject queue under admitMu), so Wait still releases
-// exactly once.
+// node never executes, so it is an instant completion on its group's count
+// (taskDone, with the usual zero-transition release) and is recycled on the
+// revoking worker's free list. Each admitted node is revoked at most once
+// (it was popped from its inject queue under admitMu), so Wait still
+// releases exactly once.
 func (s *Scheduler) finishRevoke(w *worker, n *node, g *Group) {
 	if xt := s.xt; xt.Enabled() {
 		xt.Record(w.id, trace.EvInjectRevoke, s.topo.P, uint32(g.gid), n.tid)
 	}
-	if s.qz.armed() {
-		w.st.QuiesceScans.Add(1)
-		if s.quiescent() {
-			s.qz.release()
-		}
-	}
-	if g.inflight.Add(-1) == 0 {
-		if xt := s.xt; xt.Enabled() {
-			xt.Record(w.id, trace.EvGroupDone, w.id, uint32(g.gid), 0)
-		}
-		g.qz.release()
-	}
 	w.freeNode(n)
+	w.taskDone(g)
 }
 
 // PendingInjected returns the number of admitted external tasks no worker

@@ -15,8 +15,8 @@ package core
 //                       when no external work exists
 //   InjectLatency       external submission end to end: admit → take → run
 //                       → quiescence wakeup
-//   CounterContention   the in-flight accounting pair (spawn-side increment,
-//                       completion-side decrement) hammered from p workers
+//   ForkJoinTree        a binary TaskGroup tree with 32-element leaves — the
+//                       joined-child path end to end, per task
 //
 // The benchmarks run on tiny teams so they are meaningful on any machine;
 // wall-clock numbers are only comparable within one host, which is all the
@@ -25,7 +25,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -175,29 +174,76 @@ func BenchmarkInjectLatency(b *testing.B) {
 	}
 }
 
-func BenchmarkCounterContention(b *testing.B) {
-	for _, p := range []int{1, 2, 4, 8} {
+// benchSumNode is one task of a preallocated binary fork-join sum tree,
+// heap-indexed (children of i are 2i+1 and 2i+2): interior nodes spawn both
+// halves through their TaskGroup and join, leaves sum benchLeaf elements.
+type benchSumNode struct {
+	nodes []benchSumNode
+	data  []int32
+	i     int
+	tg    TaskGroup
+	sum   int64
+}
+
+const benchLeaf = 32
+
+func (n *benchSumNode) Threads() int { return 1 }
+
+func (n *benchSumNode) Run(ctx *Ctx) {
+	if len(n.data) <= benchLeaf {
+		var s int64
+		for _, v := range n.data {
+			s += int64(v)
+		}
+		n.sum = s
+		return
+	}
+	l, r := &n.nodes[2*n.i+1], &n.nodes[2*n.i+2]
+	n.tg.Spawn(ctx, l)
+	n.tg.Spawn(ctx, r)
+	n.tg.Wait(ctx)
+	n.sum = l.sum + r.sum
+}
+
+func newBenchSumTree(data []int32) []benchSumNode {
+	nodes := make([]benchSumNode, 2*len(data)/benchLeaf-1)
+	var fill func(i int, d []int32)
+	fill = func(i int, d []int32) {
+		nodes[i] = benchSumNode{nodes: nodes, data: d, i: i}
+		if len(d) > benchLeaf {
+			fill(2*i+1, d[:len(d)/2])
+			fill(2*i+2, d[len(d)/2:])
+		}
+	}
+	fill(0, data)
+	return nodes
+}
+
+// BenchmarkForkJoinTree is the layer number behind the finegrain workload
+// of bench/: one op is one task of a binary TaskGroup tree with 32-element
+// leaves over 2^16 int32 (4095 tasks per tree).
+func BenchmarkForkJoinTree(b *testing.B) {
+	data := make([]int32, 1<<16)
+	for i := range data {
+		data[i] = int32(i)
+	}
+	want := int64(len(data)) * int64(len(data)-1) / 2
+	for _, p := range []int{1, 2} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			s := build(Options{P: p})
-			per := b.N/p + 1
-			var wg sync.WaitGroup
+			restoreGMP(b)
+			s := New(Options{P: p})
+			defer s.Shutdown()
+			nodes := newBenchSumTree(data)
+			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < p; i++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					w := s.workers[id]
-					// Keep one task permanently in flight so the loop
-					// exercises the common (non-quiescing) transition.
-					w.inflightAdd(1)
-					for j := 0; j < per; j++ {
-						w.inflightAdd(1)
-						w.taskDone(nil)
-					}
-					w.taskDone(nil)
-				}(i)
+			for done := 0; done < b.N; done += len(nodes) {
+				if err := s.Run(&nodes[0]); err != nil {
+					b.Fatal(err)
+				}
+				if nodes[0].sum != want {
+					b.Fatalf("sum = %d, want %d", nodes[0].sum, want)
+				}
 			}
-			wg.Wait()
 		})
 	}
 }

@@ -20,9 +20,9 @@ import (
 // through the inject path is stamped with its group's epoch at admission
 // time (enqueueLocked); Cancel bumps the epoch under the admission lock, so
 // a take that observes a stale stamp knows the node was admitted before the
-// cancel and revokes it: the node is recycled without ever executing, and
-// its in-flight accounting is unwound exactly like a completion (see
-// finishRevoke in admission.go). Already-running tasks are not interrupted —
+// cancel and revokes it: the node is recycled without ever executing — an
+// instant completion on its group's in-flight count (see finishRevoke in
+// admission.go). Already-running tasks are not interrupted —
 // Go cannot preempt a task safely — but observe Ctx.Canceled cooperatively
 // at their recursion points. Blocking spawns parked on admission
 // backpressure wake on cancel with the typed cause, so a deadline bounds
@@ -250,6 +250,4 @@ func (g *Group) SpawnRetry(t Task) error {
 // hot path. Group-less tasks are never canceled.
 //
 //repro:noalloc polled at the recursion points of every sort kernel
-func (c *Ctx) Canceled() bool {
-	return c.group != nil && c.group.Canceled()
-}
+func (c *Ctx) Canceled() bool { return c.group.Canceled() }

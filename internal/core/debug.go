@@ -17,8 +17,8 @@ func (s *Scheduler) DumpState() string {
 		defer s.admitMu.Unlock()
 		return s.pendingInject.Load(), s.ringLen
 	}()
-	fmt.Fprintf(&b, "inflight=%d injected=%d inject_sources=%d quiesce_scans=%d trace_dropped=%d\n",
-		s.inflightSum(), injected, sources, s.QuiesceScans(), s.TraceDropped())
+	fmt.Fprintf(&b, "inflight=%d injected=%d inject_sources=%d trace_dropped=%d\n",
+		s.Pending(), injected, sources, s.TraceDropped())
 	for _, w := range s.workers {
 		r := w.regw.Load()
 		c := w.coordp()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -41,16 +40,11 @@ func TestManyTeamTasksDump(t *testing.T) {
 	if got := execs.Load(); got != want {
 		t.Fatalf("participant executions = %d, want %d", got, want)
 	}
-	// The dump carries the observability fields: the quiescence-scan count
-	// (stable once Wait returned and no waiter is parked — Wait itself ran at
-	// least one scan) and each worker's free-list occupancy.
-	scans := s.QuiesceScans()
-	if scans < 1 {
-		t.Fatalf("QuiesceScans = %d after Wait, want >= 1", scans)
-	}
+	// The dump carries the observability fields: the in-flight total (zero
+	// once Wait returned) and each worker's free-list occupancy.
 	dump := s.DumpState()
-	if want := fmt.Sprintf("quiesce_scans=%d", scans); !strings.Contains(dump, want) {
-		t.Fatalf("dump lacks %q:\n%s", want, dump)
+	if !strings.HasPrefix(dump, "inflight=0 ") {
+		t.Fatalf("dump does not report a drained scheduler:\n%s", dump)
 	}
 	if !strings.Contains(dump, " free=") {
 		t.Fatalf("dump lacks per-worker free-list occupancy:\n%s", dump)

@@ -10,6 +10,10 @@ import (
 // every group's Wait must observe all and only its own tasks — the group's
 // completion counter equals exactly the size of its spawn tree, and both
 // the group and (after all groups drained) the scheduler read zero pending.
+// Every edge of a tree is, by a hash of the seed and the child's position,
+// either detached (Ctx.Spawn, accounted on the group) or joined (TaskGroup,
+// accounted on the parent's TaskGroup only), so the trees mix both
+// completion targets at every depth.
 func FuzzGroup(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(3), uint8(2), uint8(2))
 	f.Add(uint64(42), uint8(5), uint8(1), uint8(3), uint8(1))
@@ -35,22 +39,35 @@ func FuzzGroup(f *testing.F) {
 		for i := range gs {
 			gs[i] = s.NewGroup()
 		}
-		var rec func(ctx *Ctx, c *atomic.Int64, d int)
-		rec = func(ctx *Ctx, c *atomic.Int64, d int) {
+		// joined decides the edge kind of the child at tree position id.
+		joined := func(id uint64) bool {
+			z := (seed ^ id) * 0x9e3779b97f4a7c15
+			return (z^(z>>29))&1 == 1
+		}
+		var rec func(ctx *Ctx, c *atomic.Int64, d int, id uint64)
+		rec = func(ctx *Ctx, c *atomic.Int64, d int, id uint64) {
 			c.Add(1)
 			if d == 0 {
 				return
 			}
+			var tg TaskGroup
 			for j := 0; j < fo; j++ {
-				ctx.Spawn(Solo(func(cc *Ctx) { rec(cc, c, d-1) }))
+				child := id*4 + uint64(j) + 1
+				t := Solo(func(cc *Ctx) { rec(cc, c, d-1, child) })
+				if joined(child) {
+					tg.Spawn(ctx, t)
+				} else {
+					ctx.Spawn(t)
+				}
 			}
+			tg.Wait(ctx)
 		}
 		// Interleave the root spawns round-robin across the groups so the
 		// groups' trees grow and drain concurrently.
 		for r := 0; r < nr; r++ {
 			for i, g := range gs {
 				c := &counts[i]
-				g.Spawn(Solo(func(ctx *Ctx) { rec(ctx, c, dp) }))
+				g.Spawn(Solo(func(ctx *Ctx) { rec(ctx, c, dp, 0) }))
 			}
 		}
 		// Wait in a seed-dependent rotation; each Wait must see exactly its

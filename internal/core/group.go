@@ -43,13 +43,15 @@ type Group struct {
 	// so the Chrome export can render each group as its own async span.
 	gid uint64
 
-	// inflight is the group's task count, updated by every completion of a
-	// task in the group. Unlike the scheduler-global count it stays a single
-	// atomic — groups are per-client, not per-task-tree-node, so the
-	// contention is bounded by one client's parallelism — but it gets its
-	// own cache line: a group counter sharing a line with the scheduler
-	// pointer (or a neighboring group in client-side slices of Groups)
-	// would put every completion's RMW on a line other CPUs read.
+	// inflight counts the group's admitted and detached (Ctx.Spawn) tasks
+	// that have not completed — the only in-flight accounting those tasks
+	// have; children joined through a TaskGroup complete on the TaskGroup
+	// instead and are covered by their spawner's unit. A group is one
+	// client's computation, so the contention on the counter is bounded by
+	// that client's parallelism, but it gets its own cache line: sharing
+	// one with the scheduler pointer (or a neighboring group in client-side
+	// slices of Groups) would put every completion's RMW on a line other
+	// CPUs read.
 	_        [56]byte
 	inflight atomic.Int64
 	_        [56]byte
@@ -117,7 +119,7 @@ func (g *Group) Scheduler() *Scheduler { return g.s }
 // argument. In every error case the task is dropped without inflating any
 // in-flight count.
 func (g *Group) Spawn(t Task) error {
-	_, err := g.s.admitBlocking(g, &g.iq, []*node{g.s.makeNode(t, g)})
+	_, err := g.s.admitBlocking(g, []*node{g.s.makeNode(t, g)})
 	return err
 }
 
@@ -138,7 +140,7 @@ func (g *Group) SpawnBatch(ts []Task) error {
 	for i, t := range ts {
 		ns[i] = g.s.makeNode(t, g)
 	}
-	_, err := g.s.admitBlocking(g, &g.iq, ns)
+	_, err := g.s.admitBlocking(g, ns)
 	return err
 }
 
@@ -149,7 +151,7 @@ func (g *Group) SpawnBatch(ts []Task) error {
 // way to submit from latency-sensitive clients and from inside running
 // tasks.
 func (g *Group) TrySpawn(t Task) error {
-	_, err := g.s.admitTry(g, &g.iq, []*node{g.s.makeNode(t, g)})
+	_, err := g.s.admitTry(g, []*node{g.s.makeNode(t, g)})
 	return err
 }
 
@@ -170,7 +172,7 @@ func (g *Group) TrySpawnBatch(ts []Task) (int, error) {
 	for i, t := range ts {
 		ns[i] = g.s.makeNode(t, g)
 	}
-	return g.s.admitTry(g, &g.iq, ns)
+	return g.s.admitTry(g, ns)
 }
 
 // Wait blocks until the group is quiescent: every task spawned into it (and
@@ -214,8 +216,10 @@ func (g *Group) Run(t Task) error {
 	return g.WaitErr()
 }
 
-// Pending returns the group's current in-flight task count (racy; for tests
-// and diagnostics).
+// Pending returns the group's current in-flight task count: admitted tasks
+// and tasks spawned with Ctx.Spawn that have not completed. Children joined
+// through a TaskGroup are not counted — they are part of the task that
+// waits for them (racy; for tests and diagnostics).
 func (g *Group) Pending() int64 { return g.inflight.Load() }
 
 // PendingInjected returns the group's admitted external tasks no worker has

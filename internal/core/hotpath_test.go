@@ -16,7 +16,7 @@ import (
 // TestSpawnZeroAlloc is the regression gate for the tentpole property: a
 // steady-state interior Ctx.Spawn + run of pooled solo tasks performs zero
 // heap allocations per task — nodes come from the worker free lists, the
-// accounting writes only per-worker shards, and the deque rings are
+// accounting is one add on the group's counter, and the deque rings are
 // pre-grown. The task value itself is reused, as the pooled spawn wrappers
 // of the sorting packages do.
 func TestSpawnZeroAlloc(t *testing.T) {
@@ -160,7 +160,7 @@ func TestNodeFreeListBounded(t *testing.T) {
 	s := stopped(2)
 	w := s.workers[0]
 	for i := 0; i < 4*nodeFreeCap; i++ {
-		w.spawn(Solo(func(*Ctx) {}), nil)
+		w.push(Solo(func(*Ctx) {}))
 		w.runSolo(w.queues[0].PopBottom())
 	}
 	if got := len(w.free); got > nodeFreeCap {

@@ -72,15 +72,11 @@ func (s *Scheduler) RegisterMetrics(reg *stats.Registry) {
 			return float64(total)
 		})
 	}
-	reg.CounterFunc("repro_sched_quiesce_scans_total",
-		"Quiescence sum-scans run (worker completion paths plus external waiters).",
-		nil, func() float64 { return float64(s.QuiesceScans()) })
-
 	reg.GaugeFunc("repro_sched_workers", "Workers of the scheduler.",
 		nil, func() float64 { return float64(s.topo.P) })
 	reg.GaugeFunc("repro_sched_inflight_tasks",
-		"In-flight tasks (racy sharded sum; exact only at quiescence).",
-		nil, func() float64 { return float64(s.inflightSum()) })
+		"In-flight tasks, summed over the busy groups (racy; exact at quiescence).",
+		nil, func() float64 { return float64(s.Pending()) })
 	reg.GaugeFunc("repro_sched_inject_queue_depth",
 		"Admitted external tasks no worker has started yet, across all sources.",
 		nil, func() float64 { return float64(s.pendingInject.Load()) })

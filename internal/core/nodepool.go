@@ -46,7 +46,6 @@ func (w *worker) getNode() *node {
 		n := w.free[k]
 		w.free[k] = nil
 		w.free = w.free[:k]
-		w.freeLen.Store(int64(k))
 		return n
 	}
 	return sharedNodes.Get().(*node)
@@ -58,10 +57,9 @@ func (w *worker) getNode() *node {
 //
 //repro:noalloc runs once per task completion
 func (w *worker) freeNode(n *node) {
-	n.task, n.group, n.tid = nil, nil, 0
+	n.task, n.group, n.join, n.tid = nil, nil, nil, 0
 	if len(w.free) < nodeFreeCap {
 		w.free = append(w.free, n) //repro:allow capacity-bounded by nodeFreeCap; grows only until warm
-		w.freeLen.Store(int64(len(w.free)))
 		return
 	}
 	for i := nodeFreeLow; i < len(w.free); i++ {
@@ -90,10 +88,16 @@ func (w *worker) getCtx() *Ctx {
 }
 
 // putCtx recycles c after Task.Run returned. Tasks must not retain their
-// context beyond Run (see the Ctx contract in task.go).
+// context beyond Run (see the Ctx contract in task.go). It is also where the
+// TaskGroup contract is enforced: a task that returns with children it
+// spawned into a TaskGroup and never waited for would let its group's count
+// reach zero while they still run.
 //
 //repro:noalloc runs once per task execution
 func (w *worker) putCtx(c *Ctx) {
+	if c.unjoined != 0 {
+		contractPanic("core: task returned without TaskGroup.Wait for the children it spawned (see the TaskGroup contract)")
+	}
 	*c = Ctx{}
 	if len(w.ctxFree) < ctxFreeCap {
 		w.ctxFree = append(w.ctxFree, c) //repro:allow capacity-bounded by ctxFreeCap; grows only until warm

@@ -1,38 +1,27 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // quiesce is the parking facility behind Scheduler.Wait and Group.Wait:
-// instead of spinning on the in-flight counter with backoff (which burns CPU
+// instead of spinning on a counter with backoff (which burns CPU
 // proportional to the number of idle waiting clients), a waiter obtains the
 // current generation's channel with gate() and parks on it; the goroutine
-// that drops the counter to zero closes the channel with release(). Waiters
-// always re-check the counter after gate() and loop after waking, so a
-// release racing with registration, or a count that rises again after a zero
-// transition (group reuse), only costs a spurious wakeup, never a hang.
-//
-// The armed flag tells completers whether any gate channel exists at all:
-// with the sharded global in-flight counter (inflight.go), detecting the
-// zero transition costs a sum scan, and armed lets the per-task completion
-// path skip it entirely — one read of a read-mostly line — unless a waiter
-// is actually parked. Per-group counters remain single atomics, so the
-// group release path does not consult armed.
+// that observes the zero transition closes the channel with release().
+// Waiters always re-check their condition after gate() and loop after
+// waking, so a release racing with registration, or a count that rises
+// again after a zero transition (group reuse), only costs a spurious
+// wakeup, never a hang.
 type quiesce struct {
 	mu sync.Mutex
 	ch chan struct{}
-	on atomic.Bool // a gate channel exists (a waiter may be parked)
 }
 
-// gate returns a channel that will be closed at the counter's next zero
-// transition (or has already been closed, if release ran since gate).
+// gate returns a channel that will be closed at the next zero transition
+// (or has already been closed, if release ran since gate).
 func (z *quiesce) gate() chan struct{} {
 	z.mu.Lock()
 	if z.ch == nil {
 		z.ch = make(chan struct{})
-		z.on.Store(true)
 	}
 	ch := z.ch
 	z.mu.Unlock()
@@ -46,13 +35,6 @@ func (z *quiesce) release() {
 	if z.ch != nil {
 		close(z.ch)
 		z.ch = nil
-		z.on.Store(false)
 	}
 	z.mu.Unlock()
 }
-
-// armed reports whether a gate channel is outstanding. Completers use it to
-// elide the quiescence scan when no one could be waiting; the
-// arm-then-recheck order in the Wait loops makes a false negative here
-// harmless (the waiter re-checks the counter after arming).
-func (z *quiesce) armed() bool { return z.on.Load() }

@@ -33,8 +33,8 @@ type Options struct {
 	// min(size/2, 2^ℓ) (ablation knob).
 	StealOne bool
 	// MaxPendingPerGroup bounds the number of admitted-but-not-yet-started
-	// external tasks of one submission source (a Group, or the catch-all
-	// queue of group-less Scheduler.Spawn). A blocking spawn over the bound
+	// external tasks of one submission source (a Group, or the root group
+	// behind group-less Scheduler.Spawn). A blocking spawn over the bound
 	// parks until workers drain the source's inject queue; TrySpawn returns
 	// ErrSaturated instead. 0 means unbounded.
 	MaxPendingPerGroup int
@@ -91,10 +91,18 @@ type Scheduler struct {
 	topo    *topo.Topology
 	workers []*worker
 
-	// shards[i] is worker i's slice of the global in-flight count; the last
-	// shard belongs to the external submission path (see inflight.go).
-	shards []inflightShard
-	qz     quiesce // parks Wait on the in-flight zero transition
+	// root is the group of group-less Scheduler.Spawn tasks: every node
+	// carries a group, so a task's completion hits exactly one counter.
+	root *Group
+	qz   quiesce // parks Wait until no group is busy
+
+	// busy is the set of groups with tasks in flight. A group enters at its
+	// 0→1 transition (admission) and leaves at its drain — once per request,
+	// never per task — and Wait and Pending are defined over the set (see
+	// markBusy/markIdle).
+	busyMu sync.Mutex
+	busy   map[*Group]struct{}
+
 	gen    atomic.Uint64
 	done   atomic.Bool
 	doneCh chan struct{} // closed by Shutdown; wakes parked waiters
@@ -135,14 +143,7 @@ type Scheduler struct {
 	admitWaiters int        // spawners parked on admitCond
 	ringHead     *injectQ   // next non-empty source to drain (circular list)
 	ringLen      int        // non-empty sources in the ring (diagnostics)
-	noGroupQ     injectQ    // source for group-less Scheduler.Spawn
 	admit        stats.Admission
-
-	// waiterScans counts quiescence sum-scans run by external waiters
-	// (Scheduler.Wait); scans run on worker completion paths land on the
-	// per-worker stats.QuiesceScans counters instead, so the hot path never
-	// writes this shared line.
-	waiterScans atomic.Int64
 
 	// Named groups (NewNamedGroup), tracked for the per-group metrics
 	// gauges; anonymous groups are not tracked.
@@ -182,7 +183,8 @@ func build(opts Options) *Scheduler {
 		born:   time.Now(),
 	}
 	s.admitCond = sync.NewCond(&s.admitMu)
-	s.shards = make([]inflightShard, opts.P+1)
+	s.root = &Group{s: s} // gid 0 labels group-less tasks in trace events
+	s.busy = make(map[*Group]struct{})
 	s.workers = make([]*worker, opts.P)
 	for i := range s.workers {
 		s.workers[i] = newWorker(s, i)
@@ -225,8 +227,7 @@ func (s *Scheduler) MaxTeam() int { return s.topo.MaxTeam }
 // Shutdown). Group-less tasks cannot be canceled; spawn through a Group for
 // deadline/cancellation support.
 func (s *Scheduler) Spawn(t Task) error {
-	_, err := s.admitBlocking(nil, &s.noGroupQ, []*node{s.makeNode(t, nil)})
-	return err
+	return s.root.Spawn(t)
 }
 
 // Wait blocks until all spawned tasks (and their descendants) have
@@ -238,11 +239,11 @@ func (s *Scheduler) Spawn(t Task) error {
 // and would never drain.
 func (s *Scheduler) Wait() {
 	for {
-		if s.done.Load() || s.waiterScan() {
+		if s.done.Load() || s.idle() {
 			return
 		}
 		ch := s.qz.gate()
-		if s.done.Load() || s.waiterScan() {
+		if s.done.Load() || s.idle() {
 			return
 		}
 		select {
@@ -310,31 +311,56 @@ func (s *Scheduler) AdmissionWait() stats.HistSnapshot { return s.admitWait.Snap
 // of the repro_uptime_seconds metric.
 func (s *Scheduler) Uptime() time.Duration { return time.Since(s.born) }
 
-// waiterScan runs one counted quiescence scan on behalf of an external
-// waiter. Waiters are off the task hot path, so the shared counter is fine
-// here; worker-side scans (taskDone) count on the worker's own stats line.
-func (s *Scheduler) waiterScan() bool {
-	s.waiterScans.Add(1)
-	return s.quiescent()
+// markBusy puts g into the busy set after an admission raised its in-flight
+// count from zero. Only admission does that (an interior spawn runs inside a
+// task that already holds a unit of its group), so callers hold admitMu, and
+// they call it before the admitted nodes become visible to any worker: a
+// published, uncompleted task always finds its group in the set.
+func (s *Scheduler) markBusy(g *Group) {
+	s.busyMu.Lock()
+	s.busy[g] = struct{}{}
+	s.busyMu.Unlock()
 }
 
-// QuiesceScans returns the total number of quiescence sum-scans run so far,
-// across worker completion paths and external waiters. Scans are elided
-// entirely while no waiter is parked, so this also measures how often the
-// armed-gate optimization actually fires.
-func (s *Scheduler) QuiesceScans() int64 {
-	total := s.waiterScans.Load()
-	for _, w := range s.workers {
-		total += w.st.QuiesceScans.Load()
+// markIdle removes g after a completion dropped its in-flight count to zero
+// and wakes Scheduler.Wait when that leaves no busy group. The count is
+// re-read under busyMu: if an admission raised it again in between (group
+// reuse), the group stays and the next drain retires it — membership
+// follows the count's level, not the order in which racing transitions
+// reach the lock.
+func (s *Scheduler) markIdle(g *Group) {
+	s.busyMu.Lock()
+	idle := false
+	if g.inflight.Load() == 0 {
+		delete(s.busy, g)
+		idle = len(s.busy) == 0
 	}
-	return total
+	s.busyMu.Unlock()
+	if idle {
+		s.qz.release()
+	}
 }
 
-// Pending returns the current number of in-flight tasks (racy; for tests
-// and diagnostics — individual shard reads are atomic but the sum is not a
-// single snapshot, so a live scheduler may even report a transient
-// negative; it is exact when nothing is running).
-func (s *Scheduler) Pending() int64 { return s.inflightSum() }
+// idle reports whether no group has a task in flight.
+func (s *Scheduler) idle() bool {
+	s.busyMu.Lock()
+	defer s.busyMu.Unlock()
+	return len(s.busy) == 0
+}
+
+// Pending returns the current number of in-flight tasks: the sum of
+// Group.Pending over the busy groups, so children joined through a
+// TaskGroup are not counted (racy; for tests and diagnostics — exact when
+// nothing is running).
+func (s *Scheduler) Pending() int64 {
+	s.busyMu.Lock()
+	defer s.busyMu.Unlock()
+	var sum int64
+	for g := range s.busy {
+		sum += g.inflight.Load()
+	}
+	return sum
+}
 
 // validateReq panics on an invalid thread requirement — before any node is
 // fetched or accounted, so a panicking spawn never leaks an inflight count.
@@ -351,7 +377,7 @@ func (s *Scheduler) validateReq(r int) {
 // makeNode validates t's thread requirement and wraps it (recycling a
 // pooled node) for the external submission path, without accounting it
 // in-flight: external tasks are accounted at admission (enqueueLocked),
-// under admitMu, against the external in-flight shard.
+// under admitMu.
 func (s *Scheduler) makeNode(t Task, g *Group) *node {
 	r := t.Threads()
 	s.validateReq(r)
@@ -360,41 +386,22 @@ func (s *Scheduler) makeNode(t Task, g *Group) *node {
 	return n
 }
 
-// taskDone marks one task of group g (nil for group-less tasks) as
-// completed, on the completing worker's own in-flight shard. A task's
-// children are accounted before its own completion is reported, so a count
-// of zero really means quiescence. The global shard is decremented first: a
-// client returning from Group.Wait (the group count hitting zero) must
-// never observe its own finished tasks still in Scheduler.Pending. The
-// global quiescence scan runs only when a waiter is actually parked
-// (qz.armed); the per-group counter keeps its exact zero-transition
-// release — groups are per-client, not per-task-tree-node, so its line is
-// not globally contended.
+// taskDone reports one completion on g's in-flight count — a detached or
+// admitted task that finished, or an admitted node that was revoked. A
+// task's detached children are accounted before its own completion is
+// reported and its joined children have completed before it returns, so a
+// count of zero means the whole tree is done: the zero transition wakes the
+// group's waiters, then retires the group from the busy set.
 func (w *worker) taskDone(g *Group) {
-	w.inflightAdd(-1)
+	if g.inflight.Add(-1) != 0 {
+		return
+	}
 	s := w.sched
-	if s.qz.armed() {
-		w.st.QuiesceScans.Add(1) // owner-only line: no shared write added
-		q := s.quiescent()
-		if xt := s.xt; xt.Enabled() {
-			var x uint32
-			if q {
-				x = 1
-			}
-			xt.Record(w.id, trace.EvQuiesceScan, w.id, x, 0)
-		}
-		if q {
-			s.qz.release()
-		}
+	if xt := s.xt; xt.Enabled() {
+		xt.Record(w.id, trace.EvGroupDone, w.id, uint32(g.gid), 0)
 	}
-	if g != nil {
-		if g.inflight.Add(-1) == 0 {
-			if xt := s.xt; xt.Enabled() {
-				xt.Record(w.id, trace.EvGroupDone, w.id, uint32(g.gid), 0)
-			}
-			g.qz.release()
-		}
-	}
+	g.qz.release()
+	s.markIdle(g)
 }
 
 // nextGen returns a scheduler-unique generation number for team executions.

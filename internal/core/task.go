@@ -44,7 +44,10 @@ type Task interface {
 }
 
 // node is the queue entry wrapping a task; r caches Threads(); group is the
-// quiescence group the task was spawned into (nil for group-less tasks).
+// quiescence group the task was spawned into (the scheduler's root group for
+// group-less tasks, never nil). join is the TaskGroup a child spawned through
+// TaskGroup.Spawn completes on; it is nil for every other task, which
+// completes on group instead — a node has exactly one completion target.
 // tid is the trace id of the event that created the task (0 while tracing is
 // off); enq is the admission timestamp (trace.Now) of externally submitted
 // tasks, consumed by the scheduler's admission-wait histogram at take time.
@@ -56,6 +59,7 @@ type node struct {
 	task   Task
 	r      int
 	group  *Group
+	join   *TaskGroup
 	tid    uint64
 	enq    int64
 	gepoch uint64
@@ -91,7 +95,13 @@ type Ctx struct {
 	w       *worker
 	exec    *teamExec // nil for r = 1 executions
 	localID int
-	group   *Group // quiescence group of the running task (nil for group-less)
+	group   *Group     // quiescence group of the running task
+	join    *TaskGroup // TaskGroup the running task is a child of, or nil
+
+	// unjoined counts the children this execution spawned into TaskGroups it
+	// is not itself a child of and has not waited for since. Owner-plain;
+	// it must be zero when Run returns (see the TaskGroup contract).
+	unjoined int
 }
 
 // Spawn pushes t onto the executing worker's local queue for the level
@@ -107,7 +117,12 @@ func (c *Ctx) Spawn(t Task) { c.w.spawn(t, c.group) }
 // Ctx.Spawn inherit it automatically; it is exposed so a task can hand its
 // group to helpers that spawn on the task's behalf (the Group forms of the
 // sorting packages).
-func (c *Ctx) Group() *Group { return c.group }
+func (c *Ctx) Group() *Group {
+	if c.group == c.w.sched.root {
+		return nil
+	}
+	return c.group
+}
 
 // LocalID returns this worker's id within the task's team, 0 … TeamSize()−1.
 // It is 0 for single-threaded tasks.

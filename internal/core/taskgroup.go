@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/backoff"
@@ -12,6 +11,17 @@ import (
 // the worker: it helps by executing queued single-threaded tasks until the
 // group drains.
 //
+// Contract: a task that spawns into a TaskGroup must call Wait on it before
+// its Run returns — Cilk's implicit sync at the end of a procedure, made
+// explicit. The one exception is a task that is itself a child of the
+// TaskGroup (it may add siblings; the parent's Wait covers them). A joined
+// child completes on the TaskGroup's counter alone and is not counted in
+// its Group's in-flight count (Group.Pending): it is covered by the
+// in-flight unit of the task that waits for it, which is what makes the
+// contract load-bearing — a spawner that returned un-joined would let
+// Group.Wait release while its children still run. The scheduler checks the
+// contract when Run returns and panics on a violation.
+//
 // Restriction: only tasks with Threads() == 1 may be spawned through a
 // TaskGroup. A worker waiting inside a task cannot join or coordinate teams
 // (doing so from within a running task would deadlock the member protocol),
@@ -21,37 +31,30 @@ type TaskGroup struct {
 	pending atomic.Int64
 }
 
-// tgWrap is the pooled wrapper task that reports a child's completion to
-// its TaskGroup. Recycling the wrappers (plus the scheduler's node free
-// list) makes a steady-state TaskGroup spawn+join allocation-free when the
-// caller reuses the child Task value.
-type tgWrap struct {
-	g *TaskGroup
-	t Task
-}
-
-var tgWrapPool = sync.Pool{New: func() any { return new(tgWrap) }}
-
-func (x *tgWrap) Threads() int { return 1 }
-
-func (x *tgWrap) Run(c *Ctx) {
-	g, t := x.g, x.t
-	x.g, x.t = nil, nil
-	tgWrapPool.Put(x) // content copied out; nothing dereferences x after Run starts
-	defer g.pending.Add(-1)
-	t.Run(c)
-}
-
-// Spawn submits t as part of the group. t.Threads() must be 1.
+// Spawn submits t as part of the group. t.Threads() must be 1. The child
+// inherits the running task's Group (for Ctx.Group, Ctx.Canceled, and the
+// detached Ctx.Spawns it makes) but completes on the TaskGroup only. When
+// the caller reuses the child Task value, a steady-state spawn+join
+// allocates nothing.
+//
+//repro:noalloc the joined-child spawn path; TestTaskGroupZeroAlloc pins it
 func (g *TaskGroup) Spawn(ctx *Ctx, t Task) {
 	if t.Threads() != 1 {
-		panic("core: TaskGroup supports only single-threaded tasks (see doc)")
+		contractPanic("core: TaskGroup supports only single-threaded tasks (see doc)")
 	}
 	g.pending.Add(1)
-	x := tgWrapPool.Get().(*tgWrap)
-	x.g, x.t = g, t
-	ctx.Spawn(x)
+	if ctx.join != g {
+		ctx.unjoined++
+	}
+	ctx.w.pushTask(t, 1, ctx.group, g)
 }
+
+// contractPanic reports a violated TaskGroup contract. It stays out of line
+// because a panic argument escapes to the heap where the panic is written,
+// and its callers are //repro:noalloc.
+//
+//go:noinline
+func contractPanic(msg string) { panic(msg) }
 
 // Go submits fn as a single-threaded task of the group.
 func (g *TaskGroup) Go(ctx *Ctx, fn func(*Ctx)) {
@@ -63,6 +66,7 @@ func (g *TaskGroup) Go(ctx *Ctx, fn func(*Ctx)) {
 // waiting, the calling worker executes single-threaded tasks from its own
 // queue and steals single-threaded tasks from others.
 func (g *TaskGroup) Wait(ctx *Ctx) {
+	ctx.unjoined = 0
 	w := ctx.w
 	var bo backoff.Backoff
 	for g.pending.Load() > 0 {

@@ -28,7 +28,7 @@ func traceNames(p int) []string {
 }
 
 // ev records a protocol/team event on the worker's own ring. Hot task-path
-// sites (spawn, runSolo, taskDone) inline the same guard directly instead
+// sites (pushTask, runSolo, taskDone) inline the same guard directly instead
 // of calling through here; either way a disabled tracer costs one predicted
 // branch on an atomic bool load.
 //
@@ -42,13 +42,15 @@ func (w *worker) ev(k trace.Kind, other, x int, arg uint64) {
 // setState publishes the worker's coarse activity state for the sampling
 // profiler and DumpState, returning the previous state so nested task
 // executions (TaskGroup.Wait helping inside a running task) can restore it.
-// Owner-only plain store on the worker's own line — the freeLen mirror
-// precedent — so it costs nothing shared on the hot path.
+// Only the owner writes the word, so its load is a plain read of its own
+// line and the store is skipped when the state does not change.
 //
 //repro:noalloc state transitions happen several times per loop iteration
 func (w *worker) setState(st trace.State) trace.State {
 	prev := trace.State(w.state.Load())
-	w.state.Store(uint32(st))
+	if prev != st {
+		w.state.Store(uint32(st))
+	}
 	return prev
 }
 

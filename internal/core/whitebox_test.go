@@ -18,7 +18,7 @@ func stopped(p int) *Scheduler {
 	return build(Options{P: p})
 }
 
-func (w *worker) push(t Task) { w.spawn(t, nil) } // test helper
+func (w *worker) push(t Task) { w.spawn(t, w.sched.root) } // test helper
 
 func TestWBInitialState(t *testing.T) {
 	s := stopped(8)

@@ -20,7 +20,7 @@ import (
 // members pick up but do not run).
 type teamExec struct {
 	task     Task
-	group    *Group // quiescence group of the task (nil for group-less)
+	group    *Group // quiescence group of the task
 	teamSize int    // power-of-two team size
 	width    int    // actual thread requirement r ≤ teamSize
 	coordID  int
@@ -52,24 +52,20 @@ type worker struct {
 	teamed   bool   // member of a fixed team
 	lastGen  uint64 // generation of the last picked-up team execution
 
-	// Owner-only hot-path state: this worker's in-flight shard with its
-	// plain-value mirrors (see inflight.go), and the node free list (see
-	// nodepool.go).
-	shard       *inflightShard
-	countMirror int64
-	stampMirror uint64
-	free        []*node
-	ctxFree     []*Ctx
+	// Owner-only hot-path state: the node and Ctx free lists (nodepool.go).
+	free    []*node
+	ctxFree []*Ctx
 
 	// freeLen mirrors len(free) for concurrent readers (metrics gauges,
-	// DumpState): the owner stores it after every free-list mutation — a
-	// plain atomic store on a worker-owned line — so scrapers never race on
-	// the slice header itself.
+	// DumpState), so scrapers never race on the slice header itself. The
+	// owner publishes it off the per-task path — when it runs out of work
+	// (idleWait) and when the list spills — so the gauge is exact on an idle
+	// worker and at most nodeFreeCap stale on a busy one.
 	freeLen atomic.Int64
 
 	// state publishes the worker's coarse activity (a trace.State) for the
-	// sampling profiler and DumpState — owner plain-stores at transitions,
-	// the same mirror idiom as freeLen, so readers cost the worker nothing.
+	// sampling profiler and DumpState. The owner stores it only when it
+	// changes (setState), so back-to-back tasks write nothing.
 	state atomic.Uint32
 
 	rngState uint64
@@ -79,7 +75,6 @@ func newWorker(s *Scheduler, id int) *worker {
 	w := &worker{
 		id:       id,
 		sched:    s,
-		shard:    &s.shards[id],
 		free:     make([]*node, 0, nodeFreeCap),
 		rngState: s.opts.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15,
 	}
@@ -124,35 +119,42 @@ func (w *worker) partnerAt(l int) *worker {
 	return s.workers[q]
 }
 
-// spawn pushes a new task of group g onto the local queues (Ctx.Spawn).
-// This is the steady-state interior hot path: the node comes from the
-// worker's free list, the accounting touches only the worker's own
-// in-flight shard, and nothing is allocated — the r = 1 spawn really does
-// cost no more than classical work-stealing.
+// spawn pushes a new detached task of group g onto the local queues
+// (Ctx.Spawn), accounted on g's in-flight count. The running task holds a
+// unit of g, so this is never g's 0→1 transition and the busy set is not
+// consulted. Accounting happens before the node becomes visible in any
+// queue, so no Wait can observe a transient zero while the tree still grows.
 //
 //repro:noalloc the r = 1 spawn path is the paper's zero-overhead claim; TestSpawnZeroAlloc pins it
 func (w *worker) spawn(t Task, g *Group) {
 	r := t.Threads()
 	w.sched.validateReq(r)
+	g.inflight.Add(1)
+	w.pushTask(t, r, g, nil)
+}
+
+// pushTask wraps an accounted task in a node from the worker's free list and
+// makes it runnable. It is the steady-state interior hot path shared by
+// detached (spawn) and joined (TaskGroup.Spawn) children: nothing is
+// allocated and, beyond the caller's one completion counter, only the
+// worker's own stats line and deque are written — the r = 1 spawn really
+// does cost no more than classical work-stealing.
+//
+//repro:noalloc runs once per interior spawn
+func (w *worker) pushTask(t Task, r int, g *Group, join *TaskGroup) {
 	n := w.getNode()
-	n.task, n.r, n.group = t, r, g
+	n.task, n.r, n.group, n.join = t, r, g, join
 	if xt := w.sched.xt; xt.Enabled() {
 		n.tid = xt.Record(w.id, trace.EvSpawn, w.id, uint32(r), 0)
-	}
-	// Accounting happens before the node becomes visible in any queue, so
-	// no Wait can observe a transient zero while the task tree still grows.
-	w.inflightAdd(1)
-	if g != nil {
-		g.inflight.Add(1)
 	}
 	w.st.Spawns.Add(1)
 	w.pushNode(n)
 }
 
 // pushNode makes an already-accounted node runnable on the local queue of
-// its size class. Spawns is counted at the true spawn sites (spawn and the
-// admission path's accounting), not here: pushNode also serves takeInjected,
-// whose takes are reported as InjectTakes, not spawns.
+// its size class. Spawns is counted at the true spawn site (pushTask), not
+// here: pushNode also serves takeInjected, whose takes are reported as
+// InjectTakes, not spawns.
 //
 //repro:noalloc runs once per spawned or injected task
 func (w *worker) pushNode(n *node) {
@@ -201,6 +203,7 @@ func (w *worker) loop() {
 // idleWait backs off after an unsuccessful steal round.
 func (w *worker) idleWait() {
 	w.st.Backoffs.Add(1)
+	w.freeLen.Store(int64(len(w.free)))
 	w.setState(trace.StatePark)
 	w.ev(trace.EvPark, w.id, 0, 0)
 	w.bo.Wait()
@@ -212,14 +215,15 @@ func (w *worker) idleWait() {
 // path; no registration traffic, matching the paper's "no extra overhead"
 // claim for r = 1). The node is recycled before the task runs — its content
 // is already copied out, and freeing first lets the task's own spawns reuse
-// it immediately.
+// it immediately. The completion is reported on the task's one target: its
+// TaskGroup if it was joined, its Group otherwise.
 //
 //repro:noalloc the r = 1 execution path allocates nothing around Task.Run
 func (w *worker) runSolo(n *node) {
-	task, g, tid := n.task, n.group, n.tid
+	task, g, join, tid := n.task, n.group, n.join, n.tid
 	w.freeNode(n)
 	ctx := w.getCtx()
-	ctx.w, ctx.group = w, g
+	ctx.w, ctx.group, ctx.join = w, g, join
 	w.st.TasksRun.Add(1)
 	prev := w.setState(trace.StateRun)
 	if xt := w.sched.xt; xt.Enabled() {
@@ -229,9 +233,18 @@ func (w *worker) runSolo(n *node) {
 	if xt := w.sched.xt; xt.Enabled() {
 		xt.Record(w.id, trace.EvDone, w.id, 1, tid)
 	}
-	w.state.Store(uint32(prev)) // restore: nested runs (helping) keep the outer state
+	// A top-level run leaves StateRun standing: the loop's next transition
+	// (or the next task, for free) overwrites it. Only a run nested in a
+	// team task (TaskGroup.Wait helping) has an outer state to restore.
+	if prev == trace.StateRunTeam {
+		w.setState(prev)
+	}
 	w.putCtx(ctx)
-	w.taskDone(g)
+	if join != nil {
+		join.pending.Add(-1)
+	} else {
+		w.taskDone(g)
+	}
 	w.bo.Reset()
 }
 
@@ -250,7 +263,7 @@ func (w *worker) runTeamPart(exec *teamExec, lid int) {
 	if xt := w.sched.xt; xt.Enabled() {
 		xt.Record(w.id, trace.EvDone, exec.coordID, uint32(exec.width), exec.tid)
 	}
-	w.state.Store(uint32(prev))
+	w.setState(prev)
 	w.putCtx(ctx)
 }
 

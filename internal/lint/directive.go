@@ -53,7 +53,7 @@ type Directive struct {
 // declaration, the churn-stable identity the manifest pins.
 type Record struct {
 	PkgPath string
-	Decl    string // e.g. "(*worker).getCtx", "inflightShard", "inflightShard.stamp"
+	Decl    string // e.g. "(*worker).getCtx", "histShard", "histShard.stamp"
 	Kind    string
 }
 

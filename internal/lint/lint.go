@@ -20,8 +20,8 @@
 //     justification.
 //   - seqlock: writes to stamp fields annotated //repro:seqlock must form
 //     odd-before/even-after brackets on every path — the discipline the
-//     in-flight quiescence scan, the stats histogram snapshot and the trace
-//     ring snapshot all prove their consistency from.
+//     stats histogram snapshot and the trace ring snapshot both prove their
+//     consistency from.
 //   - barrier: team collectives annotated //repro:barrier must reach the
 //     team barrier (ctx.Barrier() or a call to another annotated
 //     collective) on every return path, except the documented team-size-1

@@ -16,7 +16,7 @@ import (
 // The analyzer proves sizes, not placement: Go does not guarantee that an
 // allocation starts on a cache-line boundary, so a 64-byte-multiple stride
 // guarantees at most one false-sharing neighbor pair per array, which is
-// the documented convention (see internal/core/inflight.go). Generic types
+// the documented convention (see internal/stats/histogram.go). Generic types
 // cannot be sized at their declaration and are rejected — annotate a
 // concrete instantiation or the enclosing field instead.
 var PadCheck = &Analyzer{

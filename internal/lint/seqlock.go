@@ -6,11 +6,10 @@ import (
 )
 
 // Seqlock enforces the odd-before/even-after stamp discipline on fields
-// annotated //repro:seqlock: the sharded in-flight counter, the stats
-// histogram shards and the trace ring slots all bracket their updates
-// between two stamp writes (odd while the protected fields are torn, even
-// once they are stable), and their readers prove snapshot consistency from
-// exactly that bracket. A writer that returns mid-bracket, writes the
+// annotated //repro:seqlock: the stats histogram shards and the trace ring
+// slots both bracket their updates between two stamp writes (odd while the
+// protected fields are torn, even once they are stable), and their readers
+// prove snapshot consistency from exactly that bracket. A writer that returns mid-bracket, writes the
 // stamp an odd number of times on some path, or hides one stamp write
 // inside a conditional silently breaks every reader's correctness
 // argument without any test necessarily failing.

@@ -15,8 +15,7 @@ import (
 // Observe is allocation-free and — when callers honor the sharding
 // contract — contention-free: the histogram is split into cache-line-padded
 // shards, and each concurrent writer (a worker, a client goroutine) records
-// into its own shard, exactly like the scheduler's sharded in-flight
-// counter. A shard index outside [0, shards) is reduced modulo the shard
+// into its own shard. A shard index outside [0, shards) is reduced modulo the shard
 // count, so callers may pass any stable per-writer integer (a worker id, a
 // round-robin ticket). Writers that do collide on one shard stay correct —
 // bucket counts are atomic adds and the sum is CAS-accumulated — they only

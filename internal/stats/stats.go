@@ -32,9 +32,8 @@ type Worker struct {
 	Backoffs        atomic.Int64 // backoff waits
 	Polls           atomic.Int64 // pollPartners invocations
 	InjectTakes     atomic.Int64 // tasks taken from the inject queues
-	QuiesceScans    atomic.Int64 // quiescence sum-scans run on this worker's completion path
 
-	_ [5]int64 // pad to reduce false sharing
+	_ [6]int64 // pad to reduce false sharing
 }
 
 // Snapshot is a plain-value copy of a Worker's counters.
@@ -43,7 +42,7 @@ type Snapshot struct {
 	Spawns, Steals, TasksStolen, StealAttempts        int64
 	FailedAttempts, Registrations, Deregistrations    int64
 	Revocations, ConflictsLost, CASFailures, Backoffs int64
-	Polls, InjectTakes, QuiesceScans                  int64
+	Polls, InjectTakes                                int64
 }
 
 // Snapshot returns a consistent-enough copy for reporting (individual loads
@@ -67,7 +66,6 @@ func (w *Worker) Snapshot() Snapshot {
 		Backoffs:        w.Backoffs.Load(),
 		Polls:           w.Polls.Load(),
 		InjectTakes:     w.InjectTakes.Load(),
-		QuiesceScans:    w.QuiesceScans.Load(),
 	}
 }
 
@@ -90,17 +88,16 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.Backoffs += o.Backoffs
 	s.Polls += o.Polls
 	s.InjectTakes += o.InjectTakes
-	s.QuiesceScans += o.QuiesceScans
 }
 
 // String renders the snapshot on one line.
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
-		"tasks=%d team_tasks=%d teams=%d coord=%d spawns=%d steals=%d stolen=%d attempts=%d failed=%d reg=%d dereg=%d revoked=%d conflicts=%d cas_fail=%d backoffs=%d polls=%d inject_takes=%d quiesce_scans=%d",
+		"tasks=%d team_tasks=%d teams=%d coord=%d spawns=%d steals=%d stolen=%d attempts=%d failed=%d reg=%d dereg=%d revoked=%d conflicts=%d cas_fail=%d backoffs=%d polls=%d inject_takes=%d",
 		s.TasksRun, s.TeamTasksRun, s.TeamsFormed, s.TeamsCoordd, s.Spawns,
 		s.Steals, s.TasksStolen, s.StealAttempts, s.FailedAttempts,
 		s.Registrations, s.Deregistrations, s.Revocations, s.ConflictsLost,
-		s.CASFailures, s.Backoffs, s.Polls, s.InjectTakes, s.QuiesceScans)
+		s.CASFailures, s.Backoffs, s.Polls, s.InjectTakes)
 }
 
 // Sum aggregates the snapshots of all workers.

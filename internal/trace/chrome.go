@@ -230,8 +230,6 @@ func chromeCat(k Kind) string {
 		return "cancel"
 	case EvTeamFixed, EvPublish, EvPickup, EvExecDone:
 		return "team"
-	case EvQuiesceScan:
-		return "quiesce"
 	default:
 		return "protocol"
 	}

@@ -21,8 +21,8 @@ const minRingEvents = 8
 // the stamp makes the race detectable: it holds 2·seq+1 while the owner is
 // writing sequence seq into the slot and 2·seq+2 once the slot is stable,
 // so a reader that sees the same even stamp before and after copying the
-// payload knows it copied a consistent event — the seqlock argument the
-// core scheduler's quiescence scan established.
+// payload knows it copied a consistent event (the seqlock argument, as in
+// internal/stats' histogram snapshot).
 type slot struct {
 	//repro:seqlock holds 2·seq+1 while torn, 2·seq+2 once stable
 	stamp atomic.Uint64

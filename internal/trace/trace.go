@@ -2,9 +2,8 @@
 // (one ring per worker, plus one for the admission path) fixed-size buffers
 // of compact binary events, written through an allocation-free owner-only
 // path and snapshotted without stopping the writers via per-slot sequence
-// stamps — the same seqlock validation argument the core scheduler uses for
-// its quiescence scan. Snapshots export a compact text dump and Chrome
-// trace-event JSON loadable in Perfetto (see chrome.go).
+// stamps (a seqlock; see ring.go). Snapshots export a compact text dump and
+// Chrome trace-event JSON loadable in Perfetto (see chrome.go).
 //
 // The package also provides the worker-state sampling profiler (sampler.go):
 // a background goroutine periodically reads each worker's published State
@@ -45,10 +44,9 @@ const (
 	EvExecDone     // team execution complete; X = size, Arg = generation
 	EvBarrierEnter // team barrier entered; Other = coordinator, X = local id, Arg = task trace id
 	EvBarrierLeave // team barrier passed; Other = coordinator, X = local id, Arg = task trace id
-	// Idleness and quiescence.
-	EvPark        // worker begins a backoff wait after a failed steal round
-	EvUnpark      // worker returns from the backoff wait
-	EvQuiesceScan // completion-path quiescence sum-scan; X = 1 if quiescent
+	// Idleness.
+	EvPark   // worker begins a backoff wait after a failed steal round
+	EvUnpark // worker returns from the backoff wait
 	// Registration-protocol transitions.
 	EvRegister      // Other = coordinator, X = acquired count, Arg = epoch
 	EvDeregister    // Other = coordinator, X = acquired count, Arg = epoch
@@ -69,7 +67,7 @@ var kindNames = [NumKinds]string{
 	"group-cancel", "deadline-fire", "inject-revoke",
 	"team-fixed", "publish", "pickup", "exec-done",
 	"barrier-enter", "barrier-leave",
-	"park", "unpark", "quiesce-scan",
+	"park", "unpark",
 	"register", "deregister", "revoked", "leave-team", "shrink",
 	"disband", "preempt", "conflict-yield", "grow-advertise",
 }

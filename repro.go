@@ -51,7 +51,11 @@ type Task = core.Task
 type Ctx = core.Ctx
 
 // TaskGroup provides fork/join-style synchronization for single-threaded
-// subtasks (the `sync` of the paper's Algorithm 10).
+// subtasks (the `sync` of the paper's Algorithm 10). A task that spawns into
+// a TaskGroup must Wait on it before returning (children of the TaskGroup
+// may add siblings without waiting); the scheduler panics on a task that
+// returns un-joined. Joined children are part of the task that waits for
+// them and are not counted by Group.Pending.
 type TaskGroup = core.TaskGroup
 
 // Group is a quiescence domain on a Scheduler: tasks spawned into a group

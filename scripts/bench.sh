@@ -9,8 +9,8 @@ set -euo pipefail
 #
 #   BENCH_core.json        scheduler hot-path microbenchmarks (spawn/join
 #                          ping-pong, empty-task fan-out, steal imbalance,
-#                          injected-take poll, inject latency, counter
-#                          contention; includes allocs/op), wrapped as
+#                          injected-take poll, inject latency, fork-join
+#                          tree; includes allocs/op), wrapped as
 #                          {baseline, current} against the recorded
 #                          scripts/core-baseline.json (the pre-pooling
 #                          scheduler) so the trajectory keeps before/after
@@ -57,7 +57,9 @@ else
 fi
 
 echo "bench: core (benchtime ${BENCHTIME}) -> ${OUTDIR}/BENCH_core.json"
-go test -run '^$' -bench '^Benchmark(SpawnJoinPingPong|EmptyTaskFanout|StealImbalance|InjectedTakeEmpty|InjectLatency|CounterContention|HistogramObserve|TraceRecord)$' \
+# -p 1: the three packages' benchmark binaries must not share the box — run
+# side by side on a 2-CPU host they inflate each other's ns/op by 20–100 %.
+go test -p 1 -run '^$' -bench '^Benchmark(SpawnJoinPingPong|EmptyTaskFanout|StealImbalance|InjectedTakeEmpty|InjectLatency|ForkJoinTree|HistogramObserve|TraceRecord)$' \
   -benchtime "${BENCHTIME}" -json ./internal/core ./internal/stats ./internal/trace |
   go run ./scripts/benchjson -baseline scripts/core-baseline.json > "${OUTDIR}/BENCH_core.json"
 

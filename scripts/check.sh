@@ -31,6 +31,13 @@ go run ./scripts/escapecheck
 echo "check: go test ./..."
 go test ./...
 
+# Count-flake guard: the tests that assert on quiescence, release counts,
+# cancellation and forced steals, ten times over, so a timing-dependent
+# assertion fails at the PR that introduces it (bounded by -timeout).
+echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Distributed)"
+go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Distributed' \
+  ./internal/core ./internal/classic
+
 # The race list and its rationale live in scripts/checkdefs.sh.
 echo "check: go test -race ${RACE_PKGS}"
 go test -race ${RACE_PKGS}
@@ -76,7 +83,7 @@ if [[ -z "${addr}" ]]; then
   exit 1
 fi
 "${metricsdir}/metricscheck" -retry 5s -monotonic 1s \
-  -require repro_sched_steals_total,repro_sched_inject_takes_total,repro_sched_quiesce_scans_total,repro_admission_injected_total,repro_admission_wait_seconds_count,repro_uptime_seconds,repro_worker_state_samples_total,repro_trace_events_total,repro_group_pending_sorts,repro_sort_latency_seconds_bucket,repro_canceled_total,repro_revoked_total,repro_spawn_timeouts_total \
+  -require repro_sched_steals_total,repro_sched_inject_takes_total,repro_sched_inflight_tasks,repro_admission_injected_total,repro_admission_wait_seconds_count,repro_uptime_seconds,repro_worker_state_samples_total,repro_trace_events_total,repro_group_pending_sorts,repro_sort_latency_seconds_bucket,repro_canceled_total,repro_revoked_total,repro_spawn_timeouts_total \
   "http://${addr}/metrics"
 wait "${tp_pid}"
 tp_pid=""

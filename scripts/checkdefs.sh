@@ -6,7 +6,7 @@
 # admission-control and quiescence tests (the whitebox/flood admission tests
 # and spawn-vs-shutdown races in ./internal/core, the Runtime-level
 # bounded-flood and SortMany tests in the root package) plus the hot-path
-# recycling machinery: the node/ctx free lists and the sharded in-flight scan
+# recycling machinery: the node/ctx free lists and the busy-group set
 # in ./internal/core, the owner-pop slot clearing in ./internal/deque, the
 # pooled spawn wrappers of the three sorting packages, the team-collective
 # analytics operators in ./internal/query (barrier-separated phases over
