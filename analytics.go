@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"repro/internal/core"
 	"repro/internal/query"
 )
 
@@ -11,7 +12,7 @@ import (
 // is instrumented into the repro_query_* metric families (see
 // Runtime.Metrics).
 //
-// Team sizes follow query.BestNp over the input length, so small requests
+// Team sizes follow core.BestNp over the input length, so small requests
 // run as classical single-threaded tasks and large ones as team tasks —
 // the mixed-mode regime the paper targets, under analytics request shapes
 // instead of sorts.
@@ -38,18 +39,17 @@ func NewQueryPlan[T Ordered](capN, maxTeam, minPerThread int) *QueryPlan[T] {
 // bestNp is the team size of one standalone analytics request over n
 // elements.
 func (r *Runtime[T]) bestNp(n int) int {
-	return query.BestNp(n, 0, r.s.MaxTeam())
+	return core.BestNp(n, query.DefaultMinPerThread, r.s.MaxTeam())
 }
 
 // Filter stably copies the elements of src satisfying pred into dst and
 // returns the surviving count. dst must not alias src and must have room
 // for every survivor; pred must be pure.
 func (r *Runtime[T]) Filter(src, dst []T, pred func(T) bool) int {
-	shard, t0 := r.m.beginQ(qopFilter, r.s.P())
 	n := 0
-	g := r.s.NewGroup()
-	g.Run(query.Filter(r.bestNp(len(src)), src, dst, pred, &n))
-	r.m.endQ(qopFilter, shard, t0)
+	r.single(famFilter, func(g *core.Group) error {
+		return g.Spawn(query.Filter(r.bestNp(len(src)), src, dst, pred, &n))
+	})
 	return n
 }
 
@@ -59,11 +59,10 @@ func (r *Runtime[T]) Filter(src, dst []T, pred func(T) bool) int {
 // key must map every element into [0, nb) and be pure; grouped must not
 // alias src.
 func (r *Runtime[T]) GroupBy(src, grouped []T, nb int, key func(T) int) []int {
-	shard, t0 := r.m.beginQ(qopGroupBy, r.s.P())
 	starts := make([]int, nb+1)
-	g := r.s.NewGroup()
-	g.Run(query.GroupBy(r.bestNp(len(src)), src, grouped, nb, key, starts))
-	r.m.endQ(qopGroupBy, shard, t0)
+	r.single(famGroupBy, func(g *core.Group) error {
+		return g.Spawn(query.GroupBy(r.bestNp(len(src)), src, grouped, nb, key, starts))
+	})
 	return starts
 }
 
@@ -75,22 +74,20 @@ func (r *Runtime[T]) GroupBy(src, grouped []T, nb int, key func(T) int) []int {
 // lift must be pure.
 func (r *Runtime[T]) Aggregate(src []T, nb int, key func(T) int, identity int64,
 	lift func(int64, T) int64, comb func(int64, int64) int64) []int64 {
-	shard, t0 := r.m.beginQ(qopAggregate, r.s.P())
 	out := make([]int64, nb)
-	g := r.s.NewGroup()
-	g.Run(query.Aggregate(r.bestNp(len(src)), src, nb, key, identity, lift, comb, out))
-	r.m.endQ(qopAggregate, shard, t0)
+	r.single(famAggregate, func(g *core.Group) error {
+		return g.Spawn(query.Aggregate(r.bestNp(len(src)), src, nb, key, identity, lift, comb, out))
+	})
 	return out
 }
 
 // TopK writes the k largest elements of src into dst in descending order
 // and returns the selected count min(k, len(src)). dst must not alias src.
 func (r *Runtime[T]) TopK(src, dst []T, k int) int {
-	shard, t0 := r.m.beginQ(qopTopK, r.s.P())
 	n := 0
-	g := r.s.NewGroup()
-	g.Run(query.TopK(r.bestNp(len(src)), src, dst, k, &n))
-	r.m.endQ(qopTopK, shard, t0)
+	r.single(famTopK, func(g *core.Group) error {
+		return g.Spawn(query.TopK(r.bestNp(len(src)), src, dst, k, &n))
+	})
 	return n
 }
 
@@ -99,11 +96,10 @@ func (r *Runtime[T]) TopK(src, dst []T, k int) int {
 // count is returned. out must have room for every matched run
 // (min(len(a), len(b)) always suffices) and must not alias a or b.
 func (r *Runtime[T]) MergeJoin(a, b []T, out []JoinRun[T]) int {
-	shard, t0 := r.m.beginQ(qopJoin, r.s.P())
 	n := 0
-	g := r.s.NewGroup()
-	g.Run(query.MergeJoin(r.bestNp(len(a)+len(b)), a, b, out, &n))
-	r.m.endQ(qopJoin, shard, t0)
+	r.single(famJoin, func(g *core.Group) error {
+		return g.Spawn(query.MergeJoin(r.bestNp(len(a)+len(b)), a, b, out, &n))
+	})
 	return n
 }
 
@@ -112,10 +108,11 @@ func (r *Runtime[T]) MergeJoin(a, b []T, out []JoinRun[T]) int {
 // into out, returning the matched run count — the staged sort-then-join
 // composition as one request.
 func (r *Runtime[T]) SortJoin(a, b []T, out []JoinRun[T], opt SSOptions) int {
-	shard, t0 := r.m.beginQ(qopJoin, r.s.P())
-	g := r.s.NewGroup()
-	n := query.SortJoin(g, r.s.MaxTeam(), a, b, out, opt)
-	r.m.endQ(qopJoin, shard, t0)
+	n := 0
+	r.single(famJoin, func(g *core.Group) (err error) {
+		n, err = query.SortJoin(g, r.s.MaxTeam(), a, b, out, opt)
+		return err
+	})
 	return n
 }
 
@@ -132,9 +129,10 @@ func (r *Runtime[T]) NewPlan(capN int) *QueryPlan[T] {
 // the stage boundary. The returned views alias the plan's buffers and stay
 // valid until its next run; a given plan must not be executed concurrently.
 func (r *Runtime[T]) RunPlan(plan *QueryPlan[T], src []T) QueryResult[T] {
-	shard, t0 := r.m.beginQ(qopPlan, r.s.P())
-	g := r.s.NewGroup()
-	res := plan.Execute(g, src)
-	r.m.endQ(qopPlan, shard, t0)
+	var res QueryResult[T]
+	r.single(famPlan, func(g *core.Group) error {
+		res = plan.Execute(g, src)
+		return nil
+	})
 	return res
 }

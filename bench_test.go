@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's evaluation (one benchmark per
 // published table, Tables 1–10) plus the ablation benchmarks over the
-// scheduler's design choices listed in DESIGN.md §3.
+// scheduler's design choices (the switches of core.Options) and the
+// quicksort's §5 tunables.
 //
 // The table benchmarks run the same harness as cmd/tables on a reduced grid
 // so that `go test -bench=.` completes in minutes; run
@@ -13,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/harness"
@@ -93,7 +95,7 @@ func BenchmarkSortFork(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, in)
-		qsort.ForkJoinCore(s, buf, qsort.DefaultCutoff)
+		repro.SortForkJoin(s, buf)
 	}
 }
 
@@ -107,11 +109,11 @@ func BenchmarkSortMMPar(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, in)
-		qsort.MixedMode(s, buf, opt)
+		repro.SortMixedMode(s, buf, opt)
 	}
 }
 
-// --- Ablation benchmarks (DESIGN.md §3) ------------------------------------
+// --- Ablation benchmarks ----------------------------------------------------
 
 // mixedWorkload spawns a pyramid of team tasks of every size plus solo
 // leaves; used by the scheduler ablations.
@@ -173,7 +175,7 @@ func BenchmarkAblationStealAmount(b *testing.B) {
 			buf := make([]int32, len(in))
 			for i := 0; i < b.N; i++ {
 				copy(buf, in)
-				qsort.ForkJoinCore(s, buf, 128)
+				s.Run(qsort.ForkJoinRoot(buf, 128))
 			}
 		})
 	}
@@ -215,7 +217,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(buf, in)
-				qsort.MixedMode(s, buf, opt)
+				repro.SortMixedMode(s, buf, opt)
 			}
 		})
 	}
@@ -234,7 +236,7 @@ func BenchmarkAblationMinBlocks(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(buf, in)
-				qsort.MixedMode(s, buf, opt)
+				repro.SortMixedMode(s, buf, opt)
 			}
 		})
 	}

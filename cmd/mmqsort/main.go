@@ -14,18 +14,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
-	"repro/internal/cilk"
-	"repro/internal/classic"
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/dist/distpar"
 	"repro/internal/harness"
-	"repro/internal/msort"
 	"repro/internal/qsort"
-	"repro/internal/ssort"
 )
 
 func main() {
@@ -59,6 +55,10 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	if *p <= 0 {
+		*p = runtime.NumCPU()
+	}
+	cfg := harness.Config{P: *p, Seed: *seed, Cutoff: *cutoff, BlockSize: *block, MinBlocks: *minBlk}
 	input := generateInput(kind, *n, *seed, *p)
 	buf := make([]int32, *n)
 
@@ -67,15 +67,23 @@ func main() {
 		var schedStats string
 		for r := 0; r < *reps; r++ {
 			copy(buf, input)
-			run, stat := sorter(a, *p, *seed, *cutoff, *block, *minBlk)
-			start := time.Now()
-			run(buf)
-			el := time.Since(start)
-			if *stats && stat.read != nil {
-				schedStats = stat.read()
+			// The scheduler lives for one repetition, started and stopped
+			// outside the timed region.
+			s, err := harness.NewSorter(a, cfg)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
 			}
-			if stat.shutdown != nil {
-				stat.shutdown()
+			start := time.Now()
+			err = s.Sort(buf)
+			el := time.Since(start)
+			if *stats && s.Stats != nil {
+				schedStats = s.Stats().String()
+			}
+			s.Close()
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", a.FlagName(), err)
+				os.Exit(1)
 			}
 			if !qsort.IsSorted(buf) {
 				fmt.Fprintf(os.Stderr, "%s: OUTPUT NOT SORTED\n", a.FlagName())
@@ -91,66 +99,6 @@ func main() {
 		if *stats && schedStats != "" {
 			fmt.Printf("  stats: %s\n", schedStats)
 		}
-	}
-}
-
-// schedHooks exposes a run's scheduler, when it has one: a statistics
-// reader (valid before shutdown) and the shutdown itself.
-type schedHooks struct {
-	read     func() string
-	shutdown func()
-}
-
-// sorter builds one repetition's sort function from the shared harness
-// algorithm vocabulary, constructing the scheduler the algorithm needs (the
-// scheduler lives for one repetition, matching the original per-repetition
-// timing behavior).
-func sorter(a harness.Algorithm, p int, seed uint64, cutoff, block, minBlk int) (func([]int32), schedHooks) {
-	switch a {
-	case harness.SeqSTL:
-		return func(d []int32) { qsort.Introsort(d) }, schedHooks{}
-	case harness.SeqQS:
-		return func(d []int32) { qsort.SequentialQuicksortCutoff(d, cutoff) }, schedHooks{}
-	case harness.Fork:
-		s := core.New(core.Options{P: p, Seed: seed})
-		return func(d []int32) { qsort.ForkJoinCore(s, d, cutoff) },
-			schedHooks{func() string { return s.Stats().String() }, s.Shutdown}
-	case harness.Randfork:
-		s := classic.New(classic.Options{P: p, Seed: seed})
-		return func(d []int32) { qsort.ForkJoinClassic(s, d, cutoff) },
-			schedHooks{func() string { return s.Stats().String() }, s.Shutdown}
-	case harness.Cilk:
-		s := cilk.New(cilk.Options{P: p, Seed: seed})
-		return func(d []int32) { qsort.ForkJoinCilk(s, d, cutoff) },
-			schedHooks{func() string { return s.Stats().String() }, s.Shutdown}
-	case harness.CilkSample:
-		s := cilk.New(cilk.Options{P: p, Seed: seed})
-		return func(d []int32) { qsort.SampleCilk(s, d, cutoff) },
-			schedHooks{func() string { return s.Stats().String() }, s.Shutdown}
-	case harness.MMPar:
-		s := core.New(core.Options{P: p, Seed: seed})
-		opt := qsort.MMOptions{Cutoff: cutoff, BlockSize: block, MinBlocksPerThread: minBlk}
-		return func(d []int32) { qsort.MixedMode(s, d, opt) },
-			schedHooks{func() string { return s.Stats().String() }, s.Shutdown}
-	case harness.SSort:
-		s := core.New(core.Options{P: p, Seed: seed})
-		// MinPerThread mirrors the mmpar team quota (block · minblocks), as
-		// in the harness, so the two mixed-mode algorithms form teams at the
-		// same scales under identical flags.
-		opt := ssort.Options{Cutoff: cutoff, MinPerThread: block * minBlk}
-		return func(d []int32) { ssort.Sort(s, d, opt) },
-			schedHooks{func() string { return s.Stats().String() }, s.Shutdown}
-	case harness.MSort:
-		s := core.New(core.Options{P: p, Seed: seed})
-		// The merge quota mirrors the other mixed-mode algorithms, as in the
-		// harness MSort column.
-		opt := msort.Options{Cutoff: cutoff, MinPerThread: block * minBlk}
-		return func(d []int32) { msort.Sort(s, d, opt) },
-			schedHooks{func() string { return s.Stats().String() }, s.Shutdown}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown algorithm %v\n", a)
-		os.Exit(2)
-		return nil, schedHooks{}
 	}
 }
 

@@ -105,13 +105,7 @@ func analyticsClient(cfg runConfig, rt *repro.Runtime[int32], rng *dist.RNG,
 	for time.Now().Before(deadline) {
 		cell := &cfg.cells[rng.Intn(len(cfg.cells))]
 		op := aOps[rng.Intn(len(aOps))]
-		cur := inflightNow.Add(1)
-		for {
-			p := inflightPeak.Load()
-			if cur <= p || inflightPeak.CompareAndSwap(p, cur) {
-				break
-			}
-		}
+		bumpInflight(inflightNow, inflightPeak, 1)
 		ok := true
 		t0 := time.Now()
 		switch op {

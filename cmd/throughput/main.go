@@ -361,13 +361,7 @@ func runPoint(cfg runConfig, point, clients int, duration time.Duration,
 					picked[i] = req
 					batch[i] = repro.SortRequest[int32]{Data: d, Algo: batchAlgo(req.alg)}
 				}
-				cur := inflightNow.Add(int64(cfg.batch))
-				for {
-					p := inflightPeak.Load()
-					if cur <= p || inflightPeak.CompareAndSwap(p, cur) {
-						break
-					}
-				}
+				bumpInflight(&inflightNow, &inflightPeak, int64(cfg.batch))
 				t0 := time.Now()
 				if cfg.batch == 1 {
 					sortWith(rt, picked[0].alg, batch[0].Data, cfg.mmOpt, cfg.ssOpt, cfg.msOpt)

@@ -120,7 +120,12 @@ func TestChaosStress(t *testing.T) {
 						// spawn; the sort for this slice never starts.
 						break
 					}
-					inj.MaybeCancel(g, errCause)
+					// A group survives its six 1-in-3 rolls 9 times in 100, so
+					// all 32 were canceled about one run in ten. Round 0 rolls
+					// none: the completion path below always runs.
+					if r > 0 {
+						inj.MaybeCancel(g, errCause)
+					}
 				}
 				err := g.WaitErr()
 				if g.Pending() != 0 {

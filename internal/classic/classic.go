@@ -1,14 +1,24 @@
-// Package classic implements the standard randomized work-stealing scheduler
-// of §2 of the paper (Algorithms 1–4): per-worker lock-free deques, random
-// victim selection, and bulk stealing of half the victim's queue via
-// popappend. It only supports single-threaded tasks and is the baseline
-// behind the paper's "Randfork" column.
-//
-// The paper reports that "random work-stealing is much more sensible to
-// tuning-parameters, and requires some more tricks to work well"; this
-// implementation deliberately follows the plain textbook algorithm (random
-// victim, steal-half, exponential backoff after a failed attempt) without
-// extra tricks, matching what the paper measured.
+// Package classic implements the randomized work-stealing scheduler the
+// paper's team-builder is measured against: per-worker lock-free deques,
+// uniformly random victim selection, single-threaded tasks only. One
+// scheduler serves both baseline families of the tables, told apart by the
+// steal Policy chosen at construction. StealHalf is the paper's own §2
+// work-stealer (Algorithms 1–4, the "Randfork" column): a thief transfers
+// half the victim's queue via popappend and backs off exponentially after a
+// miss — deliberately the plain textbook algorithm, because the paper
+// reports that "random work-stealing is much more sensible to
+// tuning-parameters, and requires some more tricks to work well" and
+// measured it without them. StealOne is the substitute for the
+// closed-source Cilk++ runtime behind the "Cilk" and "Cilk sample" columns
+// (Tables 1, 2, 5, 6), following the Cilk scheduler model (Blumofe et al.,
+// "Cilk: An efficient multithreaded runtime system"): a thief takes exactly
+// one task from the top of the victim's deque and re-draws the victim after
+// only a brief yield, spinning aggressively instead of sleeping. Cilk's
+// work-first order (the child runs immediately, the continuation is
+// stealable) cannot be expressed without continuations, so the substitute
+// is help-first like every such approximation: spawned children go to the
+// deque bottom and the parent continues, which preserves the depth-first
+// local execution order Cilk's performance model relies on.
 package classic
 
 import (
@@ -45,17 +55,30 @@ func (c *Ctx) Spawn(t Task) { c.w.spawn(t) }
 // WorkerID returns the executing worker's id.
 func (c *Ctx) WorkerID() int { return c.w.id }
 
+// Policy is what a thief does at its victim and after a miss — the one
+// difference between the two baselines (see the package documentation).
+type Policy int
+
+const (
+	// StealHalf transfers half the victim's queue per steal and backs off
+	// exponentially after every miss (Algorithm 3).
+	StealHalf Policy = iota
+	// StealOne takes a single task per steal and yields between misses,
+	// backing off only after yieldMisses consecutive ones (the Cilk model).
+	StealOne
+)
+
+// yieldMisses is the number of consecutive missed steals a StealOne thief
+// answers with a bare yield before it starts backing off, which keeps the
+// spinning thieves fair under Go's runtime.
+const yieldMisses = 64
+
 // Options configures the scheduler.
 type Options struct {
 	// P is the number of workers. Default: runtime.NumCPU().
 	P int
-	// MaxSteal caps the number of tasks transferred per steal (the MAX_STEAL
-	// constant of Algorithm 3). 0 means "half the victim's queue" with no cap.
-	MaxSteal int
-	// StealOne forces single-task steals (ablation).
-	StealOne bool
-	// PinOSThreads locks workers to OS threads.
-	PinOSThreads bool
+	// Policy is the steal policy. Default: StealHalf.
+	Policy Policy
 	// Seed seeds victim selection.
 	Seed uint64
 }
@@ -71,9 +94,10 @@ type worker struct {
 	rng   uint64
 }
 
-// Scheduler is a classical randomized work-stealing scheduler.
+// Scheduler is a randomized work-stealing scheduler for single-threaded
+// tasks.
 type Scheduler struct {
-	opts     Options
+	policy   Policy
 	workers  []*worker
 	inflight atomic.Int64
 	done     atomic.Bool
@@ -89,7 +113,7 @@ func New(opts Options) *Scheduler {
 		opts.P = runtime.NumCPU()
 	}
 	topo.EnsureGOMAXPROCS(opts.P)
-	s := &Scheduler{opts: opts}
+	s := &Scheduler{policy: opts.Policy}
 	s.workers = make([]*worker, opts.P)
 	for i := range s.workers {
 		s.workers[i] = &worker{
@@ -183,35 +207,41 @@ func (w *worker) run(n *node) {
 
 func (s *Scheduler) taskDone() { s.inflight.Add(-1) }
 
-// loop is Algorithm 1/2: run local tasks; when the local queue empties,
-// steal from a random victim; back off after failed attempts.
+// loop is Algorithm 1/2: run local tasks depth-first; when the local queue
+// empties, steal from a random victim; after a miss, back off (or, under
+// StealOne, yield for the first yieldMisses misses in a row).
 func (w *worker) loop() {
 	defer w.sched.wg.Done()
-	if w.sched.opts.PinOSThreads {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	s := w.sched
+	misses := 0
 	for !s.done.Load() {
 		if n := w.q.PopBottom(); n != nil {
 			w.run(n)
+			misses = 0
 			continue
 		}
 		if s.takeInjected(w) {
 			continue
 		}
-		if w.stealTasks() {
+		if w.steal() {
+			misses = 0
 			continue
 		}
+		misses++
 		w.st.FailedAttempts.Add(1)
+		if s.policy == StealOne && misses < yieldMisses {
+			runtime.Gosched()
+			continue
+		}
 		w.st.Backoffs.Add(1)
 		w.bo.Wait()
 	}
 }
 
-// stealTasks is Algorithm 3: choose a random victim and transfer
-// min(size/2, MAX_STEAL) tasks; the last stolen task is executed directly.
-func (w *worker) stealTasks() bool {
+// steal chooses a random victim and takes work off the top of its deque —
+// half the queue under StealHalf (Algorithm 3, popappend), one task under
+// StealOne; the last stolen task is executed directly.
+func (w *worker) steal() bool {
 	s := w.sched
 	p := len(s.workers)
 	if p == 1 {
@@ -222,22 +252,12 @@ func (w *worker) stealTasks() bool {
 	if v >= w.id {
 		v++
 	}
-	victim := s.workers[v]
-	sz := victim.q.Size()
-	if sz == 0 {
-		return false
+	victim := s.workers[v].q
+	cnt := 1
+	if s.policy == StealHalf {
+		cnt = max(1, victim.Size()/2)
 	}
-	cnt := sz / 2
-	if cnt < 1 {
-		cnt = 1
-	}
-	if m := s.opts.MaxSteal; m > 0 && cnt > m {
-		cnt = m
-	}
-	if s.opts.StealOne {
-		cnt = 1
-	}
-	last, n := deque.Steal(victim.q, w.q, cnt)
+	last, n := deque.Steal(victim, w.q, cnt)
 	if n == 0 {
 		return false
 	}

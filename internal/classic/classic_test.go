@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+var policies = []struct {
+	name   string
+	policy Policy
+}{
+	{"StealHalf", StealHalf},
+	{"StealOne", StealOne},
+}
+
 func newTest(t *testing.T, opts Options) *Scheduler {
 	t.Helper()
 	s := New(opts)
@@ -13,44 +21,54 @@ func newTest(t *testing.T, opts Options) *Scheduler {
 	return s
 }
 
+// forEachPolicy runs body as one subtest per steal policy on a fresh
+// scheduler of p workers.
+func forEachPolicy(t *testing.T, p int, body func(t *testing.T, s *Scheduler)) {
+	for _, pc := range policies {
+		t.Run(pc.name, func(t *testing.T) {
+			body(t, newTest(t, Options{P: p, Policy: pc.policy}))
+		})
+	}
+}
+
 func TestRunsAllTasks(t *testing.T) {
-	s := newTest(t, Options{P: 4})
-	var ran atomic.Int64
-	const n = 2000
-	for i := 0; i < n; i++ {
-		s.Spawn(Func(func(*Ctx) { ran.Add(1) }))
-	}
-	s.Wait()
-	if got := ran.Load(); got != n {
-		t.Fatalf("ran %d, want %d", got, n)
-	}
+	forEachPolicy(t, 4, func(t *testing.T, s *Scheduler) {
+		var ran atomic.Int64
+		const n = 2000
+		for i := 0; i < n; i++ {
+			s.Spawn(Func(func(*Ctx) { ran.Add(1) }))
+		}
+		s.Wait()
+		if got := ran.Load(); got != n {
+			t.Fatalf("ran %d, want %d", got, n)
+		}
+	})
 }
 
 func TestRecursiveSpawn(t *testing.T) {
-	s := newTest(t, Options{P: 8})
-	var ran atomic.Int64
-	var rec func(d int) Task
-	rec = func(d int) Task {
-		return Func(func(ctx *Ctx) {
-			ran.Add(1)
-			if d > 0 {
-				ctx.Spawn(rec(d - 1))
-				ctx.Spawn(rec(d - 1))
-			}
-		})
-	}
-	s.Run(rec(12))
-	if got, want := ran.Load(), int64(1<<13-1); got != want {
-		t.Fatalf("ran %d, want %d", got, want)
-	}
+	forEachPolicy(t, 8, func(t *testing.T, s *Scheduler) {
+		var ran atomic.Int64
+		var rec func(d int) Task
+		rec = func(d int) Task {
+			return Func(func(ctx *Ctx) {
+				ran.Add(1)
+				if d > 0 {
+					ctx.Spawn(rec(d - 1))
+					ctx.Spawn(rec(d - 1))
+				}
+			})
+		}
+		s.Run(rec(12))
+		if got, want := ran.Load(), int64(1<<13-1); got != want {
+			t.Fatalf("ran %d, want %d", got, want)
+		}
+	})
 }
 
-// TestWorkIsDistributed forces the steal instead of hoping for it: the root
-// blocks inside Run until one of its children has executed on another
-// worker, and the only way off the root's deque is a thief.
-func TestWorkIsDistributed(t *testing.T) {
-	s := newTest(t, Options{P: 4})
-	const children = 64
+// forcedSteal forces the steal instead of hoping for it: the root blocks
+// inside Run until one of its children has executed on another worker, and
+// the only way off the root's deque is a thief.
+func forcedSteal(s *Scheduler, children int) {
 	stolen := make(chan struct{})
 	var once sync.Once
 	s.Run(Func(func(ctx *Ctx) {
@@ -64,6 +82,12 @@ func TestWorkIsDistributed(t *testing.T) {
 		}
 		<-stolen
 	}))
+}
+
+func TestWorkIsDistributed(t *testing.T) {
+	s := newTest(t, Options{P: 4, Policy: StealHalf})
+	const children = 64
+	forcedSteal(s, children)
 	st := s.Stats()
 	if st.Steals == 0 {
 		t.Fatal("no steals recorded: load balancing is dead")
@@ -73,54 +97,38 @@ func TestWorkIsDistributed(t *testing.T) {
 	}
 }
 
-func TestStealOneOption(t *testing.T) {
-	s := newTest(t, Options{P: 4, StealOne: true})
-	var ran atomic.Int64
-	s.Run(Func(func(ctx *Ctx) {
-		for i := 0; i < 500; i++ {
-			ctx.Spawn(Func(func(*Ctx) { ran.Add(1) }))
-		}
-	}))
-	if got := ran.Load(); got != 500 {
-		t.Fatalf("ran %d", got)
-	}
+func TestStealsAreSingle(t *testing.T) {
+	s := newTest(t, Options{P: 4, Policy: StealOne})
+	forcedSteal(s, 64)
 	st := s.Stats()
-	if st.Steals != st.TasksStolen {
-		t.Fatalf("StealOne: steals=%d stolen=%d, must match", st.Steals, st.TasksStolen)
+	if st.Steals == 0 {
+		t.Fatal("no steals recorded")
 	}
-}
-
-func TestMaxStealCap(t *testing.T) {
-	s := newTest(t, Options{P: 2, MaxSteal: 3})
-	var ran atomic.Int64
-	s.Run(Func(func(ctx *Ctx) {
-		for i := 0; i < 1000; i++ {
-			ctx.Spawn(Func(func(*Ctx) { ran.Add(1) }))
-		}
-	}))
-	if ran.Load() != 1000 {
-		t.Fatalf("ran %d", ran.Load())
+	if st.Steals != st.TasksStolen {
+		t.Fatalf("StealOne must steal one at a time: steals=%d stolen=%d", st.Steals, st.TasksStolen)
 	}
 }
 
 func TestP1(t *testing.T) {
-	s := newTest(t, Options{P: 1})
-	var ran atomic.Int64
-	s.Run(Func(func(ctx *Ctx) {
-		ctx.Spawn(Func(func(*Ctx) { ran.Add(1) }))
-	}))
-	if ran.Load() != 1 {
-		t.Fatal("single-worker scheduler broken")
-	}
+	forEachPolicy(t, 1, func(t *testing.T, s *Scheduler) {
+		var ran atomic.Int64
+		s.Run(Func(func(ctx *Ctx) {
+			ctx.Spawn(Func(func(*Ctx) { ran.Add(1) }))
+		}))
+		if ran.Load() != 1 {
+			t.Fatal("single-worker scheduler broken")
+		}
+	})
 }
 
 func TestReuse(t *testing.T) {
-	s := newTest(t, Options{P: 4})
-	var ran atomic.Int64
-	for i := 0; i < 10; i++ {
-		s.Run(Func(func(*Ctx) { ran.Add(1) }))
-	}
-	if ran.Load() != 10 {
-		t.Fatalf("ran %d", ran.Load())
-	}
+	forEachPolicy(t, 4, func(t *testing.T, s *Scheduler) {
+		var ran atomic.Int64
+		for i := 0; i < 10; i++ {
+			s.Run(Func(func(*Ctx) { ran.Add(1) }))
+		}
+		if ran.Load() != 10 {
+			t.Fatalf("ran %d", ran.Load())
+		}
+	})
 }

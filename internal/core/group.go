@@ -118,7 +118,14 @@ func (g *Group) Scheduler() *Scheduler { return g.s }
 // cancellation cause — ErrCanceled, ErrDeadlineExceeded, or the Cancel
 // argument. In every error case the task is dropped without inflating any
 // in-flight count.
+//
+// A nil t is the empty computation (what an algorithm's root constructor
+// returns for nothing to do, e.g. a sort of fewer than two elements): it is
+// already quiescent, so Spawn returns nil without admitting anything.
 func (g *Group) Spawn(t Task) error {
+	if t == nil {
+		return nil
+	}
 	_, err := g.s.admitBlocking(g, []*node{g.s.makeNode(t, g)})
 	return err
 }
@@ -208,7 +215,8 @@ func (g *Group) Wait() {
 // fresh group this is exactly the old global Scheduler.Run semantics scoped
 // to t's own task tree. It returns WaitErr's verdict (nil on a clean drain,
 // the cancellation cause or ErrShutdown otherwise); if the spawn itself is
-// refused it returns that reason without waiting.
+// refused it returns that reason without waiting. A nil t (see Spawn) makes
+// Run the group's WaitErr.
 func (g *Group) Run(t Task) error {
 	if err := g.Spawn(t); err != nil {
 		return err

@@ -295,3 +295,30 @@ func TestSchedulerRunIsOneShotGroup(t *testing.T) {
 		t.Fatalf("pending = %d after Run", s.Pending())
 	}
 }
+
+// TestNilTaskIsTheEmptyComputation pins the contract the sort roots rely on
+// ("nil = nothing to sort"): spawning or running nil succeeds without
+// admitting anything — even where a real task would be refused.
+func TestNilTaskIsTheEmptyComputation(t *testing.T) {
+	s := newTest(t, Options{P: 2})
+	g := s.NewGroup()
+	for name, err := range map[string]error{
+		"Scheduler.Run": s.Run(nil),
+		"Group.Run":     g.Run(nil),
+		"Group.Spawn":   g.Spawn(nil),
+	} {
+		if err != nil {
+			t.Errorf("%s(nil) = %v, want nil", name, err)
+		}
+	}
+	if n := s.Admission().Injected; n != 0 {
+		t.Fatalf("nil tasks were injected: Injected = %d, want 0", n)
+	}
+	if g.Pending() != 0 || s.Pending() != 0 {
+		t.Fatalf("nil tasks left work pending: group %d, scheduler %d", g.Pending(), s.Pending())
+	}
+	s.Shutdown()
+	if err := s.Run(nil); err != nil {
+		t.Fatalf("Run(nil) after Shutdown = %v, want nil", err)
+	}
+}

@@ -38,6 +38,20 @@ func DefaultChunk(np, n int) int {
 	return chunk
 }
 
+// BestNp is the paper's getBestNp(n): the largest power of two np ≤ maxTeam
+// such that each of the np threads keeps at least minPerThread of the n
+// elements ("to achieve better balancing, we decided to only allow powers of
+// two as the number of threads for a task"). Always ≥ 1. Every mixed-mode
+// algorithm sizes its team tasks with it; what differs per algorithm is only
+// the quota (the quicksort's is block size × blocks per thread).
+func BestNp(n, minPerThread, maxTeam int) int {
+	np := 1
+	for np*2 <= maxTeam && n >= 2*np*minPerThread {
+		np *= 2
+	}
+	return np
+}
+
 // ForDynamic returns a team task of np threads executing body over [0, n)
 // with a dynamic schedule: members repeatedly claim chunks of the given size
 // from a shared counter, which balances irregular per-index costs inside the

@@ -164,3 +164,29 @@ func TestForStaticNestedSpawns(t *testing.T) {
 		t.Fatalf("leaves = %d", leaves.Load())
 	}
 }
+
+// TestBestNp is the one table for getBestNp, merged from the per-algorithm
+// copies the rule used to have: quota boundaries, the team-size cap, and
+// the power-of-two restriction.
+func TestBestNp(t *testing.T) {
+	cases := []struct{ n, per, maxTeam, want int }{
+		{0, 512, 8, 1},
+		{1023, 512, 8, 1},
+		{4095, 1024, 8, 2},
+		{4096, 1024, 8, 4},
+		{1 << 17, 1 << 16, 8, 2}, // exactly the quota each
+		{1<<17 - 1, 1 << 16, 8, 1},
+		{1 << 18, 1 << 16, 8, 4},
+		{1 << 20, 512, 8, 8}, // capped by team size
+		{1 << 20, 512, 1, 1}, // single-thread scheduler
+		{1 << 20, 1 << 19, 64, 2},
+		{1 << 20, 1 << 20, 64, 1},
+		{1 << 30, 1 << 13, 7, 4}, // largest power of two ≤ maxTeam
+		{100, 10, 8, 8},
+	}
+	for _, c := range cases {
+		if got := BestNp(c.n, c.per, c.maxTeam); got != c.want {
+			t.Errorf("BestNp(%d, %d, %d) = %d, want %d", c.n, c.per, c.maxTeam, got, c.want)
+		}
+	}
+}

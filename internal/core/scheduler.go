@@ -258,7 +258,7 @@ func (s *Scheduler) Wait() {
 // ErrShutdown if the scheduler shut down first. For a single client this is
 // indistinguishable from waiting for global quiescence; with several
 // concurrent clients on one scheduler, each Run waits only for its own task
-// tree.
+// tree. A nil t is the empty computation (see Group.Spawn): Run returns nil.
 func (s *Scheduler) Run(t Task) error {
 	return s.NewGroup().Run(t)
 }

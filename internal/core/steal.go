@@ -85,9 +85,8 @@ func (w *worker) stealFrom(x *worker, l int) bool {
 // trying the same register-or-steal step as stealTasks. It preserves the
 // paper's restriction that a thief never steals a task whose team would
 // contain both thief and victim — for those it registers instead. This scan
-// is a documented deviation (DESIGN.md): it guarantees progress for
-// non-power-of-two p, where the pure partner graph can leave tasks
-// unreachable.
+// is a deviation from the paper: it guarantees progress for non-power-of-two
+// p, where the pure partner graph can leave tasks unreachable.
 func (w *worker) fallbackScan() bool {
 	s := w.sched
 	p := s.topo.P

@@ -17,7 +17,8 @@
 // refinements: per-size local queues (Refinement 1, always on), arbitrary
 // thread requirements via rounded-up teams (Refinement 2), an arbitrary
 // number of workers (Refinement 3), and optional randomized partner
-// selection (Refinement 4). See DESIGN.md for the documented deviations.
+// selection (Refinement 4). Deviations from the paper are documented where
+// they are made (the bounded fallback scan: fallbackScan in steal.go).
 package core
 
 import (

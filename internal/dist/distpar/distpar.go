@@ -47,30 +47,15 @@ func GenerateP(s *core.Scheduler, k dist.Kind, n int, seed uint64, p int) []int3
 		return dist.GenerateP(k, n, seed, p)
 	}
 	vs := make([]int32, n)
-	g := s.NewGroup()
-	FillGroup(g, k, vs, seed, p)
-	g.Wait()
-	return vs
-}
-
-// FillGroup spawns a team fill of vs with distribution k into the
-// caller-supplied group g and returns immediately; vs holds the first
-// len(vs) values of the distribution (bit-identical to dist.GenerateP(k,
-// len(vs), seed, p)) once g.Wait() observes the group's quiescence. Small
-// buffers are filled by a single solo task rather than a team.
-func FillGroup(g *core.Group, k dist.Kind, vs []int32, seed uint64, p int) {
-	n := len(vs)
-	if n == 0 {
-		return
-	}
-	np := g.Scheduler().MaxTeam()
-	if np < 2 || n < MinParallel {
-		g.Spawn(core.Solo(func(*core.Ctx) { dist.Fill(k, vs, 0, n, seed, p) }))
-		return
-	}
-	g.Spawn(core.ForDynamic(np, n, core.DefaultChunk(np, n), func(_ *core.Ctx, lo, hi int) {
+	fill := core.ForDynamic(np, n, core.DefaultChunk(np, n), func(_ *core.Ctx, lo, hi int) {
 		dist.Fill(k, vs[lo:hi], lo, n, seed, p)
-	}))
+	})
+	if err := s.Run(fill); err != nil {
+		// Only a scheduler shut down under the caller gets here; the
+		// sequential path returns the same values without it.
+		return dist.GenerateP(k, n, seed, p)
+	}
+	return vs
 }
 
 // GenerateWithWorkers generates on a short-lived scheduler of the given

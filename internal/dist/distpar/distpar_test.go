@@ -73,4 +73,14 @@ func TestSequentialFallback(t *testing.T) {
 	if got := Generate(nil, dist.Random, -3, 1); len(got) != 0 {
 		t.Fatalf("negative n returned %d values", len(got))
 	}
+	// A scheduler that refuses the team fill (shut down under the caller)
+	// must not hand back a half-filled buffer.
+	dead := core.New(core.Options{P: 4})
+	dead.Shutdown()
+	want := dist.Generate(dist.Gauss, MinParallel, 9)
+	for i, v := range Generate(dead, dist.Gauss, MinParallel, 9) {
+		if v != want[i] {
+			t.Fatalf("shut-down scheduler: differs at %d", i)
+		}
+	}
 }

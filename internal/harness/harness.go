@@ -4,8 +4,9 @@
 // running times over a number of repetitions plus speedups relative to the
 // best sequential implementation.
 //
-// The paper's four machines map to worker counts (8, 16, 32, 32, 64); see
-// DESIGN.md §2 for the hardware substitution rationale.
+// The paper's four machines map to worker counts (8, 16, 32, 32, 64):
+// worker goroutines stand in for hardware threads and run oversubscribed
+// when the host has fewer CPUs (see cmd/tables).
 package harness
 
 import (
@@ -16,7 +17,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cilk"
 	"repro/internal/classic"
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -24,6 +24,7 @@ import (
 	"repro/internal/msort"
 	"repro/internal/qsort"
 	"repro/internal/ssort"
+	"repro/internal/stats"
 )
 
 // Algorithm identifies one column group of the paper's tables.
@@ -33,9 +34,9 @@ const (
 	SeqSTL     Algorithm = iota // best sequential sort (our introsort)
 	SeqQS                       // handwritten sequential quicksort
 	Fork                        // Algorithm 10 on the team-building scheduler
-	Randfork                    // Algorithm 10 on the classic random work-stealer
-	Cilk                        // Algorithm 10 on the Cilk-style scheduler
-	CilkSample                  // sample-pivot variant on the Cilk-style scheduler
+	Randfork                    // Algorithm 10 on the baseline work-stealer, steal-half
+	Cilk                        // Algorithm 10 on the baseline work-stealer, steal-one
+	CilkSample                  // sample-pivot variant on the steal-one work-stealer
 	MMPar                       // Algorithm 11 (mixed-mode) on the team-building scheduler
 	SSort                       // mixed-mode samplesort (internal/ssort) on the team builder
 	MSort                       // mixed-mode merge sort (internal/msort) on the team builder
@@ -275,92 +276,110 @@ func generateInput(cfg Config, kind dist.Kind, size int) []int32 {
 
 // measure times one algorithm cfg.Reps times on copies of input.
 func measure(cfg Config, alg Algorithm, input, buf []int32) (Cell, error) {
-	var cell Cell
-	cell.Best = -1
-
-	runOnce := func(sortFn func([]int32)) error {
+	s, err := NewSorter(alg, cfg)
+	if err != nil {
+		return Cell{}, err
+	}
+	defer s.Close()
+	cell := Cell{Best: -1}
+	for r := 0; r < cfg.Reps; r++ {
 		copy(buf, input)
 		start := time.Now()
-		sortFn(buf)
+		if err := s.Sort(buf); err != nil {
+			return Cell{}, err
+		}
 		el := time.Since(start).Seconds()
 		cell.Avg += el
 		if cell.Best < 0 || el < cell.Best {
 			cell.Best = el
 		}
 		if !qsort.IsSorted(buf) {
-			return fmt.Errorf("output not sorted")
+			return Cell{}, fmt.Errorf("output not sorted")
 		}
-		return nil
-	}
-
-	var err error
-	switch alg {
-	case SeqSTL:
-		for r := 0; r < cfg.Reps && err == nil; r++ {
-			err = runOnce(func(d []int32) { qsort.Introsort(d) })
-		}
-	case SeqQS:
-		for r := 0; r < cfg.Reps && err == nil; r++ {
-			err = runOnce(func(d []int32) { qsort.SequentialQuicksortCutoff(d, cfg.Cutoff) })
-		}
-	case Fork:
-		s := core.New(core.Options{P: cfg.P, Seed: cfg.Seed})
-		defer s.Shutdown()
-		for r := 0; r < cfg.Reps && err == nil; r++ {
-			err = runOnce(func(d []int32) { qsort.ForkJoinCore(s, d, cfg.Cutoff) })
-		}
-	case Randfork:
-		s := classic.New(classic.Options{P: cfg.P, Seed: cfg.Seed})
-		defer s.Shutdown()
-		for r := 0; r < cfg.Reps && err == nil; r++ {
-			err = runOnce(func(d []int32) { qsort.ForkJoinClassic(s, d, cfg.Cutoff) })
-		}
-	case Cilk:
-		s := cilk.New(cilk.Options{P: cfg.P, Seed: cfg.Seed})
-		defer s.Shutdown()
-		for r := 0; r < cfg.Reps && err == nil; r++ {
-			err = runOnce(func(d []int32) { qsort.ForkJoinCilk(s, d, cfg.Cutoff) })
-		}
-	case CilkSample:
-		s := cilk.New(cilk.Options{P: cfg.P, Seed: cfg.Seed})
-		defer s.Shutdown()
-		for r := 0; r < cfg.Reps && err == nil; r++ {
-			err = runOnce(func(d []int32) { qsort.SampleCilk(s, d, cfg.Cutoff) })
-		}
-	case MMPar:
-		s := core.New(core.Options{P: cfg.P, Seed: cfg.Seed})
-		defer s.Shutdown()
-		opt := qsort.MMOptions{Cutoff: cfg.Cutoff, BlockSize: cfg.BlockSize,
-			MinBlocksPerThread: cfg.MinBlocks}
-		for r := 0; r < cfg.Reps && err == nil; r++ {
-			err = runOnce(func(d []int32) { qsort.MixedMode(s, d, opt) })
-		}
-	case SSort:
-		s := core.New(core.Options{P: cfg.P, Seed: cfg.Seed})
-		defer s.Shutdown()
-		// MinPerThread mirrors the MMPar team quota (BlockSize·MinBlocks)
-		// so both mixed-mode columns form teams at the same scales.
-		opt := ssort.Options{Cutoff: cfg.Cutoff,
-			MinPerThread: cfg.BlockSize * cfg.MinBlocks}
-		for r := 0; r < cfg.Reps && err == nil; r++ {
-			err = runOnce(func(d []int32) { ssort.Sort(s, d, opt) })
-		}
-	case MSort:
-		s := core.New(core.Options{P: cfg.P, Seed: cfg.Seed})
-		defer s.Shutdown()
-		// The merge quota mirrors the other mixed-mode columns so all three
-		// form teams at the same scales.
-		opt := msort.Options{Cutoff: cfg.Cutoff,
-			MinPerThread: cfg.BlockSize * cfg.MinBlocks}
-		for r := 0; r < cfg.Reps && err == nil; r++ {
-			err = runOnce(func(d []int32) { msort.Sort(s, d, opt) })
-		}
-	default:
-		err = fmt.Errorf("unknown algorithm %v", alg)
-	}
-	if err != nil {
-		return Cell{}, err
 	}
 	cell.Avg /= float64(cfg.Reps)
 	return cell, nil
+}
+
+// Sorter is one algorithm column made runnable: the scheduler the algorithm
+// needs, started, behind the three things a measurement does with it.
+type Sorter struct {
+	// Sort sorts d in place and blocks until it is sorted.
+	Sort func(d []int32) error
+	// Stats reads the scheduler's counters; nil for the sequential columns.
+	Stats func() stats.Snapshot
+	// Close stops the scheduler's workers.
+	Close func()
+}
+
+// NewSorter is the one place the mapping from an algorithm column to its
+// scheduler, its options and its sort function is written down: the table
+// harness and cmd/mmqsort both measure through it. Of cfg it reads P, Seed
+// and the sorting tunables.
+func NewSorter(alg Algorithm, cfg Config) (Sorter, error) {
+	cfg = cfg.withDefaults()
+	// The team quota of the three mixed-mode columns is the same
+	// BlockSize·MinBlocks, so they form teams at the same scales.
+	quota := cfg.BlockSize * cfg.MinBlocks
+	switch alg {
+	case SeqSTL:
+		return sequential(qsort.Introsort[int32]), nil
+	case SeqQS:
+		return sequential(func(d []int32) { qsort.SequentialQuicksortCutoff(d, cfg.Cutoff) }), nil
+	case Fork:
+		return onCore(cfg, func(_ int, d []int32) core.Task {
+			return qsort.ForkJoinRoot(d, cfg.Cutoff)
+		}), nil
+	case Randfork:
+		return onClassic(cfg, classic.StealHalf, qsort.ForkJoinClassic[int32]), nil
+	case Cilk:
+		return onClassic(cfg, classic.StealOne, qsort.ForkJoinClassic[int32]), nil
+	case CilkSample:
+		return onClassic(cfg, classic.StealOne, qsort.SampleCilk[int32]), nil
+	case MMPar:
+		opt := qsort.MMOptions{Cutoff: cfg.Cutoff, BlockSize: cfg.BlockSize,
+			MinBlocksPerThread: cfg.MinBlocks}
+		return onCore(cfg, func(maxTeam int, d []int32) core.Task {
+			return qsort.MixedModeRoot(maxTeam, d, opt)
+		}), nil
+	case SSort:
+		opt := ssort.Options{Cutoff: cfg.Cutoff, MinPerThread: quota}
+		return onCore(cfg, func(maxTeam int, d []int32) core.Task {
+			return ssort.Root(maxTeam, d, opt)
+		}), nil
+	case MSort:
+		opt := msort.Options{Cutoff: cfg.Cutoff, MinPerThread: quota}
+		return onCore(cfg, func(_ int, d []int32) core.Task {
+			return msort.Root(d, opt)
+		}), nil
+	default:
+		return Sorter{}, fmt.Errorf("unknown algorithm %v", alg)
+	}
+}
+
+func sequential(sort func([]int32)) Sorter {
+	return Sorter{
+		Sort:  func(d []int32) error { sort(d); return nil },
+		Close: func() {},
+	}
+}
+
+// onCore runs an algorithm's root task on a team-building scheduler.
+func onCore(cfg Config, root func(maxTeam int, d []int32) core.Task) Sorter {
+	s := core.New(core.Options{P: cfg.P, Seed: cfg.Seed})
+	return Sorter{
+		Sort:  func(d []int32) error { return s.Run(root(s.MaxTeam(), d)) },
+		Stats: s.Stats,
+		Close: s.Shutdown,
+	}
+}
+
+// onClassic runs a fork-join sort on the baseline work-stealer.
+func onClassic(cfg Config, policy classic.Policy, sort func(*classic.Scheduler, []int32, int)) Sorter {
+	s := classic.New(classic.Options{P: cfg.P, Policy: policy, Seed: cfg.Seed})
+	return Sorter{
+		Sort:  func(d []int32) error { sort(s, d, cfg.Cutoff); return nil },
+		Stats: s.Stats,
+		Close: s.Shutdown,
+	}
 }

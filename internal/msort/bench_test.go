@@ -32,7 +32,7 @@ func BenchmarkSort(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(buf, in)
-				Sort(s, buf, opt)
+				s.Run(Root(buf, opt))
 			}
 		})
 		b.Run(fmt.Sprintf("mmqsort-p%d", p), func(b *testing.B) {
@@ -43,7 +43,7 @@ func BenchmarkSort(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(buf, in)
-				qsort.MixedMode(s, buf, opt)
+				s.Run(qsort.MixedModeRoot(s.MaxTeam(), buf, opt))
 			}
 		})
 	}

@@ -41,31 +41,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Sort sorts data with the mixed-mode parallel merge sort. It blocks until
-// the sort completes: the sort runs as its own one-shot task group, so
-// concurrent sorts on the same scheduler do not wait on each other. The
-// algorithm is not in-place: it allocates one scratch buffer of len(data).
-func Sort[T qsort.Ordered](s *core.Scheduler, data []T, opt Options) {
-	g := s.NewGroup()
-	SortGroup(g, data, opt)
-	g.Wait()
-	// g.Wait observes the group's quiescence: the last merge has completed.
-}
-
-// SortGroup spawns the mixed-mode merge sort of data into the
-// caller-supplied group g and returns immediately; data is sorted once
-// g.Wait() observes the group's quiescence. The whole continuation tree —
-// child sorts and the merges they trigger through childDone — inherits g,
-// so the group drains exactly when the root merge has been written.
-func SortGroup[T qsort.Ordered](g *core.Group, data []T, opt Options) {
-	if t := Root(data, opt); t != nil {
-		g.Spawn(t)
-	}
-}
-
-// Root returns the root task of the mixed-mode merge sort over data, for
-// batched submission (Group.SpawnBatch / the runtime's batched sorts). It
-// returns nil when there is nothing to sort.
+// Root returns the root task of the mixed-mode merge sort over data (the
+// tables' "MSort" column). Run it with Scheduler.Run or Group.Run, or spawn
+// it into a group beside other work: the whole continuation tree — child
+// sorts and the merges they trigger through childDone — inherits the group,
+// so the group drains exactly when the root merge has been written. The
+// algorithm is not in-place: Root allocates one scratch buffer of
+// len(data). It returns nil — the empty computation, which Run and Spawn
+// accept — when there is nothing to sort.
 func Root[T qsort.Ordered](data []T, opt Options) core.Task {
 	opt = opt.withDefaults()
 	if len(data) < 2 {
@@ -88,15 +71,6 @@ type msState[T qsort.Ordered] struct {
 	sortPool  sync.Pool // *msSortTask[T]
 	mergePool sync.Pool // *msSeqMerge[T]
 	nodePool  sync.Pool // *mergeNode[T]
-}
-
-// bestNp mirrors the Quicksort's getBestNp for merge steps.
-func bestNp(n, perThread, maxTeam int) int {
-	np := 1
-	for np*2 <= maxTeam && n >= 2*np*perThread {
-		np *= 2
-	}
-	return np
 }
 
 // mergeNode is the join point of two child sorts. Whichever child finishes
@@ -129,7 +103,7 @@ func (m *mergeNode[T]) childDone(ctx *core.Ctx) {
 	a, b, out := m.a, m.b, m.out
 	m.a, m.b, m.out, m.parent = nil, nil, nil, nil
 	st.nodePool.Put(m)
-	np := bestNp(len(out), st.opt.MinPerThread, ctx.Scheduler().MaxTeam())
+	np := core.BestNp(len(out), st.opt.MinPerThread, ctx.Scheduler().MaxTeam())
 	if np <= 1 {
 		ctx.Spawn(st.seqMerge(a, b, out, parent))
 		return

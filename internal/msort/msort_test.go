@@ -17,6 +17,14 @@ func newSched(t *testing.T, p int) *core.Scheduler {
 	return s
 }
 
+// sortOn runs the merge sort's root task to quiescence on s.
+func sortOn(t *testing.T, s *core.Scheduler, data []int32, opt Options) {
+	t.Helper()
+	if err := s.Run(Root(data, opt)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func checkSorted(t *testing.T, name string, got, orig []int32) {
 	t.Helper()
 	if !qsort.IsSorted(got) {
@@ -120,7 +128,7 @@ func TestSortBasic(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 100, 1000, 12345, 1 << 17} {
 		in := dist.Generate(dist.Random, n, uint64(n)+1)
 		data := append([]int32(nil), in...)
-		Sort(s, data, opt)
+		sortOn(t, s, data, opt)
 		checkSorted(t, "msort", data, in)
 	}
 }
@@ -131,7 +139,7 @@ func TestSortAllDistributions(t *testing.T) {
 	for _, k := range dist.Kinds {
 		in := dist.Generate(k, 400_000, 5)
 		data := append([]int32(nil), in...)
-		Sort(s, data, opt)
+		sortOn(t, s, data, opt)
 		checkSorted(t, k.String(), data, in)
 	}
 	if s.Stats().TeamTasksRun == 0 {
@@ -153,7 +161,7 @@ func TestSortAdversarialInputs(t *testing.T) {
 	}
 	for name, in := range inputs {
 		data := append([]int32(nil), in...)
-		Sort(s, data, opt)
+		sortOn(t, s, data, opt)
 		checkSorted(t, name, data, in)
 	}
 }
@@ -166,7 +174,7 @@ func TestSortFullWidthTeams(t *testing.T) {
 	opt := Options{Cutoff: 128, MinPerThread: 1}
 	in := dist.Generate(dist.Gauss, 200_000, 9)
 	data := append([]int32(nil), in...)
-	Sort(s, data, opt)
+	sortOn(t, s, data, opt)
 	checkSorted(t, "full-width", data, in)
 }
 
@@ -175,7 +183,7 @@ func TestSortNonPow2P(t *testing.T) {
 	opt := Options{Cutoff: 256, MinPerThread: 1024}
 	in := dist.Generate(dist.Staggered, 300_000, 11)
 	data := append([]int32(nil), in...)
-	Sort(s, data, opt)
+	sortOn(t, s, data, opt)
 	checkSorted(t, "p6", data, in)
 }
 
@@ -183,7 +191,7 @@ func TestSortP1(t *testing.T) {
 	s := newSched(t, 1)
 	in := dist.Generate(dist.Random, 50_000, 13)
 	data := append([]int32(nil), in...)
-	Sort(s, data, Options{})
+	sortOn(t, s, data, Options{})
 	checkSorted(t, "p1", data, in)
 }
 
@@ -191,21 +199,6 @@ func TestSortDefaults(t *testing.T) {
 	s := newSched(t, 8)
 	in := dist.Generate(dist.Random, 2_000_000, 17)
 	data := append([]int32(nil), in...)
-	Sort(s, data, Options{})
+	sortOn(t, s, data, Options{})
 	checkSorted(t, "defaults", data, in)
-}
-
-func TestBestNp(t *testing.T) {
-	if got := bestNp(1<<20, 1<<16, 8); got != 8 {
-		t.Fatalf("bestNp(1M) = %d, want 8", got)
-	}
-	if got := bestNp(1<<17, 1<<16, 8); got != 2 {
-		t.Fatalf("bestNp(128k) = %d, want 2 (exactly MinPerThread each)", got)
-	}
-	if got := bestNp(1<<17-1, 1<<16, 8); got != 1 {
-		t.Fatalf("bestNp(128k-1) = %d, want 1", got)
-	}
-	if got := bestNp(1<<18, 1<<16, 8); got != 4 {
-		t.Fatalf("bestNp(256k) = %d, want 4", got)
-	}
 }

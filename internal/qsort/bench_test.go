@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/classic"
 	"repro/internal/core"
 	"repro/internal/dist"
 )
@@ -95,23 +96,41 @@ func BenchmarkMixedModeByDistribution(b *testing.B) {
 			b.SetBytes(4 * n)
 			for i := 0; i < b.N; i++ {
 				copy(buf, in)
-				MixedMode(s, buf, opt)
+				run(b, s, MixedModeRoot(s.MaxTeam(), buf, opt))
 			}
 		})
 	}
 }
 
+// BenchmarkForkJoinByScheduler is the layer number behind the tables' Fork,
+// Randfork and Cilk columns: the same fork-join quicksort on the
+// team-building scheduler and on the baseline work-stealer under each steal
+// policy.
 func BenchmarkForkJoinByScheduler(b *testing.B) {
 	const n = 1 << 21
 	in := dist.Generate(dist.Random, n, 42)
+	buf := make([]int32, n)
 	b.Run("core", func(b *testing.B) {
 		s := core.New(core.Options{P: 8})
 		defer s.Shutdown()
-		buf := make([]int32, n)
 		b.SetBytes(4 * n)
 		for i := 0; i < b.N; i++ {
 			copy(buf, in)
-			ForkJoinCore(s, buf, DefaultCutoff)
+			run(b, s, ForkJoinRoot(buf, DefaultCutoff))
 		}
 	})
+	for _, pc := range []struct {
+		name   string
+		policy classic.Policy
+	}{{"steal-half", classic.StealHalf}, {"steal-one", classic.StealOne}} {
+		b.Run(pc.name, func(b *testing.B) {
+			s := classic.New(classic.Options{P: 8, Policy: pc.policy})
+			defer s.Shutdown()
+			b.SetBytes(4 * n)
+			for i := 0; i < b.N; i++ {
+				copy(buf, in)
+				ForkJoinClassic(s, buf, DefaultCutoff)
+			}
+		})
+	}
 }

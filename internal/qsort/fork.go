@@ -3,15 +3,14 @@ package qsort
 import (
 	"sync"
 
-	"repro/internal/cilk"
 	"repro/internal/classic"
 	"repro/internal/core"
 )
 
 // This file implements the task-parallel fork-join Quicksort of the paper's
-// Algorithm 10 on each of the three schedulers: the team-building scheduler
-// (the tables' "Fork" column), the classic randomized work-stealer
-// ("Randfork") and the Cilk-style scheduler ("Cilk"). Each partitioning step
+// Algorithm 10 on both schedulers: the team-building scheduler (the tables'
+// "Fork" column) and the randomized baseline work-stealer, whose steal
+// policy makes it the "Randfork" or the "Cilk" column. Each partitioning step
 // spawns the left subsequence as a new task and continues on the right
 // inline (equivalent to the paper's async/async/sync under depth-first
 // help-first scheduling, with one task allocation saved per step);
@@ -74,12 +73,11 @@ func (fp *ForkPool[T]) Spawn(ctx *core.Ctx, data []T) {
 	ctx.Spawn(fp.task(data))
 }
 
-// Run runs the quicksort recursion over data from inside a running task,
-// spawning the left subsequences as pooled tasks (see ForkCtx).
-func (fp *ForkPool[T]) Run(ctx *core.Ctx, data []T) {
-	fp.run(ctx, data)
-}
-
+// run is the quicksort recursion of Algorithm 10 over data: each
+// partitioning step spawns the left subsequence as a pooled task and
+// continues on the right inline. It returns once the task's own share is
+// sorted; the spawned subtasks complete independently, so the whole range
+// is sorted at the group's quiescence and no worker ever blocks on it.
 func (fp *ForkPool[T]) run(ctx *core.Ctx, data []T) {
 	cutoff := fp.cutoff
 	for len(data) > cutoff {
@@ -96,33 +94,16 @@ func (fp *ForkPool[T]) run(ctx *core.Ctx, data []T) {
 	Introsort(data)
 }
 
-// ForkJoinCore sorts data with the task-parallel quicksort on the
-// team-building scheduler; all tasks have thread requirement 1, so the
-// scheduler degenerates to deterministic work-stealing (§3.1). It blocks
-// until the sort completes: the sort runs as its own one-shot task group,
-// so concurrent sorts on the same scheduler do not wait on each other.
-func ForkJoinCore[T Ordered](s *core.Scheduler, data []T, cutoff int) {
-	g := s.NewGroup()
-	ForkJoinGroup(g, data, cutoff)
-	g.Wait()
-}
-
-// ForkJoinGroup spawns the task-parallel quicksort of data into the
-// caller-supplied group g and returns immediately; data is sorted once
-// g.Wait() observes the group's quiescence. This is the composable form:
-// a client may spawn several sorts (and any other tasks) into one group
-// and join them all with a single Wait.
-func ForkJoinGroup[T Ordered](g *core.Group, data []T, cutoff int) {
-	if t := ForkJoinRoot(data, cutoff); t != nil {
-		g.Spawn(t)
-	}
-}
-
 // ForkJoinRoot returns the root task of the task-parallel quicksort over
-// data, for batched submission (Group.SpawnBatch amortizes one admission-
-// lock acquisition over many such roots). It returns nil when there is
-// nothing to sort (len(data) < 2). The root carries its own ForkPool, so
-// the recursion below it spawns without allocating.
+// data on the team-building scheduler; all its tasks have thread
+// requirement 1, so the scheduler degenerates to deterministic
+// work-stealing (§3.1). Run it with Scheduler.Run or Group.Run, or spawn it
+// into a group beside other roots (Group.Spawn, or Group.SpawnBatch to
+// amortize one admission-lock acquisition over many); data is sorted once
+// the group is quiescent. It returns nil — the empty computation, which
+// Run and Spawn accept — when there is nothing to sort (len(data) < 2). The
+// root carries its own ForkPool, so the recursion below it spawns without
+// allocating.
 func ForkJoinRoot[T Ordered](data []T, cutoff int) core.Task {
 	if len(data) < 2 {
 		return nil
@@ -130,21 +111,11 @@ func ForkJoinRoot[T Ordered](data []T, cutoff int) core.Task {
 	return NewForkPool[T](cutoff).task(data)
 }
 
-// ForkCtx runs the task-parallel quicksort of Algorithm 10 from inside a
-// running task on the team-building scheduler: each partitioning step spawns
-// the left subsequence on ctx and continues on the right inline. It returns
-// once the caller's own share is sorted; the spawned subtasks complete
-// independently, so callers needing the whole range sorted must wait for
-// scheduler quiescence (as Scheduler.Run does). This is how mixed-mode
-// algorithms hand subsequences to the task-parallel sorter without blocking
-// a worker; callers spawning many such ranges should create one ForkPool
-// and use its Run/Spawn instead, sharing the wrapper pool across ranges.
-func ForkCtx[T Ordered](ctx *core.Ctx, data []T, cutoff int) {
-	NewForkPool[T](cutoff).run(ctx, data)
-}
-
-// ForkJoinClassic sorts data with the task-parallel quicksort on the classic
-// randomized work-stealer (the "Randfork" column). It blocks until done.
+// ForkJoinClassic sorts data with the handwritten task-parallel quicksort
+// on the baseline work-stealer — the "Randfork" column under
+// classic.StealHalf, the "Cilk" column under classic.StealOne ("a
+// handwritten example following the same pattern as the other
+// implementations, including the cutoff"). It blocks until done.
 func ForkJoinClassic[T Ordered](s *classic.Scheduler, data []T, cutoff int) {
 	if cutoff < 2 {
 		cutoff = DefaultCutoff
@@ -165,55 +136,32 @@ func forkClassic[T Ordered](ctx *classic.Ctx, data []T, cutoff int) {
 	Introsort(data)
 }
 
-// ForkJoinCilk sorts data with the handwritten task-parallel quicksort on
-// the Cilk-style scheduler (the "Cilk" column: "a handwritten example
-// following the same pattern as the other implementations, including the
-// cutoff"). It blocks until done.
-func ForkJoinCilk[T Ordered](s *cilk.Scheduler, data []T, cutoff int) {
-	if cutoff < 2 {
-		cutoff = DefaultCutoff
-	}
-	if len(data) < 2 {
-		return
-	}
-	s.Run(cilk.Func(func(ctx *cilk.Ctx) { forkCilk(ctx, data, cutoff) }))
-}
-
-func forkCilk[T Ordered](ctx *cilk.Ctx, data []T, cutoff int) {
-	for len(data) > cutoff {
-		s := HoarePartition(data)
-		left := data[:s]
-		data = data[s:]
-		ctx.Spawn(cilk.Func(func(c *cilk.Ctx) { forkCilk(c, left, cutoff) }))
-	}
-	Introsort(data)
-}
-
 // SampleCilk is the "Cilk sample" column: the sample-pivot quicksort variant
 // shipped as the Cilk++ example program. It differs from the handwritten
 // version by choosing the pivot as the median of a larger sample (which
 // costs a little per step but guards against bad pivots) and by spawning
-// both subsequences. It blocks until done.
-func SampleCilk[T Ordered](s *cilk.Scheduler, data []T, cutoff int) {
+// both subsequences. It runs on a classic.StealOne scheduler and blocks
+// until done.
+func SampleCilk[T Ordered](s *classic.Scheduler, data []T, cutoff int) {
 	if cutoff < 2 {
 		cutoff = DefaultCutoff
 	}
 	if len(data) < 2 {
 		return
 	}
-	s.Run(cilk.Func(func(ctx *cilk.Ctx) { sampleCilk(ctx, data, cutoff) }))
+	s.Run(classic.Func(func(ctx *classic.Ctx) { sampleCilk(ctx, data, cutoff) }))
 }
 
 const sampleSize = 15
 
-func sampleCilk[T Ordered](ctx *cilk.Ctx, data []T, cutoff int) {
+func sampleCilk[T Ordered](ctx *classic.Ctx, data []T, cutoff int) {
 	if len(data) <= cutoff {
 		Introsort(data)
 		return
 	}
 	s := samplePartition(data)
 	left, right := data[:s], data[s:]
-	ctx.Spawn(cilk.Func(func(c *cilk.Ctx) { sampleCilk(c, left, cutoff) }))
+	ctx.Spawn(classic.Func(func(c *classic.Ctx) { sampleCilk(c, left, cutoff) }))
 	sampleCilk(ctx, right, cutoff)
 }
 

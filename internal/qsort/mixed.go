@@ -40,48 +40,23 @@ func (o MMOptions) withDefaults() MMOptions {
 	return o
 }
 
-// BestNp is the paper's getBestNp(n): the largest power of two np ≤ maxTeam
-// such that each of the np threads has at least minBlocks blocks of the
-// partitioning step to work on ("to achieve better balancing, we decided to
-// only allow powers of two as the number of threads for a task"). Always ≥ 1.
-func BestNp(n, blockSize, minBlocks, maxTeam int) int {
-	np := 1
-	per := blockSize * minBlocks
-	for np*2 <= maxTeam && n >= 2*np*per {
-		np *= 2
-	}
-	return np
+// bestNp is getBestNp with the quicksort's quota: each partitioning thread
+// must have at least MinBlocksPerThread blocks to work on.
+func (o MMOptions) bestNp(n, maxTeam int) int {
+	return core.BestNp(n, o.BlockSize*o.MinBlocksPerThread, maxTeam)
 }
 
-// MixedMode sorts data with the mixed-mode parallel quicksort on the
-// team-building scheduler (the tables' "MMPar" column). It blocks until the
-// sort completes: the sort runs as its own one-shot task group, so
-// concurrent sorts on the same scheduler do not wait on each other.
-func MixedMode[T Ordered](s *core.Scheduler, data []T, opt MMOptions) {
-	g := s.NewGroup()
-	MixedModeGroup(g, data, opt)
-	g.Wait()
-}
-
-// MixedModeGroup spawns the mixed-mode quicksort of data into the
-// caller-supplied group g and returns immediately; data is sorted once
-// g.Wait() observes the group's quiescence. All recursive subtasks
-// (including fork-join fallbacks) inherit g.
-func MixedModeGroup[T Ordered](g *core.Group, data []T, opt MMOptions) {
-	if t := MixedModeRoot(g.Scheduler().MaxTeam(), data, opt); t != nil {
-		g.Spawn(t)
-	}
-}
-
-// MixedModeRoot returns the root task of the mixed-mode quicksort over
-// data, for batched submission; maxTeam is the target scheduler's
-// Scheduler.MaxTeam(). It returns nil when there is nothing to sort.
+// MixedModeRoot returns the root task of the mixed-mode quicksort over data
+// (the tables' "MMPar" column); maxTeam is the target scheduler's
+// Scheduler.MaxTeam(). Run or spawn it like ForkJoinRoot — all recursive
+// subtasks, fork-join fallbacks included, inherit the root's group. It
+// returns nil when there is nothing to sort.
 func MixedModeRoot[T Ordered](maxTeam int, data []T, opt MMOptions) core.Task {
 	opt = opt.withDefaults()
 	if len(data) < 2 {
 		return nil
 	}
-	np := BestNp(len(data), opt.BlockSize, opt.MinBlocksPerThread, maxTeam)
+	np := opt.bestNp(len(data), maxTeam)
 	if np == 1 {
 		// Algorithm 11 line 1: "if np = 1 then return qsort(data, n)".
 		return ForkJoinRoot(data, opt.Cutoff)
@@ -139,8 +114,7 @@ func (t *mmTask[T]) spawnPart(ctx *core.Ctx, part []T) {
 	if len(part) < 2 || ctx.Canceled() {
 		return
 	}
-	np := BestNp(len(part), t.opt.BlockSize, t.opt.MinBlocksPerThread,
-		ctx.Scheduler().MaxTeam())
+	np := t.opt.bestNp(len(part), ctx.Scheduler().MaxTeam())
 	if np == 1 {
 		t.spawnFork(ctx, part)
 		return

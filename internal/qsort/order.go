@@ -1,7 +1,7 @@
 // Package qsort implements every sorting algorithm of the paper's evaluation
 // (§5): the sequential baselines (an introsort standing in for STL sort, and
 // the handwritten reference quicksort), the task-parallel fork-join quicksort
-// of Algorithm 10 for all three schedulers, and the mixed-mode parallel
+// of Algorithm 10 on both schedulers, and the mixed-mode parallel
 // quicksort of Algorithm 11 with the block-based data-parallel partitioning
 // step of Tsigas & Zhang on the team-building scheduler.
 package qsort

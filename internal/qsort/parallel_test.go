@@ -1,9 +1,9 @@
 package qsort
 
 import (
+	"errors"
 	"testing"
 
-	"repro/internal/cilk"
 	"repro/internal/classic"
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -16,11 +16,19 @@ func coreSched(t *testing.T, p int) *core.Scheduler {
 	return s
 }
 
+// run runs a sort's root task to quiescence on s.
+func run(t testing.TB, s *core.Scheduler, root core.Task) {
+	t.Helper()
+	if err := s.Run(root); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestForkJoinCore(t *testing.T) {
 	s := coreSched(t, 8)
 	for name, in := range testInputs() {
 		data := append([]int32(nil), in...)
-		ForkJoinCore(s, data, DefaultCutoff)
+		run(t, s, ForkJoinRoot(data, DefaultCutoff))
 		checkSorted(t, name, data, in)
 	}
 }
@@ -30,32 +38,26 @@ func TestForkJoinCoreSmallCutoff(t *testing.T) {
 	s := coreSched(t, 8)
 	in := dist.Generate(dist.Random, 100000, 11)
 	data := append([]int32(nil), in...)
-	ForkJoinCore(s, data, 16)
+	run(t, s, ForkJoinRoot(data, 16))
 	checkSorted(t, "small-cutoff", data, in)
 }
 
+// TestForkJoinClassic covers the Randfork (steal-half) and Cilk (steal-one)
+// columns: one sort function, two steal policies.
 func TestForkJoinClassic(t *testing.T) {
-	s := classic.New(classic.Options{P: 8})
-	t.Cleanup(s.Shutdown)
-	for name, in := range testInputs() {
-		data := append([]int32(nil), in...)
-		ForkJoinClassic(s, data, DefaultCutoff)
-		checkSorted(t, name, data, in)
-	}
-}
-
-func TestForkJoinCilk(t *testing.T) {
-	s := cilk.New(cilk.Options{P: 8})
-	t.Cleanup(s.Shutdown)
-	for name, in := range testInputs() {
-		data := append([]int32(nil), in...)
-		ForkJoinCilk(s, data, DefaultCutoff)
-		checkSorted(t, name, data, in)
+	for _, policy := range []classic.Policy{classic.StealHalf, classic.StealOne} {
+		s := classic.New(classic.Options{P: 8, Policy: policy})
+		t.Cleanup(s.Shutdown)
+		for name, in := range testInputs() {
+			data := append([]int32(nil), in...)
+			ForkJoinClassic(s, data, DefaultCutoff)
+			checkSorted(t, name, data, in)
+		}
 	}
 }
 
 func TestSampleCilk(t *testing.T) {
-	s := cilk.New(cilk.Options{P: 8})
+	s := classic.New(classic.Options{P: 8, Policy: classic.StealOne})
 	t.Cleanup(s.Shutdown)
 	for name, in := range testInputs() {
 		data := append([]int32(nil), in...)
@@ -71,7 +73,7 @@ func TestMixedMode(t *testing.T) {
 	opt := MMOptions{Cutoff: 512, BlockSize: 256, MinBlocksPerThread: 4}
 	for name, in := range testInputs() {
 		data := append([]int32(nil), in...)
-		MixedMode(s, data, opt)
+		run(t, s, MixedModeRoot(s.MaxTeam(), data, opt))
 		checkSorted(t, name, data, in)
 	}
 	if s.Stats().TeamsFormed == 0 {
@@ -83,7 +85,7 @@ func TestMixedModeDefaults(t *testing.T) {
 	s := coreSched(t, 8)
 	in := dist.Generate(dist.Random, 3_000_000, 13)
 	data := append([]int32(nil), in...)
-	MixedMode(s, data, MMOptions{})
+	run(t, s, MixedModeRoot(s.MaxTeam(), data, MMOptions{}))
 	if !IsSorted(data) {
 		t.Fatal("not sorted")
 	}
@@ -100,7 +102,7 @@ func TestMixedModeSizesAndTails(t *testing.T) {
 	for _, n := range []int{1, 2, 100, 127, 128, 129, 1024, 1025, 4095, 4096, 4097, 65536, 65537} {
 		in := dist.Generate(dist.Random, n, uint64(n))
 		data := append([]int32(nil), in...)
-		MixedMode(s, data, opt)
+		run(t, s, MixedModeRoot(s.MaxTeam(), data, opt))
 		checkSorted(t, "size", data, in)
 	}
 }
@@ -111,7 +113,7 @@ func TestMixedModeAllDistributions(t *testing.T) {
 	for _, k := range dist.Kinds {
 		in := dist.Generate(k, 500_000, 17)
 		data := append([]int32(nil), in...)
-		MixedMode(s, data, opt)
+		run(t, s, MixedModeRoot(s.MaxTeam(), data, opt))
 		checkSorted(t, k.String(), data, in)
 	}
 }
@@ -121,7 +123,7 @@ func TestMixedModeNonPow2P(t *testing.T) {
 	opt := MMOptions{Cutoff: 128, BlockSize: 128, MinBlocksPerThread: 2}
 	in := dist.Generate(dist.Random, 200_000, 23)
 	data := append([]int32(nil), in...)
-	MixedMode(s, data, opt)
+	run(t, s, MixedModeRoot(s.MaxTeam(), data, opt))
 	checkSorted(t, "p6", data, in)
 }
 
@@ -129,7 +131,7 @@ func TestMixedModeP1(t *testing.T) {
 	s := coreSched(t, 1)
 	in := dist.Generate(dist.Random, 10_000, 29)
 	data := append([]int32(nil), in...)
-	MixedMode(s, data, MMOptions{})
+	run(t, s, MixedModeRoot(s.MaxTeam(), data, MMOptions{}))
 	checkSorted(t, "p1", data, in)
 }
 
@@ -139,7 +141,7 @@ func TestMixedModeRandomizedScheduler(t *testing.T) {
 	opt := MMOptions{Cutoff: 256, BlockSize: 256, MinBlocksPerThread: 4}
 	in := dist.Generate(dist.Staggered, 300_000, 31)
 	data := append([]int32(nil), in...)
-	MixedMode(s, data, opt)
+	run(t, s, MixedModeRoot(s.MaxTeam(), data, opt))
 	checkSorted(t, "randomized", data, in)
 }
 
@@ -189,6 +191,28 @@ func TestParallelPartitionPreservesMultiset(t *testing.T) {
 	for v, c := range counts {
 		if c != 0 {
 			t.Fatalf("value %d count off by %d", v, c)
+		}
+	}
+}
+
+// TestRootOnShutDownSchedulerReportsErrShutdown: running a root reports the
+// refusal a sort entry point must not swallow, and leaves the data alone.
+func TestRootOnShutDownSchedulerReportsErrShutdown(t *testing.T) {
+	s := core.New(core.Options{P: 2})
+	s.Shutdown()
+	in := dist.Generate(dist.Random, 10_000, 37)
+	data := append([]int32(nil), in...)
+	for name, root := range map[string]core.Task{
+		"MixedModeRoot": MixedModeRoot(s.MaxTeam(), data, MMOptions{}),
+		"ForkJoinRoot":  ForkJoinRoot(data, DefaultCutoff),
+	} {
+		if err := s.Run(root); !errors.Is(err, core.ErrShutdown) {
+			t.Errorf("Run(%s) on a shut-down scheduler = %v, want ErrShutdown", name, err)
+		}
+	}
+	for i := range in {
+		if data[i] != in[i] {
+			t.Fatalf("refused sort modified data[%d]", i)
 		}
 	}
 }

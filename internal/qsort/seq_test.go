@@ -213,9 +213,11 @@ func TestMed3(t *testing.T) {
 	}
 }
 
+// TestBestNp pins the quicksort's getBestNp quota, BlockSize ×
+// MinBlocksPerThread elements per partitioning thread, at the paper's
+// defaults (core.BestNp has the rule's own table).
 func TestBestNp(t *testing.T) {
-	B, mb := DefaultBlockSize, DefaultMinBlocksPerThread
-	per := B * mb // elements required per thread
+	per := DefaultBlockSize * DefaultMinBlocksPerThread // elements required per thread
 	cases := []struct {
 		n, maxTeam, want int
 	}{
@@ -229,8 +231,8 @@ func TestBestNp(t *testing.T) {
 		{2 * per, 1, 1}, // single-thread scheduler
 	}
 	for _, c := range cases {
-		if got := BestNp(c.n, B, mb, c.maxTeam); got != c.want {
-			t.Fatalf("BestNp(%d, maxTeam=%d) = %d, want %d", c.n, c.maxTeam, got, c.want)
+		if got := (MMOptions{}).withDefaults().bestNp(c.n, c.maxTeam); got != c.want {
+			t.Fatalf("bestNp(%d, maxTeam=%d) = %d, want %d", c.n, c.maxTeam, got, c.want)
 		}
 	}
 }

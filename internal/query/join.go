@@ -177,13 +177,20 @@ func MergeJoin[T Ordered](np int, a, b []T, out []JoinRun[T], outN *int) core.Ta
 // of up to maxTeam members, returning the matched run count. It is the
 // staged composition the Plan layer generalizes: sort roots fan out
 // task-parallel, the group's quiescence is the stage boundary, and the join
-// runs as one team task.
-func SortJoin[T Ordered](g *core.Group, maxTeam int, a, b []T, out []JoinRun[T], opt ssort.Options) int {
-	ssort.SortGroup(g, a, opt)
-	ssort.SortGroup(g, b, opt)
-	g.Wait()
+// runs as one team task. A refused spawn or a group that ends canceled or
+// shut down is reported as the error, with the count meaningless (a refused
+// second sort leaves the first in flight until the caller's next Wait).
+func SortJoin[T Ordered](g *core.Group, maxTeam int, a, b []T, out []JoinRun[T], opt ssort.Options) (int, error) {
+	for _, side := range [][]T{a, b} {
+		if err := g.Spawn(ssort.Root(maxTeam, side, opt)); err != nil {
+			return 0, err
+		}
+	}
+	if err := g.WaitErr(); err != nil {
+		return 0, err
+	}
 	n := 0
-	np := BestNp(len(a)+len(b), 0, maxTeam)
-	g.Run(MergeJoin(np, a, b, out, &n))
-	return n
+	np := core.BestNp(len(a)+len(b), DefaultMinPerThread, maxTeam)
+	err := g.Run(MergeJoin(np, a, b, out, &n))
+	return n, err
 }

@@ -4,7 +4,7 @@ import "repro/internal/core"
 
 // Plan is a preallocated linear pipeline of analytics operators: a builder
 // chains Filter/GroupBy/Aggregate/TopK steps, and Execute runs them as a
-// sequence of team tasks on a quiescence group, each stage sized by BestNp
+// sequence of team tasks on a quiescence group, each stage sized by core.BestNp
 // for its live input. All intermediates — two element buffers the stages
 // ping-pong between, plus every operator's team state at full width — are
 // allocated when the plan is built, so a warm plan executes without
@@ -50,6 +50,9 @@ type Result[T Ordered] struct {
 func NewPlan[T Ordered](capN, maxTeam, minPerThread int) *Plan[T] {
 	if maxTeam < 1 {
 		maxTeam = 1
+	}
+	if minPerThread <= 0 {
+		minPerThread = DefaultMinPerThread
 	}
 	return &Plan[T]{
 		maxTeam:      maxTeam,
@@ -175,7 +178,7 @@ func (p *Plan[T]) Execute(g *core.Group, src []T) Result[T] {
 	var res Result[T]
 	cur, n, bi := src, len(src), 0
 	for _, s := range p.steps {
-		s.np = BestNp(n, p.minPerThread, p.maxTeam)
+		s.np = core.BestNp(n, p.minPerThread, p.maxTeam)
 		s.src = cur[:n]
 		if s.kind != stepAggregate {
 			s.dst = p.buf[bi]

@@ -52,21 +52,6 @@ type Ordered = qsort.Ordered
 // than the sorts' 1<<15 quota.
 const DefaultMinPerThread = 1 << 13
 
-// BestNp returns the team size for an operator over n elements: the largest
-// power of two np ≤ maxTeam such that every member keeps at least
-// minPerThread elements (the paper's getBestNp rule; minPerThread ≤ 0
-// selects DefaultMinPerThread).
-func BestNp(n, minPerThread, maxTeam int) int {
-	if minPerThread <= 0 {
-		minPerThread = DefaultMinPerThread
-	}
-	np := 1
-	for np*2 <= maxTeam && n >= 2*np*minPerThread {
-		np *= 2
-	}
-	return np
-}
-
 // pslot is a padded per-member cell (same idea as internal/par's slot):
 // trailing padding keeps neighboring members' writes on distinct cache
 // lines.

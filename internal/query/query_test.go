@@ -207,7 +207,10 @@ func TestSortJoin(t *testing.T) {
 	b := append([]int32(nil), in2...)
 	out := make([]query.JoinRun[int32], len(b))
 	g := s.NewGroup()
-	n := query.SortJoin(g, s.MaxTeam(), a, b, out, ssortOptions())
+	n, err := query.SortJoin(g, s.MaxTeam(), a, b, out, ssortOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n != len(want) {
 		t.Fatalf("sortjoin runs = %d, want %d", n, len(want))
 	}
@@ -362,28 +365,6 @@ func TestCollectiveReuse(t *testing.T) {
 	}
 	checkSlice(t, "reuse-filter", np, dst[:wantN], wantDst[:wantN])
 	checkSlice(t, "reuse-topk", np, top[:len(wantTop)], wantTop)
-}
-
-func TestBestNp(t *testing.T) {
-	const mpt = query.DefaultMinPerThread
-	cases := []struct{ n, maxTeam, want int }{
-		{0, 8, 1},
-		{mpt, 8, 1},
-		{2 * mpt, 8, 2},
-		{4*mpt - 1, 8, 2},
-		{4 * mpt, 8, 4},
-		{1 << 30, 8, 8},
-		{1 << 30, 1, 1},
-		{1 << 30, 7, 4}, // largest power of two ≤ maxTeam
-	}
-	for _, c := range cases {
-		if got := query.BestNp(c.n, 0, c.maxTeam); got != c.want {
-			t.Errorf("BestNp(%d, 0, %d) = %d, want %d", c.n, c.maxTeam, got, c.want)
-		}
-	}
-	if got := query.BestNp(100, 10, 8); got != 8 {
-		t.Errorf("BestNp(100, 10, 8) = %d, want 8", got)
-	}
 }
 
 func checkSlice[T comparable](t *testing.T, what string, np int, got, want []T) {

@@ -47,12 +47,12 @@ func benchPerKind(b *testing.B, sortFn func(s *core.Scheduler, data []int32)) {
 
 func BenchmarkSSort(b *testing.B) {
 	benchPerKind(b, func(s *core.Scheduler, data []int32) {
-		ssort.Sort(s, data, ssort.Options{})
+		s.Run(ssort.Root(s.MaxTeam(), data, ssort.Options{}))
 	})
 }
 
 func BenchmarkMMQsort(b *testing.B) {
 	benchPerKind(b, func(s *core.Scheduler, data []int32) {
-		qsort.MixedMode(s, data, qsort.MMOptions{})
+		s.Run(qsort.MixedModeRoot(s.MaxTeam(), data, qsort.MMOptions{}))
 	})
 }

@@ -22,7 +22,7 @@
 //  5. After a team copy-back, member 0 spawns one sorting task per bucket:
 //     large buckets recurse as new samplesort team tasks (thread
 //     requirement chosen like the paper's getBestNp), medium buckets run
-//     the task-parallel quicksort (qsort.ForkCtx), and buckets at or below
+//     the task-parallel quicksort (qsort.ForkPool), and buckets at or below
 //     the cutoff fall back to the sequential sort. The other members
 //     become available as soon as the scatter completes, exactly like the
 //     partitioning teams of Algorithm 11.
@@ -71,48 +71,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// bestNp mirrors the paper's getBestNp: the largest power of two np ≤
-// maxTeam such that every member keeps at least minPerThread elements.
-func bestNp(n, minPerThread, maxTeam int) int {
-	np := 1
-	for np*2 <= maxTeam && n >= 2*np*minPerThread {
-		np *= 2
-	}
-	return np
-}
-
-// Sort sorts data with the mixed-mode parallel samplesort (the tables'
-// "SSort" column). It blocks until the sort completes: the sort runs as its
-// own one-shot task group, so concurrent sorts on the same scheduler do not
-// wait on each other. The algorithm is not in-place: it allocates one
-// scratch buffer of len(data); ranges of the buffer are reused down the
-// bucket recursion.
-func Sort[T qsort.Ordered](s *core.Scheduler, data []T, opt Options) {
-	g := s.NewGroup()
-	SortGroup(g, data, opt)
-	g.Wait()
-}
-
-// SortGroup spawns the mixed-mode samplesort of data into the
-// caller-supplied group g and returns immediately; data is sorted once
-// g.Wait() observes the group's quiescence. All bucket recursion subtasks
-// inherit g.
-func SortGroup[T qsort.Ordered](g *core.Group, data []T, opt Options) {
-	if t := Root(g.Scheduler().MaxTeam(), data, opt); t != nil {
-		g.Spawn(t)
-	}
-}
-
-// Root returns the root task of the mixed-mode samplesort over data, for
-// batched submission; maxTeam is the target scheduler's
-// Scheduler.MaxTeam(). It returns nil when there is nothing to sort.
+// Root returns the root task of the mixed-mode samplesort over data (the
+// tables' "SSort" column); maxTeam is the target scheduler's
+// Scheduler.MaxTeam(). Run it with Scheduler.Run or Group.Run, or spawn it
+// into a group beside other work; data is sorted once the group is
+// quiescent (all bucket recursion subtasks inherit it). The algorithm is
+// not in-place: Root allocates one scratch buffer of len(data), whose
+// ranges are reused down the bucket recursion. It returns nil — the empty
+// computation, which Run and Spawn accept — when there is nothing to sort.
 func Root[T qsort.Ordered](maxTeam int, data []T, opt Options) core.Task {
 	opt = opt.withDefaults()
 	n := len(data)
 	if n < 2 {
 		return nil
 	}
-	np := bestNp(n, opt.MinPerThread, maxTeam)
+	np := core.BestNp(n, opt.MinPerThread, maxTeam)
 	if np == 1 {
 		// Too small for a team: the task-parallel quicksort is the
 		// degenerate samplesort (every element its own bucket recursion).
@@ -258,7 +231,7 @@ func (t *task[T]) spawnBucket(ctx *core.Ctx, part, scratch []T) {
 		t.fp.Spawn(ctx, part)
 		return
 	}
-	np := bestNp(m, t.opt.MinPerThread, ctx.Scheduler().MaxTeam())
+	np := core.BestNp(m, t.opt.MinPerThread, ctx.Scheduler().MaxTeam())
 	// m < len(t.data) guarantees termination: a bucket that swallowed the
 	// whole range (heavily duplicated keys) must not recurse as a
 	// samplesort again.

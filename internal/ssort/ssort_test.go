@@ -15,6 +15,14 @@ func teamOptions() Options {
 	return Options{Cutoff: 256, MinPerThread: 512}
 }
 
+// sortOn runs the samplesort's root task to quiescence on s.
+func sortOn(t *testing.T, s *core.Scheduler, data []int32, opt Options) {
+	t.Helper()
+	if err := s.Run(Root(s.MaxTeam(), data, opt)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func checkSorted(t *testing.T, name string, got, in []int32) {
 	t.Helper()
 	if !qsort.IsSorted(got) {
@@ -41,7 +49,7 @@ func TestSortAllKinds(t *testing.T) {
 		for _, kind := range dist.Kinds {
 			in := dist.Generate(kind, 1<<16, 42)
 			data := append([]int32(nil), in...)
-			Sort(s, data, teamOptions())
+			sortOn(t, s, data, teamOptions())
 			checkSorted(t, kind.String(), data, in)
 		}
 	}
@@ -57,7 +65,7 @@ func TestSortDefaults(t *testing.T) {
 	defer s.Shutdown()
 	in := dist.Generate(dist.Staggered, 1<<20, 1)
 	data := append([]int32(nil), in...)
-	Sort(s, data, Options{})
+	sortOn(t, s, data, Options{})
 	checkSorted(t, "defaults", data, in)
 }
 
@@ -68,7 +76,7 @@ func TestSortSmall(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 17, 255, 4096} {
 		in := dist.Generate(dist.Random, n, uint64(n))
 		data := append([]int32(nil), in...)
-		Sort(s, data, teamOptions())
+		sortOn(t, s, data, teamOptions())
 		checkSorted(t, "small", data, in)
 	}
 }
@@ -82,7 +90,7 @@ func TestSortOddTeamAndRecursion(t *testing.T) {
 	for _, kind := range []dist.Kind{dist.Random, dist.RandDup, dist.WorstCase, dist.Zero} {
 		in := dist.Generate(kind, 1<<17, 5)
 		data := append([]int32(nil), in...)
-		Sort(s, data, opt)
+		sortOn(t, s, data, opt)
 		checkSorted(t, kind.String(), data, in)
 	}
 }
@@ -94,26 +102,8 @@ func TestSortSeeds(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		in := dist.Generate(dist.Gauss, 1<<15, seed)
 		data := append([]int32(nil), in...)
-		Sort(s, data, teamOptions())
+		sortOn(t, s, data, teamOptions())
 		checkSorted(t, "seeds", data, in)
-	}
-}
-
-func TestBestNp(t *testing.T) {
-	cases := []struct{ n, per, max, want int }{
-		{0, 512, 8, 1},
-		{1023, 512, 8, 1},
-		{1 << 20, 512, 8, 8},
-		{4096, 1024, 8, 4},
-		{4095, 1024, 8, 2},
-		{1 << 20, 512, 1, 1},
-		{1 << 20, 1 << 19, 64, 2},
-		{1 << 20, 1 << 20, 64, 1},
-	}
-	for _, c := range cases {
-		if got := bestNp(c.n, c.per, c.max); got != c.want {
-			t.Fatalf("bestNp(%d, %d, %d) = %d, want %d", c.n, c.per, c.max, got, c.want)
-		}
 	}
 }
 

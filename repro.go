@@ -122,14 +122,18 @@ type MMOptions = qsort.MMOptions
 // SortMixedMode sorts data with the paper's mixed-mode parallel Quicksort
 // (Algorithm 11): data-parallel block partitioning by worker teams, followed
 // by task-parallel recursion. It blocks until the sort completes.
+//
+// Like the other Sort* functions it has no error result: the one error
+// Scheduler.Run can report here is ErrShutdown, and Scheduler.Shutdown
+// documents that outcome (the work is abandoned, data stays unsorted).
 func SortMixedMode[T Ordered](s *Scheduler, data []T, opt MMOptions) {
-	qsort.MixedMode(s, data, opt)
+	_ = s.Run(qsort.MixedModeRoot(s.MaxTeam(), data, opt))
 }
 
 // SortForkJoin sorts data with the classical task-parallel Quicksort
 // (Algorithm 10) on the same scheduler; all tasks are single-threaded.
 func SortForkJoin[T Ordered](s *Scheduler, data []T) {
-	qsort.ForkJoinCore(s, data, qsort.DefaultCutoff)
+	_ = s.Run(qsort.ForkJoinRoot(data, qsort.DefaultCutoff)) // see SortMixedMode
 }
 
 // SortSequential sorts data with the repository's introsort (the stand-in
@@ -146,7 +150,7 @@ type SSOptions = ssort.Options
 // different mixed-mode algorithm beside the paper's Quicksort. Allocates
 // one scratch buffer of len(data).
 func SortSamplesort[T Ordered](s *Scheduler, data []T, opt SSOptions) {
-	ssort.Sort(s, data, opt)
+	_ = s.Run(ssort.Root(s.MaxTeam(), data, opt)) // see SortMixedMode
 }
 
 // MSOptions are the tunables of the mixed-mode parallel merge sort.
@@ -157,7 +161,7 @@ type MSOptions = msort.Options
 // mixed-mode application beyond the paper's Quicksort. Allocates one scratch
 // buffer of len(data).
 func SortMergeMixedMode[T Ordered](s *Scheduler, data []T, opt MSOptions) {
-	msort.Sort(s, data, opt)
+	_ = s.Run(msort.Root(data, opt)) // see SortMixedMode
 }
 
 // Distribution identifies one of the paper's benchmark input distributions.

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"errors"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -33,46 +32,63 @@ type Runtime[T Ordered] struct {
 	m     runtimeMetrics
 }
 
-// numSortAlgos is the number of SortAlgo values (the metrics arrays below
-// are indexed by SortAlgo).
-const numSortAlgos = 4
+// family indexes the request families of runtimeMetrics: the four sort
+// algorithms (a SortAlgo is its own family) followed by the six analytics
+// operators of analytics.go.
+type family int
 
-// sortAlgoNames labels each SortAlgo in the metrics registry, matching the
-// harness column names used across the benchmark tooling.
-var sortAlgoNames = [numSortAlgos]string{"mmpar", "fork", "ssort", "msort"}
-
-// queryOp indexes the analytics request families of runtimeMetrics, one per
-// Runtime query entry point (see analytics.go).
-type queryOp int
+const numSortAlgos = 4 // SortAlgo values
 
 const (
-	qopFilter queryOp = iota
-	qopGroupBy
-	qopAggregate
-	qopTopK
-	qopJoin
-	qopPlan
-	numQueryOps
+	famFilter family = numSortAlgos + iota
+	famGroupBy
+	famAggregate
+	famTopK
+	famJoin
+	famPlan
+	numFamilies
 )
 
-// queryOpNames labels each queryOp in the metrics registry.
-var queryOpNames = [numQueryOps]string{"filter", "groupby", "aggregate", "topk", "join", "plan"}
+// familyNames labels each family in the metrics registry; the sort names
+// match the harness column names used across the benchmark tooling.
+var familyNames = [numFamilies]string{"mmpar", "fork", "ssort", "msort",
+	"filter", "groupby", "aggregate", "topk", "join", "plan"}
 
-// runtimeMetrics instruments a Runtime's sort and analytics requests: one
-// end-to-end latency histogram and one in-flight gauge per sort algorithm
-// and per query operator. Requests only touch a sharded histogram (shard
-// picked by a round-robin ticket — one shared atomic add per request, not
-// per task; the per-task hot path inside the scheduler stays untouched) and
-// the family's in-flight counter.
+// familyKinds are the two kinds of request the exposition tells apart, each
+// a contiguous range of families rendered as three metric families.
+var familyKinds = [...]struct {
+	lo, hi               family
+	label                string // series label of the latency and total families
+	latency, latencyHelp string
+	total, totalHelp     string
+	pending, pendingHelp string
+}{
+	{0, numSortAlgos, "algo",
+		"repro_sort_latency_seconds", "End-to-end latency of Runtime sort requests.",
+		"repro_sorts_total", "Completed Runtime sort requests.",
+		"repro_group_pending_sorts", "Sort requests currently in flight, by the algorithm their quiescence group runs."},
+	{numSortAlgos, numFamilies, "op",
+		"repro_query_latency_seconds", "End-to-end latency of Runtime analytics requests.",
+		"repro_queries_total", "Completed Runtime analytics requests.",
+		"repro_group_pending_queries", "Analytics requests currently in flight, by the operator their quiescence group runs."},
+}
+
+// load is how many requests of each family one call carries: a single one
+// for the typed methods, the per-algorithm counts of the batch for SortMany.
+type load [numFamilies]uint32
+
+// runtimeMetrics instruments a Runtime's requests: one end-to-end latency
+// histogram and one in-flight gauge per family. Requests only touch a
+// sharded histogram (shard picked by a round-robin ticket — one shared
+// atomic add per request, not per task; the per-task hot path inside the
+// scheduler stays untouched) and the family's in-flight counter.
 type runtimeMetrics struct {
-	initOnce  sync.Once
-	regOnce   sync.Once
-	reg       *stats.Registry
-	hist      [numSortAlgos]*stats.Histogram
-	inflight  [numSortAlgos]atomic.Int64
-	qhist     [numQueryOps]*stats.Histogram
-	qinflight [numQueryOps]atomic.Int64
-	rr        atomic.Uint32 // round-robin histogram shard ticket
+	initOnce sync.Once
+	regOnce  sync.Once
+	reg      *stats.Registry
+	hist     [numFamilies]*stats.Histogram
+	inflight [numFamilies]atomic.Int64
+	rr       atomic.Uint32 // round-robin histogram shard ticket
 }
 
 // init creates the histograms (shards sized to the scheduler). Called from
@@ -84,46 +100,76 @@ func (m *runtimeMetrics) init(p int) {
 		if shards > 16 {
 			shards = 16
 		}
-		for a := range m.hist {
-			m.hist[a] = stats.NewHistogram(shards)
-		}
-		for q := range m.qhist {
-			m.qhist[q] = stats.NewHistogram(shards)
+		for f := range m.hist {
+			m.hist[f] = stats.NewHistogram(shards)
 		}
 	})
 }
 
-// begin records the start of one sort request of algorithm a, returning the
-// histogram shard and start time for end.
-func (m *runtimeMetrics) begin(a SortAlgo, p int) (int, time.Time) {
+// begin records the start of the requests in l, returning the histogram
+// shard and start time for end.
+func (m *runtimeMetrics) begin(l *load, p int) (int, time.Time) {
 	m.init(p)
-	m.inflight[a].Add(1)
+	for f, n := range l {
+		if n != 0 {
+			m.inflight[f].Add(int64(n))
+		}
+	}
 	return int(m.rr.Add(1)), time.Now()
 }
 
-// end records the completion of a request started by begin.
-func (m *runtimeMetrics) end(a SortAlgo, shard int, t0 time.Time) {
-	m.hist[a].ObserveDuration(shard, time.Since(t0))
-	m.inflight[a].Add(-1)
+// end records the completion of the requests started by begin. Every
+// request of a batch completes (as observed by the caller) when the whole
+// group drains, so the call's duration is each one's end-to-end latency.
+func (m *runtimeMetrics) end(l *load, shard int, t0 time.Time) {
+	elapsed := time.Since(t0).Seconds()
+	for f, n := range l {
+		if n != 0 {
+			m.hist[f].ObserveN(shard, elapsed, uint64(n))
+			m.inflight[f].Add(-int64(n))
+		}
+	}
 }
 
-// beginQ / endQ are begin / end for analytics requests (see analytics.go).
-func (m *runtimeMetrics) beginQ(q queryOp, p int) (int, time.Time) {
-	m.init(p)
-	m.qinflight[q].Add(1)
-	return int(m.rr.Add(1)), time.Now()
+// request is the one way a client computation enters the scheduler: body
+// spawns the request's root tasks into a fresh quiescence group bound to
+// ctx, and request waits for the group to drain, accounting the call in the
+// families of l. A failed spawn (cancellation mid-admission, or shutdown)
+// leaves its admitted prefix in flight; WaitErr still waits for the true
+// drain and reports how the group ended, and body's error wins only when
+// the drain itself reports nothing (e.g. the prefix drained before a
+// post-admission shutdown was observed). Abandoned requests still observe
+// their (truncated) latency. A context that can never be canceled costs
+// nothing: BindContext is then a no-op and starts no watcher goroutine.
+func (r *Runtime[T]) request(ctx context.Context, l load, body func(g *core.Group) error) error {
+	shard, t0 := r.m.begin(&l, r.s.P())
+	g := r.s.NewGroup()
+	stop := g.BindContext(ctx)
+	defer stop()
+	berr := body(g)
+	err := g.WaitErr()
+	if err == nil {
+		err = berr
+	}
+	r.m.end(&l, shard, t0)
+	return err
 }
 
-func (m *runtimeMetrics) endQ(q queryOp, shard int, t0 time.Time) {
-	m.qhist[q].ObserveDuration(shard, time.Since(t0))
-	m.qinflight[q].Add(-1)
+// single is request for the methods that predate SortManyCtx: one request
+// of one family, no context, and no error result. With no context to cancel,
+// their only failure is ErrShutdown on a Runtime used after Close; Close
+// documents what the caller then sees, and the error has nowhere else to go.
+func (r *Runtime[T]) single(f family, body func(g *core.Group) error) {
+	var l load
+	l[f] = 1
+	_ = r.request(context.Background(), l, body)
 }
 
 // Metrics returns the Runtime's metrics registry: the underlying
-// scheduler's full metric surface (worker counters, admission, quiescence
-// scans, free lists, named groups) plus the Runtime's own per-algorithm
-// families — repro_sort_latency_seconds{algo=...} end-to-end latency
-// histograms, repro_sorts_total{algo=...} request counters, and
+// scheduler's full metric surface (worker counters, admission, free lists,
+// named groups) plus the Runtime's own per-algorithm families —
+// repro_sort_latency_seconds{algo=...} end-to-end latency histograms,
+// repro_sorts_total{algo=...} request counters, and
 // repro_group_pending_sorts{group=...} in-flight gauges (one quiescence
 // group per request, labeled by the algorithm the group ran) — and the
 // analytics families mirroring them per query operator:
@@ -139,33 +185,17 @@ func (r *Runtime[T]) Metrics() *Metrics {
 	r.m.regOnce.Do(func() {
 		reg := stats.NewRegistry()
 		r.s.RegisterMetrics(reg)
-		for a := range sortAlgoNames {
-			a := a
-			algoLbl := []stats.Label{{Name: "algo", Value: sortAlgoNames[a]}}
-			reg.Histogram("repro_sort_latency_seconds",
-				"End-to-end latency of Runtime sort requests.",
-				algoLbl, r.m.hist[a])
-			reg.CounterFunc("repro_sorts_total",
-				"Completed Runtime sort requests.",
-				algoLbl, func() float64 { return float64(r.m.hist[a].Snapshot().Count) })
-			reg.GaugeFunc("repro_group_pending_sorts",
-				"Sort requests currently in flight, by the algorithm their quiescence group runs.",
-				[]stats.Label{{Name: "group", Value: sortAlgoNames[a]}},
-				func() float64 { return float64(r.m.inflight[a].Load()) })
-		}
-		for q := range queryOpNames {
-			q := q
-			opLbl := []stats.Label{{Name: "op", Value: queryOpNames[q]}}
-			reg.Histogram("repro_query_latency_seconds",
-				"End-to-end latency of Runtime analytics requests.",
-				opLbl, r.m.qhist[q])
-			reg.CounterFunc("repro_queries_total",
-				"Completed Runtime analytics requests.",
-				opLbl, func() float64 { return float64(r.m.qhist[q].Snapshot().Count) })
-			reg.GaugeFunc("repro_group_pending_queries",
-				"Analytics requests currently in flight, by the operator their quiescence group runs.",
-				[]stats.Label{{Name: "group", Value: queryOpNames[q]}},
-				func() float64 { return float64(r.m.qinflight[q].Load()) })
+		for _, k := range familyKinds {
+			for f := k.lo; f < k.hi; f++ {
+				hist, inflight := r.m.hist[f], &r.m.inflight[f]
+				lbl := []stats.Label{{Name: k.label, Value: familyNames[f]}}
+				reg.Histogram(k.latency, k.latencyHelp, lbl, hist)
+				reg.CounterFunc(k.total, k.totalHelp, lbl,
+					func() float64 { return float64(hist.Snapshot().Count) })
+				reg.GaugeFunc(k.pending, k.pendingHelp,
+					[]stats.Label{{Name: "group", Value: familyNames[f]}},
+					func() float64 { return float64(inflight.Load()) })
+			}
 		}
 		r.m.reg = reg
 	})
@@ -194,7 +224,8 @@ func (r *Runtime[T]) P() int { return r.s.P() }
 
 // Close shuts the underlying scheduler down if the Runtime owns it
 // (created by NewRuntime). Outstanding sorts are abandoned; finish or wait
-// for them first.
+// for them first. A request made after Close returns at once with its work
+// not done — data unsorted, results zero; SortManyCtx reports ErrShutdown.
 func (r *Runtime[T]) Close() {
 	if r.owned {
 		r.s.Shutdown()
@@ -230,33 +261,56 @@ func (r *Runtime[T]) StopProfiler() { r.s.StopProfiler() }
 // (Algorithm 11) as an independent group on the shared scheduler. It blocks
 // until data is sorted; concurrent calls proceed independently.
 func (r *Runtime[T]) SortMixedMode(data []T, opt MMOptions) {
-	shard, t0 := r.m.begin(AlgoMixedMode, r.s.P())
-	qsort.MixedMode(r.s, data, opt)
-	r.m.end(AlgoMixedMode, shard, t0)
+	r.sortOne(SortRequest[T]{Data: data, Algo: AlgoMixedMode}, BatchOptions{MM: opt})
 }
 
 // SortForkJoin sorts data with the task-parallel Quicksort (Algorithm 10)
 // as an independent group on the shared scheduler.
 func (r *Runtime[T]) SortForkJoin(data []T) {
-	shard, t0 := r.m.begin(AlgoForkJoin, r.s.P())
-	qsort.ForkJoinCore(r.s, data, qsort.DefaultCutoff)
-	r.m.end(AlgoForkJoin, shard, t0)
+	r.sortOne(SortRequest[T]{Data: data, Algo: AlgoForkJoin}, BatchOptions{})
 }
 
 // SortSamplesort sorts data with the mixed-mode parallel samplesort as an
 // independent group on the shared scheduler.
 func (r *Runtime[T]) SortSamplesort(data []T, opt SSOptions) {
-	shard, t0 := r.m.begin(AlgoSamplesort, r.s.P())
-	ssort.Sort(r.s, data, opt)
-	r.m.end(AlgoSamplesort, shard, t0)
+	r.sortOne(SortRequest[T]{Data: data, Algo: AlgoSamplesort}, BatchOptions{SS: opt})
 }
 
 // SortMergeMixedMode sorts data with the mixed-mode parallel merge sort as
 // an independent group on the shared scheduler.
 func (r *Runtime[T]) SortMergeMixedMode(data []T, opt MSOptions) {
-	shard, t0 := r.m.begin(AlgoMergeMixedMode, r.s.P())
-	msort.Sort(r.s, data, opt)
-	r.m.end(AlgoMergeMixedMode, shard, t0)
+	r.sortOne(SortRequest[T]{Data: data, Algo: AlgoMergeMixedMode}, BatchOptions{MS: opt})
+}
+
+// sortOne runs one sort as its own request. The root is built inside the
+// request: allocating its scratch is part of the latency the caller sees.
+func (r *Runtime[T]) sortOne(rq SortRequest[T], opt BatchOptions) {
+	r.single(rq.Algo.family(), func(g *core.Group) error { return g.Spawn(r.root(rq, opt)) })
+}
+
+// root maps the public SortAlgo vocabulary to the root task of one sort
+// request (nil when there is nothing to sort); an unknown SortAlgo sorts
+// like the zero value.
+func (r *Runtime[T]) root(rq SortRequest[T], opt BatchOptions) core.Task {
+	switch rq.Algo {
+	case AlgoForkJoin:
+		return qsort.ForkJoinRoot(rq.Data, opt.Cutoff)
+	case AlgoSamplesort:
+		return ssort.Root(r.s.MaxTeam(), rq.Data, opt.SS)
+	case AlgoMergeMixedMode:
+		return msort.Root(rq.Data, opt.MS)
+	default:
+		return qsort.MixedModeRoot(r.s.MaxTeam(), rq.Data, opt.MM)
+	}
+}
+
+// family is the family a sort request is accounted in: its algorithm, an
+// unknown one counting as the zero value it sorts like.
+func (a SortAlgo) family() family {
+	if a < 0 || a >= numSortAlgos {
+		a = AlgoMixedMode
+	}
+	return family(a)
 }
 
 // SortAlgo selects the algorithm of one SortMany request. The zero value is
@@ -303,9 +357,8 @@ type BatchOptions struct {
 // Concurrent SortMany calls (and concurrent Sort* calls) proceed
 // independently.
 func (r *Runtime[T]) SortMany(reqs []SortRequest[T], opt BatchOptions) {
-	// Background has a nil Done channel, so the context plumbing below is
-	// free: BindContext is a no-op and no watcher goroutine is started.
-	r.SortManyCtx(context.Background(), reqs, opt)
+	// Like the Sort* methods (see single), SortMany has no error result.
+	_ = r.SortManyCtx(context.Background(), reqs, opt)
 }
 
 // SortManyCtx is SortMany under a context: the whole batch runs as one
@@ -317,68 +370,16 @@ func (r *Runtime[T]) SortMany(reqs []SortRequest[T], opt BatchOptions) {
 // request slices are left partially sorted — a canceled batch's data must
 // be treated as garbage by the caller. A nil error means every request was
 // fully sorted. Abandoned batches still observe their (truncated) latency
-// in the runtime metrics.
+// in the runtime metrics. A batch with nothing to sort still honors an
+// already-dead context, with the same typed errors.
 func (r *Runtime[T]) SortManyCtx(ctx context.Context, reqs []SortRequest[T], opt BatchOptions) error {
-	maxTeam := r.s.MaxTeam()
 	ts := make([]core.Task, 0, len(reqs))
-	var perAlgo [numSortAlgos]uint64
+	var l load
 	for _, rq := range reqs {
-		var t core.Task
-		a := AlgoMixedMode
-		switch rq.Algo {
-		case AlgoForkJoin:
-			t, a = qsort.ForkJoinRoot(rq.Data, opt.Cutoff), AlgoForkJoin
-		case AlgoSamplesort:
-			t, a = ssort.Root(maxTeam, rq.Data, opt.SS), AlgoSamplesort
-		case AlgoMergeMixedMode:
-			t, a = msort.Root(rq.Data, opt.MS), AlgoMergeMixedMode
-		default:
-			t = qsort.MixedModeRoot(maxTeam, rq.Data, opt.MM)
-		}
-		if t != nil { // nil: nothing to sort (len < 2)
+		if t := r.root(rq, opt); t != nil { // nil: nothing to sort (len < 2)
 			ts = append(ts, t)
-			perAlgo[a]++
+			l[rq.Algo.family()]++
 		}
 	}
-	if len(ts) == 0 {
-		// Nothing to sort. Still honor an already-dead context, with the
-		// same typed errors a non-empty batch would report.
-		switch err := ctx.Err(); {
-		case err == nil:
-			return nil
-		case errors.Is(err, context.DeadlineExceeded):
-			return ErrDeadlineExceeded
-		default:
-			return ErrCanceled
-		}
-	}
-	r.m.init(r.s.P())
-	for a, n := range perAlgo {
-		r.m.inflight[a].Add(int64(n))
-	}
-	shard, t0 := int(r.m.rr.Add(1)), time.Now()
-	g := r.s.NewGroup()
-	stop := g.BindContext(ctx)
-	defer stop()
-	// A failed SpawnBatch (cancellation mid-admission, or shutdown) leaves
-	// its admitted prefix in flight; WaitErr still waits for the true drain
-	// and reports how the group ended. The spawn error wins only when the
-	// drain itself reports nothing (e.g. the prefix drained before a
-	// post-admission shutdown was observed).
-	serr := g.SpawnBatch(ts)
-	err := g.WaitErr()
-	if err == nil {
-		err = serr
-	}
-	// Each request of the batch completes (as observed by the caller) when
-	// the whole group drains, so the batch duration is every request's
-	// end-to-end latency.
-	elapsed := time.Since(t0).Seconds()
-	for a, n := range perAlgo {
-		if n > 0 {
-			r.m.hist[a].ObserveN(shard, elapsed, n)
-			r.m.inflight[a].Add(-int64(n))
-		}
-	}
-	return err
+	return r.request(ctx, l, func(g *core.Group) error { return g.SpawnBatch(ts) })
 }

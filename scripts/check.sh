@@ -34,8 +34,8 @@ go test ./...
 # Count-flake guard: the tests that assert on quiescence, release counts,
 # cancellation and forced steals, ten times over, so a timing-dependent
 # assertion fails at the PR that introduces it (bounded by -timeout).
-echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Distributed)"
-go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Distributed' \
+echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle)"
+go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle' \
   ./internal/core ./internal/classic
 
 # The race list and its rationale live in scripts/checkdefs.sh.

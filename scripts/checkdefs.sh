@@ -12,10 +12,11 @@
 # analytics operators in ./internal/query (barrier-separated phases over
 # shared state), the seqlock-stamped histogram/registry read paths in
 # ./internal/stats, the seqlock-stamped event rings and sampling profiler
-# in ./internal/trace, and the fault-injection chaos stress in
+# in ./internal/trace, the fault-injection chaos stress in
 # ./internal/chaos (cancel storms racing revocation-at-take against the
-# admission path under injected stalls).
-RACE_PKGS=". ./internal/chaos ./internal/core ./internal/deque ./internal/dist ./internal/dist/distpar ./internal/msort ./internal/par ./internal/qsort ./internal/query ./internal/ssort ./internal/stats ./internal/trace"
+# admission path under injected stalls), and the baseline work-stealer in
+# ./internal/classic (lock-free deques under both steal policies).
+RACE_PKGS=". ./internal/chaos ./internal/classic ./internal/core ./internal/deque ./internal/dist ./internal/dist/distpar ./internal/msort ./internal/par ./internal/qsort ./internal/query ./internal/ssort ./internal/stats ./internal/trace"
 
 # Explicit vet configuration: -tests=true keeps _test.go files in scope (the
 # race-condition regression tests lean on vet's copylocks/atomic checks as
