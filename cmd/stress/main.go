@@ -47,6 +47,7 @@ func main() {
 			Seed:            *seed,
 			StallEvery:      256,
 			StallDur:        50 * time.Microsecond,
+			ParkStallEvery:  4,
 			DelayTakeEvery:  32,
 			AdmitDelayEvery: 32,
 			DelayDur:        20 * time.Microsecond,
@@ -232,11 +233,11 @@ func chaosStress(s *core.Scheduler, inj *chaos.Injector, rounds, tasks int, seed
 	}
 	adm, ist := s.Admission(), inj.Stats()
 	fmt.Printf("OK (chaos): %d rounds in %v\n  groups: %d canceled / %d completed; %s\n"+
-		"  faults: stalls=%d take-delays=%d admit-delays=%d cancels=%d\n",
+		"  faults: stalls=%d park-stalls=%d take-delays=%d admit-delays=%d cancels=%d\n",
 		rounds, time.Since(start).Round(time.Millisecond),
 		canceledTotal, completedTotal, adm,
-		ist.Injected[core.FaultWorkerLoop], ist.Injected[core.FaultInjectTake],
-		ist.Injected[core.FaultAdmit], ist.Cancels)
+		ist.Injected[core.FaultWorkerLoop], ist.Injected[core.FaultPark],
+		ist.Injected[core.FaultInjectTake], ist.Injected[core.FaultAdmit], ist.Cancels)
 	if canceledTotal == 0 || adm.Revoked == 0 {
 		fmt.Fprintln(os.Stderr, "chaos storm never landed: no cancellations or revocations — weak run")
 		os.Exit(1)

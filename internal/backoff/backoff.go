@@ -1,11 +1,24 @@
-// Package backoff provides the exponential backoff used by all polling
-// loops in the schedulers.
+// Package backoff provides the escalating wait used by the schedulers'
+// polling loops: a few busy-spin rounds, a few runtime.Gosched rounds, then
+// exponentially growing sleeps.
 //
 // The paper's prototype uses exponential backoff "starting at 1 microsecond,
-// and going up to 10 milliseconds" (§4). Because our hardware threads are
-// goroutines, the early iterations spin and yield to the Go runtime
-// (runtime.Gosched) before falling back to timed sleeps, which keeps the
-// scheduler from fighting the runtime's own scheduler during short waits.
+// and going up to 10 milliseconds" (§4) for every wait. Because our hardware
+// threads are goroutines, the early rounds spin and yield to the Go runtime
+// before any timed sleep, which keeps the scheduler from fighting the
+// runtime's own scheduler during short waits.
+//
+// Who still sleeps: the waits on one specific counter, which are bounded by
+// the length of a task rather than by idleness — TaskGroup.Wait's helper
+// loop, a team member polling its coordinator, a coordinator gathering its
+// team and counting down its members (internal/core), teamsync.Barrier,
+// Group.SpawnRetry — and every loop of internal/classic, the paper's
+// baseline, which polls as the paper describes. They call Wait.
+//
+// Who no longer does: an idle worker of internal/core. It calls Pause for
+// the spin and yield rounds only and, once Pause reports the budget spent,
+// parks until a publisher wakes it (internal/core/park.go) — no timer runs
+// on behalf of a worker that has nothing to do.
 package backoff
 
 import (
@@ -13,10 +26,10 @@ import (
 	"time"
 )
 
-// Default bounds, matching §4 of the paper.
+// The sleep bounds of §4 of the paper.
 const (
-	DefaultMin = 1 * time.Microsecond
-	DefaultMax = 10 * time.Millisecond
+	Min = 1 * time.Microsecond
+	Max = 10 * time.Millisecond
 
 	// spinRounds is the number of busy-spin iterations before yielding.
 	spinRounds = 4
@@ -24,46 +37,46 @@ const (
 	yieldRounds = 8
 )
 
-// Backoff is a per-worker exponential backoff. The zero value uses the
-// default bounds. Not safe for concurrent use (each worker owns one).
+// Backoff is a per-worker escalating wait. The zero value is ready to use.
+// Not safe for concurrent use (each worker owns one).
 type Backoff struct {
-	Min time.Duration // 0 means DefaultMin
-	Max time.Duration // 0 means DefaultMax
-	n   int           // consecutive Wait calls since the last Reset
+	n int // consecutive Pause/Wait calls since the last Reset
 }
 
 // Reset clears the backoff after successful work was found.
 func (b *Backoff) Reset() { b.n = 0 }
 
-// Attempts returns the number of consecutive Wait calls since the last Reset.
+// Attempts returns the number of consecutive waits since the last Reset.
 func (b *Backoff) Attempts() int { return b.n }
 
-// Wait blocks for the current backoff duration and escalates: a few spin
-// rounds, then runtime.Gosched, then exponentially growing sleeps capped at
-// Max.
-func (b *Backoff) Wait() {
-	n := b.n
-	b.n++
-	switch {
+// Pause performs the next spin or yield round and reports true. Once the
+// spin/yield budget is exhausted it does nothing and reports false: the
+// caller either sleeps (Wait) or blocks on something that wakes it.
+func (b *Backoff) Pause() bool {
+	switch n := b.n; {
 	case n < spinRounds:
 		spin(1 << uint(n+4)) // 16..128 pause iterations
 	case n < spinRounds+yieldRounds:
 		runtime.Gosched()
 	default:
-		min, max := b.Min, b.Max
-		if min <= 0 {
-			min = DefaultMin
-		}
-		if max <= 0 {
-			max = DefaultMax
-		}
-		k := n - spinRounds - yieldRounds
-		d := min << uint(k)
-		if d > max || d <= 0 {
-			d = max
-		}
-		time.Sleep(d)
+		return false
 	}
+	b.n++
+	return true
+}
+
+// Wait blocks for the current backoff duration and escalates: the Pause
+// rounds first, then exponentially growing sleeps from Min, capped at Max.
+func (b *Backoff) Wait() {
+	if b.Pause() {
+		return
+	}
+	d := Min << uint(b.n-spinRounds-yieldRounds)
+	if d > Max || d <= 0 {
+		d = Max
+	}
+	b.n++
+	time.Sleep(d)
 }
 
 //go:noinline

@@ -21,8 +21,8 @@ func TestEscalation(t *testing.T) {
 	// First sleep round must be at least Min.
 	start = time.Now()
 	b.Wait()
-	if d := time.Since(start); d < DefaultMin {
-		t.Fatalf("first sleep %v < min %v", d, DefaultMin)
+	if d := time.Since(start); d < Min {
+		t.Fatalf("first sleep %v < min %v", d, Min)
 	}
 }
 
@@ -42,27 +42,45 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestSleepCap(t *testing.T) {
-	b := Backoff{Min: time.Microsecond, Max: 2 * time.Millisecond}
-	// Drive deep into the sleep regime; each wait must stay near Max.
-	for i := 0; i < spinRounds+yieldRounds+15; i++ {
-		b.Wait()
+// TestPauseBudget pins the predicate the parking worker relies on: Pause
+// reports true for exactly the spin and yield rounds, then false without
+// escalating or sleeping, until Reset.
+func TestPauseBudget(t *testing.T) {
+	var b Backoff
+	for i := 0; i < spinRounds+yieldRounds; i++ {
+		if !b.Pause() {
+			t.Fatalf("Pause reported the budget spent after %d rounds", i)
+		}
 	}
 	start := time.Now()
-	b.Wait()
-	if d := time.Since(start); d > 50*time.Millisecond {
-		t.Fatalf("capped sleep took %v, cap was 2ms", d)
+	for i := 0; i < 1000; i++ {
+		if b.Pause() {
+			t.Fatal("Pause performed a round past the budget")
+		}
+	}
+	if d := time.Since(start); d > 10*time.Millisecond {
+		t.Fatalf("1000 spent Pause calls took %v; Pause must never sleep", d)
+	}
+	if b.Attempts() != spinRounds+yieldRounds {
+		t.Fatalf("a spent Pause escalated: Attempts = %d", b.Attempts())
+	}
+	b.Reset()
+	if !b.Pause() {
+		t.Fatal("Pause after Reset reported the budget spent")
 	}
 }
 
-func TestCustomBounds(t *testing.T) {
-	b := Backoff{Min: 100 * time.Microsecond, Max: time.Millisecond}
-	for i := 0; i < spinRounds+yieldRounds; i++ {
+// TestSleepCap drives deep into the sleep regime: however far the backoff has
+// escalated (including past the point where the shift overflows), one wait
+// stays near Max. (TestEscalation covers the Min end.)
+func TestSleepCap(t *testing.T) {
+	var b Backoff
+	for _, n := range []int{spinRounds + yieldRounds + 20, spinRounds + yieldRounds + 70} {
+		b.n = n // skip the seconds of sleeping it takes to get here
+		start := time.Now()
 		b.Wait()
-	}
-	start := time.Now()
-	b.Wait()
-	if d := time.Since(start); d < 100*time.Microsecond {
-		t.Fatalf("custom min not honored: %v", d)
+		if d := time.Since(start); d < Max/2 || d > 20*Max {
+			t.Fatalf("wait at n = %d took %v, want ≈ Max = %v", n, d, Max)
+		}
 	}
 }

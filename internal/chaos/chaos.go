@@ -37,6 +37,10 @@ type Options struct {
 	StallEvery int
 	// StallDur is the injected worker stall length (default DefaultStallDur).
 	StallDur time.Duration
+	// ParkStallEvery stalls ~1/N parks for StallDur after the idle worker
+	// announced itself parked and before it re-checks and blocks — the
+	// window in which publishers already count on being able to wake it.
+	ParkStallEvery int
 	// DelayTakeEvery delays ~1/N inject-queue drains by DelayDur, widening
 	// the window between a cancel and its revocations.
 	DelayTakeEvery int
@@ -87,6 +91,11 @@ func (i *Injector) Fault(p core.FaultPoint, worker int) {
 	switch p {
 	case core.FaultWorkerLoop:
 		if i.roll(i.opts.StallEvery) {
+			i.injected[p].Add(1)
+			time.Sleep(i.opts.StallDur)
+		}
+	case core.FaultPark:
+		if i.roll(i.opts.ParkStallEvery) {
 			i.injected[p].Add(1)
 			time.Sleep(i.opts.StallDur)
 		}

@@ -217,6 +217,53 @@ func TestChaosDeadlineUnderSaturation(t *testing.T) {
 	}
 }
 
+// TestChaosParkStall widens the one window the wake-up protocol has: every
+// second park stalls between "announced parked" and "re-check, then block"
+// while clients inject small fork-join sorts with gaps long enough for the
+// workers to run dry in between. Idle workers block without a timer, so a
+// wake-up lost in that window is a hang (-timeout guards); the test also
+// runs under -race, where the stall is what makes the publishers' claim and
+// the sleeper's re-check actually overlap.
+func TestChaosParkStall(t *testing.T) {
+	inj := New(Options{Seed: 3, ParkStallEvery: 2, StallDur: 100 * time.Microsecond})
+	s := core.New(core.Options{P: 4, Fault: inj.Fault})
+	defer s.Shutdown()
+
+	const clients, rounds = 3, 60
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			d := make([]int, 512)
+			for r := 0; r < rounds; r++ {
+				for k := range d {
+					d[k] = (k*2654435761 + c + r) % 977
+				}
+				if err := s.Run(qsort.ForkJoinRoot(d, 64)); err != nil {
+					t.Errorf("Run = %v", err)
+					return
+				}
+				if !sorted(d) {
+					t.Errorf("client %d round %d left unsorted data", c, r)
+					return
+				}
+				time.Sleep(time.Duration(40*(c+1)) * time.Microsecond)
+			}
+		}(c)
+	}
+	wg.Wait()
+	if s.Pending() != 0 {
+		t.Fatalf("scheduler pending = %d after the last Run returned", s.Pending())
+	}
+	st, sched := inj.Stats(), s.Stats()
+	t.Logf("chaos: %d parks announced, %d stalled; %d blocked, %d wake-ups sent by workers",
+		st.Calls[core.FaultPark], st.Injected[core.FaultPark], sched.Parks, sched.Wakes)
+	if st.Injected[core.FaultPark] == 0 {
+		t.Error("no park was stalled — the window was never widened")
+	}
+}
+
 func sorted(d []int) bool {
 	for i := 1; i < len(d); i++ {
 		if d[i-1] > d[i] {

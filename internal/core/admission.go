@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 
+	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -93,7 +94,9 @@ func (s *Scheduler) admitRoom(q *injectQ, want int) int {
 // task tree is still growing, and a never-admitted node (shutdown,
 // ErrSaturated) never inflates the in-flight count. An admission that finds
 // the group at zero also puts it into the busy set, again before the
-// nodes are visible. Caller holds admitMu.
+// nodes are visible. Once they are, one parked worker is woken (any: the
+// inject queues are global); a taker that leaves nodes behind passes the
+// wake on. Caller holds admitMu.
 func (s *Scheduler) enqueueLocked(g *Group, ns []*node) {
 	q := &g.iq
 	if k := int64(len(ns)); g.inflight.Add(k) == k {
@@ -139,6 +142,9 @@ func (s *Scheduler) enqueueLocked(g *Group, ns []*node) {
 	s.admit.Injected.Add(int64(len(ns)))
 	if p > s.admit.PeakPending.Load() {
 		s.admit.PeakPending.Store(p)
+	}
+	if s.park.n.Load() != 0 {
+		s.wakeForInject(nil)
 	}
 }
 
@@ -239,7 +245,12 @@ func (s *Scheduler) admitTry(g *Group, ns []*node) (int, error) {
 // live case costs one predicted load and compare; the interior spawn path
 // (Ctx.Spawn) is untouched.
 //
-// The empty case is the hot one: every idle coordinator polls here each
+// The taker runs the node itself on its next coordinate() pass, so the push
+// wakes nobody, with one exception: a team task whose block does not fit the
+// taker (Refinement 3) can only be run by a thief. A take that leaves
+// injections pending passes the admission's wake on.
+//
+// The empty case is the hot one: every searching coordinator polls here each
 // loop iteration, so a scheduler with no external work must not serialize
 // its workers on admitMu. One lock-free atomic load answers "is there
 // anything at all?"; the lock is taken only when work (probably) exists.
@@ -308,7 +319,17 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 			xt.Record(w.id, trace.EvInjectTake, s.topo.P, uint32(g.gid), n.tid)
 		}
 		w.st.InjectTakes.Add(1)
-		w.pushNode(n)
+		j := topo.Level(n.r)
+		w.queues[j].PushBottom(n)
+		w.stopSearching()
+		if s.park.n.Load() != 0 {
+			if !w.fits(j) {
+				w.wakeThief(w, j)
+			}
+			if s.pendingInject.Load() != 0 {
+				s.wakeForInject(w)
+			}
+		}
 		return true
 	}
 }

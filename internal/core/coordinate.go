@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"repro/internal/reg"
 	"repro/internal/teamsync"
 	"repro/internal/topo"
@@ -69,6 +71,7 @@ func (w *worker) coordinate() {
 					continue
 				}
 				w.ev(trace.EvGrowAdvertise, w.id, target, uint64(nr.Epoch))
+				w.wakeTeam(target)
 			}
 			w.gather(lvl, target)
 		default: // r.Team > target: shrink deterministically to my block
@@ -97,12 +100,11 @@ func (w *worker) chooseLevel(r reg.R) int {
 			return tl
 		}
 	}
-	p := w.sched.topo.P
 	for j := 0; j < len(w.queues); j++ {
 		if w.queues[j].Empty() {
 			continue
 		}
-		if j == 0 || topo.BlockFits(w.id, 1<<uint(j), p) {
+		if w.fits(j) {
 			return j
 		}
 		// A task this worker cannot host (its block exceeds p); leave it for
@@ -120,12 +122,11 @@ func (w *worker) preemptLevel(r reg.R, lvl int) int {
 	if r.Team > 1 {
 		low = topo.Log2Floor(int(r.Team))
 	}
-	p := w.sched.topo.P
 	for j := low; j < lvl; j++ {
 		if w.queues[j].Empty() {
 			continue
 		}
-		if j == 0 || topo.BlockFits(w.id, 1<<uint(j), p) {
+		if w.fits(j) {
 			return j
 		}
 	}
@@ -165,6 +166,9 @@ func (w *worker) gather(lvl, target int) {
 				Team: uint16(target), Epoch: r.Epoch,
 			}) {
 				w.ev(trace.EvTeamFixed, w.id, target, uint64(r.Epoch))
+				// The gathering escalated the backoff round by round; the
+				// team's countdowns wait for members that are about to act.
+				w.bo.Reset()
 				w.publishAndRun(lvl, target)
 				return
 			}
@@ -189,6 +193,17 @@ func (w *worker) gather(lvl, target int) {
 		w.st.Backoffs.Add(1)
 		w.bo.Wait()
 	}
+}
+
+// countdown waits for one of a team execution's counters to reach zero (or
+// for shutdown) and leaves a fresh backoff behind, as gather does when it
+// fixes the team: each countdown is bounded by the members' next poll or by
+// the task's length, so none starts at the level an earlier wait reached.
+func (w *worker) countdown(c *atomic.Int32) {
+	for c.Load() > 0 && !w.sched.done.Load() {
+		w.bo.Wait()
+	}
+	w.bo.Reset()
 }
 
 // publishAndRun pops the bottom task of queue lvl and executes it with the
@@ -231,15 +246,10 @@ func (w *worker) publishAndRun(lvl, target int) {
 	}
 	// Wait until all team members observed this execution (the countdown G
 	// of the paper) and all width participants finished running.
-	for exec.started.Load() > 0 && !s.done.Load() {
-		w.bo.Wait()
-	}
-	for exec.done.Load() > 0 && !s.done.Load() {
-		w.bo.Wait()
-	}
+	w.countdown(&exec.started)
+	w.countdown(&exec.done)
 	w.cur.Store(nil)
 	w.ev(trace.EvExecDone, w.id, target, exec.gen)
-	w.bo.Reset()
 	w.taskDone(exec.group)
 	if s.opts.DisableTeamReuse {
 		w.dropCoordination(w.regw.Load())

@@ -9,7 +9,10 @@ import (
 
 // DumpState renders the live scheduler state for diagnostics (cmd/stress and
 // deadlock investigation in tests). It is racy by design: all fields are read
-// with atomics but the combined picture is approximate.
+// with atomics but the combined picture is approximate. The first thing to
+// read when the runtime makes no progress: parked=<n> on the first line and
+// the PARKED mark on a worker's line say who is blocked on its wake slot —
+// with tasks in flight and every worker parked, a wake-up was lost.
 func (s *Scheduler) DumpState() string {
 	var b strings.Builder
 	injected, sources := func() (int64, int) {
@@ -17,8 +20,8 @@ func (s *Scheduler) DumpState() string {
 		defer s.admitMu.Unlock()
 		return s.pendingInject.Load(), s.ringLen
 	}()
-	fmt.Fprintf(&b, "inflight=%d injected=%d inject_sources=%d trace_dropped=%d\n",
-		s.Pending(), injected, sources, s.TraceDropped())
+	fmt.Fprintf(&b, "inflight=%d injected=%d inject_sources=%d parked=%d searching=%d trace_dropped=%d\n",
+		s.Pending(), injected, sources, s.parked(), s.park.searching.Load(), s.TraceDropped())
 	for _, w := range s.workers {
 		r := w.regw.Load()
 		c := w.coordp()
@@ -37,6 +40,9 @@ func (s *Scheduler) DumpState() string {
 			fmt.Fprintf(&b, "%d", q.Size())
 		}
 		b.WriteString("]")
+		if w.parked.Load() {
+			b.WriteString(" PARKED")
+		}
 		if cur != nil {
 			fmt.Fprintf(&b, " exec{size:%d width:%d gen:%d started:%d done:%d}",
 				cur.teamSize, cur.width, cur.gen, cur.started.Load(), cur.done.Load())

@@ -48,12 +48,14 @@ var schedCounters = []struct {
 		func(w *stats.Worker) *atomic.Int64 { return &w.ConflictsLost }},
 	{"repro_sched_cas_failures_total", "Failed CAS operations on registration words.",
 		func(w *stats.Worker) *atomic.Int64 { return &w.CASFailures }},
-	{"repro_sched_backoffs_total", "Backoff waits.",
+	{"repro_sched_backoffs_total", "Idle and member waits: spin/yield rounds, sleeps and parks.",
 		func(w *stats.Worker) *atomic.Int64 { return &w.Backoffs }},
 	{"repro_sched_polls_total", "Partner-poll invocations.",
 		func(w *stats.Worker) *atomic.Int64 { return &w.Polls }},
 	{"repro_sched_inject_takes_total", "Tasks taken from the inject queues by workers.",
 		func(w *stats.Worker) *atomic.Int64 { return &w.InjectTakes }},
+	{"repro_sched_parks_total", "Times an idle worker blocked on its wake slot.",
+		func(w *stats.Worker) *atomic.Int64 { return &w.Parks }},
 }
 
 // RegisterMetrics adds the scheduler's metric families to reg. Several
@@ -71,6 +73,13 @@ func (s *Scheduler) RegisterMetrics(reg *stats.Registry) {
 			}
 			return float64(total)
 		})
+	}
+	for src := wakeSource(0); src < numWakeSources; src++ {
+		src := src
+		reg.CounterFunc("repro_sched_wakeups_total",
+			"Wake-ups sent to parked workers, by what made the work visible.",
+			[]stats.Label{{Name: "source", Value: wakeSourceNames[src]}},
+			func() float64 { return float64(s.wakes[src].Load()) })
 	}
 	reg.GaugeFunc("repro_sched_workers", "Workers of the scheduler.",
 		nil, func() float64 { return float64(s.topo.P) })

@@ -134,6 +134,10 @@ func TestMetricsExposition(t *testing.T) {
 		"# HELP repro_admission_injected_total ",
 		`repro_group_pending_tasks{group="svc"} 0`,
 		`repro_sched_freelist_nodes{worker="1"}`,
+		"# TYPE repro_sched_parks_total counter",
+		`repro_sched_wakeups_total{source="inject"}`,
+		`repro_sched_wakeups_total{source="spawn"}`,
+		`repro_sched_wakeups_total{source="team"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition lacks %q:\n%s", want, out)

@@ -155,12 +155,11 @@ func (w *worker) helpSteal(c *worker, x *worker, l, rneed int) bool {
 	if m := len(w.queues) - 1; maxJ > m {
 		maxJ = m
 	}
-	p := w.sched.topo.P
 	for j := maxJ; j >= 0; j-- {
 		if 1<<uint(j) >= rneed {
 			continue
 		}
-		if j > 0 && !topo.BlockFits(w.id, 1<<uint(j), p) {
+		if !w.fits(j) {
 			continue
 		}
 		sz := x.queues[j].Size()
@@ -180,9 +179,7 @@ func (w *worker) helpSteal(c *worker, x *worker, l, rneed int) bool {
 		if nst > 0 {
 			// Route everything through the queues: the task may need a team.
 			w.queues[j].PushBottom(last)
-			w.st.Steals.Add(1)
-			w.st.TasksStolen.Add(int64(nst))
-			w.ev(trace.EvSteal, x.id, nst, 0)
+			w.stolen(x, j, nst)
 			return true
 		}
 		if c != w {

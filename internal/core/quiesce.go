@@ -29,12 +29,15 @@ func (z *quiesce) gate() chan struct{} {
 }
 
 // release wakes every parked waiter by closing the current channel, if one
-// exists. The next gate() starts a fresh generation.
-func (z *quiesce) release() {
+// exists, and reports whether one did. The next gate() starts a fresh
+// generation.
+func (z *quiesce) release() bool {
 	z.mu.Lock()
-	if z.ch != nil {
+	woke := z.ch != nil
+	if woke {
 		close(z.ch)
 		z.ch = nil
 	}
 	z.mu.Unlock()
+	return woke
 }

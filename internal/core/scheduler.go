@@ -63,8 +63,8 @@ type Options struct {
 
 // FaultPoint identifies a scheduler code path at which the Options.Fault
 // hook fires. The points cover the paths whose timing matters for graceful
-// degradation — admission, inject take, and the worker loop — not the
-// interior spawn/run hot path, which stays hook-free.
+// degradation — admission, inject take, the worker loop and the park — not
+// the interior spawn/run hot path, which stays hook-free.
 type FaultPoint uint8
 
 const (
@@ -79,6 +79,11 @@ const (
 	// FaultAdmit fires at the start of every external admission call
 	// (blocking and non-blocking), on the submitting goroutine (worker −1).
 	FaultAdmit
+	// FaultPark fires when an idle worker has announced itself parked and
+	// has neither re-checked its sources nor blocked yet. Stalling here
+	// widens the one window the wake-up protocol has to cover: publishers
+	// find the worker in the parked set while it is still running.
+	FaultPark
 
 	NumFaultPoints
 )
@@ -105,8 +110,13 @@ type Scheduler struct {
 
 	gen    atomic.Uint64
 	done   atomic.Bool
-	doneCh chan struct{} // closed by Shutdown; wakes parked waiters
+	doneCh chan struct{} // closed by Shutdown; wakes parked waiters and workers
 	wg     sync.WaitGroup
+
+	// park summarizes the set of parked workers for the publishers and
+	// wakes counts the wake-ups sent, by source (park.go).
+	park  parkState
+	wakes [numWakeSources]atomic.Int64
 
 	// Execution tracer (P+1 rings: one per worker, one for the admission
 	// path) and worker-state sampling profiler; see trace.go in this
@@ -155,10 +165,11 @@ type Scheduler struct {
 	metricsReg  *stats.Registry
 }
 
-// New starts a scheduler with p workers. The workers idle (with capped
-// backoff) until tasks are submitted. GOMAXPROCS is raised to at least p
-// (see topo.EnsureGOMAXPROCS): the paper's workers are preemptively
-// scheduled OS threads, and the team-building protocol relies on that.
+// New starts a scheduler with p workers. With nothing to do the workers
+// park — no polling, no timers — until a submission wakes one. GOMAXPROCS
+// is raised to at least p (see topo.EnsureGOMAXPROCS): the paper's workers
+// are preemptively scheduled OS threads, and the team-building protocol
+// relies on that.
 func New(opts Options) *Scheduler {
 	s := build(opts)
 	topo.EnsureGOMAXPROCS(s.topo.P)
@@ -392,6 +403,13 @@ func (s *Scheduler) makeNode(t Task, g *Group) *node {
 // reported and its joined children have completed before it returns, so a
 // count of zero means the whole tree is done: the zero transition wakes the
 // group's waiters, then retires the group from the busy set.
+//
+// If a waiter was parked, the worker then yields: the goroutine it just made
+// runnable sits in this P's runnext slot and is the one thing known to be
+// waiting for this result, while the worker's own next step is a search that
+// may well end in a stolen task of another client's — tens of microseconds
+// during which, with as many clients as CPUs, nobody else would pick the
+// waiter up. The yield costs one reschedule per request, not per task.
 func (w *worker) taskDone(g *Group) {
 	if g.inflight.Add(-1) != 0 {
 		return
@@ -400,8 +418,11 @@ func (w *worker) taskDone(g *Group) {
 	if xt := s.xt; xt.Enabled() {
 		xt.Record(w.id, trace.EvGroupDone, w.id, uint32(g.gid), 0)
 	}
-	g.qz.release()
+	woke := g.qz.release()
 	s.markIdle(g)
+	if woke {
+		runtime.Gosched()
+	}
 }
 
 // nextGen returns a scheduler-unique generation number for team executions.

@@ -54,9 +54,8 @@ func (w *worker) stealFrom(x *worker, l int) bool {
 	if m := len(w.queues) - 1; maxJ > m {
 		maxJ = m
 	}
-	p := w.sched.topo.P
 	for j := maxJ; j >= 0; j-- {
-		if j > 0 && !topo.BlockFits(w.id, 1<<uint(j), p) {
+		if !w.fits(j) {
 			continue
 		}
 		sz := x.queues[j].Size()
@@ -68,9 +67,7 @@ func (w *worker) stealFrom(x *worker, l int) bool {
 		if nst == 0 {
 			continue
 		}
-		w.st.Steals.Add(1)
-		w.st.TasksStolen.Add(int64(nst))
-		w.ev(trace.EvSteal, x.id, nst, 0)
+		w.stolen(x, j, nst)
 		if last.r == 1 {
 			w.runSolo(last)
 		} else {
@@ -79,6 +76,26 @@ func (w *worker) stealFrom(x *worker, l int) bool {
 		return true
 	}
 	return false
+}
+
+// stolen accounts a successful steal of nst tasks from x's level-j queue,
+// ends w's search, and passes the wake on: all but the last stolen task are
+// already in w's own queue, where w's partners can reach them, and failing
+// that the victim may have tasks left that the searching w kept other
+// workers from being woken for.
+func (w *worker) stolen(x *worker, j, nst int) {
+	w.st.Steals.Add(1)
+	w.st.TasksStolen.Add(int64(nst))
+	w.ev(trace.EvSteal, x.id, nst, 0)
+	w.stopSearching()
+	if w.sched.park.n.Load() == 0 {
+		return
+	}
+	if nst > 1 {
+		w.wakeThief(w, j)
+	} else if !x.queues[j].Empty() {
+		w.wakeThief(x, j)
+	}
 }
 
 // fallbackScan performs one bounded round-robin pass over all workers,
@@ -103,15 +120,14 @@ func (w *worker) fallbackScan() bool {
 		xc := x.coordp()
 		xcR := xc.regw.Load()
 		need := int(xcR.Req)
-		if need > 1 && int(xcR.Acq) < need && topo.Overlap(xc.id, w.id, need) {
+		if w.wantedBy(xc, need, int(xcR.Acq)) {
 			if w.tryRegister(xc) {
 				return true
 			}
 			continue
 		}
 		for j := len(w.queues) - 1; j >= 0; j-- {
-			r := 1 << uint(j)
-			if j > 0 && (!topo.BlockFits(w.id, r, p) || topo.Overlap(w.id, x.id, r)) {
+			if !w.canSteal(x, j) {
 				continue
 			}
 			sz := x.queues[j].Size()
@@ -123,9 +139,7 @@ func (w *worker) fallbackScan() bool {
 			if nst == 0 {
 				continue
 			}
-			w.st.Steals.Add(1)
-			w.st.TasksStolen.Add(int64(nst))
-			w.ev(trace.EvSteal, x.id, nst, 0)
+			w.stolen(x, j, nst)
 			if last.r == 1 {
 				w.runSolo(last)
 			} else {

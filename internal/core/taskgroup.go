@@ -102,6 +102,9 @@ func (w *worker) stealSoloOnly() bool {
 		}
 		w.st.Steals.Add(1)
 		w.st.TasksStolen.Add(int64(nst))
+		if nst > 1 && s.park.n.Load() != 0 {
+			w.wakeThief(w, 0) // all but the last landed in w's own queue
+		}
 		w.runSolo(last)
 		return true
 	}

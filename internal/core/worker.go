@@ -63,6 +63,15 @@ type worker struct {
 	// worker and at most nodeFreeCap stale on a busy one.
 	freeLen atomic.Int64
 
+	// Parking (park.go). parked is the worker's flag in the parked set: set
+	// by the owner when it announces itself, cleared by whoever claims it —
+	// a waker, which then puts one token into wakeCh, or the owner itself
+	// when its re-check finds work. searching is owner-only and mirrors
+	// whether the worker is counted in the scheduler's searcher count.
+	parked    atomic.Bool
+	wakeCh    chan struct{} // capacity 1: at most one token per park
+	searching bool
+
 	// state publishes the worker's coarse activity (a trace.State) for the
 	// sampling profiler and DumpState. The owner stores it only when it
 	// changes (setState), so back-to-back tasks write nothing.
@@ -76,6 +85,7 @@ func newWorker(s *Scheduler, id int) *worker {
 		id:       id,
 		sched:    s,
 		free:     make([]*node, 0, nodeFreeCap),
+		wakeCh:   make(chan struct{}, 1),
 		rngState: s.opts.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15,
 	}
 	w.queues = make([]*deque.Deque[node], s.topo.QueueLevels)
@@ -152,18 +162,22 @@ func (w *worker) pushTask(t Task, r int, g *Group, join *TaskGroup) {
 }
 
 // pushNode makes an already-accounted node runnable on the local queue of
-// its size class. Spawns is counted at the true spawn site (pushTask), not
-// here: pushNode also serves takeInjected, whose takes are reported as
-// InjectTakes, not spawns.
+// its size class and, if anybody is parked, wakes a worker that can steal
+// it (park.go). The check is one load of a read-mostly word that finds zero
+// whenever all workers are busy — all an interior spawn pays for parking.
 //
-//repro:noalloc runs once per spawned or injected task
+//repro:noalloc runs once per interior spawn
 func (w *worker) pushNode(n *node) {
-	w.queues[topo.Level(n.r)].PushBottom(n)
+	j := topo.Level(n.r)
+	w.queues[j].PushBottom(n)
+	if w.sched.park.n.Load() != 0 {
+		w.wakeThief(w, j)
+	}
 }
 
 // loop is the worker main loop (Algorithm 1 + Algorithm 5 structure):
 // member polling takes precedence, then local coordination/execution, then
-// externally injected tasks, then stealing, then backoff.
+// externally injected tasks, then stealing, then a spin round or the park.
 func (w *worker) loop() {
 	defer w.sched.wg.Done()
 	if w.sched.opts.PinOSThreads {
@@ -193,6 +207,7 @@ func (w *worker) loop() {
 		w.ev(trace.EvStealAttempt, w.id, 0, 0)
 		if w.stealTasks() {
 			w.bo.Reset()
+			w.stopSearching() // a registration; a steal already stopped it
 			continue
 		}
 		w.st.FailedAttempts.Add(1)
@@ -200,13 +215,19 @@ func (w *worker) loop() {
 	}
 }
 
-// idleWait backs off after an unsuccessful steal round.
+// idleWait follows an unsuccessful steal round: one spin or yield round
+// while the backoff's budget lasts — they catch back-to-back requests — and
+// after that the park, which ends only when a publisher wakes the worker or
+// the scheduler shuts down. No timer runs for an idle worker.
 func (w *worker) idleWait() {
 	w.st.Backoffs.Add(1)
 	w.freeLen.Store(int64(len(w.free)))
 	w.setState(trace.StatePark)
 	w.ev(trace.EvPark, w.id, 0, 0)
-	w.bo.Wait()
+	w.startSearching()
+	if !w.bo.Pause() {
+		w.park()
+	}
 	w.ev(trace.EvUnpark, w.id, 0, 0)
 	w.setState(trace.StateIdle)
 }

@@ -29,11 +29,13 @@ type Worker struct {
 	Revocations     atomic.Int64 // registrations found revoked (epoch change)
 	ConflictsLost   atomic.Int64 // coordination conflicts yielded to another coordinator
 	CASFailures     atomic.Int64 // failed CAS on a registration word
-	Backoffs        atomic.Int64 // backoff waits
+	Backoffs        atomic.Int64 // backoff waits (an idle worker's: one per spin round or park)
 	Polls           atomic.Int64 // pollPartners invocations
 	InjectTakes     atomic.Int64 // tasks taken from the inject queues
+	Parks           atomic.Int64 // times the worker blocked on its wake slot
+	Wakes           atomic.Int64 // wake-ups this worker sent to parked workers
 
-	_ [6]int64 // pad to reduce false sharing
+	_ [5]int64 // pad to reduce false sharing (24 words: three cache lines)
 }
 
 // Snapshot is a plain-value copy of a Worker's counters.
@@ -42,7 +44,7 @@ type Snapshot struct {
 	Spawns, Steals, TasksStolen, StealAttempts        int64
 	FailedAttempts, Registrations, Deregistrations    int64
 	Revocations, ConflictsLost, CASFailures, Backoffs int64
-	Polls, InjectTakes                                int64
+	Polls, InjectTakes, Parks, Wakes                  int64
 }
 
 // Snapshot returns a consistent-enough copy for reporting (individual loads
@@ -66,6 +68,8 @@ func (w *Worker) Snapshot() Snapshot {
 		Backoffs:        w.Backoffs.Load(),
 		Polls:           w.Polls.Load(),
 		InjectTakes:     w.InjectTakes.Load(),
+		Parks:           w.Parks.Load(),
+		Wakes:           w.Wakes.Load(),
 	}
 }
 
@@ -88,16 +92,18 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.Backoffs += o.Backoffs
 	s.Polls += o.Polls
 	s.InjectTakes += o.InjectTakes
+	s.Parks += o.Parks
+	s.Wakes += o.Wakes
 }
 
 // String renders the snapshot on one line.
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
-		"tasks=%d team_tasks=%d teams=%d coord=%d spawns=%d steals=%d stolen=%d attempts=%d failed=%d reg=%d dereg=%d revoked=%d conflicts=%d cas_fail=%d backoffs=%d polls=%d inject_takes=%d",
+		"tasks=%d team_tasks=%d teams=%d coord=%d spawns=%d steals=%d stolen=%d attempts=%d failed=%d reg=%d dereg=%d revoked=%d conflicts=%d cas_fail=%d backoffs=%d polls=%d inject_takes=%d parks=%d wakes=%d",
 		s.TasksRun, s.TeamTasksRun, s.TeamsFormed, s.TeamsCoordd, s.Spawns,
 		s.Steals, s.TasksStolen, s.StealAttempts, s.FailedAttempts,
 		s.Registrations, s.Deregistrations, s.Revocations, s.ConflictsLost,
-		s.CASFailures, s.Backoffs, s.Polls, s.InjectTakes)
+		s.CASFailures, s.Backoffs, s.Polls, s.InjectTakes, s.Parks, s.Wakes)
 }
 
 // Sum aggregates the snapshots of all workers.

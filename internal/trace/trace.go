@@ -45,8 +45,8 @@ const (
 	EvBarrierEnter // team barrier entered; Other = coordinator, X = local id, Arg = task trace id
 	EvBarrierLeave // team barrier passed; Other = coordinator, X = local id, Arg = task trace id
 	// Idleness.
-	EvPark   // worker begins a backoff wait after a failed steal round
-	EvUnpark // worker returns from the backoff wait
+	EvPark   // worker begins an idle wait after a failed steal round: spin, then parked until woken
+	EvUnpark // worker returns from the idle wait (a spin round ended, or it was woken)
 	// Registration-protocol transitions.
 	EvRegister      // Other = coordinator, X = acquired count, Arg = epoch
 	EvDeregister    // Other = coordinator, X = acquired count, Arg = epoch
@@ -92,7 +92,7 @@ const (
 	StateRun                  // running a single-threaded task
 	StateRunTeam              // running its share of a team task
 	StateSteal                // in a steal round
-	StatePark                 // backoff wait after a failed steal round
+	StatePark                 // idle wait after a failed steal round: spin, then parked until woken
 	StateMember               // registered at another coordinator (in-team polling)
 
 	NumStates

@@ -32,11 +32,12 @@ echo "check: go test ./..."
 go test ./...
 
 # Count-flake guard: the tests that assert on quiescence, release counts,
-# cancellation and forced steals, ten times over, so a timing-dependent
-# assertion fails at the PR that introduces it (bounded by -timeout).
-echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle)"
-go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle' \
-  ./internal/core ./internal/classic
+# cancellation, forced steals and the park/wake protocol, ten times over, so
+# a timing-dependent assertion fails at the PR that introduces it (bounded by
+# -timeout — idle workers block without a timer, so a lost wake-up is a hang).
+echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle|Park|Wake)"
+go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle|Park|Wake' \
+  ./internal/core ./internal/classic ./internal/chaos
 
 # The race list and its rationale live in scripts/checkdefs.sh.
 echo "check: go test -race ${RACE_PKGS}"
@@ -46,8 +47,8 @@ echo "check: bounded-queue throughput smoke (admission backpressure end to end)"
 go run ./cmd/throughput -clients 8 -max-pending 2 -max-inject 8 -duration 300ms \
   -sizes 65536 -dists random -algos mmpar,fork > /dev/null
 
-echo "check: chaos smoke (fault injection + cancel storm, invariants checked per round)"
-go run ./cmd/stress -p 4 -rounds 8 -tasks 120 -chaos -seed 1 > /dev/null
+echo "check: chaos smoke (fault injection + cancel storm, invariants checked per round; a lost wake-up is the timeout)"
+timeout 120 go run ./cmd/stress -p 4 -rounds 8 -tasks 120 -chaos -seed 1 > /dev/null
 
 echo "check: abandon-mix smoke (deadline-abandoned batches vs interactive sorts)"
 go run ./cmd/throughput -mix abandon -clients 6 -duration 400ms -abandon-after 3ms \
@@ -83,7 +84,7 @@ if [[ -z "${addr}" ]]; then
   exit 1
 fi
 "${metricsdir}/metricscheck" -retry 5s -monotonic 1s \
-  -require repro_sched_steals_total,repro_sched_inject_takes_total,repro_sched_inflight_tasks,repro_admission_injected_total,repro_admission_wait_seconds_count,repro_uptime_seconds,repro_worker_state_samples_total,repro_trace_events_total,repro_group_pending_sorts,repro_sort_latency_seconds_bucket,repro_canceled_total,repro_revoked_total,repro_spawn_timeouts_total \
+  -require repro_sched_steals_total,repro_sched_inject_takes_total,repro_sched_parks_total,repro_sched_wakeups_total,repro_sched_inflight_tasks,repro_admission_injected_total,repro_admission_wait_seconds_count,repro_uptime_seconds,repro_worker_state_samples_total,repro_trace_events_total,repro_group_pending_sorts,repro_sort_latency_seconds_bucket,repro_canceled_total,repro_revoked_total,repro_spawn_timeouts_total \
   "http://${addr}/metrics"
 wait "${tp_pid}"
 tp_pid=""
