@@ -233,10 +233,10 @@ func chaosStress(s *core.Scheduler, inj *chaos.Injector, rounds, tasks int, seed
 	}
 	adm, ist := s.Admission(), inj.Stats()
 	fmt.Printf("OK (chaos): %d rounds in %v\n  groups: %d canceled / %d completed; %s\n"+
-		"  faults: stalls=%d park-stalls=%d take-delays=%d admit-delays=%d cancels=%d\n",
+		"  faults: stalls=%d park-stalls=%d team-park-stalls=%d take-delays=%d admit-delays=%d cancels=%d\n",
 		rounds, time.Since(start).Round(time.Millisecond),
 		canceledTotal, completedTotal, adm,
-		ist.Injected[core.FaultWorkerLoop], ist.Injected[core.FaultPark],
+		ist.Injected[core.FaultWorkerLoop], ist.Injected[core.FaultPark], ist.Injected[core.FaultTeamPark],
 		ist.Injected[core.FaultInjectTake], ist.Injected[core.FaultAdmit], ist.Cancels)
 	if canceledTotal == 0 || adm.Revoked == 0 {
 		fmt.Fprintln(os.Stderr, "chaos storm never landed: no cancellations or revocations — weak run")

@@ -8,17 +8,18 @@
 // before any timed sleep, which keeps the scheduler from fighting the
 // runtime's own scheduler during short waits.
 //
-// Who still sleeps: the waits on one specific counter, which are bounded by
-// the length of a task rather than by idleness — TaskGroup.Wait's helper
-// loop, a team member polling its coordinator, a coordinator gathering its
-// team and counting down its members (internal/core), teamsync.Barrier,
+// Who still sleeps: the waits that poll partners or have several wakers — a
+// coordinator gathering its team and a registered member that is not yet
+// part of a fixed team (internal/core), TaskGroup.Wait's helper loop,
 // Group.SpawnRetry — and every loop of internal/classic, the paper's
 // baseline, which polls as the paper describes. They call Wait.
 //
-// Who no longer does: an idle worker of internal/core. It calls Pause for
-// the spin and yield rounds only and, once Pause reports the budget spent,
-// parks until a publisher wakes it (internal/core/park.go) — no timer runs
-// on behalf of a worker that has nothing to do.
+// Who no longer does: an idle worker of internal/core, and every wait
+// between team-fix and disband — teamsync.Barrier and Counter, a fixed
+// team's member awaiting its coordinator, the coordinator counting its
+// members down. They call Pause for the spin and yield rounds only and, once
+// Pause reports the budget spent, park on a wake.Slot until the one worker
+// that ends the wait wakes them (internal/core/park.go, teamwait.go).
 package backoff
 
 import (

@@ -37,9 +37,10 @@ type Options struct {
 	StallEvery int
 	// StallDur is the injected worker stall length (default DefaultStallDur).
 	StallDur time.Duration
-	// ParkStallEvery stalls ~1/N parks for StallDur after the idle worker
-	// announced itself parked and before it re-checks and blocks — the
-	// window in which publishers already count on being able to wake it.
+	// ParkStallEvery stalls ~1/N parks for StallDur after the worker
+	// announced itself on its wake slot and before it re-checks and blocks —
+	// the window in which wakers already count on being able to wake it. It
+	// covers the idle park and the waits inside a fixed team alike.
 	ParkStallEvery int
 	// DelayTakeEvery delays ~1/N inject-queue drains by DelayDur, widening
 	// the window between a cancel and its revocations.
@@ -94,7 +95,7 @@ func (i *Injector) Fault(p core.FaultPoint, worker int) {
 			i.injected[p].Add(1)
 			time.Sleep(i.opts.StallDur)
 		}
-	case core.FaultPark:
+	case core.FaultPark, core.FaultTeamPark:
 		if i.roll(i.opts.ParkStallEvery) {
 			i.injected[p].Add(1)
 			time.Sleep(i.opts.StallDur)

@@ -264,6 +264,54 @@ func TestChaosParkStall(t *testing.T) {
 	}
 }
 
+// TestChaosTeamParkStall is TestChaosParkStall for the waits inside a fixed
+// team: three clients issue r = P tasks with two barrier phases each while
+// every second park — in a barrier, of a member awaiting its coordinator, of
+// a coordinator counting its members down — stalls between announcement and
+// re-check, so wakers keep finding sleepers that are announced but not yet
+// asleep. None of these waits has a timer: a lost wake-up is the -timeout.
+func TestChaosTeamParkStall(t *testing.T) {
+	inj := New(Options{Seed: 5, ParkStallEvery: 2, StallDur: 100 * time.Microsecond})
+	const p = 4
+	s := core.New(core.Options{P: p, Fault: inj.Fault})
+	defer s.Shutdown()
+
+	const clients, rounds = 3, 60
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var cells [p]atomic.Int64
+			for r := 1; r <= rounds; r++ {
+				err := s.Run(core.Func(p, func(ctx *core.Ctx) {
+					cells[ctx.LocalID()].Store(int64(r))
+					ctx.Barrier()
+					if got := cells[(ctx.LocalID()+1)%p].Load(); got != int64(r) {
+						t.Errorf("client %d round %d: neighbour's cell = %d after the barrier", c, r, got)
+					}
+					ctx.Barrier() // nobody overwrites a cell its neighbour still reads
+				}))
+				if err != nil {
+					t.Errorf("Run = %v", err)
+					return
+				}
+				time.Sleep(time.Duration(30*c) * time.Microsecond)
+			}
+		}(c)
+	}
+	wg.Wait()
+	if s.Pending() != 0 {
+		t.Fatalf("scheduler pending = %d after the last Run returned", s.Pending())
+	}
+	st := inj.Stats()
+	t.Logf("chaos: %d team parks announced, %d stalled; %d idle parks announced, %d stalled",
+		st.Calls[core.FaultTeamPark], st.Injected[core.FaultTeamPark], st.Calls[core.FaultPark], st.Injected[core.FaultPark])
+	if st.Injected[core.FaultTeamPark] == 0 {
+		t.Error("no team park was stalled — the window was never widened")
+	}
+}
+
 func sorted(d []int) bool {
 	for i := 1; i < len(d); i++ {
 		if d[i-1] > d[i] {

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"repro/internal/reg"
-	"repro/internal/teamsync"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -75,13 +72,11 @@ func (w *worker) coordinate() {
 			}
 			w.gather(lvl, target)
 		default: // r.Team > target: shrink deterministically to my block
-			if w.regw.CAS(r, reg.R{
+			if w.casTeam(r, reg.R{
 				Req: uint16(target), Acq: uint16(target),
 				Team: uint16(target), Epoch: r.Epoch + 1,
 			}) {
 				w.ev(trace.EvShrink, w.id, target, uint64(r.Epoch)+1)
-			} else {
-				w.casFail()
 			}
 		}
 	}
@@ -137,11 +132,10 @@ func (w *worker) preemptLevel(r reg.R, lvl int) int {
 // revoked and any team is disbanded (epoch bump).
 func (w *worker) dropCoordination(r reg.R) {
 	for r.Req != 1 || r.Acq != 1 || r.Team != 1 {
-		if w.regw.CAS(r, reg.R{Req: 1, Acq: 1, Team: 1, Epoch: r.Epoch + 1}) {
+		if w.casTeam(r, reg.Idle(r.Epoch+1)) {
 			w.ev(trace.EvDisband, w.id, int(r.Acq), uint64(r.Epoch)+1)
 			return
 		}
-		w.casFail()
 		r = w.regw.Load()
 	}
 }
@@ -182,10 +176,8 @@ func (w *worker) gather(lvl, target int) {
 			if t < 1 {
 				t = 1
 			}
-			if w.regw.CAS(r, reg.R{Req: t, Acq: t, Team: t, Epoch: r.Epoch + 1}) {
+			if w.casTeam(r, reg.R{Req: t, Acq: t, Team: t, Epoch: r.Epoch + 1}) {
 				w.ev(trace.EvPreempt, w.id, int(t), uint64(r.Epoch)+1)
-			} else {
-				w.casFail()
 			}
 			return
 		}
@@ -193,17 +185,6 @@ func (w *worker) gather(lvl, target int) {
 		w.st.Backoffs.Add(1)
 		w.bo.Wait()
 	}
-}
-
-// countdown waits for one of a team execution's counters to reach zero (or
-// for shutdown) and leaves a fresh backoff behind, as gather does when it
-// fixes the team: each countdown is bounded by the members' next poll or by
-// the task's length, so none starts at the level an earlier wait reached.
-func (w *worker) countdown(c *atomic.Int32) {
-	for c.Load() > 0 && !w.sched.done.Load() {
-		w.bo.Wait()
-	}
-	w.bo.Reset()
 }
 
 // publishAndRun pops the bottom task of queue lvl and executes it with the
@@ -232,13 +213,15 @@ func (w *worker) publishAndRun(lvl, target int) {
 		coordID:  w.id,
 		gen:      s.nextGen(),
 		tid:      n.tid,
-		barrier:  teamsync.NewBarrier(n.r),
 	}
+	exec.barrier.Init(exec.width)
 	exec.started.Store(int32(target - 1))
 	exec.done.Store(int32(exec.width))
 	w.freeNode(n) // content copied into exec; recycle before running
 	w.lastGen = exec.gen
 	w.cur.Store(exec)
+	// Members kept from the previous task are parked in memberStep.
+	w.wakeRange(topo.TeamLeft(w.id, target), topo.TeamRight(w.id, target), wakeTeamWait)
 	w.ev(trace.EvPublish, w.id, target, exec.gen)
 	w.st.TeamsFormed.Add(1)
 	if lid := topo.LocalID(w.id, w.id, target); lid < exec.width {

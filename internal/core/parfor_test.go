@@ -1,9 +1,10 @@
 package core
 
 import (
-	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForStaticCoversRange(t *testing.T) {
@@ -69,26 +70,24 @@ func TestForDynamicCoversRange(t *testing.T) {
 }
 
 func TestForDynamicBalancesIrregularWork(t *testing.T) {
-	if runtime.NumCPU() < 2 {
-		// On a single CPU one member can legitimately drain the whole chunk
-		// counter before any teammate is scheduled; the balancing property
-		// under test requires members that actually run concurrently.
-		t.Skip("dynamic balancing needs ≥2 CPUs")
-	}
 	s := newTest(t, Options{P: 4})
 	const n = 4096
 	var perWorker [4]atomic.Int64
-	s.Run(ForDynamic(4, n, 16, func(ctx *Ctx, lo, hi int) {
-		perWorker[ctx.LocalID()].Add(int64(hi - lo))
-		// Irregular cost: early indices are much more expensive.
-		if lo < n/8 {
-			x := 0
-			for i := 0; i < 300000; i++ {
-				x += i
+	// The irregular cost is forced, not timed: whoever claims the first chunk
+	// is held on it until another member has claimed one — a latch only
+	// another worker releases (the held member claims nothing meanwhile).
+	other := make(chan struct{})
+	var once sync.Once
+	runWithDeadline(t, s, 30*time.Second, func() {
+		s.Run(ForDynamic(4, n, 16, func(ctx *Ctx, lo, hi int) {
+			perWorker[ctx.LocalID()].Add(int64(hi - lo))
+			if lo == 0 {
+				<-other
+			} else {
+				once.Do(func() { close(other) })
 			}
-			_ = x
-		}
-	}))
+		}))
+	})
 	total := int64(0)
 	for i := range perWorker {
 		total += perWorker[i].Load()
@@ -96,8 +95,8 @@ func TestForDynamicBalancesIrregularWork(t *testing.T) {
 	if total != n {
 		t.Fatalf("covered %d indices, want %d", total, n)
 	}
-	// Dynamic scheduling must spread work: no member may have processed
-	// everything (the member stuck on expensive chunks gets fewer).
+	// Dynamic scheduling must spread work: the members that were not stuck
+	// on the expensive chunk took the rest of the range meanwhile.
 	for i := range perWorker {
 		if perWorker[i].Load() == n {
 			t.Fatal("one member processed the whole range; dynamic scheduling dead")

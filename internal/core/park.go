@@ -15,10 +15,10 @@ import (
 // the table of sites and the no-lost-wake-up argument.
 
 // parkState is the scheduler-wide summary of the parked set. The per-worker
-// flags (worker.parked) are the set itself — they work for every P the
-// registration word allows — and n is their count: the one word a publisher
-// loads per spawn, read-mostly and alone on its cache line, so that with
-// nobody parked a spawn pays one load of a shared-clean line.
+// slots (worker.slot announced as slotIdle) are the set itself — they work
+// for every P the registration word allows — and n is their count: the one
+// word a publisher loads per spawn, read-mostly and alone on its cache line,
+// so that with nobody parked a spawn pays one load of a shared-clean line.
 //
 //repro:padded
 type parkState struct {
@@ -37,17 +37,29 @@ type parkState struct {
 	_         [64]byte
 }
 
+// The kinds of sleeper a worker's wake slot holds (wake.Slot tags).
+const (
+	slotIdle     uint32 = 1 + iota // the idle park of this file
+	slotBarrier                    // a participant in Ctx.Barrier (teamwait.go)
+	slotTeamWait                   // a member awaiting its coordinator, or a coordinator its members
+)
+
 // wakeSource labels repro_sched_wakeups_total.
 type wakeSource uint8
 
 const (
-	wakeInject wakeSource = iota // an admission, or a take that left injections pending
-	wakeSpawn                    // an interior spawn, or a steal that left or landed tasks
-	wakeTeam                     // a coordinator raising its advertisement
+	wakeInject   wakeSource = iota // an admission, or a take that left injections pending
+	wakeSpawn                      // an interior spawn, or a steal that left or landed tasks
+	wakeTeam                       // a coordinator raising its advertisement
+	wakeBarrier                    // the last arrival at a team barrier
+	wakeTeamWait                   // a publish, pickup, finished share or team-ending transition
 	numWakeSources
 )
 
-var wakeSourceNames = [numWakeSources]string{"inject", "spawn", "team"}
+var wakeSourceNames = [numWakeSources]string{"inject", "spawn", "team", "barrier", "teamwait"}
+
+// wakeSlot is the kind of sleeper each source's event is for.
+var wakeSlot = [numWakeSources]uint32{slotIdle, slotIdle, slotIdle, slotBarrier, slotTeamWait}
 
 // startSearching counts w among the searchers (idempotent; owner only).
 func (w *worker) startSearching() {
@@ -66,19 +78,19 @@ func (w *worker) stopSearching() {
 }
 
 // park blocks w until a publisher wakes it or the scheduler shuts down.
-// Sleeper side of the protocol: announce (flag, then count), stop counting
+// Sleeper side of the protocol: announce (slot, then count), stop counting
 // as a searcher, re-check every source, block. A publisher stores its work
-// first and loads the count, the searcher count and the flag afterwards, so
+// first and loads the count, the searcher count and the slot afterwards, so
 // one of the two sees the other.
 func (w *worker) park() {
 	s := w.sched
-	w.parked.Store(true)
+	w.slot.Arm(slotIdle)
 	s.park.n.Add(1)
 	w.stopSearching()
 	if f := s.opts.Fault; f != nil {
 		f(FaultPark, w.id)
 	}
-	if (w.workVisible() || s.done.Load()) && w.parked.CompareAndSwap(true, false) {
+	if (w.workVisible() || s.done.Load()) && w.slot.Claim(slotIdle) {
 		s.park.n.Add(-1)
 		return
 	}
@@ -86,12 +98,10 @@ func (w *worker) park() {
 	// and the re-check: its token is in the slot or on its way, and taking
 	// it here keeps the slot empty for the next park.
 	w.st.Parks.Add(1)
-	select {
-	case <-w.wakeCh:
+	if w.slot.Sleep(s.doneCh) {
 		// The waker counted w as a searcher when it claimed it.
 		w.searching = true
 		w.bo.Reset()
-	case <-s.doneCh:
 	}
 }
 
@@ -143,23 +153,38 @@ func (w *worker) canSteal(x *worker, j int) bool {
 	return j == 0 || (w.fits(j) && !topo.Overlap(w.id, x.id, 1<<uint(j)))
 }
 
-// wake claims c if it is parked and signals it, on behalf of worker by (nil
-// for a client goroutine). The claim is exclusive and precedes the signal,
-// so one park receives at most one token and the send never blocks.
+// wake claims c if it sleeps in the kind of wait src's event ends and
+// signals it, on behalf of worker by (nil for a client goroutine). The claim
+// is exclusive and precedes the signal, so one sleep receives at most one
+// token and the send never blocks.
 //
-//repro:noalloc a wake-up sits on the spawner's path; the slot is pre-allocated, no timer, no channel per park
+//repro:noalloc a wake-up sits on the spawner's and the barrier's path; the slot is pre-allocated, no timer, no channel per park
 func (s *Scheduler) wake(c *worker, src wakeSource, by *worker) bool {
-	if !c.parked.Load() || !c.parked.CompareAndSwap(true, false) {
+	tag := wakeSlot[src]
+	if !c.slot.Claim(tag) {
 		return false
 	}
-	s.park.n.Add(-1)
-	s.park.searching.Add(1) // c searches from now on; see parkState.searching
+	if tag == slotIdle {
+		s.park.n.Add(-1)
+		s.park.searching.Add(1) // c searches from now on; see parkState.searching
+	}
 	s.wakes[src].Add(1)
 	if by != nil {
 		by.st.Wakes.Add(1)
 	}
-	c.wakeCh <- struct{}{}
+	c.slot.Signal()
 	return true
+}
+
+// wakeRange wakes, for src, every worker with an id in [lo, hi) but w.
+//
+//repro:noalloc the barrier's release and the coordinator's publish run it per team task
+func (w *worker) wakeRange(lo, hi int, src wakeSource) {
+	for id := lo; id < hi; id++ {
+		if id != w.id {
+			w.sched.wake(w.sched.workers[id], src, w)
+		}
+	}
 }
 
 // wakeThief is called after tasks of size class j became visible on pub's
@@ -214,13 +239,10 @@ func (s *Scheduler) wakeForInject(by *worker) {
 // block of need consecutive ids around w — so every parked worker of the
 // block is woken; each registers on its next steal round.
 func (w *worker) wakeTeam(need int) {
-	s := w.sched
-	if s.park.n.Load() == 0 {
+	if w.sched.park.n.Load() == 0 {
 		return
 	}
-	for id := topo.TeamLeft(w.id, need); id < topo.TeamRight(w.id, need); id++ {
-		s.wake(s.workers[id], wakeTeam, w)
-	}
+	w.wakeRange(topo.TeamLeft(w.id, need), topo.TeamRight(w.id, need), wakeTeam)
 }
 
 // parked returns the number of workers currently announced parked (racy;

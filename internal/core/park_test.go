@@ -42,6 +42,9 @@ func wakesBy(s *Scheduler, src wakeSource) int64 { return s.wakes[src].Load() }
 func TestParkWakeOnInject(t *testing.T) {
 	s := newTest(t, Options{P: 4})
 	waitParked(t, s, 4)
+	// Announced is not yet blocked: a worker still before its re-check would
+	// see the injection and withdraw, which Parks rightly does not count.
+	waitFor(t, s, "every worker blocked", func() bool { return s.Stats().Parks >= 4 })
 	ran := false
 	runWithDeadline(t, s, 10*time.Second, func() {
 		g := s.NewGroup()
@@ -205,32 +208,26 @@ func TestDumpStateParked(t *testing.T) {
 
 // ---- whitebox: the protocol's pieces on a scheduler whose workers never run
 
+// fakeParked is the set of workers fakePark announced and woken has not yet
+// found claimed (the whitebox tests run one at a time).
+var fakeParked = map[*worker]bool{}
+
 // fakePark announces w the way park does, without blocking.
 func fakePark(w *worker) {
-	w.parked.Store(true)
+	w.slot.Arm(slotIdle)
 	w.sched.park.n.Add(1)
+	fakeParked[w] = true
 }
 
-// token reports whether w's wake slot holds a token, consuming it.
-func token(w *worker) bool {
-	select {
-	case <-w.wakeCh:
-		return true
-	default:
-		return false
-	}
-}
-
-// woken returns the ids of the workers that were claimed and signalled,
-// consuming their tokens, and checks that claim and signal went together.
+// woken returns the ids of the fake-parked workers that were claimed since,
+// and takes each one's token: a claim without its signal is the deadline.
 func woken(t *testing.T, s *Scheduler) []int {
 	t.Helper()
 	var ids []int
 	for _, w := range s.workers {
-		if token(w) {
-			if w.parked.Load() {
-				t.Fatalf("worker %d signalled without being claimed", w.id)
-			}
+		if fakeParked[w] && w.slot.Tag() == 0 {
+			delete(fakeParked, w)
+			runWithDeadline(t, s, 10*time.Second, func() { w.slot.Sleep(nil) })
 			ids = append(ids, w.id)
 		}
 	}
@@ -381,8 +378,8 @@ func TestWBParkRecheck(t *testing.T) {
 	w := s.workers[0]
 	w.startSearching()
 	runWithDeadline(t, s, 10*time.Second, w.park)
-	if w.parked.Load() || s.parked() != 0 {
-		t.Fatalf("announcement not withdrawn: flag=%v count=%d", w.parked.Load(), s.parked())
+	if w.slot.Tag() != 0 || s.parked() != 0 {
+		t.Fatalf("announcement not withdrawn: tag=%v count=%d", w.slot.Tag(), s.parked())
 	}
 	if w.searching || s.park.searching.Load() != 0 {
 		t.Fatal("a worker on its way into the park must stop counting as a searcher")
@@ -413,11 +410,8 @@ func TestWBParkClaimedBeforeRecheck(t *testing.T) {
 	if !w.searching || s.park.searching.Load() != 1 {
 		t.Fatal("a claimed worker comes back counted as a searcher")
 	}
-	if token(w) {
-		t.Fatal("the waker's token outlived the park it was sent for")
-	}
 	// Second park: nothing visible, nobody claims it. It must block until
-	// woken.
+	// woken — a token that outlived the first park would let it through.
 	s.workers[1].queues[0].PopBottom()
 	w.stopSearching()
 	back := make(chan struct{})
@@ -485,6 +479,9 @@ func TestWBCoordinatorBackoffResetAtTeamFix(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		coord.gather(1, 2)
+		// As coordinate() would with its queue empty: a member of the kept
+		// team may be parked in memberStep, and only its coordinator wakes it.
+		coord.dropCoordination(coord.regw.Load())
 		close(done)
 	}()
 	runWithDeadline(t, s, 10*time.Second, func() {

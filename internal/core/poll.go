@@ -70,8 +70,7 @@ func (w *worker) pollPartners(c *worker, rneed int) {
 func (w *worker) switchCoordinator(c, xc *worker) {
 	if c == w {
 		r := w.regw.Load()
-		if !w.regw.CAS(r, reg.R{Req: 1, Acq: 1, Team: 1, Epoch: r.Epoch + 1}) {
-			w.casFail()
+		if !w.casTeam(r, reg.Idle(r.Epoch+1)) {
 			return
 		}
 		w.ev(trace.EvConflictYield, xc.id, int(r.Acq), uint64(r.Epoch))

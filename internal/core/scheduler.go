@@ -84,6 +84,10 @@ const (
 	// widens the one window the wake-up protocol has to cover: publishers
 	// find the worker in the parked set while it is still running.
 	FaultPark
+	// FaultTeamPark is FaultPark's twin for the waits inside a fixed team
+	// (a barrier, a member awaiting its coordinator, a coordinator counting
+	// down): announced on the wake slot, not yet re-checked.
+	FaultTeamPark
 
 	NumFaultPoints
 )

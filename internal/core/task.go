@@ -154,7 +154,7 @@ func (c *Ctx) Barrier() {
 		return
 	}
 	c.w.ev(trace.EvBarrierEnter, c.exec.coordID, c.localID, c.exec.tid)
-	c.exec.barrier.Wait()
+	c.w.barrier(c.exec)
 	c.w.ev(trace.EvBarrierLeave, c.exec.coordID, c.localID, c.exec.tid)
 }
 

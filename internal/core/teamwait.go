@@ -1,0 +1,99 @@
+package core
+
+import (
+	"sync/atomic"
+
+	"repro/internal/backoff"
+	"repro/internal/reg"
+	"repro/internal/topo"
+)
+
+// The waits between team-fix and disband. Each waits for one event that one
+// named worker produces, so after the spin and yield rounds the waiter parks
+// on its wake slot — park.go's, under a tag of its own — and the producer
+// wakes it: no timer runs inside a team. README.md (Parking and wake-up) has
+// the sites and the argument for each.
+
+// teamPark announces w on its slot and gives the fault hook the window
+// between announcement and re-check; the caller re-checks its condition and
+// hands the verdict to teamSleep, which withdraws or sleeps (wake.Settle).
+//
+//repro:noalloc runs in Ctx.Barrier
+func (w *worker) teamPark(tag uint32) {
+	w.slot.Arm(tag)
+	if f := w.sched.opts.Fault; f != nil {
+		f(FaultTeamPark, w.id)
+	}
+}
+
+//repro:noalloc runs in Ctx.Barrier
+func (w *worker) teamSleep(tag uint32, ready bool, stop <-chan struct{}) {
+	if w.slot.Settle(tag, ready, stop) {
+		w.st.Parks.Add(1)
+	}
+}
+
+// barrier is Ctx.Barrier on the executing worker. The participants are the
+// exec.width workers from the team's left end: the last arrival wakes those,
+// the others park. Shutdown does not end the wait — every participant that
+// picked the execution up arrives, and the task must not run on without it.
+//
+//repro:noalloc team phases hit the barrier per chunk
+func (w *worker) barrier(exec *teamExec) {
+	p, missing := exec.barrier.Arrive()
+	if missing == 0 {
+		left := topo.TeamLeft(exec.coordID, exec.teamSize)
+		w.wakeRange(left, left+exec.width, wakeBarrier)
+		return
+	}
+	var bo backoff.Backoff
+	for !exec.barrier.Passed(p) {
+		if !bo.Pause() {
+			w.teamPark(slotBarrier)
+			w.teamSleep(slotBarrier, exec.barrier.Passed(p), nil)
+		}
+	}
+}
+
+// countdown waits for one of a team execution's counters to reach zero (or
+// for shutdown) and leaves a fresh backoff behind, as gather does when it
+// fixes the team. The tick that reaches zero wakes it.
+func (w *worker) countdown(c *atomic.Int32) {
+	s := w.sched
+	for c.Load() > 0 && !s.done.Load() {
+		if !w.bo.Pause() {
+			w.teamPark(slotTeamWait)
+			w.teamSleep(slotTeamWait, c.Load() <= 0 || s.done.Load(), s.doneCh)
+		}
+	}
+	w.bo.Reset()
+}
+
+// tick takes one off a countdown of exec — a pickup in memberStep, a finished
+// share in runTeamPart — and at zero wakes the coordinator waiting for it.
+//
+//repro:noalloc twice per member per team task
+func (w *worker) tick(exec *teamExec, c *atomic.Int32) {
+	if c.Add(-1) == 0 && exec.coordID != w.id {
+		w.sched.wake(w.sched.workers[exec.coordID], wakeTeamWait, w)
+	}
+}
+
+// casTeam is the owner's CAS of its registration word for every transition
+// that can take workers out of its fixed team (nr.Team < r.Team: disband,
+// shrink, conflict-yield; a preempt keeps the team). The members of the old
+// block outside the new one may be parked in memberStep with nothing left to
+// wait for: they are woken to see that they left.
+//
+//repro:noalloc the team wake helper
+func (w *worker) casTeam(r, nr reg.R) bool {
+	if !w.regw.CAS(r, nr) {
+		w.casFail()
+		return false
+	}
+	if old, kept := int(r.Team), int(nr.Team); kept < old {
+		w.wakeRange(topo.TeamLeft(w.id, old), topo.TeamLeft(w.id, kept), wakeTeamWait)
+		w.wakeRange(topo.TeamRight(w.id, kept), topo.TeamRight(w.id, old), wakeTeamWait)
+	}
+	return true
+}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/reg"
-	"repro/internal/teamsync"
 )
 
 // White-box protocol tests: these drive the registration state machine
@@ -172,7 +171,7 @@ func TestWBMemberStepPickup(t *testing.T) {
 	exec := &teamExec{task: n.task, teamSize: 2, width: 2, coordID: 0, gen: s.nextGen()}
 	exec.started.Store(1)
 	exec.done.Store(2)
-	exec.barrier = teamsync.NewBarrier(1) // member-side run only in this test
+	exec.barrier.Init(1) // member-side run only in this test
 	coord.cur.Store(exec)
 
 	member.memberStep()

@@ -11,6 +11,7 @@ import (
 	"repro/internal/teamsync"
 	"repro/internal/topo"
 	"repro/internal/trace"
+	"repro/internal/wake"
 )
 
 // teamExec is the published description of one team task execution. The
@@ -24,11 +25,11 @@ type teamExec struct {
 	teamSize int    // power-of-two team size
 	width    int    // actual thread requirement r ≤ teamSize
 	coordID  int
-	gen      uint64            // scheduler-unique generation
-	tid      uint64            // trace id of the task's creating event (0 untraced)
-	started  atomic.Int32      // countdown: teamSize−1 member pickups
-	done     atomic.Int32      // countdown: width participants finishing Run
-	barrier  *teamsync.Barrier // width participants
+	gen      uint64          // scheduler-unique generation
+	tid      uint64          // trace id of the task's creating event (0 untraced)
+	started  atomic.Int32    // countdown: teamSize−1 member pickups
+	done     atomic.Int32    // countdown: width participants finishing Run
+	barrier  teamsync.Phaser // width participants; they park on their workers' slots
 }
 
 // worker is one of the p scheduler workers ("hardware threads").
@@ -63,13 +64,12 @@ type worker struct {
 	// worker and at most nodeFreeCap stale on a busy one.
 	freeLen atomic.Int64
 
-	// Parking (park.go). parked is the worker's flag in the parked set: set
-	// by the owner when it announces itself, cleared by whoever claims it —
-	// a waker, which then puts one token into wakeCh, or the owner itself
-	// when its re-check finds work. searching is owner-only and mirrors
-	// whether the worker is counted in the scheduler's searcher count.
-	parked    atomic.Bool
-	wakeCh    chan struct{} // capacity 1: at most one token per park
+	// Parking (park.go, teamwait.go). slot is where the worker sleeps in
+	// every wait that has a waker: announced as slotIdle it is the worker's
+	// membership in the parked set, as slotBarrier or slotTeamWait a wait
+	// inside a fixed team. searching is owner-only and mirrors whether the
+	// worker is counted in the scheduler's searcher count.
+	slot      wake.Slot
 	searching bool
 
 	// state publishes the worker's coarse activity (a trace.State) for the
@@ -85,9 +85,9 @@ func newWorker(s *Scheduler, id int) *worker {
 		id:       id,
 		sched:    s,
 		free:     make([]*node, 0, nodeFreeCap),
-		wakeCh:   make(chan struct{}, 1),
 		rngState: s.opts.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15,
 	}
+	w.slot.Init()
 	w.queues = make([]*deque.Deque[node], s.topo.QueueLevels)
 	for j := range w.queues {
 		w.queues[j] = deque.New[node]()
@@ -279,7 +279,7 @@ func (w *worker) runTeamPart(exec *teamExec, lid int) {
 	if xt := w.sched.xt; xt.Enabled() {
 		xt.Record(w.id, trace.EvStart, exec.coordID, uint32(exec.width), exec.tid)
 	}
-	defer exec.done.Add(-1)
+	defer w.tick(exec, &exec.done)
 	exec.task.Run(ctx)
 	if xt := w.sched.xt; xt.Enabled() {
 		xt.Record(w.id, trace.EvDone, exec.coordID, uint32(exec.width), exec.tid)
@@ -318,13 +318,12 @@ func (w *worker) memberStep() {
 		w.leaveCoordinator()
 		return
 	}
-	if exec := c.cur.Load(); exec != nil && exec.gen != w.lastGen &&
-		topo.Overlap(exec.coordID, w.id, exec.teamSize) {
+	if exec := c.cur.Load(); w.pickable(exec) {
 		w.lastGen = exec.gen
 		w.teamed = true
 		lid := topo.LocalID(w.id, exec.coordID, exec.teamSize)
 		w.ev(trace.EvPickup, exec.coordID, lid, exec.gen)
-		exec.started.Add(-1)
+		w.tick(exec, &exec.started)
 		if lid < exec.width {
 			w.runTeamPart(exec, lid)
 		}
@@ -339,7 +338,20 @@ func (w *worker) memberStep() {
 		}
 	}
 	w.st.Backoffs.Add(1)
-	w.bo.Wait()
+	if !w.teamed {
+		w.bo.Wait()
+	} else if !w.bo.Pause() {
+		// A fixed team's member has nobody to poll: it waits for c's next
+		// execution or the end of its membership, and c wakes it for both
+		// (publishAndRun, casTeam).
+		w.teamPark(slotTeamWait)
+		w.teamSleep(slotTeamWait, w.pickable(c.cur.Load()) || c.regw.Load() != rc || w.sched.done.Load(), w.sched.doneCh)
+	}
+}
+
+// pickable reports whether exec is a published execution w has not picked up.
+func (w *worker) pickable(exec *teamExec) bool {
+	return exec != nil && exec.gen != w.lastGen && topo.Overlap(exec.coordID, w.id, exec.teamSize)
 }
 
 // leaveCoordinator resets the worker to self-coordination. No deregistration

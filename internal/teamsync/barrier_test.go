@@ -1,9 +1,13 @@
 package teamsync
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/wake"
 )
 
 func TestBarrierSinglePhase(t *testing.T) {
@@ -144,4 +148,146 @@ func TestReduceGetSet(t *testing.T) {
 			t.Fatalf("Get(%d) = %d", i, r.Get(i))
 		}
 	}
+}
+
+// parkedIn polls until want slots of bank hold an announced sleeper.
+func parkedIn(t *testing.T, bank []wake.Slot, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		n := 0
+		for i := range bank {
+			if bank[i].Tag() != 0 {
+				n++
+			}
+		}
+		if n == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d members parked, want %d", n, len(bank), want)
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+// TestBarrierLastArriverReleasesParked: over many consecutive phases, with
+// the slow member changing every phase, the n−1 others are seen parked
+// (announced on their slots) before the slow one is let go, so every release
+// is the last arriver's claim-and-signal and none is a lucky spin. No member
+// may get through early on a token left over from an earlier phase (the
+// arrivals counter would be short), and Wait returns true exactly once per
+// phase, to the slow member.
+func TestBarrierLastArriverReleasesParked(t *testing.T) {
+	const n, phases = 4, 1200
+	b := NewBarrier(n)
+	var arrivals, lasts atomic.Int64
+	var wg sync.WaitGroup
+	for id := 0; id < n; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for ph := 0; ph < phases; ph++ {
+				slow := ph%n == id
+				if slow {
+					parkedIn(t, b.slots[(ph&1)*(n-1):][:n-1], n-1)
+				}
+				arrivals.Add(1)
+				if b.Wait() {
+					lasts.Add(1)
+					if !slow {
+						t.Errorf("phase %d: member %d was last, want the slow member %d", ph, id, ph%n)
+					}
+				}
+				if got := arrivals.Load(); got < int64((ph+1)*n) {
+					t.Errorf("phase %d: member %d released after %d arrivals, want ≥ %d", ph, id, got, (ph+1)*n)
+					return
+				}
+			}
+		}(id)
+	}
+	wg.Wait()
+	if got := lasts.Load(); got != phases {
+		t.Fatalf("Wait returned true %d times over %d phases", got, phases)
+	}
+	for i := range b.slots {
+		if b.slots[i].Tag() != 0 {
+			t.Fatalf("slot %d still announced after the last phase", i)
+		}
+	}
+}
+
+// TestCounterDoneWakesParkedWaiter: the waiter is seen parked before the
+// last Done is issued, so it is that Done's wake-up that releases it.
+func TestCounterDoneWakesParkedWaiter(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		c := NewCounter(3)
+		back := make(chan struct{})
+		go func() { c.WaitZero(); close(back) }()
+		c.Done()
+		c.Done()
+		for deadline := time.Now().Add(30 * time.Second); c.slot.Tag() == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("waiter never parked")
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+		select {
+		case <-back:
+			t.Fatal("WaitZero returned at count 1")
+		default:
+		}
+		if !c.Done() {
+			t.Fatal("the third Done of three must report zero")
+		}
+		select {
+		case <-back:
+		case <-time.After(30 * time.Second):
+			t.Fatal("the Done that reached zero did not wake the parked waiter")
+		}
+	}
+}
+
+// FuzzBarrier runs n members through a number of phases with a per-member,
+// per-phase delay pattern drawn from the seed — spin, yield or sleep past the
+// spin budget — and checks the barrier's contract after every phase.
+func FuzzBarrier(f *testing.F) {
+	f.Add(uint8(2), uint8(10), uint64(1))
+	f.Add(uint8(5), uint8(40), uint64(0x9e3779b97f4a7c15))
+	f.Add(uint8(1), uint8(3), uint64(7))
+	f.Fuzz(func(t *testing.T, n8, phases8 uint8, seed uint64) {
+		n, phases := 1+int(n8%8), 1+int(phases8%64)
+		b := NewBarrier(n)
+		var arrivals, lasts atomic.Int64
+		var wg sync.WaitGroup
+		for id := 0; id < n; id++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				x := seed ^ uint64(id+1)*0x9e3779b97f4a7c15
+				for ph := 0; ph < phases; ph++ {
+					x ^= x << 13
+					x ^= x >> 7
+					x ^= x << 17
+					switch x % 4 {
+					case 1:
+						runtime.Gosched()
+					case 2:
+						time.Sleep(time.Duration(x>>8%50) * time.Microsecond)
+					}
+					arrivals.Add(1)
+					if b.Wait() {
+						lasts.Add(1)
+					}
+					if got := arrivals.Load(); got < int64((ph+1)*n) {
+						t.Errorf("phase %d: released after %d arrivals, want ≥ %d", ph, got, (ph+1)*n)
+						return
+					}
+				}
+			}(id)
+		}
+		wg.Wait()
+		if got := lasts.Load(); got != int64(phases) {
+			t.Fatalf("Wait returned true %d times over %d phases", got, phases)
+		}
+	})
 }

@@ -28,16 +28,32 @@ go run ./cmd/reprolint ./...
 echo "check: escapecheck (compiler escape analysis over //repro:noalloc functions)"
 go run ./scripts/escapecheck
 
+# No timer inside a team: teamsync parks on wake slots and takes only the
+# spin/yield rounds from internal/backoff, and the timed Wait is left to the
+# four polling waits of internal/core that have no single waker yet (gather,
+# the non-teamed member, TaskGroup.Wait, SpawnRetry).
+echo "check: no timed backoff inside a team"
+if grep -n 'bo\.Wait()\|time\.Sleep' internal/teamsync/barrier.go internal/wake/slot.go internal/core/teamwait.go; then
+  echo "check: FAIL (a team wait sleeps on a timer)"
+  exit 1
+fi
+waits=$(grep -c 'bo\.Wait()' $(ls internal/core/*.go | grep -v '_test\.go$') | grep -v ':0$' | tr '\n' ' ')
+if [[ "${waits}" != "internal/core/cancel.go:1 internal/core/coordinate.go:1 internal/core/taskgroup.go:1 internal/core/worker.go:1 " ]]; then
+  echo "check: FAIL (backoff.Wait call sites in internal/core are ${waits}; want one each in cancel, coordinate, taskgroup, worker)"
+  exit 1
+fi
+
 echo "check: go test ./..."
 go test ./...
 
 # Count-flake guard: the tests that assert on quiescence, release counts,
-# cancellation, forced steals and the park/wake protocol, ten times over, so
-# a timing-dependent assertion fails at the PR that introduces it (bounded by
-# -timeout — idle workers block without a timer, so a lost wake-up is a hang).
-echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle|Park|Wake)"
-go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle|Park|Wake' \
-  ./internal/core ./internal/classic ./internal/chaos
+# cancellation, forced steals, the park/wake protocol and the waits inside a
+# team, ten times over, so a timing-dependent assertion fails at the PR that
+# introduces it (bounded by -timeout — idle workers and team members block
+# without a timer, so a lost wake-up is a hang).
+echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn)"
+go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn' \
+  ./internal/core ./internal/classic ./internal/chaos ./internal/teamsync ./internal/wake
 
 # The race list and its rationale live in scripts/checkdefs.sh.
 echo "check: go test -race ${RACE_PKGS}"

@@ -14,9 +14,11 @@
 # ./internal/stats, the seqlock-stamped event rings and sampling profiler
 # in ./internal/trace, the fault-injection chaos stress in
 # ./internal/chaos (cancel storms racing revocation-at-take against the
-# admission path under injected stalls), and the baseline work-stealer in
-# ./internal/classic (lock-free deques under both steal policies).
-RACE_PKGS=". ./internal/chaos ./internal/classic ./internal/core ./internal/deque ./internal/dist ./internal/dist/distpar ./internal/msort ./internal/par ./internal/qsort ./internal/query ./internal/ssort ./internal/stats ./internal/trace"
+# admission path under injected stalls), the baseline work-stealer in
+# ./internal/classic (lock-free deques under both steal policies), and the
+# hand-written atomics of the wake slot and of the barrier and countdown
+# built on it in ./internal/wake and ./internal/teamsync.
+RACE_PKGS=". ./internal/chaos ./internal/classic ./internal/core ./internal/deque ./internal/dist ./internal/dist/distpar ./internal/msort ./internal/par ./internal/qsort ./internal/query ./internal/ssort ./internal/stats ./internal/teamsync ./internal/trace ./internal/wake"
 
 # Explicit vet configuration: -tests=true keeps _test.go files in scope (the
 # race-condition regression tests lean on vet's copylocks/atomic checks as

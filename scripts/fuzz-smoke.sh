@@ -22,8 +22,10 @@ missing=()
 # agrees with the canceled state, inflight reconciles, counters balance);
 # internal/stats carries FuzzPercentile (nearest-rank vs brute-force oracle);
 # internal/query carries FuzzFilter/FuzzGroupBy/FuzzMergeJoin/FuzzPlan
-# (analytics operators and random plans vs their sequential oracles).
-fuzzDirs=(internal/core internal/dist internal/par internal/query internal/stats)
+# (analytics operators and random plans vs their sequential oracles);
+# internal/teamsync carries FuzzBarrier (n members, random per-phase delays:
+# nobody passes early, one last arriver per phase).
+fuzzDirs=(internal/core internal/dist internal/par internal/query internal/stats internal/teamsync)
 
 for dir in "${fuzzDirs[@]}"; do
   if ! grep -rEn --include='*_test.go' "${fuzzRegex}" "${dir}" >/dev/null 2>&1; then
