@@ -42,14 +42,24 @@ func BenchmarkSequentialQuicksort(b *testing.B) {
 	}
 }
 
+// BenchmarkHoarePartition times one sequential partition, the refill of the
+// buffer kept out of the timed region. n=4194304 is
+// BenchmarkParallelPartition's size: its np=1 row over this one is what block
+// acquisition, fan-in and cleanup cost the team kernel per element on top of
+// the sequential one.
 func BenchmarkHoarePartition(b *testing.B) {
-	const n = 1 << 20
-	in := dist.Generate(dist.Random, n, 42)
-	buf := make([]int32, n)
-	b.SetBytes(4 * n)
-	for i := 0; i < b.N; i++ {
-		copy(buf, in)
-		HoarePartition(buf)
+	for _, n := range []int{1 << 20, 1 << 22} {
+		in := dist.Generate(dist.Random, n, 42)
+		buf := make([]int32, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(4 * n))
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(buf, in)
+				b.StartTimer()
+				HoarePartition(buf)
+			}
+		})
 	}
 }
 

@@ -170,30 +170,23 @@ func newParState[T Ordered](data []T, np, blockSize int) *parState[T] {
 func (ps *parState[T]) phase1() {
 	defer ps.fanin.Done()
 	data, pv, B := ps.data, ps.pv, ps.block
-	var L, R *blockScan
-	acquireL := func() {
-		L = nil
-		if i, ok := ps.claim.Left(); ok {
-			L = &blockScan{lo: i * B, hi: (i + 1) * B, pos: i * B}
-		}
-	}
-	acquireR := func() {
-		R = nil
-		if i, ok := ps.claim.Right(); ok {
-			R = &blockScan{lo: i * B, hi: (i + 1) * B, pos: i * B}
-		}
-	}
-	acquireL()
-	acquireR()
-	for L != nil && R != nil {
-		neutralize(data, pv, L, R)
+	// One blockScan per side, reset per acquired block: no allocation.
+	var L, R blockScan
+	li, okL := ps.claim.Left()
+	ri, okR := ps.claim.Right()
+	L.reset(li*B, (li+1)*B)
+	R.reset(ri*B, (ri+1)*B)
+	for okL && okR {
+		neutralize(data, pv, &L, &R)
 		if L.exhausted() {
-			ps.neutral[L.lo/B] = true
-			acquireL()
+			ps.neutral[li] = true
+			li, okL = ps.claim.Left()
+			L.reset(li*B, (li+1)*B)
 		}
 		if R.exhausted() {
-			ps.neutral[R.lo/B] = true
-			acquireR()
+			ps.neutral[ri] = true
+			ri, okR = ps.claim.Right()
+			R.reset(ri*B, (ri+1)*B)
 		}
 	}
 	// At most one unfinished block per side remains non-neutral; the cleanup
@@ -226,26 +219,22 @@ func (ps *parState[T]) cleanup() int {
 		}
 	}
 	li, ri := 0, 0
-	var L, R *blockScan
+	var L, R blockScan // the zero blockScan is exhausted: the first round loads both
 	for li < len(lrem) && ri < len(rrem) {
-		if L == nil {
-			b := lrem[li]
-			L = &blockScan{lo: b * B, hi: (b + 1) * B, pos: b * B}
+		if L.exhausted() {
+			L.reset(lrem[li]*B, (lrem[li]+1)*B)
 		}
-		if R == nil {
-			b := rrem[ri]
-			R = &blockScan{lo: b * B, hi: (b + 1) * B, pos: b * B}
+		if R.exhausted() {
+			R.reset(rrem[ri]*B, (rrem[ri]+1)*B)
 		}
-		neutralize(data, pv, L, R)
+		neutralize(data, pv, &L, &R)
 		if L.exhausted() {
 			ps.neutral[lrem[li]] = true
 			li++
-			L = nil
 		}
 		if R.exhausted() {
 			ps.neutral[rrem[ri]] = true
 			ri++
-			R = nil
 		}
 	}
 	lrem = lrem[li:]

@@ -4,6 +4,13 @@
 // of Algorithm 10 on both schedulers, and the mixed-mode parallel
 // quicksort of Algorithm 11 with the block-based data-parallel partitioning
 // step of Tsigas & Zhang on the team-building scheduler.
+//
+// All of them partition by blocks (partition.go; Edelkamp & Weiß,
+// BlockQuicksort, ESA 2016): a side scans a sub-block, writing the offsets of
+// the elements that must leave it into a buffer whose index advances by the
+// comparison's 0/1 result, then the two sides' buffered positions are swapped
+// pairwise. Neither loop branches on the data, where the classic two-pointer
+// loop mispredicts on every second element of random input.
 package qsort
 
 // Ordered is the constraint for sortable element types (the paper sorts

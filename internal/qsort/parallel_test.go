@@ -195,6 +195,28 @@ func TestParallelPartitionPreservesMultiset(t *testing.T) {
 	}
 }
 
+// TestParallelPartitionAllocs pins the partitioning step's allocations to
+// its fixed state (parState, claimer, fan-in counter, neutral bitmap, the
+// cleanup's remnant lists): a member's two blockScans live on its stack and
+// are reset per acquired block, so the count does not grow with the number of
+// blocks.
+func TestParallelPartitionAllocs(t *testing.T) {
+	for _, n := range []int{1 << 15, 1 << 21} {
+		in := dist.Generate(dist.Random, n, 43)
+		data := make([]int32, n)
+		allocs := testing.AllocsPerRun(3, func() {
+			copy(data, in)
+			ps := newParState(data, 1, DefaultBlockSize)
+			ps.phase1()
+			ps.fanin.WaitZero()
+			ps.cleanup()
+		})
+		if allocs > 8 {
+			t.Errorf("n=%d (%d blocks): %.0f allocations per partition, want ≤ 8", n, n/DefaultBlockSize, allocs)
+		}
+	}
+}
+
 // TestRootOnShutDownSchedulerReportsErrShutdown: running a root reports the
 // refusal a sort entry point must not swallow, and leaves the data alone.
 func TestRootOnShutDownSchedulerReportsErrShutdown(t *testing.T) {

@@ -150,11 +150,16 @@ func TestHoarePartitionContract(t *testing.T) {
 	}
 }
 
+// TestHoarePartitionAllEqual: both sides stop on elements equal to the pivot
+// — in the block loop as in the tail — so constant input splits in the middle
+// rather than at an end.
 func TestHoarePartitionAllEqual(t *testing.T) {
-	data := make([]int32, 100)
-	s := HoarePartition(data)
-	if s <= 0 || s >= 100 {
-		t.Fatalf("all-equal split = %d, want interior", s)
+	for _, n := range []int{100, 100_000} {
+		data := make([]int32, n)
+		s := HoarePartition(data)
+		if s <= n/3 || s >= n-n/3 {
+			t.Fatalf("all-equal split of %d = %d, want it in the middle third", n, s)
+		}
 	}
 }
 
@@ -185,8 +190,8 @@ func TestPartitionByValueContract(t *testing.T) {
 func TestNeutralize(t *testing.T) {
 	// Left block of large values, right block of small: full swap.
 	data := []int32{9, 9, 9, 9, 1, 1, 1, 1}
-	l := &blockScan{lo: 0, hi: 4, pos: 0}
-	r := &blockScan{lo: 4, hi: 8, pos: 4}
+	l := &blockScan{lo: 0, hi: 4}
+	r := &blockScan{lo: 4, hi: 8}
 	neutralize(data, 5, l, r)
 	if !l.exhausted() || !r.exhausted() {
 		t.Fatalf("both blocks should neutralize: l=%+v r=%+v", l, r)

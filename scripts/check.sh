@@ -28,6 +28,9 @@ go run ./cmd/reprolint ./...
 echo "check: escapecheck (compiler escape analysis over //repro:noalloc functions)"
 go run ./scripts/escapecheck
 
+echo "check: codegencheck (internal/qsort's scan loops count with SETcc, not a jump)"
+./scripts/codegencheck.sh
+
 # No timer inside a team: teamsync parks on wake slots and takes only the
 # spin/yield rounds from internal/backoff, and the timed Wait is left to the
 # four polling waits of internal/core that have no single waker yet (gather,

@@ -24,8 +24,10 @@ missing=()
 # internal/query carries FuzzFilter/FuzzGroupBy/FuzzMergeJoin/FuzzPlan
 # (analytics operators and random plans vs their sequential oracles);
 # internal/teamsync carries FuzzBarrier (n members, random per-phase delays:
-# nobody passes early, one last arriver per phase).
-fuzzDirs=(internal/core internal/dist internal/par internal/query internal/stats internal/teamsync)
+# nobody passes early, one last arriver per phase); internal/qsort carries
+# FuzzPartition (duplicate-dense slices through the three block-partition
+# kernels' contracts, and Introsort against slices.Sort).
+fuzzDirs=(internal/core internal/dist internal/par internal/qsort internal/query internal/stats internal/teamsync)
 
 for dir in "${fuzzDirs[@]}"; do
   if ! grep -rEn --include='*_test.go' "${fuzzRegex}" "${dir}" >/dev/null 2>&1; then
