@@ -1,7 +1,7 @@
 # Tier-1 gate (ROADMAP.md): build + test, plus vet, lint, and targeted race
 # runs. The race package list and vet flags are defined once in
 # scripts/checkdefs.sh, shared with scripts/check.sh.
-.PHONY: all build test vet lint race check fuzz-smoke bench bench-json bench-smoke tables
+.PHONY: all build test vet lint race check fuzz-smoke tables
 
 RACE_PKGS := $(shell . ./scripts/checkdefs.sh; echo $$RACE_PKGS)
 VET_FLAGS := $(shell . ./scripts/checkdefs.sh; echo $$VET_FLAGS)
@@ -33,19 +33,6 @@ check:
 # Bounded fuzz pass over the workload generators (FUZZTIME=10s default).
 fuzz-smoke:
 	./scripts/fuzz-smoke.sh
-
-bench:
-	go test -bench=. -benchtime=1x .
-
-# Benchmark trajectory: BENCH_{core,par,sort,throughput,query}.json via
-# scripts/bench.sh.
-bench-json:
-	./scripts/bench.sh
-
-# One tiny repetition of each trajectory benchmark — build-and-run only, so
-# the benchmarks can't bit-rot (part of scripts/check.sh).
-bench-smoke:
-	BENCHTIME=1x OUTDIR=$${OUTDIR:-/tmp} ./scripts/bench.sh
 
 tables:
 	go run ./cmd/tables -table 1

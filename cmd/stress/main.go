@@ -166,13 +166,13 @@ func chaosStress(s *core.Scheduler, inj *chaos.Injector, rounds, tasks int, seed
 						r = 1 + rng.Intn(maxTeam)
 					}
 					st.want.Add(int64(r))
-					err := st.g.SpawnRetry(core.Func(r, func(ctx *core.Ctx) {
+					err := st.g.Spawn(core.Func(r, func(ctx *core.Ctx) {
 						st.execs.Add(1)
 						spin(2 * time.Microsecond) // keep workers busy so the queue backs up
 						ctx.Barrier()
 					}))
 					if err != nil {
-						// Only cancellation (or shutdown) refuses a retried
+						// Only cancellation (or shutdown) refuses a blocking
 						// spawn; the task never ran, so take it back.
 						st.want.Add(-int64(r))
 						return

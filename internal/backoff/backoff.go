@@ -10,9 +10,9 @@
 //
 // Who still sleeps: the waits that poll partners or have several wakers — a
 // coordinator gathering its team and a registered member that is not yet
-// part of a fixed team (internal/core), TaskGroup.Wait's helper loop,
-// Group.SpawnRetry — and every loop of internal/classic, the paper's
-// baseline, which polls as the paper describes. They call Wait.
+// part of a fixed team (internal/core), TaskGroup.Wait's helper loop — and
+// every loop of internal/classic, the paper's baseline, which polls as the
+// paper describes. They call Wait.
 //
 // Who no longer does: an idle worker of internal/core, and every wait
 // between team-fix and disband — teamsync.Barrier and Counter, a fixed

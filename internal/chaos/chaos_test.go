@@ -115,8 +115,8 @@ func TestChaosStress(t *testing.T) {
 						d[k] = (k*2654435761 + c + r + j) % 977
 					}
 					data[j] = d
-					if err := g.SpawnRetry(qsort.ForkJoinRoot(d, 64)); err != nil {
-						// Only a canceled/shutdown group refuses a retried
+					if err := g.Spawn(qsort.ForkJoinRoot(d, 64)); err != nil {
+						// Only a canceled/shutdown group refuses a blocking
 						// spawn; the sort for this slice never starts.
 						break
 					}

@@ -1,9 +1,9 @@
 package core
 
-// Core microbenchmarks: the per-task hot path of the scheduler, recorded by
-// scripts/bench.sh as BENCH_core.json so perf PRs leave a measured
-// trajectory. The suite covers the paths the paper's "no extra overhead for
-// r = 1 tasks" claim depends on:
+// Core microbenchmarks: the per-task hot path of the scheduler, as developer
+// tools (the numbers of record are the core.* probes of bench/run.sh). The
+// suite covers the paths the paper's "no extra overhead for r = 1 tasks"
+// claim depends on:
 //
 //   SpawnJoinPingPong   spawn one task, join it (TaskGroup), repeat — the
 //                       fork-join latency floor of Algorithm 10 recursion

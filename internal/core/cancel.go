@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/backoff"
 	"repro/internal/trace"
 )
 
@@ -220,28 +219,6 @@ func (g *Group) Reset() {
 		g.cause = nil
 	}
 	g.cancelMu.Unlock()
-}
-
-// SpawnRetry admits t like Spawn but without parking on the admission
-// condition variable: it retries the non-blocking admission under an
-// internal/backoff schedule (spin → yield → capped exponential sleep).
-// Compared to Spawn it trades wakeup latency for zero parked state — a
-// caller that may need to give up for its own reasons can wrap SpawnRetry
-// in its own loop around TrySpawn instead. Returns nil once admitted, or
-// the typed reason admission became impossible: the group's cancellation
-// cause (ErrCanceled/ErrDeadlineExceeded/custom) or ErrShutdown.
-func (g *Group) SpawnRetry(t Task) error {
-	var bo backoff.Backoff
-	for {
-		err := g.TrySpawn(t)
-		if !errors.Is(err, ErrSaturated) {
-			if errors.Is(err, ErrDeadlineExceeded) {
-				g.s.admit.SpawnTimeouts.Add(1)
-			}
-			return err
-		}
-		bo.Wait()
-	}
 }
 
 // Canceled reports whether the running task's group has been canceled: the

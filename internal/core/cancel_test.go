@@ -114,9 +114,6 @@ func TestCancelRejectsNewSpawns(t *testing.T) {
 	if n, err := g.TrySpawnBatch([]Task{Solo(func(*Ctx) {}), Solo(func(*Ctx) {})}); n != 0 || !errors.Is(err, cause) {
 		t.Fatalf("TrySpawnBatch = (%d, %v), want (0, cause)", n, err)
 	}
-	if err := g.SpawnRetry(Solo(func(*Ctx) {})); !errors.Is(err, cause) {
-		t.Fatalf("SpawnRetry = %v, want cause", err)
-	}
 	if err := g.WaitErr(); !errors.Is(err, cause) {
 		t.Fatalf("WaitErr = %v, want cause", err)
 	}
@@ -343,7 +340,7 @@ func TestCanceledGroupDoesNotStarveOthers(t *testing.T) {
 		var ran atomic.Int64
 		const tasks = 16
 		for i := 0; i < tasks; i++ {
-			if err := victim.SpawnRetry(Solo(func(*Ctx) { ran.Add(1) })); err != nil {
+			if err := victim.Spawn(Solo(func(*Ctx) { ran.Add(1) })); err != nil {
 				t.Fatalf("victim spawn: %v", err)
 			}
 		}

@@ -27,7 +27,7 @@ func runWithDeadline(t *testing.T, s *Scheduler, d time.Duration, fn func()) {
 func TestManyTeamTasksDump(t *testing.T) {
 	const p = 8
 	s := newTest(t, Options{P: p})
-	s.TraceOn()
+	s.StartTrace()
 	var execs atomic.Int64
 	want := int64(0)
 	for i := 0; i < 50; i++ {

@@ -197,20 +197,10 @@ func TestDeepTeamRecursion(t *testing.T) {
 	}
 }
 
-// TestPinOSThreads smoke-tests the pinned-worker option.
-func TestPinOSThreads(t *testing.T) {
-	s := newTest(t, Options{P: 4, PinOSThreads: true})
-	var execs atomic.Int64
-	s.Run(Func(4, func(*Ctx) { execs.Add(1) }))
-	if execs.Load() != 4 {
-		t.Fatalf("executions = %d", execs.Load())
-	}
-}
-
 // TestDumpStateAndTrace smoke-tests the diagnostics surface.
 func TestDumpStateAndTrace(t *testing.T) {
 	s := newTest(t, Options{P: 4})
-	s.TraceOn()
+	s.StartTrace()
 	s.Run(Func(4, func(ctx *Ctx) { ctx.Barrier() }))
 	dump := s.DumpState()
 	if !strings.Contains(dump, "w0") || !strings.Contains(dump, "inflight=0") {

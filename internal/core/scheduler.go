@@ -20,9 +20,6 @@ type Options struct {
 	// chosen uniformly from the 2^ℓ ids of the sibling sub-block instead of
 	// the single deterministic bit-flip partner. Default: deterministic.
 	Randomized bool
-	// PinOSThreads locks each worker goroutine to an OS thread, approximating
-	// the paper's Pthreads workers. Default: off.
-	PinOSThreads bool
 	// DisableTeamReuse disbands a team after every task instead of keeping it
 	// for subsequent tasks of the same size (ablation knob; the paper's
 	// default keeps teams together, §3).

@@ -185,7 +185,7 @@ func TestMemberWokenByTeamEndingTransition(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := stopped(4)
-			s.TraceOn()
+			s.StartTrace()
 			coord, member := s.workers[c.coord], s.workers[c.member]
 			coord.regw.Store(c.reg)
 			var running atomic.Int32

@@ -69,10 +69,6 @@ func (s *Scheduler) StopTrace() { s.xt.Stop() }
 // TraceActive reports whether execution tracing is currently enabled.
 func (s *Scheduler) TraceActive() bool { return s.xt.Enabled() }
 
-// TraceOn enables execution tracing (kept as the historical name used by
-// protocol tests and debugging helpers; identical to StartTrace).
-func (s *Scheduler) TraceOn() { s.xt.Start() }
-
 // TraceSnapshot reads the event rings without stopping the workers (per-
 // slot stamp validation; see internal/trace) and returns the surviving
 // events in timestamp order.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/backoff"
@@ -180,10 +179,6 @@ func (w *worker) pushNode(n *node) {
 // externally injected tasks, then stealing, then a spin round or the park.
 func (w *worker) loop() {
 	defer w.sched.wg.Done()
-	if w.sched.opts.PinOSThreads {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	s := w.sched
 	for !s.done.Load() {
 		if f := s.opts.Fault; f != nil {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/dist"
@@ -11,8 +12,8 @@ import (
 // command-line harnesses (cmd/mmqsort, cmd/tables, cmd/throughput): the
 // algorithm/size/distribution parsers live in harness.go, and the helpers
 // below cover the remaining per-command copies — canonical flag names, the
-// "all" column set, label lists for reports, the shared-scheduler algorithm
-// subset, and the request-mix selector of cmd/throughput.
+// "all" column set, distribution names for reports, the shared-scheduler
+// algorithm subset, and the request-mix selector of cmd/throughput.
 
 // FlagName returns the canonical lower-case -algos name of the column (the
 // inverse of ParseAlgorithm on its primary spelling).
@@ -51,15 +52,6 @@ func AllAlgorithms() []Algorithm {
 	return out
 }
 
-// AlgoNames returns the column labels (Algorithm.String) of as.
-func AlgoNames(as []Algorithm) []string {
-	out := make([]string, len(as))
-	for i, a := range as {
-		out[i] = a.String()
-	}
-	return out
-}
-
 // KindNames returns the distribution names of ks.
 func KindNames(ks []dist.Kind) []string {
 	out := make([]string, len(ks))
@@ -89,42 +81,24 @@ func ParseSchedulerAlgorithms(csv string) ([]Algorithm, error) {
 	return as, nil
 }
 
-// Mix selects the request mix of a multi-client throughput run.
+// Mix selects the request mix of a multi-client throughput run; each has a
+// Scenario table constructor in mixes.go.
 type Mix int
 
 const (
-	// MixSort issues sort requests (the Runtime Sort* methods).
-	MixSort Mix = iota
-	// MixAnalytics issues analytics requests (the Runtime query operators:
-	// filter, groupby, aggregate, topk, join, plan).
-	MixAnalytics
-	// MixAbandon splits the clients into latency-sensitive interactive
-	// sorters and batch clients whose large SortManyCtx batches are
-	// abandoned on a deadline — the cancellation/graceful-degradation
-	// scenario: interactive tail latency must survive a batch flood that
-	// keeps giving up.
-	MixAbandon
+	MixSort      Mix = iota // SortMix: the Runtime Sort* methods
+	MixAnalytics            // AnalyticsMix: the Runtime query operators
+	MixAbandon              // AbandonMix: interactive sorts beside deadline-abandoned batches
 )
 
-func (m Mix) String() string {
-	switch m {
-	case MixAnalytics:
-		return "analytics"
-	case MixAbandon:
-		return "abandon"
-	}
-	return "sort"
-}
+var mixNames = [...]string{"sort", "analytics", "abandon"}
+
+func (m Mix) String() string { return mixNames[m] }
 
 // ParseMix resolves a -mix flag value, case-insensitively.
 func ParseMix(s string) (Mix, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "sort", "sorts":
-		return MixSort, nil
-	case "analytics", "query", "queries":
-		return MixAnalytics, nil
-	case "abandon", "cancel", "abandonment":
-		return MixAbandon, nil
+	if i := slices.Index(mixNames[:], strings.ToLower(strings.TrimSpace(s))); i >= 0 {
+		return Mix(i), nil
 	}
-	return 0, fmt.Errorf("harness: unknown mix %q (want sort|analytics|abandon)", s)
+	return 0, fmt.Errorf("harness: unknown mix %q (want %s)", s, strings.Join(mixNames[:], "|"))
 }

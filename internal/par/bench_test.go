@@ -8,10 +8,10 @@ import (
 	"repro/internal/par"
 )
 
-// Primitive throughput benchmarks (the BENCH_par.json trajectory emitted by
-// scripts/bench.sh): each runs one full-width team task per iteration over
-// a fixed 1M-element input, so ns/op tracks both the kernel and the
-// team-formation overhead that the paper's model amortizes.
+// Primitive throughput benchmarks (developer tools; the numbers of record
+// are the par.* probes of bench/run.sh): each runs one full-width team task
+// per iteration over a fixed 1M-element input, so ns/op tracks both the
+// kernel and the team-formation overhead that the paper's model amortizes.
 
 const benchN = 1 << 20
 

@@ -9,12 +9,12 @@ import (
 	"repro/internal/query"
 )
 
-// Analytics operator benchmarks (the BENCH_query.json trajectory emitted by
-// scripts/bench.sh): each runs one full-width team task per iteration over
-// a fixed 1M-element input, so ns/op tracks both the operator kernel and
-// the team-formation overhead that the paper's model amortizes. The plan
-// benchmark chains three stages through one warm Plan, measuring the
-// stage-boundary cost of the group drain between team tasks.
+// Analytics operator benchmarks (developer tools; the numbers of record are
+// the query.* probes of bench/run.sh): each runs one full-width team task
+// per iteration over a fixed 1M-element input, so ns/op tracks both the
+// operator kernel and the team-formation overhead that the paper's model
+// amortizes. The plan benchmark chains three stages through one warm Plan,
+// measuring the stage-boundary cost of the group drain between team tasks.
 
 const (
 	benchN  = 1 << 20

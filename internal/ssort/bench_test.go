@@ -9,10 +9,11 @@ import (
 	"repro/internal/ssort"
 )
 
-// Samplesort-vs-quicksort benchmarks per input distribution (the
-// BENCH_sort.json trajectory emitted by scripts/bench.sh): BenchmarkSSort
-// and BenchmarkMMQsort run the two mixed-mode algorithms on identical
-// 1M-element inputs of every registered distribution.
+// Samplesort-vs-quicksort benchmarks per input distribution (developer
+// tools; the numbers of record are the ssort.* and qsort.* probes of
+// bench/run.sh): BenchmarkSSort and BenchmarkMMQsort run the two mixed-mode
+// algorithms on identical 1M-element inputs of every registered
+// distribution.
 
 const benchN = 1 << 20
 

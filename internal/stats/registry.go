@@ -166,7 +166,7 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Values flattens the registry into a map for JSON dumps (the
-// BENCH_throughput.json scheduler_metrics block): scalar series map from
+// scheduler_metrics block of cmd/throughput's report): scalar series map from
 // "name" or `name{k="v"}` to their value; histograms contribute _count,
 // _sum, and conservative nearest-rank p50/p90/p99 upper-bound estimates
 // instead of their full bucket vectors.

@@ -31,9 +31,8 @@ func NewMetrics() *Metrics { return stats.NewRegistry() }
 // MetricsServer is a minimal HTTP server exposing one Metrics registry at
 // /metrics, plus an on-demand execution-trace capture at /debug/trace once
 // SetTraceSource installs a scheduler. The registry may be installed (and
-// swapped) after the server is already listening — cmd/throughput swaps in
-// each measurement point's fresh Runtime — and scrapes racing a swap see
-// either registry, never a torn one.
+// swapped) after the server is already listening, and scrapes racing a swap
+// see either registry, never a torn one.
 type MetricsServer struct {
 	ln  net.Listener
 	srv *http.Server

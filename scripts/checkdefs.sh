@@ -18,7 +18,7 @@
 # ./internal/classic (lock-free deques under both steal policies), and the
 # hand-written atomics of the wake slot and of the barrier and countdown
 # built on it in ./internal/wake and ./internal/teamsync.
-RACE_PKGS=". ./internal/chaos ./internal/classic ./internal/core ./internal/deque ./internal/dist ./internal/dist/distpar ./internal/msort ./internal/par ./internal/qsort ./internal/query ./internal/ssort ./internal/stats ./internal/teamsync ./internal/trace ./internal/wake"
+RACE_PKGS=". ./internal/chaos ./internal/classic ./internal/core ./internal/deque ./internal/dist ./internal/dist/distpar ./internal/harness ./internal/msort ./internal/par ./internal/qsort ./internal/query ./internal/ssort ./internal/stats ./internal/teamsync ./internal/trace ./internal/wake"
 
 # Explicit vet configuration: -tests=true keeps _test.go files in scope (the
 # race-condition regression tests lean on vet's copylocks/atomic checks as

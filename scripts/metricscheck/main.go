@@ -155,8 +155,8 @@ func familyOf(name string) string {
 	return name
 }
 
-// scrape GETs url, retrying (the target may still be binding its port or
-// between measurement points) until the deadline.
+// scrape GETs url, retrying (the target may still be binding its port)
+// until the deadline.
 func scrape(url string, retry time.Duration) (string, error) {
 	deadline := time.Now().Add(retry)
 	for {
