@@ -43,8 +43,8 @@ func (r *Runtime[T]) bestNp(n int) int {
 }
 
 // Filter stably copies the elements of src satisfying pred into dst and
-// returns the surviving count. dst must not alias src and must have room
-// for every survivor; pred must be pure.
+// returns the surviving count n; only dst[:n] is written, so room for the
+// survivors suffices. dst must not alias src; pred must be pure.
 func (r *Runtime[T]) Filter(src, dst []T, pred func(T) bool) int {
 	n := 0
 	r.single(famFilter, func(g *core.Group) error {
@@ -128,11 +128,12 @@ func (r *Runtime[T]) NewPlan(capN int) *QueryPlan[T] {
 // team task in the request's quiescence group, with the group's drain as
 // the stage boundary. The returned views alias the plan's buffers and stay
 // valid until its next run; a given plan must not be executed concurrently.
+// On a closed Runtime the result is the zero QueryResult.
 func (r *Runtime[T]) RunPlan(plan *QueryPlan[T], src []T) QueryResult[T] {
 	var res QueryResult[T]
-	r.single(famPlan, func(g *core.Group) error {
-		res = plan.Execute(g, src)
-		return nil
+	r.single(famPlan, func(g *core.Group) (err error) {
+		res, err = plan.Execute(g, src)
+		return err
 	})
 	return res
 }

@@ -194,3 +194,30 @@ func TestRuntimeAnalyticsConcurrent(t *testing.T) {
 		t.Fatalf("queries_total{op=filter} = %v, want 24", got)
 	}
 }
+
+// TestRunPlanAfterClose pins Close's "results zero" for a plan: a warm plan
+// run on a closed Runtime must not return the views and the survivor count
+// of its last run as this run's result.
+func TestRunPlanAfterClose(t *testing.T) {
+	rt := NewRuntime[int32](Options{P: 2})
+	const n = 1 << 15
+	src := make([]int32, n)
+	for i := range src {
+		src[i] = int32(i)
+	}
+	plan := rt.NewPlan(n).
+		Filter(func(v int32) bool { return v%2 == 0 }).
+		GroupBy(4, func(v int32) int { return int(v) % 4 }).
+		Aggregate(4, func(v int32) int { return int(v) % 4 }, 0,
+			func(a int64, v int32) int64 { return a + int64(v) },
+			func(a, b int64) int64 { return a + b }).
+		TopK(5)
+	if res := rt.RunPlan(plan, src); len(res.Out) != 5 || res.Out[0] != n-2 {
+		t.Fatalf("warm RunPlan returned %v, want the 5 largest even values", res.Out)
+	}
+	rt.Close()
+	res := rt.RunPlan(plan, make([]int32, 100))
+	if len(res.Out) != 0 || res.Starts != nil || res.Aggregates != nil {
+		t.Fatalf("RunPlan after Close returned %+v, want the zero result", res)
+	}
+}

@@ -51,3 +51,28 @@ func FuzzScan(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPack cross-checks the team compaction against its sequential oracle
+// on fuzzer-chosen data, team size and modulus, into a dst of exactly the
+// survivor count (a scatter one slot too far panics). keep depends on the
+// index it is handed as much as on the value, so a member that passes its
+// chunk-relative index instead of the element's packs the wrong elements.
+func FuzzPack(f *testing.F) {
+	f.Add(uint8(2), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(3), uint8(0), []byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(uint8(1), uint8(1), []byte{})
+	f.Fuzz(func(t *testing.T, npRaw, modRaw uint8, raw []byte) {
+		s := fuzzSched()
+		np := 1 + int(npRaw)%s.MaxTeam()
+		m := 1 + int(modRaw)%5
+		keep := func(i int, v byte) bool { return (i+int(v))%m == 0 }
+
+		want := make([]byte, len(raw))
+		want = want[:par.SeqPack(raw, want, keep)]
+
+		got := make([]byte, len(want))
+		var gotN int
+		s.Run(par.Pack(np, raw, got, keep, &gotN))
+		checkSlice(t, "fuzz-pack", np, got[:gotN], want)
+	})
+}

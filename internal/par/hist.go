@@ -29,15 +29,14 @@ func (h *Hist) NumBuckets() int { return h.nb }
 // Histogram is a collective counting bucketOf(i) ∈ [0, nb) for every
 // i in [0, n): each member counts its static chunk (Chunk) into its private
 // row, and after the team barrier the buckets are merged team-parallel
-// (member m sums the m-th static chunk of the bucket range across all
-// rows). When it returns, every member may read Totals and Row. A team of
+// (Merge). When it returns, every member may read Totals and Row. A team of
 // size 1 runs the sequential oracle.
 //
 // Callers that scatter from the count matrix must walk the same member
 // chunks: element i was counted by the member whose Chunk(lid, w, n) range
 // contains i.
 //
-//repro:barrier every member must reach the trailing barrier before Totals/Row are readable
+//repro:barrier delegates its barrier obligation to the annotated Merge
 func (h *Hist) Histogram(ctx *core.Ctx, n int, bucketOf func(i int) int) {
 	w, lid := ctx.TeamSize(), ctx.LocalID()
 	if w == 1 {
@@ -54,10 +53,19 @@ func (h *Hist) Histogram(ctx *core.Ctx, n int, bucketOf func(i int) int) {
 	for i := lo; i < hi; i++ {
 		row[bucketOf(i)]++
 	}
-	ctx.Barrier()
+	h.Merge(ctx)
+}
 
-	// Phase 2: merge totals team-parallel — member m owns the m-th static
-	// chunk of the bucket range.
+// Merge is the collective half of Histogram, for a caller that has counted
+// its static chunk into its cleared Row(ctx.LocalID()) itself (internal/query's
+// GroupBy, by element not index): across the team barrier member m sums the
+// m-th static chunk of the bucket range over all rows into Totals.
+//
+//repro:barrier every member must reach the trailing barrier before Totals/Row are readable
+func (h *Hist) Merge(ctx *core.Ctx) {
+	w, lid := ctx.TeamSize(), ctx.LocalID()
+	checkTeam(w, len(h.rows))
+	ctx.Barrier()
 	blo, bhi := Chunk(lid, w, h.nb)
 	for b := blo; b < bhi; b++ {
 		t := 0
@@ -75,8 +83,8 @@ func (h *Hist) Histogram(ctx *core.Ctx, n int, bucketOf func(i int) int) {
 // Valid on every member after the collective returns; do not mutate.
 func (h *Hist) Totals() []int { return h.totals }
 
-// Row returns member m's private bucket counts of the last Histogram call.
-// Valid on every member after the collective returns; do not mutate.
+// Row returns member m's private bucket counts: readable by every member
+// after the collective returns, written only by m itself ahead of Merge.
 func (h *Hist) Row(m int) []int { return h.rows[m] }
 
 // Cursors fills cur (len ≥ nb) with member lid's private scatter cursors for

@@ -20,8 +20,11 @@
 //   - Pack: stable filter/compaction as flag-count, exclusive scan of the
 //     counts, and an order-preserving scatter — the building block that
 //     makes partition-like kernels compositional instead of hand-rolled.
+//     Neither loop jumps on keep's answer, and a kernel that brings its
+//     own loops calls the middle step alone (Packer.Offsets).
 //   - Histogram: per-member bucket counts merged team-parallel at the
-//     barrier; the per-(member, bucket) matrix is retained because
+//     barrier (Hist.Merge, callable alone after a caller's own counting
+//     loop); the per-(member, bucket) matrix is retained because
 //     mixed-mode sorts (internal/ssort) scatter from exactly that matrix.
 //   - MinMax: the all-reduce specialized to ordered extrema.
 //   - Map: an order-independent elementwise kernel under the dynamic

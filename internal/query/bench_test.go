@@ -37,16 +37,31 @@ func benchPred(v int32) bool           { return v%2 == 0 }
 func benchLift(a int64, v int32) int64 { return a + int64(v) }
 func benchComb(a, b int64) int64       { return a + b }
 
+// BenchmarkQueryFilter runs the filter at three selectivities: at 50 % the
+// old if-on-the-predicate loops mispredicted every other element, at 0 % and
+// 100 % the branch was free — the bypass, where only the direct predicate
+// call is left to gain.
 func BenchmarkQueryFilter(b *testing.B) {
-	s, in := benchSetup(b)
-	np := s.MaxTeam()
-	dst := make([]int32, benchN)
-	var n int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Run(query.Filter(np, in, dst, benchPred, &n))
+	for _, bc := range []struct {
+		name string
+		pred func(int32) bool
+	}{
+		{"keep0", func(int32) bool { return false }},
+		{"keep50", benchPred},
+		{"keep100", func(int32) bool { return true }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, in := benchSetup(b)
+			np := s.MaxTeam()
+			dst := make([]int32, benchN)
+			var n int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Run(query.Filter(np, in, dst, bc.pred, &n))
+			}
+			_ = n
+		})
 	}
-	_ = n
 }
 
 func BenchmarkQueryGroupBy(b *testing.B) {
@@ -70,16 +85,25 @@ func BenchmarkQueryAggregate(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryTopK runs the selection on random input, where the scan's
+// threshold test rejects all but a few hundred elements, and on ascending
+// input, where every element is a candidate and the test buys nothing (the
+// bypass: it must cost nothing either).
 func BenchmarkQueryTopK(b *testing.B) {
-	s, in := benchSetup(b)
-	np := s.MaxTeam()
-	dst := make([]int32, benchK)
-	var n int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Run(query.TopK(np, in, dst, benchK, &n))
+	for _, kind := range []dist.Kind{dist.Random, dist.Sorted} {
+		b.Run(kind.String(), func(b *testing.B) {
+			s, _ := benchSetup(b)
+			in := dist.Generate(kind, benchN, 42)
+			np := s.MaxTeam()
+			dst := make([]int32, benchK)
+			var n int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Run(query.TopK(np, in, dst, benchK, &n))
+			}
+			_ = n
+		})
 	}
-	_ = n
 }
 
 func BenchmarkQueryMergeJoin(b *testing.B) {

@@ -43,10 +43,37 @@ func FuzzFilter(f *testing.F) {
 		want := make([]int32, len(src))
 		want = want[:query.SeqFilter(src, want, pred)]
 
-		got := make([]int32, len(src))
+		got := make([]int32, len(want)) // exact fit: a scatter one slot too far panics
 		var gotN int
 		s.Run(query.Filter(np, src, got, pred, &gotN))
 		checkSlice(t, "fuzz-filter", np, got[:gotN], want)
+	})
+}
+
+// FuzzTopK cross-checks the team selection against its sequential oracle on
+// duplicate-dense data (the fuzzer's bytes folded into 16 values, so the
+// scan's threshold meets ties all the time), fuzzer-chosen team size and
+// every k from 0 to one more than there are elements.
+func FuzzTopK(f *testing.F) {
+	f.Add(uint8(2), uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(3), uint8(0), []byte{9, 9, 9, 9})
+	f.Add(uint8(1), uint8(255), []byte{})
+	f.Fuzz(func(t *testing.T, npRaw, kRaw uint8, raw []byte) {
+		s := fuzzSched()
+		np := 1 + int(npRaw)%s.MaxTeam()
+		src := make([]int32, len(raw))
+		for i, b := range raw {
+			src[i] = int32(b%16) - 8
+		}
+		k := int(kRaw) % (len(src) + 2)
+
+		want := make([]int32, k)
+		want = want[:query.SeqTopK(src, want, k)]
+
+		got := make([]int32, k)
+		var gotN int
+		s.Run(query.TopK(np, src, got, k, &gotN))
+		checkSlice(t, "fuzz-topk", np, got[:gotN], want)
 	})
 }
 
@@ -154,7 +181,7 @@ func FuzzPlan(f *testing.F) {
 		}
 
 		g := s.NewGroup()
-		res := p.Execute(g, src)
+		res := execute(t, p, g, src)
 		checkSlice(t, "fuzz-plan-out", np, res.Out, cur)
 		checkSlice(t, "fuzz-plan-starts", np, res.Starts, wantStarts)
 		checkSlice(t, "fuzz-plan-agg", np, res.Aggregates, wantAgg)

@@ -48,10 +48,11 @@ func (g *Grouper[T]) NumBuckets() int { return g.nb }
 // oracle.
 //
 // It is the bucketing step of the mixed-mode samplesort generalized to
-// arbitrary keys: par.Hist counts the per-(member, bucket) matrix, the
-// totals are scanned exclusively for the bucket starts, and each member
-// scatters its static chunk through its private cursors
-// (par.Hist.Cursors), write-conflict-free by construction.
+// arbitrary keys: each member counts its chunk into its row of par.Hist's
+// per-(member, bucket) matrix, the merged totals are scanned exclusively
+// for the bucket starts, and each member scatters its static chunk through
+// its private cursors (par.Hist.Cursors), write-conflict-free by
+// construction.
 //
 //repro:barrier every member must reach the trailing barrier before grouped and starts are readable
 func (g *Grouper[T]) GroupBy(ctx *core.Ctx, src, grouped []T, key func(T) int) []int {
@@ -62,8 +63,15 @@ func (g *Grouper[T]) GroupBy(ctx *core.Ctx, src, grouped []T, key func(T) int) [
 	}
 	checkTeam(w, len(g.curs))
 
-	// Phase 1: per-(member, bucket) histogram of the static chunks.
-	g.hist.Histogram(ctx, n, func(i int) int { return key(src[i]) })
+	// Phase 1: per-(member, bucket) histogram of the static chunks: count
+	// this member's chunk into its own row, key called directly, and merge.
+	lo, hi := par.Chunk(lid, w, n)
+	row := g.hist.Row(lid)
+	clear(row)
+	for _, v := range src[lo:hi] {
+		row[key(v)]++
+	}
+	g.hist.Merge(ctx)
 
 	// Phase 2: bucket start offsets — copy the totals and scan exclusively.
 	totals := g.hist.Totals()
@@ -78,10 +86,9 @@ func (g *Grouper[T]) GroupBy(ctx *core.Ctx, src, grouped []T, key func(T) int) [
 	// Phase 3: stable conflict-free scatter through this member's cursors.
 	cur := g.curs[lid]
 	g.hist.Cursors(lid, g.starts, cur)
-	lo, hi := par.Chunk(lid, w, n) // must match par.Hist's counting chunks
-	for i := lo; i < hi; i++ {
-		b := key(src[i])
-		grouped[cur[b]] = src[i]
+	for _, v := range src[lo:hi] { // the chunk phase 1 counted
+		b := key(v)
+		grouped[cur[b]] = v
 		cur[b]++
 	}
 	// Trailing barrier: grouped and starts are complete (and the state

@@ -58,7 +58,7 @@ func SeqMergeJoin[T Ordered](a, b []T, out []JoinRun[T]) int {
 // with NewJoiner and share via the task closure.
 type Joiner[T Ordered] struct {
 	counts []pslot
-	n      int // total matched runs, written by member 0
+	n      int // total matched runs, written by the last member (its offset + count)
 }
 
 // NewJoiner returns merge-join state for teams of up to np members.

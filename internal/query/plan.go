@@ -170,8 +170,9 @@ func (p *Plan[T]) TopK(k int) *Plan[T] {
 // stage boundary, so stages see fully materialized inputs. g is reusable
 // before and after (Execute only needs it quiescent between stages it runs
 // itself); src is read, never written. The returned views stay valid until
-// the next Execute.
-func (p *Plan[T]) Execute(g *core.Group, src []T) Result[T] {
+// the next Execute. A stage that g refuses, or that ends canceled or shut
+// down, ends the execution with the zero Result and that stage's error.
+func (p *Plan[T]) Execute(g *core.Group, src []T) (Result[T], error) {
 	if len(src) > p.capN {
 		panic("query: Plan.Execute input exceeds the plan's capacity")
 	}
@@ -183,7 +184,11 @@ func (p *Plan[T]) Execute(g *core.Group, src []T) Result[T] {
 		if s.kind != stepAggregate {
 			s.dst = p.buf[bi]
 		}
-		g.Run(s)
+		if err := g.Run(s); err != nil {
+			// The bindings stay: after a shutdown a member may still be
+			// inside the abandoned stage, reading them.
+			return Result[T]{}, err
+		}
 		switch s.kind {
 		case stepFilter, stepTopK:
 			n, cur, bi = s.outN, p.buf[bi], bi^1
@@ -196,5 +201,5 @@ func (p *Plan[T]) Execute(g *core.Group, src []T) Result[T] {
 		s.src, s.dst = nil, nil // don't pin the caller's src between runs
 	}
 	res.Out = cur[:n]
-	return res
+	return res, nil
 }

@@ -1,6 +1,9 @@
 package query_test
 
 import (
+	"errors"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -19,6 +22,17 @@ func planOracle(in []int32, k int) (out []int32, agg []int64) {
 	return out, agg
 }
 
+// execute runs p on g and fails the test on an error: the groups of these
+// tests are never canceled and their scheduler outlives them.
+func execute(t testing.TB, p *query.Plan[int32], g *core.Group, in []int32) query.Result[int32] {
+	t.Helper()
+	res, err := p.Execute(g, in)
+	if err != nil {
+		t.Fatalf("Plan.Execute: %v", err)
+	}
+	return res
+}
+
 // TestPlanMatchesOracleComposition checks a multi-stage plan against the
 // composition of the sequential oracles across every distribution, and that
 // the same warm plan stays correct when re-executed on different inputs.
@@ -32,7 +46,7 @@ func TestPlanMatchesOracleComposition(t *testing.T) {
 	g := s.NewGroup()
 	forEachInput(t, func(t *testing.T, _ dist.Kind, in []int32) {
 		wantOut, wantAgg := planOracle(in, k)
-		res := p.Execute(g, in)
+		res := execute(t, p, g, in)
 		checkSlice(t, "plan-out", 0, res.Out, wantOut)
 		checkSlice(t, "plan-agg", 0, res.Aggregates, wantAgg)
 		if res.Starts != nil {
@@ -56,7 +70,7 @@ func TestPlanGroupByStage(t *testing.T) {
 	wantGrouped := make([]int32, len(filtered))
 	wantStarts := query.SeqGroupBy(filtered, wantGrouped, nb, keyOf)
 
-	res := p.Execute(g, in)
+	res := execute(t, p, g, in)
 	checkSlice(t, "plan-grouped", 0, res.Out, wantGrouped)
 	checkSlice(t, "plan-starts", 0, res.Starts, wantStarts)
 }
@@ -74,7 +88,7 @@ func TestPlanEdgeSizes(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5} {
 		in := dist.Generate(dist.RandDup, n, 3)
 		wantOut, wantAgg := planOracle(in, k)
-		res := p.Execute(g, in)
+		res := execute(t, p, g, in)
 		checkSlice(t, "edge-out", n, res.Out, wantOut)
 		checkSlice(t, "edge-agg", n, res.Aggregates, wantAgg)
 	}
@@ -101,10 +115,10 @@ func TestPlanExecuteWarmAllocs(t *testing.T) {
 		Aggregate(nb, keyOf, 0, lift, comb).
 		TopK(100)
 	g := s.NewGroup()
-	p.Execute(g, in) // warm: first run settles lazily-grown scheduler state
+	execute(t, p, g, in) // warm: first run settles lazily-grown scheduler state
 
 	avg := testing.AllocsPerRun(20, func() {
-		res := p.Execute(g, in)
+		res := execute(t, p, g, in)
 		if len(res.Aggregates) != nb {
 			t.Fatal("bad result")
 		}
@@ -137,7 +151,7 @@ func TestPlanReusableGroup(t *testing.T) {
 
 	ran := false
 	g.Run(core.Solo(func(*core.Ctx) { ran = true }))
-	res := p.Execute(g, in)
+	res := execute(t, p, g, in)
 	g.Run(core.Solo(func(*core.Ctx) { ran = ran && true }))
 	g.Wait()
 
@@ -147,4 +161,74 @@ func TestPlanReusableGroup(t *testing.T) {
 	if !ran {
 		t.Fatal("solo task did not run")
 	}
+}
+
+// checkNoResult pins what Execute returns for an execution a stage did not
+// complete: the error, and the zero Result — not the views and the stale
+// survivor count of the execution before it.
+func checkNoResult(t *testing.T, res query.Result[int32], err, want error) {
+	t.Helper()
+	if !errors.Is(err, want) {
+		t.Fatalf("Execute error = %v, want %v", err, want)
+	}
+	if res.Out != nil || res.Starts != nil || res.Aggregates != nil {
+		t.Fatalf("failed Execute returned %+v, want the zero Result", res)
+	}
+}
+
+// TestPlanExecuteAfterShutdown: every stage is refused, and the warm plan's
+// previous result must not come back as this one's.
+func TestPlanExecuteAfterShutdown(t *testing.T) {
+	s := core.New(core.Options{P: 2})
+	p := query.NewPlan[int32](1<<15, s.MaxTeam(), 512).
+		Filter(func(v int32) bool { return v%2 == 0 }).
+		GroupBy(nb, keyOf).
+		Aggregate(nb, keyOf, 0, lift, comb).
+		TopK(5)
+	g := s.NewGroup()
+	in := dist.Generate(dist.Sorted, 1<<15, 1)
+	if res := execute(t, p, g, in); len(res.Out) != 5 {
+		t.Fatalf("warm run selected %d elements, want 5", len(res.Out))
+	}
+	s.Shutdown()
+	res, err := p.Execute(g, make([]int32, 100))
+	checkNoResult(t, res, err, core.ErrShutdown)
+}
+
+// TestPlanExecuteStopsAtCanceledStage cancels the group from inside the
+// first stage: that stage runs to its end (cancellation is cooperative),
+// the second is never submitted, and once the group is reset the plan runs
+// again.
+func TestPlanExecuteStopsAtCanceledStage(t *testing.T) {
+	s := propSched(t)
+	g := s.NewGroup()
+	boom := errors.New("boom")
+	var cancel atomic.Bool
+	var second atomic.Int64
+	p := query.NewPlan[int32](propN, s.MaxTeam(), 512).
+		Filter(func(v int32) bool {
+			if cancel.Load() {
+				g.Cancel(boom)
+			}
+			return predOf(v)
+		}).
+		Filter(func(int32) bool { second.Add(1); return true })
+	in := dist.Generate(dist.Random, propN, 9)
+	want := slices.Clone(execute(t, p, g, in).Out)
+
+	cancel.Store(true)
+	second.Store(0)
+	res, err := p.Execute(g, in)
+	checkNoResult(t, res, err, boom)
+	if n := second.Load(); n != 0 {
+		t.Fatalf("the stage after the canceled one evaluated its predicate %d times", n)
+	}
+
+	// A group canceled before the first stage refuses it.
+	res, err = p.Execute(g, in)
+	checkNoResult(t, res, err, boom)
+
+	cancel.Store(false)
+	g.Reset()
+	checkSlice(t, "after-reset", 0, execute(t, p, g, in).Out, want)
 }

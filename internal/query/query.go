@@ -7,8 +7,9 @@
 // internal/par, continuing the argument that deterministically built teams
 // make data-parallel kernels compositional:
 //
-//   - Filter: stable predicate compaction — a direct application of
-//     par.Pack (flag-count, exclusive scan, order-preserving scatter).
+//   - Filter: stable predicate compaction — par.Pack's pattern (flag-count,
+//     exclusive scan of the counts, order-preserving scatter) with the
+//     predicate called directly and neither loop jumping on its answer.
 //   - GroupBy: bucket-contiguous reordering — par.Hist counts the
 //     per-(member, bucket) matrix, an exclusive scan of the totals yields
 //     bucket start offsets, and each member scatters its chunk through its

@@ -31,11 +31,11 @@ func NewTopKer[T Ordered](np, k int) *TopKer[T] {
 // descending order, returning the selected count min(k, len(src)) to every
 // member. k must not exceed the k the state was built for; dst must have
 // room for the count and must not alias src. Each member scans its static
-// chunk through a bounded min-heap (the selection), member 0 merges the
-// ≤ w·k candidates with the sequential sort, and the count is published
-// across the final barrier. Ties are resolved by value only (elements are
-// indistinguishable beyond their ordering), so the result equals the
-// sequential oracle exactly.
+// chunk against the minimum of a bounded min-heap and offers the heap what
+// exceeds it (the selection), member 0 merges the ≤ w·k candidates with the
+// sequential sort, and the count is published across the final barrier.
+// Ties are resolved by value only (elements are indistinguishable beyond
+// their ordering), so the result equals the sequential oracle exactly.
 //
 //repro:barrier every member must reach the trailing barrier before dst and the count are readable
 func (t *TopKer[T]) TopK(ctx *core.Ctx, src, dst []T, k int) int {
@@ -48,11 +48,15 @@ func (t *TopKer[T]) TopK(ctx *core.Ctx, src, dst []T, k int) int {
 		return seqTopKHeap(src, dst, k, t.heaps[0])
 	}
 
-	// Phase 1: bounded-heap selection over this member's chunk.
+	// Phase 1: bounded-heap selection over this member's chunk. A full heap
+	// takes only what exceeds its minimum — almost nothing, unless the input
+	// ascends — so test here and call heapOffer for a candidate only.
 	lo, hi := par.Chunk(lid, w, len(src))
 	h := t.heaps[lid][:0]
-	for i := lo; i < hi; i++ {
-		h = heapOffer(h, k, src[i])
+	for _, v := range src[lo:hi] {
+		if len(h) < k || (k > 0 && v > h[0]) {
+			h = heapOffer(h, k, v)
+		}
 	}
 	t.heaps[lid] = h
 	ctx.Barrier()

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 set -euo pipefail
 
-# Codegen guard for internal/qsort's block partition. The kernels are fast
+# Codegen guard for the branch-free kernels: internal/qsort's block partition
+# here, the query kernels' compaction loops further down. The partition is fast
 # because the scan loops turn each comparison into a number instead of
 # jumping on it (partition.go, b2i: `n += b2i(c)` compiles to SETcc). That is
 # one compiler idiom: written `if c { n++ }` the count is left to the
@@ -40,6 +41,44 @@ go tool objdump -s 'qsort\.scan(Left|Right)\[go\.shape\.int32\]' "${dir}/qsort.t
       }
       print "codegencheck: 4 of 4 scan comparisons are branch-free (SETcc/CMOVcc)"
     }'
+
+# The query kernels' count and scatter loops (internal/query/filter.go,
+# internal/par/pack.go) hang on the same idiom one step removed: the number is
+# the answer of a caller-supplied predicate, `c += par.B2i(pred(v))`, so the
+# predicate's indirect CALL must be followed by a MOVZX/SETcc of its result —
+# not by a conditional jump on it, and not by a CALL of B2i, which is what a
+# helper the compiler declines to inline into the instantiation costs (the
+# prototype's was, and Filter ran 60 % slower than the loops this replaced
+# with every test passing). Whether it is inlined depends on the package the
+# generic is instantiated from, so read the binary the benchmark runs: bench/
+# instantiates both for int32. Two predicate calls each, count and scatter.
+go -C bench build -buildvcs=false -o "${dir}/bench" .
+
+# check_kernel <source file> <declaration> <symbol regexp>: only the
+# instructions of the method's own lines count — the sequential oracle is
+# inlined into its team-size-1 path and is the plain `if` loop on purpose.
+check_kernel() {
+  local file=$1 decl=$2 sym=$3 first last
+  first=$(grep -n -F "${decl}" "${file}" | head -n1 | cut -d: -f1)
+  last=$(awk -v first="${first:-0}" 'NR > first && /^}/ { print NR; exit }' "${file}")
+  go tool objdump -s "${sym}" "${dir}/bench" |
+    awk -v want=2 -v src="$(basename "${file}")" -v first="${first:-0}" -v last="${last:-0}" '
+      $1 == "TEXT" { fn = $2; next }
+      { split($1, at, ":"); if (at[1] != src || at[2] < first || at[2] > last) { after_call = 0; next } }
+      after_call { if ($4 ~ /^(MOVZX|SET)/) ok++; else { bad++; print "codegencheck: " fn ": predicate CALL followed by " $4 " (" $1 ")" }; after_call = 0 }
+      $4 == "CALL" && $5 ~ /\.[bB]2i/ { bad++; print "codegencheck: " fn ": B2i is a CALL, not inlined (" $1 ")" }
+      $4 == "CALL" && $5 !~ /\(SB\)$/ { after_call = 1 }
+      END {
+        if (fn == "") { fn = "'"${decl}"'"; print "codegencheck: " fn ": no int32 instantiation in the benchmark binary" }
+        if (bad > 0 || ok != want) {
+          print "codegencheck: FAIL " fn " (" ok + 0 " of " want " predicate calls are counted branch-free, " bad + 0 " are not)"
+          exit 1
+        }
+        print "codegencheck: " fn ": " ok " of " want " predicate calls are counted branch-free (MOVZX/SETcc)"
+      }'
+}
+check_kernel internal/query/filter.go 'func (f *Filterer[T]) Filter(' 'query\.\(\*Filterer\[go\.shape\.int32\]\)\.Filter$'
+check_kernel internal/par/pack.go 'func (p *Packer[T]) Pack(' 'par\.\(\*Packer\[go\.shape\.int32\]\)\.Pack$'
 
 go tool nm "${dir}/qsort.test" |
   grep -E 'qsort\.(HoarePartition|scanLeft|scanRight)\[go\.shape\.int32\]$' |

@@ -21,8 +21,10 @@ missing=()
 # and FuzzCancel (random spawn/cancel/deadline/reset schedules: WaitErr
 # agrees with the canceled state, inflight reconciles, counters balance);
 # internal/stats carries FuzzPercentile (nearest-rank vs brute-force oracle);
-# internal/query carries FuzzFilter/FuzzGroupBy/FuzzMergeJoin/FuzzPlan
-# (analytics operators and random plans vs their sequential oracles);
+# internal/query carries FuzzFilter/FuzzTopK/FuzzGroupBy/FuzzMergeJoin/FuzzPlan
+# (analytics operators and random plans vs their sequential oracles, Filter
+# into an exact-fit dst); internal/par carries FuzzScan and FuzzPack (an
+# index-dependent keep into an exact-fit dst);
 # internal/teamsync carries FuzzBarrier (n members, random per-phase delays:
 # nobody passes early, one last arriver per phase); internal/qsort carries
 # FuzzPartition (duplicate-dense slices through the three block-partition
