@@ -1,10 +1,14 @@
 package repro_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro"
 )
@@ -138,6 +142,63 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				out := append([]int32(nil), in...)
 				sortOnRuntime(rt, algos[(c+req)%len(algos)], out)
 				checkSortedPermutation(t, fmt.Sprintf("client%d/req%d", c, req), in, out)
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// TestConcurrentBatchesPooledScratch: eight clients run batches of the two
+// out-of-place sorts — two samplesorts and a merge sort on distinct inputs,
+// each borrowing its scratch from the Runtime's pool — and a third of the
+// batches run under a context that has already expired, so buffers also
+// come back from groups that were canceled. Every batch that was not
+// canceled must come out sorted with its checksum intact; under -race a
+// buffer handed to two requests at once is a detected race as well.
+func TestConcurrentBatchesPooledScratch(t *testing.T) {
+	rt := repro.NewRuntime[int32](repro.Options{P: 4})
+	defer rt.Close()
+	opt := repro.BatchOptions{SS: concurrentOpts.ss, MS: concurrentOpts.ms}
+	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+
+	const clients, rounds, n = 8, 6, 1 << 15
+	algos := []repro.SortAlgo{repro.AlgoSamplesort, repro.AlgoSamplesort, repro.AlgoMergeMixedMode}
+	checksum := func(d []int32) (sum uint64) {
+		for _, v := range d {
+			sum += uint64(uint32(v))
+		}
+		return sum
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				reqs := make([]repro.SortRequest[int32], len(algos))
+				sums := make([]uint64, len(algos))
+				for i, algo := range algos {
+					kind := []repro.Distribution{repro.Random, repro.RandDup, repro.Staggered}[(c+round+i)%3]
+					reqs[i] = repro.SortRequest[int32]{Data: repro.GenerateInput(kind, n, uint64(c*100+round*10+i)), Algo: algo}
+					sums[i] = checksum(reqs[i].Data)
+				}
+				label := fmt.Sprintf("client%d/round%d", c, round)
+				if (c+round)%3 == 0 {
+					if err := rt.SortManyCtx(expired, reqs, opt); !errors.Is(err, repro.ErrDeadlineExceeded) {
+						t.Errorf("%s: err = %v under an expired context, want ErrDeadlineExceeded", label, err)
+					}
+					continue // a canceled batch's data is garbage
+				}
+				if err := rt.SortManyCtx(context.Background(), reqs, opt); err != nil {
+					t.Errorf("%s: %v", label, err)
+					continue
+				}
+				for i, rq := range reqs {
+					if !slices.IsSorted(rq.Data) || checksum(rq.Data) != sums[i] {
+						t.Errorf("%s/req%d: output not sorted or checksum changed", label, i)
+					}
+				}
 			}
 		}(c)
 	}

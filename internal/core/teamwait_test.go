@@ -324,7 +324,9 @@ func TestBarrierLastArriverWakesParkedTeam(t *testing.T) {
 // TestShutdownWithTeamParked: Shutdown while a member is parked inside the
 // team. In memberStep the closed doneCh releases it at once; in a barrier it
 // stays until the missing participant arrives (a released barrier would let
-// the task run on with its phase broken) and Shutdown waits for that.
+// the task run on with its phase broken) and Shutdown waits for that — and
+// the participant does arrive: a worker does not leave its loop over a
+// published execution of its team that it has not picked up.
 func TestShutdownWithTeamParked(t *testing.T) {
 	t.Run("memberStep", func(t *testing.T) {
 		s := New(Options{P: 2})
@@ -360,6 +362,45 @@ func TestShutdownWithTeamParked(t *testing.T) {
 			t.Fatal("Shutdown broke a barrier that was still missing a participant")
 		}
 		close(hold)
+		runWithDeadline(t, s, waitDeadline, func() { <-down })
+		if after.Load() != 2 {
+			t.Fatalf("%d members got through the barrier, want 2", after.Load())
+		}
+	})
+	// The schedule that used to hang: the coordinator has published the
+	// execution and is parked in its barrier, the member has not picked it up
+	// — it is held between announcing its team wait and re-checking it —
+	// and Shutdown lands. Released, the member finds done set: it must run
+	// its share before it leaves, or the barrier never opens.
+	t.Run("barrier, execution not yet picked up", func(t *testing.T) {
+		latch := make(chan struct{})
+		var s *Scheduler
+		s = build(Options{P: 2, Fault: func(p FaultPoint, id int) {
+			if p != FaultTeamPark {
+				return
+			}
+			// The member's wait for its second execution: in memberStep (a
+			// barrier announces slotBarrier), the first one picked up.
+			if w := s.workers[id]; w.coordp() != w && w.slot.Tag() == slotTeamWait && w.lastGen != 0 {
+				<-latch
+			}
+		}})
+		topo.EnsureGOMAXPROCS(2)
+		s.start()
+		var after atomic.Int32
+		_, coord, _, hold := heldTeam(t, s, Func(2, func(ctx *Ctx) {
+			ctx.Barrier()
+			after.Add(1)
+		}))
+		close(hold) // the coordinator ends the first task and publishes the second
+		waitTag(t, s, coord, slotBarrier)
+		if exec := coord.cur.Load(); exec == nil || exec.started.Load() != 1 {
+			t.Fatalf("coordinator in the barrier with exec %+v, want one pickup outstanding", exec)
+		}
+		down := make(chan struct{})
+		go func() { s.Shutdown(); close(down) }()
+		waitFor(t, s, "Shutdown began", s.done.Load)
+		close(latch)
 		runWithDeadline(t, s, waitDeadline, func() { <-down })
 		if after.Load() != 2 {
 			t.Fatalf("%d members got through the barrier, want 2", after.Load())

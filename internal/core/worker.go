@@ -177,10 +177,12 @@ func (w *worker) pushNode(n *node) {
 // loop is the worker main loop (Algorithm 1 + Algorithm 5 structure):
 // member polling takes precedence, then local coordination/execution, then
 // externally injected tasks, then stealing, then a spin round or the park.
+// Shutdown ends it, but not over a published team execution the worker has
+// yet to pick up: a barrier inside may be waiting for it, so it runs its share.
 func (w *worker) loop() {
 	defer w.sched.wg.Done()
 	s := w.sched
-	for !s.done.Load() {
+	for !s.done.Load() || w.pickable(w.coordp().cur.Load()) {
 		if f := s.opts.Fault; f != nil {
 			f(FaultWorkerLoop, w.id)
 		}

@@ -345,12 +345,12 @@ func NewSorter(alg Algorithm, cfg Config) (Sorter, error) {
 	case SSort:
 		opt := ssort.Options{Cutoff: cfg.Cutoff, MinPerThread: quota}
 		return onCore(cfg, func(maxTeam int, d []int32) core.Task {
-			return ssort.Root(maxTeam, d, opt)
+			return ssort.Root(maxTeam, d, nil, opt)
 		}), nil
 	case MSort:
 		opt := msort.Options{Cutoff: cfg.Cutoff, MinPerThread: quota}
 		return onCore(cfg, func(_ int, d []int32) core.Task {
-			return msort.Root(d, opt)
+			return msort.Root(d, nil, opt)
 		}), nil
 	default:
 		return Sorter{}, fmt.Errorf("unknown algorithm %v", alg)

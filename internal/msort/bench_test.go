@@ -32,7 +32,7 @@ func BenchmarkSort(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(buf, in)
-				s.Run(Root(buf, opt))
+				s.Run(Root(buf, nil, opt))
 			}
 		})
 		b.Run(fmt.Sprintf("mmqsort-p%d", p), func(b *testing.B) {

@@ -45,18 +45,23 @@ func (o Options) withDefaults() Options {
 // tables' "MSort" column). Run it with Scheduler.Run or Group.Run, or spawn
 // it into a group beside other work: the whole continuation tree — child
 // sorts and the merges they trigger through childDone — inherits the group,
-// so the group drains exactly when the root merge has been written. The
-// algorithm is not in-place: Root allocates one scratch buffer of
-// len(data). It returns nil — the empty computation, which Run and Spawn
-// accept — when there is nothing to sort.
-func Root[T qsort.Ordered](data []T, opt Options) core.Task {
+// so the group drains exactly when the root merge has been written. It
+// returns nil — the empty computation, which Run and Spawn accept — when
+// there is nothing to sort. The algorithm is not in-place: the merges
+// alternate between data and scratch, under ssort.Root's contract (at least
+// len(data) elements, disjoint from data, free again only once the group is
+// quiescent; nil or too short, Root allocates its own).
+func Root[T qsort.Ordered](data, scratch []T, opt Options) core.Task {
 	opt = opt.withDefaults()
-	if len(data) < 2 {
+	n := len(data)
+	if n < 2 {
 		return nil
 	}
-	tmp := make([]T, len(data))
+	if len(scratch) < n {
+		scratch = make([]T, n)
+	}
 	st := &msState[T]{opt: opt}
-	return st.sortTask(data, tmp, false, nil)
+	return st.sortTask(data, scratch[:n], false, nil)
 }
 
 // msState is the shared state of one merge sort tree: the options plus the

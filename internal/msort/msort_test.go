@@ -20,7 +20,7 @@ func newSched(t *testing.T, p int) *core.Scheduler {
 // sortOn runs the merge sort's root task to quiescence on s.
 func sortOn(t *testing.T, s *core.Scheduler, data []int32, opt Options) {
 	t.Helper()
-	if err := s.Run(Root(data, opt)); err != nil {
+	if err := s.Run(Root(data, nil, opt)); err != nil {
 		t.Fatal(err)
 	}
 }

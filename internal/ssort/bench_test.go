@@ -13,9 +13,13 @@ import (
 // tools; the numbers of record are the ssort.* and qsort.* probes of
 // bench/run.sh): BenchmarkSSort and BenchmarkMMQsort run the two mixed-mode
 // algorithms on identical 1M-element inputs of every registered
-// distribution.
+// distribution, and on Random at 2^16 elements — the size of an openloop
+// request, where the samplesort is one team phase over fork-join buckets.
 
-const benchN = 1 << 20
+const (
+	benchN     = 1 << 20
+	benchSmall = 1 << 16
+)
 
 func benchInputs() map[dist.Kind][]int32 {
 	ins := make(map[dist.Kind][]int32, len(dist.Kinds))
@@ -30,11 +34,11 @@ func benchPerKind(b *testing.B, sortFn func(s *core.Scheduler, data []int32)) {
 	b.Cleanup(s.Shutdown)
 	ins := benchInputs()
 	buf := make([]int32, benchN)
-	for _, k := range dist.Kinds {
-		in := ins[k]
-		b.Run(k.String(), func(b *testing.B) {
+	run := func(name string, in []int32) {
+		buf := buf[:len(in)]
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(4 * benchN)
+			b.SetBytes(int64(4 * len(in)))
 			for i := 0; i < b.N; i++ {
 				copy(buf, in)
 				sortFn(s, buf)
@@ -44,11 +48,15 @@ func benchPerKind(b *testing.B, sortFn func(s *core.Scheduler, data []int32)) {
 			}
 		})
 	}
+	for _, k := range dist.Kinds {
+		run(k.String(), ins[k])
+	}
+	run("Random/65536", dist.Generate(dist.Random, benchSmall, 42))
 }
 
 func BenchmarkSSort(b *testing.B) {
 	benchPerKind(b, func(s *core.Scheduler, data []int32) {
-		s.Run(ssort.Root(s.MaxTeam(), data, ssort.Options{}))
+		s.Run(ssort.Root(s.MaxTeam(), data, nil, ssort.Options{}))
 	})
 }
 

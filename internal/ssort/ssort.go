@@ -11,14 +11,22 @@
 // computations:
 //
 //  1. The team gathers an evenly spaced sample cooperatively (TeamFor);
-//     member 0 sorts it and selects the bucket splitters.
-//  2. par.Hist counts each member's chunk into the per-(member, bucket)
-//     matrix and merges the bucket totals at the team barrier.
+//     member 0 sorts it, selects the k−1 bucket splitters (k a power of two)
+//     and lays them out as an implicit search tree, tree[2j] and tree[2j+1]
+//     the children of tree[j] (Sanders & Winkel, Super Scalar Sample Sort).
+//  2. Each member counts its chunk straight into its row of par.Hist's
+//     per-(member, bucket) matrix by walking the tree — j = 2j + (tree[j] ≤
+//     v), log k steps, bucket j−k: a comparison is a number added to the
+//     index, never a jump (a binary search on random keys mispredicts every
+//     other step) — and par.Hist.Merge sums the bucket totals at the barrier.
 //  3. par.Scanner.Exclusive turns the bucket totals into bucket start
 //     offsets (the two-phase block scan).
-//  4. Each member computes its private write cursors from the count matrix
-//     and scatters its chunk into the scratch buffer — stable and
-//     write-conflict-free by construction.
+//  4. Each member computes its private write cursors from the count matrix,
+//     walks the tree a second time for every element of its chunk and
+//     scatters it into the scratch buffer — stable and write-conflict-free
+//     by construction. No bucket-id array is kept between the two walks:
+//     classifying twice read 1.82 / 33.7 ms at 2^16 / 2^20 int32 against
+//     1.78 / 32.0 ms with the ids in a []uint8, not worth n bytes.
 //  5. After a team copy-back, member 0 spawns one sorting task per bucket:
 //     large buckets recurse as new samplesort team tasks (thread
 //     requirement chosen like the paper's getBestNp), medium buckets run
@@ -33,6 +41,8 @@
 package ssort
 
 import (
+	"math/bits"
+
 	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/qsort"
@@ -48,7 +58,8 @@ type Options struct {
 	// samplesort task (default 1 << 15); it plays the role of the paper's
 	// getBestNp block quota.
 	MinPerThread int
-	// BucketsPerThread is the number of buckets per team member (default 4).
+	// BucketsPerThread is the number of buckets per team member (default
+	// 4); a team task rounds its bucket count up to a power of two.
 	BucketsPerThread int
 	// Oversample is the number of sample elements per bucket used to select
 	// splitters (default 8).
@@ -75,11 +86,16 @@ func (o Options) withDefaults() Options {
 // tables' "SSort" column); maxTeam is the target scheduler's
 // Scheduler.MaxTeam(). Run it with Scheduler.Run or Group.Run, or spawn it
 // into a group beside other work; data is sorted once the group is
-// quiescent (all bucket recursion subtasks inherit it). The algorithm is
-// not in-place: Root allocates one scratch buffer of len(data), whose
-// ranges are reused down the bucket recursion. It returns nil — the empty
-// computation, which Run and Spawn accept — when there is nothing to sort.
-func Root[T qsort.Ordered](maxTeam int, data []T, opt Options) core.Task {
+// quiescent (all bucket recursion subtasks inherit it). It returns nil — the
+// empty computation, which Run and Spawn accept — when there is nothing to
+// sort.
+//
+// The algorithm is not in-place: the buckets are scattered into scratch,
+// whose ranges are reused down the bucket recursion. scratch must hold at
+// least len(data) elements and be disjoint from data; its contents are
+// unspecified on return, and it is free again only once the group is
+// quiescent. If it is nil or too short, Root allocates what ScratchLen says.
+func Root[T qsort.Ordered](maxTeam int, data, scratch []T, opt Options) core.Task {
 	opt = opt.withDefaults()
 	n := len(data)
 	if n < 2 {
@@ -91,11 +107,22 @@ func Root[T qsort.Ordered](maxTeam int, data []T, opt Options) core.Task {
 		// degenerate samplesort (every element its own bucket recursion).
 		return qsort.ForkJoinRoot(data, opt.Cutoff)
 	}
-	scratch := make([]T, n)
+	if len(scratch) < n {
+		scratch = make([]T, n)
+	}
 	// One fork-task pool serves every sequential bucket and fork-join
 	// fallback of this sort tree (see qsort.ForkPool), so the task-parallel
 	// fan-out below the team phases spawns without allocating.
-	return newTask(data, scratch, np, opt, qsort.NewForkPool[T](opt.Cutoff))
+	return newTask(data, scratch[:n], np, opt, qsort.NewForkPool[T](opt.Cutoff))
+}
+
+// ScratchLen returns how many elements of scratch Root uses to sort n: n
+// when the sort forms a team, 0 when it runs the in-place quicksort.
+func ScratchLen(maxTeam, n int, opt Options) int {
+	if core.BestNp(n, opt.withDefaults().MinPerThread, maxTeam) == 1 {
+		return 0
+	}
+	return n
 }
 
 // task is one samplesort team task over data; scratch is a disjoint buffer
@@ -106,40 +133,77 @@ type task[T qsort.Ordered] struct {
 	opt           Options
 	fp            *qsort.ForkPool[T] // shared by the whole sort tree
 
-	nb         int // bucket count
 	sample     []T
-	splitters  []T  // nb−1 sorted splitters, written by member 0
+	tree       []T  // search tree of the splitters in tree[1:], one slot per bucket; written by member 0
 	degenerate bool // sample all-equal, written by member 0
 
 	hist   *par.Hist
 	scan   *par.Scanner[int]
-	starts []int   // bucket start offsets after the exclusive scan
-	curs   [][]int // per-member scatter cursors (row per member, no sharing)
+	starts []int // bucket start offsets after the exclusive scan
 }
 
 func newTask[T qsort.Ordered](data, scratch []T, np int, opt Options, fp *qsort.ForkPool[T]) *task[T] {
-	nb := np * opt.BucketsPerThread
+	nb := 1 << bits.Len(uint(np*opt.BucketsPerThread-1)) // np ≥ 2: at least two buckets
 	ss := nb * opt.Oversample
 	if ss > len(data) {
 		ss = len(data)
 	}
-	curs := make([][]int, np)
-	for m := range curs {
-		curs[m] = make([]int, nb)
-	}
 	return &task[T]{
 		data: data, scratch: scratch, np: np, opt: opt, fp: fp,
-		nb:        nb,
-		sample:    make([]T, ss),
-		splitters: make([]T, nb-1),
-		hist:      par.NewHist(np, nb),
-		scan:      par.NewScanner(np, 0, func(a, b int) int { return a + b }),
-		starts:    make([]int, nb),
-		curs:      curs,
+		sample: make([]T, ss),
+		tree:   make([]T, nb),
+		hist:   par.NewHist(np, nb),
+		scan:   par.NewScanner(np, 0, func(a, b int) int { return a + b }),
+		starts: make([]int, nb),
 	}
 }
 
 func (t *task[T]) Threads() int { return t.np }
+
+// buildTree lays nb−1 splitters of the sorted sample out as the tree classify
+// walks: the i-th node of depth d, tree[2^d+i], holds the splitter of rank
+// (2i+1)·nb/2^(d+1) − 1. Duplicates leave the buckets between them empty.
+func buildTree[T qsort.Ordered](tree, sample []T) {
+	nb, ss := len(tree), len(sample)
+	for first := 1; first < nb; first *= 2 { // first node of each depth
+		for i := 0; i < first; i++ {
+			rank := (2*i+1)*nb/(2*first) - 1
+			tree[first+i] = sample[(rank+1)*ss/nb]
+		}
+	}
+}
+
+// classify returns the bucket of v, the number of splitters ≤ v, in
+// log2(len(tree)) steps none of which jumps on v (par.B2i: SETcc, which
+// scripts/codegencheck.sh holds the benchmark binary to).
+func classify[T qsort.Ordered](tree []T, v T) int {
+	j, k := 1, len(tree)
+	for j < k {
+		j = 2*j + par.B2i(tree[j] <= v)
+	}
+	return j - k
+}
+
+// count and scatter are the two walks over a member's chunk: bucket sizes
+// into row, elements to their buckets' cursors in dst. Functions of their own
+// because, inlined into Run, the walk spills its index at every step.
+//
+//go:noinline
+func count[T qsort.Ordered](tree, chunk []T, row []int) {
+	clear(row)
+	for _, v := range chunk {
+		row[classify(tree, v)]++
+	}
+}
+
+//go:noinline
+func scatter[T qsort.Ordered](tree, chunk []T, cur []int, dst []T) {
+	for _, v := range chunk {
+		b := classify(tree, v)
+		dst[cur[b]] = v
+		cur[b]++
+	}
+}
 
 func (t *task[T]) Run(ctx *core.Ctx) {
 	w, lid := ctx.TeamSize(), ctx.LocalID()
@@ -156,9 +220,7 @@ func (t *task[T]) Run(ctx *core.Ctx) {
 	})
 	if lid == 0 {
 		qsort.Introsort(t.sample)
-		for j := range t.splitters {
-			t.splitters[j] = t.sample[(j+1)*ss/t.nb]
-		}
+		buildTree(t.tree, t.sample)
 		t.degenerate = t.sample[0] == t.sample[ss-1]
 	}
 	ctx.Barrier()
@@ -173,14 +235,15 @@ func (t *task[T]) Run(ctx *core.Ctx) {
 	}
 
 	// Step 2: per-(member, bucket) histogram of the static chunks.
-	t.hist.Histogram(ctx, n, func(i int) int {
-		return bucketIndex(t.splitters, t.data[i])
-	})
+	lo, hi := par.Chunk(lid, w, n)
+	chunk, tree := t.data[lo:hi], t.tree
+	count(tree, chunk, t.hist.Row(lid))
+	t.hist.Merge(ctx)
 
 	// Step 3: bucket start offsets — copy the totals and scan exclusively
 	// (team-parallel; the totals stay intact for the bucket sizes).
 	totals := t.hist.Totals()
-	ctx.TeamFor(t.nb, func(lo, hi int) {
+	ctx.TeamFor(len(totals), func(lo, hi int) {
 		copy(t.starts[lo:hi], totals[lo:hi])
 	})
 	t.scan.Exclusive(ctx, t.starts)
@@ -188,14 +251,9 @@ func (t *task[T]) Run(ctx *core.Ctx) {
 	// Step 4: scatter. Each member reserves its own region inside every
 	// bucket (bucket start + what earlier members counted there), so the
 	// writes are conflict-free and the compaction is stable.
-	cur := t.curs[lid]
+	cur := make([]int, len(totals)) // private: no sharing with the other members' rows
 	t.hist.Cursors(lid, t.starts, cur)
-	lo, hi := par.Chunk(lid, w, n) // must match par.Hist's counting chunks
-	for i := lo; i < hi; i++ {
-		b := bucketIndex(t.splitters, t.data[i])
-		t.scratch[cur[b]] = t.data[i]
-		cur[b]++
-	}
+	scatter(tree, chunk, cur, t.scratch) // the chunk step 2 counted
 	ctx.Barrier()
 
 	// Step 5: copy back, then member 0 spawns the bucket sorts; the other
@@ -206,9 +264,8 @@ func (t *task[T]) Run(ctx *core.Ctx) {
 	if lid != 0 {
 		return
 	}
-	for b := 0; b < t.nb; b++ {
-		blo := t.starts[b]
-		bhi := blo + totals[b]
+	for b, size := range totals {
+		blo, bhi := t.starts[b], t.starts[b]+size
 		t.spawnBucket(ctx, t.data[blo:bhi], t.scratch[blo:bhi])
 	}
 }
@@ -247,20 +304,4 @@ func (t *task[T]) spawnFork(ctx *core.Ctx, part []T) {
 		return // cooperative cancellation: see spawnBucket
 	}
 	t.fp.Spawn(ctx, part)
-}
-
-// bucketIndex returns the bucket of v: the number of splitters ≤ v, found
-// by binary search. Splitters need not be distinct — duplicated splitters
-// simply leave the buckets between the copies empty.
-func bucketIndex[T qsort.Ordered](splitters []T, v T) int {
-	lo, hi := 0, len(splitters)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if splitters[mid] <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

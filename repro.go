@@ -148,9 +148,9 @@ type SSOptions = ssort.Options
 // splitters, histograms and scatters its range into buckets, and the
 // buckets are sorted by recursively spawned tasks — a structurally
 // different mixed-mode algorithm beside the paper's Quicksort. Allocates
-// one scratch buffer of len(data).
+// one scratch buffer of len(data) per call (Runtime.SortSamplesort pools it).
 func SortSamplesort[T Ordered](s *Scheduler, data []T, opt SSOptions) {
-	_ = s.Run(ssort.Root(s.MaxTeam(), data, opt)) // see SortMixedMode
+	_ = s.Run(ssort.Root(s.MaxTeam(), data, nil, opt)) // see SortMixedMode
 }
 
 // MSOptions are the tunables of the mixed-mode parallel merge sort.
@@ -159,9 +159,9 @@ type MSOptions = msort.Options
 // SortMergeMixedMode sorts data with a mixed-mode parallel merge sort
 // (task-parallel recursion, team-parallel co-ranked merges) — a second
 // mixed-mode application beyond the paper's Quicksort. Allocates one scratch
-// buffer of len(data).
+// buffer of len(data) per call (Runtime.SortMergeMixedMode pools it).
 func SortMergeMixedMode[T Ordered](s *Scheduler, data []T, opt MSOptions) {
-	_ = s.Run(msort.Root(data, opt)) // see SortMixedMode
+	_ = s.Run(msort.Root(data, nil, opt)) // see SortMixedMode
 }
 
 // Distribution identifies one of the paper's benchmark input distributions.

@@ -3,6 +3,9 @@ package repro
 import (
 	"context"
 	"errors"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 )
@@ -158,4 +161,45 @@ func TestRequestPathAfterClose(t *testing.T) {
 	rt := NewRuntime[int32](Options{P: 2})
 	rt.Close()
 	checkRequests(t, rt, context.Background(), ErrShutdown)
+}
+
+// TestSamplesortScratchIsPooled: a warmed Runtime sorts through pooled
+// scratch — a 2^16-element SortSamplesort (one two-member team phase, 256
+// KiB of scratch) allocates a few KiB of task state per call, not a buffer
+// (260 KiB before the pool). Counted call by call, because sync.Pool keeps
+// one item per P where no other P finds it: a caller that has moved to
+// another P may miss once per other P, and the buffer it then allocates
+// stays pooled too. The collector, which empties the pool, is off meanwhile.
+func TestSamplesortScratchIsPooled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	rt := NewRuntime[int32](Options{P: 2})
+	defer rt.Close()
+	const n, calls = 1 << 16, 20
+	in := GenerateInput(Random, n, 3)
+	data := make([]int32, n)
+	sortOnce := func() uint64 {
+		var before, after runtime.MemStats
+		copy(data, in)
+		runtime.ReadMemStats(&before)
+		rt.SortSamplesort(data, SSOptions{})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	sortOnce() // warm: the pool's first buffer
+	fresh, worst := 0, uint64(0)
+	for i := 0; i < calls; i++ {
+		if b := sortOnce(); b >= 16<<10 {
+			fresh++
+			worst = max(worst, b)
+		}
+	}
+	if !slices.IsSorted(data) {
+		t.Fatal("output not sorted")
+	}
+	if fresh > min(runtime.GOMAXPROCS(0)-1, calls/4) {
+		t.Fatalf("%d of %d SortSamplesort calls on a warmed Runtime allocated 16 KiB or more (up to %d bytes)", fresh, calls, worst)
+	}
 }

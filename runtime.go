@@ -27,9 +27,10 @@ import (
 // methods); create one Runtime per element type on the same Scheduler via
 // NewRuntimeOn if a process needs several.
 type Runtime[T Ordered] struct {
-	s     *Scheduler
-	owned bool // whether Close shuts the scheduler down
-	m     runtimeMetrics
+	s       *Scheduler
+	owned   bool // whether Close shuts the scheduler down
+	m       runtimeMetrics
+	scratch sync.Pool // of *[]T: what the out-of-place sorts borrow per request
 }
 
 // family indexes the request families of runtimeMetrics: the four sort
@@ -141,13 +142,22 @@ func (m *runtimeMetrics) end(l *load, shard int, t0 time.Time) {
 // post-admission shutdown was observed). Abandoned requests still observe
 // their (truncated) latency. A context that can never be canceled costs
 // nothing: BindContext is then a no-op and starts no watcher goroutine.
-func (r *Runtime[T]) request(ctx context.Context, l load, body func(g *core.Group) error) error {
+// held (nil: none) lists the scratch buffers body's sorts borrowed. They go
+// back to the pool after any drain, a canceled group's included (WaitErr
+// waits out its started tasks), but not after a shutdown that let WaitErr
+// return over tasks in flight: those are left to the collector.
+func (r *Runtime[T]) request(ctx context.Context, l load, held *loans[T], body func(g *core.Group) error) error {
 	shard, t0 := r.m.begin(&l, r.s.P())
 	g := r.s.NewGroup()
 	stop := g.BindContext(ctx)
 	defer stop()
 	berr := body(g)
 	err := g.WaitErr()
+	if held != nil && g.Pending() == 0 {
+		for _, b := range *held {
+			r.scratch.Put(b)
+		}
+	}
 	if err == nil {
 		err = berr
 	}
@@ -162,7 +172,26 @@ func (r *Runtime[T]) request(ctx context.Context, l load, body func(g *core.Grou
 func (r *Runtime[T]) single(f family, body func(g *core.Group) error) {
 	var l load
 	l[f] = 1
-	_ = r.request(context.Background(), l, body)
+	_ = r.request(context.Background(), l, nil, body)
+}
+
+// loans lists the scratch buffers one request has borrowed from the pool.
+type loans[T Ordered] []*[]T
+
+// borrow returns n elements of pooled scratch for one sort of a request,
+// noted in held (nothing for n = 0); a pooled buffer too short for it is
+// dropped for a fresh one.
+func (r *Runtime[T]) borrow(n int, held *loans[T]) []T {
+	if n == 0 {
+		return nil
+	}
+	b, _ := r.scratch.Get().(*[]T)
+	if b == nil || len(*b) < n {
+		s := make([]T, n)
+		b = &s
+	}
+	*held = append(*held, b)
+	return (*b)[:n]
 }
 
 // Metrics returns the Runtime's metrics registry: the underlying
@@ -271,34 +300,42 @@ func (r *Runtime[T]) SortForkJoin(data []T) {
 }
 
 // SortSamplesort sorts data with the mixed-mode parallel samplesort as an
-// independent group on the shared scheduler.
+// independent group on the shared scheduler. A request large enough to form
+// a team scatters through len(data) elements of scratch, pooled by the
+// Runtime across requests: once warm it allocates no buffer per call.
 func (r *Runtime[T]) SortSamplesort(data []T, opt SSOptions) {
 	r.sortOne(SortRequest[T]{Data: data, Algo: AlgoSamplesort}, BatchOptions{SS: opt})
 }
 
 // SortMergeMixedMode sorts data with the mixed-mode parallel merge sort as
-// an independent group on the shared scheduler.
+// an independent group on the shared scheduler, merging between data and a
+// scratch buffer of len(data) from the same pool as SortSamplesort's.
 func (r *Runtime[T]) SortMergeMixedMode(data []T, opt MSOptions) {
 	r.sortOne(SortRequest[T]{Data: data, Algo: AlgoMergeMixedMode}, BatchOptions{MS: opt})
 }
 
-// sortOne runs one sort as its own request. The root is built inside the
-// request: allocating its scratch is part of the latency the caller sees.
+// sortOne runs one sort as its own request, like single with no error result.
+// The root is built inside it: drawing (on a cold pool, allocating) its
+// scratch is latency the caller sees.
 func (r *Runtime[T]) sortOne(rq SortRequest[T], opt BatchOptions) {
-	r.single(rq.Algo.family(), func(g *core.Group) error { return g.Spawn(r.root(rq, opt)) })
+	var l load
+	l[rq.Algo.family()] = 1
+	var held loans[T]
+	_ = r.request(context.Background(), l, &held, func(g *core.Group) error { return g.Spawn(r.root(rq, opt, &held)) })
 }
 
 // root maps the public SortAlgo vocabulary to the root task of one sort
 // request (nil when there is nothing to sort); an unknown SortAlgo sorts
-// like the zero value.
-func (r *Runtime[T]) root(rq SortRequest[T], opt BatchOptions) core.Task {
+// like the zero value. The out-of-place sorts borrow their scratch (held).
+func (r *Runtime[T]) root(rq SortRequest[T], opt BatchOptions, held *loans[T]) core.Task {
 	switch rq.Algo {
 	case AlgoForkJoin:
 		return qsort.ForkJoinRoot(rq.Data, opt.Cutoff)
 	case AlgoSamplesort:
-		return ssort.Root(r.s.MaxTeam(), rq.Data, opt.SS)
+		maxTeam := r.s.MaxTeam()
+		return ssort.Root(maxTeam, rq.Data, r.borrow(ssort.ScratchLen(maxTeam, len(rq.Data), opt.SS), held), opt.SS)
 	case AlgoMergeMixedMode:
-		return msort.Root(rq.Data, opt.MS)
+		return msort.Root(rq.Data, r.borrow(len(rq.Data), held), opt.MS)
 	default:
 		return qsort.MixedModeRoot(r.s.MaxTeam(), rq.Data, opt.MM)
 	}
@@ -371,15 +408,17 @@ func (r *Runtime[T]) SortMany(reqs []SortRequest[T], opt BatchOptions) {
 // be treated as garbage by the caller. A nil error means every request was
 // fully sorted. Abandoned batches still observe their (truncated) latency
 // in the runtime metrics. A batch with nothing to sort still honors an
-// already-dead context, with the same typed errors.
+// already-dead context, with the same typed errors. Each AlgoSamplesort or
+// AlgoMergeMixedMode request holds pooled scratch until the group has drained.
 func (r *Runtime[T]) SortManyCtx(ctx context.Context, reqs []SortRequest[T], opt BatchOptions) error {
 	ts := make([]core.Task, 0, len(reqs))
 	var l load
+	var held loans[T]
 	for _, rq := range reqs {
-		if t := r.root(rq, opt); t != nil { // nil: nothing to sort (len < 2)
+		if t := r.root(rq, opt, &held); t != nil { // nil: nothing to sort (len < 2)
 			ts = append(ts, t)
 			l[rq.Algo.family()]++
 		}
 	}
-	return r.request(ctx, l, func(g *core.Group) error { return g.SpawnBatch(ts) })
+	return r.request(ctx, l, &held, func(g *core.Group) error { return g.SpawnBatch(ts) })
 }

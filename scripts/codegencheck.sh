@@ -2,7 +2,8 @@
 set -euo pipefail
 
 # Codegen guard for the branch-free kernels: internal/qsort's block partition
-# here, the query kernels' compaction loops further down. The partition is fast
+# here, the query kernels' compaction loops and the samplesort's tree walk
+# further down. The partition is fast
 # because the scan loops turn each comparison into a number instead of
 # jumping on it (partition.go, b2i: `n += b2i(c)` compiles to SETcc). That is
 # one compiler idiom: written `if c { n++ }` the count is left to the
@@ -79,6 +80,35 @@ check_kernel() {
 }
 check_kernel internal/query/filter.go 'func (f *Filterer[T]) Filter(' 'query\.\(\*Filterer\[go\.shape\.int32\]\)\.Filter$'
 check_kernel internal/par/pack.go 'func (p *Packer[T]) Pack(' 'par\.\(\*Packer\[go\.shape\.int32\]\)\.Pack$'
+
+# The samplesort's classifier (internal/ssort/ssort.go, classify) is the same
+# idiom on a tree walk, `j = 2*j + par.B2i(tree[j] <= v)`: inlined into the
+# count and the scatter loop, each of its two copies must compare with CMPL and
+# take the answer with SETcc. With the helper declared in internal/ssort
+# instead, the package's own test binary showed exactly that and the binary
+# built here had `SETLE; CALL ssort.b2i` — no gain on openloop, every test
+# green. Keyed on classify's source lines, so it holds whether count and
+# scatter are symbols of their own or inlined into (*task).Run.
+check_tree_walk() {
+  local file=internal/ssort/ssort.go decl='func classify[' first last
+  first=$(grep -n -F "${decl}" "${file}" | head -n1 | cut -d: -f1)
+  last=$(awk -v first="${first:-0}" 'NR > first && /^}/ { print NR; exit }' "${file}")
+  go tool objdump -s 'internal/ssort\..*\[go\.shape\.int32\]' "${dir}/bench" |
+    awk -v want=2 -v src="$(basename "${file}")" -v first="${first:-0}" -v last="${last:-0}" '
+      $1 == "TEXT" { fn = $2; next }
+      $4 == "CALL" && $5 ~ /\.[bB]2i/ { bad++; print "codegencheck: " fn ": B2i is a CALL, not inlined (" $1 ")" }
+      { split($1, at, ":"); if (at[1] != src || at[2] < first || at[2] > last) { after_cmp = 0; next } }
+      after_cmp { if ($4 ~ /^SET/) { ok++; seen = seen " " fn } else { bad++; print "codegencheck: " fn ": tree-walk CMPL followed by " $4 " (" $1 ")" }; after_cmp = 0 }
+      $4 == "CMPL" { after_cmp = 1 }
+      END {
+        if (bad > 0 || ok != want) {
+          print "codegencheck: FAIL ssort.classify (" ok + 0 " of " want " tree-walk comparisons are branch-free, " bad + 0 " are not; int32 instantiation in the benchmark binary)"
+          exit 1
+        }
+        print "codegencheck: ssort.classify: " ok " of " want " tree-walk comparisons are branch-free (CMPL; SETcc) in" seen
+      }'
+}
+check_tree_walk
 
 go tool nm "${dir}/qsort.test" |
   grep -E 'qsort\.(HoarePartition|scanLeft|scanRight)\[go\.shape\.int32\]$' |

@@ -28,8 +28,11 @@ missing=()
 # internal/teamsync carries FuzzBarrier (n members, random per-phase delays:
 # nobody passes early, one last arriver per phase); internal/qsort carries
 # FuzzPartition (duplicate-dense slices through the three block-partition
-# kernels' contracts, and Introsort against slices.Sort).
-fuzzDirs=(internal/core internal/dist internal/par internal/qsort internal/query internal/stats internal/teamsync)
+# kernels' contracts, and Introsort against slices.Sort); internal/ssort
+# carries FuzzClassify (the implicit splitter tree's walk vs binary search
+# over the sorted splitters) and FuzzSort (the team samplesort on
+# duplicate-dense input vs slices.Sort, any bucket count, any scratch).
+fuzzDirs=(internal/core internal/dist internal/par internal/qsort internal/query internal/ssort internal/stats internal/teamsync)
 
 for dir in "${fuzzDirs[@]}"; do
   if ! grep -rEn --include='*_test.go' "${fuzzRegex}" "${dir}" >/dev/null 2>&1; then
