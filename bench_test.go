@@ -175,7 +175,7 @@ func BenchmarkAblationStealAmount(b *testing.B) {
 			buf := make([]int32, len(in))
 			for i := 0; i < b.N; i++ {
 				copy(buf, in)
-				s.Run(qsort.ForkJoinRoot(buf, 128))
+				s.Run(qsort.ForkJoinRoot(nil, buf, 128))
 			}
 		})
 	}

@@ -115,7 +115,7 @@ func TestChaosStress(t *testing.T) {
 						d[k] = (k*2654435761 + c + r + j) % 977
 					}
 					data[j] = d
-					if err := g.Spawn(qsort.ForkJoinRoot(d, 64)); err != nil {
+					if err := g.Spawn(qsort.ForkJoinRoot(nil, d, 64)); err != nil {
 						// Only a canceled/shutdown group refuses a blocking
 						// spawn; the sort for this slice never starts.
 						break
@@ -240,7 +240,7 @@ func TestChaosParkStall(t *testing.T) {
 				for k := range d {
 					d[k] = (k*2654435761 + c + r) % 977
 				}
-				if err := s.Run(qsort.ForkJoinRoot(d, 64)); err != nil {
+				if err := s.Run(qsort.ForkJoinRoot(nil, d, 64)); err != nil {
 					t.Errorf("Run = %v", err)
 					return
 				}

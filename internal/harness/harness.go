@@ -328,7 +328,7 @@ func NewSorter(alg Algorithm, cfg Config) (Sorter, error) {
 		return sequential(func(d []int32) { qsort.SequentialQuicksortCutoff(d, cfg.Cutoff) }), nil
 	case Fork:
 		return onCore(cfg, func(_ int, d []int32) core.Task {
-			return qsort.ForkJoinRoot(d, cfg.Cutoff)
+			return qsort.ForkJoinRoot(nil, d, cfg.Cutoff)
 		}), nil
 	case Randfork:
 		return onClassic(cfg, classic.StealHalf, qsort.ForkJoinClassic[int32]), nil
@@ -340,12 +340,12 @@ func NewSorter(alg Algorithm, cfg Config) (Sorter, error) {
 		opt := qsort.MMOptions{Cutoff: cfg.Cutoff, BlockSize: cfg.BlockSize,
 			MinBlocksPerThread: cfg.MinBlocks}
 		return onCore(cfg, func(maxTeam int, d []int32) core.Task {
-			return qsort.MixedModeRoot(maxTeam, d, opt)
+			return qsort.MixedModeRoot(nil, maxTeam, d, opt)
 		}), nil
 	case SSort:
 		opt := ssort.Options{Cutoff: cfg.Cutoff, MinPerThread: quota}
 		return onCore(cfg, func(maxTeam int, d []int32) core.Task {
-			return ssort.Root(maxTeam, d, nil, opt)
+			return ssort.Root(nil, maxTeam, d, nil, opt)
 		}), nil
 	case MSort:
 		opt := msort.Options{Cutoff: cfg.Cutoff, MinPerThread: quota}

@@ -43,7 +43,7 @@ func BenchmarkSort(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(buf, in)
-				s.Run(qsort.MixedModeRoot(s.MaxTeam(), buf, opt))
+				s.Run(qsort.MixedModeRoot(nil, s.MaxTeam(), buf, opt))
 			}
 		})
 	}

@@ -28,6 +28,28 @@ func BenchmarkIntrosort(b *testing.B) {
 	}
 }
 
+// BenchmarkIntrosortPieces sorts 2^20 elements as pieces of m: the difference
+// between two rows is what the levels between their piece sizes cost per
+// element (m=512 is the parallel sorts' leaf, m=16 two runs of the network).
+func BenchmarkIntrosortPieces(b *testing.B) {
+	const n = 1 << 20
+	in := dist.Generate(dist.Random, n, 42)
+	buf := make([]int32, n)
+	for _, m := range []int{16, 32, 64, 128, 256, 512, 4096} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(buf, in)
+				b.StartTimer()
+				for lo := 0; lo < n; lo += m {
+					Introsort(buf[lo : lo+m])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
+		})
+	}
+}
+
 func BenchmarkSequentialQuicksort(b *testing.B) {
 	for _, n := range benchSizes() {
 		in := dist.Generate(dist.Random, n, 42)
@@ -106,7 +128,7 @@ func BenchmarkMixedModeByDistribution(b *testing.B) {
 			b.SetBytes(4 * n)
 			for i := 0; i < b.N; i++ {
 				copy(buf, in)
-				run(b, s, MixedModeRoot(s.MaxTeam(), buf, opt))
+				run(b, s, MixedModeRoot(nil, s.MaxTeam(), buf, opt))
 			}
 		})
 	}
@@ -126,7 +148,7 @@ func BenchmarkForkJoinByScheduler(b *testing.B) {
 		b.SetBytes(4 * n)
 		for i := 0; i < b.N; i++ {
 			copy(buf, in)
-			run(b, s, ForkJoinRoot(buf, DefaultCutoff))
+			run(b, s, ForkJoinRoot(nil, buf, DefaultCutoff))
 		}
 	})
 	for _, pc := range []struct {

@@ -25,52 +25,45 @@ import (
 // makes the steady-state fork-join recursion allocation-free — the paper's
 // r = 1 "ordinary work-stealing" regime with no per-spawn garbage at all.
 //
-// One pool serves one sort tree (or several: the mixed-mode quicksort and
-// the samplesort thread a single pool through their whole recursion), so
-// the pool itself costs one allocation per root, amortized over the
-// Θ(n/cutoff) spawns below it.
-type ForkPool[T Ordered] struct {
-	cutoff int
-	pool   sync.Pool
-}
-
-// NewForkPool returns a pool of fork-join quicksort tasks with the given
-// sequential cutoff (values < 2 select DefaultCutoff).
-func NewForkPool[T Ordered](cutoff int) *ForkPool[T] {
-	if cutoff < 2 {
-		cutoff = DefaultCutoff
-	}
-	return &ForkPool[T]{cutoff: cutoff}
-}
+// The zero ForkPool is ready to use and serves any number of sort trees of
+// one element type at once, whatever their cutoffs (a task carries its own):
+// a Runtime keeps one for all its requests, so a warmed request allocates no
+// task; a root built without one gets a pool of its own.
+type ForkPool[T Ordered] struct{ pool sync.Pool }
 
 // forkTask is one pooled spawn of the task-parallel quicksort recursion.
 type forkTask[T Ordered] struct {
-	fp   *ForkPool[T]
-	data []T
+	fp     *ForkPool[T]
+	data   []T
+	cutoff int
 }
 
 func (t *forkTask[T]) Threads() int { return 1 }
 
 func (t *forkTask[T]) Run(ctx *core.Ctx) {
-	fp, data := t.fp, t.data
+	fp, data, cutoff := t.fp, t.data, t.cutoff
 	t.data = nil
 	fp.pool.Put(t)
-	fp.run(ctx, data)
+	fp.run(ctx, data, cutoff)
 }
 
-// task wraps data in a recycled (or new) forkTask.
-func (fp *ForkPool[T]) task(data []T) *forkTask[T] {
+// task wraps data in a recycled (or new) forkTask; cutoff < 2 selects
+// DefaultCutoff.
+func (fp *ForkPool[T]) task(data []T, cutoff int) *forkTask[T] {
 	t, _ := fp.pool.Get().(*forkTask[T])
 	if t == nil {
 		t = &forkTask[T]{fp: fp}
 	}
-	t.data = data
+	if cutoff < 2 {
+		cutoff = DefaultCutoff
+	}
+	t.data, t.cutoff = data, cutoff
 	return t
 }
 
 // Spawn spawns the task-parallel quicksort of data on ctx as a pooled task.
-func (fp *ForkPool[T]) Spawn(ctx *core.Ctx, data []T) {
-	ctx.Spawn(fp.task(data))
+func (fp *ForkPool[T]) Spawn(ctx *core.Ctx, data []T, cutoff int) {
+	ctx.Spawn(fp.task(data, cutoff))
 }
 
 // run is the quicksort recursion of Algorithm 10 over data: each
@@ -78,8 +71,7 @@ func (fp *ForkPool[T]) Spawn(ctx *core.Ctx, data []T) {
 // continues on the right inline. It returns once the task's own share is
 // sorted; the spawned subtasks complete independently, so the whole range
 // is sorted at the group's quiescence and no worker ever blocks on it.
-func (fp *ForkPool[T]) run(ctx *core.Ctx, data []T) {
-	cutoff := fp.cutoff
+func (fp *ForkPool[T]) run(ctx *core.Ctx, data []T, cutoff int) {
 	for len(data) > cutoff {
 		if ctx.Canceled() {
 			// Cooperative cancellation: stop partitioning and spawning; the
@@ -89,7 +81,7 @@ func (fp *ForkPool[T]) run(ctx *core.Ctx, data []T) {
 		s := HoarePartition(data)
 		left := data[:s]
 		data = data[s:]
-		ctx.Spawn(fp.task(left))
+		ctx.Spawn(fp.task(left, cutoff))
 	}
 	Introsort(data)
 }
@@ -102,13 +94,16 @@ func (fp *ForkPool[T]) run(ctx *core.Ctx, data []T) {
 // amortize one admission-lock acquisition over many); data is sorted once
 // the group is quiescent. It returns nil — the empty computation, which
 // Run and Spawn accept — when there is nothing to sort (len(data) < 2). The
-// root carries its own ForkPool, so the recursion below it spawns without
-// allocating.
-func ForkJoinRoot[T Ordered](data []T, cutoff int) core.Task {
+// recursion draws its tasks from fp, so with a warm pool it spawns without
+// allocating; a nil fp gives the root a pool of its own.
+func ForkJoinRoot[T Ordered](fp *ForkPool[T], data []T, cutoff int) core.Task {
 	if len(data) < 2 {
 		return nil
 	}
-	return NewForkPool[T](cutoff).task(data)
+	if fp == nil {
+		fp = new(ForkPool[T])
+	}
+	return fp.task(data, cutoff)
 }
 
 // ForkJoinClassic sorts data with the handwritten task-parallel quicksort
@@ -178,7 +173,7 @@ func samplePartition[T Ordered](data []T) int {
 	for i := 0; i < sampleSize; i++ {
 		sample[i] = data[i*step]
 	}
-	InsertionSort(sample[:])
+	Introsort(sample[:]) // one smallSort
 	pv := sample[sampleSize/2]
 	s := PartitionByValue(data, pv)
 	if s == 0 || s == n {

@@ -19,7 +19,7 @@ func TestSortsInt64(t *testing.T) {
 	}
 	s := core.New(core.Options{P: 4})
 	defer s.Shutdown()
-	run(t, s, MixedModeRoot(s.MaxTeam(), data, MMOptions{BlockSize: 512, MinBlocksPerThread: 4}))
+	run(t, s, MixedModeRoot(nil, s.MaxTeam(), data, MMOptions{BlockSize: 512, MinBlocksPerThread: 4}))
 	if !IsSorted(data) {
 		t.Fatal("int64 not sorted")
 	}
@@ -33,7 +33,7 @@ func TestSortsFloat64(t *testing.T) {
 	}
 	s := core.New(core.Options{P: 4})
 	defer s.Shutdown()
-	run(t, s, MixedModeRoot(s.MaxTeam(), data, MMOptions{BlockSize: 512, MinBlocksPerThread: 4}))
+	run(t, s, MixedModeRoot(nil, s.MaxTeam(), data, MMOptions{BlockSize: 512, MinBlocksPerThread: 4}))
 	if !IsSorted(data) {
 		t.Fatal("float64 not sorted")
 	}
@@ -53,7 +53,7 @@ func TestSortsStrings(t *testing.T) {
 	}
 	s := core.New(core.Options{P: 4})
 	defer s.Shutdown()
-	run(t, s, ForkJoinRoot(data, 64))
+	run(t, s, ForkJoinRoot(nil, data, 64))
 	if !IsSorted(data) {
 		t.Fatal("strings not sorted")
 	}
@@ -78,7 +78,7 @@ func TestMixedModeUint32(t *testing.T) {
 	}
 	s := core.New(core.Options{P: 8})
 	defer s.Shutdown()
-	run(t, s, MixedModeRoot(s.MaxTeam(), data, MMOptions{BlockSize: 1024, MinBlocksPerThread: 4}))
+	run(t, s, MixedModeRoot(nil, s.MaxTeam(), data, MMOptions{BlockSize: 1024, MinBlocksPerThread: 4}))
 	if !IsSorted(data) {
 		t.Fatal("uint32 not sorted")
 	}

@@ -49,21 +49,23 @@ func (o MMOptions) bestNp(n, maxTeam int) int {
 // MixedModeRoot returns the root task of the mixed-mode quicksort over data
 // (the tables' "MMPar" column); maxTeam is the target scheduler's
 // Scheduler.MaxTeam(). Run or spawn it like ForkJoinRoot — all recursive
-// subtasks, fork-join fallbacks included, inherit the root's group. It
-// returns nil when there is nothing to sort.
-func MixedModeRoot[T Ordered](maxTeam int, data []T, opt MMOptions) core.Task {
+// subtasks, fork-join fallbacks included, inherit the root's group, and every
+// task-parallel fallback of the sort tree draws its tasks from fp (nil: a
+// pool of the root's own). It returns nil when there is nothing to sort.
+func MixedModeRoot[T Ordered](fp *ForkPool[T], maxTeam int, data []T, opt MMOptions) core.Task {
 	opt = opt.withDefaults()
 	if len(data) < 2 {
 		return nil
 	}
+	if fp == nil {
+		fp = new(ForkPool[T])
+	}
 	np := opt.bestNp(len(data), maxTeam)
 	if np == 1 {
 		// Algorithm 11 line 1: "if np = 1 then return qsort(data, n)".
-		return ForkJoinRoot(data, opt.Cutoff)
+		return ForkJoinRoot(fp, data, opt.Cutoff)
 	}
-	// One fork-task pool serves every task-parallel fallback of this sort
-	// tree, so the fork-join tails spawn without allocating.
-	return newMMTask(data, np, opt, NewForkPool[T](opt.Cutoff))
+	return newMMTask(data, np, opt, fp)
 }
 
 // mmTask is one mixed-mode quicksort task: a data-parallel partitioning of
@@ -126,7 +128,7 @@ func (t *mmTask[T]) spawnFork(ctx *core.Ctx, part []T) {
 	if ctx.Canceled() {
 		return // cooperative cancellation: see spawnPart
 	}
-	t.fp.Spawn(ctx, part)
+	t.fp.Spawn(ctx, part, t.opt.Cutoff)
 }
 
 // parState is the shared state of one data-parallel partitioning step.

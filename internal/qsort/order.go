@@ -10,7 +10,9 @@
 // the elements that must leave it into a buffer whose index advances by the
 // comparison's 0/1 result, then the two sides' buffered positions are swapped
 // pairwise. Neither loop branches on the data, where the classic two-pointer
-// loop mispredicts on every second element of random input.
+// loop mispredicts on every second element of random input. All of them sort
+// what is left below their cutoff with Introsort (seq.go), whose own base
+// case, a sorting network under two-ended merges, does not either.
 package qsort
 
 // Ordered is the constraint for sortable element types (the paper sorts
@@ -45,23 +47,10 @@ func IsSorted[T Ordered](data []T) bool {
 	return true
 }
 
+// med3 is the median of a, b and c by three exchanges, no jump.
 func med3[T Ordered](a, b, c T) T {
-	if a < b {
-		switch {
-		case b < c:
-			return b
-		case a < c:
-			return c
-		default:
-			return a
-		}
-	}
-	switch {
-	case a < c:
-		return a
-	case b < c:
-		return c
-	default:
-		return b
-	}
+	a, b = cswap(a, b)
+	b, c = cswap(b, c)
+	_, b = cswap(a, b)
+	return b
 }

@@ -28,7 +28,7 @@ func TestForkJoinCore(t *testing.T) {
 	s := coreSched(t, 8)
 	for name, in := range testInputs() {
 		data := append([]int32(nil), in...)
-		run(t, s, ForkJoinRoot(data, DefaultCutoff))
+		run(t, s, ForkJoinRoot(nil, data, DefaultCutoff))
 		checkSorted(t, name, data, in)
 	}
 }
@@ -38,7 +38,7 @@ func TestForkJoinCoreSmallCutoff(t *testing.T) {
 	s := coreSched(t, 8)
 	in := dist.Generate(dist.Random, 100000, 11)
 	data := append([]int32(nil), in...)
-	run(t, s, ForkJoinRoot(data, 16))
+	run(t, s, ForkJoinRoot(nil, data, 16))
 	checkSorted(t, "small-cutoff", data, in)
 }
 
@@ -73,7 +73,7 @@ func TestMixedMode(t *testing.T) {
 	opt := MMOptions{Cutoff: 512, BlockSize: 256, MinBlocksPerThread: 4}
 	for name, in := range testInputs() {
 		data := append([]int32(nil), in...)
-		run(t, s, MixedModeRoot(s.MaxTeam(), data, opt))
+		run(t, s, MixedModeRoot(nil, s.MaxTeam(), data, opt))
 		checkSorted(t, name, data, in)
 	}
 	if s.Stats().TeamsFormed == 0 {
@@ -85,7 +85,7 @@ func TestMixedModeDefaults(t *testing.T) {
 	s := coreSched(t, 8)
 	in := dist.Generate(dist.Random, 3_000_000, 13)
 	data := append([]int32(nil), in...)
-	run(t, s, MixedModeRoot(s.MaxTeam(), data, MMOptions{}))
+	run(t, s, MixedModeRoot(nil, s.MaxTeam(), data, MMOptions{}))
 	if !IsSorted(data) {
 		t.Fatal("not sorted")
 	}
@@ -102,7 +102,7 @@ func TestMixedModeSizesAndTails(t *testing.T) {
 	for _, n := range []int{1, 2, 100, 127, 128, 129, 1024, 1025, 4095, 4096, 4097, 65536, 65537} {
 		in := dist.Generate(dist.Random, n, uint64(n))
 		data := append([]int32(nil), in...)
-		run(t, s, MixedModeRoot(s.MaxTeam(), data, opt))
+		run(t, s, MixedModeRoot(nil, s.MaxTeam(), data, opt))
 		checkSorted(t, "size", data, in)
 	}
 }
@@ -113,7 +113,7 @@ func TestMixedModeAllDistributions(t *testing.T) {
 	for _, k := range dist.Kinds {
 		in := dist.Generate(k, 500_000, 17)
 		data := append([]int32(nil), in...)
-		run(t, s, MixedModeRoot(s.MaxTeam(), data, opt))
+		run(t, s, MixedModeRoot(nil, s.MaxTeam(), data, opt))
 		checkSorted(t, k.String(), data, in)
 	}
 }
@@ -123,7 +123,7 @@ func TestMixedModeNonPow2P(t *testing.T) {
 	opt := MMOptions{Cutoff: 128, BlockSize: 128, MinBlocksPerThread: 2}
 	in := dist.Generate(dist.Random, 200_000, 23)
 	data := append([]int32(nil), in...)
-	run(t, s, MixedModeRoot(s.MaxTeam(), data, opt))
+	run(t, s, MixedModeRoot(nil, s.MaxTeam(), data, opt))
 	checkSorted(t, "p6", data, in)
 }
 
@@ -131,7 +131,7 @@ func TestMixedModeP1(t *testing.T) {
 	s := coreSched(t, 1)
 	in := dist.Generate(dist.Random, 10_000, 29)
 	data := append([]int32(nil), in...)
-	run(t, s, MixedModeRoot(s.MaxTeam(), data, MMOptions{}))
+	run(t, s, MixedModeRoot(nil, s.MaxTeam(), data, MMOptions{}))
 	checkSorted(t, "p1", data, in)
 }
 
@@ -141,7 +141,7 @@ func TestMixedModeRandomizedScheduler(t *testing.T) {
 	opt := MMOptions{Cutoff: 256, BlockSize: 256, MinBlocksPerThread: 4}
 	in := dist.Generate(dist.Staggered, 300_000, 31)
 	data := append([]int32(nil), in...)
-	run(t, s, MixedModeRoot(s.MaxTeam(), data, opt))
+	run(t, s, MixedModeRoot(nil, s.MaxTeam(), data, opt))
 	checkSorted(t, "randomized", data, in)
 }
 
@@ -225,8 +225,8 @@ func TestRootOnShutDownSchedulerReportsErrShutdown(t *testing.T) {
 	in := dist.Generate(dist.Random, 10_000, 37)
 	data := append([]int32(nil), in...)
 	for name, root := range map[string]core.Task{
-		"MixedModeRoot": MixedModeRoot(s.MaxTeam(), data, MMOptions{}),
-		"ForkJoinRoot":  ForkJoinRoot(data, DefaultCutoff),
+		"MixedModeRoot": MixedModeRoot(nil, s.MaxTeam(), data, MMOptions{}),
+		"ForkJoinRoot":  ForkJoinRoot(nil, data, DefaultCutoff),
 	} {
 		if err := s.Run(root); !errors.Is(err, core.ErrShutdown) {
 			t.Errorf("Run(%s) on a shut-down scheduler = %v, want ErrShutdown", name, err)

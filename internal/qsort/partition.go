@@ -2,14 +2,15 @@ package qsort
 
 const (
 	// subBlock is the most elements one scan covers: all a uint8 offset can
-	// address. 64 / 128 / 256 read 52.8 / 51.0 / 48.2 ms in BenchmarkIntrosort
-	// (2^20) and 5.4 / 4.8 / 4.1 ms in BenchmarkParallelPartition/np=1 (2^22);
-	// 512 with uint16 offsets 51.8 and 4.3.
+	// address. 64 / 128 / 256 read 34.0 / 32.7 / 32.2 ms in BenchmarkIntrosort
+	// (2^20).
 	subBlock = 256
 	// minScan is the fewest elements worth a scan: the sequential kernels
-	// halve the sub-block as the sides close in and leave a gap < 2·minScan
-	// to the classic loop. 8 / 16 / 32 / 64 / never halving read 48.0 / 48.2 /
-	// 49.7 / 51.5 / 58.0 ms in BenchmarkIntrosort.
+	// halve the sub-block as the sides close in, so that the side that scans
+	// last is not left with more pending elements than the other can take,
+	// and scan a gap < 2·minScan in one go. 8 / 16 / 32 read 32.1 / 32.2 /
+	// 32.4 ms; 64, which leaves Introsort's pieces under 128 elements to the
+	// two-pointer loop, 37.2.
 	minScan = 16
 )
 
@@ -89,15 +90,16 @@ func swapPending[T Ordered](data []T, l, r *blockScan) {
 	l.first, l.n, r.first, r.n = l.first+k, l.n-k, r.first+k, r.n-k
 }
 
-// blockPhase is the block loop of the two sequential kernels: the sides
-// start at the ends of data and scan its shared middle while both can take
-// minScan elements — not at all on short input. It returns the range [lo, hi)
-// left to the caller's classic two-pointer loop, data[:lo] ≤ pv ≤ data[hi:];
-// a side with pending elements is rewound to the first of them.
-func blockPhase[T Ordered](data []T, pv T, stopEq bool) (lo, hi int) {
-	if len(data) < 2*minScan {
-		return 0, len(data) // spare the short calls the two buffers' zeroing
-	}
+// blockPartition partitions data, at least 2·minScan elements, around pv and
+// returns the split s: data[:s] ≤ pv ≤ data[s:], elements equal to pv on
+// either side with stopEq and left where they are without. The sides start at
+// the ends of data and scan its shared middle, halving the sub-block as they
+// close in; under 2·minScan unscanned elements go to a side that has nothing
+// pending in one last scan. The side then left with pending elements gives
+// them up to the other: taken from the back, each changes places with the
+// element at its side's inner end — itself, or one that stays — so the loop
+// runs once per leftover element and jumps on none (Edelkamp & Weiß's finish).
+func blockPartition[T Ordered](data []T, pv T, stopEq bool) int {
 	l, r := blockScan{}, blockScan{hi: len(data)}
 	for r.hi-l.lo >= 2*minScan {
 		k := min(subBlock, (r.hi-l.lo)/2)
@@ -109,33 +111,39 @@ func blockPhase[T Ordered](data []T, pv T, stopEq bool) (lo, hi int) {
 		}
 		swapPending(data, &l, &r)
 	}
-	if l.n > 0 {
-		l.lo = l.base + int(l.offs[l.first])
+	if l.n == 0 {
+		scanLeft(&l, data, pv, r.hi-l.lo, stopEq)
+	} else {
+		scanRight(&r, data, pv, r.hi-l.lo, stopEq)
 	}
-	if r.n > 0 {
-		r.hi = r.base + int(r.offs[r.first]) + 1
+	swapPending(data, &l, &r)
+	s := l.lo // = r.hi
+	for k := l.first + l.n - 1; k >= l.first; k-- {
+		s--
+		i := l.base + int(l.offs[k])
+		data[i], data[s] = data[s], data[i]
 	}
-	return l.lo, r.hi
+	for k := r.first + r.n - 1; k >= r.first; k-- {
+		i := r.base + int(r.offs[k])
+		data[i], data[s] = data[s], data[i]
+		s++
+	}
+	return s
 }
 
 // HoarePartition partitions data around the median of its first, middle and
-// last elements using Hoare's scheme and returns the split point s with
-// 0 < s < len(data): every element of data[:s] is ≤ every element of
-// data[s:]. The strict bounds guarantee progress for the recursive sorts
-// even on constant inputs, and both sides stop on elements equal to the
-// pivot, so duplicate-heavy input still splits in the middle.
-// len(data) must be ≥ 2.
+// last elements and returns the split point s with 0 < s < len(data): every
+// element of data[:s] is ≤ every element of data[s:]. The strict bounds
+// guarantee progress for the recursive sorts even on constant inputs, and
+// both sides stop on elements equal to the pivot, so duplicate-heavy input
+// still splits in the middle. len(data) must be ≥ 2.
 //
-// The two-pointer loop runs unguarded from [lo, hi): i needs an element ≥ pv
-// at or after lo, j one ≤ pv before hi. With lo = 0, hi = n they are the
-// median-of-3 witnesses — of data[0], data[n/2], data[n-1], distinct
-// positions for n ≥ 3, two are ≥ pv and two ≤ pv — which also keep j off n-1
-// and -1, so 0 < s < n. If the block phase swapped a pair, what it swapped in
-// lies outside [lo, hi) on both sides (a consumed offset is in a finished
-// sub-block or before the first pending one): data[lo-1] ≤ pv and
-// data[hi] ≥ pv stop the scans at the latest, and 0 < lo ≤ s ≤ hi < n. If it
-// swapped nothing, data is unchanged, the sides passed only elements < pv and
-// > pv, so all witnesses are inside [lo, hi) and the first argument applies.
+// Hoare's two-pointer loop is left with the short inputs and with a block
+// partition that split at 0 or n. That one swapped nothing — a swap puts an
+// element on either side of the split — so data is as it was, and the loop
+// runs unguarded on the median-of-3 witnesses: of data[0], data[n/2],
+// data[n-1], distinct positions for n ≥ 3, two are ≥ pv and stop i, two are
+// ≤ pv and stop j, which also keeps j off n-1 and -1.
 func HoarePartition[T Ordered](data []T) int {
 	n := len(data)
 	if n == 2 {
@@ -147,8 +155,12 @@ func HoarePartition[T Ordered](data []T) int {
 		return 1
 	}
 	pv := med3(data[0], data[n/2], data[n-1])
-	lo, hi := blockPhase(data, pv, true)
-	i, j := lo-1, hi
+	if n >= 2*minScan {
+		if s := blockPartition(data, pv, true); 0 < s && s < n {
+			return s
+		}
+	}
+	i, j := -1, n
 	for {
 		for {
 			i++
@@ -174,10 +186,12 @@ func HoarePartition[T Ordered](data []T) int {
 // stay where they are, and s may be 0 or len(data) when pv is extremal;
 // callers must handle the degenerate split. This is the sequential kernel
 // used by the data-parallel partitioning step for the middle region. pv need
-// not occur in data, so the two-pointer loop checks its bounds.
+// not occur in data, so the short inputs' two-pointer loop checks its bounds.
 func PartitionByValue[T Ordered](data []T, pv T) int {
-	lo, hi := blockPhase(data, pv, false)
-	i, j := lo, hi-1
+	if len(data) >= 2*minScan {
+		return blockPartition(data, pv, false)
+	}
+	i, j := 0, len(data)-1
 	for {
 		for i <= j && data[i] <= pv {
 			i++

@@ -9,9 +9,9 @@ import (
 )
 
 // The quick-check contracts in seq_test.go draw slices of at most 50
-// elements, which finish in the classic tail loop; the tables here walk the
+// elements, most of them the two-pointer loop's; the tables here walk the
 // kernels across the sizes where the block loop starts, takes whole
-// sub-blocks, and hands a partly consumed sub-block back to the tail.
+// sub-blocks, and finishes a partly consumed one.
 
 // contractLengths are the lengths around minScan and subBlock boundaries,
 // plus two that run the block loop many times.
@@ -190,6 +190,29 @@ func TestPartitionContractsAtBlockSizes(t *testing.T) {
 	}
 }
 
+// TestHoarePartitionExtremalSplit pins the one input shape on which the block
+// partition cannot keep HoarePartition's strict bounds: the pivot is the
+// maximum and its only copies are the samples at n/2 and n-1, both in the
+// right side's scan, so every element there stops the right side, none stops
+// the left, nothing is swapped and the right side ends up owning no element
+// (n even and at most two sub-blocks; longer or odd, the left side scans
+// n/2). The split at n is asserted, so the test cannot go stale;
+// HoarePartition must answer with the two-pointer loop's split, as it must for
+// the mirror image — whose pivot copy at n/2 is swapped left, so the block
+// partition's own split stands — and for constant input.
+func TestHoarePartitionExtremalSplit(t *testing.T) {
+	for _, n := range []int{2 * minScan, 100, subBlock, 2 * subBlock} {
+		ps := contractPatterns(n)
+		in := convert(ps["pivmax"], func(v int) int32 { return int32(v) })
+		if s := blockPartition(slices.Clone(in), 1000, true); s != n {
+			t.Errorf("n=%d: block partition around the maximum split at %d, expected the degenerate %d", n, s, n)
+		}
+		for _, pat := range []string{"pivmax", "pivmin", "equal"} {
+			checkHoare(t, fmt.Sprintf("n=%d/%s", n, pat), convert(ps[pat], func(v int) int32 { return int32(v) }))
+		}
+	}
+}
+
 // TestNeutralizeNeutralAndResumed pins the two cases the table reaches only
 // by chance: a block that is neutral before the call, and a block whose
 // pending offsets outlive its partner and are consumed against the next one.
@@ -238,9 +261,10 @@ func TestNeutralizeNeutralAndResumed(t *testing.T) {
 }
 
 // FuzzPartition drives the three kernels and Introsort with slices over an
-// eight-letter alphabet, so duplicates of the pivot are dense.
+// eight-letter alphabet, so duplicates of the pivot are dense and the finish
+// meets sides with everything pending, nothing pending, and the split at n.
 func FuzzPartition(f *testing.F) {
-	for _, n := range []int{2, 2*minScan + 1, subBlock - 1, 2*subBlock + 1, 3*subBlock + 5} {
+	for _, n := range []int{2, 2*minScan + 1, subBlock - 1, 2*subBlock + 1, 3*subBlock + 5, 2 * minScan} {
 		for _, in := range contractPatterns(n) {
 			f.Add(convert(in, func(v int) byte { return byte(v) }), byte(in[n/2]), uint16(n/2))
 		}

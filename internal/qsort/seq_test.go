@@ -1,12 +1,29 @@
 package qsort
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dist"
 )
+
+// InsertionSort sorts data by straight insertion: the trivially correct
+// reference (Introsort's final pass until the sorting network replaced it).
+func InsertionSort[T Ordered](data []T) {
+	for i := 1; i < len(data); i++ {
+		v := data[i]
+		j := i - 1
+		for j >= 0 && data[j] > v {
+			data[j+1] = data[j]
+			j--
+		}
+		data[j+1] = v
+	}
+}
 
 // testInputs returns a varied set of adversarial and typical inputs.
 func testInputs() map[string][]int32 {
@@ -84,13 +101,114 @@ func TestInsertionSort(t *testing.T) {
 	checkSorted(t, "insertion", data, in)
 }
 
+// TestHeapSortViaDepthLimit: an exhausted depth budget still ends in the
+// heapsort (any piece longer than smallMax), at once and after some
+// partitioning levels.
 func TestHeapSortViaDepthLimit(t *testing.T) {
-	// A killer-adversary-ish input: median-of-3 quicksort degrades on
-	// organ-pipe-of-organ-pipes; here just verify heapSort directly.
 	in := dist.Generate(dist.Random, 3000, 5)
-	data := append([]int32(nil), in...)
-	heapSort(data)
-	checkSorted(t, "heap", data, in)
+	var tmp [smallMax]int32
+	for depth := 0; depth < 4; depth++ {
+		data := append([]int32(nil), in...)
+		introLoop(data, tmp[:], depth)
+		checkSorted(t, fmt.Sprintf("depth %d", depth), data, in)
+	}
+}
+
+// TestSort8ZeroOne: a comparison network that sorts all 2^8 zero-one inputs
+// sorts every input (the zero-one principle).
+func TestSort8ZeroOne(t *testing.T) {
+	for bitsIn := 0; bitsIn < 256; bitsIn++ {
+		var r [8]int32
+		for i := range r {
+			r[i] = int32(bitsIn >> i & 1)
+		}
+		in := r
+		sort8(&r)
+		if !IsSorted(r[:]) || !sameMultiset(r[:], in[:]) {
+			t.Fatalf("sort8(%v) = %v", in, r)
+		}
+	}
+}
+
+// checkSmallSort runs smallSort on a copy of in (any length: tmp is made to
+// fit) and compares with slices.Sort. NaNs have no order: then the output
+// must be a permutation of the input, compared as bit patterns.
+func checkSmallSort[T Ordered](t testing.TB, name string, in []T, bitsOf func(T) uint64) {
+	t.Helper()
+	got, want := slices.Clone(in), slices.Clone(in)
+	smallSort(got, make([]T, len(in)))
+	if bitsOf != nil {
+		got, want := convert(got, bitsOf), convert(want, bitsOf)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: smallSort(%v) is not a permutation of its input", name, in)
+		}
+		return
+	}
+	if slices.Sort(want); !slices.Equal(got, want) {
+		t.Fatalf("%s: smallSort(%v) = %v", name, in, got)
+	}
+}
+
+// TestSmallSortEveryLength covers every run count and merge-tree shape up to
+// smallMax, the padded lengths under 8, and a few lengths beyond (smallSort
+// itself has no limit but len(tmp)).
+func TestSmallSortEveryLength(t *testing.T) {
+	checkSmallSort(t, "n=0", []int32{}, nil)
+	for n := 1; n <= 2*smallMax+1; n++ {
+		for pat, in := range contractPatterns(n) {
+			name := fmt.Sprintf("n=%d/%s", n, pat)
+			checkSmallSort(t, name+"/int32", convert(in, func(v int) int32 { return int32(v) - 500 }), nil)
+			checkSmallSort(t, name+"/string", convert(in, func(v int) string { return fmt.Sprintf("k%04d", v) }), nil)
+			checkSmallSort(t, name+"/float64", convert(in, func(v int) float64 { return float64(v) / 8 }), nil)
+			// Every third value a NaN, and NaNs only.
+			for _, every := range []int{3, 1} {
+				nans := convert(in, func(v int) float64 {
+					if v%every == 0 {
+						return math.NaN()
+					}
+					return float64(v)
+				})
+				checkSmallSort(t, name+"/NaN", nans, math.Float64bits)
+			}
+		}
+	}
+}
+
+// TestIntrosortAtBaseCaseSizes: every distribution at the lengths where
+// Introsort changes what it does — the base case alone, one partition above
+// it, the two-pointer loop's last length, whole and halved sub-blocks.
+func TestIntrosortAtBaseCaseSizes(t *testing.T) {
+	sizes := []int{7, 8, 9, smallMax - 1, smallMax, smallMax + 1, 2*smallMax + 1,
+		2*minScan - 1, 2 * minScan, 2*minScan + 1, subBlock - 1, subBlock, subBlock + 1, 2*subBlock + 1, 5000}
+	for _, k := range dist.Kinds {
+		for _, n := range sizes {
+			in := dist.Generate(k, n, uint64(n))
+			data := append([]int32(nil), in...)
+			Introsort(data)
+			checkSorted(t, fmt.Sprintf("%v/n=%d", k, n), data, in)
+		}
+	}
+}
+
+// FuzzSmallSort drives the base case with duplicate-dense int32 slices of any
+// length and with float64 slices in which one value in eight is a NaN.
+func FuzzSmallSort(f *testing.F) {
+	for _, n := range []int{1, 5, 8, 9, 17, 33, smallMax, smallMax + 1} {
+		for _, in := range contractPatterns(n) {
+			f.Add(convert(in, func(v int) byte { return byte(v) }))
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkSmallSort(t, "int32", convert(raw, func(b byte) int32 { return int32(b % 16) }), nil)
+		checkSmallSort(t, "float64", convert(raw, func(b byte) float64 {
+			if b%8 == 0 {
+				return math.NaN()
+			}
+			return float64(b)
+		}), math.Float64bits)
+	})
 }
 
 func TestIntrosortStrings(t *testing.T) {

@@ -182,7 +182,7 @@ func MergeJoin[T Ordered](np int, a, b []T, out []JoinRun[T], outN *int) core.Ta
 // second sort leaves the first in flight until the caller's next Wait).
 func SortJoin[T Ordered](g *core.Group, maxTeam int, a, b []T, out []JoinRun[T], opt ssort.Options) (int, error) {
 	for _, side := range [][]T{a, b} {
-		if err := g.Spawn(ssort.Root(maxTeam, side, nil, opt)); err != nil {
+		if err := g.Spawn(ssort.Root(nil, maxTeam, side, nil, opt)); err != nil {
 			return 0, err
 		}
 	}

@@ -56,12 +56,12 @@ func benchPerKind(b *testing.B, sortFn func(s *core.Scheduler, data []int32)) {
 
 func BenchmarkSSort(b *testing.B) {
 	benchPerKind(b, func(s *core.Scheduler, data []int32) {
-		s.Run(ssort.Root(s.MaxTeam(), data, nil, ssort.Options{}))
+		s.Run(ssort.Root(nil, s.MaxTeam(), data, nil, ssort.Options{}))
 	})
 }
 
 func BenchmarkMMQsort(b *testing.B) {
 	benchPerKind(b, func(s *core.Scheduler, data []int32) {
-		s.Run(qsort.MixedModeRoot(s.MaxTeam(), data, qsort.MMOptions{}))
+		s.Run(qsort.MixedModeRoot(nil, s.MaxTeam(), data, qsort.MMOptions{}))
 	})
 }

@@ -95,7 +95,9 @@ func (o Options) withDefaults() Options {
 // least len(data) elements and be disjoint from data; its contents are
 // unspecified on return, and it is free again only once the group is
 // quiescent. If it is nil or too short, Root allocates what ScratchLen says.
-func Root[T qsort.Ordered](maxTeam int, data, scratch []T, opt Options) core.Task {
+// Every sequential bucket and fork-join fallback of the sort tree draws its
+// task from fp (see qsort.ForkPool; nil: a pool of the root's own).
+func Root[T qsort.Ordered](fp *qsort.ForkPool[T], maxTeam int, data, scratch []T, opt Options) core.Task {
 	opt = opt.withDefaults()
 	n := len(data)
 	if n < 2 {
@@ -105,15 +107,15 @@ func Root[T qsort.Ordered](maxTeam int, data, scratch []T, opt Options) core.Tas
 	if np == 1 {
 		// Too small for a team: the task-parallel quicksort is the
 		// degenerate samplesort (every element its own bucket recursion).
-		return qsort.ForkJoinRoot(data, opt.Cutoff)
+		return qsort.ForkJoinRoot(fp, data, opt.Cutoff)
 	}
 	if len(scratch) < n {
 		scratch = make([]T, n)
 	}
-	// One fork-task pool serves every sequential bucket and fork-join
-	// fallback of this sort tree (see qsort.ForkPool), so the task-parallel
-	// fan-out below the team phases spawns without allocating.
-	return newTask(data, scratch[:n], np, opt, qsort.NewForkPool[T](opt.Cutoff))
+	if fp == nil {
+		fp = new(qsort.ForkPool[T])
+	}
+	return newTask(data, scratch[:n], np, opt, fp)
 }
 
 // ScratchLen returns how many elements of scratch Root uses to sort n: n
@@ -285,7 +287,7 @@ func (t *task[T]) spawnBucket(ctx *core.Ctx, part, scratch []T) {
 	if m <= t.opt.Cutoff {
 		// At or below the cutoff the pooled fork task degenerates to one
 		// sequential Introsort — same wrapper, no closure allocation.
-		t.fp.Spawn(ctx, part)
+		t.fp.Spawn(ctx, part, t.opt.Cutoff)
 		return
 	}
 	np := core.BestNp(m, t.opt.MinPerThread, ctx.Scheduler().MaxTeam())
@@ -303,5 +305,5 @@ func (t *task[T]) spawnFork(ctx *core.Ctx, part []T) {
 	if ctx.Canceled() {
 		return // cooperative cancellation: see spawnBucket
 	}
-	t.fp.Spawn(ctx, part)
+	t.fp.Spawn(ctx, part, t.opt.Cutoff)
 }

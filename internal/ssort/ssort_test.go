@@ -22,7 +22,7 @@ func teamOptions() Options {
 // sortOn runs the samplesort's root task to quiescence on s.
 func sortOn(t *testing.T, s *core.Scheduler, data []int32, opt Options) {
 	t.Helper()
-	if err := s.Run(Root(s.MaxTeam(), data, nil, opt)); err != nil {
+	if err := s.Run(Root(nil, s.MaxTeam(), data, nil, opt)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,7 +107,7 @@ func TestSortOddTeamAndRecursion(t *testing.T) {
 		for _, kind := range []dist.Kind{dist.RandDup, dist.Zero, dist.Staggered} {
 			in := dist.Generate(kind, 1<<14, 7)
 			data := append([]int32(nil), in...)
-			root := newTask(data, make([]int32, len(data)), c.np, opt, qsort.NewForkPool[int32](opt.Cutoff))
+			root := newTask(data, make([]int32, len(data)), c.np, opt, new(qsort.ForkPool[int32]))
 			if err := s.Run(root); err != nil {
 				t.Fatal(err)
 			}
@@ -278,7 +278,7 @@ func FuzzSort(f *testing.F) {
 		case 2:
 			scratch = make([]int32, n+3)
 		}
-		if err := s.Run(Root(s.MaxTeam(), data, scratch, opt)); err != nil {
+		if err := s.Run(Root(nil, s.MaxTeam(), data, scratch, opt)); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(data, want) {

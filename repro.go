@@ -127,13 +127,13 @@ type MMOptions = qsort.MMOptions
 // Scheduler.Run can report here is ErrShutdown, and Scheduler.Shutdown
 // documents that outcome (the work is abandoned, data stays unsorted).
 func SortMixedMode[T Ordered](s *Scheduler, data []T, opt MMOptions) {
-	_ = s.Run(qsort.MixedModeRoot(s.MaxTeam(), data, opt))
+	_ = s.Run(qsort.MixedModeRoot(nil, s.MaxTeam(), data, opt))
 }
 
 // SortForkJoin sorts data with the classical task-parallel Quicksort
 // (Algorithm 10) on the same scheduler; all tasks are single-threaded.
 func SortForkJoin[T Ordered](s *Scheduler, data []T) {
-	_ = s.Run(qsort.ForkJoinRoot(data, qsort.DefaultCutoff)) // see SortMixedMode
+	_ = s.Run(qsort.ForkJoinRoot(nil, data, qsort.DefaultCutoff)) // see SortMixedMode
 }
 
 // SortSequential sorts data with the repository's introsort (the stand-in
@@ -150,7 +150,7 @@ type SSOptions = ssort.Options
 // different mixed-mode algorithm beside the paper's Quicksort. Allocates
 // one scratch buffer of len(data) per call (Runtime.SortSamplesort pools it).
 func SortSamplesort[T Ordered](s *Scheduler, data []T, opt SSOptions) {
-	_ = s.Run(ssort.Root(s.MaxTeam(), data, nil, opt)) // see SortMixedMode
+	_ = s.Run(ssort.Root(nil, s.MaxTeam(), data, nil, opt)) // see SortMixedMode
 }
 
 // MSOptions are the tunables of the mixed-mode parallel merge sort.

@@ -203,3 +203,29 @@ func TestSamplesortScratchIsPooled(t *testing.T) {
 		t.Fatalf("%d of %d SortSamplesort calls on a warmed Runtime allocated 16 KiB or more (up to %d bytes)", fresh, calls, worst)
 	}
 }
+
+// TestForkTasksArePooled: the Runtime's one qsort.ForkPool serves every
+// request, so a warmed quicksort of 4096 elements — a dozen spawned tasks —
+// allocates what a two-element one does, the request itself (12 allocations
+// against 4 when every root built its own pool).
+func TestForkTasksArePooled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops tasks at random under the race detector")
+	}
+	rt := NewRuntime[int32](Options{P: 2})
+	defer rt.Close()
+	in := GenerateInput(Random, 4096, 3)
+	data := make([]int32, len(in))
+	for name, sort := range map[string]func([]int32){
+		"fork":  rt.SortForkJoin,
+		"mixed": func(d []int32) { rt.SortMixedMode(d, MMOptions{}) },
+		"ssort": func(d []int32) { rt.SortSamplesort(d, SSOptions{}) },
+	} {
+		request := testing.AllocsPerRun(50, func() { copy(data, in[:2]); sort(data[:2]) })
+		sorted := testing.AllocsPerRun(50, func() { copy(data, in); sort(data) })
+		if sorted > request || !slices.IsSorted(data) {
+			t.Errorf("%s: %v allocations per warmed 4096-element request, %v per two-element one (sorted: %v)",
+				name, sorted, request, slices.IsSorted(data))
+		}
+	}
+}

@@ -30,7 +30,8 @@ type Runtime[T Ordered] struct {
 	s       *Scheduler
 	owned   bool // whether Close shuts the scheduler down
 	m       runtimeMetrics
-	scratch sync.Pool // of *[]T: what the out-of-place sorts borrow per request
+	scratch sync.Pool         // of *[]T: what the out-of-place sorts borrow per request
+	forks   qsort.ForkPool[T] // the fork-join tasks of every quicksort, samplesort bucket and fallback
 }
 
 // family indexes the request families of runtimeMetrics: the four sort
@@ -330,14 +331,14 @@ func (r *Runtime[T]) sortOne(rq SortRequest[T], opt BatchOptions) {
 func (r *Runtime[T]) root(rq SortRequest[T], opt BatchOptions, held *loans[T]) core.Task {
 	switch rq.Algo {
 	case AlgoForkJoin:
-		return qsort.ForkJoinRoot(rq.Data, opt.Cutoff)
+		return qsort.ForkJoinRoot(&r.forks, rq.Data, opt.Cutoff)
 	case AlgoSamplesort:
 		maxTeam := r.s.MaxTeam()
-		return ssort.Root(maxTeam, rq.Data, r.borrow(ssort.ScratchLen(maxTeam, len(rq.Data), opt.SS), held), opt.SS)
+		return ssort.Root(&r.forks, maxTeam, rq.Data, r.borrow(ssort.ScratchLen(maxTeam, len(rq.Data), opt.SS), held), opt.SS)
 	case AlgoMergeMixedMode:
 		return msort.Root(rq.Data, r.borrow(len(rq.Data), held), opt.MS)
 	default:
-		return qsort.MixedModeRoot(r.s.MaxTeam(), rq.Data, opt.MM)
+		return qsort.MixedModeRoot(&r.forks, r.s.MaxTeam(), rq.Data, opt.MM)
 	}
 }
 

@@ -28,7 +28,7 @@ go run ./cmd/reprolint ./...
 echo "check: escapecheck (compiler escape analysis over //repro:noalloc functions)"
 go run ./scripts/escapecheck
 
-echo "check: codegencheck (qsort's scan loops, the benchmark binary's Filter/Pack loops and its samplesort tree walk count with SETcc/MOVZX, not a jump or a call)"
+echo "check: codegencheck (qsort's scan loops, the benchmark binary's Filter/Pack loops, its samplesort tree walk and its sorting network and merges count and select with SETcc/MOVZX/CMOVcc, not a jump or a call)"
 ./scripts/codegencheck.sh
 
 # No timer inside a team: teamsync parks on wake slots and takes only the

@@ -2,8 +2,8 @@
 set -euo pipefail
 
 # Codegen guard for the branch-free kernels: internal/qsort's block partition
-# here, the query kernels' compaction loops and the samplesort's tree walk
-# further down. The partition is fast
+# here, the query kernels' compaction loops, the samplesort's tree walk and the
+# sequential sort's network and merges further down. The partition is fast
 # because the scan loops turn each comparison into a number instead of
 # jumping on it (partition.go, b2i: `n += b2i(c)` compiles to SETcc). That is
 # one compiler idiom: written `if c { n++ }` the count is left to the
@@ -109,6 +109,34 @@ check_tree_walk() {
       }'
 }
 check_tree_walk
+
+# The sequential sort's base case (internal/qsort/seq.go) below smallMax:
+# sort8's 19 exchanges are `lo, hi := a, b; if b < a { lo = b }; if b < a
+# { hi = a }` inlined from cswap — written `if b < a { return b, a }` the same
+# helper compiles to 17 JL and the network sorts 8 elements slower than the
+# insertion sort it replaced — and merge advances its heads by the comparison's
+# 0/1 and selects with a conditional move. Read in the benchmark binary, whose
+# int32 instantiation is the one every sort workload runs: sort8 holds exactly
+# 19 CMPL, each followed by CMOVcc (a register copy may sit between) and no
+# conditional jump from the first to the last; every CMPL of merge (two in the
+# two-ended loop, one in the loop that merges what is left between the heads)
+# is followed by SETcc or CMOVcc.
+go tool objdump -s 'qsort\.(sort8|merge)\[go\.shape\.int32\]$' "${dir}/bench" |
+  awk '
+    function fail(msg) { bad++; print "codegencheck: " fn ": " msg " (" $1 " at " $2 ")" }
+    $1 == "TEXT" { fn = $2; sub(/\(SB\)$/, "", fn); net = (fn ~ /sort8/); next }
+    after_cmp && $4 ~ /^MOV/ { next }
+    after_cmp { if ($4 ~ /^CMOV/ || (!net && $4 ~ /^SET/)) ok[fn]++; else fail("element CMPL followed by " $4); after_cmp = 0 }
+    net && ok[fn] > 0 && ok[fn] < 19 && $4 ~ /^J/ && $4 != "JMP" { fail("conditional jump " $4 " inside the network") }
+    $4 == "CMPL" { after_cmp = 1 }
+    END {
+      for (f in ok) { n++; want = (f ~ /sort8/) ? 19 : 3; if (ok[f] != want) { bad++; print "codegencheck: " f ": " ok[f] " branch-free element comparisons, want " want } }
+      if (bad > 0 || n != 2) {
+        print "codegencheck: FAIL (sort8 and merge, int32 instantiation in the benchmark binary: " n + 0 " of 2 symbols found, " bad + 0 " defects)"
+        exit 1
+      }
+      print "codegencheck: sort8: 19 of 19 exchanges are CMPL; CMOVcc with no jump between them; merge: 3 of 3 element comparisons are branch-free (SETcc/CMOVcc)"
+    }'
 
 go tool nm "${dir}/qsort.test" |
   grep -E 'qsort\.(HoarePartition|scanLeft|scanRight)\[go\.shape\.int32\]$' |

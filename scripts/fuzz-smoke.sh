@@ -28,7 +28,9 @@ missing=()
 # internal/teamsync carries FuzzBarrier (n members, random per-phase delays:
 # nobody passes early, one last arriver per phase); internal/qsort carries
 # FuzzPartition (duplicate-dense slices through the three block-partition
-# kernels' contracts, and Introsort against slices.Sort); internal/ssort
+# kernels' contracts and their finish, and Introsort against slices.Sort) and
+# FuzzSmallSort (the network-and-merges base case at any length vs
+# slices.Sort; with NaNs, a permutation of the input); internal/ssort
 # carries FuzzClassify (the implicit splitter tree's walk vs binary search
 # over the sorted splitters) and FuzzSort (the team samplesort on
 # duplicate-dense input vs slices.Sort, any bucket count, any scratch).
