@@ -17,11 +17,10 @@ test:
 vet:
 	go vet $(VET_FLAGS) ./...
 
-# Invariant linting: the reprolint analyzer suite (with its directive
-# manifest) plus the compiler-escape complement for //repro:noalloc.
+# Invariant linting: the reprolint analyzer suite with its directive
+# manifest (noalloc reads the compiler's own escape analysis).
 lint:
 	go run ./cmd/reprolint ./...
-	go run ./scripts/escapecheck
 
 race:
 	go test -race $(RACE_PKGS)

@@ -2,7 +2,8 @@
 // internal/lint) over the module and exits non-zero on any finding. It is
 // part of the default gate: make lint / scripts/check.sh run it with the
 // committed directive manifest, so both invariant violations and deleted
-// invariant annotations fail the build.
+// invariant annotations fail the build. The noalloc analyzer reads the
+// compiler's escape analysis, so the go command must be on PATH.
 //
 // Usage:
 //

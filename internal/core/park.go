@@ -18,9 +18,8 @@ import (
 // slots (worker.slot announced as slotIdle) are the set itself — they work
 // for every P the registration word allows — and n is their count: the one
 // word a publisher loads per spawn, read-mostly and alone on its cache line,
-// so that with nobody parked a spawn pays one load of a shared-clean line.
-//
-//repro:padded
+// so that with nobody parked a spawn pays one load of a shared-clean line
+// (TestWBParkStatePadded holds the size to unsafe.Sizeof).
 type parkState struct {
 	_ [60]byte
 	// n counts the workers that announced themselves parked and have not

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/reg"
 )
@@ -232,6 +233,19 @@ func woken(t *testing.T, s *Scheduler) []int {
 		}
 	}
 	return ids
+}
+
+// TestWBParkStatePadded holds parkState to the size the compiler gives it:
+// n and searching each sit alone on a cache line only while the padding
+// around them adds up to whole lines.
+func TestWBParkStatePadded(t *testing.T) {
+	var ps parkState
+	if sz := unsafe.Sizeof(ps); sz%64 != 0 {
+		t.Fatalf("sizeof(parkState) = %d, not a multiple of 64: fix the padding", sz)
+	}
+	if n, se := unsafe.Offsetof(ps.n)/64, unsafe.Offsetof(ps.searching)/64; n == se {
+		t.Fatalf("n and searching share cache line %d", n)
+	}
 }
 
 func TestWBWorkVisible(t *testing.T) {

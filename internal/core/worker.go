@@ -240,7 +240,7 @@ func (w *worker) idleWait() {
 func (w *worker) runSolo(n *node) {
 	task, g, join, tid := n.task, n.group, n.join, n.tid
 	w.freeNode(n)
-	ctx := w.getCtx()
+	ctx := w.getCtx() //repro:allow getCtx's cold refill, inlined here
 	ctx.w, ctx.group, ctx.join = w, g, join
 	w.st.TasksRun.Add(1)
 	prev := w.setState(trace.StateRun)

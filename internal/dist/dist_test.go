@@ -179,7 +179,7 @@ func TestFillPanics(t *testing.T) {
 	}
 }
 
-// stat computes the summary statistics cmd/distinspect prints.
+// stat computes the summary statistics the distribution tests assert on.
 func stat(vs []int32) (min, max int32, mean, sd float64) {
 	min, max = math.MaxInt32, math.MinInt32
 	var sum float64
@@ -202,8 +202,7 @@ func stat(vs []int32) (min, max int32, mean, sd float64) {
 }
 
 // TestStatisticalSanity pins the per-kind summary statistics to the bounds
-// the Helman–Bader–JáJá definitions imply (the same numbers
-// cmd/distinspect reports).
+// the Helman–Bader–JáJá definitions imply.
 func TestStatisticalSanity(t *testing.T) {
 	const n = 200_000
 	full := float64(keyRange)         // 2³¹

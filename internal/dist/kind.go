@@ -11,8 +11,8 @@ type Kind int
 
 // The paper's four distributions (§5, Helman–Bader–JáJá) followed by the
 // additional scenario kinds. New kinds added to the registry are picked up
-// automatically by everything iterating Kinds: cmd/distinspect -dist all,
-// the harness row groups, and the sorting test suites.
+// automatically by everything iterating Kinds: the harness row groups and
+// the sorting and distribution test suites.
 const (
 	Random Kind = iota
 	Gauss

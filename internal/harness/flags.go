@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the single home of the flag vocabulary shared by the
-// command-line harnesses (cmd/mmqsort, cmd/tables, cmd/throughput): the
+// command-line harnesses (cmd/tables, cmd/throughput): the
 // algorithm/size/distribution parsers live in harness.go, and the helpers
 // below cover the remaining per-command copies — canonical flag names, the
 // "all" column set, distribution names for reports, the shared-scheduler
@@ -42,8 +42,8 @@ func (a Algorithm) FlagName() string {
 	}
 }
 
-// AllAlgorithms returns every algorithm column in table order (the
-// -algo all set of cmd/mmqsort). The slice is a copy.
+// AllAlgorithms returns every algorithm column in table order. The slice is
+// a copy.
 func AllAlgorithms() []Algorithm {
 	out := make([]Algorithm, numAlgorithms)
 	for a := range out {

@@ -313,9 +313,9 @@ type Sorter struct {
 }
 
 // NewSorter is the one place the mapping from an algorithm column to its
-// scheduler, its options and its sort function is written down: the table
-// harness and cmd/mmqsort both measure through it. Of cfg it reads P, Seed
-// and the sorting tunables.
+// scheduler, its options and its sort function is written down; every cell
+// of cmd/tables is measured through it. Of cfg it reads P, Seed and the
+// sorting tunables.
 func NewSorter(alg Algorithm, cfg Config) (Sorter, error) {
 	cfg = cfg.withDefaults()
 	// The team quota of the three mixed-mode columns is the same

@@ -13,10 +13,8 @@ import (
 // typos cannot silently disable a check.
 const (
 	KindOwnerStore = "ownerstore" // site: plain access to an atomically accessed field is the documented owner-mirror/init idiom
-	KindPadded     = "padded"     // decl: type (or shard-array field) must be sized to a 64-byte multiple
-	KindNoAlloc    = "noalloc"    // decl: function must contain no AST-level allocating construct
-	KindAllow      = "allow"      // site: one allocating construct inside a noalloc function is deliberate
-	KindSeqlock    = "seqlock"    // decl: field is a seqlock stamp; writes must bracket odd-before/even-after
+	KindNoAlloc    = "noalloc"    // decl: function must not heap-allocate (the compiler's escape analysis, plus append, map writes and go)
+	KindAllow      = "allow"      // site: one allocation inside a noalloc function, or one barrier-less return of a collective, is deliberate
 	KindBarrier    = "barrier"    // decl: function is a team collective; every return path must reach the barrier
 )
 
@@ -24,19 +22,15 @@ const directivePrefix = "//repro:"
 
 var validKinds = map[string]bool{
 	KindOwnerStore: true,
-	KindPadded:     true,
 	KindNoAlloc:    true,
 	KindAllow:      true,
-	KindSeqlock:    true,
 	KindBarrier:    true,
 }
 
-// declKinds are the kinds that attach to a declaration (function, type,
-// field); the rest attach to a source line (site).
+// declKinds are the kinds that attach to a function declaration; the rest
+// attach to a source line (site).
 var declKinds = map[string]bool{
-	KindPadded:  true,
 	KindNoAlloc: true,
-	KindSeqlock: true,
 	KindBarrier: true,
 }
 
@@ -53,7 +47,7 @@ type Directive struct {
 // declaration, the churn-stable identity the manifest pins.
 type Record struct {
 	PkgPath string
-	Decl    string // e.g. "(*worker).getCtx", "histShard", "histShard.stamp"
+	Decl    string // e.g. "(*worker).getCtx", or the enclosing declaration of a site directive
 	Kind    string
 }
 
@@ -159,9 +153,14 @@ func (ix *Index) addFile(pkg *Package, f *ast.File) {
 	}
 	declared := make(map[*Directive]bool)
 
-	attach := func(namePos token.Pos, declName string, g *ast.CommentGroup, kinds map[string]bool) {
-		for _, d := range groups[g] {
-			if !kinds[d.Kind] {
+	for _, decl := range f.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok {
+			continue
+		}
+		namePos := fd.Name.Pos()
+		for _, d := range groups[fd.Doc] {
+			if !declKinds[d.Kind] {
 				continue
 			}
 			d.Pos = fset.Position(namePos)
@@ -172,36 +171,7 @@ func (ix *Index) addFile(pkg *Package, f *ast.File) {
 			}
 			m[d.Kind] = d
 			declared[d] = true
-			ix.all = append(ix.all, Record{PkgPath: pkg.Path, Decl: declName, Kind: d.Kind})
-		}
-	}
-
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			attach(d.Name.Pos(), funcDeclName(d), d.Doc, map[string]bool{KindNoAlloc: true, KindBarrier: true})
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				doc := ts.Doc
-				if doc == nil && len(d.Specs) == 1 {
-					doc = d.Doc
-				}
-				attach(ts.Name.Pos(), ts.Name.Name, doc, map[string]bool{KindPadded: true})
-				if st, ok := ts.Type.(*ast.StructType); ok {
-					for _, fld := range st.Fields.List {
-						for _, g := range []*ast.CommentGroup{fld.Doc, fld.Comment} {
-							for _, name := range fld.Names {
-								attach(name.Pos(), ts.Name.Name+"."+name.Name, g,
-									map[string]bool{KindSeqlock: true, KindPadded: true})
-							}
-						}
-					}
-				}
-			}
+			ix.all = append(ix.all, Record{PkgPath: pkg.Path, Decl: funcDeclName(fd), Kind: d.Kind})
 		}
 	}
 
@@ -228,7 +198,7 @@ func (ix *Index) addFile(pkg *Package, f *ast.File) {
 				ix.errs = append(ix.errs, Diagnostic{
 					Pos:      d.Pos,
 					Analyzer: "directives",
-					Message:  fmt.Sprintf("unknown //repro: directive %q (known: allow, barrier, noalloc, ownerstore, padded, seqlock)", d.Kind),
+					Message:  fmt.Sprintf("unknown //repro: directive %q (known: allow, barrier, noalloc, ownerstore)", d.Kind),
 				})
 				continue
 			}
@@ -236,7 +206,7 @@ func (ix *Index) addFile(pkg *Package, f *ast.File) {
 				ix.errs = append(ix.errs, Diagnostic{
 					Pos:      d.Pos,
 					Analyzer: "directives",
-					Message:  fmt.Sprintf("//repro:%s is not attached to a %s declaration", d.Kind, declTarget(d.Kind)),
+					Message:  fmt.Sprintf("//repro:%s is not attached to a function declaration", d.Kind),
 				})
 				continue
 			}
@@ -247,21 +217,6 @@ func (ix *Index) addFile(pkg *Package, f *ast.File) {
 		}
 	}
 }
-
-func declTarget(kind string) string {
-	switch kind {
-	case KindNoAlloc, KindBarrier:
-		return "function"
-	case KindPadded:
-		return "type or struct-field"
-	default:
-		return "struct-field"
-	}
-}
-
-// FuncDeclName renders a FuncDecl's manifest name, e.g. "(*worker).getCtx".
-// Exported for tools (escapecheck) that key findings by declaration.
-func FuncDeclName(d *ast.FuncDecl) string { return funcDeclName(d) }
 
 // funcDeclName renders a FuncDecl's manifest name, e.g. "(*worker).getCtx".
 func funcDeclName(d *ast.FuncDecl) string {

@@ -9,27 +9,20 @@
 //     unless the plain site carries a //repro:ownerstore directive (the
 //     documented owner-mirror / pre-publication-init conventions become
 //     checkable instead of tribal).
-//   - padcheck: types and shard-array fields annotated //repro:padded must
-//     have a go/types.Sizes-computed size that is a multiple of the cache
-//     line (64 bytes), so "one shard per line" cannot silently rot when a
-//     field is added.
-//   - noalloc: functions annotated //repro:noalloc reject AST-level
-//     allocating constructs (closures, make/new, escaping composite
-//     literals, interface conversions, append, string concatenation, map
-//     writes), with a per-site //repro:allow escape hatch carrying a
-//     justification.
-//   - seqlock: writes to stamp fields annotated //repro:seqlock must form
-//     odd-before/even-after brackets on every path — the discipline the
-//     stats histogram snapshot and the trace ring snapshot both prove their
-//     consistency from.
+//   - noalloc: functions annotated //repro:noalloc are held to the
+//     compiler's escape analysis (go build -gcflags=-m: whatever it moves to
+//     the heap inside such a function is a finding) plus the three
+//     constructs it has no message for — append, map writes, go — with a
+//     per-site //repro:allow escape hatch carrying a justification.
 //   - barrier: team collectives annotated //repro:barrier must reach the
 //     team barrier (ctx.Barrier() or a call to another annotated
 //     collective) on every return path, except the documented team-size-1
 //     sequential-oracle early returns.
 //
 // Everything is built on the standard library alone (go/parser, go/ast,
-// go/types with the source importer); see README.md for the directive
-// vocabulary and for what each analyzer deliberately does not prove.
+// go/types with the source importer) and the go command on PATH; see
+// README.md for the directive vocabulary and for what each analyzer
+// deliberately does not prove.
 package lint
 
 import (
@@ -47,7 +40,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in deterministic order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{AtomicMix, PadCheck, NoAlloc, Seqlock, Barrier}
+	return []*Analyzer{AtomicMix, NoAlloc, Barrier}
 }
 
 // AnalyzerByName returns the named analyzer, or nil.

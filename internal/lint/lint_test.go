@@ -78,12 +78,12 @@ func TestAnalyzersOnTestdata(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	for _, name := range []string{"atomicmix", "padcheck", "noalloc", "seqlock", "barrier", "directives"} {
+	for _, name := range []string{"atomicmix", "noalloc", "barrier", "directives"} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", name)
-			pkg, err := loader.LoadDir(dir, "testdata/"+name)
+			pkg, err := loader.Load(loader.ModulePath + "/internal/lint/" + filepath.ToSlash(dir))
 			if err != nil {
-				t.Fatalf("LoadDir(%s): %v", dir, err)
+				t.Fatalf("Load(%s): %v", dir, err)
 			}
 			ix := NewIndex()
 			ix.AddPackage(pkg)
@@ -119,7 +119,7 @@ func TestAnalyzersOnTestdata(t *testing.T) {
 func TestManifestRoundTrip(t *testing.T) {
 	recs := []Record{
 		{PkgPath: "repro/internal/core", Decl: "(*worker).spawn", Kind: KindNoAlloc},
-		{PkgPath: "repro/internal/core", Decl: "inflightShard", Kind: KindPadded},
+		{PkgPath: "repro/internal/core", Decl: "(*Group).Reset", Kind: KindOwnerStore},
 		{PkgPath: "repro/internal/par", Decl: "Reducer[...].Reduce", Kind: KindBarrier},
 		{PkgPath: "repro/internal/par", Decl: "Reducer[...].Reduce", Kind: KindBarrier},
 	}
@@ -128,16 +128,16 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mismatches, err := CheckManifest(path, recs)
+	mismatches, err := CheckManifestScoped(path, recs, nil)
 	if err != nil {
-		t.Fatalf("CheckManifest: %v", err)
+		t.Fatalf("CheckManifestScoped: %v", err)
 	}
 	if len(mismatches) != 0 {
 		t.Fatalf("clean round trip reported mismatches: %v", mismatches)
 	}
 
 	// Deleting an annotation must be detected.
-	mismatches, err = CheckManifest(path, recs[1:])
+	mismatches, err = CheckManifestScoped(path, recs[1:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 
 	// A count change (one of two identical directives removed) must be detected.
-	mismatches, err = CheckManifest(path, recs[:3])
+	mismatches, err = CheckManifestScoped(path, recs[:3], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	// A new, unpinned annotation must be flagged until the manifest is regenerated.
 	extra := append([]Record{}, recs...)
 	extra = append(extra, Record{PkgPath: "repro/internal/stats", Decl: "Observe", Kind: KindNoAlloc})
-	mismatches, err = CheckManifest(path, extra)
+	mismatches, err = CheckManifestScoped(path, extra, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	Sizes types.Sizes
 }
 
 // Loader loads and type-checks the module's packages with the standard
@@ -37,7 +36,6 @@ type Loader struct {
 	Fset       *token.FileSet
 	ModuleDir  string
 	ModulePath string
-	Sizes      types.Sizes
 
 	std  types.Importer
 	pkgs map[string]*Package
@@ -60,7 +58,6 @@ func NewLoader(moduleDir string) (*Loader, error) {
 		Fset:       fset,
 		ModuleDir:  abs,
 		ModulePath: modPath,
-		Sizes:      types.SizesFor("gc", runtime.GOARCH),
 		std:        importer.ForCompiler(fset, "source", nil),
 		pkgs:       make(map[string]*Package),
 		errs:       make(map[string]error),
@@ -127,21 +124,6 @@ func (l *Loader) Load(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// LoadDir parses and type-checks the package in dir under the given
-// (possibly synthetic) import path — the entry point the analyzer tests
-// use for testdata packages.
-func (l *Loader) LoadDir(dir, path string) (*Package, error) {
-	if pkg, ok := l.pkgs[path]; ok {
-		return pkg, nil
-	}
-	pkg, err := l.load(dir, path)
-	if err != nil {
-		return nil, err
-	}
-	l.pkgs[path] = pkg
-	return pkg, nil
-}
-
 func (l *Loader) load(dir, path string) (*Package, error) {
 	names, err := goFilesIn(dir)
 	if err != nil {
@@ -166,7 +148,7 @@ func (l *Loader) load(dir, path string) (*Package, error) {
 		Implicits:  make(map[ast.Node]types.Object),
 		Instances:  make(map[*ast.Ident]types.Instance),
 	}
-	conf := types.Config{Importer: l, Sizes: l.Sizes}
+	conf := types.Config{Importer: l, Sizes: types.SizesFor("gc", runtime.GOARCH)}
 	tpkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", path, err)
@@ -178,7 +160,6 @@ func (l *Loader) load(dir, path string) (*Package, error) {
 		Files: files,
 		Types: tpkg,
 		Info:  info,
-		Sizes: l.Sizes,
 	}, nil
 }
 

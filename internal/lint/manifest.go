@@ -45,17 +45,12 @@ func ManifestString(recs []Record) string {
 	return sb.String()
 }
 
-// CheckManifest compares the live inventory against the manifest file and
-// returns one human-readable mismatch per differing entry.
-func CheckManifest(path string, recs []Record) ([]string, error) {
-	return CheckManifestScoped(path, recs, nil)
-}
-
-// CheckManifestScoped is CheckManifest restricted to the given package
-// paths: manifest entries for packages outside the scope are ignored, so a
-// package-scoped run (reprolint ./internal/core) does not report the rest
-// of the module's pinned directives as deleted. A nil scope means the whole
-// manifest, as on full-module runs.
+// CheckManifestScoped compares the live inventory against the manifest file
+// and returns one human-readable mismatch per differing entry, restricted to
+// the given package paths: manifest entries for packages outside the scope
+// are ignored, so a package-scoped run (reprolint ./internal/core) does not
+// report the rest of the module's pinned directives as deleted. A nil scope
+// means the whole manifest.
 func CheckManifestScoped(path string, recs []Record, scope []string) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -4,230 +4,141 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 )
 
-// NoAlloc rejects AST-level allocating constructs inside functions
-// annotated //repro:noalloc: closure creation, make/new, append, taking
-// the address of a composite literal, string concatenation, map writes,
-// string↔byte/rune-slice conversions, and implicit or explicit
-// interface conversions of non-pointer-shaped values. A site that is
-// deliberately allocating (a cold refill path, a capacity-bounded append)
-// carries //repro:allow with a one-line justification.
+// NoAlloc holds functions annotated //repro:noalloc to the compiler's own
+// verdict: it builds the package with -gcflags=-m and reports every
+// "escapes to heap" / "moved to heap" the escape analysis prints for a
+// position inside such a function — a composite literal whose address
+// leaves, a value boxed into an interface, a stored closure, a string built
+// at run time, a make or new that outlives the frame, and equally a value
+// that only moves to the heap because a call defeated inlining. What the
+// compiler decides to keep on the stack (a make of constant size that does
+// not escape) is not reported.
 //
-// The check is deliberately shallow: it looks at this function's syntax
-// only and does not follow calls, prove escape behavior, or model the
-// compiler's optimizations (a non-escaping make may well be stack
-// allocated, and a call to a pretty-printer obviously is not). It is the
-// fast first line; the compiler-backed scripts/escapecheck and the
-// AllocsPerRun regression tests are the ground truth it feeds.
+// Three constructs allocate at run time without the compiler saying so and
+// are rejected by syntax: append (growth is decided by the capacity found at
+// run time), assignment to a map element, and the go statement. A site that
+// is deliberately allocating (a pool's refill path, a capacity-bounded
+// append) carries //repro:allow with a one-line justification; that is the
+// only waiver, for both halves.
 var NoAlloc = &Analyzer{
 	Name: "noalloc",
-	Doc:  "//repro:noalloc functions must not contain AST-level allocating constructs",
+	Doc:  "//repro:noalloc functions must not heap-allocate: the compiler's escape analysis, plus append, map writes and go",
 	Run:  runNoAlloc,
 }
 
 func runNoAlloc(pass *Pass) {
+	var fns []*ast.FuncDecl
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !pass.Index.DeclHas(fd.Name.Pos(), KindNoAlloc) {
-				continue
+			if ok && fd.Body != nil && pass.Index.DeclHas(fd.Name.Pos(), KindNoAlloc) {
+				fns = append(fns, fd)
 			}
-			checkNoAlloc(pass, fd)
 		}
+	}
+	if len(fns) == 0 {
+		return // nothing declared: no compiler run for this package
+	}
+	for _, fd := range fns {
+		checkUnreported(pass, fd)
+	}
+	checkEscapes(pass, fns)
+}
+
+// reportAlloc reports one allocation in fd unless its line is waived.
+func reportAlloc(pass *Pass, fd *ast.FuncDecl, pos token.Pos, what string) {
+	if !pass.Allowed(KindAllow, pos) {
+		pass.Reportf(pos, "%s in //repro:noalloc function %s", what, fd.Name.Name)
 	}
 }
 
-func checkNoAlloc(pass *Pass, fd *ast.FuncDecl) {
+// checkUnreported flags the allocating constructs escape analysis has no
+// message for.
+func checkUnreported(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.Pkg.Info
-	var sig *types.Signature
-	if obj, ok := info.Defs[fd.Name].(*types.Func); ok {
-		sig = obj.Type().(*types.Signature)
-	}
-
-	flag := func(pos token.Pos, format string, args ...any) {
-		if !pass.Allowed(KindAllow, pos) {
-			pass.Reportf(pos, format, args...)
-		}
-	}
-
+	flag := func(pos token.Pos, what string) { reportAlloc(pass, fd, pos, what) }
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.FuncLit:
-			flag(x.Pos(), "closure creation allocates in //repro:noalloc function %s", fd.Name.Name)
-			return false // one finding per closure; its body is the closure's problem
 		case *ast.CallExpr:
-			checkNoAllocCall(pass, fd, flag, x)
-		case *ast.BinaryExpr:
-			if x.Op == token.ADD && isStringExpr(info, x) && info.Types[x].Value == nil {
-				flag(x.Pos(), "string concatenation allocates in //repro:noalloc function %s", fd.Name.Name)
+			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
+				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
+					flag(x.Pos(), "append may allocate")
+				}
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
 				if idx, ok := lhs.(*ast.IndexExpr); ok && isMapExpr(info, idx.X) {
-					flag(lhs.Pos(), "map write may allocate in //repro:noalloc function %s", fd.Name.Name)
-				}
-			}
-			if x.Tok == token.ADD_ASSIGN && isStringExpr(info, x.Lhs[0]) {
-				flag(x.Pos(), "string concatenation allocates in //repro:noalloc function %s", fd.Name.Name)
-			}
-			if x.Tok == token.ASSIGN {
-				for i, lhs := range x.Lhs {
-					if len(x.Rhs) != len(x.Lhs) {
-						break // tuple assignment from a call: conversion handled at the call
-					}
-					checkIfaceConv(pass, fd, flag, typeOf(info, lhs), x.Rhs[i])
-				}
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				if _, ok := x.X.(*ast.CompositeLit); ok {
-					flag(x.Pos(), "address of composite literal escapes (allocates) in //repro:noalloc function %s", fd.Name.Name)
-				}
-			}
-		case *ast.ReturnStmt:
-			if sig != nil && sig.Results().Len() == len(x.Results) {
-				for i, res := range x.Results {
-					checkIfaceConv(pass, fd, flag, sig.Results().At(i).Type(), res)
+					flag(lhs.Pos(), "map write may allocate")
 				}
 			}
 		case *ast.GoStmt:
-			flag(x.Pos(), "go statement allocates a goroutine in //repro:noalloc function %s", fd.Name.Name)
+			flag(x.Pos(), "go statement allocates a goroutine")
 		}
 		return true
 	})
 }
 
-// checkNoAllocCall handles the call-shaped findings: allocating builtins,
-// allocating conversions, and implicit interface conversions of arguments.
-func checkNoAllocCall(pass *Pass, fd *ast.FuncDecl, flag func(token.Pos, string, ...any), call *ast.CallExpr) {
-	info := pass.Pkg.Info
+// escapeRe matches the two escape-analysis messages that mean a heap
+// allocation ("leaking param" and "does not escape" do not).
+var escapeRe = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.+ escapes to heap|moved to heap: .+)$`)
 
-	// Builtins.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "make", "new":
-				flag(call.Pos(), "%s allocates in //repro:noalloc function %s", b.Name(), fd.Name.Name)
-			case "append":
-				flag(call.Pos(), "append may allocate in //repro:noalloc function %s", fd.Name.Name)
-			}
-			return
-		}
-	}
-
-	// Conversions.
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		if len(call.Args) != 1 {
-			return
-		}
-		dst, src := tv.Type, typeOf(info, call.Args[0])
-		if src == nil {
-			return
-		}
-		if isStringByteConv(dst, src) {
-			flag(call.Pos(), "string/slice conversion allocates in //repro:noalloc function %s", fd.Name.Name)
-			return
-		}
-		checkIfaceConv(pass, fd, flag, dst, call.Args[0])
+// checkEscapes compiles the package and reports the heap allocations the
+// compiler places inside fns, all of which are declared in pass.Pkg.
+func checkEscapes(pass *Pass, fns []*ast.FuncDecl) {
+	cmd := exec.Command("go", "build", "-gcflags=-m", "-o", os.DevNull, ".")
+	cmd.Dir = pass.Pkg.Dir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		pass.Reportf(fns[0].Pos(), "go build -gcflags=-m in %s: %v\n%s", cmd.Dir, err, out)
 		return
 	}
-
-	// Implicit interface conversions at the arguments of an ordinary call.
-	sig, ok := typeOf(info, call.Fun).(*types.Signature)
-	if !ok || call.Ellipsis != token.NoPos {
-		return // f(xs...) passes a slice through unchanged
-	}
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= params.Len()-1:
-			pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
-		case i < params.Len():
-			pt = params.At(i).Type()
-		default:
+	seen := make(map[string]bool) // the compiler repeats a line for each instantiation of a generic function
+	for _, line := range strings.Split(string(out), "\n") {
+		m := escapeRe.FindStringSubmatch(strings.TrimSpace(line))
+		if m == nil || seen[m[0]] {
 			continue
 		}
-		checkIfaceConv(pass, fd, flag, pt, arg)
+		seen[m[0]] = true
+		ln, _ := strconv.Atoi(m[2])
+		col, _ := strconv.Atoi(m[3])
+		for _, fd := range fns {
+			tf := pass.Pkg.Fset.File(fd.Pos())
+			if !sameFile(m[1], tf.Name()) || ln < tf.Line(fd.Pos()) || ln > tf.Line(fd.Body.Rbrace) {
+				continue
+			}
+			reportAlloc(pass, fd, tf.LineStart(ln)+token.Pos(col-1), m[4])
+			break
+		}
 	}
 }
 
-// checkIfaceConv flags dst being an interface type while expr has a
-// concrete type whose conversion heap-allocates (anything that is not
-// pointer-shaped: pointers, channels, maps, funcs and unsafe pointers fit
-// an interface word directly).
-func checkIfaceConv(pass *Pass, fd *ast.FuncDecl, flag func(token.Pos, string, ...any), dst types.Type, expr ast.Expr) {
-	if dst == nil || !types.IsInterface(dst) {
-		return
+// sameFile reports whether printed, a file name from the go command's
+// output, names the file at the absolute path abs. The go command shortens
+// names relative to the directory it ran in when the package was first
+// compiled and replays that text from its build cache afterwards, so printed
+// may be absolute or relative to a directory that is not known here; either
+// way what follows its leading ./ and ../ elements is a tail of abs.
+func sameFile(printed, abs string) bool {
+	printed = filepath.ToSlash(printed)
+	for strings.HasPrefix(printed, "./") || strings.HasPrefix(printed, "../") {
+		printed = printed[strings.Index(printed, "/")+1:]
 	}
-	src := typeOf(pass.Pkg.Info, expr)
-	if src == nil || types.IsInterface(src) {
-		return
-	}
-	if b, ok := src.Underlying().(*types.Basic); ok && b.Kind() == types.UntypedNil {
-		return
-	}
-	if isPointerShaped(src) {
-		return
-	}
-	flag(expr.Pos(), "conversion of %s to interface %s allocates in //repro:noalloc function %s",
-		types.TypeString(src, types.RelativeTo(pass.Pkg.Types)), types.TypeString(dst, types.RelativeTo(pass.Pkg.Types)), fd.Name.Name)
-}
-
-func typeOf(info *types.Info, e ast.Expr) types.Type {
-	if tv, ok := info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
-func isStringExpr(info *types.Info, e ast.Expr) bool {
-	t := typeOf(info, e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
+	return strings.HasSuffix(filepath.ToSlash(abs), "/"+strings.TrimPrefix(printed, "/"))
 }
 
 func isMapExpr(info *types.Info, e ast.Expr) bool {
-	t := typeOf(info, e)
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Map)
-	return ok
-}
-
-// isStringByteConv reports a conversion between string and []byte/[]rune,
-// which copies (allocates) in either direction.
-func isStringByteConv(dst, src types.Type) bool {
-	return (isStringType(dst) && isByteOrRuneSlice(src)) || (isByteOrRuneSlice(dst) && isStringType(src))
-}
-
-func isStringType(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
-func isByteOrRuneSlice(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
+	tv, ok := info.Types[e]
 	if !ok {
 		return false
 	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Byte || b.Kind() == types.Uint8 || b.Kind() == types.Rune || b.Kind() == types.Int32)
-}
-
-// isPointerShaped reports whether values of t fit an interface's data word
-// without boxing.
-func isPointerShaped(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-		return true
-	case *types.Basic:
-		return u.Kind() == types.UnsafePointer
-	}
-	return false
+	_, ok = tv.Type.Underlying().(*types.Map)
+	return ok
 }

@@ -46,9 +46,6 @@ func (c *Claimer) Right() (block int, ok bool) {
 	return c.nb - int(c.right.Add(1)), true
 }
 
-// NB returns the total number of blocks.
-func (c *Claimer) NB() int { return c.nb }
-
 // TakenLeft returns how many blocks were claimed from the low end (the
 // blocks 0 … TakenLeft()−1). Stable only once the claimants are done.
 func (c *Claimer) TakenLeft() int { return int(c.left.Load()) }

@@ -63,8 +63,7 @@ func Chunk(lid, w, n int) (lo, hi int) {
 }
 
 // slot is a padded per-member cell: 64 bytes of trailing padding keep
-// neighboring members' writes on distinct cache lines (same idea as
-// teamsync.ReduceInt64, generalized over the element type).
+// neighboring members' writes on distinct cache lines.
 type slot[A any] struct {
 	v A
 	_ [64]byte

@@ -36,8 +36,8 @@ func Pack(r R) uint64 {
 	return uint64(r.Req) | uint64(r.Acq)<<16 | uint64(r.Team)<<32 | uint64(r.Epoch)<<48
 }
 
-// Unpack is the inverse of Pack.
-func Unpack(w uint64) R {
+// unpack is the inverse of Pack.
+func unpack(w uint64) R {
 	return R{
 		Req:   uint16(w),
 		Acq:   uint16(w >> 16),
@@ -58,7 +58,7 @@ type Word struct {
 }
 
 // Load returns the current registration structure.
-func (w *Word) Load() R { return Unpack(w.w.Load()) }
+func (w *Word) Load() R { return unpack(w.w.Load()) }
 
 // Store unconditionally overwrites the word. Owner-only, and only safe when
 // no concurrent registrations are possible (e.g. during initialization).

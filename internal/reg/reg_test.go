@@ -8,7 +8,7 @@ import (
 func TestPackUnpackRoundTrip(t *testing.T) {
 	f := func(r, a, tm, n uint16) bool {
 		in := R{Req: r, Acq: a, Team: tm, Epoch: n}
-		return Unpack(Pack(in)) == in
+		return unpack(Pack(in)) == in
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestString(t *testing.T) {
 func TestSixteenBitFields(t *testing.T) {
 	// Max field values survive the packing (the paper packs 4×16 bits).
 	in := R{Req: 65535, Acq: 65535, Team: 65535, Epoch: 65535}
-	if Unpack(Pack(in)) != in {
+	if unpack(Pack(in)) != in {
 		t.Fatal("max field values corrupted")
 	}
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"sync/atomic"
-	"time"
 )
 
 // Histogram is a fixed-boundary, log-bucketed latency/duration histogram.
@@ -21,14 +20,12 @@ import (
 // bucket counts are atomic adds and the sum is CAS-accumulated — they only
 // contend on the shard's cache lines.
 //
-// The read path (Snapshot) is modeled on the seqlock-stamped quiescence
-// scan of internal/core: each Observe brackets its updates between two
-// stamp increments (odd while in progress), and Snapshot sums all shards
-// twice, accepting the result only if no stamp was odd and the stamp total
-// did not move between the passes — which proves it observed every shard at
-// one instant. Under sustained concurrent writes validation is retried a
-// few times and then degrades to a best-effort (per-field-atomic) read; see
-// internal/stats/README.md for the full consistency argument.
+// The read path (Snapshot) is one pass of atomic loads. Each field it
+// returns is a value that field held, and Count is the sum of the bucket
+// counts it read, so a snapshot is never torn within itself; taken while
+// writers run it may mix shards, or a shard's buckets and sum, from instants
+// a few observations apart, which a monitoring scrape tolerates. Once the
+// writers have stopped it is exact. See internal/stats/README.md.
 type Histogram struct {
 	shards []histShard
 }
@@ -45,22 +42,19 @@ const (
 )
 
 // histShard is one writer's slice of the histogram. The trailing padding
-// rounds the struct up to a cache-line multiple so adjacent shards never
-// share a line; within a shard, all lines are written by the shard's owner.
-//
-//repro:padded shards sit in one array; stride must be a cache-line multiple
+// rounds the struct up to a cache-line multiple (TestHistShardPadded holds
+// it to unsafe.Sizeof) so adjacent shards never share a line; within a
+// shard, all lines are written by the shard's owner.
 type histShard struct {
-	//repro:seqlock update generation: odd while an Observe is in flight
-	stamp atomic.Uint64
 	sum   atomic.Uint64 // Float64bits of the shard's value sum
 	count [HistBuckets]atomic.Uint64
-	_     [16]byte
+	_     [24]byte
 }
 
 // NewHistogram returns a histogram with the given number of shards
 // (clamped to ≥ 1). One shard per concurrent writer removes all write
 // contention; fewer shards trade contention for memory (each shard is
-// ~256 B).
+// 256 B).
 func NewHistogram(shards int) *Histogram {
 	if shards < 1 {
 		shards = 1
@@ -68,21 +62,8 @@ func NewHistogram(shards int) *Histogram {
 	return &Histogram{shards: make([]histShard, shards)}
 }
 
-// Shards returns the shard count.
-func (h *Histogram) Shards() int { return len(h.shards) }
-
 // histBound returns the i-th finite bucket boundary, 2^(histMinExp+i).
 func histBound(i int) float64 { return math.Ldexp(1, histMinExp+i) }
-
-// HistogramBounds returns the finite bucket boundaries in seconds
-// (ascending; the implicit last bucket is +Inf). The slice is a copy.
-func HistogramBounds() []float64 {
-	bs := make([]float64, HistBuckets-1)
-	for i := range bs {
-		bs[i] = histBound(i)
-	}
-	return bs
-}
 
 // bucketOf returns the index of the bucket counting v: the first bucket
 // whose upper boundary is ≥ v. The boundaries are exact powers of two, so
@@ -134,7 +115,6 @@ func (h *Histogram) ObserveN(shard int, v float64, n uint64) {
 		v = 0
 	}
 	sh := &h.shards[uint(shard)%uint(len(h.shards))]
-	sh.stamp.Add(1) // odd: update in progress
 	sh.count[bucketOf(v)].Add(n)
 	for {
 		o := sh.sum.Load()
@@ -142,41 +122,19 @@ func (h *Histogram) ObserveN(shard int, v float64, n uint64) {
 			break
 		}
 	}
-	sh.stamp.Add(1) // even: stable
 }
 
-// ObserveDuration records one duration observation in seconds.
-func (h *Histogram) ObserveDuration(shard int, d time.Duration) {
-	h.Observe(shard, d.Seconds())
-}
-
-// Snapshot returns a merged copy of all shards. The double-pass stamp
-// validation (see the type comment) retries a few times under concurrent
-// writes before settling for a best-effort read; with single-writer shards
-// a validated snapshot observed every shard at one instant.
+// Snapshot returns a merged copy of all shards: one pass of atomic loads,
+// Count being the sum of the bucket counts read (see the type comment for
+// what that means while writers run).
 func (h *Histogram) Snapshot() HistSnapshot {
-	const retries = 4
 	var s HistSnapshot
-	for try := 0; ; try++ {
-		s = HistSnapshot{}
-		var t1, t2 uint64
-		clean := true
-		for i := range h.shards {
-			sh := &h.shards[i]
-			st := sh.stamp.Load()
-			clean = clean && st&1 == 0
-			t1 += st
-			for b := 0; b < HistBuckets; b++ {
-				s.Counts[b] += sh.count[b].Load()
-			}
-			s.Sum += math.Float64frombits(sh.sum.Load())
+	for i := range h.shards {
+		sh := &h.shards[i]
+		for b := 0; b < HistBuckets; b++ {
+			s.Counts[b] += sh.count[b].Load()
 		}
-		for i := range h.shards {
-			t2 += h.shards[i].stamp.Load()
-		}
-		if (clean && t1 == t2) || try == retries {
-			break
-		}
+		s.Sum += math.Float64frombits(sh.sum.Load())
 	}
 	for _, c := range s.Counts {
 		s.Count += c

@@ -5,7 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
+	"unsafe"
 
 	"repro/internal/dist"
 )
@@ -53,17 +53,23 @@ func TestBucketOf(t *testing.T) {
 }
 
 func TestHistogramBoundsTable(t *testing.T) {
-	bs := HistogramBounds()
-	if len(bs) != HistBuckets-1 {
-		t.Fatalf("len(bounds) = %d, want %d", len(bs), HistBuckets-1)
-	}
-	for i := 1; i < len(bs); i++ {
-		if bs[i] != 2*bs[i-1] {
-			t.Fatalf("bounds not doubling at %d: %g -> %g", i, bs[i-1], bs[i])
+	const last = HistBuckets - 2 // index of the largest finite bound
+	for i := 1; i <= last; i++ {
+		if histBound(i) != 2*histBound(i-1) {
+			t.Fatalf("bounds not doubling at %d: %g -> %g", i, histBound(i-1), histBound(i))
 		}
 	}
-	if bs[0] != math.Ldexp(1, histMinExp) || bs[len(bs)-1] != math.Ldexp(1, histMaxExp) {
-		t.Fatalf("bounds range [%g, %g]", bs[0], bs[len(bs)-1])
+	if histBound(0) != math.Ldexp(1, histMinExp) || histBound(last) != math.Ldexp(1, histMaxExp) {
+		t.Fatalf("bounds range [%g, %g]", histBound(0), histBound(last))
+	}
+}
+
+// TestHistShardPadded holds the shard stride to the size the compiler gives
+// the struct: shards sit in one array, and a stride that is not a multiple
+// of the cache line puts two writers' counters on one line.
+func TestHistShardPadded(t *testing.T) {
+	if sz := unsafe.Sizeof(histShard{}); sz%64 != 0 {
+		t.Fatalf("sizeof(histShard) = %d, not a multiple of 64: fix the trailing padding", sz)
 	}
 }
 
@@ -72,9 +78,9 @@ func TestObserveSnapshot(t *testing.T) {
 	h.Observe(0, 0.5)
 	h.Observe(1, 0.5)
 	h.ObserveN(0, 2.0, 3)
-	h.ObserveDuration(7, 4*time.Second) // shard reduced modulo 2
-	h.Observe(0, math.NaN())            // clamped to 0: first bucket, sum unchanged
-	h.Observe(0, -3)                    // likewise
+	h.Observe(7, 4.0)        // shard reduced modulo 2
+	h.Observe(0, math.NaN()) // clamped to 0: first bucket, sum unchanged
+	h.Observe(0, -3)         // likewise
 	s := h.Snapshot()
 	if s.Count != 8 {
 		t.Fatalf("Count = %d, want 8", s.Count)
@@ -97,6 +103,28 @@ func TestObserveSnapshot(t *testing.T) {
 	}
 	if total != s.Count {
 		t.Fatalf("Counts sum %d != Count %d", total, s.Count)
+	}
+}
+
+// TestSnapshotQuiescentIsExact: with no writer running, one pass of loads
+// returns every bucket, the count and the sum exactly, whatever the spread
+// over shards and however often Snapshot is called.
+func TestSnapshotQuiescentIsExact(t *testing.T) {
+	const shards, rounds = 3, 500
+	h := NewHistogram(shards)
+	var want HistSnapshot
+	for i := 0; i < rounds; i++ {
+		v := math.Ldexp(1, i%12-10) // exact powers of two: the float sum is exact in any order
+		n := uint64(i%4 + 1)
+		h.ObserveN(i, v, n)
+		want.Counts[bucketOf(v)] += n
+		want.Count += n
+		want.Sum += v * float64(n)
+	}
+	for try := 0; try < 3; try++ {
+		if got := h.Snapshot(); got != want {
+			t.Fatalf("snapshot %d of a quiescent histogram:\n got %+v\nwant %+v", try, got, want)
+		}
 	}
 }
 
@@ -173,10 +201,10 @@ func TestPercentileBracketsSample(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrent exercises the seqlock-stamped snapshot against
-// concurrent writers (under -race this also checks the synchronization):
-// every snapshot must observe internally consistent totals, and the final
-// drained snapshot must account every observation exactly once.
+// TestHistogramConcurrent exercises the snapshot against concurrent writers
+// (under -race this also checks the synchronization): every snapshot must
+// observe internally consistent totals, and the final drained snapshot must
+// account every observation exactly once.
 func TestHistogramConcurrent(t *testing.T) {
 	const (
 		writers = 4

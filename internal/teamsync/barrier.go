@@ -1,12 +1,13 @@
 // Package teamsync provides synchronization primitives for threads executing
-// a data-parallel task as a team: a phase-counting barrier, a fan-in
-// countdown and simple all-reduce helpers.
+// a data-parallel task as a team: a phase-counting barrier and a fan-in
+// countdown.
 //
 // A team in the Wimmer–Träff scheduler is a set of r consecutively numbered
 // workers that start a task together. Within the task they communicate
 // through shared state of the task object; the primitives here cover the
 // common patterns (barrier between phases of the data-parallel partitioning
-// step, reductions of per-thread results).
+// step, waiting for the last of n shares); reductions over per-member slots
+// are internal/par's.
 //
 // Nothing here sleeps on a timer: after the spin and yield rounds of
 // backoff.Pause a waiter parks on a wake.Slot, and the arrival that ends the
@@ -142,38 +143,4 @@ func (c *Counter) WaitZero() {
 			c.slot.Settle(sleeping, c.c.Load() <= 0, nil)
 		}
 	}
-}
-
-// ReduceInt64 is a slot-per-thread int64 reduction: each participant stores
-// its contribution, then after a barrier any participant can Sum.
-type ReduceInt64 struct {
-	slots []int64 // padded to avoid false sharing
-}
-
-const pad = 8 // int64 words per cache line (64 B)
-
-// NewReduceInt64 returns a reduction with n participant slots.
-func NewReduceInt64(n int) *ReduceInt64 {
-	//repro:ownerstore init before publish: no participant holds the value until the constructor returns
-	return &ReduceInt64{slots: make([]int64, n*pad)}
-}
-
-// Set stores the contribution of participant i.
-func (r *ReduceInt64) Set(i int, v int64) {
-	atomic.StoreInt64(&r.slots[i*pad], v)
-}
-
-// Get returns the contribution of participant i.
-func (r *ReduceInt64) Get(i int) int64 {
-	return atomic.LoadInt64(&r.slots[i*pad])
-}
-
-// Sum returns the sum over the first n slots. Callers must separate Set and
-// Sum by a barrier.
-func (r *ReduceInt64) Sum(n int) int64 {
-	var s int64
-	for i := 0; i < n; i++ {
-		s += r.Get(i)
-	}
-	return s
 }

@@ -115,41 +115,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestReduceInt64(t *testing.T) {
-	const n = 8
-	r := NewReduceInt64(n)
-	b := NewBarrier(n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r.Set(i, int64(i*i))
-			b.Wait()
-			want := int64(0)
-			for j := 0; j < n; j++ {
-				want += int64(j * j)
-			}
-			if got := r.Sum(n); got != want {
-				t.Errorf("Sum = %d, want %d", got, want)
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
-func TestReduceGetSet(t *testing.T) {
-	r := NewReduceInt64(4)
-	for i := 0; i < 4; i++ {
-		r.Set(i, int64(100+i))
-	}
-	for i := 0; i < 4; i++ {
-		if r.Get(i) != int64(100+i) {
-			t.Fatalf("Get(%d) = %d", i, r.Get(i))
-		}
-	}
-}
-
 // parkedIn polls until want slots of bank hold an announced sleeper.
 func parkedIn(t *testing.T, bank []wake.Slot, want int) {
 	t.Helper()

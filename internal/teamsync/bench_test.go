@@ -37,16 +37,3 @@ func BenchmarkCounterFanIn(b *testing.B) {
 		c.WaitZero()
 	}
 }
-
-func BenchmarkReduceSum(b *testing.B) {
-	r := NewReduceInt64(16)
-	for i := 0; i < 16; i++ {
-		r.Set(i, int64(i))
-	}
-	var s int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s += r.Sum(16)
-	}
-	_ = s
-}

@@ -109,33 +109,10 @@ func BlockFits(id, r, p int) bool {
 	return TeamRight(id, r) <= p
 }
 
-// FitTeam returns the largest power-of-two team size ≤ want whose block
-// containing id fits inside [0, p). It is ≥ 1 for every valid id.
-func FitTeam(id, want, p int) int {
-	r := FloorPow2(want)
-	for r > 1 && !BlockFits(id, r, p) {
-		r >>= 1
-	}
-	return r
-}
-
 // Level returns the queue level for a task requiring r threads: the exponent
 // of the next power of two ≥ r (Refinement 2 rounds requirements up).
 func Level(r int) int {
 	return Log2Ceil(r)
-}
-
-// IsPow2 reports whether x is a power of two (x ≥ 1).
-func IsPow2(x int) bool {
-	return x > 0 && x&(x-1) == 0
-}
-
-// CeilPow2 returns the smallest power of two ≥ x (x ≥ 1).
-func CeilPow2(x int) int {
-	if x <= 1 {
-		return 1
-	}
-	return 1 << uint(bits.Len(uint(x-1)))
 }
 
 // FloorPow2 returns the largest power of two ≤ x (x ≥ 1).

@@ -152,46 +152,23 @@ func TestLocalIDProperties(t *testing.T) {
 	}
 }
 
-func TestBlockFitsAndFitTeam(t *testing.T) {
-	if !BlockFits(0, 4, 6) || BlockFits(4, 4, 6) {
-		t.Fatal("BlockFits p=6 r=4: block [0,4) fits, [4,8) does not")
-	}
-	if ft := FitTeam(4, 4, 6); ft != 2 {
-		t.Fatalf("FitTeam(4,4,6)=%d, want 2 (block [4,6))", ft)
-	}
-	if ft := FitTeam(5, 8, 6); ft != 2 {
-		t.Fatalf("FitTeam(5,8,6)=%d, want 2", ft)
-	}
-	if ft := FitTeam(0, 8, 6); ft != 4 {
-		t.Fatalf("FitTeam(0,8,6)=%d, want 4", ft)
-	}
-	// FitTeam always ≥ 1 and its block always fits.
-	err := quick.Check(func(id, want, p uint8) bool {
-		pp := int(p%64) + 1
-		ii := int(id) % pp
-		ww := int(want%64) + 1
-		ft := FitTeam(ii, ww, pp)
-		return ft >= 1 && IsPow2(ft) && BlockFits(ii, ft, pp)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+func TestBlockFits(t *testing.T) {
+	if !BlockFits(0, 4, 6) || BlockFits(4, 4, 6) || !BlockFits(4, 2, 6) {
+		t.Fatal("BlockFits p=6: blocks [0,4) and [4,6) fit, [4,8) does not")
 	}
 }
 
 func TestPow2Helpers(t *testing.T) {
-	for _, c := range []struct{ x, ceil, floor, l2c, l2f int }{
-		{1, 1, 1, 0, 0},
-		{2, 2, 2, 1, 1},
-		{3, 4, 2, 2, 1},
-		{4, 4, 4, 2, 2},
-		{5, 8, 4, 3, 2},
-		{7, 8, 4, 3, 2},
-		{8, 8, 8, 3, 3},
-		{1000, 1024, 512, 10, 9},
+	for _, c := range []struct{ x, floor, l2c, l2f int }{
+		{1, 1, 0, 0},
+		{2, 2, 1, 1},
+		{3, 2, 2, 1},
+		{4, 4, 2, 2},
+		{5, 4, 3, 2},
+		{7, 4, 3, 2},
+		{8, 8, 3, 3},
+		{1000, 512, 10, 9},
 	} {
-		if CeilPow2(c.x) != c.ceil {
-			t.Errorf("CeilPow2(%d)=%d, want %d", c.x, CeilPow2(c.x), c.ceil)
-		}
 		if FloorPow2(c.x) != c.floor {
 			t.Errorf("FloorPow2(%d)=%d, want %d", c.x, FloorPow2(c.x), c.floor)
 		}
@@ -201,9 +178,6 @@ func TestPow2Helpers(t *testing.T) {
 		if Log2Floor(c.x) != c.l2f {
 			t.Errorf("Log2Floor(%d)=%d, want %d", c.x, Log2Floor(c.x), c.l2f)
 		}
-	}
-	if IsPow2(0) || IsPow2(3) || !IsPow2(1) || !IsPow2(64) {
-		t.Fatal("IsPow2 misbehaves")
 	}
 }
 

@@ -21,11 +21,11 @@ const minRingEvents = 8
 // the stamp makes the race detectable: it holds 2·seq+1 while the owner is
 // writing sequence seq into the slot and 2·seq+2 once the slot is stable,
 // so a reader that sees the same even stamp before and after copying the
-// payload knows it copied a consistent event (the seqlock argument, as in
-// internal/stats' histogram snapshot).
+// payload knows it copied a consistent event (the seqlock argument). Record
+// is the stamp's only writer: TestRecordSnapshotRoundTrip fails without its
+// closing store, TestConcurrentRecordSnapshot without its opening one.
 type slot struct {
-	//repro:seqlock holds 2·seq+1 while torn, 2·seq+2 once stable
-	stamp atomic.Uint64
+	stamp atomic.Uint64 // 2·seq+1 while torn, 2·seq+2 once stable
 	ts    atomic.Int64
 	// meta packs kind (bits 56–63), the related worker id (bits 40–55) and
 	// the small payload X (bits 0–31) into one word, so recording an event
@@ -37,9 +37,8 @@ type slot struct {
 // ring is one writer's event buffer. Only the owner (the worker with the
 // matching id, or the admitMu holder for the admission ring) writes pos and
 // slots; snapshot readers only load. The struct is padded to a cache line
-// so adjacent rings' owner-written headers never share one.
-//
-//repro:padded rings sit in one array; the header stride must be a cache-line multiple
+// so adjacent rings' owner-written headers never share one: rings sit in one
+// array, and TestRingPadded holds the stride to unsafe.Sizeof.
 type ring struct {
 	pos   atomic.Uint64 // next sequence number; slots[pos&mask] is written next
 	mask  uint64
@@ -85,9 +84,6 @@ func New(names []string, perRing int) *Tracer {
 	}
 	return &Tracer{names: append([]string(nil), names...), cap: c}
 }
-
-// Rings returns the number of rings (writers).
-func (t *Tracer) Rings() int { return len(t.names) }
 
 // Start enables recording, allocating the rings on first use. Restarting a
 // stopped tracer resumes recording into the same rings (sequence numbers

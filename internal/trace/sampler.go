@@ -84,13 +84,6 @@ func (s *Sampler) Stop() {
 	s.wg.Wait()
 }
 
-// Running reports whether the sampling goroutine is active.
-func (s *Sampler) Running() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stop != nil
-}
-
 // Count returns the number of times state st has been observed.
 func (s *Sampler) Count(st State) int64 {
 	if st >= NumStates {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestKindNamesExhaustive pins that every Kind has a distinct, non-empty
@@ -45,6 +46,15 @@ func TestStateNamesExhaustive(t *testing.T) {
 	}
 	if got := NumStates.String(); !strings.HasPrefix(got, "state-") {
 		t.Fatalf("out-of-range state renders %q", got)
+	}
+}
+
+// TestRingPadded holds the ring header's stride to the size the compiler
+// gives the struct: rings sit in one array, and a stride that is not a
+// multiple of the cache line puts two owners' pos words on one line.
+func TestRingPadded(t *testing.T) {
+	if sz := unsafe.Sizeof(ring{}); sz%64 != 0 {
+		t.Fatalf("sizeof(ring) = %d, not a multiple of 64: fix the trailing padding", sz)
 	}
 }
 

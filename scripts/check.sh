@@ -22,11 +22,8 @@ go build ./...
 echo "check: go vet ${VET_FLAGS} ./..."
 go vet ${VET_FLAGS} ./...
 
-echo "check: reprolint (directive-driven invariant analyzers + manifest pin)"
+echo "check: reprolint (atomicmix, noalloc on the compiler's escape analysis, barrier + manifest pin)"
 go run ./cmd/reprolint ./...
-
-echo "check: escapecheck (compiler escape analysis over //repro:noalloc functions)"
-go run ./scripts/escapecheck
 
 echo "check: codegencheck (qsort's scan loops, the benchmark binary's Filter/Pack loops, its samplesort tree walk and its sorting network and merges count and select with SETcc/MOVZX/CMOVcc, not a jump or a call)"
 ./scripts/codegencheck.sh

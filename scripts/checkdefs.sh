@@ -10,7 +10,7 @@
 # in ./internal/core, the owner-pop slot clearing in ./internal/deque, the
 # pooled spawn wrappers of the three sorting packages, the team-collective
 # analytics operators in ./internal/query (barrier-separated phases over
-# shared state), the seqlock-stamped histogram/registry read paths in
+# shared state), the per-field-atomic histogram/registry read paths in
 # ./internal/stats, the seqlock-stamped event rings and sampling profiler
 # in ./internal/trace, the fault-injection chaos stress in
 # ./internal/chaos (cancel storms racing revocation-at-take against the
