@@ -197,10 +197,15 @@ func (w *worker) rand() uint64 {
 	return z ^ (z >> 31)
 }
 
+// run executes a node taken from a deque. The node's task is cleared first:
+// the deque leaves the vacated slot pointing at the node, and the node must
+// not keep a finished task (and what it captures) alive.
 func (w *worker) run(n *node) {
 	ctx := Ctx{w: w}
 	w.st.TasksRun.Add(1)
-	n.task.Run(&ctx)
+	t := n.task
+	n.task = nil
+	t.Run(&ctx)
 	w.sched.taskDone()
 	w.bo.Reset()
 }

@@ -1,9 +1,11 @@
 package classic
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 var policies = []struct {
@@ -131,4 +133,49 @@ func TestReuse(t *testing.T) {
 			t.Fatalf("ran %d", ran.Load())
 		}
 	})
+}
+
+// retainProbe is a task whose collection TestFinishedTaskNotRetained waits
+// for; it tells the test when a thief ran it.
+type retainProbe struct {
+	home  int
+	stole func()
+}
+
+func (p *retainProbe) Run(ctx *Ctx) {
+	if ctx.WorkerID() != p.home {
+		p.stole()
+	}
+}
+
+// TestFinishedTaskNotRetained is the no-retention guarantee the deque left
+// to its element owners: it does not clear a slot on pop, so run must clear
+// the node. Finished tasks — popped by their owner, the last one included,
+// or stolen — must be collectable while the scheduler, its deques and their
+// stale slots are alive.
+func TestFinishedTaskNotRetained(t *testing.T) {
+	s := newTest(t, Options{P: 2, Policy: StealHalf})
+	const n = 64
+	var collected atomic.Int64
+	stolen := make(chan struct{})
+	var once sync.Once
+	s.Run(Func(func(ctx *Ctx) {
+		for i := 0; i < n; i++ {
+			p := &retainProbe{home: ctx.WorkerID(), stole: func() { once.Do(func() { close(stolen) }) }}
+			runtime.SetFinalizer(p, func(*retainProbe) { collected.Add(1) })
+			ctx.Spawn(p)
+		}
+		<-stolen
+	}))
+	if st := s.Stats(); st.Steals == 0 {
+		t.Fatal("no steal despite the latch")
+	}
+	for deadline := time.Now().Add(5 * time.Second); collected.Load() < n && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got != n {
+		t.Fatalf("%d of %d finished tasks still reachable", n-got, n)
+	}
+	runtime.KeepAlive(s)
 }

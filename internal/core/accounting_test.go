@@ -2,7 +2,9 @@ package core
 
 // Tests for the single-counter in-flight scheme: a task completes on exactly
 // one counter (its TaskGroup if joined, its Group otherwise), and
-// Scheduler.Wait/Pending are derived from the set of busy groups.
+// Scheduler.Wait/Pending are derived from the set of busy groups; and for
+// what keeps that counter off the joined child's path — the owner-local
+// TaskGroup count and the stats published at completion.
 
 import (
 	"sync"
@@ -313,5 +315,145 @@ func TestTaskGroupZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(50, doRound); avg != 0 {
 		t.Fatalf("TaskGroup spawn+join allocates: %v allocs per %d-task round, want 0", avg, k)
+	}
+}
+
+// TestStatsExactAfterEveryGroupWait pins flushStats' promise: the owner-plain
+// Spawns/TasksRun tallies are published before every completion that can
+// release a Wait, so Σ Spawns + Σ InjectTakes == Σ TasksRun holds the moment
+// Group.Wait returns. P = 4, a fork-join tree of joined and detached
+// children per round; the first round's root holds its worker until a thief
+// ran one of its children.
+func TestStatsExactAfterEveryGroupWait(t *testing.T) {
+	s := newTest(t, Options{P: 4})
+	g := s.NewGroup()
+	var rec func(ctx *Ctx, d int)
+	rec = func(ctx *Ctx, d int) {
+		if d == 0 {
+			return
+		}
+		var tg TaskGroup
+		tg.Go(ctx, func(c *Ctx) { rec(c, d-1) })
+		tg.Go(ctx, func(c *Ctx) { rec(c, d-1) })
+		ctx.Spawn(Solo(func(c *Ctx) { rec(c, d-1) }))
+		tg.Wait(ctx)
+	}
+	stolen := make(chan struct{})
+	var once sync.Once
+	for round := 0; round < 20; round++ {
+		err := g.Run(Solo(func(ctx *Ctx) {
+			if round == 0 {
+				home := ctx.WorkerID()
+				var tg TaskGroup
+				for i := 0; i < 8; i++ {
+					tg.Go(ctx, func(c *Ctx) {
+						if c.WorkerID() != home {
+							once.Do(func() { close(stolen) })
+						}
+					})
+				}
+				<-stolen // only a thief can run a child elsewhere
+				tg.Wait(ctx)
+			}
+			rec(ctx, 5)
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if st.Spawns+st.InjectTakes != st.TasksRun {
+			t.Fatalf("round %d, right after Wait: Spawns %d + InjectTakes %d != TasksRun %d",
+				round, st.Spawns, st.InjectTakes, st.TasksRun)
+		}
+		if st.InjectTakes != int64(round+1) {
+			t.Fatalf("round %d: InjectTakes = %d", round, st.InjectTakes)
+		}
+	}
+	if st := s.Stats(); st.Steals == 0 {
+		t.Fatalf("no steal despite the latch: %s", st)
+	}
+}
+
+// TestWBJoinedChildOnOwnerWritesNoAtomic pins the fast path: a child spawned
+// through a TaskGroup and run by its owner moves only the owner-plain local
+// count and the worker's plain stats tallies — pending stays 0 and st is
+// untouched until the parent's own completion flushes it.
+func TestWBJoinedChildOnOwnerWritesNoAtomic(t *testing.T) {
+	s := stopped(1)
+	w := s.workers[0]
+	var tg TaskGroup
+	var pendingAfterSpawn, pendingAfterWait, local int64
+	var spawnsInside, ranInside int64
+	w.push(Solo(func(ctx *Ctx) {
+		tg.Spawn(ctx, benchNoop{})
+		pendingAfterSpawn = tg.pending.Load()
+		tg.Wait(ctx)
+		pendingAfterWait, local = tg.pending.Load(), tg.local
+		spawnsInside, ranInside = w.st.Spawns.Load(), w.st.TasksRun.Load()
+	}))
+	w.runSolo(w.queues[0].PopBottom())
+	if pendingAfterSpawn != 0 || pendingAfterWait != 0 || local != 0 || tg.owner != w {
+		t.Fatalf("joined child on its owner: pending %d after Spawn, %d after Wait, local %d, owner %v",
+			pendingAfterSpawn, pendingAfterWait, local, tg.owner)
+	}
+	if spawnsInside != 0 || ranInside != 0 {
+		t.Fatalf("stats published before a flush point: Spawns=%d TasksRun=%d", spawnsInside, ranInside)
+	}
+	if st := w.st.Snapshot(); st.Spawns != 2 || st.TasksRun != 2 {
+		t.Fatalf("after the parent's completion: Spawns=%d TasksRun=%d, want 2 2", st.Spawns, st.TasksRun)
+	}
+}
+
+// TestWBTaskGroupCrossWorker plays owner and thief by hand on P = 2: stolen
+// children complete on pending, a stolen child's sibling is spawned on
+// pending and run by the thief or stolen back by the owner's Wait, the
+// owner's Wait folds what is left of local into pending — and the same
+// TaskGroup then serves a parent on the other worker.
+func TestWBTaskGroupCrossWorker(t *testing.T) {
+	s := stopped(2)
+	w0, w1 := s.workers[0], s.workers[1]
+	var tg TaskGroup
+	var ran atomic.Int64
+	child := func(ctx *Ctx) {
+		ran.Add(1)
+		tg.Go(ctx, func(*Ctx) { ran.Add(1) })
+	}
+	check := func(who string, owner *worker) {
+		t.Helper()
+		if p := tg.pending.Load(); p != 0 || tg.local != 0 || tg.owner != owner {
+			t.Fatalf("%s: pending %d, local %d, owner is the waiter: %v", who, p, tg.local, tg.owner == owner)
+		}
+	}
+	w0.push(Solo(func(ctx *Ctx) {
+		for i := 0; i < 3; i++ {
+			tg.Go(ctx, child)
+		}
+		w1.runSolo(w0.queues[0].PopTop())    // A on the thief: sibling As on w1
+		w1.runSolo(w0.queues[0].PopTop())    // B on the thief: sibling Bs on w1
+		w1.runSolo(w1.queues[0].PopBottom()) // Bs on the thief
+		if tg.local != 3 || tg.pending.Load() != -1 {
+			t.Errorf("before Wait: local %d pending %d, want 3 -1", tg.local, tg.pending.Load())
+		}
+		tg.Wait(ctx) // C and Cs here, As stolen back from w1
+		check("owner w0", w0)
+	}))
+	w0.runSolo(w0.queues[0].PopBottom())
+	if ran.Load() != 6 {
+		t.Fatalf("ran %d of 6 joined tasks", ran.Load())
+	}
+	if st := s.Stats(); st.Spawns != 7 || st.TasksRun != 7 || w1.st.TasksRun.Load() != 3 {
+		t.Fatalf("stats: %s (thief ran %d, want 3)", st, w1.st.TasksRun.Load())
+	}
+
+	w1.push(Solo(func(ctx *Ctx) {
+		tg.Go(ctx, func(*Ctx) { ran.Add(1) })
+		tg.Go(ctx, func(*Ctx) { ran.Add(1) })
+		w0.runSolo(w1.queues[0].PopTop())
+		tg.Wait(ctx)
+		check("owner w1", w1)
+	}))
+	w1.runSolo(w1.queues[0].PopBottom())
+	if ran.Load() != 8 {
+		t.Fatalf("ran %d of 8 joined tasks", ran.Load())
 	}
 }

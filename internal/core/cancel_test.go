@@ -392,11 +392,16 @@ func FuzzCancel(f *testing.F) {
 				}
 			}
 		}
+		// A fuzzed Deadline may fire at any point around WaitErr, so the
+		// verdict is bracketed: canceled before ⇒ an error, an error ⇒
+		// canceled after.
+		before := g.Canceled()
 		err := g.WaitErr()
-		if g.Canceled() && err == nil {
+		after := g.Canceled()
+		if before && err == nil {
 			t.Fatal("canceled group WaitErr = nil")
 		}
-		if !g.Canceled() && err != nil {
+		if err != nil && !after {
 			t.Fatalf("live group WaitErr = %v", err)
 		}
 		if g.Pending() != 0 {

@@ -3,14 +3,16 @@ package core
 // Tests for the allocation-free, contention-free per-task hot path: the
 // zero-alloc regression gate for the interior spawn path, a recycling
 // stress test (many groups × steals) proving node reuse never loses or
-// duplicates a task, and the whitebox pin that injected takes are reported
-// as takes, not spawns.
+// duplicates a task, the whitebox pin that injected takes are reported
+// as takes, not spawns, and the check that no finished task stays reachable.
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSpawnZeroAlloc is the regression gate for the tentpole property: a
@@ -169,4 +171,59 @@ func TestNodeFreeListBounded(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Fatalf("pending = %d", s.Pending())
 	}
+}
+
+// retainProbe is a task whose collection TestFinishedTaskNotRetained waits
+// for; it tells the test when a thief ran it.
+type retainProbe struct {
+	home  int
+	stole func()
+}
+
+func (p *retainProbe) Threads() int { return 1 }
+func (p *retainProbe) Run(ctx *Ctx) {
+	if ctx.WorkerID() != p.home {
+		p.stole()
+	}
+}
+
+// TestFinishedTaskNotRetained is the no-retention guarantee the deque left
+// to its element owners: it does not clear a slot on pop, so freeNode must
+// clear the node. Finished tasks — joined and detached, popped by their
+// owner (the last one included) or stolen — must be collectable while the
+// scheduler, its deques and their stale slots are alive.
+func TestFinishedTaskNotRetained(t *testing.T) {
+	s := newTest(t, Options{P: 2})
+	const n = 32
+	var collected atomic.Int64
+	stolen := make(chan struct{})
+	var once sync.Once
+	err := s.NewGroup().Run(Solo(func(ctx *Ctx) {
+		probe := func() Task {
+			p := &retainProbe{home: ctx.WorkerID(), stole: func() { once.Do(func() { close(stolen) }) }}
+			runtime.SetFinalizer(p, func(*retainProbe) { collected.Add(1) })
+			return p
+		}
+		var tg TaskGroup
+		for i := 0; i < n; i++ {
+			tg.Spawn(ctx, probe())
+			ctx.Spawn(probe())
+		}
+		<-stolen
+		tg.Wait(ctx)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Steals == 0 {
+		t.Fatal("no steal despite the latch")
+	}
+	for deadline := time.Now().Add(5 * time.Second); collected.Load() < 2*n && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got != 2*n {
+		t.Fatalf("%d of %d finished tasks still reachable", 2*n-got, 2*n)
+	}
+	runtime.KeepAlive(s)
 }

@@ -14,12 +14,12 @@ import "sync"
 // (admission happens on client goroutines that own no free list) and
 // rebalances when spawner and runner are persistently different workers.
 //
-// Recycling is safe against stale deque references: a Chase–Lev slot may
-// retain a pointer to a popped node, but thieves dereference a slot's value
-// only after winning the top CAS, which cannot succeed for an index that
-// was already popped. PopBottom additionally clears the slot on the owner
-// path (see internal/deque), so completed nodes are not retained by the
-// ring either.
+// Recycling is safe against stale deque references: a Chase–Lev slot
+// retains a pointer to a popped node until the ring wraps around, but
+// thieves dereference a slot's value only after winning the top CAS, which
+// cannot succeed for an index that was already popped. The deque does not
+// clear the slot (internal/deque); freeNode clears the node instead, so the
+// ring retains at most an empty node, never a completed task.
 
 const (
 	// nodeFreeCap bounds a worker's free list.

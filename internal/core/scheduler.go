@@ -403,7 +403,8 @@ func (s *Scheduler) makeNode(t Task, g *Group) *node {
 // task's detached children are accounted before its own completion is
 // reported and its joined children have completed before it returns, so a
 // count of zero means the whole tree is done: the zero transition wakes the
-// group's waiters, then retires the group from the busy set.
+// group's waiters, then retires the group from the busy set. The worker's
+// stats are flushed first, so a released Wait reads them exact.
 //
 // If a waiter was parked, the worker then yields: the goroutine it just made
 // runnable sits in this P's runnext slot and is the one thing known to be
@@ -412,6 +413,7 @@ func (s *Scheduler) makeNode(t Task, g *Group) *node {
 // during which, with as many clients as CPUs, nobody else would pick the
 // waiter up. The yield costs one reschedule per request, not per task.
 func (w *worker) taskDone(g *Group) {
+	w.flushStats()
 	if g.inflight.Add(-1) != 0 {
 		return
 	}

@@ -27,8 +27,23 @@ import (
 // (doing so from within a running task would deadlock the member protocol),
 // so multi-threaded children must be fire-and-forget — exactly how the
 // paper's mixed-mode Quicksort uses them.
+//
+// Rule: one waiting parent per TaskGroup at a time. A TaskGroup may be
+// reused by any number of parents, on any workers, one after the other —
+// the next parent's first Spawn must come after the previous parent's Wait
+// returned — but two tasks must not spawn into it or wait on it
+// concurrently, except that its own children may add siblings.
 type TaskGroup struct {
+	// pending counts the children whose spawn or completion crossed
+	// workers: spawned by a child running away from the owner, or completed
+	// by a thief. Children spawned and completed on the owner — the parent's
+	// worker — move local, which only the owner touches, so a joined child
+	// that never leaves its worker writes no atomic here. Either count may
+	// go negative; their sum is the number of children in flight, and Wait
+	// folds local into pending before it returns.
 	pending atomic.Int64
+	owner   *worker // set by the parent's Spawn, written only when it changes
+	local   int64
 }
 
 // Spawn submits t as part of the group. t.Threads() must be 1. The child
@@ -42,11 +57,33 @@ func (g *TaskGroup) Spawn(ctx *Ctx, t Task) {
 	if t.Threads() != 1 {
 		contractPanic("core: TaskGroup supports only single-threaded tasks (see doc)")
 	}
-	g.pending.Add(1)
+	w := ctx.w
 	if ctx.join != g {
 		ctx.unjoined++
+		if g.owner != w {
+			g.owner = w
+		}
 	}
-	ctx.w.pushTask(t, 1, ctx.group, g)
+	if g.owner == w {
+		g.local++
+	} else {
+		g.pending.Add(1)
+	}
+	w.pushTask(t, 1, ctx.group, g)
+}
+
+// done reports the completion of one of g's children on w. Away from the
+// owner it is the child's last access to g, after w's stats are published:
+// the owner's Wait may return the moment pending shows it.
+//
+//repro:noalloc runs once per joined child
+func (g *TaskGroup) done(w *worker) {
+	if g.owner == w {
+		g.local--
+		return
+	}
+	w.flushStats()
+	g.pending.Add(-1)
 }
 
 // contractPanic reports a violated TaskGroup contract. It stays out of line
@@ -69,7 +106,7 @@ func (g *TaskGroup) Wait(ctx *Ctx) {
 	ctx.unjoined = 0
 	w := ctx.w
 	var bo backoff.Backoff
-	for g.pending.Load() > 0 {
+	for g.local+g.pending.Load() > 0 {
 		if n := w.queues[0].PopBottom(); n != nil {
 			w.runSolo(n)
 			bo.Reset()
@@ -80,6 +117,11 @@ func (g *TaskGroup) Wait(ctx *Ctx) {
 			continue
 		}
 		bo.Wait()
+	}
+	if g.local != 0 {
+		// A child crossed workers: hand the next parent a zero local.
+		g.pending.Add(g.local)
+		g.local = 0
 	}
 }
 

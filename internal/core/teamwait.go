@@ -71,9 +71,12 @@ func (w *worker) countdown(c *atomic.Int32) {
 
 // tick takes one off a countdown of exec — a pickup in memberStep, a finished
 // share in runTeamPart — and at zero wakes the coordinator waiting for it.
+// The member's stats are flushed first: the coordinator's taskDone that
+// follows the countdown publishes only its own.
 //
 //repro:noalloc twice per member per team task
 func (w *worker) tick(exec *teamExec, c *atomic.Int32) {
+	w.flushStats()
 	if c.Add(-1) == 0 && exec.coordID != w.id {
 		w.sched.wake(w.sched.workers[exec.coordID], wakeTeamWait, w)
 	}

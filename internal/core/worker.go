@@ -52,9 +52,15 @@ type worker struct {
 	teamed   bool   // member of a fixed team
 	lastGen  uint64 // generation of the last picked-up team execution
 
-	// Owner-only hot-path state: the node and Ctx free lists (nodepool.go).
-	free    []*node
-	ctxFree []*Ctx
+	// Owner-only hot-path state: the node and Ctx free lists (nodepool.go),
+	// and st.Spawns and st.TasksRun counted plain. flushStats publishes the
+	// two counts before every atomic write that can complete a task, so the
+	// stats are exact after any Wait (README.md, Per-task atomic-write
+	// budget) and cost nothing per joined child. They sit here, away from
+	// slot, which other workers CAS to wake this one.
+	spawns, ran int64
+	free        []*node
+	ctxFree     []*Ctx
 
 	// freeLen mirrors len(free) for concurrent readers (metrics gauges,
 	// DumpState), so scrapers never race on the slice header itself. The
@@ -145,9 +151,9 @@ func (w *worker) spawn(t Task, g *Group) {
 // pushTask wraps an accounted task in a node from the worker's free list and
 // makes it runnable. It is the steady-state interior hot path shared by
 // detached (spawn) and joined (TaskGroup.Spawn) children: nothing is
-// allocated and, beyond the caller's one completion counter, only the
-// worker's own stats line and deque are written — the r = 1 spawn really
-// does cost no more than classical work-stealing.
+// allocated and, beyond the caller's completion counter, only the deque is
+// written atomically — the r = 1 spawn really does cost no more than
+// classical work-stealing.
 //
 //repro:noalloc runs once per interior spawn
 func (w *worker) pushTask(t Task, r int, g *Group, join *TaskGroup) {
@@ -156,8 +162,25 @@ func (w *worker) pushTask(t Task, r int, g *Group, join *TaskGroup) {
 	if xt := w.sched.xt; xt.Enabled() {
 		n.tid = xt.Record(w.id, trace.EvSpawn, w.id, uint32(r), 0)
 	}
-	w.st.Spawns.Add(1)
+	w.spawns++
 	w.pushNode(n)
+}
+
+// flushStats publishes the owner-plain spawn and run counts. Every chain of
+// completions that ends in a Wait's release passes through it on each
+// worker involved: it runs before taskDone's decrement, a TaskGroup
+// decrement from a worker that is not the group's owner, and a team tick.
+//
+//repro:noalloc runs once per task completion
+func (w *worker) flushStats() {
+	if w.spawns != 0 {
+		w.st.Spawns.Add(w.spawns)
+		w.spawns = 0
+	}
+	if w.ran != 0 {
+		w.st.TasksRun.Add(w.ran)
+		w.ran = 0
+	}
 }
 
 // pushNode makes an already-accounted node runnable on the local queue of
@@ -219,6 +242,7 @@ func (w *worker) loop() {
 func (w *worker) idleWait() {
 	w.st.Backoffs.Add(1)
 	w.freeLen.Store(int64(len(w.free)))
+	w.flushStats()
 	w.setState(trace.StatePark)
 	w.ev(trace.EvPark, w.id, 0, 0)
 	w.startSearching()
@@ -242,7 +266,7 @@ func (w *worker) runSolo(n *node) {
 	w.freeNode(n)
 	ctx := w.getCtx() //repro:allow getCtx's cold refill, inlined here
 	ctx.w, ctx.group, ctx.join = w, g, join
-	w.st.TasksRun.Add(1)
+	w.ran++
 	prev := w.setState(trace.StateRun)
 	if xt := w.sched.xt; xt.Enabled() {
 		xt.Record(w.id, trace.EvStart, w.id, 1, tid)
@@ -259,7 +283,7 @@ func (w *worker) runSolo(n *node) {
 	}
 	w.putCtx(ctx)
 	if join != nil {
-		join.pending.Add(-1)
+		join.done(w)
 	} else {
 		w.taskDone(g)
 	}
@@ -270,7 +294,7 @@ func (w *worker) runSolo(n *node) {
 func (w *worker) runTeamPart(exec *teamExec, lid int) {
 	ctx := w.getCtx()
 	ctx.w, ctx.exec, ctx.localID, ctx.group = w, exec, lid, exec.group
-	w.st.TasksRun.Add(1)
+	w.ran++
 	w.st.TeamTasksRun.Add(1)
 	prev := w.setState(trace.StateRunTeam)
 	if xt := w.sched.xt; xt.Enabled() {

@@ -5,8 +5,13 @@
 // Chase & Lev ("Dynamic circular work-stealing deque", SPAA 2005), which is
 // the standard realization of the Arora–Blumofe–Plaxton deque the paper
 // assumes (§2: "queues are assumed to be implemented in a lock/wait-free
-// manner"). The owner pushes and pops at the bottom without synchronization
-// in the common case; thieves pop from the top with a single CAS.
+// manner"). Thieves pop from the top with a single CAS. The owner needs no
+// CAS in the common case, but Go has no release-only store, so every
+// atomic store is sequentially consistent (an XCHG on amd64): PushBottom
+// pays two (the slot, then bottom; a third when the ring grows), PopBottom
+// one (bottom, which must be visible before top is read), plus a CAS on top
+// and a second bottom store when it takes the last element. Loads are plain
+// MOVs.
 //
 // The deque stores pointers *T. A nil return means the deque was empty (or
 // the element was lost to a concurrent thief).
@@ -71,17 +76,12 @@ func (d *Deque[T]) PushBottom(v *T) {
 // PopBottom removes and returns the bottom element, or nil if the deque is
 // empty or the last element was lost to a concurrent thief. Owner-only.
 //
-// The popped slot is cleared: a slot that kept its pointer would retain the
-// popped task (and everything it captures) until the ring wraps around and
-// overwrites it — on a mostly-idle deque, indefinitely. Clearing is safe on
-// both owner paths because no thief can still commit a read of slot b: a
-// thief targeting index b must read top == b before it reads bottom (PopTop
-// reads in that order), so it either read bottom after our publication of
-// bottom = b (and rejected, t < b being false), or its top CAS loses to
-// whichever pop — ours or a competing thief's — already advanced top past
-// b. Thief-side PopTop must NOT clear: after a winning top CAS, the owner
-// may already be overwriting the slot via wrap-around, and a late nil store
-// would destroy the new element.
+// The popped slot keeps its pointer until the ring wraps around and
+// overwrites it, as a slot vacated by a thief always has: a thief cannot
+// clear (after its winning top CAS the owner may already be overwriting the
+// slot), so retention is the element owner's to prevent — by clearing what
+// the element references once it has taken it (internal/core's freeNode,
+// internal/classic's run), not by a store per pop here.
 func (d *Deque[T]) PopBottom() *T {
 	b := d.bottom.Load() - 1
 	a := d.arr.Load()
@@ -99,10 +99,7 @@ func (d *Deque[T]) PopBottom() *T {
 			v = nil // a thief got it
 		}
 		d.bottom.Store(t + 1)
-		a.store(b, nil) // top is past b either way: no thief read can commit
-		return v
 	}
-	a.store(b, nil)
 	return v
 }
 

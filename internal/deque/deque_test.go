@@ -252,43 +252,3 @@ func BenchmarkPopTopUncontended(b *testing.B) {
 		d.PopTop()
 	}
 }
-
-// TestPopBottomClearsSlot pins the retention fix: an owner pop must nil the
-// ring slot it vacates — both on the multi-element path and on the
-// last-element CAS path — so a popped task (and whatever it captures) is
-// unreachable from the deque the moment it is returned, instead of living
-// until the ring happens to wrap around and overwrite the slot.
-func TestPopBottomClearsSlot(t *testing.T) {
-	d := New[int]()
-	vals := []int{10, 20, 30}
-	for i := range vals {
-		d.PushBottom(&vals[i])
-	}
-	// Three pops: two on the t < b path, the final one on the last-element
-	// CAS path.
-	for i := 0; i < len(vals); i++ {
-		if d.PopBottom() == nil {
-			t.Fatalf("pop %d: unexpected nil", i)
-		}
-	}
-	a := d.arr.Load()
-	for i := int64(0); i < a.cap(); i++ {
-		if got := a.buf[i].Load(); got != nil {
-			t.Fatalf("slot %d retains %v after owner pops", i, *got)
-		}
-	}
-	// An interleaved push/pop steady state (the fork-join spawn pattern)
-	// must not accumulate retained pointers either.
-	for i := 0; i < 3*int(a.cap()); i++ {
-		d.PushBottom(&vals[i%len(vals)])
-		if d.PopBottom() == nil {
-			t.Fatalf("round %d: unexpected nil", i)
-		}
-	}
-	a = d.arr.Load()
-	for i := int64(0); i < a.cap(); i++ {
-		if got := a.buf[i].Load(); got != nil {
-			t.Fatalf("slot %d retains %v after push/pop rounds", i, *got)
-		}
-	}
-}

@@ -14,12 +14,16 @@ import (
 )
 
 // Worker holds the counters of a single worker.
+//
+// internal/core's workers publish TasksRun and Spawns in batches, before
+// each completion that can release a Wait: on a busy worker they lag by
+// what it ran and spawned since, and they are exact after any Wait.
 type Worker struct {
-	TasksRun        atomic.Int64 // tasks executed (team tasks count once per participant)
+	TasksRun        atomic.Int64 // tasks executed (team tasks count once per participant); lags, exact after Wait
 	TeamTasksRun    atomic.Int64 // executions that were part of a team of size > 1
 	TeamsFormed     atomic.Int64 // teams fixed by this worker as coordinator
 	TeamsCoordd     atomic.Int64 // coordination rounds entered
-	Spawns          atomic.Int64 // tasks pushed to local queues
+	Spawns          atomic.Int64 // tasks pushed to local queues; lags, exact after Wait
 	Steals          atomic.Int64 // successful steal operations (≥ 1 task)
 	TasksStolen     atomic.Int64 // tasks transferred by steals
 	StealAttempts   atomic.Int64 // stealTasks invocations

@@ -55,7 +55,9 @@ type Ctx = core.Ctx
 // a TaskGroup must Wait on it before returning (children of the TaskGroup
 // may add siblings without waiting); the scheduler panics on a task that
 // returns un-joined. Joined children are part of the task that waits for
-// them and are not counted by Group.Pending.
+// them and are not counted by Group.Pending. One waiting parent per
+// TaskGroup at a time: parents on any workers may reuse it one after
+// another, never concurrently.
 type TaskGroup = core.TaskGroup
 
 // Group is a quiescence domain on a Scheduler: tasks spawned into a group

@@ -6,8 +6,9 @@
 # admission-control and quiescence tests (the whitebox/flood admission tests
 # and spawn-vs-shutdown races in ./internal/core, the Runtime-level
 # bounded-flood and SortMany tests in the root package) plus the hot-path
-# recycling machinery: the node/ctx free lists and the busy-group set
-# in ./internal/core, the owner-pop slot clearing in ./internal/deque, the
+# recycling machinery: the node/ctx free lists, the busy-group set and
+# TaskGroup's owner-local count in ./internal/core, the Chase–Lev
+# protocol under concurrent thieves in ./internal/deque (FuzzDeque's seeds), the
 # pooled spawn wrappers of the three sorting packages, the team-collective
 # analytics operators in ./internal/query (barrier-separated phases over
 # shared state), the per-field-atomic histogram/registry read paths in

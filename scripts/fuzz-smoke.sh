@@ -33,8 +33,11 @@ missing=()
 # slices.Sort; with NaNs, a permutation of the input); internal/ssort
 # carries FuzzClassify (the implicit splitter tree's walk vs binary search
 # over the sorted splitters) and FuzzSort (the team samplesort on
-# duplicate-dense input vs slices.Sort, any bucket count, any scratch).
-fuzzDirs=(internal/core internal/dist internal/par internal/qsort internal/query internal/ssort internal/stats internal/teamsync)
+# duplicate-dense input vs slices.Sort, any bucket count, any scratch);
+# internal/deque carries FuzzDeque (a random owner push/pop schedule against
+# one to three concurrent PopTop or Steal thieves, across ring growth: every
+# element taken exactly once).
+fuzzDirs=(internal/core internal/deque internal/dist internal/par internal/qsort internal/query internal/ssort internal/stats internal/teamsync)
 
 for dir in "${fuzzDirs[@]}"; do
   if ! grep -rEn --include='*_test.go' "${fuzzRegex}" "${dir}" >/dev/null 2>&1; then
