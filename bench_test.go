@@ -161,26 +161,6 @@ func BenchmarkAblationStealPattern(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStealAmount compares the paper's min(size/2, 2^ℓ) bulk
-// steal against single-task steals.
-func BenchmarkAblationStealAmount(b *testing.B) {
-	for _, variant := range []struct {
-		name string
-		one  bool
-	}{{"steal-level", false}, {"steal-one", true}} {
-		b.Run(variant.name, func(b *testing.B) {
-			s := core.New(core.Options{P: 8, StealOne: variant.one, Seed: 7})
-			defer s.Shutdown()
-			in := dist.Generate(dist.Random, 1<<20, 42)
-			buf := make([]int32, len(in))
-			for i := 0; i < b.N; i++ {
-				copy(buf, in)
-				s.Run(qsort.ForkJoinRoot(nil, buf, 128))
-			}
-		})
-	}
-}
-
 // BenchmarkAblationTeamReuse compares keeping teams across same-size tasks
 // (paper default, §3: "no further coordination") against disbanding after
 // every task.

@@ -105,11 +105,12 @@ func (w *worker) park() {
 }
 
 // workVisible is the sleeper's re-check: could a steal round started now
-// obtain anything? It mirrors takeInjected's fast path and the
-// register-or-steal step of fallbackScan (for P ≤ 2 the one partner is every
-// other worker and stealTasks applies the same conditions), and it must stay
+// obtain anything? It mirrors takeInjected's fast path and fallbackScan's
+// visit of every other worker (for P ≤ 2 the one partner is every other
+// worker), with the predicates the steal itself uses, and it must stay
 // exactly as permissive as they are: narrower and a wake-up is lost, wider
-// and a worker that can use nothing spins instead of parking.
+// and a worker that can use nothing spins instead of parking
+// (TestWBWorkVisibleMatchesStealRound).
 func (w *worker) workVisible() bool {
 	s := w.sched
 	if s.pendingInject.Load() != 0 {
@@ -120,13 +121,8 @@ func (w *worker) workVisible() bool {
 			continue
 		}
 		xc := x.coordp()
-		if xcR := xc.regw.Load(); w.wantedBy(xc, int(xcR.Req), int(xcR.Acq)) {
+		if xcR := xc.regw.Load(); w.wantedBy(xc, int(xcR.Req), int(xcR.Acq)) || w.stealable(x, len(w.queues)-1) {
 			return true
-		}
-		for j, q := range x.queues {
-			if w.canSteal(x, j) && !q.Empty() {
-				return true
-			}
 		}
 	}
 	return false

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/deque"
 	"repro/internal/reg"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -143,67 +142,26 @@ func (w *worker) tryRegister(xc *worker) bool {
 // to help x drain its queues and join the team ("Threads attempting to join
 // the team for a task requiring a large team may help smaller teams
 // instead"). A member first deregisters from its coordinator (teamed members
-// never steal). Stolen tasks land in w's own queues; the caller's
-// coordinate() loop will execute them with priority.
-//
-// Only tasks with r ≤ 2^l may be taken (a task whose team would contain
-// both thief and victim must not be stolen, §3.2), and only tasks whose
-// team block fits this worker (Refinement 3).
+// never steal), and only when there is something to take. Stolen tasks land
+// in w's own queues; the caller's coordinate() loop will execute them with
+// priority.
 func (w *worker) helpSteal(c *worker, x *worker, l, rneed int) bool {
-	maxJ := l
-	if m := len(w.queues) - 1; maxJ > m {
-		maxJ = m
+	hi := min(l, topo.Level(rneed)-1)
+	if !w.stealable(x, hi) {
+		return false
 	}
-	for j := maxJ; j >= 0; j-- {
-		if 1<<uint(j) >= rneed {
-			continue
+	if c != w {
+		// Members must leave the coordinator before working on tasks.
+		if !w.deregister(c) {
+			return false
 		}
-		if !w.fits(j) {
-			continue
-		}
-		sz := x.queues[j].Size()
-		if sz == 0 {
-			continue
-		}
-		if c != w {
-			// Members must leave the coordinator before working on tasks.
-			if !w.deregister(c) {
-				return false
-			}
-			w.teamed = false
-			w.coord.Store(w)
-		}
-		cnt := w.stealCount(sz, l-j)
-		last, nst := deque.Steal(x.queues[j], w.queues[j], cnt)
-		if nst > 0 {
-			// Route everything through the queues: the task may need a team.
-			w.queues[j].PushBottom(last)
-			w.stolen(x, j, nst)
-			return true
-		}
-		if c != w {
-			return true // deregistered: go work on our own
-		}
+		w.teamed = false
+		w.coord.Store(w)
 	}
-	return false
-}
-
-// stealCount computes how many tasks to transfer: the paper's
-// min(size/2, 2^dist) heuristic (§4 "Number of tasks to steal"), at least
-// one, or exactly one with the StealOne ablation option.
-func (w *worker) stealCount(size, dist int) int {
-	if w.sched.opts.StealOne {
-		return 1
+	if last := w.steal(x, l, hi); last != nil {
+		// Route everything through the queues: the task may need a team.
+		w.queues[topo.Level(last.r)].PushBottom(last)
+		return true
 	}
-	cnt := size / 2
-	if cnt < 1 {
-		cnt = 1
-	}
-	if dist < 0 {
-		dist = 0
-	}
-	if lim := 1 << uint(dist); cnt > lim {
-		cnt = lim
-	}
-	return cnt
+	return c != w // deregistered: go work on our own
 }

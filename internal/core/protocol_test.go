@@ -19,7 +19,7 @@ func TestFuzzMixedWorkload(t *testing.T) {
 		{P: 8},
 		{P: 8, Randomized: true, Seed: 3},
 		{P: 8, DisableTeamReuse: true},
-		{P: 8, StealOne: true},
+		{P: 3},
 		{P: 6},
 		{P: 5, Randomized: true, Seed: 9},
 		{P: 12},

@@ -26,9 +26,6 @@ type Options struct {
 	DisableTeamReuse bool
 	// Seed seeds the per-worker random generators used by Randomized mode.
 	Seed uint64
-	// StealOne limits every steal to a single task instead of the paper's
-	// min(size/2, 2^ℓ) (ablation knob).
-	StealOne bool
 	// MaxPendingPerGroup bounds the number of admitted-but-not-yet-started
 	// external tasks of one submission source (a Group, or the root group
 	// behind group-less Scheduler.Spawn). A blocking spawn over the bound

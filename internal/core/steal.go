@@ -12,26 +12,9 @@ import (
 // steals tasks from the partner. Returns true if it obtained work (stolen
 // tasks in its queues, a task executed, or a registration).
 func (w *worker) stealTasks() bool {
-	s := w.sched
-	for l := 0; l < s.topo.Levels; l++ {
-		x := w.partnerAt(l)
-		if x == nil {
-			continue // missing partner (Refinement 3)
-		}
-		xc := x.coordp()
-		xcR := xc.regw.Load()
-		need := int(xcR.Req)
-		// "Partner's coordinator requires this thread for execution of its
-		// task": the task spans both level-l halves (r ≥ 2^{l+1}) and this
-		// worker lies inside its team block.
-		if need >= 1<<uint(l+1) && int(xcR.Acq) < need &&
-			topo.Overlap(xc.id, w.id, need) {
-			if w.tryRegister(xc) {
-				return true
-			}
-			continue
-		}
-		if w.stealFrom(x, l) {
+	for l := 0; l < w.sched.topo.Levels; l++ {
+		// A missing partner (Refinement 3) is skipped.
+		if x := w.partnerAt(l); x != nil && w.visit(x, l, l) {
 			return true
 		}
 	}
@@ -41,41 +24,92 @@ func (w *worker) stealTasks() bool {
 	return w.fallbackScan()
 }
 
-// stealFrom transfers tasks from partner x found at level l, largest
-// eligible size class first (§4: "we can achieve better scheduling in many
-// cases, if we steal the largest allowed tasks"). Only tasks with r ≤ 2^l
-// are eligible (thief and victim must not share the task's team, §3.2), and
-// team tasks only if the thief's block fits them (Refinement 3). If the last
-// stolen task is single-threaded it is executed immediately rather than
-// enqueued (§4: the last stolen task is not put on the queue so it cannot
-// be stolen back).
-func (w *worker) stealFrom(x *worker, l int) bool {
-	maxJ := l
-	if m := len(w.queues) - 1; maxJ > m {
-		maxJ = m
+// visit is the register-or-steal step at x, found at level l. If x's
+// coordinator requires w for its task — the team spans both level-l halves
+// (r ≥ 2^{l+1}) and w lies inside its block — w registers. Otherwise it
+// steals from x's classes up to hi; a single-threaded last task is executed
+// immediately rather than enqueued (§4: so it cannot be stolen back).
+func (w *worker) visit(x *worker, l, hi int) bool {
+	xc := x.coordp()
+	xcR := xc.regw.Load()
+	if need := int(xcR.Req); need >= 1<<uint(l+1) && w.wantedBy(xc, need, int(xcR.Acq)) {
+		return w.tryRegister(xc)
 	}
-	for j := maxJ; j >= 0; j-- {
-		if !w.fits(j) {
+	last := w.steal(x, l, hi)
+	if last == nil {
+		return false
+	}
+	if last.r == 1 {
+		w.runSolo(last)
+	} else {
+		w.queues[topo.Level(last.r)].PushBottom(last)
+	}
+	return true
+}
+
+// fallbackScan performs one bounded round-robin pass over every other
+// worker, from a random one, trying the same register-or-steal step as
+// stealTasks. It preserves the paper's restriction that a thief never steals
+// a task whose team would contain both thief and victim — for those it
+// registers instead. This scan is a deviation from the paper: it guarantees
+// progress for non-power-of-two p, where the pure partner graph can leave
+// tasks unreachable.
+func (w *worker) fallbackScan() bool {
+	s := w.sched
+	p := s.topo.P
+	if p <= 2 {
+		return false // partner graph is already complete
+	}
+	start := int(w.rand() % uint64(p-1))
+	for k := 0; k < p-1; k++ {
+		if w.visit(s.workers[(w.id+1+(start+k)%(p-1))%p], 0, len(w.queues)-1) {
+			return true
+		}
+	}
+	return false
+}
+
+// steal moves tasks from x to w: from the largest size class j ≤ hi that x
+// holds and w may take (§4: "we can achieve better scheduling in many cases,
+// if we steal the largest allowed tasks"; canSteal: §3.2 and Refinement 3),
+// min(size/2, 2^{l−j}) of them for x found at level l (§4). All but the last
+// land on w's queue; the last is returned for the caller to run or enqueue,
+// nil if nothing was taken. It is the only code that moves tasks between
+// workers' deques.
+func (w *worker) steal(x *worker, l, hi int) *node {
+	for j := min(hi, len(w.queues)-1); j >= 0; j-- {
+		if !w.canSteal(x, j) {
 			continue
 		}
 		sz := x.queues[j].Size()
 		if sz == 0 {
 			continue
 		}
-		cnt := w.stealCount(sz, l-j)
-		last, nst := deque.Steal(x.queues[j], w.queues[j], cnt)
+		last, nst := deque.Steal(x.queues[j], w.queues[j], stealCount(sz, l-j))
 		if nst == 0 {
 			continue
 		}
 		w.stolen(x, j, nst)
-		if last.r == 1 {
-			w.runSolo(last)
-		} else {
-			w.queues[j].PushBottom(last)
+		return last
+	}
+	return nil
+}
+
+// stealable reports whether steal(x, ·, hi) finds a class to take from.
+func (w *worker) stealable(x *worker, hi int) bool {
+	for j := min(hi, len(w.queues)-1); j >= 0; j-- {
+		if w.canSteal(x, j) && !x.queues[j].Empty() {
+			return true
 		}
-		return true
 	}
 	return false
+}
+
+// stealCount computes how many tasks to transfer: the paper's
+// min(size/2, 2^dist) heuristic (§4 "Number of tasks to steal"), at least
+// one.
+func stealCount(size, dist int) int {
+	return max(1, min(size/2, 1<<uint(max(dist, 0))))
 }
 
 // stolen accounts a successful steal of nst tasks from x's level-j queue,
@@ -96,57 +130,4 @@ func (w *worker) stolen(x *worker, j, nst int) {
 	} else if !x.queues[j].Empty() {
 		w.wakeThief(x, j)
 	}
-}
-
-// fallbackScan performs one bounded round-robin pass over all workers,
-// trying the same register-or-steal step as stealTasks. It preserves the
-// paper's restriction that a thief never steals a task whose team would
-// contain both thief and victim — for those it registers instead. This scan
-// is a deviation from the paper: it guarantees progress for non-power-of-two
-// p, where the pure partner graph can leave tasks unreachable.
-func (w *worker) fallbackScan() bool {
-	s := w.sched
-	p := s.topo.P
-	if p <= 2 {
-		return false // partner graph is already complete
-	}
-	start := 1 + int(w.rand()%uint64(p-1))
-	for k := 0; k < p-1; k++ {
-		v := (w.id + start + k) % p
-		if v == w.id {
-			continue
-		}
-		x := s.workers[v]
-		xc := x.coordp()
-		xcR := xc.regw.Load()
-		need := int(xcR.Req)
-		if w.wantedBy(xc, need, int(xcR.Acq)) {
-			if w.tryRegister(xc) {
-				return true
-			}
-			continue
-		}
-		for j := len(w.queues) - 1; j >= 0; j-- {
-			if !w.canSteal(x, j) {
-				continue
-			}
-			sz := x.queues[j].Size()
-			if sz == 0 {
-				continue
-			}
-			cnt := w.stealCount(sz, 0)
-			last, nst := deque.Steal(x.queues[j], w.queues[j], cnt)
-			if nst == 0 {
-				continue
-			}
-			w.stolen(x, j, nst)
-			if last.r == 1 {
-				w.runSolo(last)
-			} else {
-				w.queues[j].PushBottom(last)
-			}
-			return true
-		}
-	}
-	return false
 }

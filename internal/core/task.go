@@ -17,8 +17,11 @@
 // refinements: per-size local queues (Refinement 1, always on), arbitrary
 // thread requirements via rounded-up teams (Refinement 2), an arbitrary
 // number of workers (Refinement 3), and optional randomized partner
-// selection (Refinement 4). Deviations from the paper are documented where
-// they are made (the bounded fallback scan: fallbackScan in steal.go).
+// selection (Refinement 4). The steal rule of Algorithm 7 with §4's
+// refinements is one routine, steal in steal.go, behind every thief: the
+// idle worker's round, a poll helping a partner drain, and TaskGroup.Wait.
+// Deviations from the paper are documented where they are made (the bounded
+// fallback scan, fallbackScan in steal.go, visits every other worker once).
 package core
 
 import (

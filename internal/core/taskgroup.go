@@ -128,43 +128,13 @@ func (g *TaskGroup) Wait(ctx *Ctx) {
 // stealSoloOnly steals only single-threaded tasks and never registers for
 // teams: safe to call from inside a running task (used by TaskGroup.Wait).
 func (w *worker) stealSoloOnly() bool {
-	s := w.sched
-	for l := 0; l < s.topo.Levels; l++ {
-		x := w.partnerAt(l)
-		if x == nil {
-			continue
+	for l := 0; l < w.sched.topo.Levels; l++ {
+		if x := w.partnerAt(l); x != nil {
+			if last := w.steal(x, l, 0); last != nil {
+				w.runSolo(last)
+				return true
+			}
 		}
-		sz := x.queues[0].Size()
-		if sz == 0 {
-			continue
-		}
-		last, nst := stealSolo(w, x, w.stealCount(sz, l))
-		if nst == 0 {
-			continue
-		}
-		w.st.Steals.Add(1)
-		w.st.TasksStolen.Add(int64(nst))
-		if nst > 1 && s.park.n.Load() != 0 {
-			w.wakeThief(w, 0) // all but the last landed in w's own queue
-		}
-		w.runSolo(last)
-		return true
 	}
 	return false
-}
-
-func stealSolo(w, x *worker, cnt int) (*node, int) {
-	last, n := (*node)(nil), 0
-	for n < cnt {
-		v := x.queues[0].PopTop()
-		if v == nil {
-			break
-		}
-		if last != nil {
-			w.queues[0].PushBottom(last)
-		}
-		last = v
-		n++
-	}
-	return last, n
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/reg"
+	"repro/internal/topo"
+	"repro/internal/trace"
 )
 
 // White-box protocol tests: these drive the registration state machine
@@ -327,6 +330,61 @@ func TestWBStealTeamTaskFromOutsideBlock(t *testing.T) {
 	}
 	if thief.queues[2].Size() != 1 {
 		t.Fatal("stolen team task must be enqueued, not run directly")
+	}
+}
+
+// TestWBWorkVisibleMatchesStealRound holds the sleeper's re-check to the
+// steal round it stands in for: with one task of any width on any worker, or
+// any advertisement at a coordinator whose block fits, a worker sees work
+// exactly when a steal round obtains some. Narrower is a lost wake-up (a
+// hang), wider a worker that never parks.
+func TestWBWorkVisibleMatchesStealRound(t *testing.T) {
+	check := func(s *Scheduler, w *worker, what string) {
+		t.Helper()
+		if vis, got := w.workVisible(), w.stealTasks(); vis != got {
+			t.Fatalf("P = %d, worker %d, %s: workVisible %v, steal round %v", s.topo.P, w.id, what, vis, got)
+		}
+	}
+	for p := 1; p <= 9; p++ {
+		for thief := 0; thief < p; thief++ {
+			for victim := 0; victim < p; victim++ {
+				for r := 1; r <= p; r *= 2 {
+					s := stopped(p)
+					s.workers[victim].push(Func(r, func(*Ctx) {}))
+					check(s, s.workers[thief], fmt.Sprintf("r = %d task on worker %d", r, victim))
+				}
+			}
+			for c := 0; c < p; c++ {
+				for need := 2; topo.BlockFits(c, need, p); need *= 2 {
+					for acq := 1; acq <= need; acq++ {
+						s := stopped(p)
+						s.workers[c].regw.Store(reg.R{Req: uint16(need), Acq: uint16(acq), Team: 1})
+						check(s, s.workers[thief], fmt.Sprintf("worker %d advertising %d/%d", c, acq, need))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWBEveryStealIsTraced pins that every steal, whichever thief makes it,
+// is counted and traced once: the steal inside TaskGroup.Wait too.
+func TestWBEveryStealIsTraced(t *testing.T) {
+	s := build(Options{P: 2, Trace: true})
+	for i := 0; i < 4; i++ {
+		s.workers[1].push(Solo(func(*Ctx) {}))
+	}
+	if !s.workers[0].stealSoloOnly() {
+		t.Fatal("nothing stolen from the partner's four tasks")
+	}
+	var events int64
+	for _, e := range s.TraceSnapshot().Events {
+		if e.Kind == trace.EvSteal {
+			events++
+		}
+	}
+	if steals := s.Stats().Steals; events != steals {
+		t.Fatalf("%d EvSteal events for %d steals", events, steals)
 	}
 }
 

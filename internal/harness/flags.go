@@ -11,9 +11,9 @@ import (
 // This file is the single home of the flag vocabulary shared by the
 // command-line harnesses (cmd/tables, cmd/throughput): the
 // algorithm/size/distribution parsers live in harness.go, and the helpers
-// below cover the remaining per-command copies — canonical flag names, the
-// "all" column set, distribution names for reports, the shared-scheduler
-// algorithm subset, and the request-mix selector of cmd/throughput.
+// below cover the remaining per-command copies — canonical flag names,
+// distribution names for reports, the shared-scheduler algorithm subset, and
+// the request-mix selector of cmd/throughput.
 
 // FlagName returns the canonical lower-case -algos name of the column (the
 // inverse of ParseAlgorithm on its primary spelling).
@@ -40,16 +40,6 @@ func (a Algorithm) FlagName() string {
 	default:
 		return fmt.Sprintf("algorithm%d", int(a))
 	}
-}
-
-// AllAlgorithms returns every algorithm column in table order. The slice is
-// a copy.
-func AllAlgorithms() []Algorithm {
-	out := make([]Algorithm, numAlgorithms)
-	for a := range out {
-		out[a] = Algorithm(a)
-	}
-	return out
 }
 
 // KindNames returns the distribution names of ks.

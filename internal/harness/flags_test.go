@@ -10,7 +10,7 @@ import (
 // TestFlagNameRoundTrip pins that every column's canonical flag name parses
 // back to itself — the single shared vocabulary the commands rely on.
 func TestFlagNameRoundTrip(t *testing.T) {
-	for _, a := range AllAlgorithms() {
+	for a := Algorithm(0); a < numAlgorithms; a++ {
 		got, err := ParseAlgorithm(a.FlagName())
 		if err != nil {
 			t.Fatalf("ParseAlgorithm(%q): %v", a.FlagName(), err)
@@ -18,23 +18,6 @@ func TestFlagNameRoundTrip(t *testing.T) {
 		if got != a {
 			t.Fatalf("ParseAlgorithm(%q) = %v, want %v", a.FlagName(), got, a)
 		}
-	}
-}
-
-func TestAllAlgorithms(t *testing.T) {
-	all := AllAlgorithms()
-	if len(all) != int(numAlgorithms) {
-		t.Fatalf("AllAlgorithms returned %d columns, want %d", len(all), numAlgorithms)
-	}
-	for i, a := range all {
-		if int(a) != i {
-			t.Fatalf("AllAlgorithms[%d] = %v, want table order", i, a)
-		}
-	}
-	// A copy: mutating the result must not corrupt later calls.
-	all[0] = MSort
-	if again := AllAlgorithms(); again[0] != SeqSTL {
-		t.Fatal("AllAlgorithms result is not a copy")
 	}
 }
 

@@ -43,6 +43,18 @@ if [[ "${waits}" != "internal/core/coordinate.go:1 internal/core/taskgroup.go:1 
   exit 1
 fi
 
+# One thief: worker.steal (steal.go) is the only code in internal/core that
+# moves tasks between deques, so every steal is counted, traced and passes
+# the wake on in one place.
+echo "check: one steal in internal/core"
+core_src=$(ls internal/core/*.go | grep -v '_test\.go$')
+steals=$(cat ${core_src} | grep -c 'deque\.Steal(' || true)
+pops=$(cat ${core_src} | grep -c 'PopTop()' || true)
+if [[ "${steals}" != 1 || "${pops}" != 0 ]]; then
+  echo "check: FAIL (non-test internal/core has ${steals} deque.Steal( calls and ${pops} PopTop() calls; want 1 and 0)"
+  exit 1
+fi
+
 echo "check: go test ./..."
 go test ./...
 
