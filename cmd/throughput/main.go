@@ -8,8 +8,8 @@
 // metrics server, profiler and tracer, and reports requests/second, latency
 // percentiles (overall and per label: algorithm column, analytics operator,
 // or abandon-mix role) and the scheduler's admission-control counters as
-// JSON on stdout, plus a human summary on stderr. It is what scripts/check.sh
-// scrapes and traces; the numbers of record come from bench/run.sh.
+// JSON on stdout, plus a human summary on stderr. scripts/check.sh runs it as
+// end-to-end smokes; the numbers of record come from bench/run.sh.
 //
 // Admission control: -max-pending and -max-inject configure the scheduler's
 // inject bounds (repro.Options.MaxPendingPerGroup / MaxInject), so a run can
@@ -17,8 +17,7 @@
 // pending injected tasks never exceed the bound.
 //
 // Observability: -trace-out f writes the run's execution trace as Chrome
-// trace-event JSON (load in Perfetto or chrome://tracing; scripts/tracecheck
-// validates it). -profile-hz r runs the worker-state sampling profiler (the
+// trace-event JSON (load in Perfetto or chrome://tracing). -profile-hz r runs the worker-state sampling profiler (the
 // repro_worker_state_samples_total metric families). -metrics-addr serves
 // the Runtime's registry at /metrics during the run and a bounded trace
 // window at /debug/trace.

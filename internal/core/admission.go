@@ -106,7 +106,7 @@ func (s *Scheduler) enqueueLocked(g *Group, ns []*node) {
 	// bumps the epoch under this same lock, so a take that finds a node's
 	// stamp stale knows the node predates the cancel and revokes it (see
 	// cancel.go and takeInjected).
-	gepoch := g.epoch //repro:ownerstore admitMu serializes this read with the epoch bump in Group.cancel
+	gepoch := g.epoch.Load()
 	// Stamp the admission time once per batch: the admission-wait histogram
 	// (always on) measures enqueue→take, and the tracer — when enabled —
 	// records the enqueue on the admission ring (ring P, owned by the admitMu
@@ -169,7 +169,7 @@ func (s *Scheduler) admitBlocking(g *Group, ns []*node) (int, error) {
 			err = ErrShutdown
 			break
 		}
-		if g.epoch&1 == 1 { //repro:ownerstore admitMu serializes this read with the epoch bump in Group.cancel
+		if g.epoch.Load()&1 == 1 {
 			err = g.cause // safe: odd epoch observed under admitMu, cause written before the bump
 			s.admit.Rejected.Add(int64(len(ns) - admitted))
 			break
@@ -212,7 +212,7 @@ func (s *Scheduler) admitTry(g *Group, ns []*node) (int, error) {
 	switch {
 	case s.done.Load():
 		err = ErrShutdown
-	case g.epoch&1 == 1: //repro:ownerstore admitMu serializes this read with the epoch bump in Group.cancel
+	case g.epoch.Load()&1 == 1:
 		err = g.cause // safe: odd epoch observed under admitMu, cause written before the bump
 		s.admit.Rejected.Add(int64(len(ns)))
 	default:
@@ -298,7 +298,8 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 		}
 		s.pendingInject.Add(-1)
 		g := n.group
-		revoked := n.gepoch != g.epoch //repro:ownerstore admitMu serializes this read with the epoch bump in Group.cancel
+		// Under admitMu, so ordered with Group.cancel's epoch bump.
+		revoked := n.gepoch != g.epoch.Load()
 		if revoked {
 			s.admit.Revoked.Add(1)
 		} else {

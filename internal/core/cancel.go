@@ -64,7 +64,7 @@ func (g *Group) cancel(cause error, kind trace.Kind) bool {
 	}
 	g.cancelMu.Lock()
 	defer g.cancelMu.Unlock()
-	if atomic.LoadUint64(&g.epoch)&1 == 1 {
+	if g.epoch.Load()&1 == 1 {
 		return false // already canceled; first cause wins
 	}
 	if g.timer != nil {
@@ -81,7 +81,7 @@ func (g *Group) cancel(cause error, kind trace.Kind) bool {
 	// takeInjected compares them under the same lock, so every node is
 	// either stamped before the cancel (and revoked at take) or refused
 	// after it — no admit/cancel race can leak an unrevokable node.
-	atomic.AddUint64(&g.epoch, 1)
+	g.epoch.Add(1)
 	s.admit.Canceled.Add(1)
 	if xt := s.xt; xt.Enabled() {
 		// Admission ring (ring P): owned by the admitMu holder, like
@@ -102,7 +102,7 @@ func (g *Group) cancel(cause error, kind trace.Kind) bool {
 func (g *Group) Deadline(t time.Time) {
 	d := time.Until(t)
 	g.cancelMu.Lock()
-	if atomic.LoadUint64(&g.epoch)&1 == 1 {
+	if g.epoch.Load()&1 == 1 {
 		g.cancelMu.Unlock()
 		return
 	}
@@ -170,13 +170,13 @@ func bindCause(err error) error {
 // Canceled reports whether the group has been canceled (Cancel, a fired
 // Deadline, or a bound context). One atomic load; safe from anywhere.
 func (g *Group) Canceled() bool {
-	return atomic.LoadUint64(&g.epoch)&1 == 1
+	return g.epoch.Load()&1 == 1
 }
 
 // Err returns the cancellation cause — ErrCanceled, ErrDeadlineExceeded, or
 // the error given to Cancel — or nil while the group is live.
 func (g *Group) Err() error {
-	if atomic.LoadUint64(&g.epoch)&1 == 0 {
+	if g.epoch.Load()&1 == 0 {
 		return nil
 	}
 	// Safe plain read: the cause is written before the epoch goes odd, and
@@ -212,10 +212,9 @@ func (g *Group) Reset() {
 		g.timer = nil
 	}
 	// Exclusive by contract: no concurrent spawner, waiter, or canceler
-	// exists, so the plain accesses cannot race the atomic readers.
-	//repro:ownerstore Reset's exclusivity contract (quiescent group, single caller); see doc comment
-	if g.epoch&1 == 1 {
-		g.epoch++ //repro:ownerstore Reset's exclusivity contract (quiescent group, single caller)
+	// exists, so the check-then-add and the plain cause store cannot race.
+	if g.epoch.Load()&1 == 1 {
+		g.epoch.Add(1)
 		g.cause = nil
 	}
 	g.cancelMu.Unlock()

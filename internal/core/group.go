@@ -63,9 +63,10 @@ type Group struct {
 	// canceled (see cancel.go). It is bumped only under s.admitMu — the lock
 	// admission and take already hold — so a node's stamp at admission
 	// (node.gepoch) and the comparison at take time observe a cancel
-	// atomically with the queue state; lock-free readers (Ctx.Canceled,
-	// Err, Wait-side checks) use atomic loads.
-	epoch uint64
+	// atomically with the queue state. It is an atomic.Uint64 so that every
+	// access, locked or not, goes through Load/Add: the compiler rejects a
+	// plain read. On amd64 Load is the same plain MOV.
+	epoch atomic.Uint64
 
 	// cancelMu serializes the control-plane transitions (Cancel, Deadline,
 	// Reset); it is never taken on a task path. cause is written under

@@ -142,7 +142,7 @@ func (s *Scheduler) RegisterMetrics(reg *stats.Registry) {
 	// counter, and this uptime counter is the matching time base. A scraper
 	// without PromQL computes a rate as (counter₂ − counter₁) /
 	// (uptime₂ − uptime₁) from any two scrapes — the delta convention
-	// scripts/metricscheck -monotonic enforces.
+	// the root package's TestMetricsLiveScrape enforces.
 	reg.CounterFunc("repro_uptime_seconds",
 		"Seconds since the scheduler was built (time base for scrape-delta rates).",
 		nil, func() float64 { return s.Uptime().Seconds() })

@@ -12,19 +12,17 @@ import (
 // closed set below; anything else after "//repro:" is a load-time error so
 // typos cannot silently disable a check.
 const (
-	KindOwnerStore = "ownerstore" // site: plain access to an atomically accessed field is the documented owner-mirror/init idiom
-	KindNoAlloc    = "noalloc"    // decl: function must not heap-allocate (the compiler's escape analysis, plus append, map writes and go)
-	KindAllow      = "allow"      // site: one allocation inside a noalloc function, or one barrier-less return of a collective, is deliberate
-	KindBarrier    = "barrier"    // decl: function is a team collective; every return path must reach the barrier
+	KindNoAlloc = "noalloc" // decl: function must not heap-allocate (the compiler's escape analysis, plus append, map writes and go)
+	KindAllow   = "allow"   // site: one allocation inside a noalloc function, or one barrier-less return of a collective, is deliberate
+	KindBarrier = "barrier" // decl: function is a team collective; every return path must reach the barrier
 )
 
 const directivePrefix = "//repro:"
 
 var validKinds = map[string]bool{
-	KindOwnerStore: true,
-	KindNoAlloc:    true,
-	KindAllow:      true,
-	KindBarrier:    true,
+	KindNoAlloc: true,
+	KindAllow:   true,
+	KindBarrier: true,
 }
 
 // declKinds are the kinds that attach to a function declaration; the rest
@@ -198,7 +196,7 @@ func (ix *Index) addFile(pkg *Package, f *ast.File) {
 				ix.errs = append(ix.errs, Diagnostic{
 					Pos:      d.Pos,
 					Analyzer: "directives",
-					Message:  fmt.Sprintf("unknown //repro: directive %q (known: allow, barrier, noalloc, ownerstore)", d.Kind),
+					Message:  fmt.Sprintf("unknown //repro: directive %q (known: allow, barrier, noalloc)", d.Kind),
 				})
 				continue
 			}

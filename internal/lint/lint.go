@@ -4,11 +4,6 @@
 // performance rest on — conventions that used to live only in comments and
 // reviewers' heads:
 //
-//   - atomicmix: a struct field accessed through sync/atomic anywhere in a
-//     package must not also be read or written with plain loads/stores,
-//     unless the plain site carries a //repro:ownerstore directive (the
-//     documented owner-mirror / pre-publication-init conventions become
-//     checkable instead of tribal).
 //   - noalloc: functions annotated //repro:noalloc are held to the
 //     compiler's escape analysis (go build -gcflags=-m: whatever it moves to
 //     the heap inside such a function is a finding) plus the three
@@ -18,6 +13,11 @@
 //     team barrier (ctx.Barrier() or a call to another annotated
 //     collective) on every return path, except the documented team-size-1
 //     sequential-oracle early returns.
+//
+// Mixed plain/atomic access needs no analyzer: every atomically accessed
+// field is a typed atomic (atomic.Uint64 and friends), so the compiler
+// rejects a plain access and go vet's copylocks a copy; scripts/check.sh
+// keeps the function-style sync/atomic calls out of non-test code.
 //
 // Everything is built on the standard library alone (go/parser, go/ast,
 // go/types with the source importer) and the go command on PATH; see
@@ -40,7 +40,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in deterministic order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{AtomicMix, NoAlloc, Barrier}
+	return []*Analyzer{NoAlloc, Barrier}
 }
 
 // AnalyzerByName returns the named analyzer, or nil.

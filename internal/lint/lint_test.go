@@ -78,7 +78,7 @@ func TestAnalyzersOnTestdata(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	for _, name := range []string{"atomicmix", "noalloc", "barrier", "directives"} {
+	for _, name := range []string{"noalloc", "barrier", "directives"} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", name)
 			pkg, err := loader.Load(loader.ModulePath + "/internal/lint/" + filepath.ToSlash(dir))
@@ -119,7 +119,7 @@ func TestAnalyzersOnTestdata(t *testing.T) {
 func TestManifestRoundTrip(t *testing.T) {
 	recs := []Record{
 		{PkgPath: "repro/internal/core", Decl: "(*worker).spawn", Kind: KindNoAlloc},
-		{PkgPath: "repro/internal/core", Decl: "(*Group).Reset", Kind: KindOwnerStore},
+		{PkgPath: "repro/internal/core", Decl: "(*worker).getCtx", Kind: KindAllow},
 		{PkgPath: "repro/internal/par", Decl: "Reducer[...].Reduce", Kind: KindBarrier},
 		{PkgPath: "repro/internal/par", Decl: "Reducer[...].Reduce", Kind: KindBarrier},
 	}

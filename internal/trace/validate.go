@@ -7,7 +7,7 @@ import (
 )
 
 // ValidateChrome is a minimal schema checker for Chrome trace-event JSON —
-// the checks Perfetto's importer effectively requires, so check.sh can fail
+// the checks Perfetto's importer effectively requires, so a test can fail
 // a broken export before a human loads it. It accepts both the object form
 // ({"traceEvents": [...]}) and a bare event array, and verifies:
 //

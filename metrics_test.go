@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestRuntimeMetrics runs sorts through a Runtime and checks its registry
@@ -116,6 +117,93 @@ func TestServeMetrics(t *testing.T) {
 	}
 	if _, err := http.Get(srv.URL()); err == nil {
 		t.Fatal("server still answering after Close")
+	}
+}
+
+// TestMetricsLiveScrape scrapes /metrics over HTTP while sorts and filters
+// run: the exposition must name every family the operator-facing surface
+// promises, and every *_total counter must be monotone between two reads,
+// which the scrape-delta rate convention (Δcounter / Δrepro_uptime_seconds)
+// relies on. The exposition grammar is TestExpositionRoundTrip's job, and
+// names are validated when they are registered.
+func TestMetricsLiveScrape(t *testing.T) {
+	rt := NewRuntime[int32](Options{P: 2})
+	defer rt.Close()
+	rt.StartProfiler(199)
+	defer rt.StopProfiler()
+	srv, err := ServeMetrics("127.0.0.1:0", rt.Metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		dst := make([]int32, 20000)
+		for i := uint64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rt.SortMixedMode(GenerateInput(Random, 20000, i), MMOptions{})
+			rt.SortForkJoin(GenerateInput(Random, 20000, i))
+			rt.Filter(GenerateInput(Random, 20000, i), dst, func(v int32) bool { return v&1 == 0 })
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	resp, err := http.Get(srv.URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("scrape: status %d, %v", resp.StatusCode, err)
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		seen[line[:strings.IndexAny(line, "{ ")]] = true
+	}
+	for _, want := range []string{
+		"repro_sched_steals_total", "repro_sched_inject_takes_total",
+		"repro_sched_parks_total", "repro_sched_wakeups_total",
+		"repro_sched_inflight_tasks", "repro_admission_injected_total",
+		"repro_admission_wait_seconds_count", "repro_uptime_seconds",
+		"repro_worker_state_samples_total", "repro_trace_events_total",
+		"repro_group_pending_sorts", "repro_sort_latency_seconds_bucket",
+		"repro_canceled_total", "repro_revoked_total", "repro_spawn_timeouts_total",
+		"repro_queries_total", "repro_query_latency_seconds_bucket",
+		"repro_group_pending_queries",
+	} {
+		if !seen[want] {
+			t.Errorf("scrape lacks %s", want)
+		}
+	}
+
+	first := rt.Metrics().Values()
+	time.Sleep(200 * time.Millisecond)
+	second := rt.Metrics().Values()
+	checked := 0
+	for key, v1 := range first {
+		if name, _, _ := strings.Cut(key, "{"); !strings.HasSuffix(name, "_total") {
+			continue
+		}
+		checked++
+		if v2, ok := second[key]; !ok {
+			t.Errorf("counter %s vanished between reads", key)
+		} else if v2 < v1 {
+			t.Errorf("counter %s decreased between reads: %v -> %v", key, v1, v2)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no *_total series to check")
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 
 // TestRuntimeTrace exercises the Runtime-level tracing surface: toggling,
 // Chrome export through WriteTrace (validated by this repo's own schema
-// checker), the text dump, and the sampling profiler delegates.
+// checker), the text dump, and the sampling profiler delegates. The Filter
+// on 65536 elements is a team request at P = 2, so the validated export
+// holds team executions and barrier slices too.
 func TestRuntimeTrace(t *testing.T) {
 	rt := NewRuntime[int32](Options{P: 2})
 	defer rt.Close()
@@ -21,6 +23,8 @@ func TestRuntimeTrace(t *testing.T) {
 	rt.StartProfiler(997)
 	rt.SortMixedMode(GenerateInput(Random, 20000, 1), MMOptions{})
 	rt.SortForkJoin(GenerateInput(Random, 20000, 2))
+	src := GenerateInput(Random, 65536, 3)
+	rt.Filter(src, make([]int32, len(src)), func(v int32) bool { return v&1 == 0 })
 	rt.StopProfiler()
 	rt.StopTrace()
 
@@ -33,10 +37,10 @@ func TestRuntimeTrace(t *testing.T) {
 		t.Fatalf("exported trace invalid: %v", err)
 	}
 	if n < 100 {
-		t.Fatalf("trace of two 20k sorts has only %d events", n)
+		t.Fatalf("trace of two 20k sorts and a 64k filter has only %d events", n)
 	}
 	txt := rt.TraceText()
-	for _, want := range []string{"spawn", "inject-enqueue"} {
+	for _, want := range []string{"spawn", "inject-enqueue", "barrier-enter"} {
 		if !strings.Contains(txt, want) {
 			t.Fatalf("TraceText lacks %q:\n%.2000s", want, txt)
 		}
