@@ -33,9 +33,7 @@ func (w *worker) coordinate() {
 			// task was in progress, revoke it first (new smaller task: a←t,
 			// N++, §3 registration structure rules).
 			if r.Req != 1 || r.Acq != 1 {
-				if !w.regw.CAS(r, reg.R{Req: 1, Acq: 1, Team: 1, Epoch: r.Epoch + 1}) {
-					w.casFail()
-				}
+				w.cas(w, r, r.Reset(1), trace.EvPreempt, w.id)
 				continue
 			}
 			if n := w.queues[0].PopBottom(); n != nil {
@@ -52,32 +50,16 @@ func (w *worker) coordinate() {
 			w.publishAndRun(lvl, target)
 		case int(r.Team) < target:
 			if int(r.Req) != target {
-				nr := r
-				nr.Req = uint16(target)
-				if int(r.Req) > target {
-					// The advertisement shrinks: registrants acquired for the
-					// larger block may lie outside the new one, so "we have
-					// to reset [a] to the number of teamed threads and
-					// increment the new counter N to ensure that no invalid
-					// thread has registered" (§3).
-					nr.Acq = r.Team
-					nr.Epoch = r.Epoch + 1
-				}
-				if !w.regw.CAS(r, nr) {
-					w.casFail()
+				// A shrinking advertisement revokes the registrants acquired
+				// for the larger block (reg.R.Advertise).
+				if !w.cas(w, r, r.Advertise(target), trace.EvGrowAdvertise, w.id) {
 					continue
 				}
-				w.ev(trace.EvGrowAdvertise, w.id, target, uint64(nr.Epoch))
 				w.wakeTeam(target)
 			}
 			w.gather(lvl, target)
 		default: // r.Team > target: shrink deterministically to my block
-			if w.casTeam(r, reg.R{
-				Req: uint16(target), Acq: uint16(target),
-				Team: uint16(target), Epoch: r.Epoch + 1,
-			}) {
-				w.ev(trace.EvShrink, w.id, target, uint64(r.Epoch)+1)
-			}
+			w.cas(w, r, r.Reset(target), trace.EvShrink, w.id)
 		}
 	}
 }
@@ -132,8 +114,7 @@ func (w *worker) preemptLevel(r reg.R, lvl int) int {
 // revoked and any team is disbanded (epoch bump).
 func (w *worker) dropCoordination(r reg.R) {
 	for r.Req != 1 || r.Acq != 1 || r.Team != 1 {
-		if w.casTeam(r, reg.Idle(r.Epoch+1)) {
-			w.ev(trace.EvDisband, w.id, int(r.Acq), uint64(r.Epoch)+1)
+		if w.cas(w, r, r.Reset(1), trace.EvDisband, w.id) {
 			return
 		}
 		r = w.regw.Load()
@@ -154,31 +135,20 @@ func (w *worker) gather(lvl, target int) {
 		if int(r.Req) != target {
 			return // advertisement changed; re-evaluate in coordinate()
 		}
-		if int(r.Acq) >= target {
-			if w.regw.CAS(r, reg.R{
-				Req: uint16(target), Acq: uint16(target),
-				Team: uint16(target), Epoch: r.Epoch,
-			}) {
-				w.ev(trace.EvTeamFixed, w.id, target, uint64(r.Epoch))
+		if nr, ok := r.Fix(); ok {
+			if w.cas(w, r, nr, trace.EvTeamFixed, w.id) {
 				// The gathering escalated the backoff round by round; the
 				// team's countdowns wait for members that are about to act.
 				w.bo.Reset()
 				w.publishAndRun(lvl, target)
 				return
 			}
-			w.casFail()
 			continue
 		}
-		if pl := w.preemptLevel(r, lvl); pl >= 0 {
+		if w.preemptLevel(r, lvl) >= 0 {
 			// A smaller task appeared: revoke the non-teamed registrants
 			// (a ← t, N++) and let coordinate() restart at the lower level.
-			t := r.Team
-			if t < 1 {
-				t = 1
-			}
-			if w.casTeam(r, reg.R{Req: t, Acq: t, Team: t, Epoch: r.Epoch + 1}) {
-				w.ev(trace.EvPreempt, w.id, int(t), uint64(r.Epoch)+1)
-			}
+			w.cas(w, r, r.Reset(int(r.Team)), trace.EvPreempt, w.id)
 			return
 		}
 		w.pollPartners(w, target)

@@ -24,7 +24,7 @@ var schedCounters = []struct {
 		func(w *stats.Worker) *atomic.Int64 { return &w.TasksRun }},
 	{"repro_sched_team_tasks_total", "Task executions that were part of a team of size > 1.",
 		func(w *stats.Worker) *atomic.Int64 { return &w.TeamTasksRun }},
-	{"repro_sched_teams_formed_total", "Teams fixed by a coordinator.",
+	{"repro_sched_teams_formed_total", "Team executions published by a coordinator (a kept team counts once per task).",
 		func(w *stats.Worker) *atomic.Int64 { return &w.TeamsFormed }},
 	{"repro_sched_coordinations_total", "Coordination rounds entered.",
 		func(w *stats.Worker) *atomic.Int64 { return &w.TeamsCoordd }},

@@ -121,17 +121,11 @@ func (w *worker) workVisible() bool {
 			continue
 		}
 		xc := x.coordp()
-		if xcR := xc.regw.Load(); w.wantedBy(xc, int(xcR.Req), int(xcR.Acq)) || w.stealable(x, len(w.queues)-1) {
+		if xc.regw.Load().Wants(xc.id, w.id) || w.stealable(x, len(w.queues)-1) {
 			return true
 		}
 	}
 	return false
-}
-
-// wantedBy reports whether coordinator xc, advertising for need workers of
-// which acq have registered, still needs w for its team.
-func (w *worker) wantedBy(xc *worker, need, acq int) bool {
-	return need > 1 && acq < need && topo.Overlap(xc.id, w.id, need)
 }
 
 // fits reports whether w can host a task of size class j: its block of 2^j

@@ -31,8 +31,7 @@ func (w *worker) stealTasks() bool {
 // immediately rather than enqueued (§4: so it cannot be stolen back).
 func (w *worker) visit(x *worker, l, hi int) bool {
 	xc := x.coordp()
-	xcR := xc.regw.Load()
-	if need := int(xcR.Req); need >= 1<<uint(l+1) && w.wantedBy(xc, need, int(xcR.Acq)) {
+	if xcR := xc.regw.Load(); int(xcR.Req) >= 2<<uint(l) && xcR.Wants(xc.id, w.id) {
 		return w.tryRegister(xc)
 	}
 	last := w.steal(x, l, hi)

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/backoff"
-	"repro/internal/reg"
 	"repro/internal/topo"
 )
 
@@ -80,23 +79,4 @@ func (w *worker) tick(exec *teamExec, c *atomic.Int32) {
 	if c.Add(-1) == 0 && exec.coordID != w.id {
 		w.sched.wake(w.sched.workers[exec.coordID], wakeTeamWait, w)
 	}
-}
-
-// casTeam is the owner's CAS of its registration word for every transition
-// that can take workers out of its fixed team (nr.Team < r.Team: disband,
-// shrink, conflict-yield; a preempt keeps the team). The members of the old
-// block outside the new one may be parked in memberStep with nothing left to
-// wait for: they are woken to see that they left.
-//
-//repro:noalloc the team wake helper
-func (w *worker) casTeam(r, nr reg.R) bool {
-	if !w.regw.CAS(r, nr) {
-		w.casFail()
-		return false
-	}
-	if old, kept := int(r.Team), int(nr.Team); kept < old {
-		w.wakeRange(topo.TeamLeft(w.id, old), topo.TeamLeft(w.id, kept), wakeTeamWait)
-		w.wakeRange(topo.TeamRight(w.id, kept), topo.TeamRight(w.id, old), wakeTeamWait)
-	}
-	return true
 }

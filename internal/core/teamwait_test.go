@@ -139,7 +139,7 @@ func TestCountdownWokenByPickupAndLastParticipant(t *testing.T) {
 }
 
 // TestMemberWokenByTeamEndingTransition drives each owner-side transition of
-// the registration word that can end a team — all of them go through casTeam
+// the registration word that can end a team — all of them go through cas
 // — against a member that is really parked in memberStep. The test goroutine
 // is the coordinator; the members run memberStep until they are free again.
 func TestMemberWokenByTeamEndingTransition(t *testing.T) {
@@ -226,7 +226,7 @@ func TestMemberWokenByTeamEndingTransition(t *testing.T) {
 	}
 }
 
-// TestWBCasTeamWakesLeavers: casTeam wakes exactly the parked members of the
+// TestWBCasTeamWakesLeavers: cas wakes exactly the parked members of the
 // old block that are outside the new one, and nobody when the CAS fails.
 func TestWBCasTeamWakesLeavers(t *testing.T) {
 	team4 := reg.R{Req: 4, Acq: 4, Team: 4}
@@ -252,8 +252,8 @@ func TestWBCasTeamWakesLeavers(t *testing.T) {
 				s.workers[id].slot.Arm(slotTeamWait)
 			}
 			s.workers[3].slot.Arm(slotIdle) // and 3 is idle: not this event's sleeper either
-			if got := coord.casTeam(c.old, c.new); got != c.ok {
-				t.Fatalf("casTeam = %v, want %v", got, c.ok)
+			if got := coord.cas(coord, c.old, c.new, trace.EvDisband, coord.id); got != c.ok {
+				t.Fatalf("cas = %v, want %v", got, c.ok)
 			}
 			var woke []int
 			for _, id := range asleep {

@@ -85,7 +85,7 @@ func TestWBRegistrationRoundTrip(t *testing.T) {
 		t.Fatalf("coordinator acq = %d, want 2", r.Acq)
 	}
 	// Deregistration undoes the count.
-	if !thief.deregister(coord) {
+	if !thief.leave(coord) {
 		t.Fatal("deregister failed")
 	}
 	if r := coord.regw.Load(); r.Acq != 1 {
@@ -125,7 +125,7 @@ func TestWBDeregisterBlockedByFixedTeam(t *testing.T) {
 	// Coordinator fixes the team: the member may no longer leave, even
 	// though its own teamed flag is still false (the race of Algorithm 9).
 	coord.regw.Store(reg.R{Req: 2, Acq: 2, Team: 2, Epoch: 7})
-	if member.deregister(coord) {
+	if member.leave(coord) {
 		t.Fatal("member left a fixed team")
 	}
 }
@@ -139,7 +139,7 @@ func TestWBDeregisterAfterRevocation(t *testing.T) {
 	}
 	// Coordinator revokes (epoch bump, acq reset).
 	coord.regw.Store(reg.R{Req: 1, Acq: 1, Team: 1, Epoch: 2})
-	if !member.deregister(coord) {
+	if !member.leave(coord) {
 		t.Fatal("deregister after revocation must succeed (as a no-op)")
 	}
 	if r := coord.regw.Load(); r.Acq != 1 {
@@ -388,6 +388,114 @@ func TestWBEveryStealIsTraced(t *testing.T) {
 	}
 }
 
+// TestWBEveryTransitionIsTraced drives every transition of the registration
+// word through the code that makes it, and pins that each successful CAS
+// records exactly one event whose X and Arg are the acquired count and the
+// packed word it wrote, and that a lost CAS records none.
+func TestWBEveryTransitionIsTraced(t *testing.T) {
+	s := build(Options{P: 4, Trace: true})
+	w := s.workers
+	regKinds := map[trace.Kind]bool{
+		trace.EvTeamFixed: true, trace.EvRegister: true, trace.EvDeregister: true, trace.EvShrink: true,
+		trace.EvDisband: true, trace.EvPreempt: true, trace.EvConflictYield: true, trace.EvGrowAdvertise: true,
+	}
+	type write struct {
+		kind  trace.Kind
+		owner int // the worker whose word was written
+		word  reg.R
+	}
+	seen := 0
+	step := func(name string, do func(), want ...write) {
+		t.Helper()
+		do()
+		var got []trace.Event
+		for _, e := range s.TraceSnapshot().Events {
+			if regKinds[e.Kind] {
+				got = append(got, e)
+			}
+		}
+		got, seen = got[seen:], len(got)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d registration events, want %d\n%s", name, len(got), len(want), s.TraceDump())
+		}
+		now := map[int]reg.R{}
+		for i, e := range got {
+			owner := e.Ring
+			if e.Kind == trace.EvRegister || e.Kind == trace.EvDeregister {
+				owner = e.Other
+			}
+			wt := want[i]
+			if e.Kind != wt.kind || owner != wt.owner || e.Arg != reg.Pack(wt.word) || e.X != uint32(wt.word.Acq) {
+				t.Fatalf("%s: event %d is %v on worker %d's word, X %d, Arg %#x; want %v writing %v to worker %d's",
+					name, i, e.Kind, owner, e.X, e.Arg, wt.kind, wt.word, wt.owner)
+			}
+			now[owner] = wt.word
+		}
+		for id, word := range now {
+			if got := w[id].regw.Load(); got != word {
+				t.Fatalf("%s: worker %d's word is %v, its last event says %v", name, id, got, word)
+			}
+		}
+	}
+	noop := func(*Ctx) {}
+
+	step("grow-advertise, conflict-yield and register (coordinate)", func() {
+		w[0].regw.Store(reg.R{Req: 2, Acq: 1, Team: 1})
+		w[1].push(Func(2, noop))
+		w[1].coordinate() // advertises 2, meets worker 0 advertising 2: the smaller id wins
+	},
+		write{trace.EvGrowAdvertise, 1, reg.R{Req: 2, Acq: 1, Team: 1}},
+		write{trace.EvConflictYield, 1, reg.R{Req: 1, Acq: 1, Team: 1, Epoch: 1}},
+		write{trace.EvRegister, 0, reg.R{Req: 2, Acq: 2, Team: 1}})
+	step("fix (gather)", func() { w[0].gather(1, 2) },
+		write{trace.EvTeamFixed, 0, reg.R{Req: 2, Acq: 2, Team: 2}})
+	failures := w[0].st.CASFailures.Load()
+	step("lost CAS", func() {
+		if w[0].cas(w[0], reg.R{Req: 2, Acq: 2, Team: 1}, reg.Idle(1), trace.EvDisband, 0) {
+			t.Fatal("a CAS from a stale word succeeded")
+		}
+	})
+	if w[0].st.CASFailures.Load() != failures+1 {
+		t.Fatal("the lost CAS was not counted")
+	}
+	step("shrink (coordinate)", func() {
+		w[0].push(Solo(noop))
+		w[0].coordinate()
+	},
+		write{trace.EvShrink, 0, reg.R{Req: 1, Acq: 1, Team: 1, Epoch: 1}})
+	step("shrink-advertise, conflict-yield and register (coordinate)", func() {
+		w[2].regw.Store(reg.R{Req: 2, Acq: 1, Team: 1})
+		w[3].regw.Store(reg.R{Req: 4, Acq: 1, Team: 1, Epoch: 5})
+		w[3].push(Func(2, noop))
+		w[3].coordinate()
+	},
+		write{trace.EvGrowAdvertise, 3, reg.R{Req: 2, Acq: 1, Team: 1, Epoch: 6}},
+		write{trace.EvConflictYield, 3, reg.R{Req: 1, Acq: 1, Team: 1, Epoch: 7}},
+		write{trace.EvRegister, 2, reg.R{Req: 2, Acq: 2, Team: 1}})
+	step("deregister (leave)", func() {
+		if !w[3].leave(w[2]) {
+			t.Fatal("a registrant outside any fixed team could not leave")
+		}
+	},
+		write{trace.EvDeregister, 2, reg.R{Req: 2, Acq: 1, Team: 1}})
+	step("solo-path revoke (coordinate)", func() {
+		w[2].push(Solo(noop))
+		w[2].coordinate()
+	},
+		write{trace.EvPreempt, 2, reg.R{Req: 1, Acq: 1, Team: 1, Epoch: 1}})
+	step("preempt (gather)", func() {
+		w[0].regw.Store(reg.R{Req: 4, Acq: 3, Team: 2, Epoch: 1})
+		w[0].push(Func(2, noop))
+		w[0].gather(2, 4)
+	},
+		write{trace.EvPreempt, 0, reg.R{Req: 2, Acq: 2, Team: 2, Epoch: 2}})
+	step("disband (coordinate → dropCoordination)", func() {
+		w[0].freeNode(w[0].queues[1].PopBottom())
+		w[0].coordinate()
+	},
+		write{trace.EvDisband, 0, reg.R{Req: 1, Acq: 1, Team: 1, Epoch: 3}})
+}
+
 func TestWBConflictSmallerIDWins(t *testing.T) {
 	s := stopped(2)
 	a, b := s.workers[0], s.workers[1]
@@ -491,12 +599,7 @@ func TestWBShrinkAdvertisementRevokesOutsiders(t *testing.T) {
 	w.regw.Store(reg.R{Req: 8, Acq: 5, Team: 1, Epoch: 0})
 	// coordinate() would now pick level 1 (the smaller task): simulate its
 	// advertisement transition.
-	r := w.regw.Load()
-	nr := r
-	nr.Req = 2
-	nr.Acq = r.Team
-	nr.Epoch = r.Epoch + 1
-	if !w.regw.CAS(r, nr) {
+	if r := w.regw.Load(); !w.cas(w, r, r.Advertise(2), trace.EvGrowAdvertise, w.id) {
 		t.Fatal("CAS")
 	}
 	got := w.regw.Load()

@@ -113,7 +113,26 @@ func (w *worker) rand() uint64 {
 
 func (w *worker) coordp() *worker { return w.coord.Load() }
 
-func (w *worker) casFail() { w.st.CASFailures.Add(1) }
+// cas is the one write of a registration word after its initial Store: it
+// replaces x's word r by nr, the result of a reg rule, or counts a failure.
+// It records one event of kind k, X = nr.Acq and Arg = reg.Pack(nr), so a
+// trace carries every word the scheduler wrote. The members of x's old team
+// outside a lower nr.Team may be parked in memberStep with nothing left to
+// wait for: they are woken to see that they left.
+//
+//repro:noalloc the team wake helper
+func (w *worker) cas(x *worker, r, nr reg.R, k trace.Kind, other int) bool {
+	if !x.regw.CAS(r, nr) {
+		w.st.CASFailures.Add(1)
+		return false
+	}
+	w.ev(k, other, int(nr.Acq), reg.Pack(nr))
+	if old, kept := int(r.Team), int(nr.Team); kept < old {
+		w.wakeRange(topo.TeamLeft(x.id, old), topo.TeamLeft(x.id, kept), wakeTeamWait)
+		w.wakeRange(topo.TeamRight(x.id, kept), topo.TeamRight(x.id, old), wakeTeamWait)
+	}
+	return true
+}
 
 // partnerAt returns the worker's partner at level l, honoring the Randomized
 // option (Refinement 4) and missing partners for non-power-of-two p
@@ -320,23 +339,22 @@ func (w *worker) memberStep() {
 	// block around c, so a registered worker inside that block is a member
 	// even if it has not observed the team-fix yet. Epoch (N) checks apply
 	// only to registrants outside the team: coordinator transitions that
-	// bump the epoch (preempt, shrink, disband) always keep a = t, i.e. they
-	// revoke everyone except the surviving block.
-	inTeam := rc.Team > 1 && topo.Overlap(c.id, w.id, int(rc.Team))
+	// bump the epoch (reg.Reset) always keep a = t, i.e. they revoke
+	// everyone except the surviving block.
 	switch {
-	case inTeam:
+	case rc.Holds(c.id, w.id):
 		w.teamed = true
 		w.regEpoch = rc.Epoch // adopt the epoch across shrinks/preempts
 	case w.teamed:
 		// Was teamed, now outside the (shrunk or disbanded) team.
 		w.ev(trace.EvLeaveTeam, c.id, int(rc.Team), uint64(rc.Epoch))
-		w.leaveCoordinator()
+		w.leave(c)
 		return
 	case rc.Epoch != w.regEpoch:
 		// Non-team registration revoked (coordinator reset or yielded).
 		w.ev(trace.EvRevoked, c.id, int(rc.Epoch), uint64(w.regEpoch))
 		w.st.Revocations.Add(1)
-		w.leaveCoordinator()
+		w.leave(c)
 		return
 	}
 	if exec := c.cur.Load(); w.pickable(exec) {
@@ -364,7 +382,7 @@ func (w *worker) memberStep() {
 	} else if !w.bo.Pause() {
 		// A fixed team's member has nobody to poll: it waits for c's next
 		// execution or the end of its membership, and c wakes it for both
-		// (publishAndRun, casTeam).
+		// (publishAndRun, cas).
 		w.teamPark(slotTeamWait)
 		w.teamSleep(slotTeamWait, w.pickable(c.cur.Load()) || c.regw.Load() != rc || w.sched.done.Load(), w.sched.doneCh)
 	}
@@ -373,14 +391,4 @@ func (w *worker) memberStep() {
 // pickable reports whether exec is a published execution w has not picked up.
 func (w *worker) pickable(exec *teamExec) bool {
 	return exec != nil && exec.gen != w.lastGen && topo.Overlap(exec.coordID, w.id, exec.teamSize)
-}
-
-// leaveCoordinator resets the worker to self-coordination. No deregistration
-// CAS is needed: it is only called after the coordinator has already revoked
-// this worker's registration (epoch bump or team shrink reset the acquired
-// count).
-func (w *worker) leaveCoordinator() {
-	w.teamed = false
-	w.coord.Store(w)
-	w.bo.Reset()
 }

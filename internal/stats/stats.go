@@ -21,7 +21,7 @@ import (
 type Worker struct {
 	TasksRun        atomic.Int64 // tasks executed (team tasks count once per participant); lags, exact after Wait
 	TeamTasksRun    atomic.Int64 // executions that were part of a team of size > 1
-	TeamsFormed     atomic.Int64 // teams fixed by this worker as coordinator
+	TeamsFormed     atomic.Int64 // team executions published by this worker as coordinator (a kept team counts once per task)
 	TeamsCoordd     atomic.Int64 // coordination rounds entered
 	Spawns          atomic.Int64 // tasks pushed to local queues; lags, exact after Wait
 	Steals          atomic.Int64 // successful steal operations (≥ 1 task)

@@ -38,7 +38,7 @@ const (
 	EvDeadlineFire // group deadline fired, canceling it; X = group id
 	EvInjectRevoke // admitted task revoked at take time; X = group id, Arg = task trace id
 	// Team lifecycle.
-	EvTeamFixed    // coordinator fixed a team; X = size, Arg = epoch
+	EvTeamFixed    // coordinator fixed a team; a registration write (below), X = size
 	EvPublish      // team execution published; X = size, Arg = generation
 	EvPickup       // member picked an execution up; Other = coordinator, X = local id, Arg = generation
 	EvExecDone     // team execution complete; X = size, Arg = generation
@@ -47,16 +47,19 @@ const (
 	// Idleness.
 	EvPark   // worker begins an idle wait after a failed steal round: spin, then parked until woken
 	EvUnpark // worker returns from the idle wait (a spin round ended, or it was woken)
-	// Registration-protocol transitions.
-	EvRegister      // Other = coordinator, X = acquired count, Arg = epoch
-	EvDeregister    // Other = coordinator, X = acquired count, Arg = epoch
-	EvRevoked       // Other = coordinator, X = coordinator epoch, Arg = own epoch
-	EvLeaveTeam     // Other = coordinator, X = team size, Arg = epoch
-	EvShrink        // X = new team size, Arg = epoch
-	EvDisband       // X = acquired count, Arg = epoch
-	EvPreempt       // X = surviving team size, Arg = epoch
-	EvConflictYield // Other = winning coordinator, X = acquired count, Arg = epoch
-	EvGrowAdvertise // X = advertised size, Arg = epoch
+	// Registration-protocol transitions. Each registration write — one
+	// successful CAS of a registration word — records one event with X = the
+	// acquired count a it wrote and Arg = the whole word (reg.Pack). Other
+	// is the worker itself unless noted.
+	EvRegister      // write: a member registered; Other = coordinator
+	EvDeregister    // write: a member deregistered; Other = coordinator
+	EvRevoked       // a member found its registration revoked; Other = coordinator, X = coordinator epoch, Arg = own epoch
+	EvLeaveTeam     // a member found its fixed team ended; Other = coordinator, X = team size, Arg = epoch
+	EvShrink        // write: team shrunk to a smaller task's block
+	EvDisband       // write: team and registrations dropped
+	EvPreempt       // write: registrations beyond the team revoked for a smaller task
+	EvConflictYield // write: coordination yielded; Other = winning coordinator
+	EvGrowAdvertise // write: advertisement changed (a smaller one revokes as EvPreempt does)
 
 	NumKinds
 )

@@ -67,6 +67,17 @@ if [[ "${steals}" != 1 || "${pops}" != 0 ]]; then
   exit 1
 fi
 
+# One registration write: worker.cas is the only CAS of a registration word,
+# and every word it writes comes from a rule of internal/reg, so every
+# transition is counted, traced and wakes the members it evicts in one place.
+echo "check: one registration CAS in internal/core"
+cases=$(cat ${core_src} | grep -c 'regw\.CAS(' || true)
+literals=$(cat ${core_src} | grep -c 'reg\.R{' || true)
+if [[ "${cases}" != 1 || "${literals}" != 0 ]]; then
+  echo "check: FAIL (non-test internal/core has ${cases} regw.CAS( calls and ${literals} reg.R{ literals; want 1 and 0)"
+  exit 1
+fi
+
 echo "check: go test ./..."
 go test ./...
 
@@ -75,8 +86,8 @@ go test ./...
 # team, ten times over, so a timing-dependent assertion fails at the PR that
 # introduces it (bounded by -timeout — idle workers and team members block
 # without a timer, so a lost wake-up is a hang).
-echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn)"
-go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn' \
+echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition)"
+go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition' \
   ./internal/core ./internal/classic ./internal/chaos ./internal/teamsync ./internal/wake
 
 # The race list and its rationale live in scripts/checkdefs.sh.
