@@ -23,18 +23,11 @@ import (
 type JoinRun[T Ordered] = query.JoinRun[T]
 
 // QueryPlan is a preallocated linear pipeline of analytics operators;
-// build with Runtime.NewPlan or NewQueryPlan and run with Runtime.RunPlan.
+// build with Runtime.NewPlan and run with Runtime.RunPlan.
 type QueryPlan[T Ordered] = query.Plan[T]
 
 // QueryResult is the output of one QueryPlan execution.
 type QueryResult[T Ordered] = query.Result[T]
-
-// NewQueryPlan returns an empty analytics plan for inputs of up to capN
-// elements on teams of up to maxTeam members; minPerThread ≤ 0 selects the
-// default. Prefer Runtime.NewPlan, which sizes maxTeam to the scheduler.
-func NewQueryPlan[T Ordered](capN, maxTeam, minPerThread int) *QueryPlan[T] {
-	return query.NewPlan[T](capN, maxTeam, minPerThread)
-}
 
 // bestNp is the team size of one standalone analytics request over n
 // elements.

@@ -1,7 +1,7 @@
 // Package chaos is the scheduler's fault-injection layer: an Injector
 // implementing the core.Options.Fault hook that stalls workers, delays
 // inject-queue drains and admissions, and randomly cancels groups, so the
-// stress tests (and cmd/stress -chaos) can prove the runtime degrades
+// stress tests (FuzzCancelStorm among them) can prove the runtime degrades
 // gracefully — canceled work revoked, counters reconciling, waits releasing
 // exactly once — instead of failing noisily.
 //

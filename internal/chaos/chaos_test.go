@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/qsort"
 )
 
@@ -172,6 +173,149 @@ func TestChaosStress(t *testing.T) {
 	}
 	if completed.Load() == 0 {
 		t.Error("every group canceled — no completion path exercised")
+	}
+}
+
+// FuzzCancelStorm is the team-task cancel storm, the only test that combines
+// team tasks with cancellation. Each round, four groups flood a scheduler of
+// P workers with tasks of width ≤ MaxTeam that each hit a barrier, through
+// admission bounded at MaxInject 2P and MaxPendingPerGroup P, while worker
+// loops, idle parks and team parks stall and takes and admissions are
+// delayed; from round 1 on three cancel passes hit the groups mid-flood, so
+// early cancels refuse the groups' later spawns and late ones revoke nodes
+// already queued. Every round checks:
+//
+//   - a live group ran each admitted task exactly r times and WaitErr is nil
+//   - a canceled group ran each admitted task r times or not at all, and
+//     WaitErr reports the storm's cause
+//   - every group and the scheduler read Pending() == 0 after the drain
+//   - admission reconciles: Injected == Taken + Revoked
+//
+// Round 0 cancels nothing, so the live-group check always runs. Soak it with
+//
+//	go test -run '^$' -fuzz FuzzCancelStorm -fuzztime 10m ./internal/chaos
+func FuzzCancelStorm(f *testing.F) {
+	f.Add(uint64(1), uint8(4))
+	f.Add(uint64(2), uint8(6))
+	f.Add(uint64(3), uint8(8))
+	f.Fuzz(func(t *testing.T, seed uint64, p uint8) {
+		if p < 1 || p > 16 {
+			t.Skip("P outside 1…16")
+		}
+		inj := New(Options{
+			Seed:            seed,
+			StallEvery:      256,
+			StallDur:        50 * time.Microsecond,
+			ParkStallEvery:  4,
+			DelayTakeEvery:  32,
+			AdmitDelayEvery: 32,
+			DelayDur:        20 * time.Microsecond,
+			CancelEvery:     2, // rolled once per pass per group
+		})
+		// Tight admission bounds saturate the queues, so the storm finds
+		// admitted-but-not-started work to revoke.
+		s := core.New(core.Options{
+			P:                  int(p),
+			MaxInject:          2 * int(p),
+			MaxPendingPerGroup: int(p),
+			Seed:               seed,
+			Fault:              inj.Fault,
+		})
+		defer s.Shutdown()
+		maxTeam := s.MaxTeam()
+
+		const rounds, groups, tasksPerGroup = 10, 4, 30
+		errStorm := errors.New("chaos: storm")
+		var canceled, completed int64
+		type client struct {
+			g        *core.Group
+			r        [tasksPerGroup]int          // width of each task
+			runs     [tasksPerGroup]atomic.Int64 // executions of each task
+			admitted int                         // the tasks r[:admitted] were admitted
+			done     chan struct{}
+		}
+		for round := 0; round < rounds; round++ {
+			cs := make([]*client, groups)
+			for gi := range cs {
+				c := &client{g: s.NewGroup(), done: make(chan struct{})}
+				cs[gi] = c
+				rng := dist.NewRNG(seed ^ uint64(round*groups+gi))
+				go func() {
+					defer close(c.done)
+					for i := range c.r {
+						c.r[i] = 1
+						if rng.Intn(4) == 0 {
+							c.r[i] = 1 + rng.Intn(maxTeam)
+						}
+						runs := &c.runs[i]
+						err := c.g.Spawn(core.Func(c.r[i], func(ctx *core.Ctx) {
+							runs.Add(1)
+							spin(2 * time.Microsecond) // keep workers busy so the queues back up
+							ctx.Barrier()
+						}))
+						if err != nil {
+							return // only cancellation refuses a blocking spawn here
+						}
+						c.admitted++
+					}
+				}()
+			}
+			if round > 0 {
+				for pass := 0; pass < 3; pass++ {
+					time.Sleep(200 * time.Microsecond)
+					for _, c := range cs {
+						inj.MaybeCancel(c.g, errStorm)
+					}
+				}
+			}
+			for gi, c := range cs {
+				<-c.done
+				err := c.g.WaitErr()
+				live := !c.g.Canceled()
+				if live {
+					completed++
+					if err != nil {
+						t.Fatalf("round %d group %d: live group WaitErr = %v", round, gi, err)
+					}
+				} else {
+					canceled++
+					if !errors.Is(err, errStorm) {
+						t.Fatalf("round %d group %d: canceled group WaitErr = %v, want the storm's cause", round, gi, err)
+					}
+				}
+				for i := 0; i < c.admitted; i++ {
+					if n := c.runs[i].Load(); n != int64(c.r[i]) && (live || n != 0) {
+						t.Fatalf("round %d group %d (live %v): task %d of width %d ran %d times\n%s",
+							round, gi, live, i, c.r[i], n, s.DumpState())
+					}
+				}
+				if n := c.g.Pending(); n != 0 {
+					t.Fatalf("round %d group %d: pending = %d after WaitErr", round, gi, n)
+				}
+			}
+			s.Wait()
+			if n := s.Pending(); n != 0 {
+				t.Fatalf("round %d: scheduler pending = %d after the drain\n%s", round, n, s.DumpState())
+			}
+			if adm := s.Admission(); adm.Injected != adm.Taken+adm.Revoked {
+				t.Fatalf("round %d: admission does not reconcile: %s", round, adm)
+			}
+		}
+		adm, st := s.Admission(), inj.Stats()
+		t.Logf("groups: %d canceled / %d completed; %s; faults: stalls=%d park-stalls=%d team-park-stalls=%d take-delays=%d admit-delays=%d cancels=%d",
+			canceled, completed, adm,
+			st.Injected[core.FaultWorkerLoop], st.Injected[core.FaultPark], st.Injected[core.FaultTeamPark],
+			st.Injected[core.FaultInjectTake], st.Injected[core.FaultAdmit], st.Cancels)
+		if canceled == 0 || adm.Revoked == 0 {
+			t.Fatal("the storm never landed: no cancellation or no revocation")
+		}
+	})
+}
+
+// spin busy-waits for roughly d without yielding the worker, standing in for
+// a small CPU-bound task body.
+func spin(d time.Duration) {
+	for t0 := time.Now(); time.Since(t0) < d; {
 	}
 }
 

@@ -138,7 +138,7 @@ func (w *worker) gather(lvl, target int) {
 		if nr, ok := r.Fix(); ok {
 			if w.cas(w, r, nr, trace.EvTeamFixed, w.id) {
 				// The gathering escalated the backoff round by round; the
-				// team's countdowns wait for members that are about to act.
+				// team's countdown waits for members that are about to act.
 				w.bo.Reset()
 				w.publishAndRun(lvl, target)
 				return
@@ -159,10 +159,10 @@ func (w *worker) gather(lvl, target int) {
 
 // publishAndRun pops the bottom task of queue lvl and executes it with the
 // fixed team of the given size. The coordinator participates if its
-// team-local id lies below the task's width, waits until every member has
-// picked the execution up and every participant has finished, and only then
-// proceeds (so registration-word transitions never race with a running
-// team execution).
+// team-local id lies below the task's width, waits until every other worker
+// of the block has picked the execution up and, if it participates,
+// finished its share, and only then proceeds (so registration-word
+// transitions never race with a running team execution).
 func (w *worker) publishAndRun(lvl, target int) {
 	s := w.sched
 	n := w.queues[lvl].PopBottom()
@@ -185,8 +185,7 @@ func (w *worker) publishAndRun(lvl, target int) {
 		tid:      n.tid,
 	}
 	exec.barrier.Init(exec.width)
-	exec.started.Store(int32(target - 1))
-	exec.done.Store(int32(exec.width))
+	exec.pending.Store(int32(target - 1))
 	w.freeNode(n) // content copied into exec; recycle before running
 	w.lastGen = exec.gen
 	w.cur.Store(exec)
@@ -197,10 +196,10 @@ func (w *worker) publishAndRun(lvl, target int) {
 	if lid := topo.LocalID(w.id, w.id, target); lid < exec.width {
 		w.runTeamPart(exec, lid)
 	}
-	// Wait until all team members observed this execution (the countdown G
-	// of the paper) and all width participants finished running.
-	w.countdown(&exec.started)
-	w.countdown(&exec.done)
+	// The countdown G of the paper, extended to the end of each member's
+	// share: every other worker of the block ticks once, a participant when
+	// its share returns, a surplus member (Refinement 2) at pickup.
+	w.countdown(exec)
 	w.cur.Store(nil)
 	w.ev(trace.EvExecDone, w.id, target, exec.gen)
 	w.taskDone(exec.group)

@@ -10,14 +10,15 @@ import (
 // slotMarks is how DumpState marks a worker blocked on its wake slot.
 var slotMarks = [...]string{"", slotIdle: " PARKED", slotBarrier: " BARRIER", slotTeamWait: " TEAMWAIT"}
 
-// DumpState renders the live scheduler state for diagnostics (cmd/stress and
-// deadlock investigation in tests). It is racy by design: all fields are read
-// with atomics but the combined picture is approximate. The first thing to
-// read when the runtime makes no progress: parked=<n> on the first line and
-// the PARKED mark on a worker's line say who is blocked on its wake slot —
-// with tasks in flight and every worker parked, a wake-up was lost. BARRIER
-// and TEAMWAIT mark a worker blocked there inside a fixed team: in
-// Ctx.Barrier, or between a coordinator and its members (teamwait.go).
+// DumpState renders the live scheduler state for diagnostics (the failure
+// reports of the protocol fuzzers and deadlock investigation in tests). It
+// is racy by design: all fields are read with atomics but the combined
+// picture is approximate. The first thing to read when the runtime makes no
+// progress: parked=<n> on the first line and the PARKED mark on a worker's
+// line say who is blocked on its wake slot — with tasks in flight and every
+// worker parked, a wake-up was lost. BARRIER and TEAMWAIT mark a worker
+// blocked there inside a fixed team: in Ctx.Barrier, or between a
+// coordinator and its members (teamwait.go).
 func (s *Scheduler) DumpState() string {
 	var b strings.Builder
 	injected, sources := func() (int64, int) {
@@ -47,8 +48,8 @@ func (s *Scheduler) DumpState() string {
 		b.WriteString("]")
 		b.WriteString(slotMarks[w.slot.Tag()])
 		if cur != nil {
-			fmt.Fprintf(&b, " exec{size:%d width:%d gen:%d started:%d done:%d}",
-				cur.teamSize, cur.width, cur.gen, cur.started.Load(), cur.done.Load())
+			fmt.Fprintf(&b, " exec{size:%d width:%d gen:%d pending:%d}",
+				cur.teamSize, cur.width, cur.gen, cur.pending.Load())
 		}
 		b.WriteByte('\n')
 	}

@@ -35,10 +35,6 @@ import (
 type Group struct {
 	s *Scheduler
 
-	// name labels the group in the metrics registry (NewNamedGroup);
-	// anonymous groups leave it empty and are invisible to metrics.
-	name string
-
 	// gid is a small scheduler-unique id labeling the group's trace events,
 	// so the Chrome export can render each group as its own async span.
 	gid uint64
@@ -81,23 +77,6 @@ type Group struct {
 func (s *Scheduler) NewGroup() *Group {
 	return &Group{s: s, gid: s.groupSeq.Add(1)}
 }
-
-// NewNamedGroup returns a fresh task group labeled name and registers it
-// with the scheduler's metrics surface: the per-group gauge families of
-// Metrics (pending tasks, inject-queue depth) emit one series per distinct
-// name, summing groups that share a name. Named groups are meant for
-// long-lived clients — the scheduler keeps a reference for the lifetime of
-// the scheduler, so do not create unbounded numbers of them.
-func (s *Scheduler) NewNamedGroup(name string) *Group {
-	g := &Group{s: s, name: name, gid: s.groupSeq.Add(1)}
-	s.groupsMu.Lock()
-	s.namedGroups = append(s.namedGroups, g)
-	s.groupsMu.Unlock()
-	return g
-}
-
-// Name returns the label given at NewNamedGroup ("" for anonymous groups).
-func (g *Group) Name() string { return g.name }
 
 // Scheduler returns the scheduler the group spawns into.
 func (g *Group) Scheduler() *Scheduler { return g.s }

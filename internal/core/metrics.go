@@ -129,15 +129,6 @@ func (s *Scheduler) RegisterMetrics(reg *stats.Registry) {
 		"High-water mark of pending injected tasks.",
 		nil, func() float64 { return float64(s.admit.PeakPending.Load()) })
 
-	reg.GaugeDynamic("repro_group_pending_tasks",
-		"In-flight tasks of each named group (groups sharing a name are summed).",
-		func(emit func([]stats.Label, float64)) {
-			s.groupsMu.Lock()
-			defer s.groupsMu.Unlock()
-			for _, g := range s.namedGroups {
-				emit([]stats.Label{{Name: "group", Value: g.name}}, float64(g.inflight.Load()))
-			}
-		})
 	// Scrape-time rate support: every *_total family above is a monotone
 	// counter, and this uptime counter is the matching time base. A scraper
 	// without PromQL computes a rate as (counter₂ − counter₁) /
@@ -166,24 +157,11 @@ func (s *Scheduler) RegisterMetrics(reg *stats.Registry) {
 	reg.CounterFunc("repro_trace_dropped_events_total",
 		"Execution-trace events lost to ring overflow.",
 		nil, func() float64 { return float64(s.xt.DroppedTotal()) })
-
-	reg.GaugeDynamic("repro_group_inject_queue_depth",
-		"Admitted-but-not-started tasks of each named group's inject queue.",
-		func(emit func([]stats.Label, float64)) {
-			s.groupsMu.Lock()
-			defer s.groupsMu.Unlock()
-			s.admitMu.Lock()
-			defer s.admitMu.Unlock()
-			for _, g := range s.namedGroups {
-				emit([]stats.Label{{Name: "group", Value: g.name}}, float64(g.iq.pending()))
-			}
-		})
 }
 
 // Metrics returns the scheduler's metrics registry, built once on first
 // call. The registry renders the Prometheus text exposition format
-// (Render/WriteText/ServeHTTP); named groups created after this call still
-// appear — their gauge families are collected at scrape time.
+// (Render/WriteText/ServeHTTP).
 func (s *Scheduler) Metrics() *stats.Registry {
 	s.metricsOnce.Do(func() {
 		reg := stats.NewRegistry()

@@ -50,57 +50,6 @@ func TestMetricsTwoRegistries(t *testing.T) {
 	}
 }
 
-// TestNamedGroupGauges drives the per-group dynamic gauge families on a
-// built-but-unstarted scheduler, where admitted-but-not-taken state holds
-// still: a named group's pending task and inject-queue depth are visible
-// per name, groups sharing a name are summed, and draining the work takes
-// the gauges back to zero.
-func TestNamedGroupGauges(t *testing.T) {
-	s := stopped(2)
-	w := s.workers[0]
-	alpha := s.NewNamedGroup("alpha")
-	alpha2 := s.NewNamedGroup("alpha")
-	beta := s.NewNamedGroup("beta")
-	alpha.Spawn(Solo(func(*Ctx) {}))
-	alpha2.Spawn(Solo(func(*Ctx) {}))
-	beta.Spawn(Solo(func(*Ctx) {}))
-
-	vals := s.Metrics().Values()
-	if got := vals[`repro_group_pending_tasks{group="alpha"}`]; got != 2 {
-		t.Fatalf(`pending_tasks{group="alpha"} = %v, want 2 (two groups summed)`, got)
-	}
-	if got := vals[`repro_group_pending_tasks{group="beta"}`]; got != 1 {
-		t.Fatalf(`pending_tasks{group="beta"} = %v, want 1`, got)
-	}
-	if got := vals[`repro_group_inject_queue_depth{group="alpha"}`]; got != 2 {
-		t.Fatalf(`inject_queue_depth{group="alpha"} = %v, want 2`, got)
-	}
-	if got := vals["repro_sched_inject_queue_depth"]; got != 3 {
-		t.Fatalf("global inject_queue_depth = %v, want 3", got)
-	}
-
-	for i := 0; i < 3; i++ {
-		if !s.takeInjected(w) {
-			t.Fatalf("takeInjected %d found no work", i)
-		}
-		w.runSolo(w.queues[0].PopBottom())
-	}
-	vals = s.Metrics().Values()
-	for _, key := range []string{
-		`repro_group_pending_tasks{group="alpha"}`,
-		`repro_group_pending_tasks{group="beta"}`,
-		`repro_group_inject_queue_depth{group="alpha"}`,
-		`repro_group_inject_queue_depth{group="beta"}`,
-	} {
-		if got := vals[key]; got != 0 {
-			t.Fatalf("%s = %v after drain, want 0", key, got)
-		}
-	}
-	if alpha.Name() != "alpha" || beta.Name() != "beta" {
-		t.Fatalf("Name() = %q/%q", alpha.Name(), beta.Name())
-	}
-}
-
 // TestFreelistGauge checks the per-worker free-list occupancy series: after
 // a worker completes a task its node parks on the free list, and once the
 // worker runs out of work (idleWait publishes the freeLen mirror, off the
@@ -125,14 +74,12 @@ func TestFreelistGauge(t *testing.T) {
 // scheduler panics mid-scrape.
 func TestMetricsExposition(t *testing.T) {
 	s := newTest(t, Options{P: 2})
-	s.NewNamedGroup("svc")
 	s.Run(Solo(func(*Ctx) {}))
 	out := s.Metrics().Render()
 	for _, want := range []string{
 		"# TYPE repro_sched_tasks_total counter",
 		"# TYPE repro_sched_inflight_tasks gauge",
 		"# HELP repro_admission_injected_total ",
-		`repro_group_pending_tasks{group="svc"} 0`,
 		`repro_sched_freelist_nodes{worker="1"}`,
 		"# TYPE repro_sched_parks_total counter",
 		`repro_sched_wakeups_total{source="inject"}`,

@@ -471,8 +471,8 @@ func TestWBQuiesceReleaseReportsWaiter(t *testing.T) {
 }
 
 // TestWBCoordinatorBackoffResetAtTeamFix: gather escalates the coordinator's
-// backoff round by round; fixing the team resets it, so the countdowns that
-// follow wait for members that act within microseconds starting from a spin,
+// backoff round by round; fixing the team resets it, so the countdown that
+// follows waits for members that act within microseconds starting from a spin,
 // not from the sleep the gathering had reached.
 func TestWBCoordinatorBackoffResetAtTeamFix(t *testing.T) {
 	s := stopped(2)
@@ -512,6 +512,6 @@ func TestWBCoordinatorBackoffResetAtTeamFix(t *testing.T) {
 		t.Fatalf("coordinator entered the team execution at backoff level %d, want 0", atRun)
 	}
 	if got := coord.bo.Attempts(); got != 0 {
-		t.Fatalf("coordinator left the countdowns at backoff level %d, want 0", got)
+		t.Fatalf("coordinator left the countdown at backoff level %d, want 0", got)
 	}
 }

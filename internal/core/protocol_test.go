@@ -10,53 +10,57 @@ import (
 	"repro/internal/topo"
 )
 
-// TestFuzzMixedWorkload is the in-suite version of cmd/stress: randomized
-// mixed-size task trees across several scheduler configurations, checking
-// the central execution invariants.
-func TestFuzzMixedWorkload(t *testing.T) {
-	configs := []Options{
-		{P: 4},
-		{P: 8},
-		{P: 8, Randomized: true, Seed: 3},
-		{P: 8, DisableTeamReuse: true},
-		{P: 3},
-		{P: 6},
-		{P: 5, Randomized: true, Seed: 9},
-		{P: 12},
-	}
-	for _, opts := range configs {
-		opts := opts
-		t.Run("", func(t *testing.T) {
-			t.Parallel()
-			s := newTest(t, opts)
-			rng := dist.NewRNG(opts.Seed + uint64(opts.P))
-			maxTeam := s.MaxTeam()
-			for round := 0; round < 10; round++ {
-				var execs, want, badLocal atomic.Int64
-				for i := 0; i < 60; i++ {
-					r := 1
-					switch rng.Intn(4) {
-					case 0, 1:
-						r = 1
-					case 2:
-						r = 1 << rng.Intn(topo.Log2Floor(maxTeam)+1)
-					case 3:
-						r = 1 + rng.Intn(maxTeam)
-					}
-					want.Add(int64(r))
-					s.Spawn(fuzzTask(r, rng.Intn(3), maxTeam, &execs, &badLocal, &want, rng.Next()))
+// FuzzMixedWorkload is the scheduler's protocol fuzzer: randomized
+// mixed-size task trees, spawned from inside team tasks down to depth two,
+// on a scheduler of P workers, checking Lemma 3's execution invariants —
+// every task runs exactly once per required thread, on a team of exactly
+// its width, with local ids in 0…r−1 — and that the scheduler quiesces.
+// The tree is a function of the seed alone, so a failing input replays the
+// same workload under a new interleaving. Soak it with
+//
+//	go test -run '^$' -fuzz FuzzMixedWorkload -fuzztime 10m ./internal/core
+func FuzzMixedWorkload(f *testing.F) {
+	f.Add(uint64(0), uint8(4), false, false)
+	f.Add(uint64(0), uint8(8), false, false)
+	f.Add(uint64(3), uint8(8), true, false)
+	f.Add(uint64(0), uint8(8), false, true)
+	f.Add(uint64(0), uint8(3), false, false)
+	f.Add(uint64(0), uint8(6), false, false)
+	f.Add(uint64(9), uint8(5), true, false)
+	f.Add(uint64(0), uint8(12), false, false)
+	f.Fuzz(func(t *testing.T, seed uint64, p uint8, randomized, noReuse bool) {
+		if p < 1 || p > 16 {
+			t.Skip("P outside 1…16")
+		}
+		t.Parallel()
+		s := newTest(t, Options{P: int(p), Randomized: randomized, DisableTeamReuse: noReuse, Seed: seed})
+		rng := dist.NewRNG(seed + uint64(p))
+		maxTeam := s.MaxTeam()
+		for round := 0; round < 10; round++ {
+			var execs, want, badLocal atomic.Int64
+			for i := 0; i < 60; i++ {
+				r := 1
+				switch rng.Intn(4) {
+				case 0, 1:
+					r = 1
+				case 2:
+					r = 1 << rng.Intn(topo.Log2Floor(maxTeam)+1)
+				case 3:
+					r = 1 + rng.Intn(maxTeam)
 				}
-				runWithDeadline(t, s, 30*time.Second, s.Wait)
-				if got := execs.Load(); got != want.Load() {
-					t.Fatalf("round %d: executions %d, want %d\n%s",
-						round, got, want.Load(), s.DumpState())
-				}
-				if b := badLocal.Load(); b != 0 {
-					t.Fatalf("round %d: %d bad local ids", round, b)
-				}
+				want.Add(int64(r))
+				s.Spawn(fuzzTask(r, rng.Intn(3), maxTeam, &execs, &badLocal, &want, rng.Next()))
 			}
-		})
-	}
+			runWithDeadline(t, s, 30*time.Second, s.Wait)
+			if got := execs.Load(); got != want.Load() {
+				t.Fatalf("round %d: executions %d, want %d\n%s",
+					round, got, want.Load(), s.DumpState())
+			}
+			if b := badLocal.Load(); b != 0 {
+				t.Fatalf("round %d: %d bad local ids", round, b)
+			}
+		}
+	})
 }
 
 func fuzzTask(r, depth, maxTeam int, execs, badLocal, want *atomic.Int64, seed uint64) Task {

@@ -36,15 +36,6 @@ type Options struct {
 	// across all sources — the scheduler-wide backpressure knob for a flood
 	// of concurrent clients. 0 means unbounded.
 	MaxInject int
-	// Trace starts the scheduler with execution tracing already enabled —
-	// equivalent to calling StartTrace before any task is submitted (see
-	// internal/trace). Off by default; a disabled tracer costs one predicted
-	// branch per event site.
-	Trace bool
-	// TraceEvents overrides the per-worker trace ring capacity (events,
-	// rounded up to a power of two). 0 selects the default (8192). Rings
-	// are allocated lazily on the first StartTrace.
-	TraceEvents int
 	// Fault, when non-nil, is invoked at the scheduler's fault points (see
 	// FaultPoint) with the executing worker's id, or −1 on client
 	// goroutines — the fault-injection hook behind internal/chaos. The hook
@@ -153,11 +144,6 @@ type Scheduler struct {
 	ringLen      int        // non-empty sources in the ring (diagnostics)
 	admit        stats.Admission
 
-	// Named groups (NewNamedGroup), tracked for the per-group metrics
-	// gauges; anonymous groups are not tracked.
-	groupsMu    sync.Mutex
-	namedGroups []*Group
-
 	// Metrics registry, built once on first use (see metrics.go).
 	metricsOnce sync.Once
 	metricsReg  *stats.Registry
@@ -198,14 +184,11 @@ func build(opts Options) *Scheduler {
 	for i := range s.workers {
 		s.workers[i] = newWorker(s, i)
 	}
-	s.xt = trace.New(traceNames(opts.P), opts.TraceEvents)
+	s.xt = trace.New(traceNames(opts.P), trace.DefaultRingEvents)
 	s.admitWait = stats.NewHistogram(opts.P)
 	s.profiler = trace.NewSampler(opts.P, func(i int) trace.State {
 		return trace.State(s.workers[i].state.Load())
 	})
-	if opts.Trace {
-		s.xt.Start()
-	}
 	return s
 }
 

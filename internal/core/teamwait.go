@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"repro/internal/backoff"
 	"repro/internal/topo"
 )
@@ -54,29 +52,30 @@ func (w *worker) barrier(exec *teamExec) {
 	}
 }
 
-// countdown waits for one of a team execution's counters to reach zero (or
-// for shutdown) and leaves a fresh backoff behind, as gather does when it
+// countdown is the coordinator's wait for exec's countdown to reach zero (or
+// for shutdown); it leaves a fresh backoff behind, as gather does when it
 // fixes the team. The tick that reaches zero wakes it.
-func (w *worker) countdown(c *atomic.Int32) {
+func (w *worker) countdown(exec *teamExec) {
 	s := w.sched
-	for c.Load() > 0 && !s.done.Load() {
+	for exec.pending.Load() > 0 && !s.done.Load() {
 		if !w.bo.Pause() {
 			w.teamPark(slotTeamWait)
-			w.teamSleep(slotTeamWait, c.Load() <= 0 || s.done.Load(), s.doneCh)
+			w.teamSleep(slotTeamWait, exec.pending.Load() <= 0 || s.done.Load(), s.doneCh)
 		}
 	}
 	w.bo.Reset()
 }
 
-// tick takes one off a countdown of exec — a pickup in memberStep, a finished
-// share in runTeamPart — and at zero wakes the coordinator waiting for it.
-// The member's stats are flushed first: the coordinator's taskDone that
-// follows the countdown publishes only its own.
+// tick is a member's one take-off from exec's countdown, in memberStep once
+// it is done with the execution: after its share, or at pickup if it is a
+// surplus member. At zero it wakes the coordinator. The member's stats are
+// flushed first: the coordinator's taskDone that follows the countdown
+// publishes only its own.
 //
-//repro:noalloc twice per member per team task
-func (w *worker) tick(exec *teamExec, c *atomic.Int32) {
+//repro:noalloc once per member per team task
+func (w *worker) tick(exec *teamExec) {
 	w.flushStats()
-	if c.Add(-1) == 0 && exec.coordID != w.id {
+	if exec.pending.Add(-1) == 0 {
 		w.sched.wake(w.sched.workers[exec.coordID], wakeTeamWait, w)
 	}
 }

@@ -90,52 +90,89 @@ func TestMemberWokenByPublish(t *testing.T) {
 }
 
 // TestCountdownWokenByPickupAndLastParticipant: the coordinator parks in
-// countdown(started) until the member's pickup wakes it, then in
-// countdown(done) until the member's share of the task ends.
+// countdown until every other worker of the block is done with the
+// execution, and the last one wakes it — a participant when its share
+// returns, a surplus member (Refinement 2) at pickup. A participant's pickup
+// wakes nobody.
 func TestCountdownWokenByPickupAndLastParticipant(t *testing.T) {
-	holdPickup, holdPart := make(chan struct{}), make(chan struct{})
-	var mid atomic.Int32
-	mid.Store(-1)
-	var s *Scheduler
-	s = build(Options{P: 2, Fault: func(p FaultPoint, id int) {
-		// Stall the member between its registration and its pickup.
-		if p == FaultWorkerLoop && id == int(mid.Load()) && s.workers[id].coordp().id != id {
-			<-holdPickup
-		}
-	}})
-	topo.EnsureGOMAXPROCS(2)
-	s.start()
-	t.Cleanup(s.Shutdown)
-
-	g := s.NewGroup()
-	g.Spawn(Solo(func(ctx *Ctx) {
-		mid.Store(int32(1 - ctx.WorkerID()))
-		ctx.Spawn(Func(2, func(ctx *Ctx) {
-			if ctx.WorkerID() == int(mid.Load()) {
-				<-holdPart
+	t.Run("participant", func(t *testing.T) {
+		holdPickup, holdPart, inPart := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		var mid atomic.Int32
+		mid.Store(-1)
+		var s *Scheduler
+		s = build(Options{P: 2, Fault: func(p FaultPoint, id int) {
+			// Stall the member between its registration and its pickup.
+			if p == FaultWorkerLoop && id == int(mid.Load()) && s.workers[id].coordp().id != id {
+				<-holdPickup
 			}
+		}})
+		topo.EnsureGOMAXPROCS(2)
+		s.start()
+		t.Cleanup(s.Shutdown)
+
+		g := s.NewGroup()
+		g.Spawn(Solo(func(ctx *Ctx) {
+			mid.Store(int32(1 - ctx.WorkerID()))
+			ctx.Spawn(Func(2, func(ctx *Ctx) {
+				if ctx.WorkerID() == int(mid.Load()) {
+					close(inPart)
+					<-holdPart
+				}
+			}))
 		}))
-	}))
-	waitFor(t, s, "root task ran", func() bool { return mid.Load() >= 0 })
-	coord := s.workers[1-mid.Load()]
+		waitFor(t, s, "root task ran", func() bool { return mid.Load() >= 0 })
+		coord := s.workers[1-mid.Load()]
 
-	waitTag(t, s, coord, slotTeamWait) // countdown(started)
-	if got := coord.cur.Load().started.Load(); got != 1 {
-		t.Fatalf("coordinator parked with started = %d, want 1", got)
-	}
-	base := wakesBy(s, wakeTeamWait)
-	close(holdPickup)
-	waitFor(t, s, "pickup woke the coordinator", func() bool { return wakesBy(s, wakeTeamWait) == base+1 })
-
-	waitTag(t, s, coord, slotTeamWait) // countdown(done)
-	if exec := coord.cur.Load(); exec.started.Load() != 0 || exec.done.Load() != 1 {
-		t.Fatalf("coordinator parked with started = %d done = %d, want 0 and 1", exec.started.Load(), exec.done.Load())
-	}
-	close(holdPart)
-	runWithDeadline(t, s, waitDeadline, g.Wait)
-	if got := wakesBy(s, wakeTeamWait); got < base+2 {
-		t.Fatalf("team-wait wake-ups = %d, want ≥ %d: the last participant did not wake the coordinator", got, base+2)
-	}
+		waitTag(t, s, coord, slotTeamWait)
+		exec := coord.cur.Load()
+		if got := exec.pending.Load(); got != 1 {
+			t.Fatalf("coordinator parked with pending = %d, want 1", got)
+		}
+		base := wakesBy(s, wakeTeamWait)
+		close(holdPickup)
+		runWithDeadline(t, s, waitDeadline, func() { <-inPart })
+		if coord.slot.Tag() != slotTeamWait || exec.pending.Load() != 1 || wakesBy(s, wakeTeamWait) != base {
+			t.Fatalf("the member's pickup disturbed the parked coordinator\n%s", s.DumpState())
+		}
+		close(holdPart)
+		runWithDeadline(t, s, waitDeadline, g.Wait)
+		if got := wakesBy(s, wakeTeamWait); got < base+1 {
+			t.Fatalf("team-wait wake-ups = %d, want ≥ %d: the last participant did not wake the coordinator", got, base+1)
+		}
+	})
+	t.Run("surplus member", func(t *testing.T) {
+		// A width-3 task on the fixed 4-team of coordinator 0, played by
+		// hand on an unstarted scheduler: workers 1 and 2 run their shares,
+		// worker 3 only picks up.
+		s := stopped(4)
+		coord := s.workers[0]
+		coord.regw.Store(reg.R{Req: 4, Acq: 4, Team: 4})
+		var ran atomic.Int32
+		exec := &teamExec{task: Func(3, func(*Ctx) { ran.Add(1) }), teamSize: 4, width: 3, coordID: 0, gen: s.nextGen()}
+		exec.pending.Store(3)
+		exec.barrier.Init(3)
+		coord.cur.Store(exec)
+		coord.slot.Arm(slotTeamWait) // the coordinator announced in countdown
+		for _, id := range []int{1, 2} {
+			s.workers[id].coord.Store(coord)
+			s.workers[id].memberStep()
+		}
+		if exec.pending.Load() != 1 || ran.Load() != 2 || coord.slot.Tag() != slotTeamWait || wakesBy(s, wakeTeamWait) != 0 {
+			t.Fatalf("after both shares: pending = %d, ran = %d, coordinator tag = %d, wake-ups = %d; want 1, 2, parked, 0",
+				exec.pending.Load(), ran.Load(), coord.slot.Tag(), wakesBy(s, wakeTeamWait))
+		}
+		surplus := s.workers[3]
+		surplus.coord.Store(coord)
+		surplus.memberStep()
+		if surplus.lastGen != exec.gen || ran.Load() != 2 {
+			t.Fatalf("surplus member: lastGen = %d (exec %d), ran = %d; want a pickup without a share", surplus.lastGen, exec.gen, ran.Load())
+		}
+		if exec.pending.Load() != 0 || coord.slot.Tag() != 0 || wakesBy(s, wakeTeamWait) != 1 {
+			t.Fatalf("after the surplus pickup: pending = %d, coordinator tag = %d, wake-ups = %d; want 0, claimed, 1",
+				exec.pending.Load(), coord.slot.Tag(), wakesBy(s, wakeTeamWait))
+		}
+		runWithDeadline(t, s, waitDeadline, func() { coord.slot.Sleep(nil) }) // the claim's token is there
+	})
 }
 
 // TestMemberWokenByTeamEndingTransition drives each owner-side transition of
@@ -394,7 +431,7 @@ func TestShutdownWithTeamParked(t *testing.T) {
 		}))
 		close(hold) // the coordinator ends the first task and publishes the second
 		waitTag(t, s, coord, slotBarrier)
-		if exec := coord.cur.Load(); exec == nil || exec.started.Load() != 1 {
+		if exec := coord.cur.Load(); exec == nil || exec.pending.Load() != 1 {
 			t.Fatalf("coordinator in the barrier with exec %+v, want one pickup outstanding", exec)
 		}
 		down := make(chan struct{})

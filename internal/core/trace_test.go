@@ -19,10 +19,11 @@ func TestTraceRecordZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	s := New(Options{P: 2, Trace: true})
+	s := New(Options{P: 2})
 	defer s.Shutdown()
+	s.StartTrace()
 	if !s.TraceActive() {
-		t.Fatal("Options.Trace did not enable the tracer")
+		t.Fatal("StartTrace did not enable the tracer")
 	}
 	const k = 64
 	ct := &benchCountdown{}
@@ -71,16 +72,19 @@ func (tt *traceTreeTask) Run(c *Ctx) {
 }
 
 // TestTraceStressWellFormed runs several clients' task trees with tracing
-// on while snapshots race the writers, then checks every surviving event is
-// well-formed and that each task's lifecycle is ordered (start at or before
-// done for the same task trace id). Finally the capture must export as
-// valid Chrome trace JSON.
+// on while snapshots race the writers — enough events to overflow the
+// default rings several times, so the writers overwrite slots the snapshots
+// are reading — then checks every surviving event is well-formed and that
+// each task's lifecycle is ordered (start at or before done for the same
+// task trace id). Finally the capture must export as valid Chrome trace
+// JSON.
 func TestTraceStressWellFormed(t *testing.T) {
-	s := newTest(t, Options{P: 4, Trace: true, TraceEvents: 1 << 10})
+	s := newTest(t, Options{P: 4})
+	s.StartTrace()
 	const (
 		clients = 4
 		roots   = 8
-		depth   = 4
+		depth   = 9
 	)
 	stopSnap := make(chan struct{})
 	var snapWG sync.WaitGroup
@@ -115,6 +119,9 @@ func TestTraceStressWellFormed(t *testing.T) {
 	perTree := int64(1<<(depth+1) - 1)
 	if want := int64(clients*roots) * perTree; done.Load() != want {
 		t.Fatalf("ran %d tasks, want %d", done.Load(), want)
+	}
+	if s.TraceDropped() == 0 {
+		t.Fatal("no ring overflowed: the snapshots never raced an overwrite")
 	}
 
 	snap := s.TraceSnapshot()
@@ -250,7 +257,8 @@ func TestProfilerCounts(t *testing.T) {
 
 // TestDumpStateTraceFields pins the debug dump's new per-worker columns.
 func TestDumpStateTraceFields(t *testing.T) {
-	s := newTest(t, Options{P: 2, Trace: true})
+	s := newTest(t, Options{P: 2})
+	s.StartTrace()
 	var done atomic.Int64
 	g := s.NewGroup()
 	g.Spawn(&traceTreeTask{depth: 3, done: &done})

@@ -172,8 +172,7 @@ func TestWBMemberStepPickup(t *testing.T) {
 	}
 	n := coord.queues[1].PopBottom()
 	exec := &teamExec{task: n.task, teamSize: 2, width: 2, coordID: 0, gen: s.nextGen()}
-	exec.started.Store(1)
-	exec.done.Store(2)
+	exec.pending.Store(1)
 	exec.barrier.Init(1) // member-side run only in this test
 	coord.cur.Store(exec)
 
@@ -181,8 +180,8 @@ func TestWBMemberStepPickup(t *testing.T) {
 	if !ran {
 		t.Fatal("member did not pick up the published execution")
 	}
-	if exec.started.Load() != 0 || exec.done.Load() != 1 {
-		t.Fatalf("countdowns: started=%d done=%d", exec.started.Load(), exec.done.Load())
+	if got := exec.pending.Load(); got != 0 {
+		t.Fatalf("countdown = %d after the member's step, want 0", got)
 	}
 	if !member.teamed || member.lastGen != exec.gen {
 		t.Fatal("member team state not updated")
@@ -370,7 +369,8 @@ func TestWBWorkVisibleMatchesStealRound(t *testing.T) {
 // TestWBEveryStealIsTraced pins that every steal, whichever thief makes it,
 // is counted and traced once: the steal inside TaskGroup.Wait too.
 func TestWBEveryStealIsTraced(t *testing.T) {
-	s := build(Options{P: 2, Trace: true})
+	s := build(Options{P: 2})
+	s.StartTrace()
 	for i := 0; i < 4; i++ {
 		s.workers[1].push(Solo(func(*Ctx) {}))
 	}
@@ -393,7 +393,8 @@ func TestWBEveryStealIsTraced(t *testing.T) {
 // records exactly one event whose X and Arg are the acquired count and the
 // packed word it wrote, and that a lost CAS records none.
 func TestWBEveryTransitionIsTraced(t *testing.T) {
-	s := build(Options{P: 4, Trace: true})
+	s := build(Options{P: 4})
+	s.StartTrace()
 	w := s.workers
 	regKinds := map[trace.Kind]bool{
 		trace.EvTeamFixed: true, trace.EvRegister: true, trace.EvDeregister: true, trace.EvShrink: true,

@@ -26,8 +26,7 @@ type teamExec struct {
 	coordID  int
 	gen      uint64          // scheduler-unique generation
 	tid      uint64          // trace id of the task's creating event (0 untraced)
-	started  atomic.Int32    // countdown: teamSize−1 member pickups
-	done     atomic.Int32    // countdown: width participants finishing Run
+	pending  atomic.Int32    // countdown: the teamSize−1 other workers of the block, one tick each
 	barrier  teamsync.Phaser // width participants; they park on their workers' slots
 }
 
@@ -319,7 +318,6 @@ func (w *worker) runTeamPart(exec *teamExec, lid int) {
 	if xt := w.sched.xt; xt.Enabled() {
 		xt.Record(w.id, trace.EvStart, exec.coordID, uint32(exec.width), exec.tid)
 	}
-	defer w.tick(exec, &exec.done)
 	exec.task.Run(ctx)
 	if xt := w.sched.xt; xt.Enabled() {
 		xt.Record(w.id, trace.EvDone, exec.coordID, uint32(exec.width), exec.tid)
@@ -362,10 +360,10 @@ func (w *worker) memberStep() {
 		w.teamed = true
 		lid := topo.LocalID(w.id, exec.coordID, exec.teamSize)
 		w.ev(trace.EvPickup, exec.coordID, lid, exec.gen)
-		w.tick(exec, &exec.started)
 		if lid < exec.width {
 			w.runTeamPart(exec, lid)
 		}
+		w.tick(exec)
 		w.bo.Reset()
 		return
 	}

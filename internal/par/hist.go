@@ -23,9 +23,6 @@ func NewHist(np, nb int) *Hist {
 	return h
 }
 
-// NumBuckets returns the bucket count nb.
-func (h *Hist) NumBuckets() int { return h.nb }
-
 // Histogram is a collective counting bucketOf(i) ∈ [0, nb) for every
 // i in [0, n): each member counts its static chunk (Chunk) into its private
 // row, and after the team barrier the buckets are merged team-parallel

@@ -18,20 +18,12 @@ func NewScanner[A any](np int, identity A, comb func(A, A) A) *Scanner[A] {
 	return &Scanner[A]{id: identity, comb: comb, sums: make([]slot[A], np)}
 }
 
-// Inclusive is a collective replacing data[i] with comb(data[0] … data[i])
-// in place and returning the total to every member. It is the two-phase
-// block scan: each member folds its static chunk (Chunk) into a block sum,
-// the block sums are scanned exclusively across the team barrier, and a
-// fixup pass rewrites each chunk seeded with its member's offset. A team
-// of size 1 runs the sequential oracle.
-//
-//repro:barrier delegates its barrier obligation to the annotated scan
-func (s *Scanner[A]) Inclusive(ctx *core.Ctx, data []A) A {
-	return s.scan(ctx, data, false)
-}
-
-// Exclusive is Inclusive's exclusive counterpart: data[i] becomes
-// comb(data[0] … data[i−1]) (identity for i = 0). Returns the total.
+// Exclusive is a collective replacing data[i] with comb(data[0] … data[i−1])
+// (identity for i = 0) in place and returning the total to every member.
+// It is the two-phase block scan: each member folds its static chunk (Chunk)
+// into a block sum, the block sums are scanned exclusively across the team
+// barrier, and a fixup pass rewrites each chunk seeded with its member's
+// offset. A team of size 1 runs the sequential oracle.
 //
 //repro:barrier delegates its barrier obligation to the annotated scan
 func (s *Scanner[A]) Exclusive(ctx *core.Ctx, data []A) A {
@@ -90,7 +82,7 @@ func (s *Scanner[A]) scan(ctx *core.Ctx, data []A, exclusive bool) A {
 	return total
 }
 
-// SeqScanInclusive is the sequential oracle of Inclusive: an in-place
+// SeqScanInclusive is the sequential oracle of ScanInclusive: an in-place
 // running fold; returns the total.
 func SeqScanInclusive[A any](identity A, comb func(A, A) A, data []A) A {
 	run := identity

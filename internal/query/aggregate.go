@@ -37,9 +37,6 @@ func NewAggregator[T, A any](np, nb int, identity A, lift func(A, T) A, comb fun
 	}
 }
 
-// NumBuckets returns the bucket count nb.
-func (a *Aggregator[T, A]) NumBuckets() int { return a.nb }
-
 // Aggregate is a collective computing, for every bucket b ∈ [0, nb), the
 // fold of lift over the elements of src with key(v) = b: each member folds
 // its static chunk into its private row, and after the team barrier the

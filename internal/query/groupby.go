@@ -34,9 +34,6 @@ func NewGrouper[T any](np, nb int) *Grouper[T] {
 	}
 }
 
-// NumBuckets returns the bucket count nb.
-func (g *Grouper[T]) NumBuckets() int { return g.nb }
-
 // GroupBy is a collective reordering src into grouped so that the elements
 // of every key bucket are contiguous: bucket b occupies
 // grouped[starts[b]:starts[b+1]] of the returned offsets (len nb+1,

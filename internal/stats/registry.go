@@ -10,10 +10,9 @@ import (
 	"sync"
 )
 
-// Registry collects named metrics — func-backed counters and gauges,
-// Histograms, and dynamic gauge families — and renders them in the
-// Prometheus text exposition format (version 0.0.4), with no external
-// dependencies. Metrics are read at scrape time: registering a counter
+// Registry collects named metrics — func-backed counters and gauges, and
+// Histograms — and renders them in the Prometheus text exposition format
+// (version 0.0.4), with no external dependencies. Metrics are read at scrape time: registering a counter
 // means handing the registry a closure over the live atomic it reports, so
 // registration adds nothing to any hot path.
 //
@@ -42,11 +41,6 @@ type series struct {
 type family struct {
 	name, help, kind string
 	series           []*series
-	// collect, when set, makes this a dynamic family: the callback emits
-	// (labels, value) samples at scrape time, for label sets that are not
-	// known at registration (e.g. named groups created later). Samples with
-	// identical label sets are summed.
-	collect func(emit func(labels []Label, v float64))
 }
 
 // NewRegistry returns an empty registry.
@@ -72,21 +66,12 @@ func (r *Registry) Histogram(name, help string, labels []Label, h *Histogram) {
 	r.register(name, help, "histogram", &series{labels: labels, hist: h})
 }
 
-// GaugeDynamic registers a gauge family whose series are produced by
-// collect at scrape time — for label sets that do not exist yet at
-// registration, like per-group gauges of groups a client has yet to
-// create. Samples emitted with identical label sets are summed.
-func (r *Registry) GaugeDynamic(name, help string, collect func(emit func(labels []Label, v float64))) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.family(name, help, "gauge")
-	if f.collect != nil || len(f.series) > 0 {
-		panic(fmt.Sprintf("stats: metric %q already registered", name))
-	}
-	f.collect = collect
-}
-
+// register adds s to the family name, creating the family on first use and
+// enforcing that a reused name keeps its kind and help.
 func (r *Registry) register(name, help, kind string, s *series) {
+	if !validMetricName(name) {
+		panic(fmt.Sprintf("stats: invalid metric name %q", name))
+	}
 	for _, l := range s.labels {
 		if !validLabelName(l.Name) {
 			panic(fmt.Sprintf("stats: invalid label name %q on metric %q", l.Name, name))
@@ -94,9 +79,13 @@ func (r *Registry) register(name, help, kind string, s *series) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.family(name, help, kind)
-	if f.collect != nil {
-		panic(fmt.Sprintf("stats: metric %q already registered as a dynamic family", name))
+	f, ok := r.byName[name]
+	if !ok {
+		f = &family{name: name, help: help, kind: kind}
+		r.byName[name] = f
+		r.fams = append(r.fams, f)
+	} else if f.kind != kind || f.help != help {
+		panic(fmt.Sprintf("stats: metric %q re-registered with different kind or help", name))
 	}
 	for _, o := range f.series {
 		if sameLabels(o.labels, s.labels) {
@@ -104,26 +93,6 @@ func (r *Registry) register(name, help, kind string, s *series) {
 		}
 	}
 	f.series = append(f.series, s)
-}
-
-// family returns the family registered under name, creating it on first
-// use and enforcing that a reused name keeps its kind and help. Caller
-// holds r.mu.
-func (r *Registry) family(name, help, kind string) *family {
-	if !validMetricName(name) {
-		panic(fmt.Sprintf("stats: invalid metric name %q", name))
-	}
-	f, ok := r.byName[name]
-	if !ok {
-		f = &family{name: name, help: help, kind: kind}
-		r.byName[name] = f
-		r.fams = append(r.fams, f)
-		return f
-	}
-	if f.kind != kind || f.help != help {
-		panic(fmt.Sprintf("stats: metric %q re-registered with different kind or help", name))
-	}
-	return f
 }
 
 // WriteText renders the registry in the Prometheus text exposition format.
@@ -134,12 +103,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for _, f := range r.fams {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		if f.collect != nil {
-			for _, s := range collectSamples(f) {
-				writeSample(&b, f.name, s.labels, s.v)
-			}
-			continue
-		}
 		for _, s := range f.series {
 			if s.hist != nil {
 				writeHistogram(&b, f.name, s.labels, s.hist.Snapshot())
@@ -175,12 +138,6 @@ func (r *Registry) Values() map[string]float64 {
 	defer r.mu.Unlock()
 	out := map[string]float64{}
 	for _, f := range r.fams {
-		if f.collect != nil {
-			for _, s := range collectSamples(f) {
-				out[f.name+labelString(s.labels)] = s.v
-			}
-			continue
-		}
 		for _, s := range f.series {
 			ls := labelString(s.labels)
 			if s.hist == nil {
@@ -195,27 +152,6 @@ func (r *Registry) Values() map[string]float64 {
 			}
 		}
 	}
-	return out
-}
-
-type dynSample struct {
-	labels []Label
-	v      float64
-}
-
-// collectSamples runs a dynamic family's callback, summing samples with
-// identical label sets (several anonymous groups may share a name).
-func collectSamples(f *family) []dynSample {
-	var out []dynSample
-	f.collect(func(labels []Label, v float64) {
-		for i := range out {
-			if sameLabels(out[i].labels, labels) {
-				out[i].v += v
-				return
-			}
-		}
-		out = append(out, dynSample{labels: labels, v: v})
-	})
 	return out
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // goldenRegistry builds a registry with fully deterministic values: static
-// closures, one single-shard histogram, and a dynamic family exercising
-// label escaping and same-label summing.
+// closures, one single-shard histogram, and a label value that needs
+// escaping.
 func goldenRegistry() *Registry {
 	r := NewRegistry()
 	r.CounterFunc("test_requests_total", "Requests served.", nil, func() float64 { return 42 })
@@ -22,18 +22,14 @@ func goldenRegistry() *Registry {
 	h.ObserveN(0, 2.5, 2)
 	h.Observe(0, 100)
 	r.Histogram("test_latency_seconds", "Sort latency.", nil, h)
-	r.GaugeDynamic("test_group_pending", "Pending per group.", func(emit func([]Label, float64)) {
-		emit([]Label{{"group", `a"b\c`}}, 1)
-		emit([]Label{{"group", "plain"}}, 2)
-		emit([]Label{{"group", "plain"}}, 3) // same labels: summed
-	})
+	r.GaugeFunc("test_group_pending", "Pending per group.", []Label{{"group", `a"b\c`}}, func() float64 { return 1 })
 	return r
 }
 
 // goldenExposition pins the exact rendered text: registration order, HELP
 // and TYPE lines, cumulative le-buckets over the full fixed boundary table,
-// label escaping, and dynamic-sample summing. Any change to the exposition
-// format shows up as a diff here.
+// and label escaping. Any change to the exposition format shows up as a diff
+// here.
 const goldenExposition = `# HELP test_requests_total Requests served.
 # TYPE test_requests_total counter
 test_requests_total 42
@@ -76,7 +72,6 @@ test_latency_seconds_count 5
 # HELP test_group_pending Pending per group.
 # TYPE test_group_pending gauge
 test_group_pending{group="a\"b\\c"} 1
-test_group_pending{group="plain"} 5
 `
 
 func TestRegistryGolden(t *testing.T) {
@@ -208,7 +203,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	vals := r.Values()
 	if vals["test_requests_total"] != 42 ||
 		vals[`test_queue_depth{queue="inject"}`] != 3 ||
-		vals[`test_group_pending{group="plain"}`] != 5 {
+		vals[`test_group_pending{group="a\"b\\c"}`] != 1 {
 		t.Fatalf("Values mismatch: %v", vals)
 	}
 	if vals["test_latency_seconds_count"] != count || vals["test_latency_seconds_sum"] != sum {
@@ -223,9 +218,9 @@ func TestExpositionRoundTrip(t *testing.T) {
 }
 
 // TestRegistryRegistrationPanics pins the programmer-error surface:
-// duplicate series, kind/help drift on a reused name, invalid metric and
-// label names, and static/dynamic family collisions all panic loudly at
-// registration instead of corrupting the exposition.
+// duplicate series, kind/help drift on a reused name, and invalid metric and
+// label names all panic loudly at registration instead of corrupting the
+// exposition.
 func TestRegistryRegistrationPanics(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -252,12 +247,5 @@ func TestRegistryRegistrationPanics(t *testing.T) {
 	})
 	mustPanic("invalid label name", func() {
 		r.CounterFunc("b_total", "B.", []Label{{"0x", "y"}}, func() float64 { return 0 })
-	})
-	r.GaugeDynamic("dyn", "D.", func(emit func([]Label, float64)) {})
-	mustPanic("static series on dynamic family", func() {
-		r.GaugeFunc("dyn", "D.", nil, func() float64 { return 0 })
-	})
-	mustPanic("dynamic on existing family", func() {
-		r.GaugeDynamic("a_total", "A.", func(emit func([]Label, float64)) {})
 	})
 }

@@ -2,8 +2,8 @@
 //
 // The counters serve three purposes: (1) assertions in integration tests
 // (e.g. "every task ran exactly once", "teams were actually formed"),
-// (2) ablation experiments over scheduler variants, and (3) the cmd/stress
-// diagnostic output. Counters are owned by one worker but may be read
+// (2) ablation experiments over scheduler variants, and (3) the scheduler's
+// metrics registry. Counters are owned by one worker but may be read
 // concurrently, so all fields are atomic. The per-worker structs are padded
 // to a cache line to avoid false sharing between adjacent workers.
 package stats

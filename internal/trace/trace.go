@@ -11,7 +11,10 @@
 // breakdown with zero cost on the scheduler's task paths.
 package trace
 
-import "time"
+import (
+	"strconv"
+	"time"
+)
 
 // Kind identifies one event type. The low task-lifecycle kinds are the hot
 // ones (recorded per task); the registration-protocol kinds at the tail are
@@ -79,7 +82,7 @@ func (k Kind) String() string {
 	if k < NumKinds {
 		return kindNames[k]
 	}
-	return "kind-" + itoa(int(k))
+	return "kind-" + strconv.Itoa(int(k))
 }
 
 // State is a worker's coarse activity state, published by the worker with a
@@ -110,7 +113,7 @@ func (s State) String() string {
 	if s < NumStates {
 		return StateNames[s]
 	}
-	return "state-" + itoa(int(s))
+	return "state-" + strconv.Itoa(int(s))
 }
 
 // Event is one decoded trace event.
@@ -141,19 +144,3 @@ var base = time.Now()
 // Now returns monotonic nanoseconds since process start. It reads the
 // monotonic clock and allocates nothing.
 func Now() int64 { return int64(time.Since(base)) }
-
-// itoa is a tiny strconv.Itoa for the String methods, avoiding the strconv
-// import in the package core depends on from its hot path.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}

@@ -196,8 +196,8 @@ func (r *Runtime[T]) borrow(n int, held *loans[T]) []T {
 }
 
 // Metrics returns the Runtime's metrics registry: the underlying
-// scheduler's full metric surface (worker counters, admission, free lists,
-// named groups) plus the Runtime's own per-algorithm families —
+// scheduler's full metric surface (worker counters, admission, free lists)
+// plus the Runtime's own per-algorithm families —
 // repro_sort_latency_seconds{algo=...} end-to-end latency histograms,
 // repro_sorts_total{algo=...} request counters, and
 // repro_group_pending_sorts{group=...} in-flight gauges (one quiescence

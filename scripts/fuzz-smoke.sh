@@ -16,10 +16,15 @@ failures=0
 fuzzRegex='^func[[:space:]]+Fuzz[A-Za-z0-9_]+'
 missing=()
 
-# internal/core carries FuzzGroup (per-group quiescence), FuzzAdmission
-# (bounded inject queues: fairness + bound invariants under random floods)
-# and FuzzCancel (random spawn/cancel/deadline/reset schedules: WaitErr
-# agrees with the canceled state, inflight reconciles, counters balance);
+# internal/core carries FuzzMixedWorkload (the protocol fuzzer: random
+# mixed-width task trees on P workers, every task run exactly once per
+# required thread with local ids 0…r−1), FuzzGroup (per-group quiescence),
+# FuzzAdmission (bounded inject queues: fairness + bound invariants under
+# random floods) and FuzzCancel (random spawn/cancel/deadline/reset
+# schedules: WaitErr agrees with the canceled state, inflight reconciles,
+# counters balance); internal/chaos carries FuzzCancelStorm (team tasks
+# under fault injection and a cancel storm: every admitted task ran r times
+# or, in a canceled group, not at all; injected == taken + revoked);
 # internal/stats carries FuzzPercentile (nearest-rank vs brute-force oracle);
 # internal/query carries FuzzFilter/FuzzTopK/FuzzGroupBy/FuzzMergeJoin/FuzzPlan
 # (analytics operators and random plans vs their sequential oracles, Filter
@@ -37,7 +42,7 @@ missing=()
 # internal/deque carries FuzzDeque (a random owner push/pop schedule against
 # one to three concurrent PopTop or Steal thieves, across ring growth: every
 # element taken exactly once).
-fuzzDirs=(internal/core internal/deque internal/dist internal/par internal/qsort internal/query internal/ssort internal/stats internal/teamsync)
+fuzzDirs=(internal/chaos internal/core internal/deque internal/dist internal/par internal/qsort internal/query internal/ssort internal/stats internal/teamsync)
 
 for dir in "${fuzzDirs[@]}"; do
   if ! grep -rEn --include='*_test.go' "${fuzzRegex}" "${dir}" >/dev/null 2>&1; then
