@@ -152,10 +152,10 @@ func (s *Scheduler) enqueueLocked(g *Group, ns []*node) {
 // while the bounds leave no room, and returns the number of admitted nodes
 // plus the typed reason admission stopped early: ErrShutdown on a shut-down
 // scheduler, or g's cancellation cause once the group is canceled — a
-// parked spawner wakes on cancel/deadline (Group.cancel broadcasts) instead
-// of blocking forever. The not-yet-admitted remainder is dropped without
-// having been accounted. Batches larger than a bound are admitted in chunks
-// as room frees up.
+// parked spawner wakes on cancel/deadline (Group.cancelLocked broadcasts)
+// instead of blocking forever. The not-yet-admitted remainder is dropped
+// without having been accounted. Batches larger than a bound are admitted in
+// chunks as room frees up.
 func (s *Scheduler) admitBlocking(g *Group, ns []*node) (int, error) {
 	if f := s.opts.Fault; f != nil {
 		f(FaultAdmit, -1)
@@ -298,7 +298,7 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 		}
 		s.pendingInject.Add(-1)
 		g := n.group
-		// Under admitMu, so ordered with Group.cancel's epoch bump.
+		// Under admitMu, so ordered with Group.cancelLocked's epoch bump.
 		revoked := n.gepoch != g.epoch.Load()
 		if revoked {
 			s.admit.Revoked.Add(1)

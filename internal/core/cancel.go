@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/trace"
@@ -55,15 +54,16 @@ var (
 // needs its Wait to drain the tasks that had already started (they should
 // notice Ctx.Canceled and return early); Wait does not run new ones.
 func (g *Group) Cancel(cause error) bool {
-	return g.cancel(cause, trace.EvGroupCancel)
+	g.cancelMu.Lock()
+	defer g.cancelMu.Unlock()
+	return g.cancelLocked(cause, trace.EvGroupCancel)
 }
 
-func (g *Group) cancel(cause error, kind trace.Kind) bool {
+// cancelLocked is Cancel with cancelMu held, recording the cancel as kind.
+func (g *Group) cancelLocked(cause error, kind trace.Kind) bool {
 	if cause == nil {
 		cause = ErrCanceled
 	}
-	g.cancelMu.Lock()
-	defer g.cancelMu.Unlock()
 	if g.epoch.Load()&1 == 1 {
 		return false // already canceled; first cause wins
 	}
@@ -98,12 +98,14 @@ func (g *Group) cancel(cause error, kind trace.Kind) bool {
 // Deadline arms (or re-arms) the group's deadline: at t the group is
 // canceled with ErrDeadlineExceeded, exactly as if Cancel had been called.
 // A deadline already in the past cancels immediately. Arming a deadline on
-// a canceled group is a no-op; re-arming replaces the previous timer.
+// a canceled group is a no-op; re-arming replaces the previous timer. A
+// deadline belongs to the era it was armed in: one that fires after a Reset
+// is void.
 func (g *Group) Deadline(t time.Time) {
 	d := time.Until(t)
 	g.cancelMu.Lock()
+	defer g.cancelMu.Unlock()
 	if g.epoch.Load()&1 == 1 {
-		g.cancelMu.Unlock()
 		return
 	}
 	if g.timer != nil {
@@ -111,23 +113,31 @@ func (g *Group) Deadline(t time.Time) {
 		g.timer = nil
 	}
 	if d > 0 {
-		g.timer = time.AfterFunc(d, g.deadlineFire)
-		g.cancelMu.Unlock()
+		era := g.gid
+		g.timer = time.AfterFunc(d, func() { g.deadlineFire(era) })
 		return
 	}
-	g.cancelMu.Unlock()
-	g.deadlineFire()
+	g.cancelLocked(ErrDeadlineExceeded, trace.EvDeadlineFire)
 }
 
-func (g *Group) deadlineFire() {
-	g.cancel(ErrDeadlineExceeded, trace.EvDeadlineFire)
+// deadlineFire cancels the group if it is still in the era the deadline was
+// armed in. Reset stops the timer, but one that already fired may be blocked
+// on cancelMu meanwhile; the renewed gid tells it that its group moved on.
+func (g *Group) deadlineFire(era uint64) {
+	g.cancelMu.Lock()
+	defer g.cancelMu.Unlock()
+	if g.gid == era {
+		g.cancelLocked(ErrDeadlineExceeded, trace.EvDeadlineFire)
+	}
 }
 
 // BindContext ties the group's cancellation to ctx: when ctx is canceled or
 // its deadline passes, the group is canceled with ErrCanceled or
 // ErrDeadlineExceeded respectively. It returns a stop function releasing
 // the watcher goroutine; call it (idempotent) once the group's work is done.
-// A context that can never be canceled costs nothing.
+// Once stop has returned the watcher has exited, so no cancel from ctx
+// reaches the group any more — in particular none reaches its next era
+// after a Reset. A context that can never be canceled costs nothing.
 func (g *Group) BindContext(ctx context.Context) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
@@ -136,28 +146,36 @@ func (g *Group) BindContext(ctx context.Context) (stop func()) {
 		g.Cancel(bindCause(err))
 		return func() {}
 	}
-	stopCh := make(chan struct{})
-	var stopped atomic.Bool // authoritative: once stop returns, no cancel fires
-	go func() {
-		select {
-		case <-ctx.Done():
-			// Re-check the flag: when ctx.Done and stopCh are both ready the
-			// select picks arbitrarily, but a stop that returned before the
-			// context was canceled must win.
-			if !stopped.Load() {
-				g.Cancel(bindCause(ctx.Err()))
-			}
-		case <-stopCh:
-		case <-g.s.doneCh:
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			stopped.Store(true)
-			close(stopCh)
-		})
+	b := &binding{g: g, ctx: ctx, stopCh: make(chan struct{})}
+	b.exited.Add(1)
+	go b.watch()
+	return b.stop
+}
+
+// binding is one BindContext watcher's state, in one allocation.
+type binding struct {
+	g      *Group
+	ctx    context.Context
+	stopCh chan struct{}
+	once   sync.Once
+	exited sync.WaitGroup
+}
+
+func (b *binding) watch() {
+	defer b.exited.Done()
+	select {
+	case <-b.ctx.Done():
+		b.g.Cancel(bindCause(b.ctx.Err()))
+	case <-b.stopCh:
+	case <-b.g.s.doneCh:
 	}
+}
+
+// stop releases the watcher and returns once it has exited: a watcher that
+// saw ctx.Done has finished its cancel by then.
+func (b *binding) stop() {
+	b.once.Do(func() { close(b.stopCh) })
+	b.exited.Wait()
 }
 
 func bindCause(err error) error {
@@ -199,12 +217,16 @@ func (g *Group) WaitErr() error {
 	return nil
 }
 
-// Reset returns a canceled group to live so it can be reused for new work.
-// The caller must hold the group exclusively: quiescent (Wait returned) with
-// no concurrent spawns, waits, or cancels — the same single-client contract
-// that reusing a group after Wait already requires. Nodes stamped in the
-// canceled era are still revoked after Reset (the take-time comparison is
-// full epoch equality, so the bumped-live epoch does not resurrect them).
+// Reset starts a new era of the group: a canceled group returns to live so
+// it can be reused for new work, a pending Deadline is disarmed (one that
+// has already fired is void), and the group draws a fresh trace id, so the
+// Chrome export shows each era as its own span. The caller must hold the
+// group exclusively: quiescent (Wait returned) with no concurrent spawns,
+// waits, or cancels — the same single-client contract that reusing a group
+// after Wait already requires; a BindContext watcher must have been stopped.
+// Nodes stamped in the canceled era are still revoked after Reset (the
+// take-time comparison is full epoch equality, so the bumped-live epoch does
+// not resurrect them).
 func (g *Group) Reset() {
 	g.cancelMu.Lock()
 	if g.timer != nil {
@@ -217,6 +239,7 @@ func (g *Group) Reset() {
 		g.epoch.Add(1)
 		g.cause = nil
 	}
+	g.gid = g.s.groupSeq.Add(1)
 	g.cancelMu.Unlock()
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -235,6 +236,64 @@ func TestBindContext(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	if g5.Canceled() {
 		t.Fatal("stopped BindContext watcher still canceled the group")
+	}
+}
+
+// TestCancelNotAfterStop: BindContext's stop returns only once the watcher
+// has exited, so a context canceled concurrently with stop either cancels
+// the group before stop returns or not at all. A late cancel would land in
+// the group's next era — another client's request, once groups are pooled.
+// Each round cancels the context and stops the binding at once, then lets
+// the cancel and any straggling watcher run before checking that the
+// group's state did not move after stop returned.
+func TestCancelNotAfterStop(t *testing.T) {
+	s := newTest(t, Options{P: 1})
+	g := s.NewGroup()
+	for i := 0; i < 10000; i++ {
+		g.Reset()
+		ctx, cancel := context.WithCancel(context.Background())
+		stop := g.BindContext(ctx)
+		canceled := make(chan struct{})
+		go func() { cancel(); close(canceled) }()
+		stop()
+		was := g.Canceled()
+		<-canceled
+		runtime.Gosched()
+		if g.Canceled() != was {
+			t.Fatalf("round %d: the context canceled the group after stop returned", i)
+		}
+	}
+}
+
+// TestCancelDeadlineNotAfterReset: a deadline belongs to the era it was
+// armed in. Directly: a fire from the previous era is void. Through the
+// timer: a deadline that fires while cancelMu is held (here by the test, as
+// by a concurrent Cancel) blocks on it; if Reset gets the lock first, the
+// fire that follows must leave the new era live.
+func TestCancelDeadlineNotAfterReset(t *testing.T) {
+	s := newTest(t, Options{P: 1})
+	g := s.NewGroup()
+	era := g.gid
+	g.Reset()
+	g.deadlineFire(era)
+	if g.Canceled() {
+		t.Fatal("a deadline of the previous era canceled the reset group")
+	}
+	g.deadlineFire(g.gid)
+	if !errors.Is(g.Err(), ErrDeadlineExceeded) {
+		t.Fatalf("a deadline of the current era: Err = %v, want ErrDeadlineExceeded", g.Err())
+	}
+	for i := 0; i < 5; i++ {
+		g.Reset()
+		g.Deadline(time.Now().Add(time.Millisecond))
+		g.cancelMu.Lock()
+		time.Sleep(5 * time.Millisecond) // the timer fires and blocks on cancelMu
+		g.cancelMu.Unlock()
+		g.Reset()
+		time.Sleep(5 * time.Millisecond) // the fire gets the lock
+		if g.Canceled() {
+			t.Fatalf("round %d: a deadline armed before Reset canceled the reset group", i)
+		}
 	}
 }
 

@@ -28,15 +28,19 @@ import (
 // that may contain team tasks of any width, and its Wait (called from
 // outside the scheduler's workers) parks rather than helping.
 //
-// Groups are cheap (one counter and an inject queue) and single-use or
-// reusable at the caller's choice: after Wait returns, more tasks may be
-// spawned into the same group and waited for again. Methods are safe for
-// concurrent use.
+// Groups are cheap (one counter, a wait gate and an inject queue) and
+// single-use or reusable at the caller's choice: after Wait returns, more
+// tasks may be spawned into the same group and waited for again, and once
+// Reset it can serve an unrelated computation — a Runtime pools its
+// requests' groups that way, so a warmed request allocates none. Methods are
+// safe for concurrent use.
 type Group struct {
 	s *Scheduler
 
 	// gid is a small scheduler-unique id labeling the group's trace events,
 	// so the Chrome export can render each group as its own async span.
+	// Reset draws a fresh one, which also names the era a Deadline was armed
+	// in; it is written under cancelMu by the group's exclusive holder.
 	gid uint64
 
 	// inflight counts the group's admitted and detached (Ctx.Spawn) tasks
@@ -176,20 +180,14 @@ func (g *Group) TrySpawnBatch(ts []Task) (int, error) {
 // time, each releasing the in-flight count exactly once — use WaitErr to
 // learn how the group ended.
 func (g *Group) Wait() {
-	for {
-		if g.inflight.Load() == 0 || g.s.done.Load() {
-			return
-		}
-		ch := g.qz.gate()
-		if g.inflight.Load() == 0 || g.s.done.Load() {
-			return
-		}
-		select {
-		case <-ch:
-		case <-g.s.doneCh:
-		}
+	for !g.quiescent() {
+		g.qz.wait(g.quiescent)
 	}
 }
+
+// quiescent reports whether Wait may return: nothing in flight, or the
+// scheduler shut down (Shutdown wakes every busy group's waiters).
+func (g *Group) quiescent() bool { return g.inflight.Load() == 0 || g.s.done.Load() }
 
 // Run submits t into the group and waits for the group's quiescence. On a
 // fresh group this is exactly the old global Scheduler.Run semantics scoped

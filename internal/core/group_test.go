@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // TestWBGroupAccounting drives injection and execution by hand on an
@@ -320,5 +323,109 @@ func TestNilTaskIsTheEmptyComputation(t *testing.T) {
 	s.Shutdown()
 	if err := s.Run(nil); err != nil {
 		t.Fatalf("Run(nil) after Shutdown = %v, want nil", err)
+	}
+}
+
+// TestGroupReuseRace cycles four groups, one per client goroutine, through
+// Reset → Spawn(tree) → WaitErr with tracing on — the lifecycle of a pooled
+// Runtime request. The worker whose decrement drains a group races the
+// client's Reset of it: under -race a read of the group's era after the
+// decrement fails here, and in the trace every era (its own gid, drawn by
+// Reset) must be released exactly once. The rings overflow over the run, so
+// "exactly once" is checked for the eras admitted after every dropping
+// ring's oldest surviving event, and "at most once" for all.
+func TestGroupReuseRace(t *testing.T) {
+	s := newTest(t, Options{P: 4})
+	s.StartTrace()
+	const clients, cycles = 4, 2000
+	var ran atomic.Int64
+	leaf := Solo(func(*Ctx) { ran.Add(1) })
+	inner := Solo(func(c *Ctx) { ran.Add(1); c.Spawn(leaf) })
+	team := Func(2, func(c *Ctx) { ran.Add(1) })
+	gids := make([][]uint64, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := s.NewGroup()
+			for i := 0; i < cycles; i++ {
+				g.Reset()
+				gids[c] = append(gids[c], g.gid)
+				err := g.Spawn(Solo(func(ctx *Ctx) {
+					ran.Add(1)
+					ctx.Spawn(inner)
+					ctx.Spawn(leaf)
+					if i%8 == 0 {
+						ctx.Spawn(team)
+					}
+				}))
+				if err == nil {
+					err = g.WaitErr()
+				}
+				if err != nil {
+					t.Errorf("client %d cycle %d: %v", c, i, err)
+					return
+				}
+			}
+		}()
+	}
+	runWithDeadline(t, s, 60*time.Second, wg.Wait)
+	// A worker records a release after the decrement that lets WaitErr
+	// return; once every worker is parked, every release is recorded.
+	waitParked(t, s, s.P())
+	s.StopTrace()
+	if want := int64(clients * cycles * 4); ran.Load() < want {
+		t.Fatalf("%d tasks ran, want at least %d", ran.Load(), want)
+	}
+
+	snap := s.TraceSnapshot()
+	var from int64 // every ring holds all its events from here on
+	first := make([]int64, len(snap.Names))
+	for _, e := range snap.Events {
+		if first[e.Ring] == 0 {
+			first[e.Ring] = e.TS
+		}
+	}
+	for ri, d := range snap.Dropped {
+		if d > 0 {
+			from = max(from, first[ri])
+		}
+	}
+	admitted := map[uint32]int64{}
+	released := map[uint32]int{}
+	for _, e := range snap.Events {
+		switch e.Kind {
+		case trace.EvInjectEnqueue:
+			admitted[e.X] = e.TS
+		case trace.EvGroupDone:
+			released[e.X]++
+		}
+	}
+	checked := 0
+	for _, ids := range gids {
+		for _, id := range ids {
+			n := released[uint32(id)]
+			if n > 1 {
+				t.Fatalf("era %d released %d times", id, n)
+			}
+			if ts, ok := admitted[uint32(id)]; ok && ts > from {
+				if n != 1 {
+					t.Fatalf("era %d admitted inside the window released %d times, want 1", id, n)
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("only %d eras inside the complete part of the trace", checked)
+	}
+	t.Logf("%d of %d eras checked for exactly one release", checked, clients*cycles)
+	var buf bytes.Buffer
+	if err := s.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.ValidateChrome(buf.Bytes()); err != nil {
+		t.Fatalf("Chrome export of %d reused eras: %v", checked, err)
 	}
 }

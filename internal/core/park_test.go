@@ -448,25 +448,65 @@ func TestWBParkClaimedBeforeRecheck(t *testing.T) {
 	}
 }
 
-// TestWBQuiesceReleaseReportsWaiter: release reports whether anybody was
-// parked on the gate — the condition under which taskDone yields the CPU to
-// the goroutine it released.
+// gateWaiters returns how many waiters are parked on z.
+func gateWaiters(z *quiesce) int {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	return z.waiters
+}
+
+// waitGateWaiters blocks until n waiters are parked on z.
+func waitGateWaiters(t *testing.T, z *quiesce, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); gateWaiters(z) != n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters parked on the gate, want %d", gateWaiters(z), n)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// TestWBQuiesceReleaseReportsWaiter: release wakes every waiter parked on the
+// gate and reports whether there was one — the condition under which
+// taskDone yields the CPU to the goroutine it released — and a waiter whose
+// condition holds under the gate's lock does not park at all.
 func TestWBQuiesceReleaseReportsWaiter(t *testing.T) {
 	var z quiesce
 	if z.release() {
-		t.Fatal("release reported a waiter on a gate nobody took")
+		t.Fatal("release reported a waiter on a gate nobody waits on")
 	}
-	ch := z.gate()
-	if !z.release() {
-		t.Fatal("release did not report the waiter it woke")
+	var ready atomic.Bool
+	const waiters = 3
+	back := make(chan struct{}, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			z.wait(ready.Load)
+			back <- struct{}{}
+		}()
 	}
+	waitGateWaiters(t, &z, waiters)
 	select {
-	case <-ch:
+	case <-back:
+		t.Fatal("a waiter returned before the release")
 	default:
-		t.Fatal("the gate was not closed")
+	}
+	if !z.release() {
+		t.Fatal("release did not report the waiters it woke")
+	}
+	for i := 0; i < waiters; i++ {
+		select {
+		case <-back:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d waiters woken", i, waiters)
+		}
 	}
 	if z.release() {
 		t.Fatal("a released gate reported a waiter again")
+	}
+	ready.Store(true)
+	z.wait(ready.Load) // must not park: nobody would release it
+	if z.release() {
+		t.Fatal("a waiter whose condition held was counted")
 	}
 }
 

@@ -4,39 +4,44 @@ import "sync"
 
 // quiesce is the parking facility behind Scheduler.Wait and Group.Wait:
 // instead of spinning on a counter with backoff (which burns CPU
-// proportional to the number of idle waiting clients), a waiter obtains the
-// current generation's channel with gate() and parks on it; the goroutine
-// that observes the zero transition closes the channel with release().
-// Waiters always re-check their condition after gate() and loop after
-// waking, so a release racing with registration, or a count that rises
-// again after a zero transition (group reuse), only costs a spurious
-// wakeup, never a hang.
+// proportional to the number of idle waiting clients), a waiter re-checks
+// its condition under mu and sleeps on cond; the goroutine that observes the
+// zero transition broadcasts with release(), under the same lock. So a zero
+// transition either precedes the re-check, which sees it, or its release
+// finds the waiter on cond. Waiters loop on their condition, so a release
+// that lands in a later wait (a count that rose again after a zero
+// transition, or a reused group's lagging drain) only costs a spurious
+// wake-up, never a hang. Nothing is allocated per generation: a waiter count
+// tells release whether anybody sleeps.
 type quiesce struct {
-	mu sync.Mutex
-	ch chan struct{}
+	mu      sync.Mutex
+	cond    sync.Cond // cond.L is &mu, set by the first wait
+	waiters int
 }
 
-// gate returns a channel that will be closed at the next zero transition
-// (or has already been closed, if release ran since gate).
-func (z *quiesce) gate() chan struct{} {
+// wait parks the caller until the next release unless done, evaluated under
+// mu, reports that there is nothing to wait for.
+//
+//repro:noalloc every Wait that finds work in flight parks here
+func (z *quiesce) wait(done func() bool) {
 	z.mu.Lock()
-	if z.ch == nil {
-		z.ch = make(chan struct{})
+	if !done() {
+		z.cond.L = &z.mu
+		z.waiters++
+		z.cond.Wait()
+		z.waiters--
 	}
-	ch := z.ch
 	z.mu.Unlock()
-	return ch
 }
 
-// release wakes every parked waiter by closing the current channel, if one
-// exists, and reports whether one did. The next gate() starts a fresh
-// generation.
+// release wakes every parked waiter and reports whether there was one.
+//
+//repro:noalloc runs at every group's drain
 func (z *quiesce) release() bool {
 	z.mu.Lock()
-	woke := z.ch != nil
+	woke := z.waiters > 0
 	if woke {
-		close(z.ch)
-		z.ch = nil
+		z.cond.Broadcast()
 	}
 	z.mu.Unlock()
 	return woke

@@ -99,7 +99,7 @@ type Scheduler struct {
 
 	gen    atomic.Uint64
 	done   atomic.Bool
-	doneCh chan struct{} // closed by Shutdown; wakes parked waiters and workers
+	doneCh chan struct{} // closed by Shutdown; wakes parked workers and context watchers
 	wg     sync.WaitGroup
 
 	// park summarizes the set of parked workers for the publishers and
@@ -230,20 +230,14 @@ func (s *Scheduler) Spawn(t Task) error {
 // outstanding, Wait returns early — the tasks are abandoned (see Shutdown)
 // and would never drain.
 func (s *Scheduler) Wait() {
-	for {
-		if s.done.Load() || s.idle() {
-			return
-		}
-		ch := s.qz.gate()
-		if s.done.Load() || s.idle() {
-			return
-		}
-		select {
-		case <-ch:
-		case <-s.doneCh:
-		}
+	for !s.quiescent() {
+		s.qz.wait(s.quiescent)
 	}
 }
+
+// quiescent reports whether Scheduler.Wait may return: no busy group, or
+// the scheduler shut down.
+func (s *Scheduler) quiescent() bool { return s.done.Load() || s.idle() }
 
 // Run submits t as a one-shot group and waits for that group's quiescence:
 // it returns when t and all its descendants have completed (nil), or
@@ -265,6 +259,17 @@ func (s *Scheduler) Shutdown() {
 		close(s.doneCh)
 		s.admitMu.Lock()
 		s.admitCond.Broadcast()
+		// Wake the Waits: a waiter re-checks done under its gate's lock, so
+		// one that missed it is on the gate now. Under admitMu the busy set
+		// holds every group with a task in flight (admission raises a count
+		// from zero and marks the group busy in one admitMu section, and
+		// refuses from now on), which is every group a Wait can park on.
+		s.busyMu.Lock()
+		for g := range s.busy {
+			g.qz.release()
+		}
+		s.busyMu.Unlock()
+		s.qz.release() // after busyMu: Scheduler.Wait takes busyMu under s.qz.mu
 		s.admitMu.Unlock()
 	}
 	s.profiler.Stop()
@@ -392,14 +397,20 @@ func (s *Scheduler) makeNode(t Task, g *Group) *node {
 // may well end in a stolen task of another client's — tens of microseconds
 // during which, with as many clients as CPUs, nobody else would pick the
 // waiter up. The yield costs one reschedule per request, not per task.
+//
+// Once the count is zero the group's client may reset and reuse it, so
+// nothing after the decrement reads the group's era: the trace id is read
+// before it, and release and markIdle are safe on a reused group (README.md,
+// Why a drained group can be reused at once).
 func (w *worker) taskDone(g *Group) {
 	w.flushStats()
+	gid := g.gid
 	if g.inflight.Add(-1) != 0 {
 		return
 	}
 	s := w.sched
 	if xt := s.xt; xt.Enabled() {
-		xt.Record(w.id, trace.EvGroupDone, w.id, uint32(g.gid), 0)
+		xt.Record(w.id, trace.EvGroupDone, w.id, uint32(gid), 0)
 	}
 	woke := g.qz.release()
 	s.markIdle(g)

@@ -128,3 +128,58 @@ func TestShutdownDuringTeamGather(t *testing.T) {
 		t.Fatalf("Shutdown hung during gather:\n%s", s.DumpState())
 	}
 }
+
+// TestShutdownWakesEveryWaiter: Group.Wait and Scheduler.Wait park on their
+// gates, not on the shutdown channel, so Shutdown wakes them itself — every
+// busy group's gate and the scheduler's. Eight groups are busy, two with a
+// task held on a worker and six with their task still in the inject queue;
+// a waiter parked on each of them and two on Scheduler.Wait all return
+// within a second of Shutdown, while the held tasks keep Shutdown itself
+// from finishing.
+func TestShutdownWakesEveryWaiter(t *testing.T) {
+	s := New(Options{P: 2})
+	hold := make(chan struct{})
+	var running sync.WaitGroup
+	running.Add(s.P())
+	groups := make([]*Group, 8)
+	for i := range groups {
+		groups[i] = s.NewGroup()
+		task := Solo(func(*Ctx) {})
+		if i < s.P() {
+			task = Solo(func(*Ctx) { running.Done(); <-hold })
+		}
+		if err := groups[i].Spawn(task); err != nil {
+			t.Fatal(err)
+		}
+		if i == s.P()-1 {
+			running.Wait() // every worker holds a task: the rest stay queued
+		}
+	}
+	back := make(chan struct{}, len(groups)+2)
+	for _, g := range groups {
+		go func() { g.Wait(); back <- struct{}{} }()
+		waitGateWaiters(t, &g.qz, 1)
+	}
+	for i := 0; i < 2; i++ {
+		go func() { s.Wait(); back <- struct{}{} }()
+	}
+	waitGateWaiters(t, &s.qz, 2)
+
+	shut := make(chan struct{})
+	go func() { s.Shutdown(); close(shut) }()
+	deadline := time.After(time.Second)
+	for i := 0; i < cap(back); i++ {
+		select {
+		case <-back:
+		case <-deadline:
+			t.Fatalf("%d of %d waiters returned within 1s of Shutdown", i, cap(back))
+		}
+	}
+	close(hold)
+	<-shut
+	for i, g := range groups[s.P():] {
+		if err := g.WaitErr(); !errors.Is(err, ErrShutdown) {
+			t.Errorf("queued group %d: WaitErr = %v, want ErrShutdown", i, err)
+		}
+	}
+}

@@ -23,9 +23,20 @@ type Claimer struct {
 
 // NewClaimer returns a claimer over the blocks 0 … nb−1.
 func NewClaimer(nb int) *Claimer {
-	c := &Claimer{nb: nb}
-	c.remaining.Store(int64(nb))
+	c := &Claimer{}
+	c.Init(nb)
 	return c
+}
+
+// Init (re)sets c to hand out the blocks 0 … nb−1: a claimer embedded in
+// pooled task state is reused once its previous claimants are done.
+//
+//repro:noalloc runs once per pooled partitioning step
+func (c *Claimer) Init(nb int) {
+	c.nb = nb
+	c.remaining.Store(int64(nb))
+	c.left.Store(0)
+	c.right.Store(0)
 }
 
 // Left claims the next block from the low end; ok is false when all blocks

@@ -95,13 +95,14 @@ func BenchmarkParallelPartition(b *testing.B) {
 			s := core.New(core.Options{P: np})
 			defer s.Shutdown()
 			buf := make([]int32, n)
+			var ps parState[int32]
 			b.SetBytes(4 * n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				copy(buf, in)
 				b.StartTimer()
-				ps := newParState(buf, np, DefaultBlockSize)
+				ps.init(buf, np, DefaultBlockSize)
 				s.Run(core.Func(np, func(ctx *core.Ctx) {
 					ps.phase1()
 					if ctx.LocalID() == 0 {

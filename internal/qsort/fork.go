@@ -25,11 +25,19 @@ import (
 // makes the steady-state fork-join recursion allocation-free — the paper's
 // r = 1 "ordinary work-stealing" regime with no per-spawn garbage at all.
 //
+// It pools the mixed-mode quicksort's team tasks too: an mmTask carries its
+// partitioning state (block claimer, fan-in countdown, neutral bitmap) and
+// is returned by the team's local id 0 once the step's last spawn is out, so
+// the partitioning steps of a warmed sort tree allocate no task state either.
+//
 // The zero ForkPool is ready to use and serves any number of sort trees of
-// one element type at once, whatever their cutoffs (a task carries its own):
-// a Runtime keeps one for all its requests, so a warmed request allocates no
-// task; a root built without one gets a pool of its own.
-type ForkPool[T Ordered] struct{ pool sync.Pool }
+// one element type at once, whatever their cutoffs and options (a task
+// carries its own): a Runtime keeps one for all its requests, so a warmed
+// request allocates no task; a root built without one gets a pool of its own.
+type ForkPool[T Ordered] struct {
+	pool sync.Pool // of *forkTask[T]
+	mm   sync.Pool // of *mmTask[T]
+}
 
 // forkTask is one pooled spawn of the task-parallel quicksort recursion.
 type forkTask[T Ordered] struct {
@@ -58,6 +66,18 @@ func (fp *ForkPool[T]) task(data []T, cutoff int) *forkTask[T] {
 		cutoff = DefaultCutoff
 	}
 	t.data, t.cutoff = data, cutoff
+	return t
+}
+
+// mmTask returns a recycled (or new) mixed-mode task partitioning data with
+// np threads; opt has its defaults filled in.
+func (fp *ForkPool[T]) mmTask(data []T, np int, opt MMOptions) *mmTask[T] {
+	t, _ := fp.mm.Get().(*mmTask[T])
+	if t == nil {
+		t = &mmTask[T]{fp: fp}
+	}
+	t.np, t.opt = np, opt
+	t.init(data, np, opt.BlockSize)
 	return t
 }
 

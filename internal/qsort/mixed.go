@@ -65,46 +65,48 @@ func MixedModeRoot[T Ordered](fp *ForkPool[T], maxTeam int, data []T, opt MMOpti
 		// Algorithm 11 line 1: "if np = 1 then return qsort(data, n)".
 		return ForkJoinRoot(fp, data, opt.Cutoff)
 	}
-	return newMMTask(data, np, opt, fp)
+	return fp.mmTask(data, np, opt)
 }
 
 // mmTask is one mixed-mode quicksort task: a data-parallel partitioning of
 // its subsequence by a team of np threads, followed by two spawned subtasks.
+// It is drawn from its ForkPool and returned by local id 0 after its last
+// spawn, with its partitioning state, so a warmed sort tree allocates no
+// task state of its own.
 type mmTask[T Ordered] struct {
-	ps  *parState[T]
+	parState[T]
 	np  int
 	opt MMOptions
-	fp  *ForkPool[T] // shared across the sort tree's fork-join fallbacks
-}
-
-func newMMTask[T Ordered](data []T, np int, opt MMOptions, fp *ForkPool[T]) *mmTask[T] {
-	return &mmTask[T]{ps: newParState(data, np, opt.BlockSize), np: np, opt: opt, fp: fp}
+	fp  *ForkPool[T] // the pool the task returns to; shared across the sort tree
 }
 
 func (t *mmTask[T]) Threads() int { return t.np }
 
 func (t *mmTask[T]) Run(ctx *core.Ctx) {
-	ps := t.ps
-	ps.phase1()
+	t.phase1()
 	if ctx.LocalID() != 0 {
 		// Algorithm 11: only the thread with local id 0 continues after the
 		// partitioning step; the other team members become available for the
-		// next task as soon as the coordinator hands one out.
+		// next task as soon as the coordinator hands one out. A member touches
+		// neither t nor its state after phase1's Done.
 		return
 	}
-	ps.fanin.WaitZero()
-	split := ps.cleanup()
-	data := ps.data
+	t.fanin.WaitZero()
+	split := t.cleanup()
+	data := t.data
 	if split == 0 || split == len(data) {
 		// Degenerate pivot (can only happen with an extremal pivot value,
 		// e.g. heavily duplicated input): the value-based parallel partition
 		// cannot guarantee progress, so fall back to the task-parallel sort,
 		// whose Hoare partition can.
 		t.spawnFork(ctx, data)
-		return
+	} else {
+		t.spawnPart(ctx, data[:split])
+		t.spawnPart(ctx, data[split:])
 	}
-	t.spawnPart(ctx, data[:split])
-	t.spawnPart(ctx, data[split:])
+	// WaitZero has seen every member's Done, so nobody else uses t now.
+	t.data = nil
+	t.fp.mm.Put(t)
 }
 
 // spawnPart spawns one partitioned subsequence with the thread requirement
@@ -121,7 +123,7 @@ func (t *mmTask[T]) spawnPart(ctx *core.Ctx, part []T) {
 		t.spawnFork(ctx, part)
 		return
 	}
-	ctx.Spawn(newMMTask(part, np, t.opt, t.fp))
+	ctx.Spawn(t.fp.mmTask(part, np, t.opt))
 }
 
 func (t *mmTask[T]) spawnFork(ctx *core.Ctx, part []T) {
@@ -145,23 +147,28 @@ type parState[T Ordered] struct {
 	block int
 	nb    int
 
-	claim   *par.Claimer // two-ended block acquisition
-	neutral []bool       // per block; owner-written, read after fan-in
-	fanin   *teamsync.Counter
+	claim   par.Claimer // two-ended block acquisition
+	neutral []bool      // per block; owner-written, read after fan-in
+	fanin   teamsync.Counter
 }
 
-func newParState[T Ordered](data []T, np, blockSize int) *parState[T] {
+// init sets ps up for partitioning data (at least two elements) with np
+// threads, reusing the neutral bitmap of a previous step when it is long
+// enough.
+func (ps *parState[T]) init(data []T, np, blockSize int) {
 	n := len(data)
-	ps := &parState[T]{
-		data:  data,
-		pv:    med3(data[0], data[n/2], data[n-1]),
-		block: blockSize,
-		nb:    n / blockSize,
-		fanin: teamsync.NewCounter(np),
+	ps.data = data
+	ps.pv = med3(data[0], data[n/2], data[n-1])
+	ps.block = blockSize
+	ps.nb = n / blockSize
+	ps.claim.Init(ps.nb)
+	ps.fanin.Init(np)
+	if cap(ps.neutral) < ps.nb {
+		ps.neutral = make([]bool, ps.nb)
+	} else {
+		ps.neutral = ps.neutral[:ps.nb]
+		clear(ps.neutral)
 	}
-	ps.claim = par.NewClaimer(ps.nb)
-	ps.neutral = make([]bool, ps.nb)
-	return ps
 }
 
 // phase1 is the parallel neutralization loop run by every team member:
@@ -208,75 +215,71 @@ func (ps *parState[T]) cleanup() int {
 	// Phase 2: pair unfinished left blocks with unfinished right blocks,
 	// continuing neutralization sequentially (the paper replaces [18]'s
 	// single-collector phase with a producer/consumer exchanger; with the
-	// cleanup serialized on one thread, direct pairing is equivalent).
-	var lrem, rrem []int
-	for i := 0; i < la; i++ {
-		if !ps.neutral[i] {
-			lrem = append(lrem, i)
-		}
-	}
-	for i := nb - ra; i < nb; i++ {
-		if !ps.neutral[i] {
-			rrem = append(rrem, i)
-		}
-	}
-	li, ri := 0, 0
+	// cleanup serialized on one thread, direct pairing is equivalent). The
+	// unfinished blocks of a side are its claimed blocks still false in the
+	// neutral bitmap, visited in ascending order; a block finished here is
+	// marked, so afterwards the bitmap alone tells which are left.
+	li, ri := 0, nb-ra
 	var L, R blockScan // the zero blockScan is exhausted: the first round loads both
-	for li < len(lrem) && ri < len(rrem) {
+	for {
 		if L.exhausted() {
-			L.reset(lrem[li]*B, (lrem[li]+1)*B)
+			for li < la && ps.neutral[li] {
+				li++
+			}
+			if li == la {
+				break
+			}
+			L.reset(li*B, (li+1)*B)
 		}
 		if R.exhausted() {
-			R.reset(rrem[ri]*B, (rrem[ri]+1)*B)
+			for ri < nb && ps.neutral[ri] {
+				ri++
+			}
+			if ri == nb {
+				break
+			}
+			R.reset(ri*B, (ri+1)*B)
 		}
 		neutralize(data, pv, &L, &R)
 		if L.exhausted() {
-			ps.neutral[lrem[li]] = true
+			ps.neutral[li] = true
 			li++
 		}
 		if R.exhausted() {
-			ps.neutral[rrem[ri]] = true
+			ps.neutral[ri] = true
 			ri++
 		}
 	}
-	lrem = lrem[li:]
-	rrem = rrem[ri:]
 
 	// Phase 3a: compact the unfinished left blocks to the high end of the
 	// left-acquired region by whole-block content swaps with neutral blocks,
-	// so that blocks [0, leftBoundary) are all ≤ pivot.
-	leftBoundary := la - len(lrem)
-	var srcL, dstL []int
-	for _, b := range lrem {
-		if b < leftBoundary {
-			srcL = append(srcL, b)
+	// so that blocks [0, leftBoundary) are all ≤ pivot: the k-th unfinished
+	// block below the boundary trades places with the k-th neutral block
+	// above it (there are as many of one as of the other).
+	leftBoundary := la - ps.unfinished(0, la)
+	d := leftBoundary
+	for b := 0; b < leftBoundary; b++ {
+		if !ps.neutral[b] {
+			for !ps.neutral[d] {
+				d++
+			}
+			swapRanges(data, b*B, d*B, B)
+			d++
 		}
-	}
-	for i := leftBoundary; i < la; i++ {
-		if ps.neutral[i] {
-			dstL = append(dstL, i)
-		}
-	}
-	for k := range srcL {
-		swapRanges(data, srcL[k]*B, dstL[k]*B, B)
 	}
 
 	// Phase 3b: symmetric compaction on the right: blocks
 	// [rightBoundary, nb) are all ≥ pivot.
-	rightBoundary := nb - ra + len(rrem)
-	var srcR, dstR []int
-	for _, b := range rrem {
-		if b >= rightBoundary {
-			srcR = append(srcR, b)
+	rightBoundary := nb - ra + ps.unfinished(nb-ra, nb)
+	d = nb - ra
+	for b := rightBoundary; b < nb; b++ {
+		if !ps.neutral[b] {
+			for !ps.neutral[d] {
+				d++
+			}
+			swapRanges(data, b*B, d*B, B)
+			d++
 		}
-	}
-	for i := nb - ra; i < rightBoundary; i++ {
-		if ps.neutral[i] {
-			dstR = append(dstR, i)
-		}
-	}
-	for k := range srcR {
-		swapRanges(data, srcR[k]*B, dstR[k]*B, B)
 	}
 
 	// Phase 3c: sequential partition of the contiguous middle region.
@@ -305,4 +308,15 @@ func (ps *parState[T]) cleanup() int {
 		swapRanges(data, m1, t0+k-g, g)
 	}
 	return t0 + k - g
+}
+
+// unfinished counts the blocks of [lo, hi) that are not neutral.
+func (ps *parState[T]) unfinished(lo, hi int) int {
+	k := 0
+	for _, done := range ps.neutral[lo:hi] {
+		if !done {
+			k++
+		}
+	}
+	return k
 }

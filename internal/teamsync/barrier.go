@@ -111,18 +111,21 @@ func (b *Barrier) Wait() bool {
 
 // Counter is a simple atomic countdown used for fan-in ("all threads have
 // deposited their blocks") without the full release semantics of a barrier.
-// One goroutine at a time may wait for it.
+// One goroutine at a time may wait for it. It is set with Init, and may be
+// embedded by value in task state.
 type Counter struct {
 	c    atomic.Int32
 	slot wake.Slot // the waiter's; its channel exists only once somebody slept
 }
 
-// NewCounter returns a countdown initialized to n.
-func NewCounter(n int) *Counter {
-	c := &Counter{}
-	c.c.Store(int32(n))
-	return c
-}
+// Init sets the countdown to n: on a zero Counter, or to re-arm one whose
+// waiter has seen zero (pooled task state). The slot is kept: the last Done
+// of the previous round may still be claiming it, and a token it lands on a
+// later wait is one spurious wake-up that WaitZero's loop absorbs (see
+// internal/wake).
+//
+//repro:noalloc runs once per pooled team task
+func (c *Counter) Init(n int) { c.c.Store(int32(n)) }
 
 // Done decrements the counter and reports whether it reached zero, in which
 // case it also releases the waiter.

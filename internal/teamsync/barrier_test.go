@@ -96,7 +96,8 @@ func TestBarrierPanicsOnZero(t *testing.T) {
 }
 
 func TestCounter(t *testing.T) {
-	c := NewCounter(5)
+	var c Counter
+	c.Init(5)
 	var zero atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < 5; i++ {
@@ -182,10 +183,12 @@ func TestBarrierLastArriverReleasesParked(t *testing.T) {
 }
 
 // TestCounterDoneWakesParkedWaiter: the waiter is seen parked before the
-// last Done is issued, so it is that Done's wake-up that releases it.
+// last Done is issued, so it is that Done's wake-up that releases it. One
+// Counter serves every round, re-armed by Init as pooled task state is.
 func TestCounterDoneWakesParkedWaiter(t *testing.T) {
+	var c Counter
 	for round := 0; round < 50; round++ {
-		c := NewCounter(3)
+		c.Init(3)
 		back := make(chan struct{})
 		go func() { c.WaitZero(); close(back) }()
 		c.Done()

@@ -29,8 +29,9 @@ func BenchmarkBarrier(b *testing.B) {
 }
 
 func BenchmarkCounterFanIn(b *testing.B) {
+	var c Counter
 	for i := 0; i < b.N; i++ {
-		c := NewCounter(8)
+		c.Init(8)
 		for j := 0; j < 8; j++ {
 			c.Done()
 		}

@@ -206,8 +206,9 @@ func TestSamplesortScratchIsPooled(t *testing.T) {
 
 // TestForkTasksArePooled: the Runtime's one qsort.ForkPool serves every
 // request, so a warmed quicksort of 4096 elements — a dozen spawned tasks —
-// allocates what a two-element one does, the request itself (12 allocations
-// against 4 when every root built its own pool).
+// allocates no more than a two-element one does (when every root built its
+// own pool, 12 allocations against 4). TestRequestZeroAlloc pins the
+// request itself.
 func TestForkTasksArePooled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops tasks at random under the race detector")
@@ -226,6 +227,40 @@ func TestForkTasksArePooled(t *testing.T) {
 		if sorted > request || !slices.IsSorted(data) {
 			t.Errorf("%s: %v allocations per warmed 4096-element request, %v per two-element one (sorted: %v)",
 				name, sorted, request, slices.IsSorted(data))
+		}
+	}
+}
+
+// TestRequestZeroAlloc: a warmed request allocates nothing. Its quiescence
+// group comes from the Runtime's pool of drained groups (and keeps its
+// inject queue's backing array), Wait parks on the group's condition
+// variable rather than on a channel made per wait, the root task and its
+// fork-join spawns come from the ForkPool, and a Background context starts
+// no watcher. The root's scheduler node comes from a shared pool that a
+// worker refills only once its own free list is full (256 nodes): a worker
+// that has run few requests yet keeps up to that many nodes before it gives
+// any back. AllocsPerRun divides the count by the runs, so with 1000 runs
+// per case those at most 2 × 256 refills round away, as does a rare pool
+// miss (sync.Pool keeps one item per P that a caller on another P cannot
+// take); a per-request allocation does not.
+func TestRequestZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops groups and tasks at random under the race detector")
+	}
+	rt := NewRuntime[int32](Options{P: 2})
+	defer rt.Close()
+	in := GenerateInput(Random, 4096, 3)
+	data := make([]int32, len(in))
+	for _, n := range []int{2, 256, 4096} {
+		for name, sort := range map[string]func([]int32){
+			"SortForkJoin":  rt.SortForkJoin,
+			"SortMixedMode": func(d []int32) { rt.SortMixedMode(d, MMOptions{}) },
+		} {
+			allocs := testing.AllocsPerRun(1000, func() { copy(data, in[:n]); sort(data[:n]) })
+			if allocs != 0 || !slices.IsSorted(data[:n]) {
+				t.Errorf("%s of %d elements: %v allocations per warmed request, want 0 (sorted: %v)",
+					name, n, allocs, slices.IsSorted(data[:n]))
+			}
 		}
 	}
 }

@@ -31,7 +31,8 @@ type Runtime[T Ordered] struct {
 	owned   bool // whether Close shuts the scheduler down
 	m       runtimeMetrics
 	scratch sync.Pool         // of *[]T: what the out-of-place sorts borrow per request
-	forks   qsort.ForkPool[T] // the fork-join tasks of every quicksort, samplesort bucket and fallback
+	groups  sync.Pool         // of drained *core.Group: one per request in flight
+	forks   qsort.ForkPool[T] // the tasks of every quicksort, samplesort bucket and fallback
 }
 
 // family indexes the request families of runtimeMetrics: the four sort
@@ -134,30 +135,42 @@ func (m *runtimeMetrics) end(l *load, shard int, t0 time.Time) {
 }
 
 // request is the one way a client computation enters the scheduler: body
-// spawns the request's root tasks into a fresh quiescence group bound to
-// ctx, and request waits for the group to drain, accounting the call in the
-// families of l. A failed spawn (cancellation mid-admission, or shutdown)
-// leaves its admitted prefix in flight; WaitErr still waits for the true
-// drain and reports how the group ended, and body's error wins only when
-// the drain itself reports nothing (e.g. the prefix drained before a
-// post-admission shutdown was observed). Abandoned requests still observe
-// their (truncated) latency. A context that can never be canceled costs
-// nothing: BindContext is then a no-op and starts no watcher goroutine.
-// held (nil: none) lists the scratch buffers body's sorts borrowed. They go
-// back to the pool after any drain, a canceled group's included (WaitErr
-// waits out its started tasks), but not after a shutdown that let WaitErr
-// return over tasks in flight: those are left to the collector.
+// spawns the request's root tasks into a quiescence group of its own, drawn
+// from the Runtime's pool of drained groups and Reset (a fresh era: live,
+// with a new trace id), bound to ctx; request waits for the group to drain,
+// accounting the call in the families of l. A failed spawn (cancellation
+// mid-admission, or shutdown) leaves its admitted prefix in flight; WaitErr
+// still waits for the true drain and reports how the group ended, and body's
+// error wins only when the drain itself reports nothing (e.g. the prefix
+// drained before a post-admission shutdown was observed). Abandoned requests
+// still observe their (truncated) latency. A context that can never be
+// canceled costs nothing: BindContext is then a no-op and starts no watcher
+// goroutine; otherwise stop returns only once the watcher has exited, so no
+// late cancel reaches the group's next request.
+// held (nil: none) lists the scratch buffers body's sorts borrowed. They and
+// the group go back to their pools after any drain, a canceled group's
+// included (WaitErr waits out its started tasks), but not after a shutdown
+// that let WaitErr return over tasks in flight: those are left to the
+// collector.
 func (r *Runtime[T]) request(ctx context.Context, l load, held *loans[T], body func(g *core.Group) error) error {
 	shard, t0 := r.m.begin(&l, r.s.P())
-	g := r.s.NewGroup()
+	g, _ := r.groups.Get().(*core.Group)
+	if g == nil {
+		g = r.s.NewGroup()
+	} else {
+		g.Reset()
+	}
 	stop := g.BindContext(ctx)
-	defer stop()
 	berr := body(g)
 	err := g.WaitErr()
-	if held != nil && g.Pending() == 0 {
-		for _, b := range *held {
-			r.scratch.Put(b)
+	stop()
+	if g.Pending() == 0 {
+		if held != nil {
+			for _, b := range *held {
+				r.scratch.Put(b)
+			}
 		}
+		r.groups.Put(g)
 	}
 	if err == nil {
 		err = berr
