@@ -17,7 +17,7 @@ test:
 vet:
 	go vet $(VET_FLAGS) ./...
 
-# Invariant linting: the reprolint analyzer suite with its directive
+# Invariant linting: reprolint's noalloc check with its directive
 # manifest (noalloc reads the compiler's own escape analysis).
 lint:
 	go run ./cmd/reprolint ./...

@@ -1,19 +1,17 @@
-// Command reprolint runs the project's static-analyzer suite (see
-// internal/lint) over the module and exits non-zero on any finding. It is
-// part of the default gate: make lint / scripts/check.sh run it with the
-// committed directive manifest, so both invariant violations and deleted
-// invariant annotations fail the build. The noalloc analyzer reads the
-// compiler's escape analysis, so the go command must be on PATH.
+// Command reprolint runs the project's noalloc check (see internal/lint)
+// over the module and exits non-zero on any finding. It is part of the
+// default gate: make lint / scripts/check.sh run it with the committed
+// directive manifest, so both allocations on an annotated hot path and
+// deleted annotations fail the build. The check reads the compiler's escape
+// analysis, so the go command must be on PATH.
 //
 // Usage:
 //
 //	reprolint [flags] [./... | import/path ...]
 //
-//	-run name,name     run only the named analyzers (default: all)
 //	-manifest path     directive manifest to verify (default
 //	                   internal/lint/reprolint.manifest; "" or "none" skips)
 //	-write-manifest    regenerate the manifest from the current tree and exit
-//	-list              print the analyzers and exit
 package main
 
 import (
@@ -28,31 +26,10 @@ import (
 
 func main() {
 	var (
-		runFlag       = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 		manifestFlag  = flag.String("manifest", "internal/lint/reprolint.manifest", "directive manifest to verify, relative to the module root (\"\" or \"none\" to skip)")
 		writeManifest = flag.Bool("write-manifest", false, "regenerate the directive manifest and exit")
-		listFlag      = flag.Bool("list", false, "list analyzers and exit")
 	)
 	flag.Parse()
-
-	if *listFlag {
-		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	analyzers := lint.Analyzers()
-	if *runFlag != "" {
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(*runFlag, ",") {
-			a := lint.AnalyzerByName(strings.TrimSpace(name))
-			if a == nil {
-				fatalf("unknown analyzer %q (use -list)", name)
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
 
 	root, err := moduleRoot()
 	if err != nil {
@@ -95,7 +72,7 @@ func main() {
 	}
 
 	diags := ix.Errors()
-	diags = append(diags, lint.Run(analyzers, pkgs, ix)...)
+	diags = append(diags, lint.Check(pkgs, ix)...)
 	for _, d := range diags {
 		fmt.Println(d)
 	}

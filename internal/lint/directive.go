@@ -13,8 +13,7 @@ import (
 // typos cannot silently disable a check.
 const (
 	KindNoAlloc = "noalloc" // decl: function must not heap-allocate (the compiler's escape analysis, plus append, map writes and go)
-	KindAllow   = "allow"   // site: one allocation inside a noalloc function, or one barrier-less return of a collective, is deliberate
-	KindBarrier = "barrier" // decl: function is a team collective; every return path must reach the barrier
+	KindAllow   = "allow"   // site: one allocation inside a noalloc function is deliberate
 )
 
 const directivePrefix = "//repro:"
@@ -22,14 +21,12 @@ const directivePrefix = "//repro:"
 var validKinds = map[string]bool{
 	KindNoAlloc: true,
 	KindAllow:   true,
-	KindBarrier: true,
 }
 
 // declKinds are the kinds that attach to a function declaration; the rest
 // attach to a source line (site).
 var declKinds = map[string]bool{
 	KindNoAlloc: true,
-	KindBarrier: true,
 }
 
 // A Directive is one parsed //repro: annotation.
@@ -71,15 +68,10 @@ func NewIndex() *Index {
 // indexing (unknown kinds, decl directives placed on no declaration).
 func (ix *Index) Errors() []Diagnostic { return ix.errs }
 
-// DeclDirective returns the directive of the given kind attached to the
-// declaration whose name identifier sits at pos, or nil.
-func (ix *Index) DeclDirective(pos token.Pos, kind string) *Directive {
-	return ix.decl[pos][kind]
-}
-
-// DeclHas reports whether the declaration at pos carries the given kind.
+// DeclHas reports whether the declaration whose name identifier sits at pos
+// carries the given kind.
 func (ix *Index) DeclHas(pos token.Pos, kind string) bool {
-	return ix.DeclDirective(pos, kind) != nil
+	return ix.decl[pos][kind] != nil
 }
 
 // SiteAllowed reports whether a site directive of the given kind covers the
@@ -129,9 +121,8 @@ func parseDirectives(g *ast.CommentGroup) []*Directive {
 }
 
 // AddPackage indexes every directive of the package's files. Call once per
-// loaded package before running analyzers; all packages of a run share one
-// index so cross-package annotations (a query collective calling an
-// annotated par collective) resolve.
+// loaded package before Check; all packages of a run share one index, whose
+// records the manifest pins module-wide.
 func (ix *Index) AddPackage(pkg *Package) {
 	for _, f := range pkg.Files {
 		ix.addFile(pkg, f)
@@ -196,7 +187,7 @@ func (ix *Index) addFile(pkg *Package, f *ast.File) {
 				ix.errs = append(ix.errs, Diagnostic{
 					Pos:      d.Pos,
 					Analyzer: "directives",
-					Message:  fmt.Sprintf("unknown //repro: directive %q (known: allow, barrier, noalloc)", d.Kind),
+					Message:  fmt.Sprintf("unknown //repro: directive %q (known: allow, noalloc)", d.Kind),
 				})
 				continue
 			}

@@ -69,8 +69,8 @@ func collectWants(t *testing.T, dir string) []*want {
 	return wants
 }
 
-// TestAnalyzersOnTestdata runs every analyzer over each testdata package and
-// requires an exact correspondence between emitted diagnostics and the
+// TestAnalyzersOnTestdata runs the directive loader and noalloc over each
+// testdata package and requires an exact correspondence between emitted diagnostics and the
 // `// want` expectations in the sources: every want must be hit, and every
 // diagnostic must be wanted.
 func TestAnalyzersOnTestdata(t *testing.T) {
@@ -78,7 +78,7 @@ func TestAnalyzersOnTestdata(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	for _, name := range []string{"noalloc", "barrier", "directives"} {
+	for _, name := range []string{"noalloc", "directives"} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", name)
 			pkg, err := loader.Load(loader.ModulePath + "/internal/lint/" + filepath.ToSlash(dir))
@@ -89,7 +89,7 @@ func TestAnalyzersOnTestdata(t *testing.T) {
 			ix.AddPackage(pkg)
 			var diags []Diagnostic
 			diags = append(diags, ix.Errors()...)
-			diags = append(diags, Run(Analyzers(), []*Package{pkg}, ix)...)
+			diags = append(diags, Check([]*Package{pkg}, ix)...)
 
 			wants := collectWants(t, dir)
 			for _, d := range diags {
@@ -120,8 +120,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	recs := []Record{
 		{PkgPath: "repro/internal/core", Decl: "(*worker).spawn", Kind: KindNoAlloc},
 		{PkgPath: "repro/internal/core", Decl: "(*worker).getCtx", Kind: KindAllow},
-		{PkgPath: "repro/internal/par", Decl: "Reducer[...].Reduce", Kind: KindBarrier},
-		{PkgPath: "repro/internal/par", Decl: "Reducer[...].Reduce", Kind: KindBarrier},
+		{PkgPath: "repro/internal/par", Decl: "(*Claimer).Init", Kind: KindAllow},
+		{PkgPath: "repro/internal/par", Decl: "(*Claimer).Init", Kind: KindAllow},
 	}
 	path := filepath.Join(t.TempDir(), "reprolint.manifest")
 	if err := os.WriteFile(path, []byte(ManifestString(recs)), 0o644); err != nil {

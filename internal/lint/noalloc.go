@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -12,7 +13,7 @@ import (
 	"strings"
 )
 
-// NoAlloc holds functions annotated //repro:noalloc to the compiler's own
+// noAlloc holds functions annotated //repro:noalloc to the compiler's own
 // verdict: it builds the package with -gcflags=-m and reports every
 // "escapes to heap" / "moved to heap" the escape analysis prints for a
 // position inside such a function — a composite literal whose address
@@ -28,43 +29,51 @@ import (
 // is deliberately allocating (a pool's refill path, a capacity-bounded
 // append) carries //repro:allow with a one-line justification; that is the
 // only waiver, for both halves.
-var NoAlloc = &Analyzer{
-	Name: "noalloc",
-	Doc:  "//repro:noalloc functions must not heap-allocate: the compiler's escape analysis, plus append, map writes and go",
-	Run:  runNoAlloc,
-}
-
-func runNoAlloc(pass *Pass) {
+func noAlloc(pkg *Package, ix *Index) []Diagnostic {
+	c := &noallocCheck{pkg: pkg, ix: ix}
 	var fns []*ast.FuncDecl
-	for _, f := range pass.Pkg.Files {
+	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if ok && fd.Body != nil && pass.Index.DeclHas(fd.Name.Pos(), KindNoAlloc) {
+			if ok && fd.Body != nil && ix.DeclHas(fd.Name.Pos(), KindNoAlloc) {
 				fns = append(fns, fd)
 			}
 		}
 	}
 	if len(fns) == 0 {
-		return // nothing declared: no compiler run for this package
+		return nil // nothing declared: no compiler run for this package
 	}
 	for _, fd := range fns {
-		checkUnreported(pass, fd)
+		c.unreported(fd)
 	}
-	checkEscapes(pass, fns)
+	c.escapes(fns)
+	return c.diags
 }
 
-// reportAlloc reports one allocation in fd unless its line is waived.
-func reportAlloc(pass *Pass, fd *ast.FuncDecl, pos token.Pos, what string) {
-	if !pass.Allowed(KindAllow, pos) {
-		pass.Reportf(pos, "%s in //repro:noalloc function %s", what, fd.Name.Name)
+// noallocCheck carries one package's run: the package, the module-wide
+// directive index, and the findings so far.
+type noallocCheck struct {
+	pkg   *Package
+	ix    *Index
+	diags []Diagnostic
+}
+
+func (c *noallocCheck) report(pos token.Pos, msg string) {
+	c.diags = append(c.diags, Diagnostic{Pos: c.pkg.Fset.Position(pos), Analyzer: "noalloc", Message: msg})
+}
+
+// alloc reports one allocation in fd unless its line is waived.
+func (c *noallocCheck) alloc(fd *ast.FuncDecl, pos token.Pos, what string) {
+	if !c.ix.SiteAllowed(KindAllow, c.pkg.Fset.Position(pos)) {
+		c.report(pos, what+" in //repro:noalloc function "+fd.Name.Name)
 	}
 }
 
-// checkUnreported flags the allocating constructs escape analysis has no
-// message for.
-func checkUnreported(pass *Pass, fd *ast.FuncDecl) {
-	info := pass.Pkg.Info
-	flag := func(pos token.Pos, what string) { reportAlloc(pass, fd, pos, what) }
+// unreported flags the allocating constructs escape analysis has no message
+// for.
+func (c *noallocCheck) unreported(fd *ast.FuncDecl) {
+	info := c.pkg.Info
+	flag := func(pos token.Pos, what string) { c.alloc(fd, pos, what) }
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
@@ -90,14 +99,14 @@ func checkUnreported(pass *Pass, fd *ast.FuncDecl) {
 // allocation ("leaking param" and "does not escape" do not).
 var escapeRe = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.+ escapes to heap|moved to heap: .+)$`)
 
-// checkEscapes compiles the package and reports the heap allocations the
-// compiler places inside fns, all of which are declared in pass.Pkg.
-func checkEscapes(pass *Pass, fns []*ast.FuncDecl) {
+// escapes compiles the package and reports the heap allocations the
+// compiler places inside fns, all of which are declared in c.pkg.
+func (c *noallocCheck) escapes(fns []*ast.FuncDecl) {
 	cmd := exec.Command("go", "build", "-gcflags=-m", "-o", os.DevNull, ".")
-	cmd.Dir = pass.Pkg.Dir
+	cmd.Dir = c.pkg.Dir
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		pass.Reportf(fns[0].Pos(), "go build -gcflags=-m in %s: %v\n%s", cmd.Dir, err, out)
+		c.report(fns[0].Pos(), fmt.Sprintf("go build -gcflags=-m in %s: %v\n%s", cmd.Dir, err, out))
 		return
 	}
 	seen := make(map[string]bool) // the compiler repeats a line for each instantiation of a generic function
@@ -110,11 +119,11 @@ func checkEscapes(pass *Pass, fns []*ast.FuncDecl) {
 		ln, _ := strconv.Atoi(m[2])
 		col, _ := strconv.Atoi(m[3])
 		for _, fd := range fns {
-			tf := pass.Pkg.Fset.File(fd.Pos())
+			tf := c.pkg.Fset.File(fd.Pos())
 			if !sameFile(m[1], tf.Name()) || ln < tf.Line(fd.Pos()) || ln > tf.Line(fd.Body.Rbrace) {
 				continue
 			}
-			reportAlloc(pass, fd, tf.LineStart(ln)+token.Pos(col-1), m[4])
+			c.alloc(fd, tf.LineStart(ln)+token.Pos(col-1), m[4])
 			break
 		}
 	}

@@ -32,9 +32,12 @@ func NewHist(np, nb int) *Hist {
 // Callers that scatter from the count matrix must walk the same member
 // chunks: element i was counted by the member whose Chunk(lid, w, n) range
 // contains i.
-//
-//repro:barrier delegates its barrier obligation to the annotated Merge
 func (h *Hist) Histogram(ctx *core.Ctx, n int, bucketOf func(i int) int) {
+	h.histogram(ctx, n, bucketOf)
+	ctx.Barrier()
+}
+
+func (h *Hist) histogram(ctx *core.Ctx, n int, bucketOf func(i int) int) {
 	w, lid := ctx.TeamSize(), ctx.LocalID()
 	if w == 1 {
 		seqHistogramInto(h.rows[0], n, bucketOf)
@@ -50,16 +53,19 @@ func (h *Hist) Histogram(ctx *core.Ctx, n int, bucketOf func(i int) int) {
 	for i := lo; i < hi; i++ {
 		row[bucketOf(i)]++
 	}
-	h.Merge(ctx)
+	h.merge(ctx)
 }
 
 // Merge is the collective half of Histogram, for a caller that has counted
 // its static chunk into its cleared Row(ctx.LocalID()) itself (internal/query's
 // GroupBy, by element not index): across the team barrier member m sums the
 // m-th static chunk of the bucket range over all rows into Totals.
-//
-//repro:barrier every member must reach the trailing barrier before Totals/Row are readable
 func (h *Hist) Merge(ctx *core.Ctx) {
+	h.merge(ctx)
+	ctx.Barrier()
+}
+
+func (h *Hist) merge(ctx *core.Ctx) {
 	w, lid := ctx.TeamSize(), ctx.LocalID()
 	checkTeam(w, len(h.rows))
 	ctx.Barrier()
@@ -71,9 +77,6 @@ func (h *Hist) Merge(ctx *core.Ctx) {
 		}
 		h.totals[b] = t
 	}
-	// Trailing barrier: all totals are merged (and the state reusable) for
-	// every member once it returns.
-	ctx.Barrier()
 }
 
 // Totals returns the merged per-bucket counts of the last Histogram call.

@@ -30,9 +30,13 @@ func NewPacker[T any](np int) *Packer[T] {
 // differently the second time; keep should be pure and is evaluated at most
 // twice per index. dst must not alias src. A team of size 1 runs the
 // sequential oracle.
-//
-//repro:barrier every member must reach the trailing barrier before dst and the state are reusable
 func (p *Packer[T]) Pack(ctx *core.Ctx, src, dst []T, keep func(i int, v T) bool) int {
+	n := p.pack(ctx, src, dst, keep)
+	ctx.Barrier()
+	return n
+}
+
+func (p *Packer[T]) pack(ctx *core.Ctx, src, dst []T, keep func(i int, v T) bool) int {
 	w, lid := ctx.TeamSize(), ctx.LocalID()
 	if w == 1 {
 		return SeqPack(src, dst, keep)
@@ -49,9 +53,6 @@ func (p *Packer[T]) Pack(ctx *core.Ctx, src, dst []T, keep func(i int, v T) bool
 		d[j] = s[i]
 		j += B2i(keep(lo+i, s[i]))
 	}
-	// Trailing barrier: dst is fully packed (and the state reusable) for
-	// every member once it returns.
-	ctx.Barrier()
 	return total
 }
 
@@ -75,7 +76,8 @@ func (p *Packer[T]) Offsets(ctx *core.Ctx, c int) (off, total int) {
 }
 
 // B2i is what a branch-free loop adds where a branchy one jumps: this shape
-// compiles to SETcc/MOVZX (scripts/codegencheck.sh holds Pack and Filter to it).
+// compiles to SETcc/MOVZX (scripts/codegencheck.sh holds pack and filter, the
+// bodies of Pack and query's Filter, to it).
 func B2i(b bool) int {
 	if b {
 		return 1

@@ -42,8 +42,13 @@
 //
 // Shared state objects (Reducer, Scanner, Packer, Hist, MinMaxer) are
 // allocated once by the task's creator and shared by the team via the task
-// closure. Collectives end with a barrier, so a state object may be reused
-// for any number of consecutive phases by the same team.
+// closure. Every collective ends in the team barrier, so a state object may
+// be reused for any number of consecutive phases by the same team. That
+// holds by construction, as in an OpenMP worksharing construct: each
+// exported collective is an unexported body followed by ctx.Barrier(), no
+// return of the body can skip it, and a collective built on another calls
+// that one's body, so it still ends in exactly one barrier. (On a team of
+// one the barrier returns at once.)
 //
 // The standalone-task constructors compose with the scheduler's quiescence
 // groups: spawn the returned task through a core.Group (g.Run for a

@@ -233,37 +233,113 @@ func TestClaimer(t *testing.T) {
 	}
 }
 
-// TestCollectiveReuse drives one team task through many consecutive
-// collective phases on the same state objects — the reuse pattern
-// internal/ssort depends on.
+// TestCollectiveReuse drives one team task through many rounds in which
+// every collective runs twice back to back on the same state, with nothing
+// in between — the reuse pattern internal/ssort and internal/query depend
+// on. A collective that returned before its trailing barrier would let a
+// fast member's second call overwrite state a slow member still reads in
+// the first, which the race detector reports.
 func TestCollectiveReuse(t *testing.T) {
 	s := propSched(t)
 	np := s.MaxTeam()
 	in := dist.Generate(dist.Random, 4096, 9)
+	n := len(in)
+	const nb = 37
 	add := func(a, b int64) int64 { return a + b }
+	keep := func(_ int, v int32) bool { return v%3 == 0 }
+	bucketOf := func(i int) int { return int(uint32(in[i]) % nb) }
+
+	wantSum := par.SeqReduce(n, 0, func(i int) int64 { return int64(in[i]) }, add)
+	wantPack := make([]int32, n)
+	wantPack = wantPack[:par.SeqPack(in, wantPack, keep)]
+	wantHist := par.SeqHistogram(n, nb, bucketOf)
+	wantMin, wantMax := par.SeqMinMax(in)
+	wide := make([]int64, n) // the scans' input
+	for i, v := range in {
+		wide[i] = int64(v)
+	}
+	wantExcl := append([]int64(nil), wide...)
+	wantExclTot := [2]int64{par.SeqScanExclusive(0, add, wantExcl), par.SeqScanExclusive(0, add, wantExcl)}
+	wantIncl := append([]int64(nil), wide...)
+	par.SeqScanInclusive(0, add, wantIncl)
+	par.SeqScanInclusive(0, add, wantIncl)
+
 	r := par.NewReducer(np, add)
-	const rounds = 50
-	totals := make([]int64, rounds)
+	p := par.NewPacker[int32](np)
+	h := par.NewHist(np, nb)
+	sc := par.NewScanner(np, int64(0), add)
+	mm := par.NewMinMaxer[int32](np)
+	packed := make([]int32, n)
+	excl := make([]int64, n)
+	incl := make([]int64, n)
+	inclTask := par.ScanInclusive(np, incl, 0, add, nil)
+
+	const rounds = 20
+	fail := make(chan string, 1)
 	s.Run(core.Func(np, func(ctx *core.Ctx) {
-		lo, hi := par.Chunk(ctx.LocalID(), ctx.TeamSize(), len(in))
+		report := func(msg string) {
+			select {
+			case fail <- msg:
+			default:
+			}
+		}
+		lid := ctx.LocalID()
+		lo, hi := par.Chunk(lid, ctx.TeamSize(), n)
 		for round := 0; round < rounds; round++ {
 			partial := int64(round)
-			for i := lo; i < hi; i++ {
-				partial += int64(in[i])
+			for _, v := range in[lo:hi] {
+				partial += int64(v)
 			}
-			total := r.Reduce(ctx, partial)
-			if ctx.LocalID() == 0 {
-				totals[round] = total
+			want := wantSum + int64(round)*int64(np)
+			if a, b := r.Reduce(ctx, partial), r.Reduce(ctx, partial); a != want || b != want {
+				report("reduce total changed across reuse")
+			}
+
+			if a, b := p.Pack(ctx, in, packed, keep), p.Pack(ctx, in, packed, keep); a != len(wantPack) || b != len(wantPack) {
+				report("pack count changed across reuse")
+			}
+
+			h.Histogram(ctx, n, bucketOf)
+			h.Histogram(ctx, n, bucketOf)
+			for range 2 { // Merge after the caller's own count of its chunk
+				row := h.Row(lid)
+				clear(row)
+				for i := lo; i < hi; i++ {
+					row[bucketOf(i)]++
+				}
+				h.Merge(ctx)
+			}
+			for b, c := range h.Totals() {
+				if c != wantHist[b] {
+					report("histogram totals changed across reuse")
+					break
+				}
+			}
+
+			copy(excl[lo:hi], wide[lo:hi]) // the chunk this member scans
+			if a, b := sc.Exclusive(ctx, excl), sc.Exclusive(ctx, excl); a != wantExclTot[0] || b != wantExclTot[1] {
+				report("exclusive scan total changed across reuse")
+			}
+
+			copy(incl[lo:hi], wide[lo:hi])
+			inclTask.Run(ctx)
+			inclTask.Run(ctx)
+
+			min1, max1 := mm.MinMax(ctx, in)
+			min2, max2 := mm.MinMax(ctx, in)
+			if min1 != wantMin || max1 != wantMax || min2 != wantMin || max2 != wantMax {
+				report("minmax changed across reuse")
 			}
 		}
 	}))
-	base := par.SeqReduce(len(in), 0, func(i int) int64 { return int64(in[i]) }, add)
-	for round, got := range totals {
-		want := base + int64(round)*int64(np)
-		if got != want {
-			t.Fatalf("round %d: total = %d, want %d", round, got, want)
-		}
+	select {
+	case msg := <-fail:
+		t.Fatal(msg)
+	default:
 	}
+	checkSlice(t, "reuse-pack", np, packed[:len(wantPack)], wantPack)
+	checkSlice(t, "reuse-exclusive", np, excl, wantExcl)
+	checkSlice(t, "reuse-inclusive", np, incl, wantIncl)
 }
 
 func checkSlice[T comparable](t *testing.T, what string, np int, got, want []T) {

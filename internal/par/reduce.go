@@ -27,9 +27,13 @@ func NewReducer[A any](np int, comb func(A, A) A) *Reducer[A] {
 // the same balanced grouping, so non-commutative combines are
 // deterministic). For a team of size 1 the partial already is the total
 // (the sequential oracle path).
-//
-//repro:barrier every member must reach the trailing barrier before the state is reusable
 func (r *Reducer[A]) Reduce(ctx *core.Ctx, partial A) A {
+	total := r.reduce(ctx, partial)
+	ctx.Barrier()
+	return total
+}
+
+func (r *Reducer[A]) reduce(ctx *core.Ctx, partial A) A {
 	w, lid := ctx.TeamSize(), ctx.LocalID()
 	if w == 1 {
 		return partial
@@ -37,12 +41,7 @@ func (r *Reducer[A]) Reduce(ctx *core.Ctx, partial A) A {
 	checkTeam(w, len(r.slots))
 	r.slots[lid].v = partial
 	ctx.Barrier()
-	total := r.fold(0, w)
-	// The trailing barrier makes the state reusable: no member may
-	// overwrite its slot for a following phase while another member is
-	// still folding this one.
-	ctx.Barrier()
-	return total
+	return r.fold(0, w)
 }
 
 // fold combines slots [lo, hi) in balanced-tree grouping.
@@ -123,16 +122,19 @@ func NewMinMaxer[T cmp.Ordered](np int) *MinMaxer[T] {
 // member of the executing team; each member scans one static chunk. For
 // empty data both results are the zero value. A team of size 1 runs the
 // sequential oracle.
-//
-//repro:barrier delegates its barrier obligation to the annotated Reduce
 func (m *MinMaxer[T]) MinMax(ctx *core.Ctx, data []T) (T, T) {
+	mn, mx := m.minMax(ctx, data)
+	ctx.Barrier()
+	return mn, mx
+}
+
+func (m *MinMaxer[T]) minMax(ctx *core.Ctx, data []T) (T, T) {
 	w, lid := ctx.TeamSize(), ctx.LocalID()
 	if w == 1 {
 		return SeqMinMax(data)
 	}
 	lo, hi := Chunk(lid, w, len(data))
-	e := scanExtrema(data[lo:hi])
-	e = m.r.Reduce(ctx, e)
+	e := m.r.reduce(ctx, scanExtrema(data[lo:hi]))
 	return e.min, e.max
 }
 

@@ -24,13 +24,12 @@ func NewScanner[A any](np int, identity A, comb func(A, A) A) *Scanner[A] {
 // into a block sum, the block sums are scanned exclusively across the team
 // barrier, and a fixup pass rewrites each chunk seeded with its member's
 // offset. A team of size 1 runs the sequential oracle.
-//
-//repro:barrier delegates its barrier obligation to the annotated scan
 func (s *Scanner[A]) Exclusive(ctx *core.Ctx, data []A) A {
-	return s.scan(ctx, data, true)
+	total := s.scan(ctx, data, true)
+	ctx.Barrier()
+	return total
 }
 
-//repro:barrier every member must reach the trailing barrier before the state is reusable
 func (s *Scanner[A]) scan(ctx *core.Ctx, data []A, exclusive bool) A {
 	w, lid := ctx.TeamSize(), ctx.LocalID()
 	if w == 1 {
@@ -76,9 +75,6 @@ func (s *Scanner[A]) scan(ctx *core.Ctx, data []A, exclusive bool) A {
 			data[i] = run
 		}
 	}
-	// Trailing barrier: the scan is complete (and the state reusable) for
-	// every member once it returns.
-	ctx.Barrier()
 	return total
 }
 
@@ -135,6 +131,7 @@ func scanTask[A any](np int, data []A, identity A, comb func(A, A) A, outTotal *
 	s := NewScanner(np, identity, comb)
 	return core.Func(np, func(ctx *core.Ctx) {
 		total := s.scan(ctx, data, exclusive)
+		ctx.Barrier()
 		if ctx.LocalID() == 0 && outTotal != nil {
 			*outTotal = total
 		}

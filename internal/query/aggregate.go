@@ -44,9 +44,13 @@ func NewAggregator[T, A any](np, nb int, identity A, lift func(A, T) A, comb fun
 // per-bucket totals to every member; the slice stays valid (and is
 // overwritten) across calls. key must be pure. A team of size 1 runs the
 // sequential oracle.
-//
-//repro:barrier every member must reach the trailing barrier before the totals are readable
 func (a *Aggregator[T, A]) Aggregate(ctx *core.Ctx, src []T, key func(T) int) []A {
+	totals := a.aggregate(ctx, src, key)
+	ctx.Barrier()
+	return totals
+}
+
+func (a *Aggregator[T, A]) aggregate(ctx *core.Ctx, src []T, key func(T) int) []A {
 	w, lid := ctx.TeamSize(), ctx.LocalID()
 	if w == 1 {
 		seqAggregateInto(src, a.identity, a.lift, key, a.totals)
@@ -76,9 +80,6 @@ func (a *Aggregator[T, A]) Aggregate(ctx *core.Ctx, src []T, key func(T) int) []
 		}
 		a.totals[b] = t
 	}
-	// Trailing barrier: all totals are merged (and the state reusable) for
-	// every member once it returns.
-	ctx.Barrier()
 	return a.totals
 }
 

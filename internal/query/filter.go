@@ -24,9 +24,13 @@ func NewFilterer[T any](np int) *Filterer[T] {
 // is written (a dst of exactly n elements suffices) and each member stays
 // inside its own range of it. dst must not alias src. A team of size 1 runs
 // the sequential oracle.
-//
-//repro:barrier every member must reach the trailing barrier before dst and the state are reusable
 func (f *Filterer[T]) Filter(ctx *core.Ctx, src, dst []T, pred func(T) bool) int {
+	n := f.filter(ctx, src, dst, pred)
+	ctx.Barrier()
+	return n
+}
+
+func (f *Filterer[T]) filter(ctx *core.Ctx, src, dst []T, pred func(T) bool) int {
 	w, lid := ctx.TeamSize(), ctx.LocalID()
 	if w == 1 {
 		return SeqFilter(src, dst, pred)
@@ -43,7 +47,6 @@ func (f *Filterer[T]) Filter(ctx *core.Ctx, src, dst []T, pred func(T) bool) int
 		d[j] = s[i]
 		j += par.B2i(pred(s[i]))
 	}
-	ctx.Barrier()
 	return total
 }
 

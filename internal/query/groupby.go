@@ -50,9 +50,13 @@ func NewGrouper[T any](np, nb int) *Grouper[T] {
 // for the bucket starts, and each member scatters its static chunk through
 // its private cursors (par.Hist.Cursors), write-conflict-free by
 // construction.
-//
-//repro:barrier every member must reach the trailing barrier before grouped and starts are readable
 func (g *Grouper[T]) GroupBy(ctx *core.Ctx, src, grouped []T, key func(T) int) []int {
+	starts := g.groupBy(ctx, src, grouped, key)
+	ctx.Barrier()
+	return starts
+}
+
+func (g *Grouper[T]) groupBy(ctx *core.Ctx, src, grouped []T, key func(T) int) []int {
 	w, lid := ctx.TeamSize(), ctx.LocalID()
 	n := len(src)
 	if w == 1 {
@@ -88,9 +92,6 @@ func (g *Grouper[T]) GroupBy(ctx *core.Ctx, src, grouped []T, key func(T) int) [
 		grouped[cur[b]] = v
 		cur[b]++
 	}
-	// Trailing barrier: grouped and starts are complete (and the state
-	// reusable) for every member once it returns.
-	ctx.Barrier()
 	return g.starts
 }
 

@@ -79,13 +79,18 @@ func NewJoiner[T Ordered](np int) *Joiner[T] {
 // at its exclusive prefix offset. That is the Pack pattern lifted from
 // elements to key runs: count, scan, conflict-free scatter, stable by
 // construction. A team of size 1 runs the sequential oracle.
-//
-//repro:barrier every member must reach the trailing barrier before out and the count are readable
 func (jn *Joiner[T]) MergeJoin(ctx *core.Ctx, a, b []T, out []JoinRun[T]) int {
+	jn.mergeJoin(ctx, a, b, out)
+	ctx.Barrier()
+	return jn.n // the last member's write, readable only past the barrier
+}
+
+func (jn *Joiner[T]) mergeJoin(ctx *core.Ctx, a, b []T, out []JoinRun[T]) {
 	w, lid := ctx.TeamSize(), ctx.LocalID()
 	checkTeam(w, len(jn.counts))
 	if w == 1 {
-		return SeqMergeJoin(a, b, out)
+		jn.n = SeqMergeJoin(a, b, out)
+		return
 	}
 
 	// Pass 1: count this member's matched runs.
@@ -101,10 +106,6 @@ func (jn *Joiner[T]) MergeJoin(ctx *core.Ctx, a, b []T, out []JoinRun[T]) int {
 	if lid == w-1 {
 		jn.n = off + jn.counts[lid].v
 	}
-	// Trailing barrier: out and the total are visible to every member (and
-	// the state reusable) once it returns.
-	ctx.Barrier()
-	return jn.n
 }
 
 // runs walks the key runs of a starting in member lid's chunk, matching

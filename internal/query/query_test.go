@@ -297,9 +297,12 @@ func TestGroupByStability(t *testing.T) {
 	}
 }
 
-// TestCollectiveReuse drives one team task through many consecutive
-// collective operator calls on the same state objects — the in-team form
-// every operator documents, and the reuse pattern Plan depends on.
+// TestCollectiveReuse drives one team task through many rounds in which
+// every operator runs twice back to back on the same state, with nothing in
+// between — the in-team form every operator documents, and the reuse
+// pattern Plan depends on. An operator that returned before its trailing
+// barrier would let a fast member's second call overwrite state a slow
+// member still reads in the first, which the race detector reports.
 func TestCollectiveReuse(t *testing.T) {
 	s := propSched(t)
 	np := s.MaxTeam()
@@ -309,7 +312,8 @@ func TestCollectiveReuse(t *testing.T) {
 
 	wantDst := make([]int32, len(in))
 	wantN := query.SeqFilter(in, wantDst, predOf)
-	wantStarts := query.SeqGroupBy(in, make([]int32, len(in)), nb, keyOf)
+	wantGrouped := make([]int32, len(in))
+	wantStarts := query.SeqGroupBy(in, wantGrouped, nb, keyOf)
 	wantAgg := query.SeqAggregate(in, nb, int64(0), lift, keyOf)
 	wantTop := make([]int32, 64)
 	wantTop = wantTop[:query.SeqTopK(in, wantTop, 64)]
@@ -337,12 +341,14 @@ func TestCollectiveReuse(t *testing.T) {
 			}
 		}
 		for round := 0; round < rounds; round++ {
-			if n := f.Filter(ctx, in, dst, predOf); n != wantN {
+			if a, b := f.Filter(ctx, in, dst, predOf), f.Filter(ctx, in, dst, predOf); a != wantN || b != wantN {
 				report("filter count changed across reuse")
 			}
+			gr.GroupBy(ctx, in, grouped, keyOf)
 			if starts := gr.GroupBy(ctx, in, grouped, keyOf); starts[nb] != wantStarts[nb] || starts[0] != wantStarts[0] {
 				report("groupby starts changed across reuse")
 			}
+			ag.Aggregate(ctx, in, keyOf)
 			totals := ag.Aggregate(ctx, in, keyOf)
 			for b := range totals {
 				if totals[b] != wantAgg[b] {
@@ -350,10 +356,10 @@ func TestCollectiveReuse(t *testing.T) {
 					break
 				}
 			}
-			if n := tk.TopK(ctx, in, top, 64); n != len(wantTop) {
+			if a, b := tk.TopK(ctx, in, top, 64), tk.TopK(ctx, in, top, 64); a != len(wantTop) || b != len(wantTop) {
 				report("topk count changed across reuse")
 			}
-			if n := jn.MergeJoin(ctx, srt, srt, joined); n != len(wantJoin) {
+			if a, b := jn.MergeJoin(ctx, srt, srt, joined), jn.MergeJoin(ctx, srt, srt, joined); a != len(wantJoin) || b != len(wantJoin) {
 				report("join runs changed across reuse")
 			}
 		}
@@ -364,7 +370,9 @@ func TestCollectiveReuse(t *testing.T) {
 	default:
 	}
 	checkSlice(t, "reuse-filter", np, dst[:wantN], wantDst[:wantN])
+	checkSlice(t, "reuse-groupby", np, grouped, wantGrouped)
 	checkSlice(t, "reuse-topk", np, top[:len(wantTop)], wantTop)
+	checkSlice(t, "reuse-join", np, joined[:len(wantJoin)], wantJoin)
 }
 
 func checkSlice[T comparable](t *testing.T, what string, np int, got, want []T) {

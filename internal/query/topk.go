@@ -36,16 +36,21 @@ func NewTopKer[T Ordered](np, k int) *TopKer[T] {
 // sequential sort, and the count is published across the final barrier.
 // Ties are resolved by value only (elements are indistinguishable beyond
 // their ordering), so the result equals the sequential oracle exactly.
-//
-//repro:barrier every member must reach the trailing barrier before dst and the count are readable
 func (t *TopKer[T]) TopK(ctx *core.Ctx, src, dst []T, k int) int {
+	t.topK(ctx, src, dst, k)
+	ctx.Barrier()
+	return t.n // member 0's write, readable only past the barrier
+}
+
+func (t *TopKer[T]) topK(ctx *core.Ctx, src, dst []T, k int) {
 	w, lid := ctx.TeamSize(), ctx.LocalID()
 	if k > t.k {
 		panic("query: TopK k exceeds the k the state was built for")
 	}
 	checkTeam(w, len(t.heaps))
 	if w == 1 {
-		return seqTopKHeap(src, dst, k, t.heaps[0])
+		t.n = seqTopKHeap(src, dst, k, t.heaps[0])
+		return
 	}
 
 	// Phase 1: bounded-heap selection over this member's chunk. A full heap
@@ -77,10 +82,6 @@ func (t *TopKer[T]) TopK(ctx *core.Ctx, src, dst []T, k int) int {
 		}
 		t.n = n
 	}
-	// Trailing barrier: dst and the count are visible to every member (and
-	// the state reusable) once it returns.
-	ctx.Barrier()
-	return t.n
 }
 
 // heapOffer pushes v into the bounded min-heap h (cap k) holding the k

@@ -22,7 +22,7 @@ go build ./...
 echo "check: go vet ${VET_FLAGS} ./..."
 go vet ${VET_FLAGS} ./...
 
-echo "check: reprolint (noalloc, barrier + manifest pin)"
+echo "check: reprolint (noalloc + manifest pin)"
 go run ./cmd/reprolint ./...
 
 # Every atomically accessed field is a typed atomic (atomic.Uint64 and
@@ -37,7 +37,7 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
   exit 1
 fi
 
-echo "check: codegencheck (qsort's scan loops, the benchmark binary's Filter/Pack loops, its samplesort tree walk and its sorting network and merges count and select with SETcc/MOVZX/CMOVcc, not a jump or a call)"
+echo "check: codegencheck (qsort's scan loops, the benchmark binary's filter/pack loops, its samplesort tree walk and its sorting network and merges count and select with SETcc/MOVZX/CMOVcc, not a jump or a call)"
 ./scripts/codegencheck.sh
 
 # No timer inside a team: teamsync parks on wake slots and takes only the
@@ -90,6 +90,12 @@ go test ./...
 echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition)"
 go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition' \
   ./internal/core ./internal/classic ./internal/chaos ./internal/teamsync ./internal/wake
+
+# Every team collective ends in its barrier because each exported collective
+# is its body followed by ctx.Barrier(); these tests call each one twice back
+# to back on the same state, so a missing trailing barrier is a data race.
+echo "check: go test -race -count=5 -run CollectiveReuse (par, query)"
+go test -race -count=5 -run CollectiveReuse ./internal/par ./internal/query
 
 # The race list and its rationale live in scripts/checkdefs.sh.
 echo "check: go test -race ${RACE_PKGS}"

@@ -78,8 +78,8 @@ check_kernel() {
         print "codegencheck: " fn ": " ok " of " want " predicate calls are counted branch-free (MOVZX/SETcc)"
       }'
 }
-check_kernel internal/query/filter.go 'func (f *Filterer[T]) Filter(' 'query\.\(\*Filterer\[go\.shape\.int32\]\)\.Filter$'
-check_kernel internal/par/pack.go 'func (p *Packer[T]) Pack(' 'par\.\(\*Packer\[go\.shape\.int32\]\)\.Pack$'
+check_kernel internal/query/filter.go 'func (f *Filterer[T]) filter(' 'query\.\(\*Filterer\[go\.shape\.int32\]\)\.filter$'
+check_kernel internal/par/pack.go 'func (p *Packer[T]) pack(' 'par\.\(\*Packer\[go\.shape\.int32\]\)\.pack$'
 
 # The samplesort's classifier (internal/ssort/ssort.go, classify) is the same
 # idiom on a tree walk, `j = 2*j + par.B2i(tree[j] <= v)`: inlined into the
