@@ -269,7 +269,6 @@ func BenchmarkSpawnSolo(b *testing.B) {
 			ctx.Spawn(core.Solo(func(*core.Ctx) {}))
 		}
 	}))
-	s.Wait()
 }
 
 func sizeName(n int) string {

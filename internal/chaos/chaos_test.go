@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -153,8 +154,6 @@ func TestChaosStress(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	s.Wait() // drain any abandoned continuations
-
 	if s.Pending() != 0 {
 		t.Fatalf("scheduler pending = %d after drain", s.Pending())
 	}
@@ -293,7 +292,6 @@ func FuzzCancelStorm(f *testing.F) {
 					t.Fatalf("round %d group %d: pending = %d after WaitErr", round, gi, n)
 				}
 			}
-			s.Wait()
 			if n := s.Pending(); n != 0 {
 				t.Fatalf("round %d: scheduler pending = %d after the drain\n%s", round, n, s.DumpState())
 			}
@@ -320,16 +318,19 @@ func spin(d time.Duration) {
 }
 
 // TestChaosDeadlineUnderSaturation drives blocking spawns into a saturated
-// scheduler whose groups carry deadlines: the blocked spawns must return
-// ErrDeadlineExceeded instead of parking forever, even while the fault hook
-// stalls workers.
+// scheduler whose groups carry context deadlines: the blocked spawns must
+// return ErrDeadlineExceeded instead of parking forever, even while the fault
+// hook stalls workers.
 func TestChaosDeadlineUnderSaturation(t *testing.T) {
 	inj := New(Options{Seed: 11, StallEvery: 8, StallDur: 20 * time.Microsecond})
 	s := core.New(core.Options{P: 2, MaxInject: 2, Fault: inj.Fault})
 	defer s.Shutdown()
 
-	// Plug the workers so admitted work cannot drain.
+	// Plug the workers so admitted work cannot drain; a failing check
+	// unplugs them before the deferred Shutdown waits for them.
 	release := make(chan struct{})
+	unplug := sync.OnceFunc(func() { close(release) })
+	defer unplug()
 	var plugged sync.WaitGroup
 	plug := s.NewGroup()
 	for i := 0; i < s.P(); i++ {
@@ -338,22 +339,25 @@ func TestChaosDeadlineUnderSaturation(t *testing.T) {
 	}
 	plugged.Wait()
 
-	// Fill the inject queue to MaxInject, then overflow it from a group with
-	// a deadline: the blocking spawn must park and time out.
+	// Fill the inject queue to MaxInject, then overflow it from a group
+	// bound to a context with a deadline: the blocking spawn must park and
+	// time out.
 	filler := s.NewGroup()
 	for filler.PendingInjected() < 2 {
 		if err := filler.TrySpawn(core.Func(1, func(*core.Ctx) {})); err != nil {
 			t.Fatalf("filler TrySpawn: %v", err)
 		}
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
 	g := s.NewGroup()
-	g.Deadline(time.Now().Add(30 * time.Millisecond))
+	defer g.BindContext(ctx)()
 	err := g.Spawn(core.Func(1, func(*core.Ctx) {}))
 	if !errors.Is(err, core.ErrDeadlineExceeded) {
 		t.Fatalf("blocked Spawn past deadline = %v, want ErrDeadlineExceeded", err)
 	}
 
-	close(release)
+	unplug()
 	plug.Wait()
 	filler.Wait()
 	if err := g.WaitErr(); !errors.Is(err, core.ErrDeadlineExceeded) {

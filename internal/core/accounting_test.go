@@ -1,12 +1,13 @@
 package core
 
 // Tests for the single-counter in-flight scheme: a task completes on exactly
-// one counter (its TaskGroup if joined, its Group otherwise), and
-// Scheduler.Wait/Pending are derived from the set of busy groups; and for
+// one counter (its TaskGroup if joined, its Group otherwise), and Pending
+// and Shutdown's wake-ups are derived from the set of busy groups; and for
 // what keeps that counter off the joined child's path — the owner-local
 // TaskGroup count and the stats published at completion.
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,16 +16,18 @@ import (
 	"repro/internal/trace"
 )
 
-// TestSchedulerWaitCoversEveryBusyGroup parks a Scheduler.Wait behind one
-// blocked task — once in the root group, once in a client group — while
-// concurrent clients flap their own groups (and the root) 0→1→0 hundreds of
-// times. Every flap adds a group to the busy set and removes it again next
-// to the held one; Wait must not return until the held task is released.
+// TestSchedulerWaitCoversEveryBusyGroup holds one task of one group in
+// flight — an admitted task, or a detached child whose parent has returned —
+// while concurrent clients flap their own groups 0→1→0 hundreds of times.
+// Every flap adds a group to the busy set and removes it again next to the
+// held one; the held group must stay in the set, which is what Pending sums
+// and what Shutdown wakes: a waiter parked on the held group returns
+// ErrShutdown once Shutdown runs, although its task never finishes.
 func TestSchedulerWaitCoversEveryBusyGroup(t *testing.T) {
-	for _, rootHolds := range []bool{true, false} {
+	for _, detached := range []bool{false, true} {
 		name := "held-in-group"
-		if rootHolds {
-			name = "held-in-root"
+		if detached {
+			name = "held-by-detached"
 		}
 		t.Run(name, func(t *testing.T) {
 			s := newTest(t, Options{P: 4})
@@ -32,56 +35,54 @@ func TestSchedulerWaitCoversEveryBusyGroup(t *testing.T) {
 			release := sync.OnceFunc(func() { close(latch) })
 			defer release() // before newTest's Shutdown, which waits for the worker
 			hold := Solo(func(*Ctx) { close(started); <-latch })
-			var err error
-			if rootHolds {
-				err = s.Spawn(hold)
-			} else {
-				err = s.NewGroup().Spawn(hold)
+			if detached {
+				child := hold
+				hold = Solo(func(ctx *Ctx) { ctx.Spawn(child) })
 			}
-			if err != nil {
+			held := s.NewGroup()
+			if err := held.Spawn(hold); err != nil {
 				t.Fatal(err)
 			}
 			<-started
-			waited := make(chan struct{})
-			go func() { s.Wait(); close(waited) }()
+			waited := make(chan error, 1)
+			go func() { waited <- held.WaitErr() }()
+			waitGateWaiters(t, &held.qz, 1)
 
 			var wg sync.WaitGroup
 			for c := 0; c < 4; c++ {
 				wg.Add(1)
-				go func(c int) {
+				go func() {
 					defer wg.Done()
 					g := s.NewGroup()
-					ran := make(chan struct{})
-					signal := Solo(func(*Ctx) { ran <- struct{}{} })
 					for r := 0; r < 200; r++ {
-						if c == 0 && !rootHolds {
-							// Flap the root group: it has no Wait of its own.
-							if err := s.Spawn(signal); err != nil {
-								t.Error(err)
-								return
-							}
-							<-ran
-						} else if err := g.Run(benchNoop{}); err != nil {
+						if err := g.Run(benchNoop{}); err != nil {
 							t.Error(err)
 							return
 						}
 					}
-				}(c)
+				}()
 			}
 			wg.Wait()
 			select {
-			case <-waited:
-				t.Fatal("Scheduler.Wait returned while a group still had a task in flight")
+			case err := <-waited:
+				t.Fatalf("held group's Wait returned (%v) while its task was in flight", err)
 			default:
 			}
 			if p := s.Pending(); p < 1 {
 				t.Fatalf("Pending = %d with a task held in flight", p)
 			}
-			release()
-			runWithDeadline(t, s, 10*time.Second, func() { <-waited })
-			if p := s.Pending(); p != 0 {
-				t.Fatalf("Pending = %d after Wait", p)
+			shut := make(chan struct{})
+			go func() { s.Shutdown(); close(shut) }() // returns once release lets the held worker go
+			select {
+			case err := <-waited:
+				if !errors.Is(err, ErrShutdown) {
+					t.Fatalf("held group's WaitErr = %v, want ErrShutdown", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("Shutdown did not wake the held group: it left the busy set\n%s", s.DumpState())
 			}
+			release()
+			<-shut
 		})
 	}
 }
@@ -103,8 +104,8 @@ func TestWBBusySetFollowsLevel(t *testing.T) {
 	g.inflight.Add(-1) // the first half of n's taskDone
 	g.Spawn(benchNoop{})
 	s.markIdle(g) // the lagging second half
-	if s.idle() || s.Pending() != 1 {
-		t.Fatalf("reused group dropped out of the busy set: idle=%v pending=%d", s.idle(), s.Pending())
+	if b, p := busyGroups(s), s.Pending(); b != 1 || p != 1 {
+		t.Fatalf("reused group dropped out of the busy set: busy=%d pending=%d", b, p)
 	}
 	g.inflight.Add(1) // hand n's unit back and let both tasks finish for real
 	w.runSolo(n)
@@ -112,65 +113,16 @@ func TestWBBusySetFollowsLevel(t *testing.T) {
 		t.Fatal("second task not admitted")
 	}
 	w.runSolo(w.queues[0].PopBottom())
-	if !s.idle() || s.Pending() != 0 {
-		t.Fatalf("drained group still busy: idle=%v pending=%d", s.idle(), s.Pending())
+	if b, p := busyGroups(s), s.Pending(); b != 0 || p != 0 {
+		t.Fatalf("drained group still busy: busy=%d pending=%d", b, p)
 	}
 }
 
-// TestSchedulerWaitSeesPriorSubmissions checks Wait's ordering guarantee
-// under flapping: every task whose spawn returned before Wait was called has
-// completed when Wait returns, whichever group (the root included) it went
-// to and however often those groups crossed zero in between.
-func TestSchedulerWaitSeesPriorSubmissions(t *testing.T) {
-	s := newTest(t, Options{P: 4})
-	var submitted, completed atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for c := 0; c < 3; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			g := s.NewGroup()
-			ran := make(chan struct{})
-			task := Solo(func(*Ctx) { completed.Add(1) })
-			rootTask := Solo(func(*Ctx) { completed.Add(1); ran <- struct{}{} })
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if c == 0 {
-					if err := s.Spawn(rootTask); err != nil {
-						t.Error(err)
-						return
-					}
-					submitted.Add(1)
-					<-ran
-				} else {
-					if err := g.Spawn(task); err != nil {
-						t.Error(err)
-						return
-					}
-					submitted.Add(1)
-					g.Wait()
-				}
-			}
-		}(c)
-	}
-	for i := 0; i < 200; i++ {
-		before := submitted.Load()
-		s.Wait()
-		if got := completed.Load(); got < before {
-			t.Fatalf("Wait returned with %d of %d prior submissions completed", got, before)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	s.Wait()
-	if p := s.Pending(); p != 0 {
-		t.Fatalf("Pending = %d after drain", p)
-	}
+// busyGroups returns the size of the busy set.
+func busyGroups(s *Scheduler) int {
+	s.busyMu.Lock()
+	defer s.busyMu.Unlock()
+	return len(s.busy)
 }
 
 // TestGroupWaitCoversJoinedAndDetached builds a ternary tree in one group
@@ -232,7 +184,6 @@ func TestGroupWaitCoversJoinedAndDetached(t *testing.T) {
 	if st := s.Stats(); st.Steals == 0 {
 		t.Fatalf("no steal despite the latch: %s", st)
 	}
-	s.Wait()
 	releases := 0
 	for _, e := range s.TraceSnapshot().Events {
 		if e.Kind == trace.EvGroupDone && e.X == uint32(g.gid) {
@@ -296,7 +247,7 @@ func TestTaskGroupZeroAlloc(t *testing.T) {
 	start := make(chan struct{})
 	defer close(start) // before Shutdown: the driver task must leave its loop
 	round := make(chan struct{})
-	s.Spawn(Solo(func(ctx *Ctx) {
+	s.NewGroup().Spawn(Solo(func(ctx *Ctx) {
 		var tg TaskGroup
 		for range start {
 			for i := 0; i < k; i++ {

@@ -9,18 +9,18 @@ import (
 
 // This file implements the admission-control half of the external submission
 // path. Externally spawned tasks do not share one unbounded FIFO slice:
-// every submission source — each Group, including the scheduler's root
-// group behind group-less Scheduler.Spawn — owns a FIFO inject queue, and
+// every Group — the only submission source — owns a FIFO inject queue, and
 // workers drain the non-empty queues round-robin (takeInjected), so a client
 // flooding its own group cannot starve another group's submissions
-// (group-fair FIFO: strict FIFO within a source, round-robin across sources).
+// (group-fair FIFO: strict FIFO within a group, round-robin across groups).
 //
 // Two bounds throttle runaway clients at the inject path, before their tasks
 // ever reach the worker deques: Options.MaxPendingPerGroup caps one source's
 // admitted-but-not-yet-started tasks, Options.MaxInject caps the total
-// across all sources. Blocking submissions (Group.Spawn, SpawnBatch,
-// Scheduler.Spawn) park on a condition variable until room frees up or the
-// scheduler shuts down; non-blocking ones (TrySpawn, TrySpawnBatch) return
+// across all sources. Both kinds of submission go through one function,
+// admitNodes: blocking ones (Group.Spawn, SpawnBatch) park on a condition
+// variable until room frees up, the group is canceled or the scheduler
+// shuts down; non-blocking ones (TrySpawn, TrySpawnBatch) return
 // ErrSaturated instead. Interior spawns (Ctx.Spawn) are never throttled:
 // they are the scheduler's own task-tree growth, not client ingress.
 
@@ -148,15 +148,16 @@ func (s *Scheduler) enqueueLocked(g *Group, ns []*node) {
 	}
 }
 
-// admitBlocking admits every node of ns into g in submission order, parking
-// while the bounds leave no room, and returns the number of admitted nodes
-// plus the typed reason admission stopped early: ErrShutdown on a shut-down
-// scheduler, or g's cancellation cause once the group is canceled — a
-// parked spawner wakes on cancel/deadline (Group.cancelLocked broadcasts)
-// instead of blocking forever. The not-yet-admitted remainder is dropped
-// without having been accounted. Batches larger than a bound are admitted in
-// chunks as room frees up.
-func (s *Scheduler) admitBlocking(g *Group, ns []*node) (int, error) {
+// admitNodes admits the nodes of ns into g in submission order and returns
+// how many it admitted, plus the typed reason it stopped early: ErrShutdown
+// on a shut-down scheduler, or g's cancellation cause once the group is
+// canceled. When the bounds leave no room, a blocking call (Spawn,
+// SpawnBatch) parks until they do — a batch larger than a bound is admitted
+// in chunks — and wakes on shutdown or cancel (Group.cancel broadcasts)
+// instead of blocking forever; a non-blocking one (TrySpawn, TrySpawnBatch)
+// keeps the longest prefix that fitted and returns ErrSaturated. The
+// not-yet-admitted remainder is dropped without having been accounted.
+func (s *Scheduler) admitNodes(g *Group, ns []*node, block bool) (int, error) {
 	if f := s.opts.Fault; f != nil {
 		f(FaultAdmit, -1)
 	}
@@ -164,7 +165,7 @@ func (s *Scheduler) admitBlocking(g *Group, ns []*node) (int, error) {
 	blocked := false
 	var err error
 	s.admitMu.Lock()
-	for admitted < len(ns) {
+	for {
 		if s.done.Load() {
 			err = ErrShutdown
 			break
@@ -174,62 +175,34 @@ func (s *Scheduler) admitBlocking(g *Group, ns []*node) (int, error) {
 			s.admit.Rejected.Add(int64(len(ns) - admitted))
 			break
 		}
-		k := s.admitRoom(&g.iq, len(ns)-admitted)
-		if k == 0 {
-			if !blocked {
-				blocked = true
-				s.admit.BlockedSpawns.Add(1)
-			}
-			s.admitWaiters++
-			s.admitCond.Wait()
-			s.admitWaiters--
-			continue
+		if k := s.admitRoom(&g.iq, len(ns)-admitted); k > 0 {
+			s.enqueueLocked(g, ns[admitted:admitted+k])
+			admitted += k
 		}
-		s.enqueueLocked(g, ns[admitted:admitted+k])
-		admitted += k
+		if admitted == len(ns) {
+			break
+		}
+		if !block {
+			err = ErrSaturated
+			s.admit.Rejected.Add(int64(len(ns) - admitted))
+			break
+		}
+		if !blocked {
+			blocked = true
+			s.admit.BlockedSpawns.Add(1)
+		}
+		s.admitWaiters++
+		s.admitCond.Wait()
+		s.admitWaiters--
 	}
 	s.admitMu.Unlock()
-	if errors.Is(err, ErrDeadlineExceeded) {
+	if block && errors.Is(err, ErrDeadlineExceeded) {
 		s.admit.SpawnTimeouts.Add(1)
 	}
 	for _, n := range ns[admitted:] {
-		putNodeShared(n) // dropped on shutdown/cancel: never accounted, never published
-	}
-	return admitted, err
-}
-
-// admitTry admits the longest prefix of ns that fits without blocking.
-// It returns the number admitted and ErrSaturated if any node was refused,
-// ErrShutdown (admitting nothing) on a shut-down scheduler, or the
-// cancellation cause (admitting nothing) on a canceled group.
-func (s *Scheduler) admitTry(g *Group, ns []*node) (int, error) {
-	if f := s.opts.Fault; f != nil {
-		f(FaultAdmit, -1)
-	}
-	s.admitMu.Lock()
-	var err error
-	k := 0
-	switch {
-	case s.done.Load():
-		err = ErrShutdown
-	case g.epoch.Load()&1 == 1:
-		err = g.cause // safe: odd epoch observed under admitMu, cause written before the bump
-		s.admit.Rejected.Add(int64(len(ns)))
-	default:
-		k = s.admitRoom(&g.iq, len(ns))
-		if k > 0 {
-			s.enqueueLocked(g, ns[:k])
-		}
-		if k < len(ns) {
-			s.admit.Rejected.Add(int64(len(ns) - k))
-			err = ErrSaturated
-		}
-	}
-	s.admitMu.Unlock()
-	for _, n := range ns[k:] {
 		putNodeShared(n) // refused: never accounted, never published
 	}
-	return k, err
+	return admitted, err
 }
 
 // takeInjected moves one externally submitted task into w's queues, serving
@@ -298,7 +271,7 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 		}
 		s.pendingInject.Add(-1)
 		g := n.group
-		// Under admitMu, so ordered with Group.cancelLocked's epoch bump.
+		// Under admitMu, so ordered with Group.cancel's epoch bump.
 		revoked := n.gepoch != g.epoch.Load()
 		if revoked {
 			s.admit.Revoked.Add(1)

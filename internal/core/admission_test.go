@@ -307,8 +307,8 @@ func TestAdmissionBlockedSpawnWokenByShutdown(t *testing.T) {
 }
 
 // TestWaitParksAndWakes exercises the notification path of Group.Wait and
-// Scheduler.Wait with many concurrent waiters parked on one slow task: all
-// of them must wake on completion (not rely on each other's spinning).
+// WaitErr with many concurrent waiters parked on one slow task: all of them
+// must wake on completion (not rely on each other's spinning).
 func TestWaitParksAndWakes(t *testing.T) {
 	s := newTest(t, Options{P: 2})
 	release := make(chan struct{})
@@ -322,8 +322,8 @@ func TestWaitParksAndWakes(t *testing.T) {
 			defer wg.Done()
 			if i%2 == 0 {
 				g.Wait()
-			} else {
-				s.Wait()
+			} else if err := g.WaitErr(); err != nil {
+				t.Error(err)
 			}
 		}(i)
 	}

@@ -57,7 +57,7 @@ func restoreGMP(b *testing.B) {
 // benchmarks an interior (Ctx-bearing) vantage point.
 func onWorker(s *Scheduler, fn func(ctx *Ctx)) {
 	done := make(chan struct{})
-	s.Spawn(Solo(func(ctx *Ctx) {
+	s.NewGroup().Spawn(Solo(func(ctx *Ctx) {
 		fn(ctx)
 		close(done)
 	}))

@@ -4,15 +4,15 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"repro/internal/trace"
 )
 
-// This file implements group cancellation and deadlines. A client that gives
-// up — a dropped connection, a passed deadline, an abandoned batch — must be
-// able to get its admitted work back out of the scheduler instead of letting
-// workers burn CPU on answers nobody reads.
+// This file implements group cancellation. A client that gives up — a
+// dropped connection, a passed deadline, an abandoned batch — must be able
+// to get its admitted work back out of the scheduler instead of letting
+// workers burn CPU on answers nobody reads. A deadline is a context's:
+// BindContext(context.WithDeadline(…)) is the one way to give a group one.
 //
 // The mechanism is a per-group cancellation epoch. Every node admitted
 // through the inject path is stamped with its group's epoch at admission
@@ -31,13 +31,15 @@ import (
 // the canceled era (the comparison at take time is full equality, not the
 // parity bit).
 
-// Typed cancellation errors. Group.Cancel(nil) records ErrCanceled; a fired
-// Deadline records ErrDeadlineExceeded; a custom cause is returned verbatim
-// by Wait/WaitErr and the blocking spawn forms.
+// Typed cancellation errors. Group.Cancel(nil) and a bound context canceled
+// without a passed deadline record ErrCanceled; a bound context whose
+// deadline passed records ErrDeadlineExceeded; a custom cause is returned
+// verbatim by Wait/WaitErr and the blocking spawn forms.
 var (
 	// ErrCanceled reports that the group was canceled with no specific cause.
 	ErrCanceled = errors.New("core: group canceled")
-	// ErrDeadlineExceeded reports that the group's deadline passed.
+	// ErrDeadlineExceeded reports that the deadline of the group's bound
+	// context passed.
 	ErrDeadlineExceeded = errors.New("core: group deadline exceeded")
 )
 
@@ -54,22 +56,18 @@ var (
 // needs its Wait to drain the tasks that had already started (they should
 // notice Ctx.Canceled and return early); Wait does not run new ones.
 func (g *Group) Cancel(cause error) bool {
-	g.cancelMu.Lock()
-	defer g.cancelMu.Unlock()
-	return g.cancelLocked(cause, trace.EvGroupCancel)
+	return g.cancel(cause, trace.EvGroupCancel)
 }
 
-// cancelLocked is Cancel with cancelMu held, recording the cancel as kind.
-func (g *Group) cancelLocked(cause error, kind trace.Kind) bool {
+// cancel is Cancel recording the cancel as kind.
+func (g *Group) cancel(cause error, kind trace.Kind) bool {
 	if cause == nil {
 		cause = ErrCanceled
 	}
+	g.cancelMu.Lock()
+	defer g.cancelMu.Unlock()
 	if g.epoch.Load()&1 == 1 {
 		return false // already canceled; first cause wins
-	}
-	if g.timer != nil {
-		g.timer.Stop()
-		g.timer = nil
 	}
 	// The cause is published by the epoch bump below: it is written before
 	// the bump, and readers look at it only after observing an odd epoch, so
@@ -95,55 +93,21 @@ func (g *Group) cancelLocked(cause error, kind trace.Kind) bool {
 	return true
 }
 
-// Deadline arms (or re-arms) the group's deadline: at t the group is
-// canceled with ErrDeadlineExceeded, exactly as if Cancel had been called.
-// A deadline already in the past cancels immediately. Arming a deadline on
-// a canceled group is a no-op; re-arming replaces the previous timer. A
-// deadline belongs to the era it was armed in: one that fires after a Reset
-// is void.
-func (g *Group) Deadline(t time.Time) {
-	d := time.Until(t)
-	g.cancelMu.Lock()
-	defer g.cancelMu.Unlock()
-	if g.epoch.Load()&1 == 1 {
-		return
-	}
-	if g.timer != nil {
-		g.timer.Stop()
-		g.timer = nil
-	}
-	if d > 0 {
-		era := g.gid
-		g.timer = time.AfterFunc(d, func() { g.deadlineFire(era) })
-		return
-	}
-	g.cancelLocked(ErrDeadlineExceeded, trace.EvDeadlineFire)
-}
-
-// deadlineFire cancels the group if it is still in the era the deadline was
-// armed in. Reset stops the timer, but one that already fired may be blocked
-// on cancelMu meanwhile; the renewed gid tells it that its group moved on.
-func (g *Group) deadlineFire(era uint64) {
-	g.cancelMu.Lock()
-	defer g.cancelMu.Unlock()
-	if g.gid == era {
-		g.cancelLocked(ErrDeadlineExceeded, trace.EvDeadlineFire)
-	}
-}
-
 // BindContext ties the group's cancellation to ctx: when ctx is canceled or
 // its deadline passes, the group is canceled with ErrCanceled or
-// ErrDeadlineExceeded respectively. It returns a stop function releasing
-// the watcher goroutine; call it (idempotent) once the group's work is done.
-// Once stop has returned the watcher has exited, so no cancel from ctx
-// reaches the group any more — in particular none reaches its next era
-// after a Reset. A context that can never be canceled costs nothing.
+// ErrDeadlineExceeded respectively, traced as EvGroupCancel or
+// EvDeadlineFire. It is the group's only deadline. It returns a stop
+// function releasing the watcher goroutine; call it (idempotent) once the
+// group's work is done. Once stop has returned the watcher has exited, so
+// no cancel from ctx reaches the group any more — in particular none
+// reaches its next era after a Reset. A context that can never be canceled
+// costs nothing.
 func (g *Group) BindContext(ctx context.Context) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
 	}
 	if err := ctx.Err(); err != nil {
-		g.Cancel(bindCause(err))
+		g.cancelFrom(err)
 		return func() {}
 	}
 	b := &binding{g: g, ctx: ctx, stopCh: make(chan struct{})}
@@ -165,7 +129,7 @@ func (b *binding) watch() {
 	defer b.exited.Done()
 	select {
 	case <-b.ctx.Done():
-		b.g.Cancel(bindCause(b.ctx.Err()))
+		b.g.cancelFrom(b.ctx.Err())
 	case <-b.stopCh:
 	case <-b.g.s.doneCh:
 	}
@@ -178,15 +142,17 @@ func (b *binding) stop() {
 	b.exited.Wait()
 }
 
-func bindCause(err error) error {
+// cancelFrom cancels the group for a bound context that ended with err.
+func (g *Group) cancelFrom(err error) {
+	cause, kind := ErrCanceled, trace.EvGroupCancel
 	if errors.Is(err, context.DeadlineExceeded) {
-		return ErrDeadlineExceeded
+		cause, kind = ErrDeadlineExceeded, trace.EvDeadlineFire
 	}
-	return ErrCanceled
+	g.cancel(cause, kind)
 }
 
-// Canceled reports whether the group has been canceled (Cancel, a fired
-// Deadline, or a bound context). One atomic load; safe from anywhere.
+// Canceled reports whether the group has been canceled (Cancel or a bound
+// context). One atomic load; safe from anywhere.
 func (g *Group) Canceled() bool {
 	return g.epoch.Load()&1 == 1
 }
@@ -218,9 +184,8 @@ func (g *Group) WaitErr() error {
 }
 
 // Reset starts a new era of the group: a canceled group returns to live so
-// it can be reused for new work, a pending Deadline is disarmed (one that
-// has already fired is void), and the group draws a fresh trace id, so the
-// Chrome export shows each era as its own span. The caller must hold the
+// it can be reused for new work, and the group draws a fresh trace id, so
+// the Chrome export shows each era as its own span. The caller must hold the
 // group exclusively: quiescent (Wait returned) with no concurrent spawns,
 // waits, or cancels — the same single-client contract that reusing a group
 // after Wait already requires; a BindContext watcher must have been stopped.
@@ -229,10 +194,6 @@ func (g *Group) WaitErr() error {
 // not resurrect them).
 func (g *Group) Reset() {
 	g.cancelMu.Lock()
-	if g.timer != nil {
-		g.timer.Stop()
-		g.timer = nil
-	}
 	// Exclusive by contract: no concurrent spawner, waiter, or canceler
 	// exists, so the check-then-add and the plain cause store cannot race.
 	if g.epoch.Load()&1 == 1 {
@@ -246,7 +207,7 @@ func (g *Group) Reset() {
 // Canceled reports whether the running task's group has been canceled: the
 // cooperative cancellation check. Long-running tasks poll it at recursion
 // and spawn points and return early — one atomic load, cheap enough for the
-// hot path. Group-less tasks are never canceled.
+// hot path.
 //
 //repro:noalloc polled at the recursion points of every sort kernel
 func (c *Ctx) Canceled() bool { return c.group.Canceled() }

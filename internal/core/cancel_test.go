@@ -76,7 +76,6 @@ func TestCancelRevokesPending(t *testing.T) {
 			t.Fatalf("WaitErr = %v, want cause", err)
 		}
 	}
-	s.Wait()
 
 	if n := ran.Load(); n != 0 {
 		t.Fatalf("%d canceled tasks executed, want 0", n)
@@ -123,14 +122,17 @@ func TestCancelRejectsNewSpawns(t *testing.T) {
 	}
 }
 
-// TestDeadlineCancelsGroup checks that a deadline in the past fires
-// immediately and a future deadline fires on time with ErrDeadlineExceeded.
+// TestDeadlineCancelsGroup checks that a bound context's deadline in the
+// past cancels at once and a future one fires on time, both with
+// ErrDeadlineExceeded.
 func TestDeadlineCancelsGroup(t *testing.T) {
 	s := New(Options{P: 2})
 	defer s.Shutdown()
 
+	past, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
 	g := s.NewGroup()
-	g.Deadline(time.Now().Add(-time.Second))
+	defer g.BindContext(past)()
 	if !g.Canceled() {
 		t.Fatal("past deadline did not cancel immediately")
 	}
@@ -138,8 +140,10 @@ func TestDeadlineCancelsGroup(t *testing.T) {
 		t.Fatalf("Err = %v, want ErrDeadlineExceeded", err)
 	}
 
+	future, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(10*time.Millisecond))
+	defer cancel2()
 	g2 := s.NewGroup()
-	g2.Deadline(time.Now().Add(10 * time.Millisecond))
+	defer g2.BindContext(future)()
 	deadline := time.Now().Add(5 * time.Second)
 	for !g2.Canceled() {
 		if time.Now().After(deadline) {
@@ -153,8 +157,9 @@ func TestDeadlineCancelsGroup(t *testing.T) {
 }
 
 // TestDeadlineUnblocksParkedSpawn is the bounded-blocking-admission
-// acceptance: a Spawn parked on a full inject queue must wake when its
-// group's deadline fires and return ErrDeadlineExceeded (typed, counted).
+// acceptance: a Spawn parked on a full inject queue must wake when the
+// deadline of its group's bound context passes and return
+// ErrDeadlineExceeded (typed, counted).
 func TestDeadlineUnblocksParkedSpawn(t *testing.T) {
 	s := New(Options{P: 2, MaxInject: 1})
 	defer s.Shutdown()
@@ -167,8 +172,10 @@ func TestDeadlineUnblocksParkedSpawn(t *testing.T) {
 	}
 
 	before := s.Admission()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	g := s.NewGroup()
-	g.Deadline(time.Now().Add(20 * time.Millisecond))
+	defer g.BindContext(ctx)()
 	start := time.Now()
 	err := g.Spawn(Solo(func(*Ctx) { t.Error("parked task ran after deadline") }))
 	if !errors.Is(err, ErrDeadlineExceeded) {
@@ -265,38 +272,6 @@ func TestCancelNotAfterStop(t *testing.T) {
 	}
 }
 
-// TestCancelDeadlineNotAfterReset: a deadline belongs to the era it was
-// armed in. Directly: a fire from the previous era is void. Through the
-// timer: a deadline that fires while cancelMu is held (here by the test, as
-// by a concurrent Cancel) blocks on it; if Reset gets the lock first, the
-// fire that follows must leave the new era live.
-func TestCancelDeadlineNotAfterReset(t *testing.T) {
-	s := newTest(t, Options{P: 1})
-	g := s.NewGroup()
-	era := g.gid
-	g.Reset()
-	g.deadlineFire(era)
-	if g.Canceled() {
-		t.Fatal("a deadline of the previous era canceled the reset group")
-	}
-	g.deadlineFire(g.gid)
-	if !errors.Is(g.Err(), ErrDeadlineExceeded) {
-		t.Fatalf("a deadline of the current era: Err = %v, want ErrDeadlineExceeded", g.Err())
-	}
-	for i := 0; i < 5; i++ {
-		g.Reset()
-		g.Deadline(time.Now().Add(time.Millisecond))
-		g.cancelMu.Lock()
-		time.Sleep(5 * time.Millisecond) // the timer fires and blocks on cancelMu
-		g.cancelMu.Unlock()
-		g.Reset()
-		time.Sleep(5 * time.Millisecond) // the fire gets the lock
-		if g.Canceled() {
-			t.Fatalf("round %d: a deadline armed before Reset canceled the reset group", i)
-		}
-	}
-}
-
 func waitCanceled(t *testing.T, g *Group) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -343,7 +318,6 @@ func TestGroupReset(t *testing.T) {
 	if err := g.WaitErr(); err != nil {
 		t.Fatalf("WaitErr after Reset = %v, want nil", err)
 	}
-	s.Wait()
 	if ran.Load() != 0 {
 		t.Fatalf("%d canceled-era tasks executed after Reset, want 0", ran.Load())
 	}
@@ -412,18 +386,17 @@ func TestCanceledGroupDoesNotStarveOthers(t *testing.T) {
 	}
 	stop.Store(true)
 	<-flooder
-	s.Wait()
 	if adm := s.Admission(); adm.Injected != adm.Taken+adm.Revoked {
 		t.Fatalf("admission does not reconcile: %+v", adm)
 	}
 }
 
-// FuzzCancel drives a random schedule of spawns, cancels, deadlines and
-// resets against one group and checks the structural invariants: WaitErr
-// agrees with the group's canceled state, inflight reconciles to zero, no
-// task of a canceled epoch runs after its cancel was observed pre-spawn,
-// and the admission counters balance. Wired into scripts/fuzz-smoke.sh via
-// auto-discovery.
+// FuzzCancel drives a random schedule of spawns, cancels, bound context
+// deadlines and resets against one group and checks the structural
+// invariants: WaitErr agrees with the group's canceled state, inflight
+// reconciles to zero, no task of a canceled epoch runs after its cancel was
+// observed pre-spawn, and the admission counters balance. Wired into
+// scripts/fuzz-smoke.sh via auto-discovery.
 func FuzzCancel(f *testing.F) {
 	f.Add([]byte{0x01, 0x40, 0x02, 0x03}, uint8(2))
 	f.Add([]byte{0x10, 0x11, 0x12, 0x13, 0x05, 0x20}, uint8(4))
@@ -434,6 +407,14 @@ func FuzzCancel(f *testing.F) {
 		defer s.Shutdown()
 		g := s.NewGroup()
 		cause := errors.New("fuzz cancel")
+		var stops []func() // BindContext stops and context cancels
+		stopAll := func() {
+			for _, stop := range stops {
+				stop()
+			}
+			stops = stops[:0]
+		}
+		defer stopAll()
 		for _, op := range ops {
 			switch op % 5 {
 			case 0:
@@ -443,15 +424,17 @@ func FuzzCancel(f *testing.F) {
 			case 2:
 				g.Cancel(cause)
 			case 3:
-				g.Deadline(time.Now().Add(time.Duration(op) * time.Microsecond))
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(op)*time.Microsecond)
+				stops = append(stops, g.BindContext(ctx), cancel)
 			case 4:
 				if g.Canceled() {
 					g.Wait()
+					stopAll() // Reset requires every watcher stopped
 					g.Reset()
 				}
 			}
 		}
-		// A fuzzed Deadline may fire at any point around WaitErr, so the
+		// A fuzzed deadline may fire at any point around WaitErr, so the
 		// verdict is bracketed: canceled before ⇒ an error, an error ⇒
 		// canceled after.
 		before := g.Canceled()
@@ -466,7 +449,6 @@ func FuzzCancel(f *testing.F) {
 		if g.Pending() != 0 {
 			t.Fatalf("group Pending = %d after WaitErr", g.Pending())
 		}
-		s.Wait()
 		if s.Pending() != 0 {
 			t.Fatalf("scheduler Pending = %d after drain", s.Pending())
 		}

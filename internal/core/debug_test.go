@@ -27,16 +27,17 @@ func runWithDeadline(t *testing.T, s *Scheduler, d time.Duration, fn func()) {
 func TestManyTeamTasksDump(t *testing.T) {
 	const p = 8
 	s := newTest(t, Options{P: p})
+	g := s.NewGroup()
 	s.StartTrace()
 	var execs atomic.Int64
 	want := int64(0)
 	for i := 0; i < 50; i++ {
 		for r := 1; r <= p; r *= 2 {
 			want += int64(r)
-			s.Spawn(Func(r, func(*Ctx) { execs.Add(1) }))
+			g.Spawn(Func(r, func(*Ctx) { execs.Add(1) }))
 		}
 	}
-	runWithDeadline(t, s, 10*time.Second, s.Wait)
+	runWithDeadline(t, s, 10*time.Second, g.Wait)
 	if got := execs.Load(); got != want {
 		t.Fatalf("participant executions = %d, want %d", got, want)
 	}

@@ -84,7 +84,6 @@ func FuzzGroup(f *testing.F) {
 					i, got, want, nr, dp, fo)
 			}
 		}
-		s.Wait()
 		if s.Pending() != 0 {
 			t.Fatalf("global pending = %d after all groups drained", s.Pending())
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Group is a set of tasks with its own quiescence: Wait returns when every
@@ -13,8 +12,9 @@ import (
 // one scheduler serve many independent clients concurrently: with the
 // paper's r = 1 tasks the scheduler behaves like ordinary work-stealing, so
 // a group is the mixed-mode analogue of one client's fork-join computation,
-// and two clients' groups drain independently instead of waiting on the
-// scheduler's global task count.
+// and two clients' groups drain independently. The Group is the
+// scheduler's only submission and quiescence domain: every external task
+// is admitted into one, and there is no scheduler-wide Wait.
 //
 // A Group is also an admission source: its external spawns feed a private
 // FIFO inject queue that workers drain round-robin against the other
@@ -39,8 +39,8 @@ type Group struct {
 
 	// gid is a small scheduler-unique id labeling the group's trace events,
 	// so the Chrome export can render each group as its own async span.
-	// Reset draws a fresh one, which also names the era a Deadline was armed
-	// in; it is written under cancelMu by the group's exclusive holder.
+	// Reset draws a fresh one; it is written under cancelMu by the group's
+	// exclusive holder.
 	gid uint64
 
 	// inflight counts the group's admitted and detached (Ctx.Spawn) tasks
@@ -68,13 +68,11 @@ type Group struct {
 	// plain read. On amd64 Load is the same plain MOV.
 	epoch atomic.Uint64
 
-	// cancelMu serializes the control-plane transitions (Cancel, Deadline,
-	// Reset); it is never taken on a task path. cause is written under
-	// cancelMu before the epoch goes odd and read only after observing the
-	// odd epoch; timer is the pending Deadline timer.
+	// cancelMu serializes the control-plane transitions (Cancel, Reset); it
+	// is never taken on a task path. cause is written under cancelMu before
+	// the epoch goes odd and read only after observing the odd epoch.
 	cancelMu sync.Mutex
 	cause    error
-	timer    *time.Timer
 }
 
 // NewGroup returns a fresh, empty task group on s.
@@ -98,10 +96,10 @@ func (g *Group) Scheduler() *Scheduler { return g.s }
 //
 // Spawn returns nil once the task is admitted. On a shut-down scheduler it
 // returns ErrShutdown; on a canceled group (including a parked Spawn whose
-// group is canceled or passes its deadline while waiting) it returns the
-// cancellation cause — ErrCanceled, ErrDeadlineExceeded, or the Cancel
-// argument. In every error case the task is dropped without inflating any
-// in-flight count.
+// group is canceled or whose bound context passes its deadline while
+// waiting) it returns the cancellation cause — ErrCanceled,
+// ErrDeadlineExceeded, or the Cancel argument. In every error case the task
+// is dropped without inflating any in-flight count.
 //
 // A nil t is the empty computation (what an algorithm's root constructor
 // returns for nothing to do, e.g. a sort of fewer than two elements): it is
@@ -110,7 +108,7 @@ func (g *Group) Spawn(t Task) error {
 	if t == nil {
 		return nil
 	}
-	_, err := g.s.admitBlocking(g, []*node{g.s.makeNode(t, g)})
+	_, err := g.s.admitNodes(g, []*node{g.s.makeNode(t, g)}, true)
 	return err
 }
 
@@ -131,7 +129,7 @@ func (g *Group) SpawnBatch(ts []Task) error {
 	for i, t := range ts {
 		ns[i] = g.s.makeNode(t, g)
 	}
-	_, err := g.s.admitBlocking(g, ns)
+	_, err := g.s.admitNodes(g, ns, true)
 	return err
 }
 
@@ -142,7 +140,7 @@ func (g *Group) SpawnBatch(ts []Task) error {
 // way to submit from latency-sensitive clients and from inside running
 // tasks.
 func (g *Group) TrySpawn(t Task) error {
-	_, err := g.s.admitTry(g, []*node{g.s.makeNode(t, g)})
+	_, err := g.s.admitNodes(g, []*node{g.s.makeNode(t, g)}, false)
 	return err
 }
 
@@ -163,22 +161,21 @@ func (g *Group) TrySpawnBatch(ts []Task) (int, error) {
 	for i, t := range ts {
 		ns[i] = g.s.makeNode(t, g)
 	}
-	return g.s.admitTry(g, ns)
+	return g.s.admitNodes(g, ns, false)
 }
 
 // Wait blocks until the group is quiescent: every task spawned into it (and
 // every descendant those tasks spawned) has completed. Other groups' tasks
 // do not delay Wait, and waiters park on a completion notification rather
-// than spinning, so many idle waiting clients cost no CPU. Like
-// Scheduler.Wait it must not be called from inside a running task (a worker
-// blocking on external quiescence could deadlock the team protocol); use
-// TaskGroup for in-task joins. If the scheduler is shut down while the
-// group still has tasks, Wait returns early — the tasks are abandoned (see
-// Scheduler.Shutdown) and would never drain. On a canceled group Wait still
-// waits for the true drain: started tasks run to completion (observing
-// Ctx.Canceled) and never-started nodes are revoked by workers at take
-// time, each releasing the in-flight count exactly once — use WaitErr to
-// learn how the group ended.
+// than spinning, so many idle waiting clients cost no CPU. It must not be
+// called from inside a running task (a worker blocking on external
+// quiescence could deadlock the team protocol); use TaskGroup for in-task
+// joins. If the scheduler is shut down while the group still has tasks, Wait
+// returns early — the tasks are abandoned (see Scheduler.Shutdown) and would
+// never drain. On a canceled group Wait still waits for the true drain:
+// started tasks run to completion (observing Ctx.Canceled) and never-started
+// nodes are revoked by workers at take time, each releasing the in-flight
+// count exactly once — use WaitErr to learn how the group ended.
 func (g *Group) Wait() {
 	for !g.quiescent() {
 		g.qz.wait(g.quiescent)
@@ -189,12 +186,11 @@ func (g *Group) Wait() {
 // scheduler shut down (Shutdown wakes every busy group's waiters).
 func (g *Group) quiescent() bool { return g.inflight.Load() == 0 || g.s.done.Load() }
 
-// Run submits t into the group and waits for the group's quiescence. On a
-// fresh group this is exactly the old global Scheduler.Run semantics scoped
-// to t's own task tree. It returns WaitErr's verdict (nil on a clean drain,
-// the cancellation cause or ErrShutdown otherwise); if the spawn itself is
-// refused it returns that reason without waiting. A nil t (see Spawn) makes
-// Run the group's WaitErr.
+// Run submits t into the group and waits for the group's quiescence: the
+// paper's run to completion, scoped to t's own task tree. It returns
+// WaitErr's verdict (nil on a clean drain, the cancellation cause or
+// ErrShutdown otherwise); if the spawn itself is refused it returns that
+// reason without waiting. A nil t (see Spawn) makes Run the group's WaitErr.
 func (g *Group) Run(t Task) error {
 	if err := g.Spawn(t); err != nil {
 		return err

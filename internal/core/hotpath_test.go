@@ -40,7 +40,7 @@ func TestSpawnZeroAlloc(t *testing.T) {
 	// loop, or Shutdown would wait forever for its worker.
 	defer close(start)
 	round := make(chan struct{})
-	s.Spawn(Solo(func(ctx *Ctx) {
+	s.NewGroup().Spawn(Solo(func(ctx *Ctx) {
 		for range start {
 			ct.remaining.Store(k)
 			for i := 0; i < k; i++ {
@@ -110,7 +110,6 @@ func TestNodeRecyclingStress(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s.Wait()
 	if p := s.Pending(); p != 0 {
 		t.Fatalf("pending = %d after drain", p)
 	}

@@ -117,7 +117,7 @@ func (s *Scheduler) RegisterMetrics(reg *stats.Registry) {
 		"Blocking spawn calls that had to park for inject room.",
 		nil, func() float64 { return float64(s.admit.BlockedSpawns.Load()) })
 	reg.CounterFunc("repro_canceled_total",
-		"Group cancellations (Cancel, deadline fire, bound context).",
+		"Group cancellations (Cancel, or a bound context canceled or past its deadline).",
 		nil, func() float64 { return float64(s.admit.Canceled.Load()) })
 	reg.CounterFunc("repro_revoked_total",
 		"Admitted tasks revoked at take time because their group was canceled.",

@@ -18,7 +18,6 @@ func TestSchedulerMetricsValues(t *testing.T) {
 			ctx.Spawn(Solo(func(*Ctx) {}))
 		}))
 	}
-	s.Wait()
 	vals := s.Metrics().Values()
 	if got := vals["repro_sched_workers"]; got != 2 {
 		t.Fatalf("repro_sched_workers = %v, want 2", got)

@@ -81,10 +81,11 @@ func TestStolenBatchPreservesOrder(t *testing.T) {
 	// Single thief, single victim: victim blocks after filling its queue,
 	// thief steals a batch and must run it in victim order.
 	s := newTest(t, Options{P: 2})
+	g := s.NewGroup()
 	var order atomic.Int64
 	var bad atomic.Int64
 	release := make(chan struct{})
-	s.Spawn(Solo(func(ctx *Ctx) {
+	g.Spawn(Solo(func(ctx *Ctx) {
 		for i := 0; i < 16; i++ {
 			i := i
 			ctx.Spawn(Solo(func(*Ctx) {
@@ -99,7 +100,7 @@ func TestStolenBatchPreservesOrder(t *testing.T) {
 		<-release
 	}))
 	close(release)
-	s.Wait()
+	g.Wait()
 	if order.Load() != 16 {
 		t.Fatalf("ran %d, want 16", order.Load())
 	}
@@ -149,6 +150,7 @@ func TestThroughputUnderChurn(t *testing.T) {
 	}
 	const p = 8
 	s := newTest(t, Options{P: p})
+	g := s.NewGroup()
 	rng := dist.NewRNG(123)
 	var execs atomic.Int64
 	want := int64(0)
@@ -156,16 +158,16 @@ func TestThroughputUnderChurn(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			r := 1 << rng.Intn(4)
 			want += int64(r)
-			s.Spawn(Func(r, func(c *Ctx) {
+			g.Spawn(Func(r, func(c *Ctx) {
 				execs.Add(1)
 				c.Barrier()
 			}))
 		}
 		if wave%3 == 0 {
-			s.Wait() // periodic quiescence mixes cold and warm team starts
+			g.Wait() // periodic quiescence mixes cold and warm team starts
 		}
 	}
-	s.Wait()
+	g.Wait()
 	if got := execs.Load(); got != want {
 		t.Fatalf("executions = %d, want %d", got, want)
 	}

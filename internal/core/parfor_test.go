@@ -158,7 +158,6 @@ func TestForStaticNestedSpawns(t *testing.T) {
 			ctx.Spawn(Solo(func(*Ctx) { leaves.Add(1) }))
 		}
 	}))
-	s.Wait()
 	if leaves.Load() != 16 {
 		t.Fatalf("leaves = %d", leaves.Load())
 	}

@@ -34,6 +34,7 @@ func FuzzMixedWorkload(f *testing.F) {
 		}
 		t.Parallel()
 		s := newTest(t, Options{P: int(p), Randomized: randomized, DisableTeamReuse: noReuse, Seed: seed})
+		g := s.NewGroup()
 		rng := dist.NewRNG(seed + uint64(p))
 		maxTeam := s.MaxTeam()
 		for round := 0; round < 10; round++ {
@@ -49,9 +50,9 @@ func FuzzMixedWorkload(f *testing.F) {
 					r = 1 + rng.Intn(maxTeam)
 				}
 				want.Add(int64(r))
-				s.Spawn(fuzzTask(r, rng.Intn(3), maxTeam, &execs, &badLocal, &want, rng.Next()))
+				g.Spawn(fuzzTask(r, rng.Intn(3), maxTeam, &execs, &badLocal, &want, rng.Next()))
 			}
-			runWithDeadline(t, s, 30*time.Second, s.Wait)
+			runWithDeadline(t, s, 30*time.Second, g.Wait)
 			if got := execs.Load(); got != want.Load() {
 				t.Fatalf("round %d: executions %d, want %d\n%s",
 					round, got, want.Load(), s.DumpState())
@@ -84,12 +85,13 @@ func fuzzTask(r, depth, maxTeam int, execs, badLocal, want *atomic.Int64, seed u
 // TestStatsInvariants checks cross-counter consistency after a mixed run.
 func TestStatsInvariants(t *testing.T) {
 	s := newTest(t, Options{P: 8})
+	g := s.NewGroup()
 	for i := 0; i < 100; i++ {
 		for r := 1; r <= 8; r *= 2 {
-			s.Spawn(Func(r, func(ctx *Ctx) { ctx.Barrier() }))
+			g.Spawn(Func(r, func(ctx *Ctx) { ctx.Barrier() }))
 		}
 	}
-	s.Wait()
+	g.Wait()
 	st := s.Stats()
 	// 400 tasks; team tasks execute once per member: 100*(1+2+4+8).
 	if st.TasksRun != 1500 {
@@ -244,13 +246,14 @@ func TestManySmallTeams(t *testing.T) {
 // TestWaitFromMultipleGoroutines allows concurrent external waiters.
 func TestWaitFromMultipleGoroutines(t *testing.T) {
 	s := newTest(t, Options{P: 4})
+	g := s.NewGroup()
 	var ran atomic.Int64
 	for i := 0; i < 50; i++ {
-		s.Spawn(Solo(func(*Ctx) { ran.Add(1) }))
+		g.Spawn(Solo(func(*Ctx) { ran.Add(1) }))
 	}
 	done := make(chan struct{}, 3)
 	for i := 0; i < 3; i++ {
-		go func() { s.Wait(); done <- struct{}{} }()
+		go func() { g.Wait(); done <- struct{}{} }()
 	}
 	for i := 0; i < 3; i++ {
 		select {
@@ -276,6 +279,7 @@ func TestShutdownIdempotent(t *testing.T) {
 // TestMaxTeamEnforcement covers requirement validation at spawn.
 func TestMaxTeamEnforcement(t *testing.T) {
 	s := newTest(t, Options{P: 6}) // MaxTeam 4
+	g := s.NewGroup()
 	if s.MaxTeam() != 4 {
 		t.Fatalf("MaxTeam = %d", s.MaxTeam())
 	}
@@ -287,7 +291,7 @@ func TestMaxTeamEnforcement(t *testing.T) {
 					t.Fatalf("r=%d: expected panic", bad)
 				}
 			}()
-			s.Spawn(Func(bad, func(*Ctx) {}))
+			g.Spawn(Func(bad, func(*Ctx) {}))
 		}()
 	}
 }
@@ -322,10 +326,11 @@ func TestTeamBarrierUnderConcurrentLoad(t *testing.T) {
 // TestPendingDrainsToZero observes the in-flight counter.
 func TestPendingDrainsToZero(t *testing.T) {
 	s := newTest(t, Options{P: 4})
+	g := s.NewGroup()
 	for i := 0; i < 100; i++ {
-		s.Spawn(Solo(func(*Ctx) {}))
+		g.Spawn(Solo(func(*Ctx) {}))
 	}
-	s.Wait()
+	g.Wait()
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("Pending = %d after Wait", got)
 	}

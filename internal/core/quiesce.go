@@ -2,11 +2,11 @@ package core
 
 import "sync"
 
-// quiesce is the parking facility behind Scheduler.Wait and Group.Wait:
-// instead of spinning on a counter with backoff (which burns CPU
-// proportional to the number of idle waiting clients), a waiter re-checks
-// its condition under mu and sleeps on cond; the goroutine that observes the
-// zero transition broadcasts with release(), under the same lock. So a zero
+// quiesce is the parking facility behind Group.Wait: instead of spinning on
+// a counter with backoff (which burns CPU proportional to the number of idle
+// waiting clients), a waiter re-checks its condition under mu and sleeps on
+// cond; the goroutine that observes the group's zero transition, or
+// Shutdown, broadcasts with release(), under the same lock. So a zero
 // transition either precedes the re-check, which sees it, or its release
 // finds the waiter on cond. Waiters loop on their condition, so a release
 // that lands in a later wait (a count that rose again after a zero

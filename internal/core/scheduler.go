@@ -27,9 +27,8 @@ type Options struct {
 	// Seed seeds the per-worker random generators used by Randomized mode.
 	Seed uint64
 	// MaxPendingPerGroup bounds the number of admitted-but-not-yet-started
-	// external tasks of one submission source (a Group, or the root group
-	// behind group-less Scheduler.Spawn). A blocking spawn over the bound
-	// parks until workers drain the source's inject queue; TrySpawn returns
+	// external tasks of one Group. A blocking spawn over the bound parks
+	// until workers drain the group's inject queue; TrySpawn returns
 	// ErrSaturated instead. 0 means unbounded.
 	MaxPendingPerGroup int
 	// MaxInject bounds the total admitted-but-not-yet-started external tasks
@@ -78,21 +77,17 @@ const (
 )
 
 // Scheduler is a work-stealing scheduler with deterministic team-building.
-// Create with New, feed it with Spawn or Run, and release its workers with
-// Shutdown.
+// Create with New, feed it through a Group (NewGroup, or Run for a one-shot
+// group) and release its workers with Shutdown. The Group is the only way
+// in and the only thing a client waits on.
 type Scheduler struct {
 	opts    Options
 	topo    *topo.Topology
 	workers []*worker
 
-	// root is the group of group-less Scheduler.Spawn tasks: every node
-	// carries a group, so a task's completion hits exactly one counter.
-	root *Group
-	qz   quiesce // parks Wait until no group is busy
-
-	// busy is the set of groups with tasks in flight. A group enters at its
-	// 0→1 transition (admission) and leaves at its drain — once per request,
-	// never per task — and Wait and Pending are defined over the set (see
+	// busy is the set of groups with tasks in flight: what Shutdown wakes
+	// and Pending sums. A group enters at its 0→1 transition (admission)
+	// and leaves at its drain — once per request, never per task (see
 	// markBusy/markIdle).
 	busyMu sync.Mutex
 	busy   map[*Group]struct{}
@@ -178,7 +173,6 @@ func build(opts Options) *Scheduler {
 		born:   time.Now(),
 	}
 	s.admitCond = sync.NewCond(&s.admitMu)
-	s.root = &Group{s: s} // gid 0 labels group-less tasks in trace events
 	s.busy = make(map[*Group]struct{})
 	s.workers = make([]*worker, opts.P)
 	for i := range s.workers {
@@ -207,53 +201,21 @@ func (s *Scheduler) P() int { return s.topo.P }
 // blocks that fit inside the worker id space).
 func (s *Scheduler) MaxTeam() int { return s.topo.MaxTeam }
 
-// Spawn submits a task from outside the scheduler, belonging to no group.
-// It is safe for concurrent use. Inside a running task, use Ctx.Spawn
-// instead (it is cheaper and preserves depth-first order); to give the task
-// its own quiescence domain, spawn through a Group instead.
-//
-// With admission bounds configured (Options.MaxPendingPerGroup/MaxInject),
-// Spawn blocks while the bounds leave no room. It returns nil once the task
-// is admitted, or ErrShutdown on a scheduler that has been shut down — the
-// task is then dropped without ever being accounted in-flight (see
-// Shutdown). Group-less tasks cannot be canceled; spawn through a Group for
-// deadline/cancellation support.
-func (s *Scheduler) Spawn(t Task) error {
-	return s.root.Spawn(t)
-}
-
-// Wait blocks until all spawned tasks (and their descendants) have
-// completed — global quiescence across every group. Per-client callers
-// should prefer Group.Wait, which is not delayed by other clients' tasks.
-// Waiters park on a completion notification (no busy-waiting, however many
-// clients wait concurrently). If the scheduler is shut down while tasks are
-// outstanding, Wait returns early — the tasks are abandoned (see Shutdown)
-// and would never drain.
-func (s *Scheduler) Wait() {
-	for !s.quiescent() {
-		s.qz.wait(s.quiescent)
-	}
-}
-
-// quiescent reports whether Scheduler.Wait may return: no busy group, or
-// the scheduler shut down.
-func (s *Scheduler) quiescent() bool { return s.done.Load() || s.idle() }
-
 // Run submits t as a one-shot group and waits for that group's quiescence:
 // it returns when t and all its descendants have completed (nil), or
 // ErrShutdown if the scheduler shut down first. For a single client this is
-// indistinguishable from waiting for global quiescence; with several
-// concurrent clients on one scheduler, each Run waits only for its own task
-// tree. A nil t is the empty computation (see Group.Spawn): Run returns nil.
+// the paper's run to completion; with several concurrent clients on one
+// scheduler, each Run waits only for its own task tree. A nil t is the
+// empty computation (see Group.Spawn): Run returns nil.
 func (s *Scheduler) Run(t Task) error {
 	return s.NewGroup().Run(t)
 }
 
-// Shutdown stops all workers. Outstanding tasks are abandoned; call Wait
-// first for a clean drain. Spawners parked on admission backpressure are
-// woken and their unadmitted tasks dropped; submissions after Shutdown has
-// returned are guaranteed no-ops. Shutdown is idempotent and blocks until
-// all worker goroutines have exited.
+// Shutdown stops all workers. Outstanding tasks are abandoned; wait for
+// the groups first for a clean drain. Spawners parked on admission
+// backpressure are woken and their unadmitted tasks dropped; submissions
+// after Shutdown has returned are guaranteed no-ops. Shutdown is idempotent
+// and blocks until all worker goroutines have exited.
 func (s *Scheduler) Shutdown() {
 	if s.done.CompareAndSwap(false, true) {
 		close(s.doneCh)
@@ -269,7 +231,6 @@ func (s *Scheduler) Shutdown() {
 			g.qz.release()
 		}
 		s.busyMu.Unlock()
-		s.qz.release() // after busyMu: Scheduler.Wait takes busyMu under s.qz.mu
 		s.admitMu.Unlock()
 	}
 	s.profiler.Stop()
@@ -319,30 +280,17 @@ func (s *Scheduler) markBusy(g *Group) {
 	s.busyMu.Unlock()
 }
 
-// markIdle removes g after a completion dropped its in-flight count to zero
-// and wakes Scheduler.Wait when that leaves no busy group. The count is
-// re-read under busyMu: if an admission raised it again in between (group
-// reuse), the group stays and the next drain retires it — membership
-// follows the count's level, not the order in which racing transitions
-// reach the lock.
+// markIdle removes g after a completion dropped its in-flight count to
+// zero. The count is re-read under busyMu: if an admission raised it again
+// in between (group reuse), the group stays and the next drain retires it —
+// membership follows the count's level, not the order in which racing
+// transitions reach the lock.
 func (s *Scheduler) markIdle(g *Group) {
 	s.busyMu.Lock()
-	idle := false
 	if g.inflight.Load() == 0 {
 		delete(s.busy, g)
-		idle = len(s.busy) == 0
 	}
 	s.busyMu.Unlock()
-	if idle {
-		s.qz.release()
-	}
-}
-
-// idle reports whether no group has a task in flight.
-func (s *Scheduler) idle() bool {
-	s.busyMu.Lock()
-	defer s.busyMu.Unlock()
-	return len(s.busy) == 0
 }
 
 // Pending returns the current number of in-flight tasks: the sum of

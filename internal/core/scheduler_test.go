@@ -17,12 +17,13 @@ func newTest(t *testing.T, opts Options) *Scheduler {
 
 func TestSoloTasks(t *testing.T) {
 	s := newTest(t, Options{P: 4})
+	g := s.NewGroup()
 	var ran atomic.Int64
 	const n = 1000
 	for i := 0; i < n; i++ {
-		s.Spawn(Solo(func(*Ctx) { ran.Add(1) }))
+		g.Spawn(Solo(func(*Ctx) { ran.Add(1) }))
 	}
-	s.Wait()
+	g.Wait()
 	if got := ran.Load(); got != n {
 		t.Fatalf("ran %d tasks, want %d", got, n)
 	}
@@ -143,6 +144,7 @@ func TestTeamConsecutiveIDs(t *testing.T) {
 func TestManyTeamTasks(t *testing.T) {
 	const p = 8
 	s := newTest(t, Options{P: p})
+	g := s.NewGroup()
 	var execs atomic.Int64 // total participant executions
 	var tasks atomic.Int64
 	want := int64(0)
@@ -150,7 +152,7 @@ func TestManyTeamTasks(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		for r := 1; r <= p; r *= 2 {
 			want += int64(r)
-			s.Spawn(Func(r, func(ctx *Ctx) {
+			g.Spawn(Func(r, func(ctx *Ctx) {
 				execs.Add(1)
 				if ctx.LocalID() == 0 {
 					tasks.Add(1)
@@ -158,7 +160,7 @@ func TestManyTeamTasks(t *testing.T) {
 			}))
 		}
 	}
-	s.Wait()
+	g.Wait()
 	if got := execs.Load(); got != want {
 		t.Fatalf("participant executions = %d, want %d", got, want)
 	}
@@ -218,6 +220,7 @@ func TestNonPowerOfTwoP(t *testing.T) {
 		p := p
 		t.Run(string(rune('0'+p)), func(t *testing.T) {
 			s := newTest(t, Options{P: p})
+			g := s.NewGroup()
 			maxTeam := topo.FloorPow2(p)
 			if s.MaxTeam() != maxTeam {
 				t.Fatalf("MaxTeam = %d, want %d", s.MaxTeam(), maxTeam)
@@ -227,10 +230,10 @@ func TestNonPowerOfTwoP(t *testing.T) {
 			for r := 1; r <= maxTeam; r *= 2 {
 				for i := 0; i < 10; i++ {
 					want += int64(r)
-					s.Spawn(Func(r, func(*Ctx) { execs.Add(1) }))
+					g.Spawn(Func(r, func(*Ctx) { execs.Add(1) }))
 				}
 			}
-			s.Wait()
+			g.Wait()
 			if got := execs.Load(); got != want {
 				t.Fatalf("p=%d: executions = %d, want %d", p, got, want)
 			}
@@ -241,15 +244,16 @@ func TestNonPowerOfTwoP(t *testing.T) {
 func TestRandomizedStealing(t *testing.T) {
 	const p = 8
 	s := newTest(t, Options{P: p, Randomized: true, Seed: 42})
+	g := s.NewGroup()
 	var execs atomic.Int64
 	want := int64(0)
 	for i := 0; i < 100; i++ {
 		for r := 1; r <= p; r *= 2 {
 			want += int64(r)
-			s.Spawn(Func(r, func(*Ctx) { execs.Add(1) }))
+			g.Spawn(Func(r, func(*Ctx) { execs.Add(1) }))
 		}
 	}
-	s.Wait()
+	g.Wait()
 	if got := execs.Load(); got != want {
 		t.Fatalf("executions = %d, want %d", got, want)
 	}
@@ -312,11 +316,12 @@ func TestTaskGroupNested(t *testing.T) {
 func TestDisableTeamReuse(t *testing.T) {
 	const p = 4
 	s := newTest(t, Options{P: p, DisableTeamReuse: true})
+	g := s.NewGroup()
 	var execs atomic.Int64
 	for i := 0; i < 20; i++ {
-		s.Spawn(Func(p, func(*Ctx) { execs.Add(1) }))
+		g.Spawn(Func(p, func(*Ctx) { execs.Add(1) }))
 	}
-	s.Wait()
+	g.Wait()
 	if got := execs.Load(); got != 20*p {
 		t.Fatalf("executions = %d, want %d", got, 20*p)
 	}
@@ -343,11 +348,12 @@ func TestTeamPersistenceStats(t *testing.T) {
 
 func TestStatsTasksRun(t *testing.T) {
 	s := newTest(t, Options{P: 4})
+	g := s.NewGroup()
 	const n = 200
 	for i := 0; i < n; i++ {
-		s.Spawn(Solo(func(*Ctx) {}))
+		g.Spawn(Solo(func(*Ctx) {}))
 	}
-	s.Wait()
+	g.Wait()
 	if got := s.Stats().TasksRun; got != n {
 		t.Fatalf("TasksRun = %d, want %d", got, n)
 	}
@@ -366,10 +372,11 @@ func TestRunIsReusable(t *testing.T) {
 
 func TestSpawnPanicsOnBadRequirement(t *testing.T) {
 	s := newTest(t, Options{P: 4})
+	g := s.NewGroup()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for r > MaxTeam")
 		}
 	}()
-	s.Spawn(Func(8, func(*Ctx) {}))
+	g.Spawn(Func(8, func(*Ctx) {}))
 }

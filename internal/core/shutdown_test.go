@@ -13,9 +13,10 @@ import (
 // contract).
 func TestShutdownWithPendingWork(t *testing.T) {
 	s := New(Options{P: 4})
+	g := s.NewGroup()
 	var started atomic.Int64
 	for i := 0; i < 200; i++ {
-		s.Spawn(Solo(func(*Ctx) {
+		g.Spawn(Solo(func(*Ctx) {
 			started.Add(1)
 			time.Sleep(100 * time.Microsecond)
 		}))
@@ -44,11 +45,8 @@ func TestSpawnAfterShutdownIsNoOp(t *testing.T) {
 	g := s.NewGroup()
 	s.Shutdown()
 
-	if err := s.Spawn(Solo(func(*Ctx) { t.Error("ran a task spawned after Shutdown") })); !errors.Is(err, ErrShutdown) {
+	if err := g.Spawn(Solo(func(*Ctx) { t.Error("ran a task spawned after Shutdown") })); !errors.Is(err, ErrShutdown) {
 		t.Fatalf("Spawn after Shutdown: err = %v, want ErrShutdown", err)
-	}
-	if err := g.Spawn(Solo(func(*Ctx) { t.Error("ran a group task spawned after Shutdown") })); !errors.Is(err, ErrShutdown) {
-		t.Fatalf("group Spawn after Shutdown: err = %v, want ErrShutdown", err)
 	}
 	if err := g.SpawnBatch([]Task{Solo(func(*Ctx) { t.Error("ran a batch task spawned after Shutdown") })}); !errors.Is(err, ErrShutdown) {
 		t.Fatalf("SpawnBatch after Shutdown: err = %v, want ErrShutdown", err)
@@ -70,7 +68,6 @@ func TestSpawnAfterShutdownIsNoOp(t *testing.T) {
 		t.Fatalf("post-Shutdown spawn was admitted: %v", snap)
 	}
 	g.Wait() // returns immediately: nothing was accounted
-	s.Wait()
 }
 
 // TestSpawnRacingShutdown floods spawns from several goroutines while
@@ -108,13 +105,14 @@ func TestSpawnRacingShutdown(t *testing.T) {
 // already observed the done flag.
 func TestShutdownDuringTeamGather(t *testing.T) {
 	s := New(Options{P: 4})
+	g := s.NewGroup()
 	// Keep three workers busy so a 4-team cannot form quickly, then shut
 	// down while the gathering is (likely) in progress.
 	block := make(chan struct{})
 	for i := 0; i < 3; i++ {
-		s.Spawn(Solo(func(*Ctx) { <-block }))
+		g.Spawn(Solo(func(*Ctx) { <-block }))
 	}
-	s.Spawn(Func(4, func(*Ctx) {}))
+	g.Spawn(Func(4, func(*Ctx) {}))
 	time.Sleep(20 * time.Millisecond) // let the gather start
 	done := make(chan struct{})
 	go func() {
@@ -129,13 +127,12 @@ func TestShutdownDuringTeamGather(t *testing.T) {
 	}
 }
 
-// TestShutdownWakesEveryWaiter: Group.Wait and Scheduler.Wait park on their
-// gates, not on the shutdown channel, so Shutdown wakes them itself — every
-// busy group's gate and the scheduler's. Eight groups are busy, two with a
-// task held on a worker and six with their task still in the inject queue;
-// a waiter parked on each of them and two on Scheduler.Wait all return
-// within a second of Shutdown, while the held tasks keep Shutdown itself
-// from finishing.
+// TestShutdownWakesEveryWaiter: Group.Wait parks on the group's gate, not on
+// the shutdown channel, so Shutdown wakes it itself — every busy group's
+// gate, found through the busy set. Eight groups are busy, two with a task
+// held on a worker and six with their task still in the inject queue; two
+// waiters parked on each of them all return within a second of Shutdown,
+// while the held tasks keep Shutdown itself from finishing.
 func TestShutdownWakesEveryWaiter(t *testing.T) {
 	s := New(Options{P: 2})
 	hold := make(chan struct{})
@@ -155,15 +152,13 @@ func TestShutdownWakesEveryWaiter(t *testing.T) {
 			running.Wait() // every worker holds a task: the rest stay queued
 		}
 	}
-	back := make(chan struct{}, len(groups)+2)
+	back := make(chan struct{}, 2*len(groups))
 	for _, g := range groups {
-		go func() { g.Wait(); back <- struct{}{} }()
-		waitGateWaiters(t, &g.qz, 1)
+		for i := 0; i < 2; i++ {
+			go func() { g.Wait(); back <- struct{}{} }()
+		}
+		waitGateWaiters(t, &g.qz, 2)
 	}
-	for i := 0; i < 2; i++ {
-		go func() { s.Wait(); back <- struct{}{} }()
-	}
-	waitGateWaiters(t, &s.qz, 2)
 
 	shut := make(chan struct{})
 	go func() { s.Shutdown(); close(shut) }()

@@ -48,8 +48,8 @@ type Task interface {
 }
 
 // node is the queue entry wrapping a task; r caches Threads(); group is the
-// quiescence group the task was spawned into (the scheduler's root group for
-// group-less tasks, never nil). join is the TaskGroup a child spawned through
+// quiescence group the task was admitted or spawned into (never nil: there
+// is no group-less task). join is the TaskGroup a child spawned through
 // TaskGroup.Spawn completes on; it is nil for every other task, which
 // completes on group instead — a node has exactly one completion target.
 // tid is the trace id of the event that created the task (0 while tracing is
@@ -116,17 +116,11 @@ type Ctx struct {
 //repro:noalloc the public face of the zero-alloc spawn path
 func (c *Ctx) Spawn(t Task) { c.w.spawn(t, c.group) }
 
-// Group returns the quiescence group the running task belongs to, or nil
-// for tasks spawned outside any group (Scheduler.Spawn). Tasks spawned via
-// Ctx.Spawn inherit it automatically; it is exposed so a task can hand its
-// group to helpers that spawn on the task's behalf (the Group forms of the
-// sorting packages).
-func (c *Ctx) Group() *Group {
-	if c.group == c.w.sched.root {
-		return nil
-	}
-	return c.group
-}
+// Group returns the quiescence group the running task belongs to (never
+// nil). Tasks spawned via Ctx.Spawn inherit it automatically; it is exposed
+// so a task can hand its group to helpers that spawn on the task's behalf
+// (the Group forms of the sorting packages).
+func (c *Ctx) Group() *Group { return c.group }
 
 // LocalID returns this worker's id within the task's team, 0 … TeamSize()−1.
 // It is 0 for single-threaded tasks.

@@ -383,7 +383,7 @@ func TestShutdownWithTeamParked(t *testing.T) {
 		s := New(Options{P: 2})
 		hold := make(chan struct{})
 		var after atomic.Int32
-		s.Spawn(Func(2, func(ctx *Ctx) {
+		s.NewGroup().Spawn(Func(2, func(ctx *Ctx) {
 			if ctx.LocalID() == 0 {
 				<-hold
 			}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,7 +32,7 @@ func TestTraceRecordZeroAlloc(t *testing.T) {
 	start := make(chan struct{})
 	defer close(start)
 	round := make(chan struct{})
-	s.Spawn(Solo(func(ctx *Ctx) {
+	s.NewGroup().Spawn(Solo(func(ctx *Ctx) {
 		for range start {
 			ct.remaining.Store(k)
 			for i := 0; i < k; i++ {
@@ -272,4 +274,74 @@ func TestDumpStateTraceFields(t *testing.T) {
 	if !strings.Contains(s.TraceDump(), "spawn") {
 		t.Fatalf("TraceDump lacks spawn events:\n%s", s.TraceDump())
 	}
+}
+
+// TestBindContextTracesDeadlineKind: the end of a bound context is traced on
+// the admission ring by its cause. A deadline that had passed before
+// BindContext, and one that passes while a task of the group is held, each
+// record exactly one EvDeadlineFire and no EvGroupCancel; a context
+// canceled without a deadline records one EvGroupCancel and no
+// EvDeadlineFire.
+func TestBindContextTracesDeadlineKind(t *testing.T) {
+	s := newTest(t, Options{P: 2})
+	s.StartTrace()
+	check := func(name string, g *Group, wantFires, wantCancels int) {
+		t.Helper()
+		fires, cancels := 0, 0
+		for _, e := range s.TraceSnapshot().Events {
+			if e.Ring != s.P() || e.X != uint32(g.gid) {
+				continue
+			}
+			switch e.Kind {
+			case trace.EvDeadlineFire:
+				fires++
+			case trace.EvGroupCancel:
+				cancels++
+			}
+		}
+		if fires != wantFires || cancels != wantCancels {
+			t.Errorf("%s: %d deadline-fire and %d group-cancel events, want %d and %d",
+				name, fires, cancels, wantFires, wantCancels)
+		}
+	}
+
+	past, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	dead := s.NewGroup()
+	dead.BindContext(past)()
+	if err := dead.WaitErr(); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("passed deadline: WaitErr = %v, want ErrDeadlineExceeded", err)
+	}
+	check("passed deadline", dead, 1, 0)
+
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release() // before newTest's Shutdown, which waits for the worker
+	started := make(chan struct{})
+	held := s.NewGroup()
+	if err := held.Spawn(Solo(func(*Ctx) { close(started); <-hold })); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	soon, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel2()
+	stop := held.BindContext(soon)
+	waitCanceled(t, held)
+	stop()
+	release()
+	if err := held.WaitErr(); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("deadline while held: WaitErr = %v, want ErrDeadlineExceeded", err)
+	}
+	check("deadline while held", held, 1, 0)
+
+	live, cancel3 := context.WithCancel(context.Background())
+	canceled := s.NewGroup()
+	stop3 := canceled.BindContext(live)
+	cancel3()
+	waitCanceled(t, canceled)
+	stop3()
+	if err := canceled.WaitErr(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled context: WaitErr = %v, want ErrCanceled", err)
+	}
+	check("canceled context", canceled, 0, 1)
 }

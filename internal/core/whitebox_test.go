@@ -20,7 +20,7 @@ func stopped(p int) *Scheduler {
 	return build(Options{P: p})
 }
 
-func (w *worker) push(t Task) { w.spawn(t, w.sched.root) } // test helper
+func (w *worker) push(t Task) { w.spawn(t, w.sched.NewGroup()) } // test helper
 
 func TestWBInitialState(t *testing.T) {
 	s := stopped(8)

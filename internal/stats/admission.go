@@ -14,10 +14,10 @@ type Admission struct {
 	Injected      atomic.Int64 // external tasks admitted into inject queues
 	Taken         atomic.Int64 // admitted tasks moved onto worker queues
 	Revoked       atomic.Int64 // admitted tasks revoked at take time (group canceled)
-	Rejected      atomic.Int64 // tasks refused by a non-blocking spawn (ErrSaturated or canceled group)
+	Rejected      atomic.Int64 // tasks refused: ErrSaturated (non-blocking spawns) or a canceled group (any spawn)
 	BlockedSpawns atomic.Int64 // blocking spawn calls that had to park for room
-	Canceled      atomic.Int64 // group cancellations (Cancel, deadline fire, bound context)
-	SpawnTimeouts atomic.Int64 // blocking/retrying spawns that returned ErrDeadlineExceeded
+	Canceled      atomic.Int64 // group cancellations (Cancel, or a bound context canceled or past its deadline)
+	SpawnTimeouts atomic.Int64 // blocking spawns that returned ErrDeadlineExceeded
 	PeakPending   atomic.Int64 // high-water mark of pending injected tasks
 }
 

@@ -37,8 +37,8 @@ const (
 	// Cancellation (see internal/core's cancel.go). Cancel and deadline-fire
 	// land on the admission ring (recorded under the admission lock); the
 	// revoke lands on the revoking worker's ring.
-	EvGroupCancel  // group canceled; X = group id
-	EvDeadlineFire // group deadline fired, canceling it; X = group id
+	EvGroupCancel  // group canceled (Cancel, or a bound context canceled); X = group id
+	EvDeadlineFire // a bound context's deadline passed, canceling the group; X = group id
 	EvInjectRevoke // admitted task revoked at take time; X = group id, Arg = task trace id
 	// Team lifecycle.
 	EvTeamFixed    // coordinator fixed a team; a registration write (below), X = size

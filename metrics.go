@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -88,9 +89,10 @@ func (m *MetricsServer) handleTrace(w http.ResponseWriter, req *http.Request) {
 	}
 	sec := 0.25
 	if v := req.URL.Query().Get("sec"); v != "" {
+		// ParseFloat accepts "NaN", which no clamp below compares against.
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			http.Error(w, "trace: bad sec parameter: "+err.Error(), http.StatusBadRequest)
+		if err != nil || math.IsNaN(f) {
+			http.Error(w, "trace: bad sec parameter "+strconv.Quote(v), http.StatusBadRequest)
 			return
 		}
 		sec = f

@@ -60,10 +60,11 @@ type Ctx = core.Ctx
 // another, never concurrently.
 type TaskGroup = core.TaskGroup
 
-// Group is a quiescence domain on a Scheduler: tasks spawned into a group
-// (and all their descendants) complete independently of other groups'
-// tasks, so one scheduler can serve many concurrent clients. Create with
-// Scheduler.NewGroup.
+// Group is a quiescence domain on a Scheduler and its only way in: tasks
+// spawned into a group (and all their descendants) complete independently
+// of other groups' tasks, so one scheduler can serve many concurrent
+// clients. Create with Scheduler.NewGroup, or use Scheduler.Run for a
+// one-shot group.
 type Group = core.Group
 
 // SchedStats is the aggregate counter snapshot of a scheduler.
@@ -85,8 +86,9 @@ var (
 	// ErrCanceled is the cancellation cause of Group.Cancel(nil) and of
 	// contexts canceled without a deadline (Group.BindContext, SortManyCtx).
 	ErrCanceled = core.ErrCanceled
-	// ErrDeadlineExceeded reports a fired group deadline: Group.Deadline
-	// passed, a bound context timed out, or a blocking spawn parked past it.
+	// ErrDeadlineExceeded reports that the deadline of a group's bound
+	// context passed (Group.BindContext, SortManyCtx) — the only deadline a
+	// group has — including while a blocking spawn was parked.
 	ErrDeadlineExceeded = core.ErrDeadlineExceeded
 )
 

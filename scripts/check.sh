@@ -55,6 +55,15 @@ if [[ "${waits}" != "internal/core/coordinate.go:1 internal/core/taskgroup.go:1 
   exit 1
 fi
 
+# One deadline: a group's deadline is its bound context's, and the only timed
+# waits are internal/backoff's (pinned above), so internal/core arms no timer
+# of its own for the explorer or a synctest bubble to model.
+echo "check: no timer in internal/core"
+if grep -n 'time\.\(AfterFunc\|NewTimer\|NewTicker\|After(\)' $(ls internal/core/*.go | grep -v '_test\.go$'); then
+  echo "check: FAIL (non-test internal/core arms a timer; bind a context with a deadline instead)"
+  exit 1
+fi
+
 # One thief: worker.steal (steal.go) is the only code in internal/core that
 # moves tasks between deques, so every steal is counted, traced and passes
 # the wake on in one place.
@@ -82,13 +91,14 @@ echo "check: go test ./..."
 go test ./...
 
 # Count-flake guard: the tests that assert on quiescence, release counts,
-# cancellation (internal/chaos's FuzzCancelStorm seeds among them), forced
+# cancellation and bound-context deadlines (internal/chaos's FuzzCancelStorm
+# seeds among them), forced
 # steals, the park/wake protocol and the waits inside a team, ten times over,
 # so a timing-dependent assertion fails at the change that introduces it
 # (bounded by -timeout — idle workers and team members block without a timer,
 # so a lost wake-up is a hang).
-echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition)"
-go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition' \
+echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Deadline|BindContext|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition)"
+go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Deadline|BindContext|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition' \
   ./internal/core ./internal/classic ./internal/chaos ./internal/teamsync ./internal/wake
 
 # Every team collective ends in its barrier because each exported collective

@@ -20,9 +20,9 @@ missing=()
 # mixed-width task trees on P workers, every task run exactly once per
 # required thread with local ids 0…r−1), FuzzGroup (per-group quiescence),
 # FuzzAdmission (bounded inject queues: fairness + bound invariants under
-# random floods) and FuzzCancel (random spawn/cancel/deadline/reset
-# schedules: WaitErr agrees with the canceled state, inflight reconciles,
-# counters balance); internal/chaos carries FuzzCancelStorm (team tasks
+# random floods) and FuzzCancel (random spawn/cancel/bound-context
+# deadline/reset schedules: WaitErr agrees with the canceled state,
+# inflight reconciles, counters balance); internal/chaos carries FuzzCancelStorm (team tasks
 # under fault injection and a cancel storm: every admitted task ran r times
 # or, in a canceled group, not at all; injected == taken + revoked);
 # internal/stats carries FuzzPercentile (nearest-rank vs brute-force oracle);

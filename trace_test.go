@@ -81,8 +81,10 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	defer rt.Close()
 	srv.SetTraceSource(rt.Scheduler())
 
-	if code, _ := get(base + "?sec=bogus"); code != http.StatusBadRequest {
-		t.Fatalf("bad sec status = %d, want 400", code)
+	for _, bad := range []string{"bogus", "NaN"} {
+		if code, _ := get(base + "?sec=" + bad); code != http.StatusBadRequest {
+			t.Fatalf("sec=%s status = %d, want 400", bad, code)
+		}
 	}
 
 	// Keep the scheduler busy through both capture windows so the traces
