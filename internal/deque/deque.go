@@ -8,36 +8,85 @@
 // manner"). Thieves pop from the top with a single CAS. The owner needs no
 // CAS in the common case, but Go has no release-only store, so every
 // atomic store is sequentially consistent (an XCHG on amd64): PushBottom
-// pays two (the slot, then bottom; a third when the ring grows), PopBottom
-// one (bottom, which must be visible before top is read), plus a CAS on top
-// and a second bottom store when it takes the last element. Loads are plain
-// MOVs.
+// pays one, the bottom publish (plus arr when the ring grows, and the slot
+// while a thief is in flight), PopBottom one (bottom, which must be visible
+// before top is read), plus a CAS on top and a second bottom store when it
+// takes the last element. Loads are plain MOVs. A PopTop that finds the
+// deque non-empty pays, besides its CAS, two XADDs on the count of thieves
+// in flight; one that finds it empty writes nothing.
+//
+// # Plain slot stores
+//
+// In the C11 proof of Chase–Lev (Lê, Pop, Cohen & Zappa Nardelli, "Correct
+// and efficient work-stealing for weak memory models", PPoPP 2013) the
+// owner's store into the ring is relaxed, ordered by the release store of
+// bottom that follows it. Go has neither a relaxed nor a release store, so
+// the owner stores a slot with a plain write, and atomically only while a
+// thief is in flight:
+//
+//   - PopTop checks top < bottom read-only, then raises stealing, loads top,
+//     bottom and the slot (atomically), CASes top and lowers stealing.
+//   - PushBottom loads bottom (b), then top (t0), then stealing. If the count
+//     is zero it writes slot b plainly, else atomically; then it stores
+//     bottom = b+1. The ring holds fewer than cap elements once the push has
+//     passed its grow check, so b−cap < t0.
+//   - grow fills the new ring with plain stores before arr publishes it.
+//
+// Every thief's slot read R and every plain owner write W of the same slot
+// of the same ring are ordered by happens-before, so the deque is race-free
+// in Go's memory model, not merely benign. The owner loaded a zero count, so
+// for each thief either its decrement came before that load in the order of
+// stealing's operations, and then R happens before W; or its increment came
+// after the load. Then the thief's loads of top and bottom come after the
+// owner's loads of them. It read top t ≥ t0 > b−cap, and either bottom = b,
+// so t < b and slot t is not slot b, or a bottom the owner stored after W,
+// so W happens before R. A plain write can therefore meet a thief's read only
+// after the ring has wrapped, and only if that thief is still counted —
+// when the owner writes atomically. TestSteadyDepthWrap holds a MinCapacity
+// ring at near-full depth against concurrent thieves, where a plain store in
+// place of the atomic one is a race the detector reports.
 //
 // The deque stores pointers *T. A nil return means the deque was empty (or
 // the element was lost to a concurrent thief).
 package deque
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
-// ring is a circular array of capacity 2^k. Elements are stored through
-// atomic pointers because a thief may read a slot while the owner overwrites
-// it after wrap-around; the top CAS validates the read.
+// ring is a circular array of capacity 2^k. The owner writes and reads its
+// slots plainly (an atomic write while a thief is in flight); thieves read
+// them atomically. The top CAS validates a thief's read.
 type ring[T any] struct {
 	mask int64
-	buf  []atomic.Pointer[T]
+	buf  []*T
 }
 
 func newRing[T any](capacity int64) *ring[T] {
-	return &ring[T]{mask: capacity - 1, buf: make([]atomic.Pointer[T], capacity)}
+	return &ring[T]{mask: capacity - 1, buf: make([]*T, capacity)}
 }
 
-func (r *ring[T]) load(i int64) *T     { return r.buf[i&r.mask].Load() }
-func (r *ring[T]) store(i int64, v *T) { r.buf[i&r.mask].Store(v) }
-func (r *ring[T]) cap() int64          { return r.mask + 1 }
+func (r *ring[T]) cap() int64 { return r.mask + 1 }
+
+// slot is the address of slot i in the form sync/atomic's pointer functions
+// take. load and storeAtomic are the repository's only function-style
+// sync/atomic calls: a typed atomic.Pointer would make every access atomic,
+// and the owner's plain store is what this package is built around.
+func (r *ring[T]) slot(i int64) *unsafe.Pointer {
+	return (*unsafe.Pointer)(unsafe.Pointer(&r.buf[i&r.mask]))
+}
+
+// load is a thief's read of slot i.
+func (r *ring[T]) load(i int64) *T { return (*T)(atomic.LoadPointer(r.slot(i))) }
+
+// storeAtomic is the owner's write of slot i while a thief is in flight.
+func (r *ring[T]) storeAtomic(i int64, v *T) { atomic.StorePointer(r.slot(i), unsafe.Pointer(v)) }
+
 func (r *ring[T]) grow(top, bot int64) *ring[T] {
 	n := newRing[T](r.cap() * 2)
 	for i := top; i < bot; i++ {
-		n.store(i, r.load(i))
+		n.buf[i&n.mask] = r.buf[i&r.mask]
 	}
 	return n
 }
@@ -48,9 +97,12 @@ const MinCapacity = 64
 // Deque is a Chase–Lev work-stealing deque of *T. The zero value is not
 // ready for use; call New.
 type Deque[T any] struct {
-	top    atomic.Int64
-	bottom atomic.Int64
-	arr    atomic.Pointer[ring[T]]
+	top atomic.Int64
+	// stealing counts the thieves between their top load and their CAS. It
+	// sits beside top, whose line PushBottom loads anyway.
+	stealing atomic.Int64
+	bottom   atomic.Int64
+	arr      atomic.Pointer[ring[T]]
 }
 
 // New returns an empty deque.
@@ -69,7 +121,11 @@ func (d *Deque[T]) PushBottom(v *T) {
 		a = a.grow(t, b)
 		d.arr.Store(a)
 	}
-	a.store(b, v)
+	if d.stealing.Load() == 0 {
+		a.buf[b&a.mask] = v
+	} else {
+		a.storeAtomic(b, v)
+	}
 	d.bottom.Store(b + 1)
 }
 
@@ -92,7 +148,7 @@ func (d *Deque[T]) PopBottom() *T {
 		d.bottom.Store(t)
 		return nil
 	}
-	v := a.load(b)
+	v := a.buf[b&a.mask]
 	if t == b {
 		// Last element: race with thieves via CAS on top.
 		if !d.top.CompareAndSwap(t, t+1) {
@@ -105,17 +161,24 @@ func (d *Deque[T]) PopBottom() *T {
 
 // PopTop steals the top element, or returns nil if the deque is empty or the
 // CAS lost a race. Safe for concurrent use by any number of thieves.
+//
+// The first check writes nothing, so an idle probe costs two loads; past
+// it the thief is counted in stealing until after its CAS, and it reloads
+// top and bottom, since the owner may have wrapped the ring plainly since
+// the first loads (package doc).
 func (d *Deque[T]) PopTop() *T {
-	t := d.top.Load()
-	b := d.bottom.Load()
-	if t >= b {
+	if d.top.Load() >= d.bottom.Load() {
 		return nil
 	}
-	a := d.arr.Load()
-	v := a.load(t)
-	if !d.top.CompareAndSwap(t, t+1) {
-		return nil
+	d.stealing.Add(1)
+	var v *T
+	if t, b := d.top.Load(), d.bottom.Load(); t < b {
+		v = d.arr.Load().load(t)
+		if !d.top.CompareAndSwap(t, t+1) {
+			v = nil
+		}
 	}
+	d.stealing.Add(-1)
 	return v
 }
 

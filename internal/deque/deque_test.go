@@ -252,3 +252,58 @@ func BenchmarkPopTopUncontended(b *testing.B) {
 		d.PopTop()
 	}
 }
+
+// TestSteadyDepthWrap holds a MinCapacity ring just below full while one to
+// three thieves take from the top, so the indices wrap 128 times and the
+// ring never grows. At that depth the slot the owner writes next is, one
+// lap earlier, the slot a thief that just lost its CAS read: only the count
+// of thieves in flight orders that read before the owner's plain store (the
+// package doc), and without it the race detector reports the pair. Every
+// element must still be taken exactly once.
+func TestSteadyDepthWrap(t *testing.T) {
+	for thieves := 1; thieves <= 3; thieves++ {
+		const n, depth = 1 << 13, MinCapacity - 2
+		d := New[int]()
+		vals := make([]int, n)
+		got := make([]atomic.Int32, n)
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for i := 0; i < thieves; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					if v := d.PopTop(); v != nil {
+						got[*v].Add(1)
+					}
+				}
+			}()
+		}
+		for i := 0; i < n; i++ {
+			// Owner-side Size is exact or high (top only grows), so the
+			// push below never finds the ring full.
+			for d.Size() >= depth {
+				if v := d.PopTop(); v != nil {
+					got[*v].Add(1)
+				}
+			}
+			vals[i] = i
+			d.PushBottom(&vals[i])
+		}
+		for v := d.PopBottom(); v != nil || !d.Empty(); v = d.PopBottom() {
+			if v != nil {
+				got[*v].Add(1)
+			}
+		}
+		stop.Store(true)
+		wg.Wait()
+		if c := d.arr.Load().cap(); c != MinCapacity {
+			t.Fatalf("thieves=%d: ring grew to %d", thieves, c)
+		}
+		for i := range got {
+			if c := got[i].Load(); c != 1 {
+				t.Fatalf("thieves=%d: element %d taken %d times", thieves, i, c)
+			}
+		}
+	}
+}

@@ -77,8 +77,12 @@ func (p *Packer[T]) Offsets(ctx *core.Ctx, c int) (off, total int) {
 
 // B2i is what a branch-free loop adds where a branchy one jumps: this shape
 // compiles to SETcc/MOVZX (scripts/codegencheck.sh holds pack and filter, the
-// bodies of Pack and query's Filter, to it).
-func B2i(b bool) int {
+// bodies of Pack and query's Filter, qsort's scans and merges and ssort's
+// classify to it). It is generic because a generic body is inlined into a
+// kernel's go.shape instantiation whichever package compiles that; a plain
+// func was only where that package itself imported par, so a program whose
+// main package imports only the root package CALLed it from every kernel.
+func B2i[B ~bool](b B) int {
 	if b {
 		return 1
 	}

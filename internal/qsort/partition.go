@@ -1,5 +1,7 @@
 package qsort
 
+import "repro/internal/par"
+
 const (
 	// subBlock is the most elements one scan covers: all a uint8 offset can
 	// address. 64 / 128 / 256 read 34.0 / 32.7 / 32.2 ms in BenchmarkIntrosort
@@ -13,16 +15,6 @@ const (
 	// two-pointer loop, 37.2.
 	minScan = 16
 )
-
-// b2i is the idiom the scans count with: this shape compiles to SETcc, while
-// `if c { n++ }` is branch-free only if the compiler chooses so, and as a jump
-// is slower than the classic partition. scripts/codegencheck.sh checks.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
 
 // blockScan is one side of a partition in progress: the elements data[lo:hi]
 // it has not scanned yet — a left side takes them from lo upwards, a right
@@ -45,17 +37,20 @@ func (s *blockScan) exhausted() bool { return s.n == 0 && s.lo >= s.hi }
 
 // scanLeft scans the next k ≤ subBlock elements of a left side and makes
 // pending those > pv — with stopEq those ≥ pv, Hoare's stop-on-equal rule.
+// It counts with par.B2i, which compiles to SETcc, while `if c { n++ }` is
+// branch-free only if the compiler chooses so, and as a jump is slower than
+// the classic partition. scripts/codegencheck.sh checks.
 func scanLeft[T Ordered](s *blockScan, data []T, pv T, k int, stopEq bool) {
 	b, n := data[s.lo:s.lo+k], 0
 	if stopEq {
 		for i := range b {
 			s.offs[uint8(n)] = uint8(i)
-			n += b2i(b[i] >= pv)
+			n += par.B2i(b[i] >= pv)
 		}
 	} else {
 		for i := range b {
 			s.offs[uint8(n)] = uint8(i)
-			n += b2i(b[i] > pv)
+			n += par.B2i(b[i] > pv)
 		}
 	}
 	s.base, s.lo, s.first, s.n = s.lo, s.lo+k, 0, n
@@ -68,12 +63,12 @@ func scanRight[T Ordered](s *blockScan, data []T, pv T, k int, stopEq bool) {
 	if stopEq {
 		for i := len(b) - 1; i >= 0; i-- {
 			s.offs[uint8(n)] = uint8(i)
-			n += b2i(b[i] <= pv)
+			n += par.B2i(b[i] <= pv)
 		}
 	} else {
 		for i := len(b) - 1; i >= 0; i-- {
 			s.offs[uint8(n)] = uint8(i)
-			n += b2i(b[i] < pv)
+			n += par.B2i(b[i] < pv)
 		}
 	}
 	s.base, s.hi, s.first, s.n = s.hi-k, s.hi-k, 0, n

@@ -3,6 +3,8 @@ package qsort
 import (
 	"math/bits"
 	"slices"
+
+	"repro/internal/par"
 )
 
 // Introsort sorts data with the introspective sort algorithm used by
@@ -140,14 +142,14 @@ func merge[T Ordered](dst, src []T, mid int) {
 	for ; lo < m; lo++ {
 		x, y := src[i], src[j]
 		c := y < x
-		i, j = i+1-b2i(c), j+b2i(c)
+		i, j = i+1-par.B2i(c), j+par.B2i(c)
 		if c {
 			x = y
 		}
 		dst[lo] = x
 		x, y = src[p], src[q]
 		c = y < x
-		p, q = p-b2i(c), q-1+b2i(c)
+		p, q = p-par.B2i(c), q-1+par.B2i(c)
 		if c {
 			y = x
 		}
@@ -160,7 +162,7 @@ func merge[T Ordered](dst, src []T, mid int) {
 	for ; i <= p && j <= q; lo++ {
 		x, y := src[i], src[j]
 		c := y < x
-		i, j = i+1-b2i(c), j+b2i(c)
+		i, j = i+1-par.B2i(c), j+par.B2i(c)
 		if c {
 			x = y
 		}

@@ -5,64 +5,68 @@ set -euo pipefail
 #
 # This verifier is intentionally short-running (FUZZTIME per target, 10s by
 # default); it exists to catch generator panics and registry regressions in
-# CI, not to replace long-running fuzz campaigns. It is expected to grow
-# targeted fuzz functions over time.
+# CI, not to replace long-running fuzz campaigns.
+#
+# It finds its targets itself: every package with a `func FuzzXxx` in a test
+# file is fuzzed, each target for FUZZTIME. `go test -list` names them, so a
+# new target runs without an edit here; what each one checks is in its doc
+# comment.
+#
+# Lock-free code is where a fuzzer earns its keep, so every package that
+# imports sync/atomic in non-test code must carry a fuzz target or stand in
+# the allow-list below with the reason it has none.
 
 cd "$(dirname "$0")/.."
 
 FUZZTIME=${FUZZTIME:-10s}
 failures=0
 
-fuzzRegex='^func[[:space:]]+Fuzz[A-Za-z0-9_]+'
-missing=()
+declare -A allow=(
+  [repro]="request plumbing over internal/core: metric gauges and a shard ticket; the scheduler it wraps is fuzzed there"
+  [repro/internal/classic]="the paper's baseline scheduler: its deque is FuzzDeque's, its in-flight count is check.sh's -count=10 Group/Wait tests'"
+  [repro/internal/harness]="the load generator's in-flight and peak gauges, not a protocol"
+  [repro/internal/msort]="one countdown per merge; TestSort* compare every distribution and team shape with slices.Sort"
+  [repro/internal/reg]="one CAS of the registration word; TestRulesSweep and TestWantsHoldsBruteForce enumerate the rules' inputs"
+  [repro/internal/trace]="the event ring's one seqlock; TestRingOverflow and the snapshot tests run under go test -race"
+  [repro/internal/wake]="one sleeper tag; TestNoLostWake and check.sh's -count=10 Park|Wake tests cover the protocol"
+)
 
-# internal/core carries FuzzMixedWorkload (the protocol fuzzer: random
-# mixed-width task trees on P workers, every task run exactly once per
-# required thread with local ids 0…r−1), FuzzGroup (per-group quiescence),
-# FuzzAdmission (bounded inject queues: fairness + bound invariants under
-# random floods) and FuzzCancel (random spawn/cancel/bound-context
-# deadline/reset schedules: WaitErr agrees with the canceled state,
-# inflight reconciles, counters balance); internal/chaos carries FuzzCancelStorm (team tasks
-# under fault injection and a cancel storm: every admitted task ran r times
-# or, in a canceled group, not at all; injected == taken + revoked);
-# internal/stats carries FuzzPercentile (nearest-rank vs brute-force oracle);
-# internal/query carries FuzzFilter/FuzzTopK/FuzzGroupBy/FuzzMergeJoin/FuzzPlan
-# (analytics operators and random plans vs their sequential oracles, Filter
-# into an exact-fit dst); internal/par carries FuzzScan and FuzzPack (an
-# index-dependent keep into an exact-fit dst);
-# internal/teamsync carries FuzzBarrier (n members, random per-phase delays:
-# nobody passes early, one last arriver per phase); internal/qsort carries
-# FuzzPartition (duplicate-dense slices through the three block-partition
-# kernels' contracts and their finish, and Introsort against slices.Sort) and
-# FuzzSmallSort (the network-and-merges base case at any length vs
-# slices.Sort; with NaNs, a permutation of the input); internal/ssort
-# carries FuzzClassify (the implicit splitter tree's walk vs binary search
-# over the sorted splitters) and FuzzSort (the team samplesort on
-# duplicate-dense input vs slices.Sort, any bucket count, any scratch);
-# internal/deque carries FuzzDeque (a random owner push/pop schedule against
-# one to three concurrent PopTop or Steal thieves, across ring growth: every
-# element taken exactly once).
-fuzzDirs=(internal/chaos internal/core internal/deque internal/dist internal/par internal/qsort internal/query internal/ssort internal/stats internal/teamsync)
+fuzzed=() atomics=()
+while read -r pkg dir imports; do
+  if grep -qE '^func Fuzz[A-Za-z0-9_]+\(' "${dir}"/*_test.go 2>/dev/null; then
+    fuzzed+=("${pkg}")
+  fi
+  if [[ " ${imports} " == *" sync/atomic "* ]]; then
+    atomics+=("${pkg}")
+  fi
+done < <(go list -f '{{.ImportPath}} {{.Dir}} {{join .Imports " "}}' ./...)
 
-for dir in "${fuzzDirs[@]}"; do
-  if ! grep -rEn --include='*_test.go' "${fuzzRegex}" "${dir}" >/dev/null 2>&1; then
-    missing+=("${dir}")
+bad=()
+for pkg in "${atomics[@]}"; do
+  if [[ " ${fuzzed[*]} " != *" ${pkg} "* && -z "${allow[${pkg}]:-}" ]]; then
+    bad+=("${pkg} (imports sync/atomic in non-test code, has no fuzz target)")
   fi
 done
-
-if [[ "${#missing[@]}" -ne 0 ]]; then
-  echo "fuzz-smoke: FAIL (no fuzz targets found in: ${missing[*]})"
-  echo "Add at least one 'func FuzzXxx(f *testing.F)' in each package group."
+# The allow-list stays exact: an entry whose package gained a fuzz target or
+# dropped sync/atomic goes.
+for pkg in "${!allow[@]}"; do
+  if [[ " ${fuzzed[*]} " == *" ${pkg} "* || " ${atomics[*]} " != *" ${pkg} "* ]]; then
+    bad+=("${pkg} (on the allow-list, but has a fuzz target or no sync/atomic import)")
+  fi
+done
+if [[ "${#bad[@]}" -ne 0 ]]; then
+  printf 'fuzz-smoke: FAIL %s\n' "${bad[@]}"
+  echo "Add a 'func FuzzXxx(f *testing.F)' to the package, or keep the allow-list in this script to the packages without one, each with its reason."
   exit 1
 fi
 
-echo "fuzz-smoke: running bounded fuzz pass (${FUZZTIME} per target)"
+echo "fuzz-smoke: running bounded fuzz pass (${FUZZTIME} per target) over ${#fuzzed[@]} packages"
 
 # The go toolchain fuzzes one target per invocation; enumerate them.
-for dir in "${fuzzDirs[@]}"; do
-  for t in $(go test -list 'Fuzz.*' "./${dir}" | grep -E '^Fuzz'); do
-    echo "fuzz-smoke: ${dir}/${t}"
-    go test "./${dir}" -run '^$' -fuzz "^${t}\$" -fuzztime="${FUZZTIME}" || failures=$((failures + 1))
+for pkg in "${fuzzed[@]}"; do
+  for t in $(go test -list 'Fuzz.*' "${pkg}" | grep -E '^Fuzz'); do
+    echo "fuzz-smoke: ${pkg}/${t}"
+    go test "${pkg}" -run '^$' -fuzz "^${t}\$" -fuzztime="${FUZZTIME}" || failures=$((failures + 1))
   done
 done
 
