@@ -1,7 +1,7 @@
-# Tier-1 gate (ROADMAP.md): build + test, plus vet, lint, and targeted race
+# Tier-1 gate (ROADMAP.md): build + test, plus vet and targeted race
 # runs. The race package list and vet flags are defined once in
 # scripts/checkdefs.sh, shared with scripts/check.sh.
-.PHONY: all build test vet lint race check fuzz-smoke tables
+.PHONY: all build test vet race check fuzz-smoke tables
 
 RACE_PKGS := $(shell . ./scripts/checkdefs.sh; echo $$RACE_PKGS)
 VET_FLAGS := $(shell . ./scripts/checkdefs.sh; echo $$VET_FLAGS)
@@ -16,11 +16,6 @@ test:
 
 vet:
 	go vet $(VET_FLAGS) ./...
-
-# Invariant linting: reprolint's noalloc check with its directive
-# manifest (noalloc reads the compiler's own escape analysis).
-lint:
-	go run ./cmd/reprolint ./...
 
 race:
 	go test -race $(RACE_PKGS)

@@ -32,9 +32,17 @@ func TestAPI(t *testing.T) {
 	for _, p := range apiPackages {
 		lines = append(lines, renderAPI(t, p.dir, p.path)...)
 	}
+	checkGolden(t, "api.txt", lines)
+}
+
+// checkGolden compares lines, sorted, with the committed file name, one line
+// each. On a mismatch it reports the lines gained (+) and lost (-) and prints
+// the new content, which becomes the file once the change is intended.
+func checkGolden(t *testing.T, name string, lines []string) {
+	t.Helper()
 	slices.Sort(lines)
 	got := strings.Join(lines, "\n") + "\n"
-	want, err := os.ReadFile("api.txt")
+	want, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +61,7 @@ func TestAPI(t *testing.T) {
 			diff.WriteString("-" + l + "\n")
 		}
 	}
-	t.Errorf("the exported API differs from api.txt:\n%s\nnew rendering:\n%s", diff.String(), got)
+	t.Errorf("%s is out of date:\n%s\nnew %s:\n%s", name, diff.String(), name, got)
 }
 
 // renderAPI returns one line per exported declaration of the package in dir.

@@ -138,6 +138,8 @@ func (d *Deque[T]) PushBottom(v *T) {
 // slot), so retention is the element owner's to prevent — by clearing what
 // the element references once it has taken it (internal/core's freeNode,
 // internal/classic's run), not by a store per pop here.
+//
+//repro:noalloc the owner's pop runs once per task; internal/core instantiates it, so its build reports this body's escapes
 func (d *Deque[T]) PopBottom() *T {
 	b := d.bottom.Load() - 1
 	a := d.arr.Load()
@@ -166,6 +168,8 @@ func (d *Deque[T]) PopBottom() *T {
 // it the thief is counted in stealing until after its CAS, and it reloads
 // top and bottom, since the owner may have wrapped the ring plainly since
 // the first loads (package doc).
+//
+//repro:noalloc every steal attempt runs it
 func (d *Deque[T]) PopTop() *T {
 	if d.top.Load() >= d.bottom.Load() {
 		return nil

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"runtime/debug"
-	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/classic"
@@ -224,14 +224,18 @@ func TestParallelPartitionAllocs(t *testing.T) {
 }
 
 // TestMixedModeTeamTasksArePooled: a warmed mixed-mode sort draws its team
-// tasks — each with its block claimer, fan-in countdown and neutral bitmap —
-// and its fork-join fallbacks from one ForkPool, and runs in a reused group,
-// so what it still allocates is the scheduler's: one record per team
-// execution (the TeamsFormed delta) and at most a few refills of a pool or
-// of the Go runtime's own caches. Those still settle for a while after
-// warm-up and come in bursts, so the bound holds for the median of ten
-// sorts; a per-team allocation would raise every one of them. The collector,
-// which empties the pools, is off meanwhile.
+// tasks, each with its block claimer, fan-in countdown and neutral bitmap,
+// from its ForkPool, so the sort's team-task code allocates nothing once
+// warm. The test counts only those allocations (teamTaskAllocs): every
+// allocation of the measured sorts is sampled into the memory profile and
+// attributed to its allocating function. What the scheduler allocates (a
+// record per team execution, node-pool refills), what the Go runtime does
+// (sudog refills for a parked worker's select) and sync.Pool's own chain
+// growth vary from run to run and are not the sort's. A pool can still
+// miss, since sync.Pool keeps one item per P that other Ps cannot take, so
+// ten warmed sorts may allocate 4 times in all; an unpooled team task
+// allocates twice per team formed. The collector, which empties the pools,
+// is off meanwhile.
 func TestMixedModeTeamTasksArePooled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops tasks at random under the race detector")
@@ -248,29 +252,63 @@ func TestMixedModeTeamTasksArePooled(t *testing.T) {
 		}
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	// The profile publishes what was allocated before the last collection,
+	// and a collection empties the pools, so the one that opens the
+	// measurement runs before the warm-up, which samples nothing. A change
+	// of rate still samples the next allocation on each P: the first sort
+	// makes those, before the collection.
+	runtime.MemProfileRate = 0
+	sortOnce()
+	runtime.GC()
+	before := teamTaskAllocs()
 	for i := 0; i < 10; i++ {
 		sortOnce() // warm
 	}
-	excess := make([]int64, 10) // allocations beyond one per team formed
-	for i := range excess {
-		teams := s.Stats().TeamsFormed
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+	teams := s.Stats().TeamsFormed
+	runtime.MemProfileRate = 1
+	for i := 0; i < 10; i++ {
 		sortOnce()
-		runtime.ReadMemStats(&after)
-		formed := s.Stats().TeamsFormed - teams
-		if formed == 0 {
-			t.Fatal("a 2^20-element mixed-mode sort formed no team")
-		}
-		excess[i] = int64(after.Mallocs-before.Mallocs) - formed
 	}
-	slices.Sort(excess)
-	if m := excess[len(excess)/2]; m > 4 {
-		t.Errorf("median sort allocates %d more than one per team formed, want at most 4 (all ten: %v)", m, excess)
+	formed := s.Stats().TeamsFormed - teams
+	runtime.GC()
+	if formed == 0 {
+		t.Fatal("ten 2^20-element mixed-mode sorts formed no team")
+	}
+	if n := teamTaskAllocs() - before; n > 4 {
+		t.Errorf("ten warmed sorts, %d teams formed, allocated %d times in the team-task code, want at most 4", formed, n)
 	}
 	if !IsSorted(data) {
 		t.Fatal("not sorted")
 	}
+}
+
+// teamTaskAllocs returns the number of allocations the memory profile
+// attributes to the sort's team-task code: those whose first frame outside
+// the runtime is a function of this package, outside its tests and other
+// than ForkPool.task. The fork-join fallbacks, thousands per sort, draw
+// their tasks there and miss the pool now and then; TestForkTasksArePooled
+// holds those, per request.
+func teamTaskAllocs() int64 {
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		f, more := frames.Next()
+		for more && strings.HasPrefix(f.Function, "runtime.") {
+			f, more = frames.Next()
+		}
+		if strings.HasPrefix(f.Function, "repro/internal/qsort.") && !strings.HasSuffix(f.File, "_test.go") &&
+			f.Function != "repro/internal/qsort.(*ForkPool[...]).task" {
+			total += r.AllocObjects
+		}
+	}
+	return total
 }
 
 // TestRootOnShutDownSchedulerReportsErrShutdown: running a root reports the

@@ -34,6 +34,8 @@ func (s *Slot) Init() {
 }
 
 // Arm announces the caller as a sleeper of kind tag (non-zero).
+//
+//repro:noalloc every park and team wait announces itself here
 func (s *Slot) Arm(tag uint32) {
 	s.Init()
 	if !s.tag.CompareAndSwap(0, tag) {
@@ -49,14 +51,20 @@ func (s *Slot) Tag() uint32 { return s.tag.Load() }
 
 // Claim takes the announcement of a sleeper of kind tag, if there is one. A
 // waker that wins must Signal; the sleeper itself claims through Settle.
+//
+//repro:noalloc on every waker's path
 func (s *Slot) Claim(tag uint32) bool {
 	return s.tag.Load() == tag && s.tag.CompareAndSwap(tag, 0)
 }
 
 // Signal releases the sleeper whose announcement the caller claimed.
+//
+//repro:noalloc on every waker's path
 func (s *Slot) Signal() { s.ch <- struct{}{} }
 
 // Wake is Claim and, if it won, Signal.
+//
+//repro:noalloc on every waker's path
 func (s *Slot) Wake(tag uint32) bool {
 	won := s.Claim(tag)
 	if won {
@@ -68,6 +76,8 @@ func (s *Slot) Wake(tag uint32) bool {
 // Settle ends an announcement with the verdict of the sleeper's re-check: it
 // withdraws (false) if the condition holds and the tag is still there to be
 // claimed back, and otherwise sleeps (true).
+//
+//repro:noalloc every park and team wait ends its announcement here
 func (s *Slot) Settle(tag uint32, ready bool, stop <-chan struct{}) bool {
 	if ready && s.Claim(tag) {
 		return false

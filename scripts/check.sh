@@ -22,9 +22,6 @@ go build ./...
 echo "check: go vet ${VET_FLAGS} ./..."
 go vet ${VET_FLAGS} ./...
 
-echo "check: reprolint (noalloc + manifest pin)"
-go run ./cmd/reprolint ./...
-
 # Every atomically accessed field is a typed atomic (atomic.Uint64 and
 # friends), so the compiler rejects a plain read or write of it and vet's
 # copylocks a copy. A function-style call on a plain field would bring back
@@ -37,7 +34,6 @@ go run ./cmd/reprolint ./...
 echo "check: no function-style sync/atomic call in non-test code (except the deque's two ring-slot accessors)"
 if grep -rnE --include='*.go' --exclude='*_test.go' \
   'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int|Uint|Pointer|Uintptr)' . \
-  | grep -v '^\./internal/lint/testdata/' \
   | grep -vE '^\./internal/deque/deque\.go:[0-9]+:func \(r \*ring\[T\]\) (load\(i int64\) \*T \{ return \(\*T\)\(atomic\.LoadPointer|storeAtomic\(i int64, v \*T\) \{ atomic\.StorePointer)\(r\.slot\(i\)'; then
   echo "check: FAIL (use a typed atomic field instead)"
   exit 1

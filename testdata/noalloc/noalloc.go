@@ -1,9 +1,12 @@
-// Package noalloc exercises the noalloc analyzer. The compiler half: what
-// go build -gcflags=-m moves to the heap inside a //repro:noalloc function
-// fires, what it keeps on the stack does not. The syntactic half: append, map
-// writes and go fire whatever the compiler says. //repro:allow on the line
-// waives either.
+// Package noalloc holds TestNoalloc's cases. The compiler half: what go build
+// -gcflags=-m moves to the heap inside a //repro:noalloc function fires, what
+// it keeps on the stack does not. The syntactic half: append, map writes and
+// go fire whatever the compiler says. //repro:allow on the line waives either.
+// A want comment, "// want" and a backquoted regexp, marks a line the test
+// must report.
 package noalloc
+
+import "repro/testdata/noalloc/gen"
 
 type point struct{ x, y int }
 
@@ -84,13 +87,10 @@ func allowed(xs []int, m map[int]int, ch chan int) (*point, []int) {
 	return &point{}, append(xs, len(xs)<<1) //repro:allow pool refill; capacity-bounded by the caller's contract
 }
 
-//repro:noalloc
-func allowedAbove() *point {
-	//repro:allow a standalone directive covers the line below it
-	return &point{}
-}
-
-// Not annotated: nothing here is the analyzer's business.
+// Not annotated: nothing here is the check's business.
 func unannotated(xs []int) (*point, []int) {
 	return &point{}, append(xs, 1)
 }
+
+// The only instantiation of gen.Box: gen's row fires in this package's build.
+func instantiate() { new(gen.Box[int]).Put() }
