@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"repro"
+
+	"repro/internal/stats"
 )
 
 // Admission-control tests at the public API level: bounded runtimes under
@@ -84,10 +86,10 @@ func TestRuntimeBoundedFlood(t *testing.T) {
 	}
 	wg.Wait()
 	adm := rt.Scheduler().Admission()
-	if adm.PeakPending > bound {
-		t.Fatalf("peak pending injected = %d exceeds MaxInject %d", adm.PeakPending, bound)
+	if adm[stats.PeakPending] > bound {
+		t.Fatalf("peak pending injected = %d exceeds MaxInject %d", adm[stats.PeakPending], bound)
 	}
-	if adm.Pending != 0 || adm.Injected != adm.Taken {
+	if adm.Pending() != 0 || adm[stats.Injected] != adm[stats.Taken] {
 		t.Fatalf("admission flow inconsistent after drain: %+v", adm)
 	}
 }

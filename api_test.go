@@ -13,6 +13,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 // apiPackages are the packages whose exported surface api.txt pins: the
@@ -33,6 +35,20 @@ func TestAPI(t *testing.T) {
 		lines = append(lines, renderAPI(t, p.dir, p.path)...)
 	}
 	checkGolden(t, "api.txt", lines)
+}
+
+// TestMetricsSurface pins a Runtime's metric families — name, kind and help
+// text, the lines scrapers and bench/ read counters by — to metrics.txt.
+func TestMetricsSurface(t *testing.T) {
+	rt := repro.NewRuntime[int32](repro.Options{P: 2})
+	defer rt.Close()
+	var lines []string
+	for _, l := range strings.Split(rt.Metrics().Render(), "\n") {
+		if strings.HasPrefix(l, "# HELP ") || strings.HasPrefix(l, "# TYPE ") {
+			lines = append(lines, l)
+		}
+	}
+	checkGolden(t, "metrics.txt", lines)
 }
 
 // checkGolden compares lines, sorted, with the committed file name, one line

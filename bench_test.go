@@ -82,7 +82,7 @@ func BenchmarkSortSeqQS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, in)
-		qsort.SequentialQuicksort(buf)
+		qsort.SequentialQuicksortCutoff(buf, qsort.DefaultCutoff)
 	}
 }
 

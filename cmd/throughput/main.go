@@ -139,7 +139,7 @@ func main() {
 		PeakInflight:   tally.PeakInflight,
 		Abandoned:      tally.Abandoned,
 		Latency:        latencyOf(&tally.Latency),
-		Admission:      admissionJSON(adm),
+		Admission:      admissionOf(adm),
 		// Flattened registry dump (captured before rt.Close tears the
 		// runtime down): scheduler counters, admission, per-group gauges,
 		// and the per-algorithm latency histogram summaries.
@@ -206,17 +206,14 @@ func latencyOf(s *stats.Sample) latencyJSON {
 	}
 }
 
-// admissionJSON is stats.AdmissionSnapshot with the report's key names.
-type admissionJSON struct {
-	Injected      int64 `json:"injected"`
-	Taken         int64 `json:"taken"`
-	Revoked       int64 `json:"revoked"`
-	Pending       int64 `json:"pending"`
-	Rejected      int64 `json:"rejected"`
-	BlockedSpawns int64 `json:"blocked_spawns"`
-	Canceled      int64 `json:"canceled"`
-	SpawnTimeouts int64 `json:"spawn_timeouts"`
-	PeakPending   int64 `json:"peak_pending"`
+// admissionOf is the report's admission object: each admission counter
+// under its short name, plus the derived pending count.
+func admissionOf(adm stats.AdmissionSnapshot) map[string]int64 {
+	m := map[string]int64{"pending": adm.Pending()}
+	for c, d := range stats.AdmissionCounters {
+		m[d.Short] = adm[c]
+	}
+	return m
 }
 
 // labelReport is one label's row of the report: Requests counts requests,
@@ -239,15 +236,15 @@ type report struct {
 		MaxInject          int      `json:"max_inject"`
 		GOMAXPROCS         int      `json:"gomaxprocs"`
 	} `json:"config"`
-	ElapsedSeconds float64       `json:"elapsed_seconds"`
-	Requests       int64         `json:"requests"`
-	Failures       int64         `json:"failures"`
-	RequestsPerSec float64       `json:"requests_per_second"`
-	PeakInflight   int64         `json:"peak_inflight_requests"`
-	Abandoned      int64         `json:"abandoned_requests,omitempty"`
-	Latency        latencyJSON   `json:"latency"`
-	Admission      admissionJSON `json:"admission"`
-	PerAlgorithm   []labelReport `json:"per_algorithm"`
+	ElapsedSeconds float64          `json:"elapsed_seconds"`
+	Requests       int64            `json:"requests"`
+	Failures       int64            `json:"failures"`
+	RequestsPerSec float64          `json:"requests_per_second"`
+	PeakInflight   int64            `json:"peak_inflight_requests"`
+	Abandoned      int64            `json:"abandoned_requests,omitempty"`
+	Latency        latencyJSON      `json:"latency"`
+	Admission      map[string]int64 `json:"admission"`
+	PerAlgorithm   []labelReport    `json:"per_algorithm"`
 	// Metrics is the flattened metrics-registry dump (Registry.Values): one
 	// entry per series, histograms summarized as _count/_sum/p50/p90/p99.
 	Metrics map[string]float64 `json:"scheduler_metrics,omitempty"`

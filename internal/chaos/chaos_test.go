@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/qsort"
+	"repro/internal/stats"
 )
 
 // TestRollEdges pins the probability edges: 0 never fires, 1 always fires.
@@ -158,13 +159,13 @@ func TestChaosStress(t *testing.T) {
 		t.Fatalf("scheduler pending = %d after drain", s.Pending())
 	}
 	adm := s.Admission()
-	if adm.Injected != adm.Taken+adm.Revoked {
+	if adm[stats.Injected] != adm[stats.Taken]+adm[stats.Revoked] {
 		t.Fatalf("admission does not reconcile: injected=%d taken=%d revoked=%d",
-			adm.Injected, adm.Taken, adm.Revoked)
+			adm[stats.Injected], adm[stats.Taken], adm[stats.Revoked])
 	}
 	st := inj.Stats()
 	t.Logf("chaos: %d canceled / %d completed groups; cancels=%d revoked=%d stalls=%d take-delays=%d admit-delays=%d",
-		canceled.Load(), completed.Load(), st.Cancels, adm.Revoked,
+		canceled.Load(), completed.Load(), st.Cancels, adm[stats.Revoked],
 		st.Injected[core.FaultWorkerLoop], st.Injected[core.FaultInjectTake],
 		st.Injected[core.FaultAdmit])
 	if canceled.Load() == 0 {
@@ -295,7 +296,7 @@ func FuzzCancelStorm(f *testing.F) {
 			if n := s.Pending(); n != 0 {
 				t.Fatalf("round %d: scheduler pending = %d after the drain\n%s", round, n, s.DumpState())
 			}
-			if adm := s.Admission(); adm.Injected != adm.Taken+adm.Revoked {
+			if adm := s.Admission(); adm[stats.Injected] != adm[stats.Taken]+adm[stats.Revoked] {
 				t.Fatalf("round %d: admission does not reconcile: %s", round, adm)
 			}
 		}
@@ -304,7 +305,7 @@ func FuzzCancelStorm(f *testing.F) {
 			canceled, completed, adm,
 			st.Injected[core.FaultWorkerLoop], st.Injected[core.FaultPark], st.Injected[core.FaultTeamPark],
 			st.Injected[core.FaultInjectTake], st.Injected[core.FaultAdmit], st.Cancels)
-		if canceled == 0 || adm.Revoked == 0 {
+		if canceled == 0 || adm[stats.Revoked] == 0 {
 			t.Fatal("the storm never landed: no cancellation or no revocation")
 		}
 	})
@@ -406,7 +407,7 @@ func TestChaosParkStall(t *testing.T) {
 	}
 	st, sched := inj.Stats(), s.Stats()
 	t.Logf("chaos: %d parks announced, %d stalled; %d blocked, %d wake-ups sent by workers",
-		st.Calls[core.FaultPark], st.Injected[core.FaultPark], sched.Parks, sched.Wakes)
+		st.Calls[core.FaultPark], st.Injected[core.FaultPark], sched[stats.Parks], sched[stats.Wakes])
 	if st.Injected[core.FaultPark] == 0 {
 		t.Error("no park was stalled — the window was never widened")
 	}

@@ -186,7 +186,7 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 func (w *worker) spawn(t Task) {
 	w.sched.inflight.Add(1)
 	w.q.PushBottom(&node{task: t})
-	w.st.Spawns.Add(1)
+	w.st[stats.Spawns].Add(1)
 }
 
 func (w *worker) rand() uint64 {
@@ -202,7 +202,7 @@ func (w *worker) rand() uint64 {
 // not keep a finished task (and what it captures) alive.
 func (w *worker) run(n *node) {
 	ctx := Ctx{w: w}
-	w.st.TasksRun.Add(1)
+	w.st[stats.TasksRun].Add(1)
 	t := n.task
 	n.task = nil
 	t.Run(&ctx)
@@ -233,12 +233,12 @@ func (w *worker) loop() {
 			continue
 		}
 		misses++
-		w.st.FailedAttempts.Add(1)
+		w.st[stats.FailedAttempts].Add(1)
 		if s.policy == StealOne && misses < yieldMisses {
 			runtime.Gosched()
 			continue
 		}
-		w.st.Backoffs.Add(1)
+		w.st[stats.Backoffs].Add(1)
 		w.bo.Wait()
 	}
 }
@@ -252,7 +252,7 @@ func (w *worker) steal() bool {
 	if p == 1 {
 		return false
 	}
-	w.st.StealAttempts.Add(1)
+	w.st[stats.StealAttempts].Add(1)
 	v := int(w.rand() % uint64(p-1))
 	if v >= w.id {
 		v++
@@ -266,8 +266,8 @@ func (w *worker) steal() bool {
 	if n == 0 {
 		return false
 	}
-	w.st.Steals.Add(1)
-	w.st.TasksStolen.Add(int64(n))
+	w.st[stats.Steals].Add(1)
+	w.st[stats.TasksStolen].Add(int64(n))
 	w.run(last)
 	return true
 }

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 var policies = []struct {
@@ -91,11 +93,11 @@ func TestWorkIsDistributed(t *testing.T) {
 	const children = 64
 	forcedSteal(s, children)
 	st := s.Stats()
-	if st.Steals == 0 {
+	if st[stats.Steals] == 0 {
 		t.Fatal("no steals recorded: load balancing is dead")
 	}
-	if st.TasksRun != children+1 {
-		t.Fatalf("TasksRun = %d, want %d", st.TasksRun, children+1)
+	if st[stats.TasksRun] != children+1 {
+		t.Fatalf("TasksRun = %d, want %d", st[stats.TasksRun], children+1)
 	}
 }
 
@@ -103,11 +105,11 @@ func TestStealsAreSingle(t *testing.T) {
 	s := newTest(t, Options{P: 4, Policy: StealOne})
 	forcedSteal(s, 64)
 	st := s.Stats()
-	if st.Steals == 0 {
+	if st[stats.Steals] == 0 {
 		t.Fatal("no steals recorded")
 	}
-	if st.Steals != st.TasksStolen {
-		t.Fatalf("StealOne must steal one at a time: steals=%d stolen=%d", st.Steals, st.TasksStolen)
+	if st[stats.Steals] != st[stats.TasksStolen] {
+		t.Fatalf("StealOne must steal one at a time: steals=%d stolen=%d", st[stats.Steals], st[stats.TasksStolen])
 	}
 }
 
@@ -167,7 +169,7 @@ func TestFinishedTaskNotRetained(t *testing.T) {
 		}
 		<-stolen
 	}))
-	if st := s.Stats(); st.Steals == 0 {
+	if st := s.Stats(); st[stats.Steals] == 0 {
 		t.Fatal("no steal despite the latch")
 	}
 	for deadline := time.Now().Add(5 * time.Second); collected.Load() < n && time.Now().Before(deadline); {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -181,7 +182,7 @@ func TestGroupWaitCoversJoinedAndDetached(t *testing.T) {
 	if p := g.Pending(); p != 0 {
 		t.Fatalf("group pending = %d after Wait", p)
 	}
-	if st := s.Stats(); st.Steals == 0 {
+	if st := s.Stats(); st[stats.Steals] == 0 {
 		t.Fatalf("no steal despite the latch: %s", st)
 	}
 	releases := 0
@@ -312,15 +313,15 @@ func TestStatsExactAfterEveryGroupWait(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := s.Stats()
-		if st.Spawns+st.InjectTakes != st.TasksRun {
+		if st[stats.Spawns]+st[stats.InjectTakes] != st[stats.TasksRun] {
 			t.Fatalf("round %d, right after Wait: Spawns %d + InjectTakes %d != TasksRun %d",
-				round, st.Spawns, st.InjectTakes, st.TasksRun)
+				round, st[stats.Spawns], st[stats.InjectTakes], st[stats.TasksRun])
 		}
-		if st.InjectTakes != int64(round+1) {
-			t.Fatalf("round %d: InjectTakes = %d", round, st.InjectTakes)
+		if st[stats.InjectTakes] != int64(round+1) {
+			t.Fatalf("round %d: InjectTakes = %d", round, st[stats.InjectTakes])
 		}
 	}
-	if st := s.Stats(); st.Steals == 0 {
+	if st := s.Stats(); st[stats.Steals] == 0 {
 		t.Fatalf("no steal despite the latch: %s", st)
 	}
 }
@@ -340,7 +341,7 @@ func TestWBJoinedChildOnOwnerWritesNoAtomic(t *testing.T) {
 		pendingAfterSpawn = tg.pending.Load()
 		tg.Wait(ctx)
 		pendingAfterWait, local = tg.pending.Load(), tg.local
-		spawnsInside, ranInside = w.st.Spawns.Load(), w.st.TasksRun.Load()
+		spawnsInside, ranInside = w.st[stats.Spawns].Load(), w.st[stats.TasksRun].Load()
 	}))
 	w.runSolo(w.queues[0].PopBottom())
 	if pendingAfterSpawn != 0 || pendingAfterWait != 0 || local != 0 || tg.owner != w {
@@ -350,8 +351,8 @@ func TestWBJoinedChildOnOwnerWritesNoAtomic(t *testing.T) {
 	if spawnsInside != 0 || ranInside != 0 {
 		t.Fatalf("stats published before a flush point: Spawns=%d TasksRun=%d", spawnsInside, ranInside)
 	}
-	if st := w.st.Snapshot(); st.Spawns != 2 || st.TasksRun != 2 {
-		t.Fatalf("after the parent's completion: Spawns=%d TasksRun=%d, want 2 2", st.Spawns, st.TasksRun)
+	if st := w.st.Snapshot(); st[stats.Spawns] != 2 || st[stats.TasksRun] != 2 {
+		t.Fatalf("after the parent's completion: Spawns=%d TasksRun=%d, want 2 2", st[stats.Spawns], st[stats.TasksRun])
 	}
 }
 
@@ -392,8 +393,8 @@ func TestWBTaskGroupCrossWorker(t *testing.T) {
 	if ran.Load() != 6 {
 		t.Fatalf("ran %d of 6 joined tasks", ran.Load())
 	}
-	if st := s.Stats(); st.Spawns != 7 || st.TasksRun != 7 || w1.st.TasksRun.Load() != 3 {
-		t.Fatalf("stats: %s (thief ran %d, want 3)", st, w1.st.TasksRun.Load())
+	if st := s.Stats(); st[stats.Spawns] != 7 || st[stats.TasksRun] != 7 || w1.st[stats.TasksRun].Load() != 3 {
+		t.Fatalf("stats: %s (thief ran %d, want 3)", st, w1.st[stats.TasksRun].Load())
 	}
 
 	w1.push(Solo(func(ctx *Ctx) {

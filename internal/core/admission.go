@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 
+	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -139,9 +140,9 @@ func (s *Scheduler) enqueueLocked(g *Group, ns []*node) {
 		s.ringLen++
 	}
 	p := s.pendingInject.Add(int64(len(ns)))
-	s.admit.Injected.Add(int64(len(ns)))
-	if p > s.admit.PeakPending.Load() {
-		s.admit.PeakPending.Store(p)
+	s.admit[stats.Injected].Add(int64(len(ns)))
+	if p > s.admit[stats.PeakPending].Load() {
+		s.admit[stats.PeakPending].Store(p)
 	}
 	if s.park.n.Load() != 0 {
 		s.wakeForInject(nil)
@@ -172,7 +173,7 @@ func (s *Scheduler) admitNodes(g *Group, ns []*node, block bool) (int, error) {
 		}
 		if g.epoch.Load()&1 == 1 {
 			err = g.cause // safe: odd epoch observed under admitMu, cause written before the bump
-			s.admit.Rejected.Add(int64(len(ns) - admitted))
+			s.admit[stats.Rejected].Add(int64(len(ns) - admitted))
 			break
 		}
 		if k := s.admitRoom(&g.iq, len(ns)-admitted); k > 0 {
@@ -184,12 +185,12 @@ func (s *Scheduler) admitNodes(g *Group, ns []*node, block bool) (int, error) {
 		}
 		if !block {
 			err = ErrSaturated
-			s.admit.Rejected.Add(int64(len(ns) - admitted))
+			s.admit[stats.Rejected].Add(int64(len(ns) - admitted))
 			break
 		}
 		if !blocked {
 			blocked = true
-			s.admit.BlockedSpawns.Add(1)
+			s.admit[stats.BlockedSpawns].Add(1)
 		}
 		s.admitWaiters++
 		s.admitCond.Wait()
@@ -197,7 +198,7 @@ func (s *Scheduler) admitNodes(g *Group, ns []*node, block bool) (int, error) {
 	}
 	s.admitMu.Unlock()
 	if block && errors.Is(err, ErrDeadlineExceeded) {
-		s.admit.SpawnTimeouts.Add(1)
+		s.admit[stats.SpawnTimeouts].Add(1)
 	}
 	for _, n := range ns[admitted:] {
 		putNodeShared(n) // refused: never accounted, never published
@@ -274,9 +275,9 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 		// Under admitMu, so ordered with Group.cancel's epoch bump.
 		revoked := n.gepoch != g.epoch.Load()
 		if revoked {
-			s.admit.Revoked.Add(1)
+			s.admit[stats.Revoked].Add(1)
 		} else {
-			s.admit.Taken.Add(1)
+			s.admit[stats.Taken].Add(1)
 		}
 		if wake && s.admitWaiters > 0 {
 			s.admitCond.Broadcast()
@@ -292,7 +293,7 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 		if xt := s.xt; xt.Enabled() {
 			xt.Record(w.id, trace.EvInjectTake, s.topo.P, uint32(g.gid), n.tid)
 		}
-		w.st.InjectTakes.Add(1)
+		w.st[stats.InjectTakes].Add(1)
 		j := topo.Level(n.r)
 		w.queues[j].PushBottom(n)
 		w.stopSearching()

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // label returns a solo task that appends id to *order when run.
@@ -143,7 +145,7 @@ func TestWBAdmissionBudget(t *testing.T) {
 	if err := g1.TrySpawn(nop()); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("over per-group budget: err = %v, want ErrSaturated", err)
 	}
-	if got := s.Admission().Rejected; got != 1 {
+	if got := s.Admission()[stats.Rejected]; got != 1 {
 		t.Fatalf("Rejected = %d, want 1", got)
 	}
 	// g2 has its own budget, but the global bound leaves only one slot.
@@ -175,10 +177,10 @@ func TestWBAdmissionBudget(t *testing.T) {
 		t.Fatalf("TrySpawnBatch partial = (%d, %v), want (2, ErrSaturated)", n, err)
 	}
 	snap := s.Admission()
-	if snap.PeakPending > 3 {
-		t.Fatalf("PeakPending = %d exceeds MaxInject 3", snap.PeakPending)
+	if snap[stats.PeakPending] > 3 {
+		t.Fatalf("PeakPending = %d exceeds MaxInject 3", snap[stats.PeakPending])
 	}
-	if snap.Pending != snap.Injected-snap.Taken {
+	if snap.Pending() != snap[stats.Injected]-snap[stats.Taken] {
 		t.Fatalf("inconsistent snapshot: %v", snap)
 	}
 }
@@ -215,13 +217,13 @@ func TestAdmissionBoundHolds(t *testing.T) {
 		t.Fatalf("ran %d tasks, want %d", got, clients*each)
 	}
 	snap := s.Admission()
-	if snap.PeakPending > bound {
-		t.Fatalf("PeakPending = %d exceeds MaxInject %d", snap.PeakPending, bound)
+	if snap[stats.PeakPending] > bound {
+		t.Fatalf("PeakPending = %d exceeds MaxInject %d", snap[stats.PeakPending], bound)
 	}
-	if snap.Injected != clients*each || snap.Taken != clients*each || snap.Pending != 0 {
+	if snap[stats.Injected] != clients*each || snap[stats.Taken] != clients*each || snap.Pending() != 0 {
 		t.Fatalf("admission flow inconsistent: %v", snap)
 	}
-	if snap.BlockedSpawns == 0 {
+	if snap[stats.BlockedSpawns] == 0 {
 		t.Fatal("expected at least one blocked spawn under a bound this tight")
 	}
 }
@@ -301,7 +303,7 @@ func TestAdmissionBlockedSpawnWokenByShutdown(t *testing.T) {
 	}
 	close(block)
 	<-sdDone
-	if got := s.Admission().Injected; got > 2 {
+	if got := s.Admission()[stats.Injected]; got > 2 {
 		t.Fatalf("dropped spawn was admitted anyway: injected = %d", got)
 	}
 }
@@ -409,15 +411,15 @@ func FuzzAdmission(f *testing.F) {
 			t.Fatalf("ran %d admitted tasks, want %d", got, want)
 		}
 		snap := s.Admission()
-		if opts.MaxInject > 0 && snap.PeakPending > int64(opts.MaxInject) {
-			t.Fatalf("PeakPending = %d exceeds MaxInject %d", snap.PeakPending, opts.MaxInject)
+		if opts.MaxInject > 0 && snap[stats.PeakPending] > int64(opts.MaxInject) {
+			t.Fatalf("PeakPending = %d exceeds MaxInject %d", snap[stats.PeakPending], opts.MaxInject)
 		}
 		if opts.MaxInject == 0 && opts.MaxPendingPerGroup > 0 &&
-			snap.PeakPending > int64(opts.MaxPendingPerGroup*nc) {
+			snap[stats.PeakPending] > int64(opts.MaxPendingPerGroup*nc) {
 			t.Fatalf("PeakPending = %d exceeds %d groups × bound %d",
-				snap.PeakPending, nc, opts.MaxPendingPerGroup)
+				snap[stats.PeakPending], nc, opts.MaxPendingPerGroup)
 		}
-		if snap.Injected != admitted.Load() || snap.Pending != 0 {
+		if snap[stats.Injected] != admitted.Load() || snap.Pending() != 0 {
 			t.Fatalf("admission flow inconsistent: %v (admitted %d)", snap, admitted.Load())
 		}
 	})
@@ -455,7 +457,7 @@ func TestWBTrySpawnBatchPrefix(t *testing.T) {
 		t.Fatalf("ran %v, want the prefix [0 1] in order", order)
 	}
 	snap := s.Admission()
-	if snap.Injected != 2 || snap.Rejected != 3 || snap.Pending != 0 {
+	if snap[stats.Injected] != 2 || snap[stats.Rejected] != 3 || snap.Pending() != 0 {
 		t.Fatalf("admission counters = %v, want injected=2 rejected=3 pending=0", snap)
 	}
 }
@@ -487,7 +489,7 @@ func TestWBRevokeAtTake(t *testing.T) {
 			g.Pending(), s.PendingInjected(), s.Pending())
 	}
 	snap := s.Admission()
-	if snap.Injected != 2 || snap.Taken != 0 || snap.Revoked != 2 {
+	if snap[stats.Injected] != 2 || snap[stats.Taken] != 0 || snap[stats.Revoked] != 2 {
 		t.Fatalf("admission counters = %v, want injected=2 taken=0 revoked=2", snap)
 	}
 }

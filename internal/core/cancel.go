@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -44,7 +45,7 @@ var (
 )
 
 // Cancel cancels the group: admitted-but-not-yet-started tasks are revoked
-// as workers reach them (never executed; observable as repro_revoked_total),
+// as workers reach them (never executed; counted as stats.Revoked),
 // parked blocking spawns of this group wake and return the cause, new
 // submissions are refused with the cause, and running tasks observe
 // Ctx.Canceled. cause may be nil, recording ErrCanceled. Cancel returns true
@@ -80,7 +81,7 @@ func (g *Group) cancel(cause error, kind trace.Kind) bool {
 	// either stamped before the cancel (and revoked at take) or refused
 	// after it — no admit/cancel race can leak an unrevokable node.
 	g.epoch.Add(1)
-	s.admit.Canceled.Add(1)
+	s.admit[stats.Canceled].Add(1)
 	if xt := s.xt; xt.Enabled() {
 		// Admission ring (ring P): owned by the admitMu holder, like
 		// enqueueLocked's events.

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // plugWorkers occupies every worker of s with a task blocked on the returned
@@ -87,10 +89,10 @@ func TestCancelRevokesPending(t *testing.T) {
 		t.Fatalf("scheduler Pending = %d after drain, want 0", p)
 	}
 	adm := s.Admission()
-	if got := adm.Revoked - before.Revoked; got != flood {
+	if got := adm[stats.Revoked] - before[stats.Revoked]; got != flood {
 		t.Fatalf("Revoked delta = %d, want %d", got, flood)
 	}
-	if adm.Injected != adm.Taken+adm.Revoked {
+	if adm[stats.Injected] != adm[stats.Taken]+adm[stats.Revoked] {
 		t.Fatalf("admission does not reconcile: %+v", adm)
 	}
 }
@@ -181,7 +183,7 @@ func TestDeadlineUnblocksParkedSpawn(t *testing.T) {
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("parked Spawn = %v after %v, want ErrDeadlineExceeded", err, time.Since(start))
 	}
-	if got := s.Admission().SpawnTimeouts - before.SpawnTimeouts; got != 1 {
+	if got := s.Admission()[stats.SpawnTimeouts] - before[stats.SpawnTimeouts]; got != 1 {
 		t.Fatalf("SpawnTimeouts delta = %d, want 1", got)
 	}
 	if g.Pending() != 0 {
@@ -386,7 +388,7 @@ func TestCanceledGroupDoesNotStarveOthers(t *testing.T) {
 	}
 	stop.Store(true)
 	<-flooder
-	if adm := s.Admission(); adm.Injected != adm.Taken+adm.Revoked {
+	if adm := s.Admission(); adm[stats.Injected] != adm[stats.Taken]+adm[stats.Revoked] {
 		t.Fatalf("admission does not reconcile: %+v", adm)
 	}
 }
@@ -452,7 +454,7 @@ func FuzzCancel(f *testing.F) {
 		if s.Pending() != 0 {
 			t.Fatalf("scheduler Pending = %d after drain", s.Pending())
 		}
-		if adm := s.Admission(); adm.Injected != adm.Taken+adm.Revoked {
+		if adm := s.Admission(); adm[stats.Injected] != adm[stats.Taken]+adm[stats.Revoked] {
 			t.Fatalf("admission does not reconcile: %+v", adm)
 		}
 	})

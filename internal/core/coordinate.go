@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/reg"
+	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -41,7 +42,7 @@ func (w *worker) coordinate() {
 			}
 			continue
 		}
-		w.st.TeamsCoordd.Add(1)
+		w.st[stats.TeamsCoordd].Add(1)
 		switch {
 		case int(r.Team) == target:
 			// Team already fixed at the right size: execute directly
@@ -152,7 +153,7 @@ func (w *worker) gather(lvl, target int) {
 			return
 		}
 		w.pollPartners(w, target)
-		w.st.Backoffs.Add(1)
+		w.st[stats.Backoffs].Add(1)
 		w.bo.Wait()
 	}
 }
@@ -192,7 +193,7 @@ func (w *worker) publishAndRun(lvl, target int) {
 	// Members kept from the previous task are parked in memberStep.
 	w.wakeRange(topo.TeamLeft(w.id, target), topo.TeamRight(w.id, target), wakeTeamWait)
 	w.ev(trace.EvPublish, w.id, target, exec.gen)
-	w.st.TeamsFormed.Add(1)
+	w.st[stats.TeamsFormed].Add(1)
 	if lid := topo.LocalID(w.id, w.id, target); lid < exec.width {
 		w.runTeamPart(exec, lid)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -222,9 +223,9 @@ func TestGroupInterleavedLifecycles(t *testing.T) {
 	st := s.Stats()
 	wantSpawns := int64(groups * rounds * roots * kids)
 	wantTakes := int64(groups * rounds * roots)
-	if st.TasksRun != want || st.Spawns != wantSpawns || st.InjectTakes != wantTakes {
+	if st[stats.TasksRun] != want || st[stats.Spawns] != wantSpawns || st[stats.InjectTakes] != wantTakes {
 		t.Fatalf("counters inconsistent: TasksRun=%d Spawns=%d InjectTakes=%d, want %d %d %d",
-			st.TasksRun, st.Spawns, st.InjectTakes, want, wantSpawns, wantTakes)
+			st[stats.TasksRun], st[stats.Spawns], st[stats.InjectTakes], want, wantSpawns, wantTakes)
 	}
 }
 
@@ -300,7 +301,7 @@ func TestNilTaskIsTheEmptyComputation(t *testing.T) {
 			t.Errorf("%s(nil) = %v, want nil", name, err)
 		}
 	}
-	if n := s.Admission().Injected; n != 0 {
+	if n := s.Admission()[stats.Injected]; n != 0 {
 		t.Fatalf("nil tasks were injected: Injected = %d, want 0", n)
 	}
 	if g.Pending() != 0 || s.Pending() != 0 {

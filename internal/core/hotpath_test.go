@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // TestSpawnZeroAlloc is the regression gate for the tentpole property: a
@@ -114,8 +116,8 @@ func TestNodeRecyclingStress(t *testing.T) {
 		t.Fatalf("pending = %d after drain", p)
 	}
 	want := int64(clients * rounds * roots * int(perTree))
-	if st := s.Stats(); st.TasksRun != want {
-		t.Fatalf("TasksRun = %d, want %d", st.TasksRun, want)
+	if st := s.Stats(); st[stats.TasksRun] != want {
+		t.Fatalf("TasksRun = %d, want %d", st[stats.TasksRun], want)
 	}
 }
 
@@ -133,21 +135,21 @@ func TestWBSpawnStatNotDoubleCounted(t *testing.T) {
 	if !s.takeInjected(w) {
 		t.Fatal("takeInjected found no work")
 	}
-	if got := w.st.Spawns.Load(); got != 0 {
+	if got := w.st[stats.Spawns].Load(); got != 0 {
 		t.Fatalf("injected take counted as %d spawns, want 0", got)
 	}
-	if got := w.st.InjectTakes.Load(); got != 1 {
+	if got := w.st[stats.InjectTakes].Load(); got != 1 {
 		t.Fatalf("InjectTakes = %d, want 1", got)
 	}
 	w.runSolo(w.queues[0].PopBottom()) // root runs and spawns one child
-	if got := w.st.Spawns.Load(); got != 1 {
+	if got := w.st[stats.Spawns].Load(); got != 1 {
 		t.Fatalf("interior spawn counted %d, want 1", got)
 	}
 	w.runSolo(w.queues[0].PopBottom())
 	st := w.st.Snapshot()
-	if st.TasksRun != 2 || st.Spawns+st.InjectTakes != st.TasksRun {
+	if st[stats.TasksRun] != 2 || st[stats.Spawns]+st[stats.InjectTakes] != st[stats.TasksRun] {
 		t.Fatalf("accounting broken: tasks=%d spawns=%d takes=%d",
-			st.TasksRun, st.Spawns, st.InjectTakes)
+			st[stats.TasksRun], st[stats.Spawns], st[stats.InjectTakes])
 	}
 	if g.Pending() != 0 || s.Pending() != 0 {
 		t.Fatalf("counts leaked: group=%d global=%d", g.Pending(), s.Pending())
@@ -214,7 +216,7 @@ func TestFinishedTaskNotRetained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Steals == 0 {
+	if st := s.Stats(); st[stats.Steals] == 0 {
 		t.Fatal("no steal despite the latch")
 	}
 	for deadline := time.Now().Add(5 * time.Second); collected.Load() < 2*n && time.Now().Before(deadline); {

@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 
+	"repro/internal/stats"
 	"repro/internal/topo"
 )
 
@@ -96,7 +97,7 @@ func (w *worker) park() {
 	// Either nothing to do, or a waker claimed w between the announcement
 	// and the re-check: its token is in the slot or on its way, and taking
 	// it here keeps the slot empty for the next park.
-	w.st.Parks.Add(1)
+	w.st[stats.Parks].Add(1)
 	if w.slot.Sleep(s.doneCh) {
 		// The waker counted w as a searcher when it claimed it.
 		w.searching = true
@@ -159,7 +160,7 @@ func (s *Scheduler) wake(c *worker, src wakeSource, by *worker) bool {
 	}
 	s.wakes[src].Add(1)
 	if by != nil {
-		by.st.Wakes.Add(1)
+		by.st[stats.Wakes].Add(1)
 	}
 	c.slot.Signal()
 	return true

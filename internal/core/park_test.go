@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"repro/internal/reg"
+	"repro/internal/stats"
 )
 
 // Tests of the parking protocol (park.go). An idle worker blocks with no
@@ -45,7 +46,7 @@ func TestParkWakeOnInject(t *testing.T) {
 	waitParked(t, s, 4)
 	// Announced is not yet blocked: a worker still before its re-check would
 	// see the injection and withdraw, which Parks rightly does not count.
-	waitFor(t, s, "every worker blocked", func() bool { return s.Stats().Parks >= 4 })
+	waitFor(t, s, "every worker blocked", func() bool { return s.Stats()[stats.Parks] >= 4 })
 	ran := false
 	runWithDeadline(t, s, 10*time.Second, func() {
 		g := s.NewGroup()
@@ -58,8 +59,8 @@ func TestParkWakeOnInject(t *testing.T) {
 	if got := wakesBy(s, wakeInject); got < 1 {
 		t.Fatalf("inject wake-ups = %d, want ≥ 1", got)
 	}
-	if st := s.Stats(); st.Parks < 4 {
-		t.Fatalf("Parks = %d, want ≥ 4 (every worker parked before the spawn)", st.Parks)
+	if st := s.Stats(); st[stats.Parks] < 4 {
+		t.Fatalf("Parks = %d, want ≥ 4 (every worker parked before the spawn)", st[stats.Parks])
 	}
 }
 
@@ -157,7 +158,7 @@ func TestParkWakeOnStolenBatch(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 		}
 	})
-	if got := s.workers[2].st.Wakes.Load(); got < 1 {
+	if got := s.workers[2].st[stats.Wakes].Load(); got < 1 {
 		t.Fatalf("worker 2 sent %d wake-ups for its stolen batch, want ≥ 1", got)
 	}
 	if got := wakesBy(s, wakeSpawn); got < 2 {
@@ -185,9 +186,9 @@ func TestParkIdleCost(t *testing.T) {
 	before := s.WorkerStats()
 	time.Sleep(50 * time.Millisecond)
 	for i, after := range s.WorkerStats() {
-		if after.Backoffs != before[i].Backoffs || after.StealAttempts != before[i].StealAttempts {
+		if after[stats.Backoffs] != before[i][stats.Backoffs] || after[stats.StealAttempts] != before[i][stats.StealAttempts] {
 			t.Fatalf("worker %d polled while idle: backoffs %d → %d, steal rounds %d → %d", i,
-				before[i].Backoffs, after.Backoffs, before[i].StealAttempts, after.StealAttempts)
+				before[i][stats.Backoffs], after[stats.Backoffs], before[i][stats.StealAttempts], after[stats.StealAttempts])
 		}
 	}
 }
@@ -398,7 +399,7 @@ func TestWBParkRecheck(t *testing.T) {
 	if w.searching || s.park.searching.Load() != 0 {
 		t.Fatal("a worker on its way into the park must stop counting as a searcher")
 	}
-	if w.st.Parks.Load() != 0 {
+	if w.st[stats.Parks].Load() != 0 {
 		t.Fatal("Parks counted a park that never blocked")
 	}
 }

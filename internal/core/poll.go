@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -12,7 +13,7 @@ import (
 // (reg.R.Beats, Lemma 3), switches to a smaller task that needs this worker,
 // or steals smaller tasks to help a busy partner drain its queues.
 func (w *worker) pollPartners(c *worker, rneed int) {
-	w.st.Polls.Add(1)
+	w.st[stats.Polls].Add(1)
 	if rneed <= 1 {
 		return
 	}
@@ -52,7 +53,7 @@ func (w *worker) switchCoordinator(c, xc *worker) {
 		if !w.cas(w, r, r.Reset(1), trace.EvConflictYield, xc.id) {
 			return
 		}
-		w.st.ConflictsLost.Add(1)
+		w.st[stats.ConflictsLost].Add(1)
 	} else if !w.leave(c) {
 		return
 	}
@@ -71,7 +72,7 @@ func (w *worker) leave(c *worker) bool {
 		if rc.Holds(c.id, w.id) || !w.cas(c, rc, rc.Deregister(), trace.EvDeregister, c.id) {
 			return false
 		}
-		w.st.Deregistrations.Add(1)
+		w.st[stats.Deregistrations].Add(1)
 	}
 	w.teamed = false
 	w.coord.Store(w)
@@ -92,7 +93,7 @@ func (w *worker) tryRegister(xc *worker) bool {
 	w.regEpoch = rc.Epoch
 	w.teamed = false
 	w.coord.Store(xc)
-	w.st.Registrations.Add(1)
+	w.st[stats.Registrations].Add(1)
 	return true
 }
 

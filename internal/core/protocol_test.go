@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/stats"
 	"repro/internal/topo"
 )
 
@@ -94,22 +95,22 @@ func TestStatsInvariants(t *testing.T) {
 	g.Wait()
 	st := s.Stats()
 	// 400 tasks; team tasks execute once per member: 100*(1+2+4+8).
-	if st.TasksRun != 1500 {
-		t.Fatalf("TasksRun = %d, want 1500", st.TasksRun)
+	if st[stats.TasksRun] != 1500 {
+		t.Fatalf("TasksRun = %d, want 1500", st[stats.TasksRun])
 	}
-	if st.TeamTasksRun != 1400 {
-		t.Fatalf("TeamTasksRun = %d, want 1400", st.TeamTasksRun)
+	if st[stats.TeamTasksRun] != 1400 {
+		t.Fatalf("TeamTasksRun = %d, want 1400", st[stats.TeamTasksRun])
 	}
 	// Team tasks with r > 1: 300 published executions.
-	if st.TeamsFormed != 300 {
-		t.Fatalf("TeamsFormed = %d, want 300", st.TeamsFormed)
+	if st[stats.TeamsFormed] != 300 {
+		t.Fatalf("TeamsFormed = %d, want 300", st[stats.TeamsFormed])
 	}
-	if st.Registrations == 0 || st.Polls == 0 {
+	if st[stats.Registrations] == 0 || st[stats.Polls] == 0 {
 		t.Fatalf("no coordination traffic recorded: %s", st)
 	}
 	// Every deregistration must correspond to an earlier registration.
-	if st.Deregistrations > st.Registrations {
-		t.Fatalf("deregistrations %d > registrations %d", st.Deregistrations, st.Registrations)
+	if st[stats.Deregistrations] > st[stats.Registrations] {
+		t.Fatalf("deregistrations %d > registrations %d", st[stats.Deregistrations], st[stats.Registrations])
 	}
 }
 
@@ -123,14 +124,14 @@ func TestSoloOverheadPath(t *testing.T) {
 		}
 	}))
 	st := s.Stats()
-	if st.TeamsFormed != 0 {
-		t.Fatalf("solo workload formed %d teams", st.TeamsFormed)
+	if st[stats.TeamsFormed] != 0 {
+		t.Fatalf("solo workload formed %d teams", st[stats.TeamsFormed])
 	}
-	if st.Registrations != 0 {
-		t.Fatalf("solo workload triggered %d registrations", st.Registrations)
+	if st[stats.Registrations] != 0 {
+		t.Fatalf("solo workload triggered %d registrations", st[stats.Registrations])
 	}
-	if st.TasksRun != 1001 {
-		t.Fatalf("TasksRun = %d", st.TasksRun)
+	if st[stats.TasksRun] != 1001 {
+		t.Fatalf("TasksRun = %d", st[stats.TasksRun])
 	}
 }
 

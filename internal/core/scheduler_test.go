@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/topo"
 )
 
@@ -338,10 +339,10 @@ func TestTeamPersistenceStats(t *testing.T) {
 		}
 	}))
 	st := s.Stats()
-	if st.TeamsFormed < 50 {
-		t.Fatalf("TeamsFormed = %d, want ≥ 50 (one publish per task)", st.TeamsFormed)
+	if st[stats.TeamsFormed] < 50 {
+		t.Fatalf("TeamsFormed = %d, want ≥ 50 (one publish per task)", st[stats.TeamsFormed])
 	}
-	if st.Registrations == 0 {
+	if st[stats.Registrations] == 0 {
 		t.Fatal("no registrations recorded")
 	}
 }
@@ -354,7 +355,7 @@ func TestStatsTasksRun(t *testing.T) {
 		g.Spawn(Solo(func(*Ctx) {}))
 	}
 	g.Wait()
-	if got := s.Stats().TasksRun; got != n {
+	if got := s.Stats()[stats.TasksRun]; got != n {
 		t.Fatalf("TasksRun = %d, want %d", got, n)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // TestShutdownWithPendingWork verifies Shutdown returns even while tasks are
@@ -64,7 +66,7 @@ func TestSpawnAfterShutdownIsNoOp(t *testing.T) {
 	if p := g.Pending(); p != 0 {
 		t.Fatalf("group Pending = %d after post-Shutdown spawns, want 0", p)
 	}
-	if snap := s.Admission(); snap.Injected != 0 {
+	if snap := s.Admission(); snap[stats.Injected] != 0 {
 		t.Fatalf("post-Shutdown spawn was admitted: %v", snap)
 	}
 	g.Wait() // returns immediately: nothing was accounted
@@ -92,11 +94,11 @@ func TestSpawnRacingShutdown(t *testing.T) {
 	s.Shutdown()
 	wg.Wait() // no spawner may stay parked after Shutdown
 	snap := s.Admission()
-	if snap.PeakPending > 8 {
-		t.Fatalf("PeakPending = %d exceeds MaxInject during shutdown race", snap.PeakPending)
+	if snap[stats.PeakPending] > 8 {
+		t.Fatalf("PeakPending = %d exceeds MaxInject during shutdown race", snap[stats.PeakPending])
 	}
-	if ran.Load() > snap.Injected {
-		t.Fatalf("ran %d tasks but only %d were admitted", ran.Load(), snap.Injected)
+	if ran.Load() > snap[stats.Injected] {
+		t.Fatalf("ran %d tasks but only %d were admitted", ran.Load(), snap[stats.Injected])
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/deque"
+	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -117,8 +118,8 @@ func stealCount(size, dist int) int {
 // that the victim may have tasks left that the searching w kept other
 // workers from being woken for.
 func (w *worker) stolen(x *worker, j, nst int) {
-	w.st.Steals.Add(1)
-	w.st.TasksStolen.Add(int64(nst))
+	w.st[stats.Steals].Add(1)
+	w.st[stats.TasksStolen].Add(int64(nst))
 	w.ev(trace.EvSteal, x.id, nst, 0)
 	w.stopSearching()
 	if w.sched.park.n.Load() == 0 {

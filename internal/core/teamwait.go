@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/backoff"
+	"repro/internal/stats"
 	"repro/internal/topo"
 )
 
@@ -26,7 +27,7 @@ func (w *worker) teamPark(tag uint32) {
 //repro:noalloc runs in Ctx.Barrier
 func (w *worker) teamSleep(tag uint32, ready bool, stop <-chan struct{}) {
 	if w.slot.Settle(tag, ready, stop) {
-		w.st.Parks.Add(1)
+		w.st[stats.Parks].Add(1)
 	}
 }
 

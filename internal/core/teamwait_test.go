@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/reg"
+	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -84,7 +85,7 @@ func TestMemberWokenByPublish(t *testing.T) {
 	if wakesBy(s, wakeTeamWait) == before {
 		t.Fatal("the publish did not wake the parked member")
 	}
-	if member.st.Parks.Load() == 0 {
+	if member.st[stats.Parks].Load() == 0 {
 		t.Fatal("Parks does not count the member's team park")
 	}
 }
@@ -353,8 +354,8 @@ func TestBarrierLastArriverWakesParkedTeam(t *testing.T) {
 	if got := wakesBy(s, wakeBarrier); got < phases || got > (p-1)*phases {
 		t.Errorf("barrier wake-ups = %d, want most of %d", got, (p-1)*phases)
 	}
-	if st := s.Stats(); st.Parks < phases {
-		t.Errorf("Parks = %d: the barrier's parks are not counted", st.Parks)
+	if st := s.Stats(); st[stats.Parks] < phases {
+		t.Errorf("Parks = %d: the barrier's parks are not counted", st[stats.Parks])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/reg"
+	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -264,13 +265,13 @@ func TestWBStealFromPartner(t *testing.T) {
 		t.Fatal("steal failed")
 	}
 	// Level-0 steal: min(size/2, 2^0) = 1 task, executed directly.
-	if got := thief.st.TasksStolen.Load(); got != 1 {
+	if got := thief.st[stats.TasksStolen].Load(); got != 1 {
 		t.Fatalf("stole %d tasks, want 1", got)
 	}
 	if victim.queues[0].Size() != 7 {
 		t.Fatalf("victim keeps %d", victim.queues[0].Size())
 	}
-	if thief.st.TasksRun.Load() != 1 {
+	if thief.st[stats.TasksRun].Load() != 1 {
 		t.Fatal("last stolen task must run immediately")
 	}
 }
@@ -285,7 +286,7 @@ func TestWBStealAmountGrowsWithLevel(t *testing.T) {
 		t.Fatal("steal failed")
 	}
 	// Level-2 steal: min(32/2, 2^2) = 4 tasks.
-	if got := thief.st.TasksStolen.Load(); got != 4 {
+	if got := thief.st[stats.TasksStolen].Load(); got != 4 {
 		t.Fatalf("stole %d tasks, want 4", got)
 	}
 }
@@ -383,7 +384,7 @@ func TestWBEveryStealIsTraced(t *testing.T) {
 			events++
 		}
 	}
-	if steals := s.Stats().Steals; events != steals {
+	if steals := s.Stats()[stats.Steals]; events != steals {
 		t.Fatalf("%d EvSteal events for %d steals", events, steals)
 	}
 }
@@ -450,13 +451,13 @@ func TestWBEveryTransitionIsTraced(t *testing.T) {
 		write{trace.EvRegister, 0, reg.R{Req: 2, Acq: 2, Team: 1}})
 	step("fix (gather)", func() { w[0].gather(1, 2) },
 		write{trace.EvTeamFixed, 0, reg.R{Req: 2, Acq: 2, Team: 2}})
-	failures := w[0].st.CASFailures.Load()
+	failures := w[0].st[stats.CASFailures].Load()
 	step("lost CAS", func() {
 		if w[0].cas(w[0], reg.R{Req: 2, Acq: 2, Team: 1}, reg.Idle(1), trace.EvDisband, 0) {
 			t.Fatal("a CAS from a stale word succeeded")
 		}
 	})
-	if w[0].st.CASFailures.Load() != failures+1 {
+	if w[0].st[stats.CASFailures].Load() != failures+1 {
 		t.Fatal("the lost CAS was not counted")
 	}
 	step("shrink (coordinate)", func() {
@@ -544,7 +545,7 @@ func TestWBPollHelpsDrainSmallTasks(t *testing.T) {
 	}
 	// The gathering coordinator helps the busy partner empty its queue.
 	coord.pollPartners(coord, 8)
-	if coord.st.TasksStolen.Load() == 0 {
+	if coord.st[stats.TasksStolen].Load() == 0 {
 		t.Fatal("coordinator did not help-steal from the busy partner")
 	}
 	if coord.queues[0].Empty() {

@@ -52,9 +52,9 @@ type worker struct {
 	lastGen  uint64 // generation of the last picked-up team execution
 
 	// Owner-only hot-path state: the node and Ctx free lists (nodepool.go),
-	// and st.Spawns and st.TasksRun counted plain. flushStats publishes the
-	// two counts before every atomic write that can complete a task, so the
-	// stats are exact after any Wait (README.md, Per-task atomic-write
+	// and the Spawns and TasksRun stats counted plain. flushStats publishes
+	// the two counts before every atomic write that can complete a task, so
+	// the stats are exact after any Wait (README.md, Per-task atomic-write
 	// budget) and cost nothing per joined child. They sit here, away from
 	// slot, which other workers CAS to wake this one.
 	spawns, ran int64
@@ -122,7 +122,7 @@ func (w *worker) coordp() *worker { return w.coord.Load() }
 //repro:noalloc the team wake helper
 func (w *worker) cas(x *worker, r, nr reg.R, k trace.Kind, other int) bool {
 	if !x.regw.CAS(r, nr) {
-		w.st.CASFailures.Add(1)
+		w.st[stats.CASFailures].Add(1)
 		return false
 	}
 	w.ev(k, other, int(nr.Acq), reg.Pack(nr))
@@ -192,11 +192,11 @@ func (w *worker) pushTask(t Task, r int, g *Group, join *TaskGroup) {
 //repro:noalloc runs once per task completion
 func (w *worker) flushStats() {
 	if w.spawns != 0 {
-		w.st.Spawns.Add(w.spawns)
+		w.st[stats.Spawns].Add(w.spawns)
 		w.spawns = 0
 	}
 	if w.ran != 0 {
-		w.st.TasksRun.Add(w.ran)
+		w.st[stats.TasksRun].Add(w.ran)
 		w.ran = 0
 	}
 }
@@ -241,14 +241,14 @@ func (w *worker) loop() {
 			continue
 		}
 		w.setState(trace.StateSteal)
-		w.st.StealAttempts.Add(1)
+		w.st[stats.StealAttempts].Add(1)
 		w.ev(trace.EvStealAttempt, w.id, 0, 0)
 		if w.stealTasks() {
 			w.bo.Reset()
 			w.stopSearching() // a registration; a steal already stopped it
 			continue
 		}
-		w.st.FailedAttempts.Add(1)
+		w.st[stats.FailedAttempts].Add(1)
 		w.idleWait()
 	}
 }
@@ -258,7 +258,7 @@ func (w *worker) loop() {
 // after that the park, which ends only when a publisher wakes the worker or
 // the scheduler shuts down. No timer runs for an idle worker.
 func (w *worker) idleWait() {
-	w.st.Backoffs.Add(1)
+	w.st[stats.Backoffs].Add(1)
 	w.freeLen.Store(int64(len(w.free)))
 	w.flushStats()
 	w.setState(trace.StatePark)
@@ -313,7 +313,7 @@ func (w *worker) runTeamPart(exec *teamExec, lid int) {
 	ctx := w.getCtx()
 	ctx.w, ctx.exec, ctx.localID, ctx.group = w, exec, lid, exec.group
 	w.ran++
-	w.st.TeamTasksRun.Add(1)
+	w.st[stats.TeamTasksRun].Add(1)
 	prev := w.setState(trace.StateRunTeam)
 	if xt := w.sched.xt; xt.Enabled() {
 		xt.Record(w.id, trace.EvStart, exec.coordID, uint32(exec.width), exec.tid)
@@ -351,7 +351,7 @@ func (w *worker) memberStep() {
 	case rc.Epoch != w.regEpoch:
 		// Non-team registration revoked (coordinator reset or yielded).
 		w.ev(trace.EvRevoked, c.id, int(rc.Epoch), uint64(w.regEpoch))
-		w.st.Revocations.Add(1)
+		w.st[stats.Revocations].Add(1)
 		w.leave(c)
 		return
 	}
@@ -374,7 +374,7 @@ func (w *worker) memberStep() {
 			return
 		}
 	}
-	w.st.Backoffs.Add(1)
+	w.st[stats.Backoffs].Add(1)
 	if !w.teamed {
 		w.bo.Wait()
 	} else if !w.bo.Pause() {

@@ -18,28 +18,10 @@ import (
 // FlagName returns the canonical lower-case -algos name of the column (the
 // inverse of ParseAlgorithm on its primary spelling).
 func (a Algorithm) FlagName() string {
-	switch a {
-	case SeqSTL:
-		return "seqstl"
-	case SeqQS:
-		return "seqqs"
-	case Fork:
-		return "fork"
-	case Randfork:
-		return "randfork"
-	case Cilk:
-		return "cilk"
-	case CilkSample:
-		return "cilksample"
-	case MMPar:
-		return "mmpar"
-	case SSort:
-		return "ssort"
-	case MSort:
-		return "msort"
-	default:
+	if a < 0 || a >= numAlgorithms {
 		return fmt.Sprintf("algorithm%d", int(a))
 	}
+	return columns[a].flag
 }
 
 // KindNames returns the distribution names of ks.
@@ -56,16 +38,19 @@ func KindNames(ks []dist.Kind) []string {
 // the sequential baseline) — the subset a multi-client Runtime can serve
 // (cmd/throughput's sort mix).
 func ParseSchedulerAlgorithms(csv string) ([]Algorithm, error) {
-	shared := map[Algorithm]bool{
-		SeqSTL: true, Fork: true, MMPar: true, SSort: true, MSort: true,
-	}
 	as, err := ParseAlgorithms(csv)
 	if err != nil {
 		return nil, err
 	}
 	for _, a := range as {
-		if !shared[a] {
-			return nil, fmt.Errorf("harness: algorithm %v does not run on the shared scheduler (want seqstl|fork|mmpar|ssort|msort)", a)
+		if !columns[a].shared {
+			var want []string
+			for _, c := range columns {
+				if c.shared {
+					want = append(want, c.flag)
+				}
+			}
+			return nil, fmt.Errorf("harness: algorithm %v does not run on the shared scheduler (want %s)", a, strings.Join(want, "|"))
 		}
 	}
 	return as, nil

@@ -24,7 +24,6 @@ import (
 	"repro/internal/msort"
 	"repro/internal/qsort"
 	"repro/internal/ssort"
-	"repro/internal/stats"
 )
 
 // Algorithm identifies one column group of the paper's tables.
@@ -43,45 +42,50 @@ const (
 	numAlgorithms
 )
 
-// String returns the column label used in the paper (SSort is this
-// repository's extension column).
+// column is one algorithm column's registry entry: its table label (the
+// paper's, SSort and MSort being this repository's extension columns), its
+// canonical -algos name and further accepted names, whether it runs on the
+// shared core scheduler (the subset a multi-client Runtime serves), and
+// whether the table gives it a speedup column next to its time (relative to
+// Seq/STL, so rendered only when that column ran).
+type column struct {
+	label, flag string
+	aliases     []string
+	shared, su  bool
+}
+
+// columns gives speedups to the paper's Fork, Cilk and MMPar columns and to
+// the extension columns.
+var columns = [numAlgorithms]column{
+	SeqSTL:     {label: "Seq/STL", flag: "seqstl", aliases: []string{"seq", "stl", "seq/stl"}, shared: true},
+	SeqQS:      {label: "SeqQS", flag: "seqqs"},
+	Fork:       {label: "Fork", flag: "fork", shared: true, su: true},
+	Randfork:   {label: "Randfork", flag: "randfork"},
+	Cilk:       {label: "Cilk", flag: "cilk", su: true},
+	CilkSample: {label: "Cilk sample", flag: "cilksample", aliases: []string{"cilk-sample", "cilk sample"}},
+	MMPar:      {label: "MMPar", flag: "mmpar", shared: true, su: true},
+	SSort:      {label: "SSort", flag: "ssort", aliases: []string{"samplesort"}, shared: true, su: true},
+	MSort:      {label: "MSort", flag: "msort", aliases: []string{"mergesort"}, shared: true, su: true},
+}
+
+// String returns the column label used in the tables.
 func (a Algorithm) String() string {
-	switch a {
-	case SeqSTL:
-		return "Seq/STL"
-	case SeqQS:
-		return "SeqQS"
-	case Fork:
-		return "Fork"
-	case Randfork:
-		return "Randfork"
-	case Cilk:
-		return "Cilk"
-	case CilkSample:
-		return "Cilk sample"
-	case MMPar:
-		return "MMPar"
-	case SSort:
-		return "SSort"
-	case MSort:
-		return "MSort"
-	default:
+	if a < 0 || a >= numAlgorithms {
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
+	return columns[a].label
 }
 
 // algNames maps every accepted -algos name (lower-case) to its column.
-var algNames = map[string]Algorithm{
-	"seqstl": SeqSTL, "seq": SeqSTL, "stl": SeqSTL, "seq/stl": SeqSTL,
-	"seqqs":      SeqQS,
-	"fork":       Fork,
-	"randfork":   Randfork,
-	"cilk":       Cilk,
-	"cilksample": CilkSample, "cilk-sample": CilkSample, "cilk sample": CilkSample,
-	"mmpar": MMPar,
-	"ssort": SSort, "samplesort": SSort,
-	"msort": MSort, "mergesort": MSort,
-}
+var algNames = func() map[string]Algorithm {
+	m := make(map[string]Algorithm)
+	for a, c := range columns {
+		for _, name := range append([]string{c.flag}, c.aliases...) {
+			m[name] = Algorithm(a)
+		}
+	}
+	return m
+}()
 
 // ParseAlgorithm resolves an algorithm column name (e.g. "mmpar",
 // "ssort"), case-insensitively.
@@ -187,10 +191,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// PaperSizes are the input sizes of the published tables.
-var PaperSizes = []int{10_000_000, 100_000_000, 1_000_000_000,
-	1<<23 - 1, 1<<25 - 1, 1<<27 - 1}
 
 // FullSizes are the paper sizes that fit a ~20 GB machine in reasonable time.
 var FullSizes = []int{10_000_000, 100_000_000, 1<<23 - 1, 1<<25 - 1, 1<<27 - 1}
@@ -302,12 +302,10 @@ func measure(cfg Config, alg Algorithm, input, buf []int32) (Cell, error) {
 }
 
 // Sorter is one algorithm column made runnable: the scheduler the algorithm
-// needs, started, behind the three things a measurement does with it.
+// needs, started, behind the two things a measurement does with it.
 type Sorter struct {
 	// Sort sorts d in place and blocks until it is sorted.
 	Sort func(d []int32) error
-	// Stats reads the scheduler's counters; nil for the sequential columns.
-	Stats func() stats.Snapshot
 	// Close stops the scheduler's workers.
 	Close func()
 }
@@ -369,7 +367,6 @@ func onCore(cfg Config, root func(maxTeam int, d []int32) core.Task) Sorter {
 	s := core.New(core.Options{P: cfg.P, Seed: cfg.Seed})
 	return Sorter{
 		Sort:  func(d []int32) error { return s.Run(root(s.MaxTeam(), d)) },
-		Stats: s.Stats,
 		Close: s.Shutdown,
 	}
 }
@@ -379,7 +376,6 @@ func onClassic(cfg Config, policy classic.Policy, sort func(*classic.Scheduler, 
 	s := classic.New(classic.Options{P: cfg.P, Policy: policy, Seed: cfg.Seed})
 	return Sorter{
 		Sort:  func(d []int32) error { sort(s, d, cfg.Cutoff); return nil },
-		Stats: s.Stats,
 		Close: s.Shutdown,
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro"
 	"repro/internal/dist"
+	"repro/internal/stats"
 )
 
 func testInputs() [][]int32 {
@@ -77,12 +78,12 @@ func TestAbandonMix(t *testing.T) {
 		t.Errorf("batch: %d requests over %d calls, want %d per call", b.Requests, b.Latency.N(), abandonBatch)
 	}
 	adm := rt.Scheduler().Admission()
-	if ty.Abandoned == 0 || adm.Revoked+adm.Canceled == 0 {
-		t.Errorf("a 1 ms deadline abandoned %d requests (revoked %d, canceled %d); want some", ty.Abandoned, adm.Revoked, adm.Canceled)
+	if ty.Abandoned == 0 || adm[stats.Revoked]+adm[stats.Canceled] == 0 {
+		t.Errorf("a 1 ms deadline abandoned %d requests (revoked %d, canceled %d); want some", ty.Abandoned, adm[stats.Revoked], adm[stats.Canceled])
 	}
 	// Every call waited for its group's true drain, so nothing is pending.
-	if adm.Injected != adm.Taken+adm.Revoked {
-		t.Errorf("injected %d != taken %d + revoked %d after Run returned", adm.Injected, adm.Taken, adm.Revoked)
+	if adm[stats.Injected] != adm[stats.Taken]+adm[stats.Revoked] {
+		t.Errorf("injected %d != taken %d + revoked %d after Run returned", adm[stats.Injected], adm[stats.Taken], adm[stats.Revoked])
 	}
 
 	if _, err := AbandonMix(rt, testInputs(), []Algorithm{MMPar, SeqSTL}, time.Millisecond); err == nil {

@@ -45,14 +45,6 @@ func (r *Result) algorithms() []Algorithm {
 	return algs
 }
 
-// suColumns marks the algorithms that get a speedup column next to their
-// time, as in the paper's tables (Fork, Cilk, MMPar) plus the SSort and
-// MSort extension columns. Speedups are relative to Seq/STL, so they
-// render only when that column ran.
-var suColumns = map[Algorithm]bool{
-	Fork: true, Cilk: true, MMPar: true, SSort: true, MSort: true,
-}
-
 // Table renders the result in the paper's layout: rows grouped by
 // distribution, one time column per algorithm that ran (Seq/STL, SeqQS,
 // Fork(+SU), Randfork, [Cilk(+SU), Cilk sample,] MMPar(+SU), SSort(+SU)),
@@ -75,7 +67,7 @@ func (r *Result) Table(m Mode) string {
 			widths[i] = 9
 		}
 		header += fmt.Sprintf(" %*s", widths[i], label)
-		if ranSTL && suColumns[a] {
+		if ranSTL && columns[a].su {
 			header += fmt.Sprintf(" %5s", "SU")
 		}
 	}
@@ -94,7 +86,7 @@ func (r *Result) Table(m Mode) string {
 		fmt.Fprintf(&b, "%-10s %11d", kind, row.Size)
 		for i, a := range algs {
 			fmt.Fprintf(&b, " %*.3f", widths[i], row.Cells[a].value(m))
-			if ranSTL && suColumns[a] {
+			if ranSTL && columns[a].su {
 				fmt.Fprintf(&b, " %5.1f", row.Speedup(a, m))
 			}
 		}

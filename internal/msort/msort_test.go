@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/qsort"
+	"repro/internal/stats"
 )
 
 func newSched(t *testing.T, p int) *core.Scheduler {
@@ -142,7 +143,7 @@ func TestSortAllDistributions(t *testing.T) {
 		sortOn(t, s, data, opt)
 		checkSorted(t, k.String(), data, in)
 	}
-	if s.Stats().TeamTasksRun == 0 {
+	if s.Stats()[stats.TeamTasksRun] == 0 {
 		t.Fatal("no team merges happened at this size")
 	}
 }

@@ -58,7 +58,7 @@ func BenchmarkSequentialQuicksort(b *testing.B) {
 			b.SetBytes(int64(4 * n))
 			for i := 0; i < b.N; i++ {
 				copy(buf, in)
-				SequentialQuicksort(buf)
+				SequentialQuicksortCutoff(buf, DefaultCutoff)
 			}
 		})
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/classic"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/stats"
 )
 
 func coreSched(t *testing.T, p int) *core.Scheduler {
@@ -79,7 +80,7 @@ func TestMixedMode(t *testing.T) {
 		run(t, s, MixedModeRoot(nil, s.MaxTeam(), data, opt))
 		checkSorted(t, name, data, in)
 	}
-	if s.Stats().TeamsFormed == 0 {
+	if s.Stats()[stats.TeamsFormed] == 0 {
 		t.Fatal("mixed-mode sort never formed a team")
 	}
 }
@@ -93,7 +94,7 @@ func TestMixedModeDefaults(t *testing.T) {
 		t.Fatal("not sorted")
 	}
 	// 3M elements / 4096 / 128 ⇒ getBestNp should pick np > 1 at the top.
-	if s.Stats().TeamTasksRun == 0 {
+	if s.Stats()[stats.TeamTasksRun] == 0 {
 		t.Fatal("default options on 3M elements should use a team partition")
 	}
 }
@@ -265,12 +266,12 @@ func TestMixedModeTeamTasksArePooled(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sortOnce() // warm
 	}
-	teams := s.Stats().TeamsFormed
+	teams := s.Stats()[stats.TeamsFormed]
 	runtime.MemProfileRate = 1
 	for i := 0; i < 10; i++ {
 		sortOnce()
 	}
-	formed := s.Stats().TeamsFormed - teams
+	formed := s.Stats()[stats.TeamsFormed] - teams
 	runtime.GC()
 	if formed == 0 {
 		t.Fatal("ten 2^20-element mixed-mode sorts formed no team")

@@ -203,14 +203,9 @@ func siftDown[T Ordered](data []T, root, n int) {
 	}
 }
 
-// SequentialQuicksort is the handwritten reference quicksort of the tables'
-// SeqQS column: plain recursive quicksort "that uses the same cutoff to
-// switch to STL sort as the parallel implementations".
-func SequentialQuicksort[T Ordered](data []T) {
-	SequentialQuicksortCutoff(data, DefaultCutoff)
-}
-
-// SequentialQuicksortCutoff is SequentialQuicksort with an explicit cutoff.
+// SequentialQuicksortCutoff is the handwritten reference quicksort of the
+// tables' SeqQS column: plain recursive quicksort "that uses the same cutoff
+// to switch to STL sort as the parallel implementations" (DefaultCutoff).
 func SequentialQuicksortCutoff[T Ordered](data []T, cutoff int) {
 	if cutoff < 2 {
 		cutoff = 2

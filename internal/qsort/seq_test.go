@@ -82,7 +82,7 @@ func TestIntrosort(t *testing.T) {
 func TestSequentialQuicksort(t *testing.T) {
 	for name, in := range testInputs() {
 		data := append([]int32(nil), in...)
-		SequentialQuicksort(data)
+		SequentialQuicksortCutoff(data, DefaultCutoff)
 		checkSorted(t, name, data, in)
 	}
 }

@@ -4,117 +4,110 @@
 // (e.g. "every task ran exactly once", "teams were actually formed"),
 // (2) ablation experiments over scheduler variants, and (3) the scheduler's
 // metrics registry. Counters are owned by one worker but may be read
-// concurrently, so all fields are atomic. The per-worker structs are padded
-// to a cache line to avoid false sharing between adjacent workers.
+// concurrently, so all of them are atomic. The per-worker arrays are padded
+// to whole cache lines to avoid false sharing between adjacent workers.
+//
+// Each counter is declared once: a Counter (or AdmissionCounter) constant
+// and its row in Counters (or AdmissionCounters). Adding one takes those two
+// lines; snapshots, sums, String and the metric family follow from them.
 package stats
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 	"sync/atomic"
 )
 
-// Worker holds the counters of a single worker.
+// Counter indexes a Worker's counters.
 //
 // internal/core's workers publish TasksRun and Spawns in batches, before
 // each completion that can release a Wait: on a busy worker they lag by
 // what it ran and spawned since, and they are exact after any Wait.
-type Worker struct {
-	TasksRun        atomic.Int64 // tasks executed (team tasks count once per participant); lags, exact after Wait
-	TeamTasksRun    atomic.Int64 // executions that were part of a team of size > 1
-	TeamsFormed     atomic.Int64 // team executions published by this worker as coordinator (a kept team counts once per task)
-	TeamsCoordd     atomic.Int64 // coordination rounds entered
-	Spawns          atomic.Int64 // tasks pushed to local queues; lags, exact after Wait
-	Steals          atomic.Int64 // successful steal operations (≥ 1 task)
-	TasksStolen     atomic.Int64 // tasks transferred by steals
-	StealAttempts   atomic.Int64 // stealTasks invocations
-	FailedAttempts  atomic.Int64 // stealTasks rounds with no work found
-	Registrations   atomic.Int64 // successful team registrations at a coordinator
-	Deregistrations atomic.Int64
-	Revocations     atomic.Int64 // registrations found revoked (epoch change)
-	ConflictsLost   atomic.Int64 // coordination conflicts yielded to another coordinator
-	CASFailures     atomic.Int64 // failed CAS on a registration word
-	Backoffs        atomic.Int64 // backoff waits (an idle worker's: one per spin round or park)
-	Polls           atomic.Int64 // pollPartners invocations
-	InjectTakes     atomic.Int64 // tasks taken from the inject queues
-	Parks           atomic.Int64 // times the worker blocked on its wake slot
-	Wakes           atomic.Int64 // wake-ups this worker sent to parked workers
+type Counter int
 
-	_ [5]int64 // pad to reduce false sharing (24 words: three cache lines)
+const (
+	TasksRun        Counter = iota // tasks executed (team tasks count once per participant); lags, exact after Wait
+	TeamTasksRun                   // executions that were part of a team of size > 1
+	TeamsFormed                    // team executions published by this worker as coordinator (a kept team counts once per task)
+	TeamsCoordd                    // coordination rounds entered
+	Spawns                         // tasks pushed to local queues; lags, exact after Wait
+	Steals                         // successful steal operations (≥ 1 task)
+	TasksStolen                    // tasks transferred by steals
+	StealAttempts                  // stealTasks invocations
+	FailedAttempts                 // stealTasks rounds with no work found
+	Registrations                  // successful team registrations at a coordinator
+	Deregistrations                // team deregistrations
+	Revocations                    // registrations found revoked (epoch change)
+	ConflictsLost                  // coordination conflicts yielded to another coordinator
+	CASFailures                    // failed CAS on a registration word
+	Backoffs                       // backoff waits (an idle worker's: one per spin round or park)
+	Polls                          // pollPartners invocations
+	InjectTakes                    // tasks taken from the inject queues
+	Parks                          // times the worker blocked on its wake slot
+	Wakes                          // wake-ups this worker sent to parked workers
+	NumCounters
+)
+
+// Desc describes one counter: Short is its key in a snapshot's String, and
+// Metric and Help are the registry family that reports it ("" for none).
+type Desc struct{ Short, Metric, Help string }
+
+// Counters describes every Counter.
+var Counters = [NumCounters]Desc{
+	TasksRun:        {"tasks", "repro_sched_tasks_total", "Tasks executed (team tasks count once per participant)."},
+	TeamTasksRun:    {"team_tasks", "repro_sched_team_tasks_total", "Task executions that were part of a team of size > 1."},
+	TeamsFormed:     {"teams", "repro_sched_teams_formed_total", "Team executions published by a coordinator (a kept team counts once per task)."},
+	TeamsCoordd:     {"coord", "repro_sched_coordinations_total", "Coordination rounds entered."},
+	Spawns:          {"spawns", "repro_sched_spawns_total", "Tasks pushed to local queues by interior spawns."},
+	Steals:          {"steals", "repro_sched_steals_total", "Successful steal operations (>= 1 task)."},
+	TasksStolen:     {"stolen", "repro_sched_tasks_stolen_total", "Tasks transferred by steals."},
+	StealAttempts:   {"attempts", "repro_sched_steal_attempts_total", "Steal rounds attempted."},
+	FailedAttempts:  {"failed", "repro_sched_failed_steal_attempts_total", "Steal rounds that found no work."},
+	Registrations:   {"reg", "repro_sched_registrations_total", "Successful team registrations at a coordinator."},
+	Deregistrations: {"dereg", "repro_sched_deregistrations_total", "Team deregistrations."},
+	Revocations:     {"revoked", "repro_sched_revocations_total", "Registrations found revoked (epoch change)."},
+	ConflictsLost:   {"conflicts", "repro_sched_conflicts_lost_total", "Coordination conflicts yielded to another coordinator."},
+	CASFailures:     {"cas_fail", "repro_sched_cas_failures_total", "Failed CAS operations on registration words."},
+	Backoffs:        {"backoffs", "repro_sched_backoffs_total", "Idle and member waits: spin/yield rounds, sleeps and parks."},
+	Polls:           {"polls", "repro_sched_polls_total", "Partner-poll invocations."},
+	InjectTakes:     {"inject_takes", "repro_sched_inject_takes_total", "Tasks taken from the inject queues by workers."},
+	Parks:           {"parks", "repro_sched_parks_total", "Times an idle worker blocked on its wake slot."},
+	Wakes:           {"wakes", "", ""}, // repro_sched_wakeups_total counts wake-ups by source instead
 }
+
+// Worker holds the counters of a single worker, indexed by Counter. The
+// entries past NumCounters pad it to whole cache lines.
+type Worker [(NumCounters + 7) &^ 7]atomic.Int64
 
 // Snapshot is a plain-value copy of a Worker's counters.
-type Snapshot struct {
-	TasksRun, TeamTasksRun, TeamsFormed, TeamsCoordd  int64
-	Spawns, Steals, TasksStolen, StealAttempts        int64
-	FailedAttempts, Registrations, Deregistrations    int64
-	Revocations, ConflictsLost, CASFailures, Backoffs int64
-	Polls, InjectTakes, Parks, Wakes                  int64
-}
+type Snapshot [NumCounters]int64
 
 // Snapshot returns a consistent-enough copy for reporting (individual loads
 // are atomic; the set is not a single atomic snapshot).
 func (w *Worker) Snapshot() Snapshot {
-	return Snapshot{
-		TasksRun:        w.TasksRun.Load(),
-		TeamTasksRun:    w.TeamTasksRun.Load(),
-		TeamsFormed:     w.TeamsFormed.Load(),
-		TeamsCoordd:     w.TeamsCoordd.Load(),
-		Spawns:          w.Spawns.Load(),
-		Steals:          w.Steals.Load(),
-		TasksStolen:     w.TasksStolen.Load(),
-		StealAttempts:   w.StealAttempts.Load(),
-		FailedAttempts:  w.FailedAttempts.Load(),
-		Registrations:   w.Registrations.Load(),
-		Deregistrations: w.Deregistrations.Load(),
-		Revocations:     w.Revocations.Load(),
-		ConflictsLost:   w.ConflictsLost.Load(),
-		CASFailures:     w.CASFailures.Load(),
-		Backoffs:        w.Backoffs.Load(),
-		Polls:           w.Polls.Load(),
-		InjectTakes:     w.InjectTakes.Load(),
-		Parks:           w.Parks.Load(),
-		Wakes:           w.Wakes.Load(),
+	var s Snapshot
+	for c := range s {
+		s[c] = w[c].Load()
 	}
+	return s
 }
 
 // Add accumulates o into s.
 func (s *Snapshot) Add(o Snapshot) {
-	s.TasksRun += o.TasksRun
-	s.TeamTasksRun += o.TeamTasksRun
-	s.TeamsFormed += o.TeamsFormed
-	s.TeamsCoordd += o.TeamsCoordd
-	s.Spawns += o.Spawns
-	s.Steals += o.Steals
-	s.TasksStolen += o.TasksStolen
-	s.StealAttempts += o.StealAttempts
-	s.FailedAttempts += o.FailedAttempts
-	s.Registrations += o.Registrations
-	s.Deregistrations += o.Deregistrations
-	s.Revocations += o.Revocations
-	s.ConflictsLost += o.ConflictsLost
-	s.CASFailures += o.CASFailures
-	s.Backoffs += o.Backoffs
-	s.Polls += o.Polls
-	s.InjectTakes += o.InjectTakes
-	s.Parks += o.Parks
-	s.Wakes += o.Wakes
+	for c := range s {
+		s[c] += o[c]
+	}
 }
 
 // String renders the snapshot on one line.
-func (s Snapshot) String() string {
-	return fmt.Sprintf(
-		"tasks=%d team_tasks=%d teams=%d coord=%d spawns=%d steals=%d stolen=%d attempts=%d failed=%d reg=%d dereg=%d revoked=%d conflicts=%d cas_fail=%d backoffs=%d polls=%d inject_takes=%d parks=%d wakes=%d",
-		s.TasksRun, s.TeamTasksRun, s.TeamsFormed, s.TeamsCoordd, s.Spawns,
-		s.Steals, s.TasksStolen, s.StealAttempts, s.FailedAttempts,
-		s.Registrations, s.Deregistrations, s.Revocations, s.ConflictsLost,
-		s.CASFailures, s.Backoffs, s.Polls, s.InjectTakes, s.Parks, s.Wakes)
-}
+func (s Snapshot) String() string { return line(Counters[:], s[:]) }
 
-// Sum aggregates the snapshots of all workers.
-func Sum(ws []*Worker) Snapshot {
-	var total Snapshot
-	for _, w := range ws {
-		total.Add(w.Snapshot())
+// line renders "short=v" for each counter, then the extra fields, on one
+// line.
+func line(ds []Desc, vs []int64, extra ...string) string {
+	kv := make([]string, len(ds), len(ds)+len(extra))
+	for i, d := range ds {
+		kv[i] = d.Short + "=" + strconv.FormatInt(vs[i], 10)
 	}
-	return total
+	return strings.Join(append(kv, extra...), " ")
 }

@@ -1,39 +1,32 @@
 package stats
 
 import (
-	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func TestSnapshotAndAdd(t *testing.T) {
 	var w Worker
-	w.TasksRun.Add(3)
-	w.Steals.Add(2)
-	w.Registrations.Add(5)
+	w[TasksRun].Add(3)
+	w[Steals].Add(2)
+	w[Registrations].Add(5)
 	s := w.Snapshot()
-	if s.TasksRun != 3 || s.Steals != 2 || s.Registrations != 5 {
-		t.Fatalf("snapshot = %+v", s)
+	if s[TasksRun] != 3 || s[Steals] != 2 || s[Registrations] != 5 {
+		t.Fatalf("snapshot = %v", s)
 	}
 	var total Snapshot
 	total.Add(s)
 	total.Add(s)
-	if total.TasksRun != 6 || total.Steals != 4 || total.Registrations != 10 {
-		t.Fatalf("sum = %+v", total)
+	if total[TasksRun] != 6 || total[Steals] != 4 || total[Registrations] != 10 {
+		t.Fatalf("sum = %v", total)
 	}
 }
 
-func TestSum(t *testing.T) {
-	ws := []*Worker{{}, {}, {}}
-	for i, w := range ws {
-		w.TasksRun.Add(int64(i + 1))
-		w.Backoffs.Add(10)
-	}
-	s := Sum(ws)
-	if s.TasksRun != 6 || s.Backoffs != 30 {
-		t.Fatalf("Sum = %+v", s)
+func TestWorkerPadded(t *testing.T) {
+	if sz := unsafe.Sizeof(Worker{}); sz%64 != 0 {
+		t.Fatalf("sizeof(Worker) = %d, not a multiple of 64: fix the trailing padding", sz)
 	}
 }
 
@@ -45,151 +38,88 @@ func TestConcurrentCounting(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				w.TasksRun.Add(1)
+				w[TasksRun].Add(1)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := w.TasksRun.Load(); got != 8000 {
+	if got := w[TasksRun].Load(); got != 8000 {
 		t.Fatalf("TasksRun = %d", got)
 	}
 }
 
-var atomicInt64Type = reflect.TypeOf(atomic.Int64{})
-
-// workerCounterFields returns the names of every atomic.Int64 counter of
-// Worker (skipping padding) via reflection, so the exhaustiveness tests
-// below pick up counters added later without being edited.
-func workerCounterFields(t *testing.T) []string {
-	t.Helper()
-	var names []string
-	wt := reflect.TypeOf(Worker{})
-	for i := 0; i < wt.NumField(); i++ {
-		f := wt.Field(i)
-		if f.Type == atomicInt64Type {
-			if !f.IsExported() {
-				t.Fatalf("Worker counter %q is unexported", f.Name)
-			}
-			names = append(names, f.Name)
-		}
-	}
-	return names
-}
-
 // TestWorkerSnapshotExhaustive gives every Worker counter a distinct value
-// and checks Snapshot carries each one over under the same field name —
-// a counter added to Worker but forgotten in Snapshot (or the Snapshot
-// method) fails here, without the test naming any field.
+// and checks Snapshot carries each one over at the same index.
 func TestWorkerSnapshotExhaustive(t *testing.T) {
 	var w Worker
-	wv := reflect.ValueOf(&w).Elem()
-	names := workerCounterFields(t)
-	for i, name := range names {
-		wv.FieldByName(name).Addr().Interface().(*atomic.Int64).Store(int64(100 + i))
+	for c := range NumCounters {
+		w[c].Store(int64(100 + c))
 	}
 	snap := w.Snapshot()
-	sv := reflect.ValueOf(snap)
-	if got, want := sv.NumField(), len(names); got != want {
-		t.Fatalf("Snapshot has %d fields, Worker has %d counters", got, want)
-	}
-	for i, name := range names {
-		f := sv.FieldByName(name)
-		if !f.IsValid() {
-			t.Fatalf("Snapshot lacks field %q", name)
-		}
-		if got, want := f.Int(), int64(100+i); got != want {
-			t.Fatalf("Snapshot.%s = %d, want %d (dropped by Snapshot())", name, got, want)
+	for c := range NumCounters {
+		if got, want := snap[c], int64(100+c); got != want {
+			t.Fatalf("Snapshot[%s] = %d, want %d (dropped by Snapshot())", Counters[c].Short, got, want)
 		}
 	}
 }
 
-// TestSnapshotAddExhaustive checks Add accumulates every Snapshot field: a
-// field missed by Add stays zero instead of doubling.
+// TestSnapshotAddExhaustive checks Add accumulates every counter: one
+// missed by Add stays zero instead of doubling.
 func TestSnapshotAddExhaustive(t *testing.T) {
 	var a Snapshot
-	av := reflect.ValueOf(&a).Elem()
-	for i := 0; i < av.NumField(); i++ {
-		av.Field(i).SetInt(int64(7 + i))
+	for c := range NumCounters {
+		a[c] = int64(7 + c)
 	}
 	var total Snapshot
 	total.Add(a)
 	total.Add(a)
-	tv := reflect.ValueOf(total)
-	for i := 0; i < tv.NumField(); i++ {
-		if got, want := tv.Field(i).Int(), int64(2*(7+i)); got != want {
-			t.Fatalf("after two Adds, %s = %d, want %d (missed by Add)",
-				tv.Type().Field(i).Name, got, want)
-		}
-	}
-}
-
-// TestSumExhaustive checks Sum covers every field across workers.
-func TestSumExhaustive(t *testing.T) {
-	ws := []*Worker{{}, {}}
-	names := workerCounterFields(t)
-	for wi, w := range ws {
-		wv := reflect.ValueOf(w).Elem()
-		for i, name := range names {
-			wv.FieldByName(name).Addr().Interface().(*atomic.Int64).Store(int64((wi + 1) * (i + 1)))
-		}
-	}
-	sv := reflect.ValueOf(Sum(ws))
-	for i, name := range names {
-		if got, want := sv.FieldByName(name).Int(), int64(3*(i+1)); got != want {
-			t.Fatalf("Sum.%s = %d, want %d", name, got, want)
+	for c := range NumCounters {
+		if got, want := total[c], int64(2*(7+c)); got != want {
+			t.Fatalf("after two Adds, %s = %d, want %d (missed by Add)", Counters[c].Short, got, want)
 		}
 	}
 }
 
 // TestAdmissionSnapshotExhaustive gives every Admission counter a distinct
-// value and checks the snapshot covers every one of its own fields: same-
-// named fields copy through, and the derived Pending is Injected − Taken.
+// value and checks the snapshot copies each one, and that the derived
+// Pending is the tasks admitted and neither taken nor revoked.
 func TestAdmissionSnapshotExhaustive(t *testing.T) {
 	var a Admission
-	at := reflect.TypeOf(&a).Elem()
-	av := reflect.ValueOf(&a).Elem()
-	for i := 0; i < at.NumField(); i++ {
-		if at.Field(i).Type != atomicInt64Type {
-			t.Fatalf("Admission field %q is not atomic.Int64", at.Field(i).Name)
-		}
-		av.Field(i).Addr().Interface().(*atomic.Int64).Store(int64(1000 + 10*i))
+	for c := range NumAdmissionCounters {
+		a[c].Store(int64(1000 + 10*c))
 	}
 	snap := a.Snapshot()
-	sv := reflect.ValueOf(snap)
-	st := sv.Type()
-	covered := 0
-	for i := 0; i < st.NumField(); i++ {
-		name := st.Field(i).Name
-		got := sv.Field(i).Int()
-		if name == "Pending" {
-			if want := snap.Injected - snap.Taken - snap.Revoked; got != want {
-				t.Fatalf("Pending = %d, want Injected−Taken−Revoked = %d", got, want)
-			}
-			covered++
-			continue
+	for c := range NumAdmissionCounters {
+		if got, want := snap[c], int64(1000+10*c); got != want {
+			t.Fatalf("AdmissionSnapshot[%s] = %d, want %d", AdmissionCounters[c].Short, got, want)
 		}
-		src := av.FieldByName(name)
-		if !src.IsValid() {
-			t.Fatalf("AdmissionSnapshot field %q has no Admission counterpart", name)
-		}
-		if want := src.Addr().Interface().(*atomic.Int64).Load(); got != want {
-			t.Fatalf("AdmissionSnapshot.%s = %d, want %d", name, got, want)
-		}
-		covered++
 	}
-	if covered != at.NumField()+1 { // every counter + the derived Pending
-		t.Fatalf("snapshot covers %d fields, want %d", covered, at.NumField()+1)
+	if got, want := snap.Pending(), snap[Injected]-snap[Taken]-snap[Revoked]; got != want {
+		t.Fatalf("Pending = %d, want Injected−Taken−Revoked = %d", got, want)
+	}
+
+	var b Admission
+	b[Injected].Add(10)
+	b[Taken].Add(6)
+	b[Revoked].Add(3)
+	b[Rejected].Add(100) // refused tasks were never admitted
+	s := b.Snapshot()
+	if got := s.Pending(); got != 1 {
+		t.Fatalf("Pending = %d, want Injected−Taken−Revoked = 1", got)
+	}
+	if str := s.String(); !strings.Contains(str, "pending=1") || !strings.Contains(str, "rejected=100") {
+		t.Fatalf("String = %q", str)
 	}
 }
 
+// TestStringContainsFields holds the rendering of every counter, in order.
 func TestStringContainsFields(t *testing.T) {
 	var w Worker
-	w.TeamsFormed.Add(4)
-	w.CASFailures.Add(7)
-	s := w.Snapshot().String()
-	for _, frag := range []string{"teams=4", "cas_fail=7", "tasks=0"} {
-		if !strings.Contains(s, frag) {
-			t.Fatalf("String %q missing %q", s, frag)
-		}
+	for c := range NumCounters {
+		w[c].Add(int64(c) + 1)
+	}
+	const want = "tasks=1 team_tasks=2 teams=3 coord=4 spawns=5 steals=6 stolen=7 attempts=8 failed=9 reg=10 dereg=11 revoked=12 conflicts=13 cas_fail=14 backoffs=15 polls=16 inject_takes=17 parks=18 wakes=19"
+	if got := w.Snapshot().String(); got != want {
+		t.Fatalf("String =\n%s\nwant\n%s", got, want)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro"
+
+	"repro/internal/stats"
 )
 
 // Facade-level tests: the public API must be usable without touching
@@ -102,7 +104,7 @@ func TestFacadeStats(t *testing.T) {
 	s := newFacade(t, 4)
 	s.Run(repro.Func(4, func(*repro.Ctx) {}))
 	st := s.Stats()
-	if st.TasksRun != 4 || st.TeamsFormed != 1 {
+	if st[stats.TasksRun] != 4 || st[stats.TeamsFormed] != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

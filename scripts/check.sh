@@ -22,6 +22,12 @@ go build ./...
 echo "check: go vet ${VET_FLAGS} ./..."
 go vet ${VET_FLAGS} ./...
 
+# bench/ is a module of its own that imports this one's internal packages;
+# vetting it compiles it and its tests against this tree, so a change that
+# breaks the benchmark fails here and not first in the benchmark pipeline.
+echo "check: (cd bench && go vet ./...)"
+(cd bench && go vet ./...)
+
 # Every atomically accessed field is a typed atomic (atomic.Uint64 and
 # friends), so the compiler rejects a plain read or write of it and vet's
 # copylocks a copy. A function-style call on a plain field would bring back
