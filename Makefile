@@ -1,10 +1,5 @@
-# Tier-1 gate (ROADMAP.md): build + test, plus vet and targeted race
-# runs. The race package list and vet flags are defined once in
-# scripts/checkdefs.sh, shared with scripts/check.sh.
+# Tier-1 gate (ROADMAP.md): build + test, plus vet and race runs.
 .PHONY: all build test vet race check fuzz-smoke tables
-
-RACE_PKGS := $(shell . ./scripts/checkdefs.sh; echo $$RACE_PKGS)
-VET_FLAGS := $(shell . ./scripts/checkdefs.sh; echo $$VET_FLAGS)
 
 all: check
 
@@ -15,10 +10,10 @@ test:
 	go test ./...
 
 vet:
-	go vet $(VET_FLAGS) ./...
+	go vet ./...
 
 race:
-	go test -race $(RACE_PKGS)
+	go test -race ./...
 
 # Full verification gate: build, vet, test, race.
 check:

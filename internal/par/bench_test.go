@@ -86,25 +86,3 @@ func BenchmarkHistogram(b *testing.B) {
 		s.Run(par.Histogram(np, benchN, nb, bucketOf, out))
 	}
 }
-
-func BenchmarkMinMax(b *testing.B) {
-	s, in := benchSetup(b)
-	np := s.MaxTeam()
-	var mn, mx int32
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Run(par.MinMax(np, in, &mn, &mx))
-	}
-	_, _ = mn, mx
-}
-
-func BenchmarkMap(b *testing.B) {
-	s, in := benchSetup(b)
-	np := s.MaxTeam()
-	dst := make([]int32, benchN)
-	f := func(i int) int32 { return in[i] ^ int32(i) }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Run(par.Map(np, dst, f))
-	}
-}

@@ -1,6 +1,7 @@
 package par_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -25,32 +26,34 @@ func TestStandaloneTasksInGroups(t *testing.T) {
 			add := func(a, b int64) int64 { return a + b }
 			at := func(i int) int64 { return int64(in[i]) }
 			wantSum := par.SeqReduce(len(in), 0, at, add)
-			wantMin, wantMax := par.SeqMinMax(in)
+			const nb = 37
+			bucketOf := func(i int) int { return int(uint32(in[i]) % nb) }
+			wantHist := par.SeqHistogram(len(in), nb, bucketOf)
+			keep := func(_ int, v int32) bool { return v%3 == 0 }
+			wantPack := make([]int32, len(in))
+			wantPack = wantPack[:par.SeqPack(in, wantPack, keep)]
 
 			// Batch two independent primitives into one group and join
 			// them with a single Wait; then run a third via g.Run.
 			g := s.NewGroup()
 			var gotSum int64
-			var gotMin, gotMax int32
+			gotHist := make([]int, nb)
 			np := 2 + c%2*2 // alternate team sizes 2 and 4 across clients
 			g.Spawn(par.Reduce(np, len(in), 0, at, add, &gotSum))
-			g.Spawn(par.MinMax(np, in, &gotMin, &gotMax))
+			g.Spawn(par.Histogram(np, len(in), nb, bucketOf, gotHist))
 			g.Wait()
 			if gotSum != wantSum {
 				t.Errorf("client %d: reduce = %d, want %d", c, gotSum, wantSum)
 			}
-			if gotMin != wantMin || gotMax != wantMax {
-				t.Errorf("client %d: minmax = (%d, %d), want (%d, %d)",
-					c, gotMin, gotMax, wantMin, wantMax)
+			if !slices.Equal(gotHist, wantHist) {
+				t.Errorf("client %d: histogram = %v, want %v", c, gotHist, wantHist)
 			}
 
-			dst := make([]int64, len(in))
-			g.Run(par.Map(np, dst, at))
-			for i := range dst {
-				if dst[i] != at(i) {
-					t.Errorf("client %d: map[%d] = %d, want %d", c, i, dst[i], at(i))
-					break
-				}
+			dst := make([]int32, len(in))
+			var n int
+			g.Run(par.Pack(np, in, dst, keep, &n))
+			if !slices.Equal(dst[:n], wantPack) {
+				t.Errorf("client %d: pack kept %d elements, want %d, or in another order", c, n, len(wantPack))
 			}
 			if g.Pending() != 0 {
 				t.Errorf("client %d: group pending = %d after Wait", c, g.Pending())

@@ -45,13 +45,13 @@ func (p *Packer[T]) pack(ctx *core.Ctx, src, dst []T, keep func(i int, v T) bool
 	s := src[lo:hi]
 	c := 0
 	for i, v := range s {
-		c += B2i(keep(lo+i, v))
+		c += B2i(keep(lo+i, v)) //repro:asm call
 	}
 	off, total := p.Offsets(ctx, c)
 	d := dst[off : off+c]
 	for i, j := 0, 0; i < len(s) && j < len(d); i++ {
 		d[j] = s[i]
-		j += B2i(keep(lo+i, s[i]))
+		j += B2i(keep(lo+i, s[i])) //repro:asm call
 	}
 	return total
 }
@@ -76,12 +76,13 @@ func (p *Packer[T]) Offsets(ctx *core.Ctx, c int) (off, total int) {
 }
 
 // B2i is what a branch-free loop adds where a branchy one jumps: this shape
-// compiles to SETcc/MOVZX (scripts/codegencheck.sh holds pack and filter, the
+// compiles to SETcc/MOVZX (the //repro:asm lines of pack and filter, the
 // bodies of Pack and query's Filter, qsort's scans and merges and ssort's
-// classify to it). It is generic because a generic body is inlined into a
-// kernel's go.shape instantiation whichever package compiles that; a plain
-// func was only where that package itself imported par, so a program whose
-// main package imports only the root package CALLed it from every kernel.
+// classify hold it to that). It is generic because a generic body is inlined
+// into a kernel's go.shape instantiation whichever package compiles that; a
+// plain func was only where that package itself imported par, so a program
+// whose main package imports only the root package CALLed it from every
+// kernel.
 func B2i[B ~bool](b B) int {
 	if b {
 		return 1

@@ -1,7 +1,7 @@
 // Package par provides reusable team-parallel primitives on top of the
-// team-building scheduler: Reduce, ScanInclusive/ScanExclusive, Pack,
-// Histogram, MinMax and Map, plus the two-ended block Claimer of the
-// paper's partitioning step.
+// team-building scheduler: Reduce, ScanInclusive/ScanExclusive, Pack and
+// Histogram, plus the two-ended block Claimer of the paper's partitioning
+// step.
 //
 // The paper (Wimmer & Träff, SPAA 2011) argues that deterministically built
 // worker teams let data-parallel kernels run inside task-parallel
@@ -26,9 +26,6 @@
 //     barrier (Hist.Merge, callable alone after a caller's own counting
 //     loop); the per-(member, bucket) matrix is retained because
 //     mixed-mode sorts (internal/ssort) scatter from exactly that matrix.
-//   - MinMax: the all-reduce specialized to ordered extrema.
-//   - Map: an order-independent elementwise kernel under the dynamic
-//     chunk-claiming schedule (the end-pointer acquisition of §5).
 //   - Claimer: the two-ended block acquisition of the data-parallel
 //     partitioning step itself, reused by internal/qsort's Algorithm 11.
 //
@@ -40,7 +37,7 @@
 // single-threaded execution is byte-for-byte the reference semantics that
 // the property tests compare team executions against.
 //
-// Shared state objects (Reducer, Scanner, Packer, Hist, MinMaxer) are
+// Shared state objects (Reducer, Scanner, Packer, Hist) are
 // allocated once by the task's creator and shared by the team via the task
 // closure. Every collective ends in the team barrier, so a state object may
 // be reused for any number of consecutive phases by the same team. That

@@ -1,6 +1,8 @@
 package par_test
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -110,21 +112,54 @@ func TestHistogramMatchesOracle(t *testing.T) {
 	})
 }
 
+// extrema is a min/max monoid for Reduce: a struct accumulator whose
+// identity, the zero value, means "no element yet", so no ±∞ sentinel is
+// needed.
+type extrema[T cmp.Ordered] struct {
+	min, max T
+	ok       bool
+}
+
+func combineExtrema[T cmp.Ordered](a, b extrema[T]) extrema[T] {
+	switch {
+	case !a.ok:
+		return b
+	case !b.ok:
+		return a
+	}
+	return extrema[T]{min(a.min, b.min), max(a.max, b.max), true}
+}
+
+// extremaOf folds s through the monoid; wantExtrema is the oracle.
+func extremaOf[T cmp.Ordered](s []T) extrema[T] {
+	at := func(i int) extrema[T] { return extrema[T]{s[i], s[i], true} }
+	return par.SeqReduce(len(s), extrema[T]{}, at, combineExtrema[T])
+}
+
+func wantExtrema[T cmp.Ordered](s []T) extrema[T] {
+	if len(s) == 0 {
+		return extrema[T]{}
+	}
+	return extrema[T]{slices.Min(s), slices.Max(s), true}
+}
+
 func TestMinMaxMatchesOracle(t *testing.T) {
 	s := propSched(t)
 	forEachInput(t, func(t *testing.T, _ dist.Kind, in []int32) {
-		wantMin, wantMax := par.SeqMinMax(in)
+		at := func(i int) extrema[int32] { return extrema[int32]{in[i], in[i], true} }
+		want := wantExtrema(in)
 		for _, np := range teamSizes(s) {
-			var gotMin, gotMax int32
-			s.Run(par.MinMax(np, in, &gotMin, &gotMax))
-			if gotMin != wantMin || gotMax != wantMax {
-				t.Fatalf("np=%d: minmax = (%d, %d), want (%d, %d)",
-					np, gotMin, gotMax, wantMin, wantMax)
+			var got extrema[int32]
+			s.Run(par.Reduce(np, len(in), extrema[int32]{}, at, combineExtrema[int32], &got))
+			if got != want {
+				t.Fatalf("np=%d: minmax = %+v, want %+v", np, got, want)
 			}
 		}
 	})
 }
 
+// TestMapMatchesOracle runs an elementwise kernel, dst[i] = f(i), under the
+// dynamic schedule at every team size.
 func TestMapMatchesOracle(t *testing.T) {
 	s := propSched(t)
 	forEachInput(t, func(t *testing.T, _ dist.Kind, in []int32) {
@@ -135,7 +170,11 @@ func TestMapMatchesOracle(t *testing.T) {
 		}
 		for _, np := range teamSizes(s) {
 			got := make([]int64, len(in))
-			s.Run(par.Map(np, got, f))
+			s.Run(core.ForDynamic(np, len(got), 0, func(_ *core.Ctx, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					got[i] = f(i)
+				}
+			}))
 			checkSlice(t, "map", np, got, want)
 		}
 	})
@@ -163,12 +202,16 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 			wantScan := append([]int64(nil), in...)
 			par.SeqScanExclusive(0, add, wantScan)
 			checkSlice(t, "tiny-scan", np, scan, wantScan)
-			var mn, mx int64
-			s.Run(par.MinMax(np, in, &mn, &mx))
-			wantMn, wantMx := par.SeqMinMax(in)
-			if mn != wantMn || mx != wantMx {
-				t.Fatalf("n=%d np=%d: minmax = (%d, %d), want (%d, %d)",
-					n, np, mn, mx, wantMn, wantMx)
+			r := par.NewReducer(np, combineExtrema[int64])
+			var mm extrema[int64]
+			s.Run(core.Func(np, func(ctx *core.Ctx) {
+				lo, hi := par.Chunk(ctx.LocalID(), ctx.TeamSize(), n)
+				if e := r.Reduce(ctx, extremaOf(in[lo:hi])); ctx.LocalID() == 0 {
+					mm = e
+				}
+			}))
+			if want := wantExtrema(in); mm != want {
+				t.Fatalf("n=%d np=%d: minmax = %+v, want %+v", n, np, mm, want)
 			}
 		}
 	}
@@ -253,7 +296,7 @@ func TestCollectiveReuse(t *testing.T) {
 	wantPack := make([]int32, n)
 	wantPack = wantPack[:par.SeqPack(in, wantPack, keep)]
 	wantHist := par.SeqHistogram(n, nb, bucketOf)
-	wantMin, wantMax := par.SeqMinMax(in)
+	wantMM := wantExtrema(in)
 	wide := make([]int64, n) // the scans' input
 	for i, v := range in {
 		wide[i] = int64(v)
@@ -268,7 +311,7 @@ func TestCollectiveReuse(t *testing.T) {
 	p := par.NewPacker[int32](np)
 	h := par.NewHist(np, nb)
 	sc := par.NewScanner(np, int64(0), add)
-	mm := par.NewMinMaxer[int32](np)
+	mm := par.NewReducer(np, combineExtrema[int32])
 	packed := make([]int32, n)
 	excl := make([]int64, n)
 	incl := make([]int64, n)
@@ -325,9 +368,8 @@ func TestCollectiveReuse(t *testing.T) {
 			inclTask.Run(ctx)
 			inclTask.Run(ctx)
 
-			min1, max1 := mm.MinMax(ctx, in)
-			min2, max2 := mm.MinMax(ctx, in)
-			if min1 != wantMin || max1 != wantMax || min2 != wantMin || max2 != wantMax {
+			part := extremaOf(in[lo:hi])
+			if a, b := mm.Reduce(ctx, part), mm.Reduce(ctx, part); a != wantMM || b != wantMM {
 				report("minmax changed across reuse")
 			}
 		}

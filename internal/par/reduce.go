@@ -1,10 +1,6 @@
 package par
 
-import (
-	"cmp"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Reducer is the shared state of a team reduction: one padded slot per
 // member for the partial results. Allocate once per task with NewReducer
@@ -81,118 +77,6 @@ func Reduce[A any](np, n int, identity A, at func(i int) A, comb func(A, A) A, o
 		total := r.Reduce(ctx, partial)
 		if ctx.LocalID() == 0 {
 			*out = total
-		}
-	})
-}
-
-// extrema carries a running minimum/maximum; ok distinguishes "no elements
-// seen yet" without needing ±∞ sentinels for arbitrary ordered types.
-type extrema[T cmp.Ordered] struct {
-	min, max T
-	ok       bool
-}
-
-func combineExtrema[T cmp.Ordered](a, b extrema[T]) extrema[T] {
-	switch {
-	case !a.ok:
-		return b
-	case !b.ok:
-		return a
-	}
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	return a
-}
-
-// MinMaxer is the shared state of a team min/max reduction.
-type MinMaxer[T cmp.Ordered] struct {
-	r *Reducer[extrema[T]]
-}
-
-// NewMinMaxer returns min/max state for teams of up to np members.
-func NewMinMaxer[T cmp.Ordered](np int) *MinMaxer[T] {
-	return &MinMaxer[T]{r: NewReducer(np, combineExtrema[T])}
-}
-
-// MinMax is a collective returning the minimum and maximum of data to every
-// member of the executing team; each member scans one static chunk. For
-// empty data both results are the zero value. A team of size 1 runs the
-// sequential oracle.
-func (m *MinMaxer[T]) MinMax(ctx *core.Ctx, data []T) (T, T) {
-	mn, mx := m.minMax(ctx, data)
-	ctx.Barrier()
-	return mn, mx
-}
-
-func (m *MinMaxer[T]) minMax(ctx *core.Ctx, data []T) (T, T) {
-	w, lid := ctx.TeamSize(), ctx.LocalID()
-	if w == 1 {
-		return SeqMinMax(data)
-	}
-	lo, hi := Chunk(lid, w, len(data))
-	e := m.r.reduce(ctx, scanExtrema(data[lo:hi]))
-	return e.min, e.max
-}
-
-func scanExtrema[T cmp.Ordered](part []T) extrema[T] {
-	var e extrema[T]
-	for _, v := range part {
-		if !e.ok {
-			e = extrema[T]{min: v, max: v, ok: true}
-			continue
-		}
-		if v < e.min {
-			e.min = v
-		}
-		if v > e.max {
-			e.max = v
-		}
-	}
-	return e
-}
-
-// SeqMinMax is the sequential oracle of MinMax.
-func SeqMinMax[T cmp.Ordered](data []T) (T, T) {
-	e := scanExtrema(data)
-	return e.min, e.max
-}
-
-// MinMax returns a team task of np members storing the minimum and maximum
-// of data into *outMin and *outMax (zero values for empty data).
-func MinMax[T cmp.Ordered](np int, data []T, outMin, outMax *T) core.Task {
-	if np == 1 {
-		return core.Solo(func(*core.Ctx) { *outMin, *outMax = SeqMinMax(data) })
-	}
-	m := NewMinMaxer[T](np)
-	return core.Func(np, func(ctx *core.Ctx) {
-		lo, hi := m.MinMax(ctx, data)
-		if ctx.LocalID() == 0 {
-			*outMin, *outMax = lo, hi
-		}
-	})
-}
-
-// Map returns a team task of np members computing dst[i] = f(i) for every
-// i in [0, len(dst)). Elementwise kernels are order-independent, so the
-// members claim chunks of core.DefaultChunk elements dynamically (the
-// end-pointer acquisition schedule), which balances irregular per-index
-// costs for free. np = 1 runs the plain sequential loop.
-func Map[T any](np int, dst []T, f func(i int) T) core.Task {
-	n := len(dst)
-	if np == 1 {
-		return core.Solo(func(*core.Ctx) {
-			for i := range dst {
-				dst[i] = f(i)
-			}
-		})
-	}
-	return core.ForDynamic(np, n, core.DefaultChunk(np, n), func(_ *core.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = f(i)
 		}
 	})
 }

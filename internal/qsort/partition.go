@@ -39,18 +39,18 @@ func (s *blockScan) exhausted() bool { return s.n == 0 && s.lo >= s.hi }
 // pending those > pv — with stopEq those ≥ pv, Hoare's stop-on-equal rule.
 // It counts with par.B2i, which compiles to SETcc, while `if c { n++ }` is
 // branch-free only if the compiler chooses so, and as a jump is slower than
-// the classic partition. scripts/codegencheck.sh checks.
+// the classic partition. Each //repro:asm line is held to that by TestNoalloc.
 func scanLeft[T Ordered](s *blockScan, data []T, pv T, k int, stopEq bool) {
 	b, n := data[s.lo:s.lo+k], 0
 	if stopEq {
 		for i := range b {
 			s.offs[uint8(n)] = uint8(i)
-			n += par.B2i(b[i] >= pv)
+			n += par.B2i(b[i] >= pv) //repro:asm cmp
 		}
 	} else {
 		for i := range b {
 			s.offs[uint8(n)] = uint8(i)
-			n += par.B2i(b[i] > pv)
+			n += par.B2i(b[i] > pv) //repro:asm cmp
 		}
 	}
 	s.base, s.lo, s.first, s.n = s.lo, s.lo+k, 0, n
@@ -63,12 +63,12 @@ func scanRight[T Ordered](s *blockScan, data []T, pv T, k int, stopEq bool) {
 	if stopEq {
 		for i := len(b) - 1; i >= 0; i-- {
 			s.offs[uint8(n)] = uint8(i)
-			n += par.B2i(b[i] <= pv)
+			n += par.B2i(b[i] <= pv) //repro:asm cmp
 		}
 	} else {
 		for i := len(b) - 1; i >= 0; i-- {
 			s.offs[uint8(n)] = uint8(i)
-			n += par.B2i(b[i] < pv)
+			n += par.B2i(b[i] < pv) //repro:asm cmp
 		}
 	}
 	s.base, s.hi, s.first, s.n = s.hi-k, s.hi-k, 0, n

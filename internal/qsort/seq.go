@@ -92,16 +92,18 @@ func smallSort[T Ordered](data, tmp []T) {
 // lose an element.
 func cswap[T Ordered](a, b T) (T, T) {
 	lo, hi := a, b
-	if b < a {
+	if b < a { //repro:asm cmp
 		lo = b
 	}
-	if b < a {
+	if b < a { //repro:asm cmp
 		hi = a
 	}
 	return lo, hi
 }
 
 // sort8 sorts r with the optimal 19-exchange network.
+//
+//repro:asm cmp
 func sort8[T Ordered](r *[8]T) {
 	a, b, c, d, e, f, g, h := r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7]
 	a, c = cswap(a, c)
@@ -141,14 +143,14 @@ func merge[T Ordered](dst, src []T, mid int) {
 	lo, m := 0, min(mid, n-mid)
 	for ; lo < m; lo++ {
 		x, y := src[i], src[j]
-		c := y < x
+		c := y < x //repro:asm cmp
 		i, j = i+1-par.B2i(c), j+par.B2i(c)
 		if c {
 			x = y
 		}
 		dst[lo] = x
 		x, y = src[p], src[q]
-		c = y < x
+		c = y < x //repro:asm cmp
 		p, q = p-par.B2i(c), q-1+par.B2i(c)
 		if c {
 			y = x
@@ -161,7 +163,7 @@ func merge[T Ordered](dst, src []T, mid int) {
 	}
 	for ; i <= p && j <= q; lo++ {
 		x, y := src[i], src[j]
-		c := y < x
+		c := y < x //repro:asm cmp
 		i, j = i+1-par.B2i(c), j+par.B2i(c)
 		if c {
 			x = y

@@ -39,13 +39,13 @@ func (f *Filterer[T]) filter(ctx *core.Ctx, src, dst []T, pred func(T) bool) int
 	s := src[lo:hi]
 	c := 0
 	for _, v := range s {
-		c += par.B2i(pred(v))
+		c += par.B2i(pred(v)) //repro:asm call
 	}
 	off, total := f.p.Offsets(ctx, c)
 	d := dst[off : off+c]
 	for i, j := 0, 0; i < len(s) && j < len(d); i++ {
 		d[j] = s[i]
-		j += par.B2i(pred(s[i]))
+		j += par.B2i(pred(s[i])) //repro:asm call
 	}
 	return total
 }

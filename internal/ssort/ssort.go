@@ -177,11 +177,11 @@ func buildTree[T qsort.Ordered](tree, sample []T) {
 
 // classify returns the bucket of v, the number of splitters ≤ v, in
 // log2(len(tree)) steps none of which jumps on v (par.B2i: SETcc, which
-// scripts/codegencheck.sh holds the benchmark binary to).
+// its //repro:asm line holds every int32 copy to, the benchmark's too).
 func classify[T qsort.Ordered](tree []T, v T) int {
 	j, k := 1, len(tree)
 	for j < k {
-		j = 2*j + par.B2i(tree[j] <= v)
+		j = 2*j + par.B2i(tree[j] <= v) //repro:asm cmp
 	}
 	return j - k
 }
@@ -194,14 +194,14 @@ func classify[T qsort.Ordered](tree []T, v T) int {
 func count[T qsort.Ordered](tree, chunk []T, row []int) {
 	clear(row)
 	for _, v := range chunk {
-		row[classify(tree, v)]++
+		row[classify(tree, v)]++ //repro:asm cmp
 	}
 }
 
 //go:noinline
 func scatter[T qsort.Ordered](tree, chunk []T, cur []int, dst []T) {
 	for _, v := range chunk {
-		b := classify(tree, v)
+		b := classify(tree, v) //repro:asm cmp
 		dst[cur[b]] = v
 		cur[b]++
 	}

@@ -165,29 +165,15 @@ func (s *HistSnapshot) Add(o HistSnapshot) {
 // percentile (p in [0, 100]): the exact order statistic v_k satisfies
 // lo ≤ v_k ≤ hi, where hi is the upper boundary of the bucket holding rank
 // k and lo its lower boundary (0 below the first bucket, +Inf boundaries
-// for the overflow bucket). The rank predicate is identical to
-// Sample.Percentile's — the smallest 1-based k with k·100 ≥ p·n — so a
-// histogram and a Sample fed the same observations bracket each other
-// exactly, within one bucket width. An empty snapshot returns (0, 0).
+// for the overflow bucket). The rank is Sample.Percentile's, nearestRank —
+// the smallest 1-based k with k·100 ≥ p·n — so a histogram and a Sample fed
+// the same observations bracket each other exactly, within one bucket width.
+// An empty snapshot returns (0, 0).
 func (s HistSnapshot) PercentileBounds(p float64) (lo, hi float64) {
-	n := s.Count
-	if n == 0 {
+	if s.Count == 0 {
 		return 0, 0
 	}
-	t := p * float64(n)
-	k := uint64(math.Ceil(t / 100))
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	for k > 1 && float64(k-1)*100 >= t {
-		k--
-	}
-	for k < n && float64(k)*100 < t {
-		k++
-	}
+	k := uint64(nearestRank(p, int(s.Count)))
 	var cum uint64
 	for i, c := range s.Counts {
 		cum += c

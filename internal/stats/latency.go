@@ -50,13 +50,6 @@ func (s *Sample) Mean() float64 {
 // Percentile returns the nearest-rank p-th percentile (p in [0, 100]): the
 // observation at the smallest 1-based rank k with k·100 ≥ p·n. p = 0
 // returns the minimum, p = 100 the maximum; an empty sample returns 0.
-//
-// The rank is defined by the exact predicate float64(k)·100 ≥ p·float64(n)
-// (k·100 is exact in float64 for any realistic n; p·n rounds once). The
-// math.Ceil estimate divides by 100 and so can land one off after rounding;
-// the fix-up loops restore the predicate in either direction instead of
-// emulating ceil with a truncate-and-compare, which was vulnerable to the
-// double rounding.
 func (s *Sample) Percentile(p float64) float64 {
 	n := len(s.vs)
 	if n == 0 {
@@ -66,21 +59,25 @@ func (s *Sample) Percentile(p float64) float64 {
 		panic(fmt.Sprintf("stats: percentile %v out of [0, 100]", p))
 	}
 	s.ensureSorted()
+	return s.vs[nearestRank(p, n)-1]
+}
+
+// nearestRank returns the smallest 1-based rank k in [1, n] with
+// float64(k)·100 ≥ p·float64(n), for n ≥ 1 (k·100 is exact in float64 for
+// any realistic n; p·n rounds once). The math.Ceil estimate divides by 100
+// and so can land one off after rounding; the fix-up loops restore the
+// predicate in either direction instead of emulating ceil with a
+// truncate-and-compare, which was vulnerable to the double rounding.
+func nearestRank(p float64, n int) int {
 	t := p * float64(n)
-	k := int(math.Ceil(t / 100))
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
+	k := min(max(int(math.Ceil(t/100)), 1), n)
 	for k > 1 && float64(k-1)*100 >= t {
 		k--
 	}
 	for k < n && float64(k)*100 < t {
 		k++
 	}
-	return s.vs[k-1]
+	return k
 }
 
 // Min returns the smallest observation, 0 for an empty sample.

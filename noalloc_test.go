@@ -8,12 +8,12 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
 	"os"
 	"os/exec"
 	"path"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -21,9 +21,10 @@ import (
 )
 
 // TestNoalloc holds every function annotated //repro:noalloc to allocating
-// nothing on the heap, and pins the annotations in noalloc.txt, so deleting
-// one fails as surely as breaking it. On a mismatch it prints the new list,
-// which becomes noalloc.txt once the change is intended.
+// nothing on the heap and every line annotated //repro:asm to its codegen
+// rule, and pins the annotations in noalloc.txt, so deleting one fails as
+// surely as breaking it. On a mismatch it prints the new list, which becomes
+// noalloc.txt once the change is intended.
 //
 // What it proves, and what it doesn't. One go build -gcflags=-m of the
 // module prints the compiler's escape analysis, and every "escapes to heap"
@@ -45,6 +46,12 @@ import (
 // such as TestSpawnZeroAlloc, check whole paths at run time, but they divide
 // in integers, so less than one allocation per round is invisible to them.
 //
+// The build's -S listing holds the branch-free kernels to their codegen
+// (asmViolation) in every copy: each instantiating package compiles its own,
+// and with par.B2i a plain func, a program importing only the root package
+// CALLed it from every kernel, 3–4× slower with every test green. So the
+// build covers that program (testdata/rootonly) and the benchmark's.
+//
 // Positions come from the compiler's -trimpath, which rewrites the module
 // root to the module path, so an escape prints as repro/<dir>/<file>:line:col
 // whichever directory the build ran in or the build cache replays it from;
@@ -57,35 +64,35 @@ func TestNoalloc(t *testing.T) {
 	}
 	// The flags reach only the packages named here, so the standard library
 	// is not recompiled, as it would be under the go command's -trimpath.
-	cmd := exec.Command("go", "build", "-gcflags=-m '-trimpath="+root+"=>repro'",
-		"-o", os.DevNull, "./...", "./testdata/noalloc/...")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("%v: %v\n%s", cmd, err, out)
+	flags := "-gcflags=-m '-trimpath=" + root + "=>repro'"
+	amd64 := runtime.GOARCH == "amd64" // the //repro:asm rules read amd64 instructions
+	if amd64 {
+		flags = "-gcflags=-m -S '-trimpath=" + root + "=>repro'"
 	}
-	escapes := parseEscapes(string(out))
+	out := goCmd(t, "build", flags, "-o", os.DevNull, "./...", "./testdata/noalloc/...", "./testdata/rootonly")
+	escapes, code := parseEscapes(out), []instr(nil)
+	if amd64 {
+		// Item 1(d) of ROADMAP.md: quote the kernels' alignment in the
+		// binary bench/run.sh runs beside any sort-workload number.
+		bin := filepath.Join(t.TempDir(), "bench")
+		code = parseAsm(out+goCmd(t, "-C", "bench", "build", "-buildvcs=false", flags, "-o", bin, "."), root)
+		nm := regexp.MustCompile(`(?m)^\s*([0-9a-f]+) T (\S+qsort\.(HoarePartition|scanLeft|scanRight)\[go\.shape\.int32\])$`)
+		for _, m := range nm.FindAllStringSubmatch(goCmd(t, "tool", "nm", bin), -1) {
+			addr, _ := strconv.ParseUint(m[1], 16, 64)
+			t.Logf("bench binary: %s at %#x, mod 64 = %d", m[2], addr, addr%64)
+		}
+	} else {
+		t.Logf("//repro:asm rules skipped on GOARCH=%s", runtime.GOARCH)
+	}
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "source", nil)
 
 	t.Run("module", func(t *testing.T) {
 		var dirs []string
-		err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return err
-			}
-			if p != "." {
-				if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil || d.Name() == "testdata" ||
-					strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_") {
-					return filepath.SkipDir
-				}
-			}
-			dirs = append(dirs, p)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+		for _, p := range strings.Fields(goCmd(t, "list", "./...")) {
+			dirs = append(dirs, "."+strings.TrimPrefix(p, "repro"))
 		}
-		findings, inventory := checkNoalloc(t, fset, imp, escapes, dirs)
+		findings, inventory := checkNoalloc(t, fset, imp, escapes, code, dirs)
 		for _, f := range findings {
 			t.Error(f)
 		}
@@ -95,18 +102,35 @@ func TestNoalloc(t *testing.T) {
 	// Each testdata line that must be reported carries a "// want `regexp`"
 	// comment; every finding must be wanted and every want found.
 	t.Run("noalloc", func(t *testing.T) {
-		checkWants(t, fset, imp, escapes, "testdata/noalloc", "testdata/noalloc/gen")
+		checkWants(t, fset, imp, escapes, code, "testdata/noalloc", "testdata/noalloc/gen")
 	})
 	t.Run("directives", func(t *testing.T) {
-		checkWants(t, fset, imp, escapes, "testdata/noalloc/directives")
+		checkWants(t, fset, imp, escapes, code, "testdata/noalloc/directives")
 	})
+	t.Run("asm", func(t *testing.T) {
+		if !amd64 {
+			t.Skip("GOARCH is not amd64")
+		}
+		checkWants(t, fset, imp, escapes, code, "testdata/noalloc/asm")
+	})
+}
+
+// goCmd runs the go command and returns its output.
+func goCmd(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command("go", args...)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v: %v\n%s", cmd, err, out)
+	}
+	return string(out)
 }
 
 // checkWants runs checkNoalloc on the testdata packages in dirs and
 // requires its findings to be exactly the lines marked "// want".
-func checkWants(t *testing.T, fset *token.FileSet, imp types.Importer, escapes []finding, dirs ...string) {
+func checkWants(t *testing.T, fset *token.FileSet, imp types.Importer, escapes []finding, code []instr, dirs ...string) {
 	t.Helper()
-	findings, _ := checkNoalloc(t, fset, imp, escapes, dirs)
+	findings, _ := checkNoalloc(t, fset, imp, escapes, code, dirs)
 	wantRe := regexp.MustCompile("// want `([^`]+)`")
 	wants := make(map[string]*regexp.Regexp) // by "file:line"
 	for _, dir := range dirs {
@@ -138,8 +162,8 @@ func checkWants(t *testing.T, fset *token.FileSet, imp types.Importer, escapes [
 	}
 }
 
-// A finding is one allocation or malformed directive, at the position the
-// compiler prints: the package's import path and the file's name.
+// A finding is one allocation, codegen defect or malformed directive, at the
+// position the compiler prints: the package's import path and the file's name.
 type finding struct {
 	file      string
 	line, col int
@@ -169,10 +193,10 @@ func parseEscapes(out string) []finding {
 }
 
 // checkNoalloc checks the //repro: directives of the packages in dirs
-// against escapes, the allocations the compiler reported, and returns the
-// findings and the inventory of directives, one "<package> <function>
-// <kind>" line each.
-func checkNoalloc(t *testing.T, fset *token.FileSet, imp types.Importer, escapes []finding, dirs []string) (findings []finding, inventory []string) {
+// against escapes, the allocations the compiler reported, and code, its
+// instructions (nil: not read), and returns the findings and the inventory
+// of directives, one "<package> <function> <kind>" line each.
+func checkNoalloc(t *testing.T, fset *token.FileSet, imp types.Importer, escapes []finding, code []instr, dirs []string) (findings []finding, inventory []string) {
 	t.Helper()
 	type fn struct {
 		name        string
@@ -180,6 +204,8 @@ func checkNoalloc(t *testing.T, fset *token.FileSet, imp types.Importer, escapes
 	}
 	fns := make(map[string][]fn) // by file
 	allowed := make(map[string]bool)
+	var directives []*finding                  // //repro:asm, msg its rule
+	constrained := make(map[string][]*finding) // by "file:line"
 	at := func(pos token.Pos) (string, int, int) {
 		p := fset.Position(pos)
 		return path.Join("repro", filepath.ToSlash(p.Filename)), p.Line, p.Column
@@ -221,19 +247,45 @@ func checkNoalloc(t *testing.T, fset *token.FileSet, imp types.Importer, escapes
 			var allows []*ast.Comment
 			for _, g := range f.Comments {
 				for _, c := range g.List {
-					kind, ok := strings.CutPrefix(c.Text, "//repro:")
+					text, ok := strings.CutPrefix(c.Text, "//repro:")
 					if !ok {
 						continue
 					}
-					switch kind, _, _ = strings.Cut(kind, " "); {
+					kind, rule, _ := strings.Cut(text, " ")
+					rule, _, _ = strings.Cut(rule, " ")
+					switch {
 					case kind == "noalloc" && docOf[c] != nil:
 						fileFns = append(fileFns, docOf[c])
 					case kind == "noalloc":
 						report(c.Pos(), "//repro:noalloc is not attached to a function declaration")
 					case kind == "allow":
 						allows = append(allows, c)
+					case kind == "asm" && (rule == "cmp" || rule == "call"):
+						// On a line, the directive constrains that line; in a
+						// doc comment, every line of the function.
+						d, fd := &finding{msg: rule}, docOf[c]
+						d.file, d.line, d.col = at(c.Pos())
+						first, last := d.line, d.line
+						if fd != nil {
+							_, first, _ = at(fd.Pos())
+							_, last, _ = at(fd.End())
+						} else if i := slices.IndexFunc(f.Decls, func(d ast.Decl) bool { return d.Pos() <= c.Pos() && c.Pos() < d.End() }); i >= 0 {
+							fd, _ = f.Decls[i].(*ast.FuncDecl)
+						}
+						if fd == nil {
+							report(c.Pos(), "//repro:asm outside a function")
+							continue
+						}
+						for l := first; l <= last; l++ {
+							k := fmt.Sprint(d.file, ":", l)
+							constrained[k] = append(constrained[k], d)
+						}
+						directives = append(directives, d)
+						inventory = append(inventory, pkgPath+" "+declName(fd)+" asm "+rule)
+					case kind == "asm":
+						report(c.Pos(), fmt.Sprintf("unknown //repro:asm rule %q (known: call, cmp)", rule))
 					default:
-						report(c.Pos(), fmt.Sprintf("unknown //repro: directive %q (known: allow, noalloc)", kind))
+						report(c.Pos(), fmt.Sprintf("unknown //repro: directive %q (known: allow, asm, noalloc)", kind))
 					}
 				}
 			}
@@ -294,6 +346,25 @@ func checkNoalloc(t *testing.T, fset *token.FileSet, imp types.Importer, escapes
 			}
 		}
 	}
+	// Every copy of a constrained line in code is held to the rule, and some
+	// copy must exist, so a kernel that moved leaves no directive that checks
+	// nothing.
+	found := make(map[*finding]bool)
+	seen := make(map[finding]bool) // each package's build prints its own copies
+	for i, in := range code {
+		for _, d := range constrained[fmt.Sprint(in.file, ":", in.line)] {
+			found[d] = true
+			if f := (finding{in.file, in.line, d.col, asmViolation(d.msg, code[i:])}); f.msg != "" && !seen[f] {
+				seen[f] = true
+				findings = append(findings, finding{f.file, f.line, f.col, f.msg + " in " + in.fn + " (//repro:asm " + d.msg + ")"})
+			}
+		}
+	}
+	for _, d := range directives {
+		if code != nil && !found[d] {
+			findings = append(findings, finding{d.file, d.line, d.col, "//repro:asm " + d.msg + " constrains no instruction"})
+		}
+	}
 	return findings, inventory
 }
 
@@ -303,4 +374,64 @@ func declName(fd *ast.FuncDecl) string {
 		return fd.Name.Name
 	}
 	return "(" + types.ExprString(fd.Recv.List[0].Type) + ")." + fd.Name.Name
+}
+
+// An instr is one instruction of function fn's -S listing, at the source
+// line the compiler gives it (an inlined callee's own).
+type instr struct {
+	fn, file, op, args string
+	line               int
+}
+
+// parseAsm returns the instructions in the builds' output, positions under
+// root rewritten as -trimpath does (the benchmark's build compiles this
+// module without it). A generic function is read in its int32 copies, the
+// shape the benchmark sorts; other shapes compare differently.
+func parseAsm(out, root string) (code []instr) {
+	fn := ""
+	for line := range strings.Lines(out) {
+		// "<name> STEXT …" heads a function's listing, and an instruction
+		// reads "\t0x0024 00036 (repro/internal/qsort/seq.go:95)\tCMPL\tDX, AX".
+		f := strings.Split(strings.TrimSpace(line), "\t")
+		if name, kind, _ := strings.Cut(f[0], " "); !strings.HasPrefix(line, "\t") {
+			fn = ""
+			if strings.HasPrefix(kind, "STEXT") && (strings.Contains(name, "go.shape.int32") || !strings.Contains(name, "go.shape.")) {
+				fn = name
+			}
+		} else if pos, ok := strings.CutSuffix(f[0], ")"); ok && fn != "" && len(f) > 1 && !slices.Contains([]string{"TEXT", "FUNCDATA", "PCDATA", "NOP"}, f[1]) {
+			_, pos, _ = strings.Cut(pos, "(")
+			file, l, _ := strings.Cut(pos, ":")
+			n, _ := strconv.Atoi(l)
+			code = append(code, instr{fn, strings.Replace(file, root, "repro", 1), f[1], f[len(f)-1], n})
+		}
+	}
+	return code
+}
+
+// asmViolation returns how code[0] breaks rule, or "". Either rule forbids
+// a CALL of a named function, what a helper the compiler did not inline
+// costs (runtime panics and the stack check's morestack are not such calls).
+// cmp: every 32-bit comparison, CMPL (the elements'; loop bounds are 64-bit),
+// is followed by a SETcc or CMOVcc, register copies between, not a jump.
+// call: every indirect CALL, the caller's predicate, is followed by the
+// MOVBLZX or SETcc that makes its answer a number.
+func asmViolation(rule string, code []instr) string {
+	in, next := code[0], ""
+	for _, n := range code[1:] {
+		next = n.op
+		if rule == "call" || !strings.HasPrefix(n.op, "MOV") || strings.ContainsAny(n.args, "($") {
+			break // cmp looks past register copies
+		}
+	}
+	switch {
+	case in.op == "CALL" && strings.HasSuffix(in.args, "(SB)"):
+		if !strings.HasPrefix(in.args, "runtime.panic") && !strings.HasPrefix(in.args, "runtime.morestack") {
+			return "CALL " + strings.TrimSuffix(in.args, "(SB)")
+		}
+	case in.op == "CALL" && rule == "call" && next != "MOVBLZX" && !strings.HasPrefix(next, "SET"):
+		return "indirect CALL followed by " + next
+	case in.op == "CMPL" && rule == "cmp" && !strings.HasPrefix(next, "SET") && !strings.HasPrefix(next, "CMOV"):
+		return "CMPL followed by " + next
+	}
+	return ""
 }

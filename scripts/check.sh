@@ -6,9 +6,6 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# RACE_PKGS and VET_FLAGS live in checkdefs.sh, shared with the Makefile.
-. ./scripts/checkdefs.sh
-
 echo "check: gofmt"
 unformatted=$(gofmt -l .)
 if [[ -n "${unformatted}" ]]; then
@@ -19,8 +16,10 @@ fi
 echo "check: go build ./..."
 go build ./...
 
-echo "check: go vet ${VET_FLAGS} ./..."
-go vet ${VET_FLAGS} ./...
+# Plain go vet runs the whole default analyzer suite, test files included;
+# naming an analyzer's flag (-tests=true, say) would run that one alone.
+echo "check: go vet ./..."
+go vet ./...
 
 # bench/ is a module of its own that imports this one's internal packages;
 # vetting it compiles it and its tests against this tree, so a change that
@@ -44,9 +43,6 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
   echo "check: FAIL (use a typed atomic field instead)"
   exit 1
 fi
-
-echo "check: codegencheck (qsort's scan loops, the benchmark binary's filter/pack loops, its samplesort tree walk and its sorting network and merges count and select with SETcc/MOVZX/CMOVcc, not a jump or a call)"
-./scripts/codegencheck.sh
 
 # No timer inside a team: teamsync parks on wake slots and takes only the
 # spin/yield rounds from internal/backoff, and the timed Wait is left to the
@@ -121,9 +117,10 @@ go test -race -count=5 -run CollectiveReuse ./internal/par ./internal/query
 echo "check: go test -race -count=10 -run SteadyDepthWrap (deque)"
 go test -race -count=10 -run SteadyDepthWrap ./internal/deque
 
-# The race list and its rationale live in scripts/checkdefs.sh.
-echo "check: go test -race ${RACE_PKGS}"
-go test -race ${RACE_PKGS}
+# Every package runs under the race detector: it is the only dynamic check
+# on how the atomics are used.
+echo "check: go test -race ./..."
+go test -race ./...
 
 echo "check: bounded-queue throughput smoke (admission backpressure end to end)"
 go run ./cmd/throughput -clients 8 -max-pending 2 -max-inject 8 -duration 300ms \
