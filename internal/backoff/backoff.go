@@ -15,7 +15,7 @@
 // paper describes. They call Wait.
 //
 // Who no longer does: an idle worker of internal/core, and every wait
-// between team-fix and disband — teamsync.Barrier and Counter, a fixed
+// between team-fix and disband — Ctx.Barrier and teamsync.Barrier, a fixed
 // team's member awaiting its coordinator, the coordinator counting its
 // members down. They call Pause for the spin and yield rounds only and, once
 // Pause reports the budget spent, park on a wake.Slot until the one worker

@@ -14,13 +14,7 @@ import "sync/atomic"
 // when the task's completion is observed.
 func ForStatic(np, n int, body func(ctx *Ctx, lo, hi int)) Task {
 	return Func(np, func(ctx *Ctx) {
-		w, lid := ctx.TeamSize(), ctx.LocalID()
-		lo := lid * n / w
-		hi := (lid + 1) * n / w
-		if lo < hi {
-			body(ctx, lo, hi)
-		}
-		ctx.Barrier()
+		ctx.TeamFor(n, func(lo, hi int) { body(ctx, lo, hi) })
 	})
 }
 

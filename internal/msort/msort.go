@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/qsort"
 )
 
@@ -159,9 +160,8 @@ type msTeamMerge[T qsort.Ordered] struct {
 func (t *msTeamMerge[T]) Threads() int { return t.np }
 
 func (t *msTeamMerge[T]) Run(c *core.Ctx) {
-	w, lid := c.TeamSize(), c.LocalID()
-	n := len(t.out)
-	lo, hi := lid*n/w, (lid+1)*n/w
+	lid := c.LocalID()
+	lo, hi := par.Chunk(lid, c.TeamSize(), len(t.out))
 	// On cancellation each member skips its merge chunk but still reaches
 	// the barrier — members may disagree on the racy check, which only
 	// affects how much of the abandoned output gets written, never the

@@ -67,8 +67,8 @@ func BenchmarkSequentialQuicksort(b *testing.B) {
 // BenchmarkHoarePartition times one sequential partition, the refill of the
 // buffer kept out of the timed region. n=4194304 is
 // BenchmarkParallelPartition's size: its np=1 row over this one is what block
-// acquisition, fan-in and cleanup cost the team kernel per element on top of
-// the sequential one.
+// acquisition, the team's barrier and cleanup cost the team kernel per
+// element on top of the sequential one.
 func BenchmarkHoarePartition(b *testing.B) {
 	for _, n := range []int{1 << 20, 1 << 22} {
 		in := dist.Generate(dist.Random, n, 42)
@@ -102,11 +102,11 @@ func BenchmarkParallelPartition(b *testing.B) {
 				b.StopTimer()
 				copy(buf, in)
 				b.StartTimer()
-				ps.init(buf, np, DefaultBlockSize)
+				ps.init(buf, DefaultBlockSize)
 				s.Run(core.Func(np, func(ctx *core.Ctx) {
 					ps.phase1()
+					ctx.Barrier()
 					if ctx.LocalID() == 0 {
-						ps.fanin.WaitZero()
 						ps.cleanup()
 					}
 				}))

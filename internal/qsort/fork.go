@@ -26,7 +26,7 @@ import (
 // r = 1 "ordinary work-stealing" regime with no per-spawn garbage at all.
 //
 // It pools the mixed-mode quicksort's team tasks too: an mmTask carries its
-// partitioning state (block claimer, fan-in countdown, neutral bitmap) and
+// partitioning state (block claimer, neutral bitmap) and
 // is returned by the team's local id 0 once the step's last spawn is out, so
 // the partitioning steps of a warmed sort tree allocate no task state either.
 //
@@ -77,7 +77,7 @@ func (fp *ForkPool[T]) mmTask(data []T, np int, opt MMOptions) *mmTask[T] {
 		t = &mmTask[T]{fp: fp}
 	}
 	t.np, t.opt = np, opt
-	t.init(data, np, opt.BlockSize)
+	t.init(data, opt.BlockSize)
 	return t
 }
 

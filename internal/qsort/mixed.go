@@ -3,7 +3,6 @@ package qsort
 import (
 	"repro/internal/core"
 	"repro/internal/par"
-	"repro/internal/teamsync"
 )
 
 // This file implements the mixed-mode parallel Quicksort of the paper's
@@ -84,14 +83,14 @@ func (t *mmTask[T]) Threads() int { return t.np }
 
 func (t *mmTask[T]) Run(ctx *core.Ctx) {
 	t.phase1()
+	ctx.Barrier()
 	if ctx.LocalID() != 0 {
 		// Algorithm 11: only the thread with local id 0 continues after the
 		// partitioning step; the other team members become available for the
 		// next task as soon as the coordinator hands one out. A member touches
-		// neither t nor its state after phase1's Done.
+		// neither t nor its state after the barrier.
 		return
 	}
-	t.fanin.WaitZero()
 	split := t.cleanup()
 	data := t.data
 	if split == 0 || split == len(data) {
@@ -104,7 +103,8 @@ func (t *mmTask[T]) Run(ctx *core.Ctx) {
 		t.spawnPart(ctx, data[:split])
 		t.spawnPart(ctx, data[split:])
 	}
-	// WaitZero has seen every member's Done, so nobody else uses t now.
+	// Every member reached the barrier after its last access to t, so
+	// nobody else uses t now.
 	t.data = nil
 	t.fp.mm.Put(t)
 }
@@ -113,7 +113,7 @@ func (t *mmTask[T]) Run(ctx *core.Ctx) {
 // chosen by getBestNp (Algorithm 11 lines 6–7). The cancellation check sits
 // here — on local id 0's single-member spawn path, never inside the
 // collective phases — so a canceled sort stops growing its tree without
-// desynchronizing the team's fan-in.
+// desynchronizing the team's barrier.
 func (t *mmTask[T]) spawnPart(ctx *core.Ctx, part []T) {
 	if len(part) < 2 || ctx.Canceled() {
 		return
@@ -148,21 +148,18 @@ type parState[T Ordered] struct {
 	nb    int
 
 	claim   par.Claimer // two-ended block acquisition
-	neutral []bool      // per block; owner-written, read after fan-in
-	fanin   teamsync.Counter
+	neutral []bool      // per block; owner-written, read after the team's barrier
 }
 
-// init sets ps up for partitioning data (at least two elements) with np
-// threads, reusing the neutral bitmap of a previous step when it is long
-// enough.
-func (ps *parState[T]) init(data []T, np, blockSize int) {
+// init sets ps up for partitioning data (at least two elements), reusing
+// the neutral bitmap of a previous step when it is long enough.
+func (ps *parState[T]) init(data []T, blockSize int) {
 	n := len(data)
 	ps.data = data
 	ps.pv = med3(data[0], data[n/2], data[n-1])
 	ps.block = blockSize
 	ps.nb = n / blockSize
 	ps.claim.Init(ps.nb)
-	ps.fanin.Init(np)
 	if cap(ps.neutral) < ps.nb {
 		ps.neutral = make([]bool, ps.nb)
 	} else {
@@ -177,7 +174,6 @@ func (ps *parState[T]) init(data []T, np, blockSize int) {
 // neutralized, the thread tries to acquire another block from the same side
 // of the array, until we run out of free blocks" (§5).
 func (ps *parState[T]) phase1() {
-	defer ps.fanin.Done()
 	data, pv, B := ps.data, ps.pv, ps.block
 	// One blockScan per side, reset per acquired block: no allocation.
 	var L, R blockScan
@@ -203,9 +199,9 @@ func (ps *parState[T]) phase1() {
 }
 
 // cleanup runs on the team's local id 0 after all threads have deposited
-// (fan-in): it pairs leftover unfinished blocks, compacts the survivors next
-// to the middle gap, sequentially partitions the middle and the trailing
-// partial block, and returns the final split position.
+// (the team's barrier): it pairs leftover unfinished blocks, compacts the
+// survivors next to the middle gap, sequentially partitions the middle and
+// the trailing partial block, and returns the final split position.
 func (ps *parState[T]) cleanup() int {
 	data, pv, B, nb := ps.data, ps.pv, ps.block, ps.nb
 	n := len(data)

@@ -1,9 +1,11 @@
 package qsort
 
 import (
+	"cmp"
 	"errors"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 func coreSched(t *testing.T, p int) *core.Scheduler {
@@ -158,9 +161,8 @@ func TestParallelPartitionDirect(t *testing.T) {
 			in := dist.Generate(dist.Random, n, uint64(n*b))
 			data := append([]int32(nil), in...)
 			var ps parState[int32]
-			ps.init(data, 1, b)
+			ps.init(data, b)
 			ps.phase1()
-			ps.fanin.WaitZero()
 			split := ps.cleanup()
 			if split < 0 || split > n {
 				t.Fatalf("n=%d b=%d: split=%d out of range", n, b, split)
@@ -183,9 +185,8 @@ func TestParallelPartitionPreservesMultiset(t *testing.T) {
 	in := dist.Generate(dist.Gauss, 50000, 41)
 	data := append([]int32(nil), in...)
 	var ps parState[int32]
-	ps.init(data, 1, 512)
+	ps.init(data, 512)
 	ps.phase1()
-	ps.fanin.WaitZero()
 	ps.cleanup()
 	counts := map[int32]int{}
 	for _, v := range in {
@@ -213,9 +214,8 @@ func TestParallelPartitionAllocs(t *testing.T) {
 		data := make([]int32, n)
 		allocs := testing.AllocsPerRun(3, func() {
 			copy(data, in)
-			ps.init(data, 1, DefaultBlockSize)
+			ps.init(data, DefaultBlockSize)
 			ps.phase1()
-			ps.fanin.WaitZero()
 			ps.cleanup()
 		})
 		if allocs != 0 {
@@ -224,8 +224,57 @@ func TestParallelPartitionAllocs(t *testing.T) {
 	}
 }
 
+// TestMixedModeFanInIsTeamBarrier: the partitioning step's fan-in is the
+// team's barrier, so every width-2 execution on every worker's ring holds a
+// barrier enter/leave pair of the same task, and the wait is one the trace,
+// DumpState and the Parks counter see.
+func TestMixedModeFanInIsTeamBarrier(t *testing.T) {
+	s := coreSched(t, 2)
+	opt := MMOptions{Cutoff: 64, BlockSize: 64, MinBlocksPerThread: 4}
+	in := dist.Generate(dist.Random, 1<<15, 47)
+	data := append([]int32(nil), in...)
+	s.StartTrace()
+	run(t, s, MixedModeRoot(nil, s.MaxTeam(), data, opt))
+	s.StopTrace()
+	checkSorted(t, "traced", data, in)
+
+	snap := s.TraceSnapshot()
+	rings := make([][]trace.Event, len(snap.Names))
+	for _, e := range snap.Events {
+		rings[e.Ring] = append(rings[e.Ring], e)
+	}
+	teams := 0
+	for ri, evs := range rings {
+		slices.SortFunc(evs, func(a, b trace.Event) int { return cmp.Compare(a.Seq, b.Seq) })
+		var start *trace.Event // the width-2 execution being scanned
+		var entered, left bool
+		for i := range evs {
+			e := &evs[i]
+			switch {
+			case e.Kind == trace.EvStart && e.X == 2:
+				start, entered, left = e, false, false
+			case start == nil || e.Arg != start.Arg:
+			case e.Kind == trace.EvBarrierEnter:
+				entered = true
+			case e.Kind == trace.EvBarrierLeave:
+				left = entered
+			case e.Kind == trace.EvDone:
+				if !left {
+					t.Errorf("%s: width-2 execution of task %x (seq %d–%d) holds no barrier enter/leave pair",
+						snap.Names[ri], start.Arg, start.Seq, e.Seq)
+				}
+				teams++
+				start = nil
+			}
+		}
+	}
+	if teams == 0 {
+		t.Fatal("no width-2 execution traced: the options should form teams on P = 2")
+	}
+}
+
 // TestMixedModeTeamTasksArePooled: a warmed mixed-mode sort draws its team
-// tasks, each with its block claimer, fan-in countdown and neutral bitmap,
+// tasks, each with its block claimer and neutral bitmap,
 // from its ForkPool, so the sort's team-task code allocates nothing once
 // warm. The test counts only those allocations (teamTaskAllocs): every
 // allocation of the measured sorts is sampled into the memory profile and

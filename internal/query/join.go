@@ -53,17 +53,16 @@ func SeqMergeJoin[T Ordered](a, b []T, out []JoinRun[T]) int {
 	return n
 }
 
-// Joiner is the shared state of a team merge join: the per-member matched
-// run counts (padded cells) and the published total. Allocate once per task
-// with NewJoiner and share via the task closure.
+// Joiner is the shared state of a team merge join, a compaction's
+// per-member run counts. Allocate once per task with NewJoiner and share via
+// the task closure.
 type Joiner[T Ordered] struct {
-	counts []pslot
-	n      int // total matched runs, written by the last member (its offset + count)
+	p *par.Packer[JoinRun[T]]
 }
 
 // NewJoiner returns merge-join state for teams of up to np members.
 func NewJoiner[T Ordered](np int) *Joiner[T] {
-	return &Joiner[T]{counts: make([]pslot, np)}
+	return &Joiner[T]{p: par.NewPacker[JoinRun[T]](np)}
 }
 
 // MergeJoin is a collective joining two ascending-sorted slices: one
@@ -75,37 +74,27 @@ func NewJoiner[T Ordered](np int) *Joiner[T] {
 // Ownership is by key run of a: each member processes the runs *starting*
 // in its static chunk (a run crossing the chunk boundary belongs to the
 // member where it starts), locates the matching range of b by binary
-// search, and — after the counts are known at the barrier — writes its runs
-// at its exclusive prefix offset. That is the Pack pattern lifted from
-// elements to key runs: count, scan, conflict-free scatter, stable by
-// construction. A team of size 1 runs the sequential oracle.
+// search, and — after par.Packer.Offsets has scanned the counts across the
+// barrier — writes its runs at its exclusive prefix offset. That is the Pack
+// pattern lifted from elements to key runs: count, scan, conflict-free
+// scatter, stable by construction. A team of size 1 runs the sequential
+// oracle.
 func (jn *Joiner[T]) MergeJoin(ctx *core.Ctx, a, b []T, out []JoinRun[T]) int {
-	jn.mergeJoin(ctx, a, b, out)
+	n := jn.mergeJoin(ctx, a, b, out)
 	ctx.Barrier()
-	return jn.n // the last member's write, readable only past the barrier
+	return n
 }
 
-func (jn *Joiner[T]) mergeJoin(ctx *core.Ctx, a, b []T, out []JoinRun[T]) {
+func (jn *Joiner[T]) mergeJoin(ctx *core.Ctx, a, b []T, out []JoinRun[T]) int {
 	w, lid := ctx.TeamSize(), ctx.LocalID()
-	checkTeam(w, len(jn.counts))
 	if w == 1 {
-		jn.n = SeqMergeJoin(a, b, out)
-		return
+		return SeqMergeJoin(a, b, out)
 	}
-
-	// Pass 1: count this member's matched runs.
-	jn.counts[lid].v = jn.runs(lid, w, a, b, nil)
-	ctx.Barrier()
-
-	// Pass 2: rewalk the same runs, writing at the exclusive prefix offset.
-	off := 0
-	for m := 0; m < lid; m++ {
-		off += jn.counts[m].v
-	}
+	// Pass 1 counts this member's matched runs; pass 2 rewalks the same runs,
+	// writing at the exclusive prefix offset.
+	off, total := jn.p.Offsets(ctx, jn.runs(lid, w, a, b, nil))
 	jn.runs(lid, w, a, b, out[off:])
-	if lid == w-1 {
-		jn.n = off + jn.counts[lid].v
-	}
+	return total
 }
 
 // runs walks the key runs of a starting in member lid's chunk, matching

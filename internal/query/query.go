@@ -53,14 +53,6 @@ type Ordered = qsort.Ordered
 // than the sorts' 1<<15 quota.
 const DefaultMinPerThread = 1 << 13
 
-// pslot is a padded per-member cell (same idea as internal/par's slot):
-// trailing padding keeps neighboring members' writes on distinct cache
-// lines.
-type pslot struct {
-	v int
-	_ [64]byte
-}
-
 // checkTeam panics when the executing team is wider than the state object
 // was allocated for.
 func checkTeam(w, np int) {

@@ -1,17 +1,17 @@
-// Package teamsync provides synchronization primitives for threads executing
-// a data-parallel task as a team: a phase-counting barrier and a fan-in
-// countdown.
+// Package teamsync provides the phase-counting barrier of threads executing
+// a data-parallel task as a team.
 //
 // A team in the Wimmer–Träff scheduler is a set of r consecutively numbered
 // workers that start a task together. Within the task they communicate
-// through shared state of the task object; the primitives here cover the
-// common patterns (barrier between phases of the data-parallel partitioning
-// step, waiting for the last of n shares); reductions over per-member slots
-// are internal/par's.
+// through shared state of the task object and separate its phases with a
+// barrier; reductions over per-member slots are internal/par's. Phaser is
+// the barrier's arithmetic, which internal/core embeds behind Ctx.Barrier
+// and parks and wakes itself; Barrier adds slots of its own for participants
+// that are plain goroutines.
 //
 // Nothing here sleeps on a timer: after the spin and yield rounds of
-// backoff.Pause a waiter parks on a wake.Slot, and the arrival that ends the
-// wait — the last one at a barrier, the Done that reaches zero — wakes it.
+// backoff.Pause a waiter parks on a wake.Slot, and the last arrival at the
+// barrier wakes it.
 package teamsync
 
 import (
@@ -107,43 +107,4 @@ func (b *Barrier) Wait() bool {
 		}
 	}
 	return false
-}
-
-// Counter is a simple atomic countdown used for fan-in ("all threads have
-// deposited their blocks") without the full release semantics of a barrier.
-// One goroutine at a time may wait for it. It is set with Init, and may be
-// embedded by value in task state.
-type Counter struct {
-	c    atomic.Int32
-	slot wake.Slot // the waiter's; its channel exists only once somebody slept
-}
-
-// Init sets the countdown to n: on a zero Counter, or to re-arm one whose
-// waiter has seen zero (pooled task state). The slot is kept: the last Done
-// of the previous round may still be claiming it, and a token it lands on a
-// later wait is one spurious wake-up that WaitZero's loop absorbs (see
-// internal/wake).
-//
-//repro:noalloc runs once per pooled team task
-func (c *Counter) Init(n int) { c.c.Store(int32(n)) }
-
-// Done decrements the counter and reports whether it reached zero, in which
-// case it also releases the waiter.
-func (c *Counter) Done() bool {
-	if c.c.Add(-1) != 0 {
-		return false
-	}
-	c.slot.Wake(sleeping)
-	return true
-}
-
-// WaitZero blocks until the counter reaches zero.
-func (c *Counter) WaitZero() {
-	var bo backoff.Backoff
-	for c.c.Load() > 0 {
-		if !bo.Pause() {
-			c.slot.Arm(sleeping)
-			c.slot.Settle(sleeping, c.c.Load() <= 0, nil)
-		}
-	}
 }

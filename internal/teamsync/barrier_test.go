@@ -95,27 +95,6 @@ func TestBarrierPanicsOnZero(t *testing.T) {
 	NewBarrier(0)
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Init(5)
-	var zero atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 5; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if c.Done() {
-				zero.Add(1)
-			}
-		}()
-	}
-	c.WaitZero()
-	wg.Wait()
-	if zero.Load() != 1 {
-		t.Fatalf("%d goroutines saw zero, want 1", zero.Load())
-	}
-}
-
 // parkedIn polls until want slots of bank hold an announced sleeper.
 func parkedIn(t *testing.T, bank []wake.Slot, want int) {
 	t.Helper()
@@ -178,39 +157,6 @@ func TestBarrierLastArriverReleasesParked(t *testing.T) {
 	for i := range b.slots {
 		if b.slots[i].Tag() != 0 {
 			t.Fatalf("slot %d still announced after the last phase", i)
-		}
-	}
-}
-
-// TestCounterDoneWakesParkedWaiter: the waiter is seen parked before the
-// last Done is issued, so it is that Done's wake-up that releases it. One
-// Counter serves every round, re-armed by Init as pooled task state is.
-func TestCounterDoneWakesParkedWaiter(t *testing.T) {
-	var c Counter
-	for round := 0; round < 50; round++ {
-		c.Init(3)
-		back := make(chan struct{})
-		go func() { c.WaitZero(); close(back) }()
-		c.Done()
-		c.Done()
-		for deadline := time.Now().Add(30 * time.Second); c.slot.Tag() == 0; {
-			if time.Now().After(deadline) {
-				t.Fatal("waiter never parked")
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-		select {
-		case <-back:
-			t.Fatal("WaitZero returned at count 1")
-		default:
-		}
-		if !c.Done() {
-			t.Fatal("the third Done of three must report zero")
-		}
-		select {
-		case <-back:
-		case <-time.After(30 * time.Second):
-			t.Fatal("the Done that reached zero did not wake the parked waiter")
 		}
 	}
 }

@@ -27,14 +27,3 @@ func BenchmarkBarrier(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkCounterFanIn(b *testing.B) {
-	var c Counter
-	for i := 0; i < b.N; i++ {
-		c.Init(8)
-		for j := 0; j < 8; j++ {
-			c.Done()
-		}
-		c.WaitZero()
-	}
-}

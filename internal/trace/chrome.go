@@ -91,14 +91,6 @@ func (s Snapshot) WriteChrome(w io.Writer) error {
 		}
 	}
 
-	// open is one not-yet-closed duration on a ring's slice stack.
-	type open struct {
-		kind Kind
-		ts   int64
-		x    uint32
-		arg  uint64
-	}
-	durName := map[Kind]string{EvStart: "task", EvPark: "parked", EvBarrierEnter: "barrier"}
 	for ri := range perRing {
 		res := perRing[ri]
 		sort.Slice(res, func(i, j int) bool { return res[i].Seq < res[j].Seq })
@@ -122,11 +114,8 @@ func (s Snapshot) WriteChrome(w io.Writer) error {
 				}
 			case EvDone:
 				if o, ok := pop(EvStart, e.Arg); ok {
-					name := "task"
-					if o.x > 1 {
-						name = "team-task"
-					}
-					evs = append(evs, chromeEvent{Name: name, Cat: "task", Ph: "X",
+					name, cat := o.slice()
+					evs = append(evs, chromeEvent{Name: name, Cat: cat, Ph: "X",
 						TS: us(o.ts), Dur: us(e.TS - o.ts), Tid: ri,
 						Args: map[string]any{"tid": flowID(e.Arg), "width": o.x}})
 				}
@@ -134,14 +123,16 @@ func (s Snapshot) WriteChrome(w io.Writer) error {
 				stack = append(stack, open{kind: EvPark, ts: e.TS})
 			case EvUnpark:
 				if o, ok := pop(EvPark, 0); ok {
-					evs = append(evs, chromeEvent{Name: "parked", Cat: "idle", Ph: "X",
+					name, cat := o.slice()
+					evs = append(evs, chromeEvent{Name: name, Cat: cat, Ph: "X",
 						TS: us(o.ts), Dur: us(e.TS - o.ts), Tid: ri})
 				}
 			case EvBarrierEnter:
 				stack = append(stack, open{kind: EvBarrierEnter, ts: e.TS, x: e.X})
 			case EvBarrierLeave:
 				if o, ok := pop(EvBarrierEnter, 0); ok {
-					evs = append(evs, chromeEvent{Name: "barrier", Cat: "team", Ph: "X",
+					name, cat := o.slice()
+					evs = append(evs, chromeEvent{Name: name, Cat: cat, Ph: "X",
 						TS: us(o.ts), Dur: us(e.TS - o.ts), Tid: ri,
 						Args: map[string]any{"local_id": o.x}})
 				}
@@ -173,9 +164,11 @@ func (s Snapshot) WriteChrome(w io.Writer) error {
 			}
 		}
 		// Durations still open at the end of the window: emit begin-only
-		// slices so the viewer shows them as in progress.
+		// slices, named as their closed form, so the viewer shows them as in
+		// progress.
 		for _, o := range stack {
-			evs = append(evs, chromeEvent{Name: durName[o.kind], Cat: "task", Ph: "B",
+			name, cat := o.slice()
+			evs = append(evs, chromeEvent{Name: name, Cat: cat, Ph: "B",
 				TS: us(o.ts), Tid: ri})
 		}
 	}
@@ -217,6 +210,28 @@ func (s Snapshot) WriteChrome(w io.Writer) error {
 	})
 	enc := json.NewEncoder(w)
 	return enc.Encode(chromeFile{TraceEvents: evs})
+}
+
+// open is one not-yet-closed duration on a ring's slice stack.
+type open struct {
+	kind Kind
+	ts   int64
+	x    uint32
+	arg  uint64
+}
+
+// slice names the duration o opens and gives its viewer category, the same
+// whether the slice closes inside the window or is left open at its edge.
+func (o open) slice() (name, cat string) {
+	switch {
+	case o.kind == EvPark:
+		return "parked", "idle"
+	case o.kind == EvBarrierEnter:
+		return "barrier", "team"
+	case o.x > 1:
+		return "team-task", "task"
+	}
+	return "task", "task"
 }
 
 // chromeCat buckets the instant-only kinds into viewer categories.

@@ -96,11 +96,29 @@ func TestWriteChromeShape(t *testing.T) {
 		`"name":"barrier"`,                 // barrier enter/leave pairing
 		`"ph":"s"`, `"ph":"t"`, `"ph":"f"`, // full flow chain enqueue→take→start
 		`"ph":"b"`, `"ph":"e"`, // group async span
-		`"ph":"B"`,        // trailing open park
-		`"name":"inject"`, // admission ring track name
+		`"name":"parked","cat":"idle","ph":"B"`, // trailing open park, named as its closed form
+		`"name":"inject"`,                       // admission ring track name
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("export lacks %s:\n%s", want, out)
+		}
+	}
+	// A team task and its barrier both still open at the window's edge keep
+	// the name and category of their closed forms too.
+	open := Snapshot{Names: []string{"worker 0"}, Events: []Event{
+		{Ring: 0, Seq: 0, TS: 1000, Kind: EvStart, X: 2},
+		{Ring: 0, Seq: 1, TS: 1200, Kind: EvBarrierEnter},
+	}}
+	buf.Reset()
+	if err := open.WriteChrome(&buf); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
+	}
+	for _, want := range []string{
+		`"name":"team-task","cat":"task","ph":"B"`,
+		`"name":"barrier","cat":"team","ph":"B"`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("export lacks %s:\n%s", want, buf.String())
 		}
 	}
 	if strings.Count(out, `"ph":"f"`) != 2 {

@@ -91,6 +91,24 @@ if [[ "${cases}" != 1 || "${literals}" != 0 ]]; then
   exit 1
 fi
 
+# One team wait: the wake slots park a team's members only behind
+# internal/core's Ctx.Barrier and the goroutine barrier of internal/teamsync,
+# so every wait inside a team shows up in FaultTeamPark, the Parks counter,
+# DumpState and the trace. `go list ./...` covers this module only; bench/ is
+# a module of its own.
+echo "check: who imports internal/wake and internal/teamsync"
+imports=$(go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | awk '{
+  pkg = substr($1, 1, length($1) - 1)
+  for (i = 2; i <= NF; i++) {
+    if ($i == "repro/internal/wake" && pkg != "repro/internal/core" && pkg != "repro/internal/teamsync") print pkg " imports " $i
+    if ($i == "repro/internal/teamsync" && pkg != "repro/internal/core") print pkg " imports " $i
+  }
+}')
+if [[ -n "${imports}" ]]; then
+  echo "check: FAIL (team waits go through Ctx.Barrier: ${imports})"
+  exit 1
+fi
+
 echo "check: go test ./..."
 go test ./...
 
