@@ -2,25 +2,31 @@ package par
 
 import "repro/internal/core"
 
-// Hist is the shared state of a team histogram: one bucket-count row per
-// member plus the merged totals. The per-(member, bucket) matrix is kept
-// readable after the collective because mixed-mode sorts scatter from
-// exactly that matrix (each member's elements land at its own reserved
-// offsets inside each bucket). Allocate once per task with NewHist.
+// Hist is the shared state of a team histogram: one bucket-count row and one
+// scatter-cursor row per member plus the merged totals. The per-(member,
+// bucket) matrix is kept readable after the collective because mixed-mode
+// sorts and GroupBy scatter from exactly that matrix: each member's elements
+// land at its own reserved offsets inside each bucket (Cursors). Allocate
+// once per task with NewHist.
 type Hist struct {
 	nb     int
 	rows   [][]int
+	curs   [][]int
 	totals []int
 }
 
 // NewHist returns histogram state for teams of up to np members over nb
 // buckets.
 func NewHist(np, nb int) *Hist {
-	h := &Hist{nb: nb, rows: make([][]int, np), totals: make([]int, nb)}
-	for m := range h.rows {
-		h.rows[m] = make([]int, nb)
+	return &Hist{nb: nb, rows: matrix(np, nb), curs: matrix(np, nb), totals: make([]int, nb)}
+}
+
+func matrix(np, nb int) [][]int {
+	m := make([][]int, np)
+	for i := range m {
+		m[i] = make([]int, nb)
 	}
-	return h
+	return m
 }
 
 // Histogram is a collective counting bucketOf(i) ∈ [0, nb) for every
@@ -87,22 +93,29 @@ func (h *Hist) Totals() []int { return h.totals }
 // after the collective returns, written only by m itself ahead of Merge.
 func (h *Hist) Row(m int) []int { return h.rows[m] }
 
-// Cursors fills cur (len ≥ nb) with member lid's private scatter cursors for
-// a conflict-free stable scatter from the last Histogram call: cur[b] =
-// starts[b] plus everything members 0 … lid−1 counted into bucket b, so when
-// every member writes its own chunk's elements at its own cursors (advancing
-// cur[b] per element), the buckets come out contiguous, member-ordered, and
-// write-conflict-free. starts must hold the bucket start offsets (typically
-// the exclusive scan of Totals). The scatter must walk the same member
-// chunks the histogram counted (Chunk).
-func (h *Hist) Cursors(lid int, starts, cur []int) {
-	copy(cur[:h.nb], starts[:h.nb])
+// Cursors returns member lid's private scatter cursors for a conflict-free
+// stable scatter from the last Histogram or Merge: cur[b] = the start of
+// bucket b (the sum of Totals[:b]) plus everything members 0 … lid−1 counted
+// into b, so when every member writes its own chunk's elements at its own
+// cursors (advancing cur[b] per element), the buckets come out contiguous,
+// member-ordered, and write-conflict-free. Member 0's cursors are the bucket
+// starts. Each member sums its prefix itself from what the collective left
+// readable, so no barrier is needed; the returned row is lid's alone, for the
+// scatter to advance, and its next Cursors call overwrites it. The scatter
+// must walk the same member chunks the histogram counted (Chunk).
+func (h *Hist) Cursors(lid int) []int {
+	cur := h.curs[lid]
+	off := 0
+	for b, t := range h.totals {
+		cur[b] = off
+		off += t
+	}
 	for m := 0; m < lid; m++ {
-		row := h.rows[m]
-		for b := 0; b < h.nb; b++ {
-			cur[b] += row[b]
+		for b, c := range h.rows[m] {
+			cur[b] += c
 		}
 	}
+	return cur
 }
 
 // SeqHistogram is the sequential oracle: the bucket counts of
@@ -123,9 +136,6 @@ func seqHistogramInto(counts []int, n int, bucketOf func(i int) int) {
 // Histogram returns a team task of np members counting bucketOf(i) ∈
 // [0, nb) for i in [0, n) into out (len ≥ nb).
 func Histogram(np, n, nb int, bucketOf func(i int) int, out []int) core.Task {
-	if np == 1 {
-		return core.Solo(func(*core.Ctx) { seqHistogramInto(out[:nb], n, bucketOf) })
-	}
 	h := NewHist(np, nb)
 	return core.Func(np, func(ctx *core.Ctx) {
 		h.Histogram(ctx, n, bucketOf)

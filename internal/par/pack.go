@@ -106,14 +106,6 @@ func SeqPack[T any](src, dst []T, keep func(i int, v T) bool) int {
 // elements of src into dst; the kept count is stored into *outN when
 // non-nil. dst must not alias src.
 func Pack[T any](np int, src, dst []T, keep func(i int, v T) bool, outN *int) core.Task {
-	if np == 1 {
-		return core.Solo(func(*core.Ctx) {
-			n := SeqPack(src, dst, keep)
-			if outN != nil {
-				*outN = n
-			}
-		})
-	}
 	p := NewPacker[T](np)
 	return core.Func(np, func(ctx *core.Ctx) {
 		n := p.Pack(ctx, src, dst, keep)

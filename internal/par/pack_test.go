@@ -46,8 +46,8 @@ func indices(n int) []int32 {
 }
 
 // packInto packs src into a sentinel-filled dst of size elements through the
-// path np selects — 0 the oracle called directly, 1 the solo task, more a
-// team — and checks that nothing from dst[n:] on was written.
+// path np selects — 0 the oracle called directly, 1 a team of one, more a
+// wider team — and checks that nothing from dst[n:] on was written.
 func packInto(t *testing.T, s *core.Scheduler, np int, src []int32, size int, keep func(int, int32) bool) []int32 {
 	t.Helper()
 	dst := make([]int32, size)

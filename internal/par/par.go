@@ -25,17 +25,22 @@
 //   - Histogram: per-member bucket counts merged team-parallel at the
 //     barrier (Hist.Merge, callable alone after a caller's own counting
 //     loop); the per-(member, bucket) matrix is retained because
-//     mixed-mode sorts (internal/ssort) scatter from exactly that matrix.
+//     mixed-mode sorts (internal/ssort) and internal/query's GroupBy
+//     scatter from exactly that matrix: each member sums its own cursors
+//     from the totals and the rows before its own (Hist.Cursors), with no
+//     scan and no barrier.
 //   - Claimer: the two-ended block acquisition of the data-parallel
 //     partitioning step itself, reused by internal/qsort's Algorithm 11.
 //
 // Every primitive exists in two forms: a collective method callable from
 // inside a running team task (every member of the team must call it, like
 // an MPI collective), and a standalone core.Task constructor for callers
-// outside the scheduler. Each has a sequential oracle (the Seq* functions)
-// that the collective dispatches to when the executing team has size 1, so
-// single-threaded execution is byte-for-byte the reference semantics that
-// the property tests compare team executions against.
+// outside the scheduler, which runs that collective at every np, 1
+// included (a task of one thread is a team of one). Each has a sequential
+// oracle (the Seq* functions) that the collective dispatches to when the
+// executing team has size 1, so single-threaded execution is byte-for-byte
+// the reference semantics that the property tests compare team executions
+// against.
 //
 // Shared state objects (Reducer, Scanner, Packer, Hist) are
 // allocated once by the task's creator and shared by the team via the task

@@ -112,6 +112,77 @@ func TestHistogramMatchesOracle(t *testing.T) {
 	})
 }
 
+// TestHistCursors checks Hist.Cursors directly, at every team width: member
+// 0's cursors are the bucket starts (the exclusive scan of Totals), and each
+// member's range in a bucket (its cursor plus its own count) ends where the
+// next member's begins, the last member's where the next bucket starts. Each
+// member reads its cursors right after the collective, with no barrier of
+// its own. Two bucket functions, each histogram taken twice in one task.
+func TestHistCursors(t *testing.T) {
+	s := propSched(t)
+	const nb = 37
+	in := dist.Generate(dist.Random, propN, 11)
+	n := len(in)
+	buckets := []func(i int) int{
+		func(i int) int { return int(uint32(in[i]) % nb) }, // every member fills every bucket
+		func(i int) int { return i * nb / n },              // by index: most of a member's row is 0
+	}
+	wantTot := make([][]int, len(buckets))
+	for f, bucketOf := range buckets {
+		wantTot[f] = par.SeqHistogram(n, nb, bucketOf)
+	}
+	for _, np := range teamSizes(s) {
+		h := par.NewHist(np, nb)
+		curs := make([][]int, np)
+		for m := range curs {
+			curs[m] = make([]int, nb)
+		}
+		s.Run(core.Func(np, func(ctx *core.Ctx) {
+			w, lid := ctx.TeamSize(), ctx.LocalID()
+			for round := range 2 {
+				for f, bucketOf := range buckets {
+					h.Histogram(ctx, n, bucketOf)
+					copy(curs[lid], h.Cursors(lid))
+					ctx.Barrier()
+					if lid == 0 && !cursorsPartition(t, h, curs[:w], wantTot[f]) {
+						t.Errorf("np=%d: round %d, bucket function %d", np, round, f)
+					}
+					ctx.Barrier() // the next Histogram rewrites the rows member 0 reads
+				}
+			}
+		}))
+	}
+}
+
+// cursorsPartition reports, and logs the first violation, whether the
+// members' cursors split every bucket of h into consecutive member ranges.
+func cursorsPartition(t *testing.T, h *par.Hist, curs [][]int, wantTot []int) bool {
+	totals := h.Totals()
+	if !slices.Equal(totals, wantTot) {
+		t.Logf("totals %v, want %v", totals, wantTot)
+		return false
+	}
+	starts := slices.Clone(totals)
+	par.SeqScanExclusive(0, func(a, b int) int { return a + b }, starts)
+	if !slices.Equal(curs[0], starts) {
+		t.Logf("member 0's cursors %v, want the bucket starts %v", curs[0], starts)
+		return false
+	}
+	for m, cur := range curs {
+		for b, c := range cur {
+			end, next := c+h.Row(m)[b], starts[b]+totals[b]
+			if m+1 < len(curs) {
+				next = curs[m+1][b]
+			}
+			if end != next {
+				t.Logf("bucket %d: member %d's range ends at %d, the next begins at %d", b, m, end, next)
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // extrema is a min/max monoid for Reduce: a struct accumulator whose
 // identity, the zero value, means "no element yet", so no ±∞ sentinel is
 // needed.

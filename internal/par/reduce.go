@@ -62,11 +62,9 @@ func SeqReduce[A any](n int, identity A, at func(i int) A, comb func(A, A) A) A 
 // Reduce returns a team task of np members computing the associative fold
 // of at(i) for i in [0, n) into *out. Each member folds one static chunk
 // (Chunk), the partials are tree-combined at the team barrier, and member 0
-// stores the total. np = 1 runs the sequential oracle.
+// stores the total. On a team of one the single chunk is the whole range,
+// folded in index order: the sequential oracle.
 func Reduce[A any](np, n int, identity A, at func(i int) A, comb func(A, A) A, out *A) core.Task {
-	if np == 1 {
-		return core.Solo(func(*core.Ctx) { *out = SeqReduce(n, identity, at, comb) })
-	}
 	r := NewReducer[A](np, comb)
 	return core.Func(np, func(ctx *core.Ctx) {
 		lo, hi := Chunk(ctx.LocalID(), ctx.TeamSize(), n)

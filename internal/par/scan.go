@@ -115,19 +115,6 @@ func ScanExclusive[A any](np int, data []A, identity A, comb func(A, A) A, outTo
 }
 
 func scanTask[A any](np int, data []A, identity A, comb func(A, A) A, outTotal *A, exclusive bool) core.Task {
-	if np == 1 {
-		return core.Solo(func(*core.Ctx) {
-			var total A
-			if exclusive {
-				total = SeqScanExclusive(identity, comb, data)
-			} else {
-				total = SeqScanInclusive(identity, comb, data)
-			}
-			if outTotal != nil {
-				*outTotal = total
-			}
-		})
-	}
 	s := NewScanner(np, identity, comb)
 	return core.Func(np, func(ctx *core.Ctx) {
 		total := s.scan(ctx, data, exclusive)

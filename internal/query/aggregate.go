@@ -110,9 +110,6 @@ func seqAggregateInto[T, A any](src []T, identity A, lift func(A, T) A, key func
 // associative with identity as its unit.
 func Aggregate[T, A any](np int, src []T, nb int, key func(T) int, identity A,
 	lift func(A, T) A, comb func(A, A) A, out []A) core.Task {
-	if np == 1 {
-		return core.Solo(func(*core.Ctx) { seqAggregateInto(src, identity, lift, key, out[:nb]) })
-	}
 	a := NewAggregator(np, nb, identity, lift, comb)
 	return core.Func(np, func(ctx *core.Ctx) {
 		totals := a.Aggregate(ctx, src, key)

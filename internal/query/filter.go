@@ -66,14 +66,6 @@ func SeqFilter[T any](src, dst []T, pred func(T) bool) int {
 // the surviving count n is stored into *outN when non-nil. dst must not
 // alias src; only dst[:n] is written.
 func Filter[T any](np int, src, dst []T, pred func(T) bool, outN *int) core.Task {
-	if np == 1 {
-		return core.Solo(func(*core.Ctx) {
-			n := SeqFilter(src, dst, pred)
-			if outN != nil {
-				*outN = n
-			}
-		})
-	}
 	f := NewFilterer[T](np)
 	return core.Func(np, func(ctx *core.Ctx) {
 		n := f.Filter(ctx, src, dst, pred)

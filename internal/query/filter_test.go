@@ -46,8 +46,9 @@ func indices(n int) []int32 {
 }
 
 // filterInto filters src into a sentinel-filled dst of size elements
-// through the path np selects — 0 the oracle called directly, 1 the solo
-// task, more a team — and checks that nothing from dst[n:] on was written.
+// through the path np selects — 0 the oracle called directly, 1 a team of
+// one, more a wider team — and checks that nothing from dst[n:] on was
+// written.
 func filterInto(t *testing.T, s *core.Scheduler, np int, src []int32, size int, pred func(int32) bool) []int32 {
 	t.Helper()
 	dst := make([]int32, size)

@@ -6,32 +6,20 @@ import (
 )
 
 // Grouper is the shared state of a team group-by: the per-(member, bucket)
-// histogram, the offset scan, the bucket start offsets and one private
-// scatter-cursor row per member. Allocate once per task with NewGrouper and
-// share via the task closure; the state is reusable for consecutive
-// collectives by the same team.
+// histogram, whose private cursor rows the scatter advances, and the bucket
+// start offsets. Allocate once per task with NewGrouper and share via the
+// task closure; the state is reusable for consecutive collectives by the
+// same team.
 type Grouper[T any] struct {
 	nb     int
 	hist   *par.Hist
-	scan   *par.Scanner[int]
-	starts []int   // nb+1: bucket b occupies grouped[starts[b]:starts[b+1]]
-	curs   [][]int // per-member scatter cursors
+	starts []int // nb+1: bucket b occupies grouped[starts[b]:starts[b+1]]
 }
 
 // NewGrouper returns group-by state for teams of up to np members over nb
 // key buckets.
 func NewGrouper[T any](np, nb int) *Grouper[T] {
-	curs := make([][]int, np)
-	for m := range curs {
-		curs[m] = make([]int, nb)
-	}
-	return &Grouper[T]{
-		nb:     nb,
-		hist:   par.NewHist(np, nb),
-		scan:   par.NewScanner(np, 0, func(a, b int) int { return a + b }),
-		starts: make([]int, nb+1),
-		curs:   curs,
-	}
+	return &Grouper[T]{nb: nb, hist: par.NewHist(np, nb), starts: make([]int, nb+1)}
 }
 
 // GroupBy is a collective reordering src into grouped so that the elements
@@ -46,10 +34,12 @@ func NewGrouper[T any](np, nb int) *Grouper[T] {
 //
 // It is the bucketing step of the mixed-mode samplesort generalized to
 // arbitrary keys: each member counts its chunk into its row of par.Hist's
-// per-(member, bucket) matrix, the merged totals are scanned exclusively
-// for the bucket starts, and each member scatters its static chunk through
-// its private cursors (par.Hist.Cursors), write-conflict-free by
-// construction.
+// per-(member, bucket) matrix, the rows are merged into the totals across
+// the barrier, and each member sums its own cursors from the totals and the
+// rows before its own (par.Hist.Cursors) and scatters its static chunk
+// through them, write-conflict-free by construction. Member 0's cursors are
+// the bucket starts; it publishes them before it scatters. Three barriers
+// in all: Merge's two and the trailing one.
 func (g *Grouper[T]) GroupBy(ctx *core.Ctx, src, grouped []T, key func(T) int) []int {
 	starts := g.groupBy(ctx, src, grouped, key)
 	ctx.Barrier()
@@ -60,9 +50,8 @@ func (g *Grouper[T]) groupBy(ctx *core.Ctx, src, grouped []T, key func(T) int) [
 	w, lid := ctx.TeamSize(), ctx.LocalID()
 	n := len(src)
 	if w == 1 {
-		return seqGroupByInto(src, grouped, g.nb, key, g.starts, g.curs[0])
+		return seqGroupByInto(src, grouped, g.nb, key, g.starts, g.hist.Row(0)) // the row as the oracle's scratch
 	}
-	checkTeam(w, len(g.curs))
 
 	// Phase 1: per-(member, bucket) histogram of the static chunks: count
 	// this member's chunk into its own row, key called directly, and merge.
@@ -74,19 +63,13 @@ func (g *Grouper[T]) groupBy(ctx *core.Ctx, src, grouped []T, key func(T) int) [
 	}
 	g.hist.Merge(ctx)
 
-	// Phase 2: bucket start offsets — copy the totals and scan exclusively.
-	totals := g.hist.Totals()
-	ctx.TeamFor(g.nb, func(lo, hi int) {
-		copy(g.starts[lo:hi], totals[lo:hi])
-	})
-	g.scan.Exclusive(ctx, g.starts[:g.nb])
+	// Phase 2: stable conflict-free scatter through this member's cursors;
+	// member 0's, before it advances them, are the bucket starts.
+	cur := g.hist.Cursors(lid)
 	if lid == 0 {
+		copy(g.starts, cur)
 		g.starts[g.nb] = n
 	}
-
-	// Phase 3: stable conflict-free scatter through this member's cursors.
-	cur := g.curs[lid]
-	g.hist.Cursors(lid, g.starts, cur)
 	for _, v := range src[lo:hi] { // the chunk phase 1 counted
 		b := key(v)
 		grouped[cur[b]] = v
@@ -132,14 +115,6 @@ func seqGroupByInto[T any](src, grouped []T, nb int, key func(T) int, starts, co
 // bucket-contiguously under key ∈ [0, nb); the bucket offsets (len nb+1)
 // are copied into outStarts when non-nil. grouped must not alias src.
 func GroupBy[T any](np int, src, grouped []T, nb int, key func(T) int, outStarts []int) core.Task {
-	if np == 1 {
-		return core.Solo(func(*core.Ctx) {
-			starts := SeqGroupBy(src, grouped, nb, key)
-			if outStarts != nil {
-				copy(outStarts, starts)
-			}
-		})
-	}
 	g := NewGrouper[T](np, nb)
 	return core.Func(np, func(ctx *core.Ctx) {
 		starts := g.GroupBy(ctx, src, grouped, key)

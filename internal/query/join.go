@@ -145,14 +145,6 @@ func (jn *Joiner[T]) runs(lid, w int, a, b []T, out []JoinRun[T]) int {
 // count is stored into *outN when non-nil. out must have room for every
 // matched run (min(len(a), len(b)) suffices).
 func MergeJoin[T Ordered](np int, a, b []T, out []JoinRun[T], outN *int) core.Task {
-	if np == 1 {
-		return core.Solo(func(*core.Ctx) {
-			n := SeqMergeJoin(a, b, out)
-			if outN != nil {
-				*outN = n
-			}
-		})
-	}
 	jn := NewJoiner[T](np)
 	return core.Func(np, func(ctx *core.Ctx) {
 		n := jn.MergeJoin(ctx, a, b, out)

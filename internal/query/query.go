@@ -11,10 +11,11 @@
 //     exclusive scan of the counts, order-preserving scatter) with the
 //     predicate called directly and neither loop jumping on its answer.
 //   - GroupBy: bucket-contiguous reordering — par.Hist counts the
-//     per-(member, bucket) matrix, an exclusive scan of the totals yields
-//     bucket start offsets, and each member scatters its chunk through its
-//     private cursors (par.Hist.Cursors), conflict-free and stable, exactly
-//     the bucketing step of internal/ssort generalized to arbitrary keys.
+//     per-(member, bucket) matrix, each member sums its private cursors
+//     from the merged totals and the rows before its own (par.Hist.Cursors;
+//     member 0's are the bucket starts) and scatters its chunk through
+//     them, conflict-free and stable, exactly the bucketing step of
+//     internal/ssort generalized to arbitrary keys.
 //   - Aggregate: the histogram generalized from counting to an arbitrary
 //     monoid — each member folds its chunk into a private per-bucket row,
 //     and the rows are merged team-parallel at the barrier, so grouped
@@ -31,10 +32,11 @@
 // Every operator exists in three forms, mirroring internal/par: a
 // collective method callable from inside a running team task (every member
 // must call it), a standalone core.Task constructor for callers outside the
-// scheduler, and a sequential oracle (the Seq* functions) that defines the
-// semantics and that the property and fuzz tests compare every team
-// execution against. Team size 1 dispatches to the oracle, so
-// single-threaded execution is byte-for-byte the reference semantics.
+// scheduler, which runs that collective at every np, 1 included, and a
+// sequential oracle (the Seq* functions) that defines the semantics and
+// that the property and fuzz tests compare every team execution against.
+// Team size 1 dispatches to the oracle, so single-threaded execution is
+// byte-for-byte the reference semantics.
 //
 // Plan (plan.go) chains operators into one request with preallocated
 // intermediates, so heterogeneous shapes — short filters, long sorts,

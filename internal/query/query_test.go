@@ -8,6 +8,7 @@ import (
 	"repro/internal/qsort"
 	"repro/internal/query"
 	"repro/internal/ssort"
+	"repro/internal/trace"
 )
 
 // ssortOptions shrinks the samplesort quotas so TestSortJoin's 10k-element
@@ -293,6 +294,51 @@ func TestGroupByStability(t *testing.T) {
 						np, key(grouped[i]), b)
 				}
 			}
+		}
+	}
+}
+
+// TestGroupByBarriers pins the cost of the group-by's synchronization: a
+// traced width-2 GroupBy on P = 2 waits at exactly three barriers per
+// member, Hist.Merge's two and the trailing one. The bucket starts are each
+// member's own prefix sum (par.Hist.Cursors), not a team scan.
+func TestGroupByBarriers(t *testing.T) {
+	s := core.New(core.Options{P: 2})
+	defer s.Shutdown()
+	src := dist.Generate(dist.Random, 4096, 5)
+	want := make([]int32, len(src))
+	query.SeqGroupBy(src, want, nb, keyOf)
+	grouped := make([]int32, len(src))
+	s.StartTrace()
+	s.Run(query.GroupBy(2, src, grouped, nb, keyOf, nil))
+	s.StopTrace()
+	checkSlice(t, "traced groupby", 2, grouped, want)
+
+	evs := s.TraceSnapshot().Events
+	tid := map[int]uint64{} // ring → the width-2 execution it took part in
+	for _, e := range evs {
+		if e.Kind == trace.EvStart && e.X == 2 {
+			tid[e.Ring] = e.Arg
+		}
+	}
+	if len(tid) != 2 {
+		t.Fatalf("%d rings ran a width-2 execution, want 2", len(tid))
+	}
+	enters, leaves := map[int]int{}, map[int]int{}
+	for _, e := range evs {
+		if id, ok := tid[e.Ring]; !ok || e.Arg != id {
+			continue
+		}
+		switch e.Kind {
+		case trace.EvBarrierEnter:
+			enters[e.Ring]++
+		case trace.EvBarrierLeave:
+			leaves[e.Ring]++
+		}
+	}
+	for ring := range tid {
+		if enters[ring] != 3 || leaves[ring] != 3 {
+			t.Errorf("ring %d: %d barrier enters and %d leaves, want 3 of each", ring, enters[ring], leaves[ring])
 		}
 	}
 }

@@ -149,14 +149,6 @@ func SeqTopK[T Ordered](src, dst []T, k int) int {
 // of src into dst (descending); the selected count is stored into *outN
 // when non-nil. dst must not alias src.
 func TopK[T Ordered](np int, src, dst []T, k int, outN *int) core.Task {
-	if np == 1 {
-		return core.Solo(func(*core.Ctx) {
-			n := SeqTopK(src, dst, k)
-			if outN != nil {
-				*outN = n
-			}
-		})
-	}
 	t := NewTopKer[T](np, k)
 	return core.Func(np, func(ctx *core.Ctx) {
 		n := t.TopK(ctx, src, dst, k)

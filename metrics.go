@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,6 +40,16 @@ type MetricsServer struct {
 	srv *http.Server
 	reg atomic.Pointer[stats.Registry]
 	src atomic.Pointer[Scheduler]
+
+	mu       sync.Mutex
+	captures map[*Scheduler]capture // /debug/trace windows in flight, per source
+}
+
+// capture counts the /debug/trace windows open on one scheduler; stop
+// records that its tracing was off before the first of them began.
+type capture struct {
+	n    int
+	stop bool
 }
 
 // ServeMetrics listens on addr (e.g. ":9090", or "127.0.0.1:0" for an
@@ -50,7 +61,7 @@ func ServeMetrics(addr string, reg *Metrics) (*MetricsServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &MetricsServer{ln: ln}
+	m := &MetricsServer{ln: ln, captures: map[*Scheduler]capture{}}
 	if reg != nil {
 		m.reg.Store(reg)
 	}
@@ -77,10 +88,11 @@ func (m *MetricsServer) handle(w http.ResponseWriter, req *http.Request) {
 func (m *MetricsServer) SetTraceSource(s *Scheduler) { m.src.Store(s) }
 
 // handleTrace serves GET /debug/trace?sec=0.25&format=chrome|text: it turns
-// tracing on for a bounded window (sec clamped to [0.01, 10]; tracing that
-// was already on stays on afterwards), then returns only the events recorded
-// during the window — Chrome trace-event JSON by default, the compact text
-// dump with format=text.
+// tracing on for a bounded window (sec clamped to [0.01, 10]; overlapping
+// windows keep it on until the last one ends, which restores the state from
+// before the first), then returns only the events recorded during the
+// window — Chrome trace-event JSON by default, the compact text dump with
+// format=text.
 func (m *MetricsServer) handleTrace(w http.ResponseWriter, req *http.Request) {
 	s := m.src.Load()
 	if s == nil {
@@ -104,12 +116,9 @@ func (m *MetricsServer) handleTrace(w http.ResponseWriter, req *http.Request) {
 		sec = 10
 	}
 	from := trace.Now()
-	wasOn := s.TraceActive()
-	s.StartTrace()
+	m.openCapture(s)
 	time.Sleep(time.Duration(sec * float64(time.Second)))
-	if !wasOn {
-		s.StopTrace()
-	}
+	m.closeCapture(s)
 	snap := s.TraceSnapshot().Since(from)
 	if req.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -118,6 +127,35 @@ func (m *MetricsServer) handleTrace(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	snap.WriteChrome(w)
+}
+
+// openCapture turns s's tracing on for one more /debug/trace window.
+func (m *MetricsServer) openCapture(s *Scheduler) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c := m.captures[s]
+	if c.n == 0 {
+		c.stop = !s.TraceActive()
+	}
+	c.n++
+	m.captures[s] = c
+	s.StartTrace()
+}
+
+// closeCapture ends one window on s; the last to end turns tracing off if
+// it was off before the first began.
+func (m *MetricsServer) closeCapture(s *Scheduler) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c := m.captures[s]
+	if c.n--; c.n > 0 {
+		m.captures[s] = c
+		return
+	}
+	delete(m.captures, s)
+	if c.stop {
+		s.StopTrace()
+	}
 }
 
 // Addr returns the listening address (resolving ":0" to the chosen port).

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -123,4 +124,44 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 	close(stop)
 	<-done
+}
+
+// TestDebugTraceOverlappingCaptures: two /debug/trace captures that overlap,
+// 0.6 s started 0.1 s into 0.3 s, share the tracing window. The first to
+// end must leave tracing on for the second, and the second restores the
+// state from before the first: off.
+func TestDebugTraceOverlappingCaptures(t *testing.T) {
+	srv, err := ServeMetrics("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rt := NewRuntime[int32](Options{P: 2})
+	defer rt.Close()
+	srv.SetTraceSource(rt.Scheduler())
+
+	capture := func(sec string, done chan<- error) {
+		resp, err := http.Get("http://" + srv.Addr() + "/debug/trace?sec=" + sec)
+		if err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		done <- err
+	}
+	first, second := make(chan error, 1), make(chan error, 1)
+	go capture("0.3", first)
+	time.Sleep(100 * time.Millisecond)
+	go capture("0.6", second)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if !rt.Scheduler().TraceActive() {
+		t.Fatal("the first capture to end turned tracing off while the second still records")
+	}
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+	if rt.Scheduler().TraceActive() {
+		t.Fatal("tracing still on after both captures ended")
+	}
 }
