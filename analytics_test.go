@@ -2,11 +2,13 @@ package repro
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/qsort"
 	"repro/internal/query"
+	"repro/internal/stats"
 )
 
 // TestRuntimeAnalytics drives every public analytics entry point of the
@@ -147,12 +149,14 @@ func TestRuntimeAnalytics(t *testing.T) {
 
 // TestRuntimeAnalyticsConcurrent hammers the analytics surface from
 // concurrent client goroutines — under -race this checks the per-request
-// group isolation and the sharded metric writes against live scrapes.
+// group isolation, the pooled Ops and the sharded metric writes against
+// live scrapes. The inputs are large enough that every request forms a team
+// of two, and each client has its own bucket count and k, so a pooled Op
+// passes between clients and shapes, rebuilding or reusing its team state.
 func TestRuntimeAnalyticsConcurrent(t *testing.T) {
 	rt := NewRuntime[int32](Options{P: 2})
 	defer rt.Close()
-	const n, nb, k = 8192, 32, 10
-	key := func(v int32) int { return int(uint32(v)) % nb }
+	const n = 1 << 14 // core.BestNp(n, query.DefaultMinPerThread, 2) = 2
 	pred := func(v int32) bool { return v%2 == 0 }
 	lift := func(a int64, v int32) int64 { return a + int64(v) }
 	comb := func(a, b int64) int64 { return a + b }
@@ -160,25 +164,46 @@ func TestRuntimeAnalyticsConcurrent(t *testing.T) {
 	done := make(chan error, 3)
 	for c := 0; c < 3; c++ {
 		go func(c int) {
+			nb, k := 16<<c, 10+7*c
+			key := func(v int32) int { return int(uint32(v)) % nb }
 			src := GenerateInput(Staggered, n, uint64(c+1))
+			srt := append([]int32(nil), src...)
+			qsort.Introsort(srt)
 			dst := make([]int32, n)
+			runs := make([]JoinRun[int32], n)
 			plan := rt.NewPlan(n).Filter(pred).TopK(k)
 			wantN := query.SeqFilter(src, make([]int32, n), pred)
+			wantStarts := query.SeqGroupBy(src, make([]int32, n), nb, key)
 			wantAgg := query.SeqAggregate(src, nb, int64(0), lift, key)
+			wantTop := make([]int32, k)
+			wantTop = wantTop[:query.SeqTopK(src, wantTop, k)]
+			wantRuns := query.SeqMergeJoin(srt, srt, make([]JoinRun[int32], n))
+			fail := func(i int, format string, args ...any) {
+				done <- fmt.Errorf("client %d iter %d: "+format, append([]any{c, i}, args...)...)
+			}
 			for i := 0; i < 8; i++ {
 				if got := rt.Filter(src, dst, pred); got != wantN {
-					done <- fmt.Errorf("client %d iter %d: Filter kept %d, want %d", c, i, got, wantN)
+					fail(i, "Filter kept %d, want %d", got, wantN)
 					return
 				}
-				agg := rt.Aggregate(src, nb, key, 0, lift, comb)
-				for b := range wantAgg {
-					if agg[b] != wantAgg[b] {
-						done <- fmt.Errorf("client %d iter %d: Aggregate bucket %d differs", c, i, b)
-						return
-					}
+				if starts := rt.GroupBy(src, dst, nb, key); !slices.Equal(starts, wantStarts) {
+					fail(i, "GroupBy starts %v, want %v", starts, wantStarts)
+					return
+				}
+				if agg := rt.Aggregate(src, nb, key, 0, lift, comb); !slices.Equal(agg, wantAgg) {
+					fail(i, "Aggregate totals %v, want %v", agg, wantAgg)
+					return
+				}
+				if got := rt.TopK(src, dst, k); !slices.Equal(dst[:got], wantTop) {
+					fail(i, "TopK selected %v, want %v", dst[:got], wantTop)
+					return
+				}
+				if got := rt.MergeJoin(srt, srt, runs); got != wantRuns {
+					fail(i, "MergeJoin found %d runs, want %d", got, wantRuns)
+					return
 				}
 				if res := rt.RunPlan(plan, src); len(res.Out) > k {
-					done <- fmt.Errorf("client %d iter %d: RunPlan returned %d elements", c, i, len(res.Out))
+					fail(i, "RunPlan returned %d elements", len(res.Out))
 					return
 				}
 			}
@@ -192,6 +217,9 @@ func TestRuntimeAnalyticsConcurrent(t *testing.T) {
 	}
 	if got := rt.Metrics().Values()[`repro_queries_total{op="filter"}`]; got != 24 {
 		t.Fatalf("queries_total{op=filter} = %v, want 24", got)
+	}
+	if got := rt.Scheduler().Stats()[stats.TeamsFormed]; got < 3*8*5 {
+		t.Fatalf("%d teams formed, want one per operator request at least (120)", got)
 	}
 }
 

@@ -34,15 +34,16 @@
 //
 // Every primitive exists in two forms: a collective method callable from
 // inside a running team task (every member of the team must call it, like
-// an MPI collective), and a standalone core.Task constructor for callers
-// outside the scheduler, which runs that collective at every np, 1
-// included (a task of one thread is a team of one). Each has a sequential
+// an MPI collective; the scan's is its task's Run), and a standalone
+// core.Task constructor for callers outside the scheduler, which runs that
+// collective at every np, 1 included (a task of one thread is a team of
+// one). Each has a sequential
 // oracle (the Seq* functions) that the collective dispatches to when the
 // executing team has size 1, so single-threaded execution is byte-for-byte
 // the reference semantics that the property tests compare team executions
 // against.
 //
-// Shared state objects (Reducer, Scanner, Packer, Hist) are
+// Shared state objects (Reducer, Packer, Hist) are
 // allocated once by the task's creator and shared by the team via the task
 // closure. Every collective ends in the team barrier, so a state object may
 // be reused for any number of consecutive phases by the same team. That

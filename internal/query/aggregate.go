@@ -11,29 +11,29 @@ import (
 // aggregation never materializes its groups. Allocate once per task with
 // NewAggregator and share via the task closure.
 //
-// lift folds one element into an accumulator; comb combines two
+// lift folds one element into an int64 accumulator; comb combines two
 // accumulators and must be associative with identity as its unit (partials
 // are combined in member order, so comb need not be commutative).
-type Aggregator[T, A any] struct {
+type Aggregator[T any] struct {
 	nb       int
-	identity A
-	lift     func(A, T) A
-	comb     func(A, A) A
-	rows     [][]A
-	totals   []A
+	identity int64
+	lift     func(int64, T) int64
+	comb     func(int64, int64) int64
+	rows     [][]int64
+	totals   []int64
 }
 
 // NewAggregator returns aggregation state for teams of up to np members
 // over nb key buckets under the monoid (identity, comb) with element
 // injection lift.
-func NewAggregator[T, A any](np, nb int, identity A, lift func(A, T) A, comb func(A, A) A) *Aggregator[T, A] {
-	rows := make([][]A, np)
+func NewAggregator[T any](np, nb int, identity int64, lift func(int64, T) int64, comb func(int64, int64) int64) *Aggregator[T] {
+	rows := make([][]int64, np)
 	for m := range rows {
-		rows[m] = make([]A, nb)
+		rows[m] = make([]int64, nb)
 	}
-	return &Aggregator[T, A]{
+	return &Aggregator[T]{
 		nb: nb, identity: identity, lift: lift, comb: comb,
-		rows: rows, totals: make([]A, nb),
+		rows: rows, totals: make([]int64, nb),
 	}
 }
 
@@ -44,13 +44,13 @@ func NewAggregator[T, A any](np, nb int, identity A, lift func(A, T) A, comb fun
 // per-bucket totals to every member; the slice stays valid (and is
 // overwritten) across calls. key must be pure. A team of size 1 runs the
 // sequential oracle.
-func (a *Aggregator[T, A]) Aggregate(ctx *core.Ctx, src []T, key func(T) int) []A {
+func (a *Aggregator[T]) Aggregate(ctx *core.Ctx, src []T, key func(T) int) []int64 {
 	totals := a.aggregate(ctx, src, key)
 	ctx.Barrier()
 	return totals
 }
 
-func (a *Aggregator[T, A]) aggregate(ctx *core.Ctx, src []T, key func(T) int) []A {
+func (a *Aggregator[T]) aggregate(ctx *core.Ctx, src []T, key func(T) int) []int64 {
 	w, lid := ctx.TeamSize(), ctx.LocalID()
 	if w == 1 {
 		seqAggregateInto(src, a.identity, a.lift, key, a.totals)
@@ -83,10 +83,6 @@ func (a *Aggregator[T, A]) aggregate(ctx *core.Ctx, src []T, key func(T) int) []
 	return a.totals
 }
 
-// Totals returns the merged per-bucket results of the last Aggregate call.
-// Valid on every member after the collective returns; do not mutate.
-func (a *Aggregator[T, A]) Totals() []A { return a.totals }
-
 // SeqAggregate is the sequential oracle of Aggregate: the per-bucket fold
 // of lift over src in index order.
 func SeqAggregate[T, A any](src []T, nb int, identity A, lift func(A, T) A, key func(T) int) []A {
@@ -103,18 +99,4 @@ func seqAggregateInto[T, A any](src []T, identity A, lift func(A, T) A, key func
 		b := key(v)
 		out[b] = lift(out[b], v)
 	}
-}
-
-// Aggregate returns a team task of np members computing the per-bucket fold
-// of lift over src under key ∈ [0, nb) into out (len ≥ nb). comb must be
-// associative with identity as its unit.
-func Aggregate[T, A any](np int, src []T, nb int, key func(T) int, identity A,
-	lift func(A, T) A, comb func(A, A) A, out []A) core.Task {
-	a := NewAggregator(np, nb, identity, lift, comb)
-	return core.Func(np, func(ctx *core.Ctx) {
-		totals := a.Aggregate(ctx, src, key)
-		if ctx.LocalID() == 0 {
-			copy(out, totals)
-		}
-	})
 }

@@ -54,12 +54,11 @@ func BenchmarkQueryFilter(b *testing.B) {
 			s, in := benchSetup(b)
 			np := s.MaxTeam()
 			dst := make([]int32, benchN)
-			var n int
+			op := query.NewOp[int32](np)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.Run(query.Filter(np, in, dst, bc.pred, &n))
+				s.Run(op.Filter(np, in, dst, bc.pred))
 			}
-			_ = n
 		})
 	}
 }
@@ -68,20 +67,20 @@ func BenchmarkQueryGroupBy(b *testing.B) {
 	s, in := benchSetup(b)
 	np := s.MaxTeam()
 	grouped := make([]int32, benchN)
-	starts := make([]int, benchNB+1)
+	op := query.NewOp[int32](np)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Run(query.GroupBy(np, in, grouped, benchNB, benchKey, starts))
+		s.Run(op.GroupBy(np, in, grouped, benchNB, benchKey))
 	}
 }
 
 func BenchmarkQueryAggregate(b *testing.B) {
 	s, in := benchSetup(b)
 	np := s.MaxTeam()
-	out := make([]int64, benchNB)
+	op := query.NewOp[int32](np)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Run(query.Aggregate(np, in, benchNB, benchKey, 0, benchLift, benchComb, out))
+		s.Run(op.Aggregate(np, in, benchNB, benchKey, 0, benchLift, benchComb))
 	}
 }
 
@@ -96,12 +95,11 @@ func BenchmarkQueryTopK(b *testing.B) {
 			in := dist.Generate(kind, benchN, 42)
 			np := s.MaxTeam()
 			dst := make([]int32, benchK)
-			var n int
+			op := query.NewOp[int32](np)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.Run(query.TopK(np, in, dst, benchK, &n))
+				s.Run(op.TopK(np, in, dst, benchK))
 			}
-			_ = n
 		})
 	}
 }
@@ -112,12 +110,11 @@ func BenchmarkQueryMergeJoin(b *testing.B) {
 	srt := append([]int32(nil), in...)
 	qsort.Introsort(srt)
 	out := make([]query.JoinRun[int32], benchN)
-	var n int
+	op := query.NewOp[int32](np)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Run(query.MergeJoin(np, srt, srt, out, &n))
+		s.Run(op.MergeJoin(np, srt, srt, out))
 	}
-	_ = n
 }
 
 func BenchmarkQueryPlan(b *testing.B) {

@@ -61,16 +61,3 @@ func SeqFilter[T any](src, dst []T, pred func(T) bool) int {
 	}
 	return j
 }
-
-// Filter returns a team task of np members stably filtering src into dst;
-// the surviving count n is stored into *outN when non-nil. dst must not
-// alias src; only dst[:n] is written.
-func Filter[T any](np int, src, dst []T, pred func(T) bool, outN *int) core.Task {
-	f := NewFilterer[T](np)
-	return core.Func(np, func(ctx *core.Ctx) {
-		n := f.Filter(ctx, src, dst, pred)
-		if ctx.LocalID() == 0 && outN != nil {
-			*outN = n
-		}
-	})
-}

@@ -59,7 +59,9 @@ func filterInto(t *testing.T, s *core.Scheduler, np int, src []int32, size int, 
 	if np == 0 {
 		n = query.SeqFilter(src, dst, pred)
 	} else {
-		s.Run(query.Filter(np, src, dst, pred, &n))
+		op := query.NewOp[int32](s.MaxTeam())
+		s.Run(op.Filter(np, src, dst, pred))
+		n = op.N()
 	}
 	for i := n; i < size; i++ {
 		if dst[i] != sentinel {

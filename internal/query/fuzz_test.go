@@ -44,9 +44,9 @@ func FuzzFilter(f *testing.F) {
 		want = want[:query.SeqFilter(src, want, pred)]
 
 		got := make([]int32, len(want)) // exact fit: a scatter one slot too far panics
-		var gotN int
-		s.Run(query.Filter(np, src, got, pred, &gotN))
-		checkSlice(t, "fuzz-filter", np, got[:gotN], want)
+		op := query.NewOp[int32](s.MaxTeam())
+		s.Run(op.Filter(np, src, got, pred))
+		checkSlice(t, "fuzz-filter", np, got[:op.N()], want)
 	})
 }
 
@@ -71,9 +71,9 @@ func FuzzTopK(f *testing.F) {
 		want = want[:query.SeqTopK(src, want, k)]
 
 		got := make([]int32, k)
-		var gotN int
-		s.Run(query.TopK(np, src, got, k, &gotN))
-		checkSlice(t, "fuzz-topk", np, got[:gotN], want)
+		op := query.NewOp[int32](s.MaxTeam())
+		s.Run(op.TopK(np, src, got, k))
+		checkSlice(t, "fuzz-topk", np, got[:op.N()], want)
 	})
 }
 
@@ -95,9 +95,9 @@ func FuzzGroupBy(f *testing.F) {
 		wantStarts := query.SeqGroupBy(src, wantGrouped, nb, key)
 
 		gotGrouped := make([]int32, len(src))
-		gotStarts := make([]int, nb+1)
-		s.Run(query.GroupBy(np, src, gotGrouped, nb, key, gotStarts))
-		checkSlice(t, "fuzz-groupby-starts", np, gotStarts, wantStarts)
+		op := query.NewOp[int32](s.MaxTeam())
+		s.Run(op.GroupBy(np, src, gotGrouped, nb, key))
+		checkSlice(t, "fuzz-groupby-starts", np, op.Starts(), wantStarts)
 		checkSlice(t, "fuzz-groupby", np, gotGrouped, wantGrouped)
 	})
 }
@@ -120,8 +120,9 @@ func FuzzMergeJoin(f *testing.F) {
 		want = want[:query.SeqMergeJoin(a, b, want)]
 
 		got := make([]query.JoinRun[int32], cap)
-		var gotN int
-		s.Run(query.MergeJoin(np, a, b, got, &gotN))
+		op := query.NewOp[int32](s.MaxTeam())
+		s.Run(op.MergeJoin(np, a, b, got))
+		gotN := op.N()
 		if gotN != len(want) {
 			t.Fatalf("np=%d: %d runs, want %d", np, gotN, len(want))
 		}

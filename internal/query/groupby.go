@@ -78,10 +78,6 @@ func (g *Grouper[T]) groupBy(ctx *core.Ctx, src, grouped []T, key func(T) int) [
 	return g.starts
 }
 
-// Starts returns the bucket offsets of the last GroupBy call (len nb+1).
-// Valid on every member after the collective returns; do not mutate.
-func (g *Grouper[T]) Starts() []int { return g.starts }
-
 // SeqGroupBy is the sequential oracle of GroupBy: it reorders src into
 // grouped bucket-contiguously (stable within buckets) and returns the
 // freshly allocated bucket offsets (len nb+1).
@@ -109,17 +105,4 @@ func seqGroupByInto[T any](src, grouped []T, nb int, key func(T) int, starts, co
 		counts[b]++
 	}
 	return starts
-}
-
-// GroupBy returns a team task of np members reordering src into grouped
-// bucket-contiguously under key ∈ [0, nb); the bucket offsets (len nb+1)
-// are copied into outStarts when non-nil. grouped must not alias src.
-func GroupBy[T any](np int, src, grouped []T, nb int, key func(T) int, outStarts []int) core.Task {
-	g := NewGrouper[T](np, nb)
-	return core.Func(np, func(ctx *core.Ctx) {
-		starts := g.GroupBy(ctx, src, grouped, key)
-		if ctx.LocalID() == 0 && outStarts != nil {
-			copy(outStarts, starts)
-		}
-	})
 }

@@ -140,39 +140,26 @@ func (jn *Joiner[T]) runs(lid, w int, a, b []T, out []JoinRun[T]) int {
 	return n
 }
 
-// MergeJoin returns a team task of np members joining the ascending-sorted
-// slices a and b into out (one JoinRun per key present in both); the run
-// count is stored into *outN when non-nil. out must have room for every
-// matched run (min(len(a), len(b)) suffices).
-func MergeJoin[T Ordered](np int, a, b []T, out []JoinRun[T], outN *int) core.Task {
-	jn := NewJoiner[T](np)
-	return core.Func(np, func(ctx *core.Ctx) {
-		n := jn.MergeJoin(ctx, a, b, out)
-		if ctx.LocalID() == 0 && outN != nil {
-			*outN = n
-		}
-	})
-}
-
 // SortJoin sorts a and b in place with the mixed-mode samplesort (both
-// sorts run concurrently in g), then merge-joins them into out with a team
-// of up to maxTeam members, returning the matched run count. It is the
+// sorts run concurrently in g), then merge-joins them into out as op, with
+// a team of up to op's width, returning the matched run count. It is the
 // staged composition the Plan layer generalizes: sort roots fan out
 // task-parallel, the group's quiescence is the stage boundary, and the join
 // runs as one team task. A refused spawn or a group that ends canceled or
 // shut down is reported as the error, with the count meaningless (a refused
 // second sort leaves the first in flight until the caller's next Wait).
-func SortJoin[T Ordered](g *core.Group, maxTeam int, a, b []T, out []JoinRun[T], opt ssort.Options) (int, error) {
+func SortJoin[T Ordered](g *core.Group, op *Op[T], a, b []T, out []JoinRun[T], opt ssort.Options) (int, error) {
 	for _, side := range [][]T{a, b} {
-		if err := g.Spawn(ssort.Root(nil, maxTeam, side, nil, opt)); err != nil {
+		if err := g.Spawn(ssort.Root(nil, op.maxTeam, side, nil, opt)); err != nil {
 			return 0, err
 		}
 	}
 	if err := g.WaitErr(); err != nil {
 		return 0, err
 	}
-	n := 0
-	np := core.BestNp(len(a)+len(b), DefaultMinPerThread, maxTeam)
-	err := g.Run(MergeJoin(np, a, b, out, &n))
-	return n, err
+	np := core.BestNp(len(a)+len(b), DefaultMinPerThread, op.maxTeam)
+	if err := g.Run(op.MergeJoin(np, a, b, out)); err != nil {
+		return 0, err
+	}
+	return op.N(), nil
 }

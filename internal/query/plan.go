@@ -25,7 +25,7 @@ type Plan[T Ordered] struct {
 	minPerThread int
 	capN         int
 	buf          [2][]T
-	steps        []*step[T]
+	steps        []*Op[T] // bound at build time but for np, src and dst
 }
 
 // Result is the output of one Plan execution. Out aliases one of the plan's
@@ -48,87 +48,21 @@ type Result[T Ordered] struct {
 // DefaultMinPerThread. Chain stages with the builder methods, then call
 // Execute any number of times.
 func NewPlan[T Ordered](capN, maxTeam, minPerThread int) *Plan[T] {
-	if maxTeam < 1 {
-		maxTeam = 1
-	}
 	if minPerThread <= 0 {
 		minPerThread = DefaultMinPerThread
 	}
 	return &Plan[T]{
-		maxTeam:      maxTeam,
+		maxTeam:      max(maxTeam, 1),
 		minPerThread: minPerThread,
 		capN:         capN,
 		buf:          [2][]T{make([]T, capN), make([]T, capN)},
 	}
 }
 
-// stepKind discriminates the operator a step runs.
-type stepKind int
-
-const (
-	stepFilter stepKind = iota
-	stepGroupBy
-	stepAggregate
-	stepTopK
-)
-
-// step is one stage of a plan: the operator's prebuilt team state plus the
-// per-execution bindings (team size, input, output) Execute sets before
-// running it. One struct for all kinds keeps the task side trivial: step is
-// itself the core.Task the stage submits, so a warm Execute builds no
-// closures.
-type step[T Ordered] struct {
-	kind stepKind
-	k    int // TopK
-	pred func(T) bool
-	key  func(T) int
-
-	filt *Filterer[T]
-	grp  *Grouper[T]
-	agg  *Aggregator[T, int64]
-	top  *TopKer[T]
-
-	// Bindings of the current execution, set by Execute before the stage is
-	// submitted and read back after the group drains.
-	np   int
-	src  []T
-	dst  []T
-	outN int
-}
-
-func (s *step[T]) Threads() int { return s.np }
-
-func (s *step[T]) Run(ctx *core.Ctx) {
-	switch s.kind {
-	case stepFilter:
-		n := s.filt.Filter(ctx, s.src, s.dst, s.pred)
-		if ctx.LocalID() == 0 {
-			s.outN = n
-		}
-	case stepGroupBy:
-		s.grp.GroupBy(ctx, s.src, s.dst, s.key)
-		if ctx.LocalID() == 0 {
-			s.outN = len(s.src)
-		}
-	case stepAggregate:
-		s.agg.Aggregate(ctx, s.src, s.key)
-		if ctx.LocalID() == 0 {
-			s.outN = len(s.src)
-		}
-	case stepTopK:
-		n := s.top.TopK(ctx, s.src, s.dst, s.k)
-		if ctx.LocalID() == 0 {
-			s.outN = n
-		}
-	}
-}
-
 // Filter appends a stable predicate filter stage; the stream narrows to the
 // survivors. pred must be pure.
 func (p *Plan[T]) Filter(pred func(T) bool) *Plan[T] {
-	p.steps = append(p.steps, &step[T]{
-		kind: stepFilter, pred: pred, filt: NewFilterer[T](p.maxTeam),
-	})
+	p.steps = append(p.steps, NewOp[T](p.maxTeam).Filter(1, nil, nil, pred))
 	return p
 }
 
@@ -136,9 +70,7 @@ func (p *Plan[T]) Filter(pred func(T) bool) *Plan[T] {
 // the stream keeps its length and the bucket offsets become Result.Starts.
 // key must be pure.
 func (p *Plan[T]) GroupBy(nb int, key func(T) int) *Plan[T] {
-	p.steps = append(p.steps, &step[T]{
-		kind: stepGroupBy, key: key, grp: NewGrouper[T](p.maxTeam, nb),
-	})
+	p.steps = append(p.steps, NewOp[T](p.maxTeam).GroupBy(1, nil, nil, nb, key))
 	return p
 }
 
@@ -149,19 +81,14 @@ func (p *Plan[T]) GroupBy(nb int, key func(T) int) *Plan[T] {
 // as its unit; key and lift must be pure.
 func (p *Plan[T]) Aggregate(nb int, key func(T) int, identity int64,
 	lift func(int64, T) int64, comb func(int64, int64) int64) *Plan[T] {
-	p.steps = append(p.steps, &step[T]{
-		kind: stepAggregate, key: key,
-		agg: NewAggregator[T, int64](p.maxTeam, nb, identity, lift, comb),
-	})
+	p.steps = append(p.steps, NewOp[T](p.maxTeam).Aggregate(1, nil, nb, key, identity, lift, comb))
 	return p
 }
 
 // TopK appends a selection stage: the stream narrows to its k largest
 // elements in descending order.
 func (p *Plan[T]) TopK(k int) *Plan[T] {
-	p.steps = append(p.steps, &step[T]{
-		kind: stepTopK, k: k, top: NewTopKer[T](p.maxTeam, k),
-	})
+	p.steps = append(p.steps, NewOp[T](p.maxTeam).TopK(1, nil, nil, k))
 	return p
 }
 
@@ -181,7 +108,7 @@ func (p *Plan[T]) Execute(g *core.Group, src []T) (Result[T], error) {
 	for _, s := range p.steps {
 		s.np = core.BestNp(n, p.minPerThread, p.maxTeam)
 		s.src = cur[:n]
-		if s.kind != stepAggregate {
+		if s.kind != opAggregate {
 			s.dst = p.buf[bi]
 		}
 		if err := g.Run(s); err != nil {
@@ -190,15 +117,15 @@ func (p *Plan[T]) Execute(g *core.Group, src []T) (Result[T], error) {
 			return Result[T]{}, err
 		}
 		switch s.kind {
-		case stepFilter, stepTopK:
-			n, cur, bi = s.outN, p.buf[bi], bi^1
-		case stepGroupBy:
+		case opFilter, opTopK:
+			n, cur, bi = s.N(), p.buf[bi], bi^1
+		case opGroupBy:
 			cur, bi = p.buf[bi], bi^1
-			res.Starts = s.grp.Starts()
-		case stepAggregate:
-			res.Aggregates = s.agg.Totals()
+			res.Starts = s.Starts()
+		case opAggregate:
+			res.Aggregates = s.Totals()
 		}
-		s.src, s.dst = nil, nil // don't pin the caller's src between runs
+		s.Unbind() // don't pin the caller's src between runs
 	}
 	res.Out = cur[:n]
 	return res, nil

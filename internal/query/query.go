@@ -29,16 +29,16 @@
 //     (the Pack pattern lifted from elements to key runs). SortJoin stages
 //     the inputs through the mixed-mode samplesort first.
 //
-// Every operator exists in three forms, mirroring internal/par: a
-// collective method callable from inside a running team task (every member
-// must call it), a standalone core.Task constructor for callers outside the
-// scheduler, which runs that collective at every np, 1 included, and a
-// sequential oracle (the Seq* functions) that defines the semantics and
-// that the property and fuzz tests compare every team execution against.
-// Team size 1 dispatches to the oracle, so single-threaded execution is
-// byte-for-byte the reference semantics.
+// Every operator exists in three forms: a collective method callable from
+// inside a running team task (every member must call it), a binder of Op,
+// the one team task that runs the collective for callers outside the
+// scheduler at every np, 1 included, and keeps its state across runs
+// (op.go), and a sequential oracle (the Seq* functions) that defines the
+// semantics and that the property and fuzz tests compare every team
+// execution against. Team size 1 dispatches to the oracle, so
+// single-threaded execution is byte-for-byte the reference semantics.
 //
-// Plan (plan.go) chains operators into one request with preallocated
+// Plan (plan.go) chains Ops into one request with preallocated
 // intermediates, so heterogeneous shapes — short filters, long sorts,
 // team-heavy aggregations — compose into a single client submission on a
 // shared scheduler (the cmd/throughput "analytics" mix).
@@ -50,7 +50,7 @@ import "repro/internal/qsort"
 type Ordered = qsort.Ordered
 
 // DefaultMinPerThread is the default minimum number of elements per team
-// member of a standalone operator task. Analytics kernels are single-pass
+// member of an operator task. Analytics kernels are single-pass
 // and memory-light compared to sorting, so teams pay off at smaller inputs
 // than the sorts' 1<<15 quota.
 const DefaultMinPerThread = 1 << 13

@@ -53,31 +53,31 @@ func comb(a, b int64) int64       { return a + b }
 
 func TestFilterMatchesOracle(t *testing.T) {
 	s := propSched(t)
+	op := query.NewOp[int32](s.MaxTeam())
 	forEachInput(t, func(t *testing.T, _ dist.Kind, in []int32) {
 		wantDst := make([]int32, len(in))
 		wantN := query.SeqFilter(in, wantDst, predOf)
 		for _, np := range teamSizes(s) {
 			dst := make([]int32, len(in))
-			var n int
-			s.Run(query.Filter(np, in, dst, predOf, &n))
-			if n != wantN {
+			s.Run(op.Filter(np, in, dst, predOf))
+			if n := op.N(); n != wantN {
 				t.Fatalf("np=%d: filter count = %d, want %d", np, n, wantN)
 			}
-			checkSlice(t, "filter", np, dst[:n], wantDst[:wantN])
+			checkSlice(t, "filter", np, dst[:wantN], wantDst[:wantN])
 		}
 	})
 }
 
 func TestGroupByMatchesOracle(t *testing.T) {
 	s := propSched(t)
+	op := query.NewOp[int32](s.MaxTeam())
 	forEachInput(t, func(t *testing.T, _ dist.Kind, in []int32) {
 		wantGrouped := make([]int32, len(in))
 		wantStarts := query.SeqGroupBy(in, wantGrouped, nb, keyOf)
 		for _, np := range teamSizes(s) {
 			grouped := make([]int32, len(in))
-			starts := make([]int, nb+1)
-			s.Run(query.GroupBy(np, in, grouped, nb, keyOf, starts))
-			checkSlice(t, "starts", np, starts, wantStarts)
+			s.Run(op.GroupBy(np, in, grouped, nb, keyOf))
+			checkSlice(t, "starts", np, op.Starts(), wantStarts)
 			// The scatter is stable, so the grouped slice is deterministic:
 			// exact equality with the oracle, not just same-bucket-contents.
 			checkSlice(t, "grouped", np, grouped, wantGrouped)
@@ -87,12 +87,12 @@ func TestGroupByMatchesOracle(t *testing.T) {
 
 func TestAggregateMatchesOracle(t *testing.T) {
 	s := propSched(t)
+	op := query.NewOp[int32](s.MaxTeam())
 	forEachInput(t, func(t *testing.T, _ dist.Kind, in []int32) {
 		want := query.SeqAggregate(in, nb, int64(0), lift, keyOf)
 		for _, np := range teamSizes(s) {
-			got := make([]int64, nb)
-			s.Run(query.Aggregate(np, in, nb, keyOf, 0, lift, comb, got))
-			checkSlice(t, "aggregate", np, got, want)
+			s.Run(op.Aggregate(np, in, nb, keyOf, 0, lift, comb))
+			checkSlice(t, "aggregate", np, op.Totals(), want)
 		}
 	})
 }
@@ -116,23 +116,24 @@ func TestAggregateMinMonoid(t *testing.T) {
 	}
 	in := dist.Generate(dist.Staggered, propN, 11)
 	want := query.SeqAggregate(in, nb, inf, minLift, keyOf)
+	op := query.NewOp[int32](s.MaxTeam())
 	for _, np := range teamSizes(s) {
-		got := make([]int64, nb)
-		s.Run(query.Aggregate(np, in, nb, keyOf, inf, minLift, minComb, got))
-		checkSlice(t, "aggregate-min", np, got, want)
+		s.Run(op.Aggregate(np, in, nb, keyOf, inf, minLift, minComb))
+		checkSlice(t, "aggregate-min", np, op.Totals(), want)
 	}
 }
 
 func TestTopKMatchesOracle(t *testing.T) {
 	s := propSched(t)
+	op := query.NewOp[int32](s.MaxTeam())
 	forEachInput(t, func(t *testing.T, _ dist.Kind, in []int32) {
 		for _, k := range []int{0, 1, 10, 128, propN, propN + 5} {
 			want := make([]int32, k)
 			want = want[:query.SeqTopK(in, want, k)]
 			for _, np := range teamSizes(s) {
 				dst := make([]int32, k)
-				var n int
-				s.Run(query.TopK(np, in, dst, k, &n))
+				s.Run(op.TopK(np, in, dst, k))
+				n := op.N()
 				if n != len(want) {
 					t.Fatalf("np=%d k=%d: topk count = %d, want %d", np, k, n, len(want))
 				}
@@ -144,6 +145,7 @@ func TestTopKMatchesOracle(t *testing.T) {
 
 func TestMergeJoinMatchesOracle(t *testing.T) {
 	s := propSched(t)
+	op := query.NewOp[int32](s.MaxTeam())
 	b := dist.Generate(dist.RandDup, propN/2, 13)
 	qsort.Introsort(b)
 	forEachInput(t, func(t *testing.T, _ dist.Kind, in []int32) {
@@ -157,8 +159,8 @@ func TestMergeJoinMatchesOracle(t *testing.T) {
 		want = want[:query.SeqMergeJoin(a, b, want)]
 		for _, np := range teamSizes(s) {
 			out := make([]query.JoinRun[int32], max)
-			var n int
-			s.Run(query.MergeJoin(np, a, b, out, &n))
+			s.Run(op.MergeJoin(np, a, b, out))
+			n := op.N()
 			if n != len(want) {
 				t.Fatalf("np=%d: join runs = %d, want %d", np, n, len(want))
 			}
@@ -174,11 +176,11 @@ func TestMergeJoinSelfZero(t *testing.T) {
 	s := propSched(t)
 	a := dist.Generate(dist.Zero, propN, 7)
 	out := make([]query.JoinRun[int32], 1)
+	op := query.NewOp[int32](s.MaxTeam())
 	for _, np := range teamSizes(s) {
-		var n int
-		s.Run(query.MergeJoin(np, a, a, out, &n))
-		if n != 1 {
-			t.Fatalf("np=%d: self-join of constant input gave %d runs, want 1", np, n)
+		s.Run(op.MergeJoin(np, a, a, out))
+		if n := op.N(); n != 1 {
+			t.Fatalf("np=%d: self-join of constant input gave %d runs, want 1", np, op.N())
 		}
 		r := out[0]
 		if r.Key != a[0] || r.ALo != 0 || r.AHi != propN || r.BLo != 0 || r.BHi != propN {
@@ -208,7 +210,7 @@ func TestSortJoin(t *testing.T) {
 	b := append([]int32(nil), in2...)
 	out := make([]query.JoinRun[int32], len(b))
 	g := s.NewGroup()
-	n, err := query.SortJoin(g, s.MaxTeam(), a, b, out, ssortOptions())
+	n, err := query.SortJoin(g, query.NewOp[int32](s.MaxTeam()), a, b, out, ssortOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,33 +224,31 @@ func TestSortJoin(t *testing.T) {
 // team members than elements, single elements, and zero elements.
 func TestEmptyAndTinyInputs(t *testing.T) {
 	s := propSched(t)
+	op := query.NewOp[int32](s.MaxTeam())
 	for _, n := range []int{0, 1, 2, 5} {
 		in := dist.Generate(dist.RandDup, n, 3)
 		srt := append([]int32(nil), in...)
 		qsort.Introsort(srt)
 		for _, np := range teamSizes(s) {
 			dst := make([]int32, n)
-			var cnt int
-			s.Run(query.Filter(np, in, dst, predOf, &cnt))
+			s.Run(op.Filter(np, in, dst, predOf))
 			wantDst := make([]int32, n)
 			wantN := query.SeqFilter(in, wantDst, predOf)
-			if cnt != wantN {
+			if cnt := op.N(); cnt != wantN {
 				t.Fatalf("n=%d np=%d: filter count %d, want %d", n, np, cnt, wantN)
 			}
 
 			grouped := make([]int32, n)
-			starts := make([]int, nb+1)
-			s.Run(query.GroupBy(np, in, grouped, nb, keyOf, starts))
+			s.Run(op.GroupBy(np, in, grouped, nb, keyOf))
 			wantGrouped := make([]int32, n)
-			checkSlice(t, "tiny-starts", np, starts, query.SeqGroupBy(in, wantGrouped, nb, keyOf))
+			checkSlice(t, "tiny-starts", np, op.Starts(), query.SeqGroupBy(in, wantGrouped, nb, keyOf))
 
-			agg := make([]int64, nb)
-			s.Run(query.Aggregate(np, in, nb, keyOf, 0, lift, comb, agg))
-			checkSlice(t, "tiny-agg", np, agg, query.SeqAggregate(in, nb, int64(0), lift, keyOf))
+			s.Run(op.Aggregate(np, in, nb, keyOf, 0, lift, comb))
+			checkSlice(t, "tiny-agg", np, op.Totals(), query.SeqAggregate(in, nb, int64(0), lift, keyOf))
 
 			top := make([]int32, 3)
-			var topN int
-			s.Run(query.TopK(np, in, top, 3, &topN))
+			s.Run(op.TopK(np, in, top, 3))
+			topN := op.N()
 			wantTop := make([]int32, 3)
 			wantTop = wantTop[:query.SeqTopK(in, wantTop, 3)]
 			if topN != len(wantTop) {
@@ -257,10 +257,9 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 			checkSlice(t, "tiny-topk", np, top[:topN], wantTop)
 
 			out := make([]query.JoinRun[int32], n+1)
-			var jn int
-			s.Run(query.MergeJoin(np, srt, srt, out, &jn))
+			s.Run(op.MergeJoin(np, srt, srt, out))
 			wantOut := make([]query.JoinRun[int32], n+1)
-			if want := query.SeqMergeJoin(srt, srt, wantOut); jn != want {
+			if jn, want := op.N(), query.SeqMergeJoin(srt, srt, wantOut); jn != want {
 				t.Fatalf("n=%d np=%d: join runs %d, want %d", n, np, jn, want)
 			}
 		}
@@ -271,23 +270,26 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 // order — the property that makes team GroupBy deterministic.
 func TestGroupByStability(t *testing.T) {
 	s := propSched(t)
-	type rec struct{ key, seq int32 }
+	// An element is a record: its key in the high half, its source position
+	// (seq) in the low half.
 	n := 5000
-	src := make([]rec, n)
+	src := make([]int64, n)
 	keys := dist.Generate(dist.RandDup, n, 3)
 	for i := range src {
-		src[i] = rec{key: keys[i], seq: int32(i)}
+		src[i] = int64(keys[i])<<32 | int64(i)
 	}
-	key := func(r rec) int { return int(uint32(r.key) % nb) }
+	key := func(r int64) int { return int(uint32(r>>32) % nb) }
+	seq := func(r int64) int32 { return int32(r) }
+	op := query.NewOp[int64](s.MaxTeam())
 	for _, np := range teamSizes(s) {
-		grouped := make([]rec, n)
-		starts := make([]int, nb+1)
-		s.Run(query.GroupBy(np, src, grouped, nb, key, starts))
+		grouped := make([]int64, n)
+		s.Run(op.GroupBy(np, src, grouped, nb, key))
+		starts := op.Starts()
 		for b := 0; b < nb; b++ {
 			for i := starts[b] + 1; i < starts[b+1]; i++ {
-				if grouped[i].seq <= grouped[i-1].seq {
+				if seq(grouped[i]) <= seq(grouped[i-1]) {
 					t.Fatalf("np=%d: bucket %d not stable at %d: seq %d after %d",
-						np, b, i, grouped[i].seq, grouped[i-1].seq)
+						np, b, i, seq(grouped[i]), seq(grouped[i-1]))
 				}
 				if key(grouped[i]) != b {
 					t.Fatalf("np=%d: element of bucket %d landed in bucket range %d",
@@ -310,7 +312,7 @@ func TestGroupByBarriers(t *testing.T) {
 	query.SeqGroupBy(src, want, nb, keyOf)
 	grouped := make([]int32, len(src))
 	s.StartTrace()
-	s.Run(query.GroupBy(2, src, grouped, nb, keyOf, nil))
+	s.Run(query.NewOp[int32](2).GroupBy(2, src, grouped, nb, keyOf))
 	s.StopTrace()
 	checkSlice(t, "traced groupby", 2, grouped, want)
 
@@ -368,7 +370,7 @@ func TestCollectiveReuse(t *testing.T) {
 
 	f := query.NewFilterer[int32](np)
 	gr := query.NewGrouper[int32](np, nb)
-	ag := query.NewAggregator[int32, int64](np, nb, 0, lift, comb)
+	ag := query.NewAggregator[int32](np, nb, 0, lift, comb)
 	tk := query.NewTopKer[int32](np, 64)
 	jn := query.NewJoiner[int32](np)
 
@@ -419,6 +421,46 @@ func TestCollectiveReuse(t *testing.T) {
 	checkSlice(t, "reuse-groupby", np, grouped, wantGrouped)
 	checkSlice(t, "reuse-topk", np, top[:len(wantTop)], wantTop)
 	checkSlice(t, "reuse-join", np, joined[:len(wantJoin)], wantJoin)
+}
+
+// TestOpRebinding binds one Op in turn to every operator, round after round,
+// under two bucket counts, two k values and two folds: each binding runs on
+// the team state the bindings before it built, rebuilt (nb changed, k grew)
+// or kept (nb unchanged, k shrank), and every result must match its oracle.
+func TestOpRebinding(t *testing.T) {
+	s := propSched(t)
+	in := dist.Generate(dist.RandDup, propN, 21)
+	srt := append([]int32(nil), in...)
+	qsort.Introsort(srt)
+	wantRuns := make([]query.JoinRun[int32], len(in))
+	wantRuns = wantRuns[:query.SeqMergeJoin(srt, srt, wantRuns)]
+	op := query.NewOp[int32](s.MaxTeam())
+	got, want := make([]int32, len(in)), make([]int32, len(in))
+	runs := make([]query.JoinRun[int32], len(in))
+	count := func(a int64, _ int32) int64 { return a + 1 }
+	for round, shape := range []struct{ nb, k int }{{nb, 64}, {nb, 200}, {5, 200}, {5, 64}} {
+		np := teamSizes(s)[1+round%4]
+		key := func(v int32) int { return int(uint32(v) % uint32(shape.nb)) }
+		lift := []func(int64, int32) int64{lift, count}[round%2]
+
+		s.Run(op.Filter(np, in, got, predOf))
+		wantN := query.SeqFilter(in, want, predOf)
+		checkSlice(t, "rebind-filter", np, got[:op.N()], want[:wantN])
+
+		s.Run(op.GroupBy(np, in, got, shape.nb, key))
+		checkSlice(t, "rebind-starts", np, op.Starts(), query.SeqGroupBy(in, want, shape.nb, key))
+		checkSlice(t, "rebind-groupby", np, got, want)
+
+		s.Run(op.Aggregate(np, in, shape.nb, key, 0, lift, comb))
+		checkSlice(t, "rebind-aggregate", np, op.Totals(), query.SeqAggregate(in, shape.nb, int64(0), lift, key))
+
+		s.Run(op.TopK(np, in, got, shape.k))
+		wantN = query.SeqTopK(in, want, shape.k)
+		checkSlice(t, "rebind-topk", np, got[:op.N()], want[:wantN])
+
+		s.Run(op.MergeJoin(np, srt, srt, runs))
+		checkSlice(t, "rebind-join", np, runs[:op.N()], wantRuns)
+	}
 }
 
 func checkSlice[T comparable](t *testing.T, what string, np int, got, want []T) {

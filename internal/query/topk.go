@@ -144,16 +144,3 @@ func seqTopKHeap[T Ordered](src, dst []T, k int, scratch []T) int {
 func SeqTopK[T Ordered](src, dst []T, k int) int {
 	return seqTopKHeap(src, dst, k, make([]T, 0, k))
 }
-
-// TopK returns a team task of np members selecting the k largest elements
-// of src into dst (descending); the selected count is stored into *outN
-// when non-nil. dst must not alias src.
-func TopK[T Ordered](np int, src, dst []T, k int, outN *int) core.Task {
-	t := NewTopKer[T](np, k)
-	return core.Func(np, func(ctx *core.Ctx) {
-		n := t.TopK(ctx, src, dst, k)
-		if ctx.LocalID() == 0 && outN != nil {
-			*outN = n
-		}
-	})
-}

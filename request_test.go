@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -157,9 +158,46 @@ func TestRequestPathCanceledContext(t *testing.T) {
 	checkRequests(t, rt, ctx, ErrCanceled)
 }
 
+// TestRequestPathAfterClose also pins Close's "results zero" for the
+// analytics methods: on a warmed Runtime their pooled Ops still hold the
+// last live request's results, which a refused request must not return.
+// sync.Pool keeps an item per P that callers on other Ps cannot take, so
+// the analytics run from several clients at once, before and after Close,
+// and the refused requests meet warm Ops whichever P they run on.
 func TestRequestPathAfterClose(t *testing.T) {
 	rt := NewRuntime[int32](Options{P: 2})
+	const n, nb, clients = 1 << 14, 8, 8
+	src := GenerateInput(Random, n, 3)
+	srt := slices.Sorted(slices.Values(src))
+	key := func(v int32) int { return int(uint32(v)) % nb }
+	count := func(a int64, _ int32) int64 { return a + 1 }
+	comb := func(a, b int64) int64 { return a + b }
+	// analytics runs every analytics method from each client and fails the
+	// test unless each result is zero exactly when zero is true.
+	analytics := func(zero bool) {
+		var wg sync.WaitGroup
+		for range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out, runs := make([]int32, n), make([]JoinRun[int32], n)
+				counts := []int{ // an Op's count is its last run's, so the counting operators go last
+					slices.Max(rt.GroupBy(src, out, nb, key)),
+					int(slices.Min(rt.Aggregate(src, nb, key, 0, count, comb))),
+					rt.Filter(src, out, func(v int32) bool { return v&1 == 0 }),
+					rt.TopK(src, out, 16),
+					rt.MergeJoin(srt, srt, runs),
+				}
+				if slices.Contains(counts, 0) != zero || zero && slices.Max(counts) != 0 {
+					t.Errorf("max GroupBy start, min Aggregate total, Filter, TopK, MergeJoin = %v (closed: %v)", counts, zero)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	analytics(false)
 	rt.Close()
+	analytics(true)
 	checkRequests(t, rt, context.Background(), ErrShutdown)
 }
 
@@ -243,6 +281,13 @@ func TestForkTasksArePooled(t *testing.T) {
 // per case those at most 2 × 256 refills round away, as does a rare pool
 // miss (sync.Pool keeps one item per P that a caller on another P cannot
 // take); a per-request allocation does not.
+//
+// The analytics methods run an Op from the Runtime's pool, and RunPlan its
+// plan's own Ops. At 4096 elements every one runs solo and allocates
+// nothing but GroupBy's and Aggregate's fresh result. At 16384, the
+// smallest input core.BestNp gives a team of two, each team task adds the
+// one allocation left on the request path: the scheduler's teamExec, built
+// per team execution (coordinate.go).
 func TestRequestZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops groups and tasks at random under the race detector")
@@ -260,6 +305,35 @@ func TestRequestZeroAlloc(t *testing.T) {
 			if allocs != 0 || !slices.IsSorted(data[:n]) {
 				t.Errorf("%s of %d elements: %v allocations per warmed request, want 0 (sorted: %v)",
 					name, n, allocs, slices.IsSorted(data[:n]))
+			}
+		}
+	}
+
+	const big = 1 << 14
+	src := GenerateInput(Random, big, 3)
+	srt := slices.Sorted(slices.Values(src))
+	out := make([]int32, big)
+	runs := make([]JoinRun[int32], big)
+	key := func(v int32) int { return int(uint32(v)) % 8 }
+	lift := func(a int64, v int32) int64 { return a + int64(v) }
+	comb := func(a, b int64) int64 { return a + b }
+	plan := rt.NewPlan(big).Filter(func(int32) bool { return true }).TopK(16) // two stages
+	for _, c := range []struct {
+		name       string
+		solo, team float64 // allocations per request at 4096 and at big elements
+		call       func(n int)
+	}{
+		{"Filter", 0, 1, func(n int) { rt.Filter(src[:n], out, func(v int32) bool { return v&1 == 0 }) }},
+		{"GroupBy", 1, 2, func(n int) { rt.GroupBy(src[:n], out, 8, key) }},
+		{"Aggregate", 1, 2, func(n int) { rt.Aggregate(src[:n], 8, key, 0, lift, comb) }},
+		{"TopK", 0, 1, func(n int) { rt.TopK(src[:n], out, 16) }},
+		{"MergeJoin", 0, 1, func(n int) { rt.MergeJoin(srt[:n], srt[:n], runs) }},
+		{"RunPlan", 0, 2, func(n int) { rt.RunPlan(plan, src[:n]) }},
+	} {
+		for n, want := range map[int]float64{4096: c.solo, big: c.team} {
+			c.call(n) // warm: the pooled Op builds its state
+			if allocs := testing.AllocsPerRun(1000, func() { c.call(n) }); allocs != want {
+				t.Errorf("%s of %d elements: %v allocations per warmed request, want %v", c.name, n, allocs, want)
 			}
 		}
 	}

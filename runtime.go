@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/msort"
 	"repro/internal/qsort"
+	"repro/internal/query"
 	"repro/internal/ssort"
 	"repro/internal/stats"
 )
@@ -32,6 +33,7 @@ type Runtime[T Ordered] struct {
 	m       runtimeMetrics
 	scratch sync.Pool         // of *[]T: what the out-of-place sorts borrow per request
 	groups  sync.Pool         // of drained *core.Group: one per request in flight
+	ops     sync.Pool         // of unbound *query.Op[T]: one per analytics request in flight
 	forks   qsort.ForkPool[T] // the tasks of every quicksort, samplesort bucket and fallback
 }
 
@@ -147,11 +149,11 @@ func (m *runtimeMetrics) end(l *load, shard int, t0 time.Time) {
 // canceled costs nothing: BindContext is then a no-op and starts no watcher
 // goroutine; otherwise stop returns only once the watcher has exited, so no
 // late cancel reaches the group's next request.
-// held (nil: none) lists the scratch buffers body's sorts borrowed. They and
-// the group go back to their pools after any drain, a canceled group's
-// included (WaitErr waits out its started tasks), but not after a shutdown
-// that let WaitErr return over tasks in flight: those are left to the
-// collector.
+// held lists what body borrowed: its sorts' scratch buffers, an analytics
+// request's Op. They and the group go back to their pools after any drain,
+// a canceled group's included (WaitErr waits out its started tasks), but
+// not after a shutdown that let WaitErr return over tasks in flight: those
+// are left to the collector.
 func (r *Runtime[T]) request(ctx context.Context, l load, held *loans[T], body func(g *core.Group) error) error {
 	shard, t0 := r.m.begin(&l, r.s.P())
 	g, _ := r.groups.Get().(*core.Group)
@@ -165,10 +167,12 @@ func (r *Runtime[T]) request(ctx context.Context, l load, held *loans[T], body f
 	err := g.WaitErr()
 	stop()
 	if g.Pending() == 0 {
-		if held != nil {
-			for _, b := range *held {
-				r.scratch.Put(b)
-			}
+		for _, b := range held.bufs {
+			r.scratch.Put(b)
+		}
+		if held.op != nil {
+			held.op.Unbind()
+			r.ops.Put(held.op)
 		}
 		r.groups.Put(g)
 	}
@@ -179,18 +183,11 @@ func (r *Runtime[T]) request(ctx context.Context, l load, held *loans[T], body f
 	return err
 }
 
-// single is request for the methods that predate SortManyCtx: one request
-// of one family, no context, and no error result. With no context to cancel,
-// their only failure is ErrShutdown on a Runtime used after Close; Close
-// documents what the caller then sees, and the error has nowhere else to go.
-func (r *Runtime[T]) single(f family, body func(g *core.Group) error) {
-	var l load
-	l[f] = 1
-	_ = r.request(context.Background(), l, nil, body)
+// loans lists what one request has borrowed from the Runtime's pools.
+type loans[T Ordered] struct {
+	bufs []*[]T       // scratch of the request's sorts
+	op   *query.Op[T] // the task of an analytics request
 }
-
-// loans lists the scratch buffers one request has borrowed from the pool.
-type loans[T Ordered] []*[]T
 
 // borrow returns n elements of pooled scratch for one sort of a request,
 // noted in held (nothing for n = 0); a pooled buffer too short for it is
@@ -204,7 +201,7 @@ func (r *Runtime[T]) borrow(n int, held *loans[T]) []T {
 		s := make([]T, n)
 		b = &s
 	}
-	*held = append(*held, b)
+	held.bufs = append(held.bufs, b)
 	return (*b)[:n]
 }
 

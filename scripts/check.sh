@@ -127,10 +127,13 @@ go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Deadline|BindC
 # is its body followed by ctx.Barrier(); these tests call each one twice back
 # to back on the same state, so a missing trailing barrier is a data race.
 # The samplesort's team step syncs on as few barriers (par.Hist.Cursors needs
-# none), so its odd-team and all-kinds tests run under the same pass.
-echo "check: go test -race -count=5 -run CollectiveReuse (par, query), SortOddTeamAndRecursion|SortAllKinds (ssort)"
+# none), so its odd-team and all-kinds tests run under the same pass, and so
+# does the Runtime's concurrent analytics test: its clients' requests pass
+# pooled query.Ops, team state and all, from one client and shape to the next.
+echo "check: go test -race -count=5 -run CollectiveReuse (par, query), SortOddTeamAndRecursion|SortAllKinds (ssort), RuntimeAnalyticsConcurrent (root)"
 go test -race -count=5 -run CollectiveReuse ./internal/par ./internal/query
 go test -race -count=5 -run 'TestSortOddTeamAndRecursion|TestSortAllKinds' ./internal/ssort
+go test -race -count=5 -run TestRuntimeAnalyticsConcurrent .
 
 # The deque owner's plain slot store is race-free only because it turns
 # atomic while a thief is in flight; this test wraps a ring under thieves,
