@@ -129,7 +129,7 @@ func (r *Runtime[T]) MergeJoin(a, b []T, out []JoinRun[T]) (n int) {
 func (r *Runtime[T]) SortJoin(a, b []T, out []JoinRun[T], opt SSOptions) int {
 	n := 0
 	r.single(famJoin, func(g *core.Group, op *query.Op[T]) (err error) {
-		n, err = query.SortJoin(g, op, a, b, out, opt)
+		n, err = query.SortJoin(g, op, &r.forks, a, b, out, opt)
 		return err
 	})
 	return n

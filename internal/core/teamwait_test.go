@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,11 +42,16 @@ func waitFor(t *testing.T, s *Scheduler, what string, cond func() bool) {
 // heldTeam runs, on a P = 2 scheduler, a root task that spawns the two-member
 // team task first and then next (nil: nothing) on the same worker, which
 // therefore coordinates both with one kept team. The coordinator's share of
-// first blocks on the returned latch. It returns once the member has finished
-// its share and is parked in memberStep waiting for its coordinator.
-func heldTeam(t *testing.T, s *Scheduler, next Task) (g *Group, coord, member *worker, hold chan struct{}) {
+// first blocks until the returned release is called. It returns once the
+// member has finished its share and is parked in memberStep waiting for its
+// coordinator. A test that fails before it releases the coordinator is
+// released by a cleanup, which runs before the Shutdown cleanup registered
+// earlier (cleanups run last in, first out), so the failure does not hang it.
+func heldTeam(t *testing.T, s *Scheduler, next Task) (g *Group, coord, member *worker, release func()) {
 	t.Helper()
-	hold = make(chan struct{})
+	hold := make(chan struct{})
+	release = sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release)
 	var cid atomic.Int32
 	cid.Store(-1)
 	first := Func(2, func(ctx *Ctx) {
@@ -64,7 +70,7 @@ func heldTeam(t *testing.T, s *Scheduler, next Task) (g *Group, coord, member *w
 	waitFor(t, s, "root task ran", func() bool { return cid.Load() >= 0 })
 	coord, member = s.workers[cid.Load()], s.workers[1-cid.Load()]
 	waitTag(t, s, member, slotTeamWait)
-	return g, coord, member, hold
+	return g, coord, member, release
 }
 
 // TestMemberWokenByPublish: the coordinator's cur.Store of the next execution
@@ -72,12 +78,12 @@ func heldTeam(t *testing.T, s *Scheduler, next Task) (g *Group, coord, member *w
 func TestMemberWokenByPublish(t *testing.T) {
 	s := newTest(t, Options{P: 2})
 	var ran atomic.Int32
-	g, _, member, hold := heldTeam(t, s, Func(2, func(*Ctx) { ran.Add(1) }))
+	g, _, member, release := heldTeam(t, s, Func(2, func(*Ctx) { ran.Add(1) }))
 	if dump := s.DumpState(); !strings.Contains(dump, " TEAMWAIT") {
 		t.Fatalf("DumpState does not mark the parked member:\n%s", dump)
 	}
 	before := wakesBy(s, wakeTeamWait)
-	close(hold)
+	release()
 	runWithDeadline(t, s, waitDeadline, g.Wait)
 	if ran.Load() != 2 {
 		t.Fatalf("second team task ran on %d workers, want 2", ran.Load())
@@ -368,7 +374,7 @@ func TestBarrierLastArriverWakesParkedTeam(t *testing.T) {
 func TestShutdownWithTeamParked(t *testing.T) {
 	t.Run("memberStep", func(t *testing.T) {
 		s := New(Options{P: 2})
-		_, _, member, hold := heldTeam(t, s, nil)
+		_, _, member, release := heldTeam(t, s, nil)
 		down := make(chan struct{})
 		go func() { s.Shutdown(); close(down) }()
 		waitFor(t, s, "Shutdown released the parked member", func() bool { return s.done.Load() && member.slot.Tag() == 0 })
@@ -377,7 +383,7 @@ func TestShutdownWithTeamParked(t *testing.T) {
 			t.Fatal("Shutdown returned while the coordinator was still inside its task")
 		default:
 		}
-		close(hold)
+		release()
 		runWithDeadline(t, s, waitDeadline, func() { <-down })
 	})
 	t.Run("barrier", func(t *testing.T) {
@@ -426,11 +432,11 @@ func TestShutdownWithTeamParked(t *testing.T) {
 		topo.EnsureGOMAXPROCS(2)
 		s.start()
 		var after atomic.Int32
-		_, coord, _, hold := heldTeam(t, s, Func(2, func(ctx *Ctx) {
+		_, coord, _, release := heldTeam(t, s, Func(2, func(ctx *Ctx) {
 			ctx.Barrier()
 			after.Add(1)
 		}))
-		close(hold) // the coordinator ends the first task and publishes the second
+		release() // the coordinator ends the first task and publishes the second
 		waitTag(t, s, coord, slotBarrier)
 		if exec := coord.cur.Load(); exec == nil || exec.pending.Load() != 1 {
 			t.Fatalf("coordinator in the barrier with exec %+v, want one pickup outstanding", exec)

@@ -343,7 +343,7 @@ func NewSorter(alg Algorithm, cfg Config) (Sorter, error) {
 	case SSort:
 		opt := ssort.Options{Cutoff: cfg.Cutoff, MinPerThread: quota}
 		return onCore(cfg, func(maxTeam int, d []int32) core.Task {
-			return ssort.Root(nil, maxTeam, d, nil, opt)
+			return ssort.Root(nil, maxTeam, d, opt)
 		}), nil
 	case MSort:
 		opt := msort.Options{Cutoff: cfg.Cutoff, MinPerThread: quota}

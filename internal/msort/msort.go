@@ -49,9 +49,9 @@ func (o Options) withDefaults() Options {
 // so the group drains exactly when the root merge has been written. It
 // returns nil — the empty computation, which Run and Spawn accept — when
 // there is nothing to sort. The algorithm is not in-place: the merges
-// alternate between data and scratch, under ssort.Root's contract (at least
-// len(data) elements, disjoint from data, free again only once the group is
-// quiescent; nil or too short, Root allocates its own).
+// alternate between data and scratch: at least len(data) elements, disjoint
+// from data, free again only once the group is quiescent (nil or too short,
+// Root allocates its own).
 func Root[T qsort.Ordered](data, scratch []T, opt Options) core.Task {
 	opt = opt.withDefaults()
 	n := len(data)

@@ -1,13 +1,17 @@
 package par
 
-import "repro/internal/core"
+import (
+	"slices"
+
+	"repro/internal/core"
+)
 
 // Hist is the shared state of a team histogram: one bucket-count row and one
 // scatter-cursor row per member plus the merged totals. The per-(member,
 // bucket) matrix is kept readable after the collective because mixed-mode
 // sorts and GroupBy scatter from exactly that matrix: each member's elements
 // land at its own reserved offsets inside each bucket (Cursors). Allocate
-// once per task with NewHist.
+// once per task with new(Hist).Init, or Init a recycled task's again.
 type Hist struct {
 	nb     int
 	rows   [][]int
@@ -15,16 +19,21 @@ type Hist struct {
 	totals []int
 }
 
-// NewHist returns histogram state for teams of up to np members over nb
-// buckets.
-func NewHist(np, nb int) *Hist {
-	return &Hist{nb: nb, rows: matrix(np, nb), curs: matrix(np, nb), totals: make([]int, nb)}
+// Init readies h for teams of up to np members over nb buckets and returns
+// it, reusing the rows that are long enough (a recycled Hist allocates only
+// as it grows).
+func (h *Hist) Init(np, nb int) *Hist {
+	h.nb = nb
+	h.rows = matrix(h.rows, np, nb)
+	h.curs = matrix(h.curs, np, nb)
+	h.totals = slices.Grow(h.totals[:0], nb)[:nb]
+	return h
 }
 
-func matrix(np, nb int) [][]int {
-	m := make([][]int, np)
+func matrix(m [][]int, np, nb int) [][]int {
+	m = slices.Grow(m[:0], np)[:np]
 	for i := range m {
-		m[i] = make([]int, nb)
+		m[i] = slices.Grow(m[i][:0], nb)[:nb]
 	}
 	return m
 }
@@ -136,7 +145,7 @@ func seqHistogramInto(counts []int, n int, bucketOf func(i int) int) {
 // Histogram returns a team task of np members counting bucketOf(i) ∈
 // [0, nb) for i in [0, n) into out (len ≥ nb).
 func Histogram(np, n, nb int, bucketOf func(i int) int, out []int) core.Task {
-	h := NewHist(np, nb)
+	h := new(Hist).Init(np, nb)
 	return core.Func(np, func(ctx *core.Ctx) {
 		h.Histogram(ctx, n, bucketOf)
 		if ctx.LocalID() == 0 {

@@ -132,7 +132,7 @@ func TestHistCursors(t *testing.T) {
 		wantTot[f] = par.SeqHistogram(n, nb, bucketOf)
 	}
 	for _, np := range teamSizes(s) {
-		h := par.NewHist(np, nb)
+		h := new(par.Hist).Init(np, nb)
 		curs := make([][]int, np)
 		for m := range curs {
 			curs[m] = make([]int, nb)
@@ -378,7 +378,7 @@ func TestCollectiveReuse(t *testing.T) {
 
 	r := par.NewReducer(np, add)
 	p := par.NewPacker[int32](np)
-	h := par.NewHist(np, nb)
+	h := new(par.Hist).Init(np, nb)
 	mm := par.NewReducer(np, combineExtrema[int32])
 	packed := make([]int32, n)
 	incl := make([]int64, n)

@@ -29,14 +29,51 @@ import (
 // partitioning state (block claimer, neutral bitmap) and
 // is returned by the team's local id 0 once the step's last spawn is out, so
 // the partitioning steps of a warmed sort tree allocate no task state either.
+// Teams does the same for the samplesort's team steps (internal/ssort). The
+// out-of-place sorts' scratch is lent by Borrow and Return from a LIFO that,
+// unlike a sync.Pool, no collection empties and every P reaches.
 //
 // The zero ForkPool is ready to use and serves any number of sort trees of
 // one element type at once, whatever their cutoffs and options (a task
 // carries its own): a Runtime keeps one for all its requests, so a warmed
-// request allocates no task; a root built without one gets a pool of its own.
+// request allocates no task and no scratch; a root built without one gets a
+// pool of its own.
 type ForkPool[T Ordered] struct {
-	pool sync.Pool // of *forkTask[T]
-	mm   sync.Pool // of *mmTask[T]
+	pool  sync.Pool // of *forkTask[T]
+	mm    sync.Pool // of *mmTask[T]
+	Teams sync.Pool // of internal/ssort's team steps, a type this package cannot name
+
+	mu   sync.Mutex
+	free [][]T // returned scratch, the last one returned on top
+}
+
+// Borrow returns n elements of scratch, contents unspecified: the buffer
+// returned last, or a fresh one if that is too short, which is dropped so
+// that the list never holds more buffers than were once out at the same time.
+func (fp *ForkPool[T]) Borrow(n int) (b []T) {
+	fp.mu.Lock()
+	if k := len(fp.free) - 1; k >= 0 {
+		b, fp.free[k], fp.free = fp.free[k], nil, fp.free[:k]
+	}
+	fp.mu.Unlock()
+	if cap(b) < n {
+		b = make([]T, n)
+	}
+	return b[:n]
+}
+
+// Return puts a buffer from Borrow back on the free list.
+func (fp *ForkPool[T]) Return(b []T) {
+	fp.mu.Lock()
+	fp.free = append(fp.free, b[:cap(b)])
+	fp.mu.Unlock()
+}
+
+// FreeBuffers reports how many buffers the free list holds.
+func (fp *ForkPool[T]) FreeBuffers() int {
+	fp.mu.Lock()
+	defer fp.mu.Unlock()
+	return len(fp.free)
 }
 
 // forkTask is one pooled spawn of the task-parallel quicksort recursion.

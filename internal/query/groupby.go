@@ -19,7 +19,7 @@ type Grouper[T any] struct {
 // NewGrouper returns group-by state for teams of up to np members over nb
 // key buckets.
 func NewGrouper[T any](np, nb int) *Grouper[T] {
-	return &Grouper[T]{nb: nb, hist: par.NewHist(np, nb), starts: make([]int, nb+1)}
+	return &Grouper[T]{nb: nb, hist: new(par.Hist).Init(np, nb), starts: make([]int, nb+1)}
 }
 
 // GroupBy is a collective reordering src into grouped so that the elements

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/par"
+	"repro/internal/qsort"
 	"repro/internal/ssort"
 )
 
@@ -141,16 +142,16 @@ func (jn *Joiner[T]) runs(lid, w int, a, b []T, out []JoinRun[T]) int {
 }
 
 // SortJoin sorts a and b in place with the mixed-mode samplesort (both
-// sorts run concurrently in g), then merge-joins them into out as op, with
-// a team of up to op's width, returning the matched run count. It is the
-// staged composition the Plan layer generalizes: sort roots fan out
-// task-parallel, the group's quiescence is the stage boundary, and the join
-// runs as one team task. A refused spawn or a group that ends canceled or
+// sorts run concurrently in g, their tasks and scratch drawn from fp; nil: a
+// pool per sort), then merge-joins them into out as op, with a team of up to
+// op's width, returning the matched run count. It is the staged composition
+// the Plan layer generalizes: sort roots fan out task-parallel, the group's
+// quiescence is the stage boundary, and the join runs as one team task. A refused spawn or a group that ends canceled or
 // shut down is reported as the error, with the count meaningless (a refused
 // second sort leaves the first in flight until the caller's next Wait).
-func SortJoin[T Ordered](g *core.Group, op *Op[T], a, b []T, out []JoinRun[T], opt ssort.Options) (int, error) {
+func SortJoin[T Ordered](g *core.Group, op *Op[T], fp *qsort.ForkPool[T], a, b []T, out []JoinRun[T], opt ssort.Options) (int, error) {
 	for _, side := range [][]T{a, b} {
-		if err := g.Spawn(ssort.Root(nil, op.maxTeam, side, nil, opt)); err != nil {
+		if err := g.Spawn(ssort.Root(fp, op.maxTeam, side, opt)); err != nil {
 			return 0, err
 		}
 	}

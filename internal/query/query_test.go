@@ -210,7 +210,7 @@ func TestSortJoin(t *testing.T) {
 	b := append([]int32(nil), in2...)
 	out := make([]query.JoinRun[int32], len(b))
 	g := s.NewGroup()
-	n, err := query.SortJoin(g, query.NewOp[int32](s.MaxTeam()), a, b, out, ssortOptions())
+	n, err := query.SortJoin(g, query.NewOp[int32](s.MaxTeam()), nil, a, b, out, ssortOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

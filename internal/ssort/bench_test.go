@@ -56,7 +56,7 @@ func benchPerKind(b *testing.B, sortFn func(s *core.Scheduler, data []int32)) {
 
 func BenchmarkSSort(b *testing.B) {
 	benchPerKind(b, func(s *core.Scheduler, data []int32) {
-		s.Run(ssort.Root(nil, s.MaxTeam(), data, nil, ssort.Options{}))
+		s.Run(ssort.Root(nil, s.MaxTeam(), data, ssort.Options{}))
 	})
 }
 

@@ -22,8 +22,8 @@
 //  3. Each member sums its private write cursors from the bucket totals and
 //     the rows of the members before it (par.Hist.Cursors, no barrier),
 //     walks the tree a second time for every element of its chunk and
-//     scatters it into the scratch buffer — stable and write-conflict-free
-//     by construction. No bucket-id array is kept between the two walks:
+//     scatters it into scratch — stable and write-conflict-free by
+//     construction. No bucket-id array is kept between the two walks:
 //     classifying twice read 1.82 / 33.7 ms at 2^16 / 2^20 int32 against
 //     1.78 / 32.0 ms with the ids in a []uint8, not worth n bytes.
 //  4. After a team copy-back, member 0 spawns one sorting task per bucket:
@@ -34,6 +34,13 @@
 //     become available as soon as the scatter completes, exactly like the
 //     partitioning teams of Algorithm 11.
 //
+// Scratch and state live for one team step, the only part of the sort that
+// works out of place: member 0 borrows the scratch from the sort tree's
+// qsort.ForkPool once the splitters are chosen and returns it after the
+// copy-back, so P workers hold at most ⌊P/2⌋ buffers however many sorts run;
+// the task, with its sample, tree and histogram, goes back to the pool after
+// the last spawn.
+//
 // Degenerate inputs (a sample of identical keys, or a bucket that swallows
 // the whole range) fall back to the task-parallel quicksort, whose Hoare
 // partition guarantees progress on constant data.
@@ -41,6 +48,7 @@ package ssort
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/par"
@@ -89,18 +97,16 @@ func (o Options) withDefaults() Options {
 // empty computation, which Run and Spawn accept — when there is nothing to
 // sort.
 //
-// The algorithm is not in-place: the buckets are scattered into scratch,
-// whose ranges are reused down the bucket recursion. scratch must hold at
-// least len(data) elements and be disjoint from data; its contents are
-// unspecified on return, and it is free again only once the group is
-// quiescent. If it is nil or too short, Root allocates what ScratchLen says.
-// Every sequential bucket and fork-join fallback of the sort tree draws its
-// task from fp (see qsort.ForkPool; nil: a pool of the root's own).
-func Root[T qsort.Ordered](fp *qsort.ForkPool[T], maxTeam int, data, scratch []T, opt Options) core.Task {
+// The sort tree draws its tasks and its team steps' scratch from fp (see
+// qsort.ForkPool; nil: a pool of the root's own).
+func Root[T qsort.Ordered](fp *qsort.ForkPool[T], maxTeam int, data []T, opt Options) core.Task {
 	opt = opt.withDefaults()
 	n := len(data)
 	if n < 2 {
 		return nil
+	}
+	if fp == nil {
+		fp = new(qsort.ForkPool[T])
 	}
 	np := core.BestNp(n, opt.MinPerThread, maxTeam)
 	if np == 1 {
@@ -108,51 +114,38 @@ func Root[T qsort.Ordered](fp *qsort.ForkPool[T], maxTeam int, data, scratch []T
 		// degenerate samplesort (every element its own bucket recursion).
 		return qsort.ForkJoinRoot(fp, data, opt.Cutoff)
 	}
-	if len(scratch) < n {
-		scratch = make([]T, n)
-	}
-	if fp == nil {
-		fp = new(qsort.ForkPool[T])
-	}
-	return newTask(data, scratch[:n], np, opt, fp)
+	return newTask(fp, data, np, opt)
 }
 
-// ScratchLen returns how many elements of scratch Root uses to sort n: n
-// when the sort forms a team, 0 when it runs the in-place quicksort.
-func ScratchLen(maxTeam, n int, opt Options) int {
-	if core.BestNp(n, opt.withDefaults().MinPerThread, maxTeam) == 1 {
-		return 0
-	}
-	return n
-}
-
-// task is one samplesort team task over data; scratch is a disjoint buffer
-// of the same length used for the bucket scatter.
+// task is one samplesort team task over data, drawn from fp.Teams and
+// returned by local id 0 after its last spawn.
 type task[T qsort.Ordered] struct {
-	data, scratch []T
-	np            int
-	opt           Options
-	fp            *qsort.ForkPool[T] // shared by the whole sort tree
+	data    []T
+	scratch []T // borrowed from fp by member 0 for steps 3 and 4
+	np      int
+	opt     Options
+	fp      *qsort.ForkPool[T] // shared by the whole sort tree
 
 	sample     []T
 	tree       []T  // search tree of the splitters in tree[1:], one slot per bucket; written by member 0
 	degenerate bool // sample all-equal, written by member 0
 
-	hist *par.Hist
+	hist par.Hist
 }
 
-func newTask[T qsort.Ordered](data, scratch []T, np int, opt Options, fp *qsort.ForkPool[T]) *task[T] {
+// newTask returns a recycled (or new) team step over data with np members.
+func newTask[T qsort.Ordered](fp *qsort.ForkPool[T], data []T, np int, opt Options) *task[T] {
 	nb := 1 << bits.Len(uint(np*opt.BucketsPerThread-1)) // np ≥ 2: at least two buckets
-	ss := nb * opt.Oversample
-	if ss > len(data) {
-		ss = len(data)
+	ss := min(nb*opt.Oversample, len(data))
+	t, _ := fp.Teams.Get().(*task[T])
+	if t == nil {
+		t = &task[T]{fp: fp}
 	}
-	return &task[T]{
-		data: data, scratch: scratch, np: np, opt: opt, fp: fp,
-		sample: make([]T, ss),
-		tree:   make([]T, nb),
-		hist:   par.NewHist(np, nb),
-	}
+	t.data, t.np, t.opt = data, np, opt
+	t.sample = slices.Grow(t.sample[:0], ss)[:ss]
+	t.tree = slices.Grow(t.tree[:0], nb)[:nb]
+	t.hist.Init(np, nb)
+	return t
 }
 
 func (t *task[T]) Threads() int { return t.np }
@@ -219,12 +212,16 @@ func (t *task[T]) Run(ctx *core.Ctx) {
 		qsort.Introsort(t.sample)
 		buildTree(t.tree, t.sample)
 		t.degenerate = t.sample[0] == t.sample[ss-1]
+		if !t.degenerate {
+			t.scratch = t.fp.Borrow(n)
+		}
 	}
 	ctx.Barrier()
 	if t.degenerate {
 		// Every sampled key is equal: bucketing would pile (nearly) the
 		// whole range into one bucket. Hand the range to the task-parallel
-		// quicksort, whose Hoare partition guarantees progress.
+		// quicksort, whose Hoare partition guarantees progress. t is not
+		// recycled: a member may not have read t.degenerate yet.
 		if lid == 0 {
 			t.spawnFork(ctx, t.data)
 		}
@@ -243,28 +240,33 @@ func (t *task[T]) Run(ctx *core.Ctx) {
 	scatter(tree, chunk, t.hist.Cursors(lid), t.scratch) // the chunk step 2 counted
 	ctx.Barrier()
 
-	// Step 4: copy back, then member 0 spawns the bucket sorts, which lie in
-	// bucket order; the other members become available immediately
-	// (Algorithm 11's idiom).
+	// Step 4: copy back, then member 0 returns the scratch and spawns the
+	// bucket sorts, which lie in bucket order; the other members become
+	// available immediately (Algorithm 11's idiom).
 	ctx.TeamFor(n, func(lo, hi int) {
 		copy(t.data[lo:hi], t.scratch[lo:hi])
 	})
 	if lid != 0 {
 		return
 	}
+	t.fp.Return(t.scratch)
 	blo := 0
 	for _, size := range t.hist.Totals() {
 		bhi := blo + size
-		t.spawnBucket(ctx, t.data[blo:bhi], t.scratch[blo:bhi])
+		t.spawnBucket(ctx, t.data[blo:bhi])
 		blo = bhi
 	}
+	// Every member passed the copy-back barrier after its last access to t,
+	// so nobody else uses t now.
+	t.data, t.scratch = nil, nil
+	t.fp.Teams.Put(t)
 }
 
 // spawnBucket spawns the sort of one bucket with a thread requirement
 // chosen like the paper's getBestNp: team tasks recurse as samplesorts,
 // single-threaded buckets run the task-parallel quicksort, and buckets at
 // or below the cutoff are sorted sequentially.
-func (t *task[T]) spawnBucket(ctx *core.Ctx, part, scratch []T) {
+func (t *task[T]) spawnBucket(ctx *core.Ctx, part []T) {
 	m := len(part)
 	if m < 2 || ctx.Canceled() {
 		// Cooperative cancellation, checked on member 0's spawn path only
@@ -283,7 +285,7 @@ func (t *task[T]) spawnBucket(ctx *core.Ctx, part, scratch []T) {
 	// whole range (heavily duplicated keys) must not recurse as a
 	// samplesort again.
 	if np > 1 && m < len(t.data) {
-		ctx.Spawn(newTask(part, scratch, np, t.opt, t.fp))
+		ctx.Spawn(newTask(t.fp, part, np, t.opt))
 		return
 	}
 	t.spawnFork(ctx, part)

@@ -22,7 +22,7 @@ func teamOptions() Options {
 // sortOn runs the samplesort's root task to quiescence on s.
 func sortOn(t *testing.T, s *core.Scheduler, data []int32, opt Options) {
 	t.Helper()
-	if err := s.Run(Root(nil, s.MaxTeam(), data, nil, opt)); err != nil {
+	if err := s.Run(Root(nil, s.MaxTeam(), data, opt)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,7 +107,7 @@ func TestSortOddTeamAndRecursion(t *testing.T) {
 		for _, kind := range []dist.Kind{dist.RandDup, dist.Zero, dist.Staggered} {
 			in := dist.Generate(kind, 1<<14, 7)
 			data := append([]int32(nil), in...)
-			root := newTask(data, make([]int32, len(data)), c.np, opt, new(qsort.ForkPool[int32]))
+			root := newTask(new(qsort.ForkPool[int32]), data, c.np, opt)
 			if err := s.Run(root); err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +251,8 @@ var fuzzSched = sync.OnceValue(func() *core.Scheduler {
 
 // FuzzSort holds the whole sort to slices.Sort on duplicate-dense input,
 // with team formation forced (teamOptions) and a fuzzer-chosen bucket
-// count, through a scratch that is absent, too short or longer than needed.
+// count, from a pool whose free scratch is absent, too short or longer than
+// needed.
 func FuzzSort(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte{3, 1, 2})
 	f.Add(uint8(3), uint8(1), []byte{5, 5, 5, 5, 1, 9, 9, 0})
@@ -271,18 +272,21 @@ func FuzzSort(f *testing.F) {
 		slices.Sort(want)
 		opt := teamOptions()
 		opt.BucketsPerThread = int(bpt % 9) // 0: the default
-		var scratch []int32
+		fp, free := new(qsort.ForkPool[int32]), 0
 		switch scratchRaw % 3 {
 		case 1:
-			scratch = make([]int32, n/2)
+			free = n / 2
 		case 2:
-			scratch = make([]int32, n+3)
+			free = n + 3
 		}
-		if err := s.Run(Root(nil, s.MaxTeam(), data, scratch, opt)); err != nil {
+		if free > 0 {
+			fp.Return(make([]int32, free))
+		}
+		if err := s.Run(Root(fp, s.MaxTeam(), data, opt)); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(data, want) {
-			t.Fatalf("bpt=%d scratch=%d: output differs from slices.Sort", opt.BucketsPerThread, len(scratch))
+			t.Fatalf("bpt=%d free scratch=%d: output differs from slices.Sort", opt.BucketsPerThread, free)
 		}
 	})
 }

@@ -152,9 +152,10 @@ type SSOptions = ssort.Options
 // splitters, histograms and scatters its range into buckets, and the
 // buckets are sorted by recursively spawned tasks — a structurally
 // different mixed-mode algorithm beside the paper's Quicksort. Allocates
-// one scratch buffer of len(data) per call (Runtime.SortSamplesort pools it).
+// its team steps' scratch per call, up to len(data) elements per buffer
+// (Runtime.SortSamplesort draws it from the Runtime's pool).
 func SortSamplesort[T Ordered](s *Scheduler, data []T, opt SSOptions) {
-	_ = s.Run(ssort.Root(nil, s.MaxTeam(), data, nil, opt)) // see SortMixedMode
+	_ = s.Run(ssort.Root(nil, s.MaxTeam(), data, opt)) // see SortMixedMode
 }
 
 // MSOptions are the tunables of the mixed-mode parallel merge sort.

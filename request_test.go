@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -202,16 +201,14 @@ func TestRequestPathAfterClose(t *testing.T) {
 }
 
 // TestSamplesortScratchIsPooled: a warmed Runtime sorts through pooled
-// scratch — a 2^16-element SortSamplesort (one two-member team phase, 256
-// KiB of scratch) allocates a few KiB of task state per call, not a buffer
-// (260 KiB before the pool). Counted call by call, because sync.Pool keeps
-// one item per P where no other P finds it: a caller that has moved to
-// another P may miss once per other P, and the buffer it then allocates
-// stays pooled too. The collector, which empties the pool, is off meanwhile.
+// scratch — a 2^16-element SortSamplesort (one two-member team step, 256 KiB
+// of scratch) allocates no buffer per call, even with two collections
+// between calls: the scratch free list of the Runtime's ForkPool is no
+// sync.Pool, so no GC empties it and every P reaches it. Then 8 clients sort
+// concurrently: a team step holds its scratch from its sample to its
+// copy-back only, and a team takes two of the two workers, so the list ends
+// up holding one buffer, however many requests were in flight.
 func TestSamplesortScratchIsPooled(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops buffers at random under the race detector")
-	}
 	rt := NewRuntime[int32](Options{P: 2})
 	defer rt.Close()
 	const n, calls = 1 << 16, 20
@@ -225,20 +222,37 @@ func TestSamplesortScratchIsPooled(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	sortOnce() // warm: the pool's first buffer
-	fresh, worst := 0, uint64(0)
+	sortOnce() // warm: the list's first buffer
 	for i := 0; i < calls; i++ {
+		runtime.GC()
+		runtime.GC()
 		if b := sortOnce(); b >= 16<<10 {
-			fresh++
-			worst = max(worst, b)
+			t.Fatalf("call %d of %d on a warmed Runtime allocated %d bytes, want no buffer (< 16 KiB)", i, calls, b)
 		}
 	}
 	if !slices.IsSorted(data) {
 		t.Fatal("output not sorted")
 	}
-	if fresh > min(runtime.GOMAXPROCS(0)-1, calls/4) {
-		t.Fatalf("%d of %d SortSamplesort calls on a warmed Runtime allocated 16 KiB or more (up to %d bytes)", fresh, calls, worst)
+
+	const clients, each = 8, 4
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d := make([]int32, n)
+			for i := 0; i < each; i++ {
+				copy(d, in)
+				rt.SortSamplesort(d, SSOptions{})
+				if !slices.IsSorted(d) {
+					t.Error("concurrent SortSamplesort: output not sorted")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, bound := rt.forks.FreeBuffers(), rt.P()/2; got > bound {
+		t.Fatalf("after %d concurrent clients the scratch free list holds %d buffers, want at most P/2 = %d", clients, got, bound)
 	}
 }
 
@@ -246,7 +260,10 @@ func TestSamplesortScratchIsPooled(t *testing.T) {
 // request, so a warmed quicksort of 4096 elements — a dozen spawned tasks —
 // allocates no more than a two-element one does (when every root built its
 // own pool, 12 allocations against 4). TestRequestZeroAlloc pins the
-// request itself.
+// request itself. Counted over 1000 runs, like there, so that the at most
+// 2 × 256 node refills of the fresh scheduler's workers round away whatever
+// the process-wide node pool kept from earlier tests (a collection empties
+// it).
 func TestForkTasksArePooled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops tasks at random under the race detector")
@@ -260,8 +277,8 @@ func TestForkTasksArePooled(t *testing.T) {
 		"mixed": func(d []int32) { rt.SortMixedMode(d, MMOptions{}) },
 		"ssort": func(d []int32) { rt.SortSamplesort(d, SSOptions{}) },
 	} {
-		request := testing.AllocsPerRun(50, func() { copy(data, in[:2]); sort(data[:2]) })
-		sorted := testing.AllocsPerRun(50, func() { copy(data, in); sort(data) })
+		request := testing.AllocsPerRun(1000, func() { copy(data, in[:2]); sort(data[:2]) })
+		sorted := testing.AllocsPerRun(1000, func() { copy(data, in); sort(data) })
 		if sorted > request || !slices.IsSorted(data) {
 			t.Errorf("%s: %v allocations per warmed 4096-element request, %v per two-element one (sorted: %v)",
 				name, sorted, request, slices.IsSorted(data))
@@ -335,6 +352,28 @@ func TestRequestZeroAlloc(t *testing.T) {
 			if allocs := testing.AllocsPerRun(1000, func() { c.call(n) }); allocs != want {
 				t.Errorf("%s of %d elements: %v allocations per warmed request, want %v", c.name, n, allocs, want)
 			}
+		}
+	}
+
+	// The samplesort of big elements runs the in-place quicksort (width 1);
+	// of 4·big it is one team task of two, whose step draws its task, state
+	// and scratch from the ForkPool, so what is left is the teamExec.
+	// SortJoin's two width-1 samplesorts feed a width-2 MergeJoin.
+	wide := GenerateInput(Random, 4*big, 5)
+	buf, other := make([]int32, 4*big), make([]int32, big)
+	for _, c := range []struct {
+		name string
+		n    int
+		want float64
+		call func()
+	}{
+		{"SortSamplesort", big, 0, func() { copy(buf, wide[:big]); rt.SortSamplesort(buf[:big], SSOptions{}) }},
+		{"SortSamplesort", 4 * big, 1, func() { copy(buf, wide); rt.SortSamplesort(buf, SSOptions{}) }},
+		{"SortJoin", big, 1, func() { copy(buf, src); copy(other, wide); rt.SortJoin(buf[:big], other, runs, SSOptions{}) }},
+	} {
+		c.call() // warm
+		if allocs := testing.AllocsPerRun(1000, c.call); allocs != c.want {
+			t.Errorf("%s of %d elements: %v allocations per warmed request, want %v", c.name, c.n, allocs, c.want)
 		}
 	}
 }

@@ -28,13 +28,12 @@ import (
 // methods); create one Runtime per element type on the same Scheduler via
 // NewRuntimeOn if a process needs several.
 type Runtime[T Ordered] struct {
-	s       *Scheduler
-	owned   bool // whether Close shuts the scheduler down
-	m       runtimeMetrics
-	scratch sync.Pool         // of *[]T: what the out-of-place sorts borrow per request
-	groups  sync.Pool         // of drained *core.Group: one per request in flight
-	ops     sync.Pool         // of unbound *query.Op[T]: one per analytics request in flight
-	forks   qsort.ForkPool[T] // the tasks of every quicksort, samplesort bucket and fallback
+	s      *Scheduler
+	owned  bool // whether Close shuts the scheduler down
+	m      runtimeMetrics
+	groups sync.Pool         // of drained *core.Group: one per request in flight
+	ops    sync.Pool         // of unbound *query.Op[T]: one per analytics request in flight
+	forks  qsort.ForkPool[T] // every sort's tasks and scratch: quicksorts, samplesort steps and buckets, fallbacks
 }
 
 // family indexes the request families of runtimeMetrics: the four sort
@@ -149,11 +148,11 @@ func (m *runtimeMetrics) end(l *load, shard int, t0 time.Time) {
 // canceled costs nothing: BindContext is then a no-op and starts no watcher
 // goroutine; otherwise stop returns only once the watcher has exited, so no
 // late cancel reaches the group's next request.
-// held lists what body borrowed: its sorts' scratch buffers, an analytics
-// request's Op. They and the group go back to their pools after any drain,
-// a canceled group's included (WaitErr waits out its started tasks), but
-// not after a shutdown that let WaitErr return over tasks in flight: those
-// are left to the collector.
+// held lists what body borrowed: its merge sorts' scratch buffers, an
+// analytics request's Op. They and the group go back to their pools after
+// any drain, a canceled group's included (WaitErr waits out its started
+// tasks), but not after a shutdown that let WaitErr return over tasks in
+// flight: those are left to the collector.
 func (r *Runtime[T]) request(ctx context.Context, l load, held *loans[T], body func(g *core.Group) error) error {
 	shard, t0 := r.m.begin(&l, r.s.P())
 	g, _ := r.groups.Get().(*core.Group)
@@ -168,7 +167,7 @@ func (r *Runtime[T]) request(ctx context.Context, l load, held *loans[T], body f
 	stop()
 	if g.Pending() == 0 {
 		for _, b := range held.bufs {
-			r.scratch.Put(b)
+			r.forks.Return(b)
 		}
 		if held.op != nil {
 			held.op.Unbind()
@@ -185,24 +184,8 @@ func (r *Runtime[T]) request(ctx context.Context, l load, held *loans[T], body f
 
 // loans lists what one request has borrowed from the Runtime's pools.
 type loans[T Ordered] struct {
-	bufs []*[]T       // scratch of the request's sorts
+	bufs [][]T        // scratch of the request's merge sorts
 	op   *query.Op[T] // the task of an analytics request
-}
-
-// borrow returns n elements of pooled scratch for one sort of a request,
-// noted in held (nothing for n = 0); a pooled buffer too short for it is
-// dropped for a fresh one.
-func (r *Runtime[T]) borrow(n int, held *loans[T]) []T {
-	if n == 0 {
-		return nil
-	}
-	b, _ := r.scratch.Get().(*[]T)
-	if b == nil || len(*b) < n {
-		s := make([]T, n)
-		b = &s
-	}
-	held.bufs = append(held.bufs, b)
-	return (*b)[:n]
 }
 
 // Metrics returns the Runtime's metrics registry: the underlying
@@ -311,23 +294,25 @@ func (r *Runtime[T]) SortForkJoin(data []T) {
 }
 
 // SortSamplesort sorts data with the mixed-mode parallel samplesort as an
-// independent group on the shared scheduler. A request large enough to form
-// a team scatters through len(data) elements of scratch, pooled by the
-// Runtime across requests: once warm it allocates no buffer per call.
+// independent group on the shared scheduler. Each team step scatters through
+// scratch from the Runtime's pool, held from its sample to its copy-back
+// only, so P workers hold at most P/2 buffers at once whatever the number of
+// requests in flight; once warm a call allocates no buffer and no step state.
 func (r *Runtime[T]) SortSamplesort(data []T, opt SSOptions) {
 	r.sortOne(SortRequest[T]{Data: data, Algo: AlgoSamplesort}, BatchOptions{SS: opt})
 }
 
 // SortMergeMixedMode sorts data with the mixed-mode parallel merge sort as
 // an independent group on the shared scheduler, merging between data and a
-// scratch buffer of len(data) from the same pool as SortSamplesort's.
+// scratch buffer of len(data) from the same pool as SortSamplesort's, held
+// until the request's group has drained.
 func (r *Runtime[T]) SortMergeMixedMode(data []T, opt MSOptions) {
 	r.sortOne(SortRequest[T]{Data: data, Algo: AlgoMergeMixedMode}, BatchOptions{MS: opt})
 }
 
 // sortOne runs one sort as its own request, like single with no error result.
-// The root is built inside it: drawing (on a cold pool, allocating) its
-// scratch is latency the caller sees.
+// The root is built inside it: drawing (on a cold pool, allocating) its task
+// and a merge sort's scratch is latency the caller sees.
 func (r *Runtime[T]) sortOne(rq SortRequest[T], opt BatchOptions) {
 	var l load
 	l[rq.Algo.family()] = 1
@@ -337,16 +322,18 @@ func (r *Runtime[T]) sortOne(rq SortRequest[T], opt BatchOptions) {
 
 // root maps the public SortAlgo vocabulary to the root task of one sort
 // request (nil when there is nothing to sort); an unknown SortAlgo sorts
-// like the zero value. The out-of-place sorts borrow their scratch (held).
+// like the zero value. The merge sort borrows its scratch for the request
+// (held); the samplesort's team steps borrow theirs as they run.
 func (r *Runtime[T]) root(rq SortRequest[T], opt BatchOptions, held *loans[T]) core.Task {
 	switch rq.Algo {
 	case AlgoForkJoin:
 		return qsort.ForkJoinRoot(&r.forks, rq.Data, opt.Cutoff)
 	case AlgoSamplesort:
-		maxTeam := r.s.MaxTeam()
-		return ssort.Root(&r.forks, maxTeam, rq.Data, r.borrow(ssort.ScratchLen(maxTeam, len(rq.Data), opt.SS), held), opt.SS)
+		return ssort.Root(&r.forks, r.s.MaxTeam(), rq.Data, opt.SS)
 	case AlgoMergeMixedMode:
-		return msort.Root(rq.Data, r.borrow(len(rq.Data), held), opt.MS)
+		b := r.forks.Borrow(len(rq.Data))
+		held.bufs = append(held.bufs, b)
+		return msort.Root(rq.Data, b, opt.MS)
 	default:
 		return qsort.MixedModeRoot(&r.forks, r.s.MaxTeam(), rq.Data, opt.MM)
 	}
@@ -419,8 +406,9 @@ func (r *Runtime[T]) SortMany(reqs []SortRequest[T], opt BatchOptions) {
 // be treated as garbage by the caller. A nil error means every request was
 // fully sorted. Abandoned batches still observe their (truncated) latency
 // in the runtime metrics. A batch with nothing to sort still honors an
-// already-dead context, with the same typed errors. Each AlgoSamplesort or
-// AlgoMergeMixedMode request holds pooled scratch until the group has drained.
+// already-dead context, with the same typed errors. Each AlgoMergeMixedMode
+// request holds pooled scratch until the group has drained; an
+// AlgoSamplesort request's team steps hold theirs only while they run.
 func (r *Runtime[T]) SortManyCtx(ctx context.Context, reqs []SortRequest[T], opt BatchOptions) error {
 	ts := make([]core.Task, 0, len(reqs))
 	var l load

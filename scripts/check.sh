@@ -128,12 +128,13 @@ go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Deadline|BindC
 # to back on the same state, so a missing trailing barrier is a data race.
 # The samplesort's team step syncs on as few barriers (par.Hist.Cursors needs
 # none), so its odd-team and all-kinds tests run under the same pass, and so
-# does the Runtime's concurrent analytics test: its clients' requests pass
-# pooled query.Ops, team state and all, from one client and shape to the next.
-echo "check: go test -race -count=5 -run CollectiveReuse (par, query), SortOddTeamAndRecursion|SortAllKinds (ssort), RuntimeAnalyticsConcurrent (root)"
+# do the Runtime's concurrent analytics and samplesort tests: their clients'
+# requests pass pooled query.Ops and recycled samplesort team steps, state
+# and scratch and all, from one client and shape to the next.
+echo "check: go test -race -count=5 -run CollectiveReuse (par, query), SortOddTeamAndRecursion|SortAllKinds (ssort), RuntimeAnalyticsConcurrent|SamplesortScratchIsPooled (root)"
 go test -race -count=5 -run CollectiveReuse ./internal/par ./internal/query
 go test -race -count=5 -run 'TestSortOddTeamAndRecursion|TestSortAllKinds' ./internal/ssort
-go test -race -count=5 -run TestRuntimeAnalyticsConcurrent .
+go test -race -count=5 -run 'TestRuntimeAnalyticsConcurrent|TestSamplesortScratchIsPooled' .
 
 # The deque owner's plain slot store is race-free only because it turns
 # atomic while a thief is in flight; this test wraps a ring under thieves,
