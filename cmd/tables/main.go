@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -92,12 +93,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "note: p=%d exceeds %d CPUs; running oversubscribed\n",
 				cfg.P, runtime.NumCPU())
 		}
-		progress := os.Stderr
+		var progress io.Writer = os.Stderr
 		if *quiet {
-			progress = nil
+			progress = io.Discard
 		}
-		var pw = progressWriter(progress)
-		res, err := harness.Run(cfg, pw)
+		res, err := harness.Run(cfg, progress)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -114,14 +114,3 @@ func main() {
 		}
 	}
 }
-
-func progressWriter(f *os.File) interface{ Write([]byte) (int, error) } {
-	if f == nil {
-		return discard{}
-	}
-	return f
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }

@@ -19,7 +19,7 @@ import (
 // ever reach the worker deques: Options.MaxPendingPerGroup caps one source's
 // admitted-but-not-yet-started tasks, Options.MaxInject caps the total
 // across all sources. Both kinds of submission go through one function,
-// admitNodes: blocking ones (Group.Spawn, SpawnBatch) park on a condition
+// admitTasks: blocking ones (Group.Spawn, SpawnBatch) park on a condition
 // variable until room frees up, the group is canceled or the scheduler
 // shuts down; non-blocking ones (TrySpawn, TrySpawnBatch) return
 // ErrSaturated instead. Interior spawns (Ctx.Spawn) are never throttled:
@@ -40,36 +40,51 @@ var (
 // leaving the rotation is O(1) however many clients submit concurrently).
 // All fields are guarded by Scheduler.admitMu.
 type injectQ struct {
-	ns         []*node
-	head       int      // ns[head:] are pending; ns[:head] already taken
+	es         []entry
+	head       int      // es[head:] are pending; es[:head] already taken
 	active     bool     // linked into the scheduler's round-robin ring
 	next, prev *injectQ // ring links while active
 }
 
-func (q *injectQ) pending() int { return len(q.ns) - q.head }
+// entry is one admitted external task. It has no node: a client goroutine
+// owns no node free list, so the worker that takes a live entry wraps it in
+// a node of its own. r caches Threads(); tid is the trace id of the enqueue
+// event; enq is the admission time (trace.Now) the admission-wait histogram
+// reads at take time; a take revokes the entry instead of running it when
+// gepoch, the group's cancellation epoch at admission, has gone stale.
+type entry struct {
+	task   Task
+	r      int
+	group  *Group
+	tid    uint64
+	enq    int64
+	gepoch uint64
+}
 
-func (q *injectQ) push(n *node) { q.ns = append(q.ns, n) }
+func (q *injectQ) pending() int { return len(q.es) - q.head }
 
-func (q *injectQ) pop() *node {
-	n := q.ns[q.head]
-	q.ns[q.head] = nil // drop the reference; the node may live long
+func (q *injectQ) push(e entry) { q.es = append(q.es, e) }
+
+func (q *injectQ) pop() entry {
+	e := q.es[q.head]
+	q.es[q.head] = entry{} // drop the references; the slot may live long
 	q.head++
 	switch {
-	case q.head == len(q.ns):
-		q.ns = q.ns[:0] // empty: reuse the backing array from the start
+	case q.head == len(q.es):
+		q.es = q.es[:0] // empty: reuse the backing array from the start
 		q.head = 0
-	case q.head >= 64 && q.head*2 >= len(q.ns):
+	case q.head >= 64 && q.head*2 >= len(q.es):
 		// Compact once the consumed prefix dominates: a queue that
 		// oscillates without ever fully draining (a steadily-refilled group
 		// in a long-lived server) would otherwise grow its backing array by
 		// one retired slot per task ever admitted.
-		q.ns = q.ns[:copy(q.ns, q.ns[q.head:])]
+		q.es = q.es[:copy(q.es, q.es[q.head:])]
 		q.head = 0
 	}
-	return n
+	return e
 }
 
-// admitRoom returns how many more nodes q may accept under the configured
+// admitRoom returns how many more tasks q may accept under the configured
 // bounds, at most want. Caller holds admitMu.
 func (s *Scheduler) admitRoom(q *injectQ, want int) int {
 	if m := s.opts.MaxInject; m > 0 {
@@ -88,41 +103,50 @@ func (s *Scheduler) admitRoom(q *injectQ, want int) int {
 	return want
 }
 
-// enqueueLocked accounts ns in-flight on g and appends them to g's inject
-// queue, activating it in the round-robin ring if it was empty. Accounting
-// happens here — at the moment of admission, before any worker can observe
-// the nodes — so neither Wait can see a transient zero while an admitted
-// task tree is still growing, and a never-admitted node (shutdown,
-// ErrSaturated) never inflates the in-flight count. An admission that finds
-// the group at zero also puts it into the busy set, again before the
-// nodes are visible. Once they are, one parked worker is woken (any: the
-// inject queues are global); a taker that leaves nodes behind passes the
-// wake on. Caller holds admitMu.
-func (s *Scheduler) enqueueLocked(g *Group, ns []*node) {
+// enqueueLocked admits the first k non-nil tasks of ts into g and returns
+// how many elements of ts it consumed, the nil tasks among and right after
+// them included: it accounts them in-flight on g and appends their entries
+// to g's inject queue, activating it in the round-robin ring if it was
+// empty. Accounting happens here — at the moment
+// of admission, before any worker can observe the entries — so neither Wait
+// can see a transient zero while an admitted task tree is still growing, and
+// a never-admitted task (shutdown, ErrSaturated) never inflates the
+// in-flight count. An admission that finds the group at zero also puts it
+// into the busy set, again before the entries are visible. Once they are,
+// one parked worker is woken (any: the inject queues are global); a taker
+// that leaves entries behind passes the wake on. Caller holds admitMu.
+func (s *Scheduler) enqueueLocked(g *Group, ts []Task, k int) int {
 	q := &g.iq
-	if k := int64(len(ns)); g.inflight.Add(k) == k {
+	if g.inflight.Add(int64(k)) == int64(k) {
 		s.markBusy(g)
 	}
+	p := s.pendingInject.Add(int64(k))
+	s.admit[stats.Injected].Add(int64(k))
+	if p > s.admit[stats.PeakPending].Load() {
+		s.admit[stats.PeakPending].Store(p)
+	}
 	// Stamp the group's cancellation epoch once per batch: a later Cancel
-	// bumps the epoch under this same lock, so a take that finds a node's
-	// stamp stale knows the node predates the cancel and revokes it (see
+	// bumps the epoch under this same lock, so a take that finds an entry's
+	// stamp stale knows the entry predates the cancel and revokes it (see
 	// cancel.go and takeInjected).
-	gepoch := g.epoch.Load()
+	e := entry{group: g, gepoch: g.epoch.Load()}
 	// Stamp the admission time once per batch: the admission-wait histogram
 	// (always on) measures enqueue→take, and the tracer — when enabled —
 	// records the enqueue on the admission ring (ring P, owned by the admitMu
 	// holder, so its writes are serialized like a worker's own).
-	now := trace.Now()
-	gid := uint32(g.gid)
+	e.enq = trace.Now()
 	xt := s.xt
 	traced := xt.Enabled()
-	for _, n := range ns {
-		n.enq = now
-		n.gepoch = gepoch
-		if traced {
-			n.tid = xt.Record(s.topo.P, trace.EvInjectEnqueue, 0, gid, 0)
+	i := 0
+	for ; i < len(ts) && (k > 0 || ts[i] == nil); i++ {
+		if t := ts[i]; t != nil {
+			e.task, e.r = t, t.Threads()
+			if traced {
+				e.tid = xt.Record(s.topo.P, trace.EvInjectEnqueue, 0, uint32(g.gid), 0)
+			}
+			q.push(e)
+			k--
 		}
-		q.push(n)
 	}
 	if !q.active {
 		q.active = true
@@ -139,26 +163,35 @@ func (s *Scheduler) enqueueLocked(g *Group, ns []*node) {
 		}
 		s.ringLen++
 	}
-	p := s.pendingInject.Add(int64(len(ns)))
-	s.admit[stats.Injected].Add(int64(len(ns)))
-	if p > s.admit[stats.PeakPending].Load() {
-		s.admit[stats.PeakPending].Store(p)
-	}
 	if s.park.n.Load() != 0 {
 		s.wakeForInject(nil)
 	}
+	return i
 }
 
-// admitNodes admits the nodes of ns into g in submission order and returns
-// how many it admitted, plus the typed reason it stopped early: ErrShutdown
-// on a shut-down scheduler, or g's cancellation cause once the group is
-// canceled. When the bounds leave no room, a blocking call (Spawn,
-// SpawnBatch) parks until they do — a batch larger than a bound is admitted
-// in chunks — and wakes on shutdown or cancel (Group.cancel broadcasts)
-// instead of blocking forever; a non-blocking one (TrySpawn, TrySpawnBatch)
-// keeps the longest prefix that fitted and returns ErrSaturated. The
-// not-yet-admitted remainder is dropped without having been accounted.
-func (s *Scheduler) admitNodes(g *Group, ns []*node, block bool) (int, error) {
+// admitTasks admits the tasks of ts into g in submission order and returns
+// how many elements of ts it got through, plus the typed reason it stopped
+// early: ErrShutdown on a shut-down scheduler, or g's cancellation cause. A
+// nil task is the empty computation: skipped, never accounted. Every thread
+// requirement is validated before admitMu is taken, so a panic leaves
+// nothing accounted and no lock held. When the bounds leave no room, a
+// blocking call (Spawn, SpawnBatch) parks until they do — a batch larger
+// than a bound is admitted in chunks — and wakes on shutdown or cancel
+// (Group.cancel broadcasts) instead of blocking forever; a non-blocking one
+// (TrySpawn, TrySpawnBatch) keeps the longest prefix that fitted and returns
+// ErrSaturated. The not-yet-admitted remainder is dropped without having
+// been accounted.
+func (s *Scheduler) admitTasks(g *Group, ts []Task, block bool) (int, error) {
+	left := 0 // tasks of ts not admitted yet
+	for _, t := range ts {
+		if t != nil {
+			s.validateReq(t.Threads())
+			left++
+		}
+	}
+	if left == 0 {
+		return len(ts), nil
+	}
 	if f := s.opts.Fault; f != nil {
 		f(FaultAdmit, -1)
 	}
@@ -173,19 +206,19 @@ func (s *Scheduler) admitNodes(g *Group, ns []*node, block bool) (int, error) {
 		}
 		if g.epoch.Load()&1 == 1 {
 			err = g.cause // safe: odd epoch observed under admitMu, cause written before the bump
-			s.admit[stats.Rejected].Add(int64(len(ns) - admitted))
+			s.admit[stats.Rejected].Add(int64(left))
 			break
 		}
-		if k := s.admitRoom(&g.iq, len(ns)-admitted); k > 0 {
-			s.enqueueLocked(g, ns[admitted:admitted+k])
-			admitted += k
+		if k := s.admitRoom(&g.iq, left); k > 0 {
+			admitted += s.enqueueLocked(g, ts[admitted:], k)
+			left -= k
 		}
-		if admitted == len(ns) {
+		if left == 0 {
 			break
 		}
 		if !block {
 			err = ErrSaturated
-			s.admit[stats.Rejected].Add(int64(len(ns) - admitted))
+			s.admit[stats.Rejected].Add(int64(left))
 			break
 		}
 		if !blocked {
@@ -200,26 +233,24 @@ func (s *Scheduler) admitNodes(g *Group, ns []*node, block bool) (int, error) {
 	if block && errors.Is(err, ErrDeadlineExceeded) {
 		s.admit[stats.SpawnTimeouts].Add(1)
 	}
-	for _, n := range ns[admitted:] {
-		putNodeShared(n) // refused: never accounted, never published
-	}
 	return admitted, err
 }
 
 // takeInjected moves one externally submitted task into w's queues, serving
-// the per-source inject queues round-robin: one node from the current ring
-// position, then advance. A drained queue leaves the ring (and re-enters at
+// the per-source inject queues round-robin: one entry from the current ring
+// position, then advance. A live entry is wrapped in a node from w's own
+// free list. A drained queue leaves the ring (and re-enters at
 // the back on its next admission), so sources that keep refilling rotate
 // fairly. Freed room wakes parked blocking spawners.
 //
-// Revocation happens here, at take time: a node whose epoch stamp no longer
+// Revocation happens here, at take time: an entry whose epoch stamp no longer
 // matches its group's cancellation epoch was admitted before the group was
-// canceled, so it is recycled without executing — an instant completion on
-// its group's count (finishRevoke) — and the loop tries the next node. The
+// canceled, so it completes without executing — an instant completion on
+// its group's count (finishRevoke) — and the loop tries the next entry. The
 // live case costs one predicted load and compare; the interior spawn path
 // (Ctx.Spawn) is untouched.
 //
-// The taker runs the node itself on its next coordinate() pass, so the push
+// The taker runs the task itself on its next coordinate() pass, so the push
 // wakes nobody, with one exception: a team task whose block does not fit the
 // taker (Refinement 3) can only be run by a thief. A take that leaves
 // injections pending passes the admission's wake on.
@@ -256,7 +287,7 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 		if m := s.opts.MaxPendingPerGroup; m > 0 && q.pending() == m {
 			wake = true
 		}
-		n := q.pop()
+		e := q.pop()
 		if q.pending() == 0 {
 			q.active = false
 			if q.next == q {
@@ -271,9 +302,9 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 			s.ringHead = q.next // rotate: next source serves the next take
 		}
 		s.pendingInject.Add(-1)
-		g := n.group
+		g := e.group
 		// Under admitMu, so ordered with Group.cancel's epoch bump.
-		revoked := n.gepoch != g.epoch.Load()
+		revoked := e.gepoch != g.epoch.Load()
 		if revoked {
 			s.admit[stats.Revoked].Add(1)
 		} else {
@@ -284,16 +315,18 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 		}
 		s.admitMu.Unlock()
 		if revoked {
-			s.finishRevoke(w, n, g)
-			continue // a live node may sit right behind the revoked one
+			s.finishRevoke(w, e)
+			continue // a live entry may sit right behind the revoked one
 		}
 		// Scheduler-owned admission latency: every take feeds the histogram,
 		// so the inject-to-take wait is observable without client cooperation.
-		s.admitWait.Observe(w.id, float64(trace.Now()-n.enq)/1e9)
+		s.admitWait.Observe(w.id, float64(trace.Now()-e.enq)/1e9)
 		if xt := s.xt; xt.Enabled() {
-			xt.Record(w.id, trace.EvInjectTake, s.topo.P, uint32(g.gid), n.tid)
+			xt.Record(w.id, trace.EvInjectTake, s.topo.P, uint32(g.gid), e.tid)
 		}
 		w.st[stats.InjectTakes].Add(1)
+		n := w.getNode()
+		n.task, n.r, n.group, n.tid = e.task, e.r, g, e.tid
 		j := topo.Level(n.r)
 		w.queues[j].PushBottom(n)
 		w.stopSearching()
@@ -310,17 +343,15 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 }
 
 // finishRevoke completes a take-time revocation off the admission lock: the
-// node never executes, so it is an instant completion on its group's count
-// (taskDone, with the usual zero-transition release) and is recycled on the
-// revoking worker's free list. Each admitted node is revoked at most once
-// (it was popped from its inject queue under admitMu), so Wait still
-// releases exactly once.
-func (s *Scheduler) finishRevoke(w *worker, n *node, g *Group) {
+// task never executes, so it is an instant completion on its group's count
+// (taskDone, with the usual zero-transition release). Each admitted entry is
+// revoked at most once (it was popped from its inject queue under admitMu),
+// so Wait still releases exactly once.
+func (s *Scheduler) finishRevoke(w *worker, e entry) {
 	if xt := s.xt; xt.Enabled() {
-		xt.Record(w.id, trace.EvInjectRevoke, s.topo.P, uint32(g.gid), n.tid)
+		xt.Record(w.id, trace.EvInjectRevoke, s.topo.P, uint32(e.group.gid), e.tid)
 	}
-	w.freeNode(n)
-	w.taskDone(g)
+	w.taskDone(e.group)
 }
 
 // PendingInjected returns the number of admitted external tasks no worker

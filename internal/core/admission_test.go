@@ -118,7 +118,7 @@ func TestWBInjectQueueCompacts(t *testing.T) {
 		}
 		w.queues[0].PopBottom() // keep the worker queue flat
 	}
-	if c := cap(g.iq.ns); c > 4096 {
+	if c := cap(g.iq.es); c > 4096 {
 		t.Fatalf("inject queue backing array grew to cap %d despite compaction", c)
 	}
 	if p := g.iq.pending(); p != 1 {

@@ -15,11 +15,11 @@ import (
 // workers burn CPU on answers nobody reads. A deadline is a context's:
 // BindContext(context.WithDeadline(…)) is the one way to give a group one.
 //
-// The mechanism is a per-group cancellation epoch. Every node admitted
+// The mechanism is a per-group cancellation epoch. Every entry admitted
 // through the inject path is stamped with its group's epoch at admission
 // time (enqueueLocked); Cancel bumps the epoch under the admission lock, so
-// a take that observes a stale stamp knows the node was admitted before the
-// cancel and revokes it: the node is recycled without ever executing — an
+// a take that observes a stale stamp knows the entry was admitted before the
+// cancel and revokes it: the task completes without ever executing — an
 // instant completion on its group's in-flight count (see finishRevoke in
 // admission.go). Already-running tasks are not interrupted —
 // Go cannot preempt a task safely — but observe Ctx.Canceled cooperatively
@@ -76,10 +76,10 @@ func (g *Group) cancel(cause error, kind trace.Kind) bool {
 	g.cause = cause
 	s := g.s
 	s.admitMu.Lock()
-	// Bump under admitMu: admission (enqueueLocked) stamps node epochs and
-	// takeInjected compares them under the same lock, so every node is
+	// Bump under admitMu: admission (enqueueLocked) stamps entry epochs and
+	// takeInjected compares them under the same lock, so every entry is
 	// either stamped before the cancel (and revoked at take) or refused
-	// after it — no admit/cancel race can leak an unrevokable node.
+	// after it — no admit/cancel race can leak an unrevokable entry.
 	g.epoch.Add(1)
 	s.admit[stats.Canceled].Add(1)
 	if xt := s.xt; xt.Enabled() {
@@ -99,10 +99,11 @@ func (g *Group) cancel(cause error, kind trace.Kind) bool {
 // ErrDeadlineExceeded respectively, traced as EvGroupCancel or
 // EvDeadlineFire. It is the group's only deadline. It returns a stop
 // function releasing the watcher goroutine; call it (idempotent) once the
-// group's work is done. Once stop has returned the watcher has exited, so
-// no cancel from ctx reaches the group any more — in particular none
-// reaches its next era after a Reset. A context that can never be canceled
-// costs nothing.
+// group's work is done. The watcher ends only on ctx or on stop — Shutdown
+// does not end it — so a binding that is never stopped lives as long as
+// ctx. Once stop has returned the watcher has exited, so no cancel from ctx
+// reaches the group any more — in particular none reaches its next era after
+// a Reset. A context that can never be canceled costs nothing.
 func (g *Group) BindContext(ctx context.Context) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
@@ -132,7 +133,6 @@ func (b *binding) watch() {
 	case <-b.ctx.Done():
 		b.g.cancelFrom(b.ctx.Err())
 	case <-b.stopCh:
-	case <-b.g.s.doneCh:
 	}
 }
 

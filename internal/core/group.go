@@ -61,8 +61,8 @@ type Group struct {
 
 	// epoch is the group's cancellation epoch: even while live, odd once
 	// canceled (see cancel.go). It is bumped only under s.admitMu — the lock
-	// admission and take already hold — so a node's stamp at admission
-	// (node.gepoch) and the comparison at take time observe a cancel
+	// admission and take already hold — so an entry's stamp at admission
+	// (entry.gepoch) and the comparison at take time observe a cancel
 	// atomically with the queue state. It is an atomic.Uint64 so that every
 	// access, locked or not, goes through Load/Add: the compiler rejects a
 	// plain read. On amd64 Load is the same plain MOV.
@@ -105,10 +105,7 @@ func (g *Group) Scheduler() *Scheduler { return g.s }
 // returns for nothing to do, e.g. a sort of fewer than two elements): it is
 // already quiescent, so Spawn returns nil without admitting anything.
 func (g *Group) Spawn(t Task) error {
-	if t == nil {
-		return nil
-	}
-	_, err := g.s.admitNodes(g, []*node{g.s.makeNode(t, g)}, true)
+	_, err := g.s.admitTasks(g, []Task{t}, true)
 	return err
 }
 
@@ -120,16 +117,10 @@ func (g *Group) Spawn(t Task) error {
 // FIFO chunks as room frees up (blocking in between); on shutdown or group
 // cancellation the unadmitted remainder is dropped and SpawnBatch returns
 // the typed reason like Spawn (the already-admitted prefix stays admitted —
-// on a canceled group it is revoked at take time like any other node).
+// on a canceled group it is revoked at take time like any other task). Nil
+// tasks are skipped; a batch of nothing else returns nil at once.
 func (g *Group) SpawnBatch(ts []Task) error {
-	if len(ts) == 0 {
-		return nil
-	}
-	ns := make([]*node, len(ts))
-	for i, t := range ts {
-		ns[i] = g.s.makeNode(t, g)
-	}
-	_, err := g.s.admitNodes(g, ns, true)
+	_, err := g.s.admitTasks(g, ts, true)
 	return err
 }
 
@@ -138,9 +129,9 @@ func (g *Group) SpawnBatch(ts []Task) error {
 // dropped, nothing accounted) when they do not, ErrShutdown on a shut-down
 // scheduler, or the cancellation cause on a canceled group. It is the safe
 // way to submit from latency-sensitive clients and from inside running
-// tasks.
+// tasks. A nil t is the empty computation, as for Spawn: TrySpawn returns nil.
 func (g *Group) TrySpawn(t Task) error {
-	_, err := g.s.admitNodes(g, []*node{g.s.makeNode(t, g)}, false)
+	_, err := g.s.admitTasks(g, []Task{t}, false)
 	return err
 }
 
@@ -150,18 +141,12 @@ func (g *Group) TrySpawn(t Task) error {
 // the returned count k means ts[:k] were admitted and ts[k:] were not — and
 // returns ErrSaturated if any task was refused. On a shut-down scheduler it
 // returns (0, ErrShutdown); on a canceled group (0, cause). Refused tasks
-// are dropped without being accounted (their wrapper nodes are recycled);
-// the caller may resubmit ts[k:] later. The whole batch is validated up
-// front, like SpawnBatch.
+// are dropped without being accounted; the caller may resubmit ts[k:] later.
+// The whole batch is validated up front, like SpawnBatch. Nil tasks are
+// skipped but still counted in k, so k indexes ts; a batch of nothing else
+// returns (len(ts), nil).
 func (g *Group) TrySpawnBatch(ts []Task) (int, error) {
-	if len(ts) == 0 {
-		return 0, nil
-	}
-	ns := make([]*node, len(ts))
-	for i, t := range ts {
-		ns[i] = g.s.makeNode(t, g)
-	}
-	return g.s.admitNodes(g, ns, false)
+	return g.s.admitTasks(g, ts, false)
 }
 
 // Wait blocks until the group is quiescent: every task spawned into it (and
@@ -174,7 +159,7 @@ func (g *Group) TrySpawnBatch(ts []Task) (int, error) {
 // returns early — the tasks are abandoned (see Scheduler.Shutdown) and would
 // never drain. On a canceled group Wait still waits for the true drain:
 // started tasks run to completion (observing Ctx.Canceled) and never-started
-// nodes are revoked by workers at take time, each releasing the in-flight
+// tasks are revoked by workers at take time, each releasing the in-flight
 // count exactly once — use WaitErr to learn how the group ended.
 func (g *Group) Wait() {
 	for !g.quiescent() {

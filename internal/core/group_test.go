@@ -313,6 +313,48 @@ func TestNilTaskIsTheEmptyComputation(t *testing.T) {
 	}
 }
 
+// TestNilTaskInEverySpawnForm: nil is the empty computation in all four
+// spawn forms — not admitted, not accounted, no panic — and a batch's nil
+// tasks take no admission room and still count in TrySpawnBatch's k, so k
+// indexes ts. MaxInject 1 on a scheduler with no running workers makes the
+// second live task of a batch the first refused one.
+func TestNilTaskInEverySpawnForm(t *testing.T) {
+	solo := Solo(func(*Ctx) {})
+	for _, c := range []struct {
+		name     string
+		spawn    func(g *Group) (int, error)
+		wantK    int // TrySpawnBatch's count; 0 for the other forms
+		wantErr  error
+		admitted int64
+	}{
+		{"Spawn", func(g *Group) (int, error) { return 0, g.Spawn(nil) }, 0, nil, 0},
+		{"TrySpawn", func(g *Group) (int, error) { return 0, g.TrySpawn(nil) }, 0, nil, 0},
+		{"SpawnBatch", func(g *Group) (int, error) { return 0, g.SpawnBatch([]Task{nil, solo, nil}) }, 0, nil, 1},
+		{"TrySpawnBatch", func(g *Group) (int, error) { return g.TrySpawnBatch([]Task{nil, solo, nil, solo, nil}) }, 3, ErrSaturated, 1},
+		{"TrySpawnBatch of nils", func(g *Group) (int, error) { return g.TrySpawnBatch([]Task{nil, nil}) }, 2, nil, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			s := build(Options{P: 1, MaxInject: 1})
+			g := s.NewGroup()
+			k, err := c.spawn(g)
+			if k != c.wantK || err != c.wantErr {
+				t.Fatalf("got (%d, %v), want (%d, %v)", k, err, c.wantK, c.wantErr)
+			}
+			if n := s.Admission()[stats.Injected]; n != c.admitted {
+				t.Fatalf("Injected = %d, want %d", n, c.admitted)
+			}
+			if g.Pending() != c.admitted || int64(g.PendingInjected()) != c.admitted {
+				t.Fatalf("accounted: pending %d, queued %d; want %d", g.Pending(), g.PendingInjected(), c.admitted)
+			}
+		})
+	}
+}
+
 // TestGroupReuseRace cycles four groups, one per client goroutine, through
 // Reset → Spawn(tree) → WaitErr with tracing on — the lifecycle of a pooled
 // Runtime request. The worker whose decrement drains a group races the

@@ -10,9 +10,10 @@ import "sync"
 // Nodes are instead recycled: the worker that completes a task puts the node
 // on its own free list (owner-only, no synchronization), and the next
 // spawn pops it back off. The list is bounded; overflow spills in batches to
-// a shared sync.Pool, which also feeds the external submission path
-// (admission happens on client goroutines that own no free list) and
-// rebalances when spawner and runner are persistently different workers.
+// a shared sync.Pool, which rebalances when spawner and runner are
+// persistently different workers. Nodes come only from the workers' lists:
+// an external submission is queued as a plain entry (admission.go) and the
+// worker that takes it wraps it in a node of its own.
 //
 // Recycling is safe against stale deque references: a Chase–Lev slot
 // retains a pointer to a popped node until the ring wraps around, but
@@ -102,17 +103,4 @@ func (w *worker) putCtx(c *Ctx) {
 	if len(w.ctxFree) < ctxFreeCap {
 		w.ctxFree = append(w.ctxFree, c) //repro:allow capacity-bounded by ctxFreeCap; grows only until warm
 	}
-}
-
-// getNodeShared returns a cleared node for the external submission path
-// (no worker identity available).
-func getNodeShared() *node {
-	return sharedNodes.Get().(*node)
-}
-
-// putNodeShared recycles a node that was never published to any queue
-// (rejected or dropped at admission).
-func putNodeShared(n *node) {
-	n.task, n.group, n.tid = nil, nil, 0
-	sharedNodes.Put(n)
 }

@@ -10,10 +10,10 @@ import (
 // This file is the event-driven half of the idle path. The paper's prototype
 // polls: an idle thread backs off with sleeps of up to 10 ms (§4). Here an
 // idle worker keeps the spin and yield rounds, then parks on its own wake
-// slot with no timer and stays there until a publisher wakes it (or
-// Shutdown closes doneCh). Every site that makes work visible wakes one
-// worker the topology says can use it; README.md (Parking and wake-up) has
-// the table of sites and the no-lost-wake-up argument.
+// slot with no timer and stays there until a publisher (or Shutdown) wakes
+// it. Every site that makes work visible wakes one worker the topology says
+// can use it; README.md (Parking and wake-up) has the table of sites and the
+// no-lost-wake-up argument.
 
 // parkState is the scheduler-wide summary of the parked set. The per-worker
 // slots (worker.slot announced as slotIdle) are the set itself — they work
@@ -98,11 +98,10 @@ func (w *worker) park() {
 	// and the re-check: its token is in the slot or on its way, and taking
 	// it here keeps the slot empty for the next park.
 	w.st[stats.Parks].Add(1)
-	if w.slot.Sleep(s.doneCh) {
-		// The waker counted w as a searcher when it claimed it.
-		w.searching = true
-		w.bo.Reset()
-	}
+	w.slot.Sleep()
+	// The waker counted w as a searcher when it claimed it.
+	w.searching = true
+	w.bo.Reset()
 }
 
 // workVisible is the sleeper's re-check: could a steal round started now
@@ -150,7 +149,20 @@ func (w *worker) canSteal(x *worker, j int) bool {
 //
 //repro:noalloc a wake-up sits on the spawner's and the barrier's path; the slot is pre-allocated, no timer, no channel per park
 func (s *Scheduler) wake(c *worker, src wakeSource, by *worker) bool {
-	tag := wakeSlot[src]
+	if !s.claim(c, wakeSlot[src]) {
+		return false
+	}
+	s.wakes[src].Add(1)
+	if by != nil {
+		by.st[stats.Wakes].Add(1)
+	}
+	c.slot.Signal()
+	return true
+}
+
+// claim takes c's announcement of a sleep of kind tag (the caller signals
+// c); a claimed idle park leaves the parked set and counts as a searcher.
+func (s *Scheduler) claim(c *worker, tag uint32) bool {
 	if !c.slot.Claim(tag) {
 		return false
 	}
@@ -158,11 +170,6 @@ func (s *Scheduler) wake(c *worker, src wakeSource, by *worker) bool {
 		s.park.n.Add(-1)
 		s.park.searching.Add(1) // c searches from now on; see parkState.searching
 	}
-	s.wakes[src].Add(1)
-	if by != nil {
-		by.st[stats.Wakes].Add(1)
-	}
-	c.slot.Signal()
 	return true
 }
 
@@ -210,7 +217,7 @@ func (w *worker) wakeThief(pub *worker, j int) {
 }
 
 // wakeForInject is called with injections pending and at least one worker
-// parked: by an admission (by == nil) and by a worker that took one node and
+// parked: by an admission (by == nil) and by a worker that took one entry and
 // left more. The inject queues are global, so any parked worker will do,
 // and a searching one stands in for the wake.
 func (s *Scheduler) wakeForInject(by *worker) {

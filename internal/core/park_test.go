@@ -229,7 +229,7 @@ func woken(t *testing.T, s *Scheduler) []int {
 	for _, w := range s.workers {
 		if fakeParked[w] && w.slot.Tag() == 0 {
 			delete(fakeParked, w)
-			runWithDeadline(t, s, 10*time.Second, func() { w.slot.Sleep(nil) })
+			runWithDeadline(t, s, 10*time.Second, func() { w.slot.Sleep() })
 			ids = append(ids, w.id)
 		}
 	}

@@ -92,10 +92,9 @@ type Scheduler struct {
 	busyMu sync.Mutex
 	busy   map[*Group]struct{}
 
-	gen    atomic.Uint64
-	done   atomic.Bool
-	doneCh chan struct{} // closed by Shutdown; wakes parked workers and context watchers
-	wg     sync.WaitGroup
+	gen  atomic.Uint64
+	done atomic.Bool
+	wg   sync.WaitGroup
 
 	// park summarizes the set of parked workers for the publishers and
 	// wakes counts the wake-ups sent, by source (park.go).
@@ -119,12 +118,12 @@ type Scheduler struct {
 	groupSeq atomic.Uint64
 
 	// admitWait is the scheduler-owned inject-to-take admission latency:
-	// nodes are stamped (trace.Now) at admission under admitMu and observed
+	// entries are stamped (trace.Now) at admission under admitMu and observed
 	// into the taking worker's shard at take time, rendered as the
 	// repro_admission_wait_seconds histogram.
 	admitWait *stats.Histogram
 
-	// pendingInject is the total of nodes across all inject queues. It is
+	// pendingInject is the total of entries across all inject queues. It is
 	// written under admitMu but read lock-free by takeInjected's empty fast
 	// path, so an idle worker's poll costs one atomic load instead of a
 	// global mutex acquisition.
@@ -167,10 +166,9 @@ func build(opts Options) *Scheduler {
 		panic(fmt.Sprintf("core: p = %d exceeds the 16-bit registration fields", opts.P))
 	}
 	s := &Scheduler{
-		opts:   opts,
-		topo:   topo.New(opts.P),
-		doneCh: make(chan struct{}),
-		born:   time.Now(),
+		opts: opts,
+		topo: topo.New(opts.P),
+		born: time.Now(),
 	}
 	s.admitCond = sync.NewCond(&s.admitMu)
 	s.busy = make(map[*Group]struct{})
@@ -218,7 +216,14 @@ func (s *Scheduler) Run(t Task) error {
 // and blocks until all worker goroutines have exited.
 func (s *Scheduler) Shutdown() {
 	if s.done.CompareAndSwap(false, true) {
-		close(s.doneCh)
+		// Wake the idle parks and the team waits: each announces and then
+		// re-checks done, so one that this loop misses does not sleep. A
+		// barrier is left alone: every participant must arrive.
+		for _, w := range s.workers {
+			if s.claim(w, slotIdle) || s.claim(w, slotTeamWait) {
+				w.slot.Signal()
+			}
+		}
 		s.admitMu.Lock()
 		s.admitCond.Broadcast()
 		// Wake the Waits: a waiter re-checks done under its gate's lock, so
@@ -272,7 +277,7 @@ func (s *Scheduler) Uptime() time.Duration { return time.Since(s.born) }
 // markBusy puts g into the busy set after an admission raised its in-flight
 // count from zero. Only admission does that (an interior spawn runs inside a
 // task that already holds a unit of its group), so callers hold admitMu, and
-// they call it before the admitted nodes become visible to any worker: a
+// they call it before the admitted entries become visible to any worker: a
 // published, uncompleted task always finds its group in the set.
 func (s *Scheduler) markBusy(g *Group) {
 	s.busyMu.Lock()
@@ -307,8 +312,8 @@ func (s *Scheduler) Pending() int64 {
 	return sum
 }
 
-// validateReq panics on an invalid thread requirement — before any node is
-// fetched or accounted, so a panicking spawn never leaks an inflight count.
+// validateReq panics on an invalid thread requirement — before any task is
+// accounted, so a panicking spawn never leaks an inflight count.
 func (s *Scheduler) validateReq(r int) {
 	if r < 1 {
 		panic(fmt.Sprintf("core: task thread requirement %d < 1", r))
@@ -319,20 +324,8 @@ func (s *Scheduler) validateReq(r int) {
 	}
 }
 
-// makeNode validates t's thread requirement and wraps it (recycling a
-// pooled node) for the external submission path, without accounting it
-// in-flight: external tasks are accounted at admission (enqueueLocked),
-// under admitMu.
-func (s *Scheduler) makeNode(t Task, g *Group) *node {
-	r := t.Threads()
-	s.validateReq(r)
-	n := getNodeShared()
-	n.task, n.r, n.group = t, r, g
-	return n
-}
-
 // taskDone reports one completion on g's in-flight count — a detached or
-// admitted task that finished, or an admitted node that was revoked. A
+// admitted task that finished, or an admitted entry that was revoked. A
 // task's detached children are accounted before its own completion is
 // reported and its joined children have completed before it returns, so a
 // count of zero means the whole tree is done: the zero transition wakes the

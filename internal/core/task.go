@@ -53,20 +53,15 @@ type Task interface {
 // TaskGroup.Spawn completes on; it is nil for every other task, which
 // completes on group instead — a node has exactly one completion target.
 // tid is the trace id of the event that created the task (0 while tracing is
-// off); enq is the admission timestamp (trace.Now) of externally submitted
-// tasks, consumed by the scheduler's admission-wait histogram at take time.
-// gepoch is the group's cancellation epoch observed at admission
-// (enqueueLocked, under admitMu); takeInjected revokes the node instead of
-// running it when the stamp has gone stale (see cancel.go). Interior spawns
-// never read it.
+// off). Every node comes from a worker's free list (nodepool.go): an
+// externally submitted task waits in its inject queue as an entry and gets
+// its node from the worker that takes it (takeInjected).
 type node struct {
-	task   Task
-	r      int
-	group  *Group
-	join   *TaskGroup
-	tid    uint64
-	enq    int64
-	gepoch uint64
+	task  Task
+	r     int
+	group *Group
+	join  *TaskGroup
+	tid   uint64
 }
 
 // funcTask adapts a function to the Task interface.

@@ -25,8 +25,8 @@ func (w *worker) teamPark(tag uint32) {
 }
 
 //repro:noalloc runs in Ctx.Barrier
-func (w *worker) teamSleep(tag uint32, ready bool, stop <-chan struct{}) {
-	if w.slot.Settle(tag, ready, stop) {
+func (w *worker) teamSleep(tag uint32, ready bool) {
+	if w.slot.Settle(tag, ready) {
 		w.st[stats.Parks].Add(1)
 	}
 }
@@ -48,7 +48,7 @@ func (w *worker) barrier(exec *teamExec) {
 	for !exec.barrier.Passed(p) {
 		if !bo.Pause() {
 			w.teamPark(slotBarrier)
-			w.teamSleep(slotBarrier, exec.barrier.Passed(p), nil)
+			w.teamSleep(slotBarrier, exec.barrier.Passed(p))
 		}
 	}
 }
@@ -61,7 +61,7 @@ func (w *worker) countdown(exec *teamExec) {
 	for exec.pending.Load() > 0 && !s.done.Load() {
 		if !w.bo.Pause() {
 			w.teamPark(slotTeamWait)
-			w.teamSleep(slotTeamWait, exec.pending.Load() <= 0 || s.done.Load(), s.doneCh)
+			w.teamSleep(slotTeamWait, exec.pending.Load() <= 0 || s.done.Load())
 		}
 	}
 	w.bo.Reset()

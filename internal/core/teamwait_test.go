@@ -178,7 +178,7 @@ func TestCountdownWokenByPickupAndLastParticipant(t *testing.T) {
 			t.Fatalf("after the surplus pickup: pending = %d, coordinator tag = %d, wake-ups = %d; want 0, claimed, 1",
 				exec.pending.Load(), coord.slot.Tag(), wakesBy(s, wakeTeamWait))
 		}
-		runWithDeadline(t, s, waitDeadline, func() { coord.slot.Sleep(nil) }) // the claim's token is there
+		runWithDeadline(t, s, waitDeadline, func() { coord.slot.Sleep() }) // the claim's token is there
 	})
 }
 
@@ -302,7 +302,7 @@ func TestWBCasTeamWakesLeavers(t *testing.T) {
 			var woke []int
 			for _, id := range asleep {
 				if w := s.workers[id]; w.slot.Tag() == 0 {
-					runWithDeadline(t, s, waitDeadline, func() { w.slot.Sleep(nil) }) // claimed: its token is there
+					runWithDeadline(t, s, waitDeadline, func() { w.slot.Sleep() }) // claimed: its token is there
 					woke = append(woke, id)
 				}
 			}
@@ -366,7 +366,7 @@ func TestBarrierLastArriverWakesParkedTeam(t *testing.T) {
 }
 
 // TestShutdownWithTeamParked: Shutdown while a member is parked inside the
-// team. In memberStep the closed doneCh releases it at once; in a barrier it
+// team. In memberStep Shutdown's claim of its slot releases it at once; in a barrier it
 // stays until the missing participant arrives (a released barrier would let
 // the task run on with its phase broken) and Shutdown waits for that — and
 // the participant does arrive: a worker does not leave its loop over a

@@ -382,7 +382,7 @@ func (w *worker) memberStep() {
 		// execution or the end of its membership, and c wakes it for both
 		// (publishAndRun, cas).
 		w.teamPark(slotTeamWait)
-		w.teamSleep(slotTeamWait, w.pickable(c.cur.Load()) || c.regw.Load() != rc || w.sched.done.Load(), w.sched.doneCh)
+		w.teamSleep(slotTeamWait, w.pickable(c.cur.Load()) || c.regw.Load() != rc || w.sched.done.Load())
 	}
 }
 

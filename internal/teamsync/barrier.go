@@ -103,7 +103,7 @@ func (b *Barrier) Wait() bool {
 	for s := &bank[k-1]; !b.Passed(p); {
 		if !bo.Pause() {
 			s.Arm(sleeping)
-			s.Settle(sleeping, b.Passed(p), nil)
+			s.Settle(sleeping, b.Passed(p))
 		}
 	}
 	return false

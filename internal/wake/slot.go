@@ -13,7 +13,10 @@
 // for its tag knows its token is coming and takes it — the slot is empty
 // before the next Arm. The tag names the kind of wait, so a waker claims only
 // sleepers its event is for; a late waker may still claim a later wait of the
-// same kind, which is why every sleeper loops on its condition.
+// same kind, which is why every sleeper loops on its condition. A sleep ends
+// only on its token: an event that ends a wait early, a shutdown among them,
+// claims and signals the sleeper like any other waker, so every way out of a
+// wait is a claim.
 package wake
 
 import "sync/atomic"
@@ -78,26 +81,13 @@ func (s *Slot) Wake(tag uint32) bool {
 // claimed back, and otherwise sleeps (true).
 //
 //repro:noalloc every park and team wait ends its announcement here
-func (s *Slot) Settle(tag uint32, ready bool, stop <-chan struct{}) bool {
+func (s *Slot) Settle(tag uint32, ready bool) bool {
 	if ready && s.Claim(tag) {
 		return false
 	}
-	s.Sleep(stop)
+	s.Sleep()
 	return true
 }
 
-// Sleep blocks the announced caller until its token arrives (true) or stop
-// is closed (false; nil: never). Leaving through stop withdraws the
-// announcement, or takes the token if a waker claimed it first, so the slot
-// is empty again.
-func (s *Slot) Sleep(stop <-chan struct{}) bool {
-	select {
-	case <-s.ch:
-		return true
-	case <-stop:
-		if s.tag.Swap(0) == 0 {
-			<-s.ch
-		}
-		return false
-	}
-}
+// Sleep blocks the announced caller until its token arrives.
+func (s *Slot) Sleep() { <-s.ch }

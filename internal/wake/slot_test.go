@@ -64,7 +64,7 @@ func TestSettleTable(t *testing.T) {
 				go c.after(&s)
 			}
 			var slept bool
-			within(t, "Settle", func() { slept = s.Settle(tagA, ready, nil) })
+			within(t, "Settle", func() { slept = s.Settle(tagA, ready) })
 			if slept != c.wantSlept {
 				t.Fatalf("slept = %v, want %v", slept, c.wantSlept)
 			}
@@ -75,28 +75,6 @@ func TestSettleTable(t *testing.T) {
 				t.Fatal("woke a sleeper that is gone")
 			}
 		})
-	}
-}
-
-// TestSleepStop: leaving through the stop channel withdraws the
-// announcement, or takes the token of a waker that claimed it first.
-func TestSleepStop(t *testing.T) {
-	stop := make(chan struct{})
-	close(stop)
-	var s Slot
-	s.Arm(tagA)
-	within(t, "Sleep(stop), unclaimed", func() { s.Sleep(stop) })
-	if !empty(&s) {
-		t.Fatal("a stopped sleeper left its announcement behind")
-	}
-	s.Arm(tagA)
-	if !s.Claim(tagA) {
-		t.Fatal("claim")
-	}
-	go func() { time.Sleep(time.Millisecond); s.Signal() }()
-	within(t, "Sleep(stop), claimed", func() { s.Sleep(stop) })
-	if !empty(&s) {
-		t.Fatal("a stopped sleeper left the waker's token behind")
 	}
 }
 
@@ -127,7 +105,7 @@ func TestNoLostWake(t *testing.T) {
 			for i := int32(0); i < rounds; i++ {
 				for cond.Load() != 2*i+1 {
 					s.Arm(tagA)
-					s.Settle(tagA, cond.Load() == 2*i+1, nil)
+					s.Settle(tagA, cond.Load() == 2*i+1)
 				}
 				cond.Store(2*i + 2)
 			}

@@ -291,10 +291,10 @@ func TestForkTasksArePooled(t *testing.T) {
 // inject queue's backing array), Wait parks on the group's condition
 // variable rather than on a channel made per wait, the root task and its
 // fork-join spawns come from the ForkPool, and a Background context starts
-// no watcher. The root's scheduler node comes from a shared pool that a
-// worker refills only once its own free list is full (256 nodes): a worker
-// that has run few requests yet keeps up to that many nodes before it gives
-// any back. AllocsPerRun divides the count by the runs, so with 1000 runs
+// no watcher. The root's scheduler node comes from the free list of the
+// worker that takes it, which falls back on a shared pool while empty and
+// refills that pool only once full (256 nodes): a worker that has run few
+// requests yet keeps up to that many nodes before it gives any back. AllocsPerRun divides the count by the runs, so with 1000 runs
 // per case those at most 2 × 256 refills round away, as does a rare pool
 // miss (sync.Pool keeps one item per P that a caller on another P cannot
 // take); a per-request allocation does not.
@@ -358,9 +358,12 @@ func TestRequestZeroAlloc(t *testing.T) {
 	// The samplesort of big elements runs the in-place quicksort (width 1);
 	// of 4·big it is one team task of two, whose step draws its task, state
 	// and scratch from the ForkPool, so what is left is the teamExec.
-	// SortJoin's two width-1 samplesorts feed a width-2 MergeJoin.
+	// SortJoin's two width-1 samplesorts feed a width-2 MergeJoin. A batch
+	// of one fork-join request allocates its roots slice, nothing else: the
+	// group's inject queue takes the batch's tasks as they are.
 	wide := GenerateInput(Random, 4*big, 5)
 	buf, other := make([]int32, 4*big), make([]int32, big)
+	reqs := []SortRequest[int32]{{Data: data, Algo: AlgoForkJoin}}
 	for _, c := range []struct {
 		name string
 		n    int
@@ -370,6 +373,7 @@ func TestRequestZeroAlloc(t *testing.T) {
 		{"SortSamplesort", big, 0, func() { copy(buf, wide[:big]); rt.SortSamplesort(buf[:big], SSOptions{}) }},
 		{"SortSamplesort", 4 * big, 1, func() { copy(buf, wide); rt.SortSamplesort(buf, SSOptions{}) }},
 		{"SortJoin", big, 1, func() { copy(buf, src); copy(other, wide); rt.SortJoin(buf[:big], other, runs, SSOptions{}) }},
+		{"SortManyCtx", len(in), 1, func() { copy(data, in); rt.SortManyCtx(context.Background(), reqs, BatchOptions{}) }},
 	} {
 		c.call() // warm
 		if allocs := testing.AllocsPerRun(1000, c.call); allocs != c.want {

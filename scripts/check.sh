@@ -91,6 +91,16 @@ if [[ "${cases}" != 1 || "${literals}" != 0 ]]; then
   exit 1
 fi
 
+# One way out of a sleep: a wake slot's sleeper blocks on its token alone, and
+# Shutdown ends a wait by claiming and signalling it like any waker, so no
+# sleep selects on a second channel and internal/core has no channel that
+# Shutdown closes.
+echo "check: one way out of a sleep"
+if grep -n 'select' internal/wake/slot.go || grep -n 'doneCh' ${core_src}; then
+  echo "check: FAIL (a sleep selects beside its token, or internal/core has a shutdown channel)"
+  exit 1
+fi
+
 # One team wait: the wake slots park a team's members only behind
 # internal/core's Ctx.Barrier and the goroutine barrier of internal/teamsync,
 # so every wait inside a team shows up in FaultTeamPark, the Parks counter,
@@ -115,12 +125,13 @@ go test ./...
 # Count-flake guard: the tests that assert on quiescence, release counts,
 # cancellation and bound-context deadlines (internal/chaos's FuzzCancelStorm
 # seeds among them), forced
-# steals, the park/wake protocol and the waits inside a team, ten times over,
+# steals, the park/wake protocol, the waits inside a team and Shutdown's
+# wake-ups ten times over,
 # so a timing-dependent assertion fails at the change that introduces it
 # (bounded by -timeout — idle workers and team members block without a timer,
 # so a lost wake-up is a hang).
-echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Deadline|BindContext|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition)"
-go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Deadline|BindContext|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition' \
+echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Deadline|BindContext|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition|Shutdown)"
+go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Deadline|BindContext|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition|Shutdown' \
   ./internal/core ./internal/classic ./internal/chaos ./internal/teamsync ./internal/wake
 
 # Every team collective ends in its barrier because each exported collective
