@@ -43,8 +43,8 @@ func (r *Runtime[T]) bestNp(n int) int {
 func (r *Runtime[T]) single(f family, body func(g *core.Group, op *query.Op[T]) error) {
 	var l load
 	l[f] = 1
-	op, _ := r.ops.Get().(*query.Op[T])
-	if op == nil {
+	op, ok := r.ops.GetShared()
+	if !ok {
 		op = query.NewOp[T](r.s.MaxTeam())
 	}
 	held := loans[T]{op: op}

@@ -38,24 +38,26 @@ var (
 // tasks, and an intrusive node of the scheduler's round-robin ring (a
 // circular doubly-linked list of the non-empty sources, so joining and
 // leaving the rotation is O(1) however many clients submit concurrently).
-// All fields are guarded by Scheduler.admitMu.
+// All fields but group, the Group the queue is embedded in, are guarded by
+// Scheduler.admitMu.
 type injectQ struct {
+	group      *Group
 	es         []entry
 	head       int      // es[head:] are pending; es[:head] already taken
 	active     bool     // linked into the scheduler's round-robin ring
 	next, prev *injectQ // ring links while active
 }
 
-// entry is one admitted external task. It has no node: a client goroutine
-// owns no node free list, so the worker that takes a live entry wraps it in
-// a node of its own. r caches Threads(); tid is the trace id of the enqueue
-// event; enq is the admission time (trace.Now) the admission-wait histogram
-// reads at take time; a take revokes the entry instead of running it when
-// gepoch, the group's cancellation epoch at admission, has gone stale.
+// entry is one admitted external task of its queue's group. It has no
+// node: a client goroutine owns no node stack, so the worker that takes a
+// live entry wraps it in a node of its own. r caches Threads(); tid is the
+// trace id of the enqueue event; enq is the admission time (trace.Now) the
+// admission-wait histogram reads at take time; a take revokes the entry
+// instead of running it when gepoch, the group's cancellation epoch at
+// admission, has gone stale.
 type entry struct {
 	task   Task
 	r      int
-	group  *Group
 	tid    uint64
 	enq    int64
 	gepoch uint64
@@ -129,7 +131,7 @@ func (s *Scheduler) enqueueLocked(g *Group, ts []Task, k int) int {
 	// bumps the epoch under this same lock, so a take that finds an entry's
 	// stamp stale knows the entry predates the cancel and revokes it (see
 	// cancel.go and takeInjected).
-	e := entry{group: g, gepoch: g.epoch.Load()}
+	e := entry{gepoch: g.epoch.Load()}
 	// Stamp the admission time once per batch: the admission-wait histogram
 	// (always on) measures enqueue→take, and the tracer — when enabled —
 	// records the enqueue on the admission ring (ring P, owned by the admitMu
@@ -302,7 +304,7 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 			s.ringHead = q.next // rotate: next source serves the next take
 		}
 		s.pendingInject.Add(-1)
-		g := e.group
+		g := q.group
 		// Under admitMu, so ordered with Group.cancel's epoch bump.
 		revoked := e.gepoch != g.epoch.Load()
 		if revoked {
@@ -315,7 +317,7 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 		}
 		s.admitMu.Unlock()
 		if revoked {
-			s.finishRevoke(w, e)
+			s.finishRevoke(w, g, e)
 			continue // a live entry may sit right behind the revoked one
 		}
 		// Scheduler-owned admission latency: every take feeds the histogram,
@@ -347,11 +349,11 @@ func (s *Scheduler) takeInjected(w *worker) bool {
 // (taskDone, with the usual zero-transition release). Each admitted entry is
 // revoked at most once (it was popped from its inject queue under admitMu),
 // so Wait still releases exactly once.
-func (s *Scheduler) finishRevoke(w *worker, e entry) {
+func (s *Scheduler) finishRevoke(w *worker, g *Group, e entry) {
 	if xt := s.xt; xt.Enabled() {
-		xt.Record(w.id, trace.EvInjectRevoke, s.topo.P, uint32(e.group.gid), e.tid)
+		xt.Record(w.id, trace.EvInjectRevoke, s.topo.P, uint32(g.gid), e.tid)
 	}
-	w.taskDone(e.group)
+	w.taskDone(g)
 }
 
 // PendingInjected returns the number of admitted external tasks no worker

@@ -163,7 +163,10 @@ func (w *worker) gather(lvl, target int) {
 // team-local id lies below the task's width, waits until every other worker
 // of the block has picked the execution up and, if it participates,
 // finished its share, and only then proceeds (so registration-word
-// transitions never race with a running team execution).
+// transitions never race with a running team execution, and the record is
+// free to describe the next one).
+//
+//repro:noalloc a team task is published in the worker's own record
 func (w *worker) publishAndRun(lvl, target int) {
 	s := w.sched
 	n := w.queues[lvl].PopBottom()
@@ -176,23 +179,17 @@ func (w *worker) publishAndRun(lvl, target int) {
 		w.runSolo(n)
 		return
 	}
-	exec := &teamExec{
-		task:     n.task,
-		group:    n.group,
-		teamSize: target,
-		width:    n.r,
-		coordID:  w.id,
-		gen:      s.nextGen(),
-		tid:      n.tid,
-	}
-	exec.barrier.Init(exec.width)
+	exec := &w.exec
+	exec.task, exec.group, exec.teamSize, exec.width, exec.tid = n.task, n.group, target, n.r, n.tid
+	exec.barrier.Init(exec.width) //repro:allow Init's constant panic message, inlined here; nothing is allocated
 	exec.pending.Store(int32(target - 1))
 	w.freeNode(n) // content copied into exec; recycle before running
-	w.lastGen = exec.gen
-	w.cur.Store(exec)
+	gen := s.nextGen()
+	w.lastGen = gen
+	w.cur.Store(pubWord(gen, lvl))
 	// Members kept from the previous task are parked in memberStep.
 	w.wakeRange(topo.TeamLeft(w.id, target), topo.TeamRight(w.id, target), wakeTeamWait)
-	w.ev(trace.EvPublish, w.id, target, exec.gen)
+	w.ev(trace.EvPublish, w.id, target, gen)
 	w.st[stats.TeamsFormed].Add(1)
 	if lid := topo.LocalID(w.id, w.id, target); lid < exec.width {
 		w.runTeamPart(exec, lid)
@@ -201,9 +198,16 @@ func (w *worker) publishAndRun(lvl, target int) {
 	// share: every other worker of the block ticks once, a participant when
 	// its share returns, a surplus member (Refinement 2) at pickup.
 	w.countdown(exec)
-	w.cur.Store(nil)
-	w.ev(trace.EvExecDone, w.id, target, exec.gen)
-	w.taskDone(exec.group)
+	w.cur.Store(0)
+	g := exec.group
+	if exec.pending.Load() == 0 {
+		// Every member is done with the record. On the shutdown exit a late
+		// member may still pick the execution up and read it; the record is
+		// never rewritten then, since coordinate() publishes nothing more.
+		exec.task, exec.group = nil, nil
+	}
+	w.ev(trace.EvExecDone, w.id, target, gen)
+	w.taskDone(g)
 	if s.opts.DisableTeamReuse {
 		w.dropCoordination(w.regw.Load())
 	}

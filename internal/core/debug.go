@@ -47,9 +47,11 @@ func (s *Scheduler) DumpState() string {
 		}
 		b.WriteString("]")
 		b.WriteString(slotMarks[w.slot.Tag()])
-		if cur != nil {
-			fmt.Fprintf(&b, " exec{size:%d width:%d gen:%d pending:%d}",
-				cur.teamSize, cur.width, cur.gen, cur.pending.Load())
+		if cur != 0 {
+			// The word and the atomics only: the record's plain fields are
+			// the members' and the coordinator's.
+			fmt.Fprintf(&b, " exec{size:%d gen:%d pending:%d}",
+				pubSize(cur), pubGen(cur), w.exec.pending.Load())
 		}
 		b.WriteByte('\n')
 	}

@@ -77,7 +77,9 @@ type Group struct {
 
 // NewGroup returns a fresh, empty task group on s.
 func (s *Scheduler) NewGroup() *Group {
-	return &Group{s: s, gid: s.groupSeq.Add(1)}
+	g := &Group{s: s, gid: s.groupSeq.Add(1)}
+	g.iq.group = g
+	return g
 }
 
 // Scheduler returns the scheduler the group spawns into.

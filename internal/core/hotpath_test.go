@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/stats"
 )
 
@@ -157,17 +158,17 @@ func TestWBSpawnStatNotDoubleCounted(t *testing.T) {
 }
 
 // TestNodeFreeListBounded checks the overflow path: completing far more
-// tasks than the free-list capacity on one worker spills to the shared pool
-// instead of growing the list without bound.
+// tasks than the stack's capacity on one worker spills to the scheduler's
+// shared level instead of growing the stack without bound.
 func TestNodeFreeListBounded(t *testing.T) {
 	s := stopped(2)
 	w := s.workers[0]
-	for i := 0; i < 4*nodeFreeCap; i++ {
+	for i := 0; i < 4*freelist.StackCap; i++ {
 		w.push(Solo(func(*Ctx) {}))
 		w.runSolo(w.queues[0].PopBottom())
 	}
-	if got := len(w.free); got > nodeFreeCap {
-		t.Fatalf("free list grew to %d, cap %d", got, nodeFreeCap)
+	if got := w.free.Len(); got > freelist.StackCap {
+		t.Fatalf("free list grew to %d, cap %d", got, freelist.StackCap)
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("pending = %d", s.Pending())

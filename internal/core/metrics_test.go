@@ -60,8 +60,8 @@ func TestFreelistGauge(t *testing.T) {
 	w.runSolo(w.queues[0].PopBottom())
 	w.idleWait()
 	vals := s.Metrics().Values()
-	if got := vals[`repro_sched_freelist_nodes{worker="0"}`]; got != float64(len(w.free)) || got < 1 {
-		t.Fatalf(`freelist_nodes{worker="0"} = %v, want %d (>= 1)`, got, len(w.free))
+	if got := vals[`repro_sched_freelist_nodes{worker="0"}`]; got != float64(w.free.Len()) || got < 1 {
+		t.Fatalf(`freelist_nodes{worker="0"} = %v, want %d (>= 1)`, got, w.free.Len())
 	}
 	if got := vals[`repro_sched_freelist_nodes{worker="1"}`]; got != 0 {
 		t.Fatalf(`freelist_nodes{worker="1"} = %v, want 0`, got)

@@ -1,19 +1,20 @@
 package core
 
-import "sync"
-
 // Node recycling.
 //
 // Every spawned task is wrapped in a node for the queues. With one node
 // heap-allocated per spawn, a fork-join sort of n elements allocates
 // Θ(n/cutoff) nodes — pure GC pressure on the hottest path in the repo.
-// Nodes are instead recycled: the worker that completes a task puts the node
-// on its own free list (owner-only, no synchronization), and the next
-// spawn pops it back off. The list is bounded; overflow spills in batches to
-// a shared sync.Pool, which rebalances when spawner and runner are
-// persistently different workers. Nodes come only from the workers' lists:
-// an external submission is queued as a plain entry (admission.go) and the
-// worker that takes it wraps it in a node of its own.
+// Nodes are instead recycled on a freelist.List of the scheduler: the worker
+// that completes a task puts the node on its own stack (owner-only, no
+// synchronization), and the next spawn pops it back off. A full stack spills
+// a batch to the list's shared level and an empty one refills a batch from
+// it, which rebalances when spawner and runner are persistently different
+// workers. Unlike the pool of package sync, no collection empties either
+// level, so a warmed scheduler allocates a node only when more tasks are out
+// at once than ever before. Nodes come only from the workers' stacks: an external
+// submission is queued as a plain entry (admission.go) and the worker that
+// takes it wraps it in a node of its own.
 //
 // Recycling is safe against stale deque references: a Chase–Lev slot
 // retains a pointer to a popped node until the ring wraps around, but
@@ -22,54 +23,31 @@ import "sync"
 // clear the slot (internal/deque); freeNode clears the node instead, so the
 // ring retains at most an empty node, never a completed task.
 
-const (
-	// nodeFreeCap bounds a worker's free list.
-	nodeFreeCap = 256
-	// nodeFreeLow is the level a full list is trimmed to; the spilled batch
-	// goes to the shared pool.
-	nodeFreeLow = 128
-	// ctxFreeCap bounds a worker's Ctx free list. Depth = nesting of
-	// task executions on one worker (TaskGroup.Wait helping inside a
-	// running task), which is shallow in practice.
-	ctxFreeCap = 64
-)
+// ctxFreeCap bounds a worker's Ctx free list. Depth = nesting of task
+// executions on one worker (TaskGroup.Wait helping inside a running task),
+// which is shallow in practice.
+const ctxFreeCap = 64
 
-// sharedNodes is the overflow pool behind the per-worker free lists.
-var sharedNodes = sync.Pool{New: func() any { return new(node) }}
-
-// getNode returns a cleared node: from the worker's own free list if
-// possible (the steady-state interior path — no locks, no allocation),
-// otherwise from the shared pool.
+// getNode returns a cleared node: from the worker's own stack if possible
+// (the steady-state interior path — no locks, no allocation), otherwise from
+// the scheduler's shared level, and a new one only when both are empty.
 //
 //repro:noalloc steady-state spawns must recycle, never allocate
 func (w *worker) getNode() *node {
-	if k := len(w.free) - 1; k >= 0 {
-		n := w.free[k]
-		w.free[k] = nil
-		w.free = w.free[:k]
+	if n, ok := w.free.Get(&w.sched.nodes); ok {
 		return n
 	}
-	return sharedNodes.Get().(*node)
+	return new(node) //repro:allow cold path: the stack and the shared level are both empty
 }
 
 // freeNode recycles n after its task completed (or was handed off to a team
-// execution). The reference fields are cleared so a parked node never
+// execution). The reference fields are cleared so a recycled node never
 // retains a finished task or its captured buffers.
 //
 //repro:noalloc runs once per task completion
 func (w *worker) freeNode(n *node) {
 	n.task, n.group, n.join, n.tid = nil, nil, nil, 0
-	if len(w.free) < nodeFreeCap {
-		w.free = append(w.free, n) //repro:allow capacity-bounded by nodeFreeCap; grows only until warm
-		return
-	}
-	for i := nodeFreeLow; i < len(w.free); i++ {
-		sharedNodes.Put(w.free[i])
-		w.free[i] = nil
-	}
-	w.free = w.free[:nodeFreeLow]
-	w.freeLen.Store(nodeFreeLow)
-	sharedNodes.Put(n)
+	w.free.Put(&w.sched.nodes, n)
 }
 
 // getCtx returns a task execution context from the worker's free list. A

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -137,6 +138,10 @@ type Scheduler struct {
 	ringHead     *injectQ   // next non-empty source to drain (circular list)
 	ringLen      int        // non-empty sources in the ring (diagnostics)
 	admit        stats.Admission
+
+	// nodes is the shared level behind the workers' node stacks
+	// (nodepool.go).
+	nodes freelist.List[*node]
 
 	// Metrics registry, built once on first use (see metrics.go).
 	metricsOnce sync.Once

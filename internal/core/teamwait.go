@@ -76,7 +76,8 @@ func (w *worker) countdown(exec *teamExec) {
 //repro:noalloc once per member per team task
 func (w *worker) tick(exec *teamExec) {
 	w.flushStats()
+	c := w.sched.workers[exec.coordID] // past the decrement the record is the coordinator's again
 	if exec.pending.Add(-1) == 0 {
-		w.sched.wake(w.sched.workers[exec.coordID], wakeTeamWait, w)
+		w.sched.wake(c, wakeTeamWait, w)
 	}
 }

@@ -131,7 +131,7 @@ func TestCountdownWokenByPickupAndLastParticipant(t *testing.T) {
 		coord := s.workers[1-mid.Load()]
 
 		waitTag(t, s, coord, slotTeamWait)
-		exec := coord.cur.Load()
+		exec := &coord.exec
 		if got := exec.pending.Load(); got != 1 {
 			t.Fatalf("coordinator parked with pending = %d, want 1", got)
 		}
@@ -155,10 +155,12 @@ func TestCountdownWokenByPickupAndLastParticipant(t *testing.T) {
 		coord := s.workers[0]
 		coord.regw.Store(reg.R{Req: 4, Acq: 4, Team: 4})
 		var ran atomic.Int32
-		exec := &teamExec{task: Func(3, func(*Ctx) { ran.Add(1) }), teamSize: 4, width: 3, coordID: 0, gen: s.nextGen()}
+		exec := &coord.exec
+		exec.task, exec.teamSize, exec.width = Func(3, func(*Ctx) { ran.Add(1) }), 4, 3
 		exec.pending.Store(3)
 		exec.barrier.Init(3)
-		coord.cur.Store(exec)
+		gen := s.nextGen()
+		coord.cur.Store(pubWord(gen, 2))
 		coord.slot.Arm(slotTeamWait) // the coordinator announced in countdown
 		for _, id := range []int{1, 2} {
 			s.workers[id].coord.Store(coord)
@@ -171,8 +173,8 @@ func TestCountdownWokenByPickupAndLastParticipant(t *testing.T) {
 		surplus := s.workers[3]
 		surplus.coord.Store(coord)
 		surplus.memberStep()
-		if surplus.lastGen != exec.gen || ran.Load() != 2 {
-			t.Fatalf("surplus member: lastGen = %d (exec %d), ran = %d; want a pickup without a share", surplus.lastGen, exec.gen, ran.Load())
+		if surplus.lastGen != gen || ran.Load() != 2 {
+			t.Fatalf("surplus member: lastGen = %d (exec %d), ran = %d; want a pickup without a share", surplus.lastGen, gen, ran.Load())
 		}
 		if exec.pending.Load() != 0 || coord.slot.Tag() != 0 || wakesBy(s, wakeTeamWait) != 1 {
 			t.Fatalf("after the surplus pickup: pending = %d, coordinator tag = %d, wake-ups = %d; want 0, claimed, 1",
@@ -438,8 +440,9 @@ func TestShutdownWithTeamParked(t *testing.T) {
 		}))
 		release() // the coordinator ends the first task and publishes the second
 		waitTag(t, s, coord, slotBarrier)
-		if exec := coord.cur.Load(); exec == nil || exec.pending.Load() != 1 {
-			t.Fatalf("coordinator in the barrier with exec %+v, want one pickup outstanding", exec)
+		if coord.cur.Load() == 0 || coord.exec.pending.Load() != 1 {
+			t.Fatalf("coordinator in the barrier with word %#x, pending %d; want one pickup outstanding",
+				coord.cur.Load(), coord.exec.pending.Load())
 		}
 		down := make(chan struct{})
 		go func() { s.Shutdown(); close(down) }()
@@ -450,4 +453,81 @@ func TestShutdownWithTeamParked(t *testing.T) {
 			t.Fatalf("%d members got through the barrier, want 2", after.Load())
 		}
 	})
+}
+
+// recordProbe is one team task of TestTeamRecordReuse: every member writes
+// its slot, passes the barrier and reads every other member's, and local
+// id 0 then spawns the chain's next task.
+type recordProbe struct {
+	width int
+	ran   [4]atomic.Int32 // runs per local id
+	slots [4]int          // written before the barrier, read after it
+	next  func(*Ctx)      // spawns the chain's next task, or nil
+	bad   *atomic.Int64
+}
+
+func (p *recordProbe) Threads() int { return p.width }
+
+func (p *recordProbe) Run(ctx *Ctx) {
+	lid := ctx.LocalID()
+	if ctx.TeamSize() != p.width || lid >= p.width || p.ran[lid].Add(1) != 1 {
+		p.bad.Add(1) // a stale record: wrong width, or a local id run twice
+		return
+	}
+	p.slots[lid] = lid + 1
+	ctx.Barrier()
+	for i := 0; i < p.width; i++ {
+		if p.slots[i] != i+1 {
+			p.bad.Add(1)
+		}
+	}
+	ctx.Barrier() // nobody reads the slots after this
+	if lid == 0 && p.next != nil {
+		p.next(ctx)
+	}
+}
+
+// TestTeamRecordReuse: each coordinator publishes every team task in the
+// one record embedded in its worker, so a member that reads it outside its
+// pickup-to-tick window, or a coordinator that rewrites it before the
+// countdown reaches zero, runs another execution's task or width. Two
+// chains of team tasks of widths 2, 3 and 4 run back to back on P = 4: each
+// task's local id 0 spawns the next one, so its worker coordinates it —
+// on the kept team when the size matches, after a shrink when it is
+// smaller, with a surplus member at width 3 — while the other chain
+// competes for the same workers. Every task must run exactly once per
+// member, with its own width. Run it under -race.
+func TestTeamRecordReuse(t *testing.T) {
+	s := newTest(t, Options{P: 4})
+	const chains, length = 2, 300
+	widths := [...]int{2, 3, 4, 4, 3, 2, 2, 4, 3}
+	var bad atomic.Int64
+	probes := make([][]*recordProbe, chains)
+	for c := range probes {
+		probes[c] = make([]*recordProbe, length)
+		for i := range probes[c] {
+			probes[c][i] = &recordProbe{width: widths[(i+c)%len(widths)], bad: &bad}
+		}
+		for i := 0; i+1 < length; i++ {
+			nx := probes[c][i+1]
+			probes[c][i].next = func(ctx *Ctx) { ctx.Spawn(nx) }
+		}
+	}
+	g := s.NewGroup()
+	for c := range probes {
+		g.Spawn(probes[c][0])
+	}
+	runWithDeadline(t, s, waitDeadline, g.Wait)
+	if n := bad.Load(); n != 0 {
+		t.Fatalf("%d member runs saw a stale record", n)
+	}
+	for c := range probes {
+		for i, p := range probes[c] {
+			for lid := range p.width {
+				if n := p.ran[lid].Load(); n != 1 {
+					t.Fatalf("chain %d task %d (width %d): local id %d ran %d times, want once", c, i, p.width, lid, n)
+				}
+			}
+		}
+	}
 }

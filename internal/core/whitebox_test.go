@@ -172,10 +172,12 @@ func TestWBMemberStepPickup(t *testing.T) {
 		t.Fatal("fix CAS")
 	}
 	n := coord.queues[1].PopBottom()
-	exec := &teamExec{task: n.task, teamSize: 2, width: 2, coordID: 0, gen: s.nextGen()}
+	exec := &coord.exec
+	exec.task, exec.teamSize, exec.width = n.task, 2, 2
 	exec.pending.Store(1)
 	exec.barrier.Init(1) // member-side run only in this test
-	coord.cur.Store(exec)
+	gen := s.nextGen()
+	coord.cur.Store(pubWord(gen, 1))
 
 	member.memberStep()
 	if !ran {
@@ -184,7 +186,7 @@ func TestWBMemberStepPickup(t *testing.T) {
 	if got := exec.pending.Load(); got != 0 {
 		t.Fatalf("countdown = %d after the member's step, want 0", got)
 	}
-	if !member.teamed || member.lastGen != exec.gen {
+	if !member.teamed || member.lastGen != gen {
 		t.Fatal("member team state not updated")
 	}
 	// A second step must not re-execute the same generation.

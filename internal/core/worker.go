@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/deque"
+	"repro/internal/freelist"
 	"repro/internal/reg"
 	"repro/internal/stats"
 	"repro/internal/teamsync"
@@ -13,22 +14,33 @@ import (
 	"repro/internal/wake"
 )
 
-// teamExec is the published description of one team task execution. The
-// coordinator stores it in its cur pointer; team members poll cur, pick the
-// execution up exactly once (identified by gen) and participate if their
-// team-local id is below the task's actual width (Refinement 2 surplus
-// members pick up but do not run).
+// teamExec is the description of one team task execution, embedded in its
+// coordinator's worker and rewritten for each execution it publishes. The
+// publication is the word cur (pubWord): team members poll it, pick the
+// execution up exactly once (identified by its generation) and participate
+// if their team-local id is below the task's actual width (Refinement 2
+// surplus members pick up but do not run). A member reads the plain fields
+// only between its pickup and its tick, and the coordinator rewrites them
+// only once the countdown has reached zero, after every tick: the countdown
+// G of the paper is the whole argument for the record's reuse.
 type teamExec struct {
 	task     Task
-	group    *Group // quiescence group of the task
-	teamSize int    // power-of-two team size
-	width    int    // actual thread requirement r ≤ teamSize
-	coordID  int
-	gen      uint64          // scheduler-unique generation
+	group    *Group          // quiescence group of the task
+	teamSize int             // power-of-two team size
+	width    int             // actual thread requirement r ≤ teamSize
+	coordID  int             // the owning worker's id, set once
 	tid      uint64          // trace id of the task's creating event (0 untraced)
 	pending  atomic.Int32    // countdown: the teamSize−1 other workers of the block, one tick each
 	barrier  teamsync.Phaser // width participants; they park on their workers' slots
 }
+
+// pubWord packs a published execution into cur's one word: its
+// scheduler-unique generation and log2 of its team size. 0 means none.
+func pubWord(gen uint64, lvl int) uint64 { return gen<<8 | uint64(lvl) }
+
+// pubGen and pubSize unpack a word of pubWord.
+func pubGen(x uint64) uint64 { return x >> 8 }
+func pubSize(x uint64) int   { return 1 << (x & 0xff) }
 
 // worker is one of the p scheduler workers ("hardware threads").
 type worker struct {
@@ -39,9 +51,9 @@ type worker struct {
 	// (Refinement 1: one queue per size class).
 	queues []*deque.Deque[node]
 
-	regw  reg.Word                 // the packed registration structure R (§3)
-	coord atomic.Pointer[worker]   // c: current coordinator (self when free)
-	cur   atomic.Pointer[teamExec] // published team execution
+	regw  reg.Word               // the packed registration structure R (§3)
+	coord atomic.Pointer[worker] // c: current coordinator (self when free)
+	cur   atomic.Uint64          // the published team execution (pubWord), 0 if none
 
 	st stats.Worker
 	bo backoff.Backoff
@@ -51,21 +63,21 @@ type worker struct {
 	teamed   bool   // member of a fixed team
 	lastGen  uint64 // generation of the last picked-up team execution
 
-	// Owner-only hot-path state: the node and Ctx free lists (nodepool.go),
-	// and the Spawns and TasksRun stats counted plain. flushStats publishes
-	// the two counts before every atomic write that can complete a task, so
-	// the stats are exact after any Wait (README.md, Per-task atomic-write
-	// budget) and cost nothing per joined child. They sit here, away from
-	// slot, which other workers CAS to wake this one.
+	// Owner-only hot-path state: the node stack and the Ctx free list
+	// (nodepool.go), and the Spawns and TasksRun stats counted plain.
+	// flushStats publishes the two counts before every atomic write that can
+	// complete a task, so the stats are exact after any Wait (README.md,
+	// Per-task atomic-write budget) and cost nothing per joined child. They
+	// sit here, away from slot, which other workers CAS to wake this one.
 	spawns, ran int64
-	free        []*node
+	free        freelist.Stack[*node]
 	ctxFree     []*Ctx
 
-	// freeLen mirrors len(free) for concurrent readers (metrics gauges,
-	// DumpState), so scrapers never race on the slice header itself. The
-	// owner publishes it off the per-task path — when it runs out of work
-	// (idleWait) and when the list spills — so the gauge is exact on an idle
-	// worker and at most nodeFreeCap stale on a busy one.
+	// freeLen mirrors free.Len() for concurrent readers (metrics gauges,
+	// DumpState), so scrapers never race on the stack itself. The owner
+	// publishes it off the per-task path, when it runs out of work
+	// (idleWait), so the gauge is exact on an idle worker and at most
+	// freelist.StackCap stale on a busy one.
 	freeLen atomic.Int64
 
 	// Parking (park.go, teamwait.go). slot is where the worker sleeps in
@@ -82,15 +94,22 @@ type worker struct {
 	state atomic.Uint32
 
 	rngState uint64
+
+	// exec is the record of the team executions this worker coordinates, on
+	// cache lines of its own: members write its countdown and barrier while
+	// the owner runs its share.
+	_    [64]byte
+	exec teamExec
+	_    [64]byte
 }
 
 func newWorker(s *Scheduler, id int) *worker {
 	w := &worker{
 		id:       id,
 		sched:    s,
-		free:     make([]*node, 0, nodeFreeCap),
 		rngState: s.opts.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15,
 	}
+	w.exec.coordID = id
 	w.slot.Init()
 	w.queues = make([]*deque.Deque[node], s.topo.QueueLevels)
 	for j := range w.queues {
@@ -175,7 +194,7 @@ func (w *worker) spawn(t Task, g *Group) {
 //
 //repro:noalloc runs once per interior spawn
 func (w *worker) pushTask(t Task, r int, g *Group, join *TaskGroup) {
-	n := w.getNode()
+	n := w.getNode() //repro:allow getNode's cold path, inlined here
 	n.task, n.r, n.group, n.join = t, r, g, join
 	if xt := w.sched.xt; xt.Enabled() {
 		n.tid = xt.Record(w.id, trace.EvSpawn, w.id, uint32(r), 0)
@@ -223,7 +242,7 @@ func (w *worker) pushNode(n *node) {
 func (w *worker) loop() {
 	defer w.sched.wg.Done()
 	s := w.sched
-	for !s.done.Load() || w.pickable(w.coordp().cur.Load()) {
+	for !s.done.Load() || w.pickable(w.coordp()) != 0 {
 		if f := s.opts.Fault; f != nil {
 			f(FaultWorkerLoop, w.id)
 		}
@@ -259,7 +278,7 @@ func (w *worker) loop() {
 // the scheduler shuts down. No timer runs for an idle worker.
 func (w *worker) idleWait() {
 	w.st[stats.Backoffs].Add(1)
-	w.freeLen.Store(int64(len(w.free)))
+	w.freeLen.Store(int64(w.free.Len()))
 	w.flushStats()
 	w.setState(trace.StatePark)
 	w.ev(trace.EvPark, w.id, 0, 0)
@@ -355,11 +374,12 @@ func (w *worker) memberStep() {
 		w.leave(c)
 		return
 	}
-	if exec := c.cur.Load(); w.pickable(exec) {
-		w.lastGen = exec.gen
+	if gen := w.pickable(c); gen != 0 {
+		exec := &c.exec
+		w.lastGen = gen
 		w.teamed = true
-		lid := topo.LocalID(w.id, exec.coordID, exec.teamSize)
-		w.ev(trace.EvPickup, exec.coordID, lid, exec.gen)
+		lid := topo.LocalID(w.id, c.id, exec.teamSize)
+		w.ev(trace.EvPickup, c.id, lid, gen)
 		if lid < exec.width {
 			w.runTeamPart(exec, lid)
 		}
@@ -382,11 +402,18 @@ func (w *worker) memberStep() {
 		// execution or the end of its membership, and c wakes it for both
 		// (publishAndRun, cas).
 		w.teamPark(slotTeamWait)
-		w.teamSleep(slotTeamWait, w.pickable(c.cur.Load()) || c.regw.Load() != rc || w.sched.done.Load())
+		w.teamSleep(slotTeamWait, w.pickable(c) != 0 || c.regw.Load() != rc || w.sched.done.Load())
 	}
 }
 
-// pickable reports whether exec is a published execution w has not picked up.
-func (w *worker) pickable(exec *teamExec) bool {
-	return exec != nil && exec.gen != w.lastGen && topo.Overlap(exec.coordID, w.id, exec.teamSize)
+// pickable returns the generation of the execution c publishes if w is in
+// its team and has yet to pick it up, and 0 otherwise. It reads only c's
+// word and c.id: the record is w's to read only from its pickup to its
+// tick, and outside that window c may be rewriting it.
+func (w *worker) pickable(c *worker) uint64 {
+	x := c.cur.Load()
+	if x == 0 || pubGen(x) == w.lastGen || !topo.Overlap(c.id, w.id, pubSize(x)) {
+		return 0
+	}
+	return pubGen(x)
 }

@@ -14,10 +14,10 @@
 package msort
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/freelist"
 	"repro/internal/par"
 	"repro/internal/qsort"
 )
@@ -66,17 +66,19 @@ func Root[T qsort.Ordered](data, scratch []T, opt Options) core.Task {
 }
 
 // msState is the shared state of one merge sort tree: the options plus the
-// recycling pools for the sort tasks, the sequential merge tasks, and the
-// merge join nodes, so the whole continuation tree (Θ(n/cutoff) spawns)
-// allocates only at the root. Tasks return themselves to their pool as they
-// start running (fields copied out first; the scheduler never touches a
-// task value after invoking Run), and a mergeNode is recycled by whichever
-// child finishes last, after it has extracted the merge description.
+// free lists of the sort tasks, the sequential merge tasks, and the merge
+// join nodes, so the whole continuation tree (Θ(n/cutoff) spawns) allocates
+// only as many of each as were once out at the same time. Tasks return
+// themselves to their list as they start running (fields copied out first;
+// the scheduler never touches a task value after invoking Run), and a
+// mergeNode is recycled by whichever child finishes last, after it has
+// extracted the merge description. The lists live as long as the tree, so
+// they use their shared level only.
 type msState[T qsort.Ordered] struct {
-	opt       Options
-	sortPool  sync.Pool // *msSortTask[T]
-	mergePool sync.Pool // *msSeqMerge[T]
-	nodePool  sync.Pool // *mergeNode[T]
+	opt    Options
+	sorts  freelist.List[*msSortTask[T]]
+	merges freelist.List[*msSeqMerge[T]]
+	nodes  freelist.List[*mergeNode[T]]
 }
 
 // mergeNode is the join point of two child sorts. Whichever child finishes
@@ -89,8 +91,8 @@ type mergeNode[T qsort.Ordered] struct {
 }
 
 func (st *msState[T]) newMergeNode(parent *mergeNode[T]) *mergeNode[T] {
-	m, _ := st.nodePool.Get().(*mergeNode[T])
-	if m == nil {
+	m, ok := st.nodes.GetShared()
+	if !ok {
 		m = &mergeNode[T]{st: st}
 	}
 	m.parent = parent
@@ -108,7 +110,7 @@ func (m *mergeNode[T]) childDone(ctx *core.Ctx) {
 	st, parent := m.st, m.parent
 	a, b, out := m.a, m.b, m.out
 	m.a, m.b, m.out, m.parent = nil, nil, nil, nil
-	st.nodePool.Put(m)
+	st.nodes.PutShared(m)
 	np := core.BestNp(len(out), st.opt.MinPerThread, ctx.Scheduler().MaxTeam())
 	if np <= 1 {
 		ctx.Spawn(st.seqMerge(a, b, out, parent))
@@ -127,8 +129,8 @@ type msSeqMerge[T qsort.Ordered] struct {
 }
 
 func (st *msState[T]) seqMerge(a, b, out []T, parent *mergeNode[T]) *msSeqMerge[T] {
-	t, _ := st.mergePool.Get().(*msSeqMerge[T])
-	if t == nil {
+	t, ok := st.merges.GetShared()
+	if !ok {
 		t = &msSeqMerge[T]{st: st}
 	}
 	t.a, t.b, t.out, t.parent = a, b, out, parent
@@ -140,7 +142,7 @@ func (t *msSeqMerge[T]) Threads() int { return 1 }
 func (t *msSeqMerge[T]) Run(c *core.Ctx) {
 	st, a, b, out, parent := t.st, t.a, t.b, t.out, t.parent
 	t.a, t.b, t.out, t.parent = nil, nil, nil, nil
-	st.mergePool.Put(t)
+	st.merges.PutShared(t)
 	if !c.Canceled() {
 		mergeRange(a, b, out, 0, len(out))
 	}
@@ -186,8 +188,8 @@ type msSortTask[T qsort.Ordered] struct {
 }
 
 func (st *msState[T]) sortTask(src, tmp []T, toTmp bool, parent *mergeNode[T]) *msSortTask[T] {
-	t, _ := st.sortPool.Get().(*msSortTask[T])
-	if t == nil {
+	t, ok := st.sorts.GetShared()
+	if !ok {
 		t = &msSortTask[T]{st: st}
 	}
 	t.src, t.tmp, t.toTmp, t.parent = src, tmp, toTmp, parent
@@ -199,7 +201,7 @@ func (t *msSortTask[T]) Threads() int { return 1 }
 func (t *msSortTask[T]) Run(ctx *core.Ctx) {
 	st, src, tmp, toTmp, parent := t.st, t.src, t.tmp, t.toTmp, t.parent
 	t.src, t.tmp, t.parent = nil, nil, nil
-	st.sortPool.Put(t)
+	st.sorts.PutShared(t)
 	st.sortRun(ctx, src, tmp, toTmp, parent)
 }
 

@@ -1,10 +1,9 @@
 package qsort
 
 import (
-	"sync"
-
 	"repro/internal/classic"
 	"repro/internal/core"
+	"repro/internal/freelist"
 )
 
 // This file implements the task-parallel fork-join Quicksort of the paper's
@@ -30,8 +29,13 @@ import (
 // is returned by the team's local id 0 once the step's last spawn is out, so
 // the partitioning steps of a warmed sort tree allocate no task state either.
 // Teams does the same for the samplesort's team steps (internal/ssort). The
-// out-of-place sorts' scratch is lent by Borrow and Return from a LIFO that,
-// unlike a sync.Pool, no collection empties and every P reaches.
+// out-of-place sorts' scratch is lent by Borrow and Return.
+//
+// Each kind lives on a freelist.List, which no collection empties. A task
+// drawn or returned inside a running task uses the stack of the executing
+// worker (Ctx.WorkerID): no lock per spawn, whatever P. A root, built on a
+// client goroutine, and the scratch use the lists' shared level. So one
+// ForkPool serves the workers of one scheduler at a time.
 //
 // The zero ForkPool is ready to use and serves any number of sort trees of
 // one element type at once, whatever their cutoffs and options (a task
@@ -39,23 +43,17 @@ import (
 // request allocates no task and no scratch; a root built without one gets a
 // pool of its own.
 type ForkPool[T Ordered] struct {
-	pool  sync.Pool // of *forkTask[T]
-	mm    sync.Pool // of *mmTask[T]
-	Teams sync.Pool // of internal/ssort's team steps, a type this package cannot name
-
-	mu   sync.Mutex
-	free [][]T // returned scratch, the last one returned on top
+	forks   freelist.List[*forkTask[T]]
+	mms     freelist.List[*mmTask[T]]
+	Teams   freelist.List[any] // internal/ssort's team steps, a type this package cannot name
+	scratch freelist.List[[]T] // returned buffers, the last one returned on top
 }
 
 // Borrow returns n elements of scratch, contents unspecified: the buffer
 // returned last, or a fresh one if that is too short, which is dropped so
 // that the list never holds more buffers than were once out at the same time.
-func (fp *ForkPool[T]) Borrow(n int) (b []T) {
-	fp.mu.Lock()
-	if k := len(fp.free) - 1; k >= 0 {
-		b, fp.free[k], fp.free = fp.free[k], nil, fp.free[:k]
-	}
-	fp.mu.Unlock()
+func (fp *ForkPool[T]) Borrow(n int) []T {
+	b, _ := fp.scratch.GetShared()
 	if cap(b) < n {
 		b = make([]T, n)
 	}
@@ -63,17 +61,20 @@ func (fp *ForkPool[T]) Borrow(n int) (b []T) {
 }
 
 // Return puts a buffer from Borrow back on the free list.
-func (fp *ForkPool[T]) Return(b []T) {
-	fp.mu.Lock()
-	fp.free = append(fp.free, b[:cap(b)])
-	fp.mu.Unlock()
-}
+func (fp *ForkPool[T]) Return(b []T) { fp.scratch.PutShared(b[:cap(b)]) }
 
 // FreeBuffers reports how many buffers the free list holds.
-func (fp *ForkPool[T]) FreeBuffers() int {
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
-	return len(fp.free)
+func (fp *ForkPool[T]) FreeBuffers() int { return fp.scratch.SharedLen() }
+
+// ReturnTo is the owner id under which a task drawn from a ForkPool list goes
+// back from the worker running it. A root was drawn on a client goroutine
+// from the shared level and returns there, where the next request's root
+// looks for it; every other task goes to the running worker's stack.
+func ReturnTo(ctx *core.Ctx, root bool) int {
+	if root {
+		return -1
+	}
+	return ctx.WorkerID()
 }
 
 // forkTask is one pooled spawn of the task-parallel quicksort recursion.
@@ -81,6 +82,7 @@ type forkTask[T Ordered] struct {
 	fp     *ForkPool[T]
 	data   []T
 	cutoff int
+	root   bool // drawn from the shared level (see ReturnTo)
 }
 
 func (t *forkTask[T]) Threads() int { return 1 }
@@ -88,39 +90,40 @@ func (t *forkTask[T]) Threads() int { return 1 }
 func (t *forkTask[T]) Run(ctx *core.Ctx) {
 	fp, data, cutoff := t.fp, t.data, t.cutoff
 	t.data = nil
-	fp.pool.Put(t)
+	fp.forks.Put(ReturnTo(ctx, t.root), t)
 	fp.run(ctx, data, cutoff)
 }
 
-// task wraps data in a recycled (or new) forkTask; cutoff < 2 selects
+// task wraps data in a recycled (or new) forkTask, drawn from the stack of
+// worker id (−1: a root's, from the shared level); cutoff < 2 selects
 // DefaultCutoff.
-func (fp *ForkPool[T]) task(data []T, cutoff int) *forkTask[T] {
-	t, _ := fp.pool.Get().(*forkTask[T])
-	if t == nil {
+func (fp *ForkPool[T]) task(id int, data []T, cutoff int) *forkTask[T] {
+	t, ok := fp.forks.Get(id)
+	if !ok {
 		t = &forkTask[T]{fp: fp}
 	}
 	if cutoff < 2 {
 		cutoff = DefaultCutoff
 	}
-	t.data, t.cutoff = data, cutoff
+	t.data, t.cutoff, t.root = data, cutoff, id < 0
 	return t
 }
 
 // mmTask returns a recycled (or new) mixed-mode task partitioning data with
-// np threads; opt has its defaults filled in.
-func (fp *ForkPool[T]) mmTask(data []T, np int, opt MMOptions) *mmTask[T] {
-	t, _ := fp.mm.Get().(*mmTask[T])
-	if t == nil {
+// np threads, drawn like task; opt has its defaults filled in.
+func (fp *ForkPool[T]) mmTask(id int, data []T, np int, opt MMOptions) *mmTask[T] {
+	t, ok := fp.mms.Get(id)
+	if !ok {
 		t = &mmTask[T]{fp: fp}
 	}
-	t.np, t.opt = np, opt
+	t.np, t.opt, t.root = np, opt, id < 0
 	t.init(data, opt.BlockSize)
 	return t
 }
 
 // Spawn spawns the task-parallel quicksort of data on ctx as a pooled task.
 func (fp *ForkPool[T]) Spawn(ctx *core.Ctx, data []T, cutoff int) {
-	ctx.Spawn(fp.task(data, cutoff))
+	ctx.Spawn(fp.task(ctx.WorkerID(), data, cutoff))
 }
 
 // run is the quicksort recursion of Algorithm 10 over data: each
@@ -138,7 +141,7 @@ func (fp *ForkPool[T]) run(ctx *core.Ctx, data []T, cutoff int) {
 		s := HoarePartition(data)
 		left := data[:s]
 		data = data[s:]
-		ctx.Spawn(fp.task(left, cutoff))
+		ctx.Spawn(fp.task(ctx.WorkerID(), left, cutoff))
 	}
 	Introsort(data)
 }
@@ -160,7 +163,7 @@ func ForkJoinRoot[T Ordered](fp *ForkPool[T], data []T, cutoff int) core.Task {
 	if fp == nil {
 		fp = new(ForkPool[T])
 	}
-	return fp.task(data, cutoff)
+	return fp.task(-1, data, cutoff)
 }
 
 // ForkJoinClassic sorts data with the handwritten task-parallel quicksort

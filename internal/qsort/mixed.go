@@ -64,7 +64,7 @@ func MixedModeRoot[T Ordered](fp *ForkPool[T], maxTeam int, data []T, opt MMOpti
 		// Algorithm 11 line 1: "if np = 1 then return qsort(data, n)".
 		return ForkJoinRoot(fp, data, opt.Cutoff)
 	}
-	return fp.mmTask(data, np, opt)
+	return fp.mmTask(-1, data, np, opt)
 }
 
 // mmTask is one mixed-mode quicksort task: a data-parallel partitioning of
@@ -74,9 +74,10 @@ func MixedModeRoot[T Ordered](fp *ForkPool[T], maxTeam int, data []T, opt MMOpti
 // task state of its own.
 type mmTask[T Ordered] struct {
 	parState[T]
-	np  int
-	opt MMOptions
-	fp  *ForkPool[T] // the pool the task returns to; shared across the sort tree
+	np   int
+	opt  MMOptions
+	fp   *ForkPool[T] // the pool the task returns to; shared across the sort tree
+	root bool         // drawn from the shared level (see ReturnTo)
 }
 
 func (t *mmTask[T]) Threads() int { return t.np }
@@ -106,7 +107,7 @@ func (t *mmTask[T]) Run(ctx *core.Ctx) {
 	// Every member reached the barrier after its last access to t, so
 	// nobody else uses t now.
 	t.data = nil
-	t.fp.mm.Put(t)
+	t.fp.mms.Put(ReturnTo(ctx, t.root), t)
 }
 
 // spawnPart spawns one partitioned subsequence with the thread requirement
@@ -123,7 +124,7 @@ func (t *mmTask[T]) spawnPart(ctx *core.Ctx, part []T) {
 		t.spawnFork(ctx, part)
 		return
 	}
-	ctx.Spawn(t.fp.mmTask(part, np, t.opt))
+	ctx.Spawn(t.fp.mmTask(ctx.WorkerID(), part, np, t.opt))
 }
 
 func (t *mmTask[T]) spawnFork(ctx *core.Ctx, part []T) {

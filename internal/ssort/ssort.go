@@ -114,7 +114,7 @@ func Root[T qsort.Ordered](fp *qsort.ForkPool[T], maxTeam int, data []T, opt Opt
 		// degenerate samplesort (every element its own bucket recursion).
 		return qsort.ForkJoinRoot(fp, data, opt.Cutoff)
 	}
-	return newTask(fp, data, np, opt)
+	return newTask(fp, -1, data, np, opt)
 }
 
 // task is one samplesort team task over data, drawn from fp.Teams and
@@ -125,6 +125,7 @@ type task[T qsort.Ordered] struct {
 	np      int
 	opt     Options
 	fp      *qsort.ForkPool[T] // shared by the whole sort tree
+	root    bool               // drawn from the shared level (see qsort.ReturnTo)
 
 	sample     []T
 	tree       []T  // search tree of the splitters in tree[1:], one slot per bucket; written by member 0
@@ -133,15 +134,18 @@ type task[T qsort.Ordered] struct {
 	hist par.Hist
 }
 
-// newTask returns a recycled (or new) team step over data with np members.
-func newTask[T qsort.Ordered](fp *qsort.ForkPool[T], data []T, np int, opt Options) *task[T] {
+// newTask returns a recycled (or new) team step over data with np members,
+// drawn from worker id's stack of fp.Teams (−1: a root's, from the shared
+// level).
+func newTask[T qsort.Ordered](fp *qsort.ForkPool[T], id int, data []T, np int, opt Options) *task[T] {
 	nb := 1 << bits.Len(uint(np*opt.BucketsPerThread-1)) // np ≥ 2: at least two buckets
 	ss := min(nb*opt.Oversample, len(data))
-	t, _ := fp.Teams.Get().(*task[T])
+	x, _ := fp.Teams.Get(id)
+	t, _ := x.(*task[T])
 	if t == nil {
 		t = &task[T]{fp: fp}
 	}
-	t.data, t.np, t.opt = data, np, opt
+	t.data, t.np, t.opt, t.root = data, np, opt, id < 0
 	t.sample = slices.Grow(t.sample[:0], ss)[:ss]
 	t.tree = slices.Grow(t.tree[:0], nb)[:nb]
 	t.hist.Init(np, nb)
@@ -259,7 +263,7 @@ func (t *task[T]) Run(ctx *core.Ctx) {
 	// Every member passed the copy-back barrier after its last access to t,
 	// so nobody else uses t now.
 	t.data, t.scratch = nil, nil
-	t.fp.Teams.Put(t)
+	t.fp.Teams.Put(qsort.ReturnTo(ctx, t.root), t)
 }
 
 // spawnBucket spawns the sort of one bucket with a thread requirement
@@ -285,7 +289,7 @@ func (t *task[T]) spawnBucket(ctx *core.Ctx, part []T) {
 	// whole range (heavily duplicated keys) must not recurse as a
 	// samplesort again.
 	if np > 1 && m < len(t.data) {
-		ctx.Spawn(newTask(t.fp, part, np, t.opt))
+		ctx.Spawn(newTask(t.fp, ctx.WorkerID(), part, np, t.opt))
 		return
 	}
 	t.spawnFork(ctx, part)

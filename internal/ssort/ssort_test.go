@@ -107,7 +107,7 @@ func TestSortOddTeamAndRecursion(t *testing.T) {
 		for _, kind := range []dist.Kind{dist.RandDup, dist.Zero, dist.Staggered} {
 			in := dist.Generate(kind, 1<<14, 7)
 			data := append([]int32(nil), in...)
-			root := newTask(new(qsort.ForkPool[int32]), data, c.np, opt)
+			root := newTask(new(qsort.ForkPool[int32]), -1, data, c.np, opt)
 			if err := s.Run(root); err != nil {
 				t.Fatal(err)
 			}

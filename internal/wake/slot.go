@@ -17,6 +17,12 @@
 // only on its token: an event that ends a wait early, a shutdown among them,
 // claims and signals the sleeper like any other waker, so every way out of a
 // wait is a claim.
+//
+// Sleep is one channel receive, and the allocations a profile attributes to
+// it are the Go runtime's own: a goroutine that blocks takes a sudog from
+// its P's cache, which refills from a central cache, which every collection
+// clears. A parked worker after a GC may so allocate one sudog; no code
+// above the runtime can keep it.
 package wake
 
 import "sync/atomic"

@@ -3,6 +3,5 @@
 package repro
 
 // raceEnabled reports that this test binary runs under the race detector
-// (under which sync.Pool drops a quarter of what it is given, so pooled
-// allocation bounds do not hold).
+// (whose instrumentation slows the sorts that allocation tests repeat).
 const raceEnabled = true

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/freelist"
 )
 
 // requestCase is one public Runtime request method: the family it is
@@ -260,14 +262,8 @@ func TestSamplesortScratchIsPooled(t *testing.T) {
 // request, so a warmed quicksort of 4096 elements — a dozen spawned tasks —
 // allocates no more than a two-element one does (when every root built its
 // own pool, 12 allocations against 4). TestRequestZeroAlloc pins the
-// request itself. Counted over 1000 runs, like there, so that the at most
-// 2 × 256 node refills of the fresh scheduler's workers round away whatever
-// the process-wide node pool kept from earlier tests (a collection empties
-// it).
+// request itself, TestRequestAllocsAcrossGC the same across collections.
 func TestForkTasksArePooled(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops tasks at random under the race detector")
-	}
 	rt := NewRuntime[int32](Options{P: 2})
 	defer rt.Close()
 	in := GenerateInput(Random, 4096, 3)
@@ -286,28 +282,76 @@ func TestForkTasksArePooled(t *testing.T) {
 	}
 }
 
+// TestRequestAllocsAcrossGC: a warmed request that follows two collections
+// allocates as often at 2^18 elements as at 2^16 — what a collection
+// empties would be refilled per task or per team, and a larger sort runs
+// more of both. Every free list of the request path keeps what it is given,
+// so what is counted is the same at both sizes: the collections' own
+// allocations and the Go runtime's (a parked worker's sudog, whose central
+// cache each collection clears). The warm-up runs the larger sort until
+// every worker's stacks have once been full: objects idle on one worker's
+// stack while another allocates, up to freelist.StackCap of each kind.
+func TestRequestAllocsAcrossGC(t *testing.T) {
+	rt := NewRuntime[int32](Options{P: 2})
+	defer rt.Close()
+	const small, large = 1 << 16, 1 << 18
+	in := GenerateInput(Random, large, 7)
+	data := make([]int32, large)
+	for _, c := range []struct {
+		name string
+		sort func([]int32)
+	}{
+		{"SortMixedMode", func(d []int32) { rt.SortMixedMode(d, MMOptions{}) }},
+		{"SortSamplesort", func(d []int32) { rt.SortSamplesort(d, SSOptions{}) }},
+	} {
+		for range 100 {
+			copy(data, in)
+			c.sort(data)
+		}
+		var got [2]float64
+		for i, n := range []int{small, large} {
+			got[i] = testing.AllocsPerRun(20, func() {
+				runtime.GC()
+				runtime.GC()
+				copy(data, in[:n])
+				c.sort(data[:n])
+			})
+			if !slices.IsSorted(data[:n]) {
+				t.Fatalf("%s of %d elements: output not sorted", c.name, n)
+			}
+		}
+		if got[0] != got[1] {
+			t.Errorf("%s after two collections: %v allocations per request at %d elements, %v at %d; want the same",
+				c.name, got[0], small, got[1], large)
+		}
+		t.Logf("%s after two collections: %v and %v allocations per request", c.name, got[0], got[1])
+	}
+}
+
 // TestRequestZeroAlloc: a warmed request allocates nothing. Its quiescence
-// group comes from the Runtime's pool of drained groups (and keeps its
+// group comes from the Runtime's free list of drained groups (and keeps its
 // inject queue's backing array), Wait parks on the group's condition
 // variable rather than on a channel made per wait, the root task and its
 // fork-join spawns come from the ForkPool, and a Background context starts
-// no watcher. The root's scheduler node comes from the free list of the
-// worker that takes it, which falls back on a shared pool while empty and
-// refills that pool only once full (256 nodes): a worker that has run few
-// requests yet keeps up to that many nodes before it gives any back. AllocsPerRun divides the count by the runs, so with 1000 runs
-// per case those at most 2 × 256 refills round away, as does a rare pool
-// miss (sync.Pool keeps one item per P that a caller on another P cannot
-// take); a per-request allocation does not.
+// no watcher. The root's scheduler node comes from the stack of the worker
+// that takes it. Every free list keeps what it is given (internal/freelist),
+// so a warmed Runtime refills nothing, but its per-worker stacks may still
+// grow: a worker allocates only when its own stack and the shared level are
+// empty, so at most freelist.StackCap idle objects of a kind sit on the
+// other worker's stack. A request draws on at most three kinds that move
+// between workers (nodes and two of the sorts' task kinds), so counted over
+// more than 3·StackCap runs AllocsPerRun's quotient rounds that slack away,
+// and an allocation per request does not.
 //
-// The analytics methods run an Op from the Runtime's pool, and RunPlan its
-// plan's own Ops. At 4096 elements every one runs solo and allocates
-// nothing but GroupBy's and Aggregate's fresh result. At 16384, the
-// smallest input core.BestNp gives a team of two, each team task adds the
-// one allocation left on the request path: the scheduler's teamExec, built
-// per team execution (coordinate.go).
+// The analytics methods run an Op from the Runtime's free list, and RunPlan
+// its plan's own Ops. At 4096 elements every one runs solo, at 16384, the
+// smallest input core.BestNp gives a team of two, as team tasks, whose
+// coordinator publishes them in its own record: at both sizes they allocate
+// nothing but GroupBy's and Aggregate's fresh result.
 func TestRequestZeroAlloc(t *testing.T) {
+	reps := 1000
 	if raceEnabled {
-		t.Skip("sync.Pool drops groups and tasks at random under the race detector")
+		reps = 4 * freelist.StackCap // still above the slack; the instrumented sorts are slow
 	}
 	rt := NewRuntime[int32](Options{P: 2})
 	defer rt.Close()
@@ -318,7 +362,7 @@ func TestRequestZeroAlloc(t *testing.T) {
 			"SortForkJoin":  rt.SortForkJoin,
 			"SortMixedMode": func(d []int32) { rt.SortMixedMode(d, MMOptions{}) },
 		} {
-			allocs := testing.AllocsPerRun(1000, func() { copy(data, in[:n]); sort(data[:n]) })
+			allocs := testing.AllocsPerRun(reps, func() { copy(data, in[:n]); sort(data[:n]) })
 			if allocs != 0 || !slices.IsSorted(data[:n]) {
 				t.Errorf("%s of %d elements: %v allocations per warmed request, want 0 (sorted: %v)",
 					name, n, allocs, slices.IsSorted(data[:n]))
@@ -340,16 +384,16 @@ func TestRequestZeroAlloc(t *testing.T) {
 		solo, team float64 // allocations per request at 4096 and at big elements
 		call       func(n int)
 	}{
-		{"Filter", 0, 1, func(n int) { rt.Filter(src[:n], out, func(v int32) bool { return v&1 == 0 }) }},
-		{"GroupBy", 1, 2, func(n int) { rt.GroupBy(src[:n], out, 8, key) }},
-		{"Aggregate", 1, 2, func(n int) { rt.Aggregate(src[:n], 8, key, 0, lift, comb) }},
-		{"TopK", 0, 1, func(n int) { rt.TopK(src[:n], out, 16) }},
-		{"MergeJoin", 0, 1, func(n int) { rt.MergeJoin(srt[:n], srt[:n], runs) }},
-		{"RunPlan", 0, 2, func(n int) { rt.RunPlan(plan, src[:n]) }},
+		{"Filter", 0, 0, func(n int) { rt.Filter(src[:n], out, func(v int32) bool { return v&1 == 0 }) }},
+		{"GroupBy", 1, 1, func(n int) { rt.GroupBy(src[:n], out, 8, key) }},
+		{"Aggregate", 1, 1, func(n int) { rt.Aggregate(src[:n], 8, key, 0, lift, comb) }},
+		{"TopK", 0, 0, func(n int) { rt.TopK(src[:n], out, 16) }},
+		{"MergeJoin", 0, 0, func(n int) { rt.MergeJoin(srt[:n], srt[:n], runs) }},
+		{"RunPlan", 0, 0, func(n int) { rt.RunPlan(plan, src[:n]) }},
 	} {
 		for n, want := range map[int]float64{4096: c.solo, big: c.team} {
 			c.call(n) // warm: the pooled Op builds its state
-			if allocs := testing.AllocsPerRun(1000, func() { c.call(n) }); allocs != want {
+			if allocs := testing.AllocsPerRun(reps, func() { c.call(n) }); allocs != want {
 				t.Errorf("%s of %d elements: %v allocations per warmed request, want %v", c.name, n, allocs, want)
 			}
 		}
@@ -357,8 +401,8 @@ func TestRequestZeroAlloc(t *testing.T) {
 
 	// The samplesort of big elements runs the in-place quicksort (width 1);
 	// of 4·big it is one team task of two, whose step draws its task, state
-	// and scratch from the ForkPool, so what is left is the teamExec.
-	// SortJoin's two width-1 samplesorts feed a width-2 MergeJoin. A batch
+	// and scratch from the ForkPool. SortJoin's two width-1 samplesorts feed
+	// a width-2 MergeJoin. A batch
 	// of one fork-join request allocates its roots slice, nothing else: the
 	// group's inject queue takes the batch's tasks as they are.
 	wide := GenerateInput(Random, 4*big, 5)
@@ -371,12 +415,12 @@ func TestRequestZeroAlloc(t *testing.T) {
 		call func()
 	}{
 		{"SortSamplesort", big, 0, func() { copy(buf, wide[:big]); rt.SortSamplesort(buf[:big], SSOptions{}) }},
-		{"SortSamplesort", 4 * big, 1, func() { copy(buf, wide); rt.SortSamplesort(buf, SSOptions{}) }},
-		{"SortJoin", big, 1, func() { copy(buf, src); copy(other, wide); rt.SortJoin(buf[:big], other, runs, SSOptions{}) }},
+		{"SortSamplesort", 4 * big, 0, func() { copy(buf, wide); rt.SortSamplesort(buf, SSOptions{}) }},
+		{"SortJoin", big, 0, func() { copy(buf, src); copy(other, wide); rt.SortJoin(buf[:big], other, runs, SSOptions{}) }},
 		{"SortManyCtx", len(in), 1, func() { copy(data, in); rt.SortManyCtx(context.Background(), reqs, BatchOptions{}) }},
 	} {
 		c.call() // warm
-		if allocs := testing.AllocsPerRun(1000, c.call); allocs != c.want {
+		if allocs := testing.AllocsPerRun(reps, c.call); allocs != c.want {
 			t.Errorf("%s of %d elements: %v allocations per warmed request, want %v", c.name, c.n, allocs, c.want)
 		}
 	}

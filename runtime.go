@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/freelist"
 	"repro/internal/msort"
 	"repro/internal/qsort"
 	"repro/internal/query"
@@ -31,9 +32,9 @@ type Runtime[T Ordered] struct {
 	s      *Scheduler
 	owned  bool // whether Close shuts the scheduler down
 	m      runtimeMetrics
-	groups sync.Pool         // of drained *core.Group: one per request in flight
-	ops    sync.Pool         // of unbound *query.Op[T]: one per analytics request in flight
-	forks  qsort.ForkPool[T] // every sort's tasks and scratch: quicksorts, samplesort steps and buckets, fallbacks
+	groups freelist.List[*core.Group]  // drained groups: one per request in flight
+	ops    freelist.List[*query.Op[T]] // unbound Ops: one per analytics request in flight
+	forks  qsort.ForkPool[T]           // every sort's tasks and scratch: quicksorts, samplesort steps and buckets, fallbacks
 }
 
 // family indexes the request families of runtimeMetrics: the four sort
@@ -155,8 +156,8 @@ func (m *runtimeMetrics) end(l *load, shard int, t0 time.Time) {
 // flight: those are left to the collector.
 func (r *Runtime[T]) request(ctx context.Context, l load, held *loans[T], body func(g *core.Group) error) error {
 	shard, t0 := r.m.begin(&l, r.s.P())
-	g, _ := r.groups.Get().(*core.Group)
-	if g == nil {
+	g, ok := r.groups.GetShared()
+	if !ok {
 		g = r.s.NewGroup()
 	} else {
 		g.Reset()
@@ -171,9 +172,9 @@ func (r *Runtime[T]) request(ctx context.Context, l load, held *loans[T], body f
 		}
 		if held.op != nil {
 			held.op.Unbind()
-			r.ops.Put(held.op)
+			r.ops.PutShared(held.op)
 		}
-		r.groups.Put(g)
+		r.groups.PutShared(g)
 	}
 	if err == nil {
 		err = berr

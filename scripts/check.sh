@@ -68,6 +68,15 @@ if grep -n 'time\.\(AfterFunc\|NewTimer\|NewTicker\|After(\)' $(ls internal/core
   exit 1
 fi
 
+# No sync.Pool: a collection empties one, so what is recycled per task or per
+# request lives on a freelist.List (internal/freelist), which keeps what it is
+# given. bench/ is a module of its own and may use what it likes.
+echo "check: no sync.Pool in non-test code outside bench/"
+if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'sync\.Pool' .; then
+  echo "check: FAIL (a collection empties a sync.Pool; recycle on a freelist.List)"
+  exit 1
+fi
+
 # One thief: worker.steal (steal.go) is the only code in internal/core that
 # moves tasks between deques, so every steal is counted, traced and passes
 # the wake on in one place.
@@ -125,14 +134,16 @@ go test ./...
 # Count-flake guard: the tests that assert on quiescence, release counts,
 # cancellation and bound-context deadlines (internal/chaos's FuzzCancelStorm
 # seeds among them), forced
-# steals, the park/wake protocol, the waits inside a team and Shutdown's
-# wake-ups ten times over,
+# steals, the park/wake protocol, the waits inside a team, the reuse of a
+# coordinator's team record and Shutdown's wake-ups ten times over,
 # so a timing-dependent assertion fails at the change that introduces it
 # (bounded by -timeout — idle workers and team members block without a timer,
-# so a lost wake-up is a hang).
-echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Deadline|BindContext|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition|Shutdown)"
-go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Deadline|BindContext|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition|Shutdown' \
+# so a lost wake-up is a hang). The root package's allocation count across
+# collections joins them: it compares two sizes, each counted over 20 runs.
+echo "check: go test -count=10 (Group|TaskGroup|Wait|Cancel|Deadline|BindContext|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition|Shutdown|RecordReuse)"
+go test -count=10 -timeout 300s -run 'Group|TaskGroup|Wait|Cancel|Deadline|BindContext|Distributed|StealsAreSingle|Park|Wake|Barrier|Countdown|Member|Churn|Transition|Shutdown|RecordReuse' \
   ./internal/core ./internal/classic ./internal/chaos ./internal/teamsync ./internal/wake
+go test -count=10 -timeout 300s -run 'AllocsAcrossGC' .
 
 # Every team collective ends in its barrier because each exported collective
 # is its body followed by ctx.Barrier(); these tests call each one twice back
@@ -146,6 +157,13 @@ echo "check: go test -race -count=5 -run CollectiveReuse (par, query), SortOddTe
 go test -race -count=5 -run CollectiveReuse ./internal/par ./internal/query
 go test -race -count=5 -run 'TestSortOddTeamAndRecursion|TestSortAllKinds' ./internal/ssort
 go test -race -count=5 -run 'TestRuntimeAnalyticsConcurrent|TestSamplesortScratchIsPooled' .
+
+# A coordinator rewrites its team record only after its countdown reached
+# zero, and a member reads it only between pickup and tick; a write or read
+# outside those windows is a race the detector reports, or a stale run the
+# test counts.
+echo "check: go test -race -count=20 -run TeamRecordReuse (core)"
+go test -race -count=20 -run TestTeamRecordReuse ./internal/core
 
 # The deque owner's plain slot store is race-free only because it turns
 # atomic while a thief is in flight; this test wraps a ring under thieves,
